@@ -1,5 +1,5 @@
 # Tier-1 verification targets. `make ci` is the full gate: build, vet, the
-# whole test suite, and the parallel merge paths under the race detector.
+# whole test suite, and the whole module under the race detector.
 
 GO ?= go
 
@@ -16,10 +16,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# The morsel-parallel executor, scheduler, and partial-merge paths live
-# under internal/; run them with the race detector.
+# The morsel-parallel executor, scheduler and partial-merge paths live under
+# internal/; the root package's differential suite drives them (and each
+# morsel's recycled buffers) at parallelism 4. Both run with the race detector.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run xxx ./...

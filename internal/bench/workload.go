@@ -84,20 +84,29 @@ func (r Request) Explain(db *matstore.DB) (*matstore.Explanation, error) {
 	return db.Explain(r.Projection, q, r.Strategy)
 }
 
-// CalibrateDB refits the DB's cost-model CPU constants from the workload:
-// every request is explained serially, the per-node (feature vector,
-// observed time) observations are pooled, FitConstants solves for the
-// constants that minimize modeled-vs-observed error (never worse than the
-// current constants on this pool), and the fit is installed on the DB for
-// every subsequent advisor call, EXPLAIN annotation and admission grant.
-func CalibrateDB(db *matstore.DB, reqs []Request) (matstore.CalibrationReport, error) {
+// Observe explains every request serially and pools the per-node (feature
+// vector, observed time) observations: the input of a refit.
+func Observe(db *matstore.DB, reqs []Request) ([]matstore.Observation, error) {
 	var obs []matstore.Observation
 	for _, r := range reqs {
 		ex, err := r.Explain(db)
 		if err != nil {
-			return matstore.CalibrationReport{}, fmt.Errorf("%s: %w", r.Name, err)
+			return nil, fmt.Errorf("%s: %w", r.Name, err)
 		}
 		obs = append(obs, ex.Observations()...)
+	}
+	return obs, nil
+}
+
+// CalibrateDB refits the DB's cost-model CPU constants from the workload:
+// FitConstants solves for the constants that minimize modeled-vs-observed
+// error over the workload's observations (never worse than the current
+// constants on this pool), and the fit is installed on the DB for every
+// subsequent advisor call, EXPLAIN annotation and admission grant.
+func CalibrateDB(db *matstore.DB, reqs []Request) (matstore.CalibrationReport, error) {
+	obs, err := Observe(db, reqs)
+	if err != nil {
+		return matstore.CalibrationReport{}, err
 	}
 	fitted, rep := matstore.FitConstants(obs, db.Constants())
 	db.SetConstants(fitted)

@@ -16,6 +16,7 @@ package datasource
 
 import (
 	"fmt"
+	"slices"
 
 	"matstore/internal/encoding"
 	"matstore/internal/positions"
@@ -237,11 +238,14 @@ func (ds *DS2) CompilePreds() {
 	}
 }
 
-// ScanChunk returns a batch with one column named after the stored column.
-func (ds *DS2) ScanChunk(r positions.Range, name string) (*rows.Batch, error) {
+// ScanChunk refills batch with the chunk's early-materialized tuples:
+// positions in Pos, this column's values in attribute 0, every later
+// attribute emptied for the DS4 nodes above to widen. The batch's buffers are
+// recycled, so what an earlier chunk left in it is gone.
+func (ds *DS2) ScanChunk(r positions.Range, batch *rows.Batch) error {
 	mc, err := ds.Col.Window(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var ps positions.Set
 	switch len(ds.Preds) {
@@ -256,20 +260,22 @@ func (ds *DS2) ScanChunk(r positions.Range, name string) (*rows.Batch, error) {
 		}
 		ps = encoding.FilterFusedKernel(mc, ds.Preds, k)
 	}
-	batch := rows.NewBatch(name)
-	it := ps.Runs()
-	scratch := positions.Ranges{{}}
-	for {
+	batch.Reset()
+	batch.Cols[0] = mc.Extract(batch.Cols[0], ps)
+	pos := slices.Grow(batch.Pos, len(batch.Cols[0]))[:len(batch.Cols[0])]
+	w := 0
+	for it := ps.Runs(); ; {
 		run, ok := it.Next()
 		if !ok {
-			return batch, nil
+			break
 		}
-		scratch[0] = run
-		batch.Cols[0] = mc.Extract(batch.Cols[0], scratch)
 		for p := run.Start; p < run.End; p++ {
-			batch.Pos = append(batch.Pos, p)
+			pos[w] = p
+			w++
 		}
 	}
+	batch.Pos = pos
+	return nil
 }
 
 // DS3 produces values for a list of positions (Case 3). With the
@@ -321,7 +327,8 @@ type DS4 struct {
 // ExtendChunk processes one input batch against the chunk's mini-column.
 // The returned batch carries the input attributes plus colName. It is the
 // retained scalar reference path (one ValueAt jump and one Predicate.Match
-// dispatch per tuple); query execution uses ExtendChunkBatched.
+// dispatch per tuple, a fresh batch per call); query execution uses
+// ExtendChunkBatched, which the tests hold to this one.
 func (ds *DS4) ExtendChunk(mc encoding.MiniColumn, in *rows.Batch, colName string) *rows.Batch {
 	out := rows.NewBatch(append(append([]string{}, in.Names...), colName)...)
 	last := len(out.Cols) - 1
@@ -340,38 +347,44 @@ func (ds *DS4) ExtendChunk(mc encoding.MiniColumn, in *rows.Batch, colName strin
 	return out
 }
 
-// ExtendChunkBatched widens the input tuples with one batched block-pinned
-// gather of this column's values at the batch's positions (which are
-// ascending and distinct within a chunk), then filters with the compiled
-// predicate — replacing the per-tuple position jump (a block search plus a
-// buffer-pool lock per tuple) and the per-value predicate dispatch. valBuf
-// is a scratch slice recycled across chunks; the updated scratch is
-// returned alongside the widened batch.
-func (ds *DS4) ExtendChunkBatched(in *rows.Batch, colName string, valBuf []int64) (*rows.Batch, []int64, error) {
-	out := rows.NewBatch(append(append([]string{}, in.Names...), colName)...)
-	if in.Len() == 0 {
-		return out, valBuf, nil
-	}
-	valBuf, err := ds.Col.GatherAt(positions.List(in.Pos), valBuf[:0])
+// ExtendChunkBatched widens the batch's tuples in place with attribute c
+// (attributes 0..c-1 are filled, c is the next recycled buffer): one batched
+// block-pinned gather of this column's values at the batch's positions
+// (ascending and distinct within a chunk) lands in attribute c, the compiled
+// predicate filters it, and Pos and attributes 0..c are compacted forward over
+// the survivors. The write index never passes the read index, so there is no
+// second buffer, and a chunk that loses no tuple copies nothing.
+func (ds *DS4) ExtendChunkBatched(b *rows.Batch, c int) error {
+	vals, err := ds.Col.GatherAt(positions.List(b.Pos), b.Cols[c][:0])
 	if err != nil {
-		return nil, valBuf, err
+		return err
 	}
 	match := ds.match
 	if match == nil {
 		match = ds.compileMatcher()
 	}
-	last := len(out.Cols) - 1
-	for i, v := range valBuf {
+	w := 0
+	for w < len(vals) && match(vals[w]) {
+		w++
+	}
+	for i := w + 1; i < len(vals); i++ {
+		v := vals[i]
 		if !match(v) {
 			continue
 		}
-		out.Pos = append(out.Pos, in.Pos[i])
-		for c := range in.Cols {
-			out.Cols[c] = append(out.Cols[c], in.Cols[c][i])
+		b.Pos[w] = b.Pos[i]
+		for _, col := range b.Cols[:c] {
+			col[w] = col[i]
 		}
-		out.Cols[last] = append(out.Cols[last], v)
+		vals[w] = v
+		w++
 	}
-	return out, valBuf, nil
+	b.Pos = b.Pos[:w]
+	for j := range b.Cols[:c] {
+		b.Cols[j] = b.Cols[j][:w]
+	}
+	b.Cols[c] = vals[:w]
+	return nil
 }
 
 // CompilePred caches the compiled form of the predicate(s) so per-chunk

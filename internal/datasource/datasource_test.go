@@ -14,7 +14,7 @@ import (
 	"matstore/internal/storage"
 )
 
-func writeColumn(t *testing.T, enc encoding.Kind, vals []int64) (*storage.Column, *buffer.Pool) {
+func writeColumn(t testing.TB, enc encoding.Kind, vals []int64) (*storage.Column, *buffer.Pool) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "c.col")
 	w, err := storage.NewColumnWriter(path, enc)
@@ -110,8 +110,9 @@ func TestDS2ProducesPosValPairs(t *testing.T) {
 	vals := []int64{9, 1, 8, 2, 7, 3}
 	col, _ := writeColumn(t, encoding.Plain, vals)
 	ds := DS2{Col: col, Pred: pred.LessThan(5)}
-	batch, err := ds.ScanChunk(positions.Range{Start: 0, End: 64}, "v")
-	if err != nil {
+	batch := rows.NewBatch("v")
+	batch.Append(99, 99) // a recycled batch: ScanChunk must clear what it held
+	if err := ds.ScanChunk(positions.Range{Start: 0, End: 64}, batch); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(batch.Pos, []int64{1, 3, 5}) {

@@ -1,8 +1,9 @@
 package operators
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"matstore/internal/encoding"
 	"matstore/internal/positions"
@@ -69,7 +70,11 @@ type Aggregator struct {
 	// Fn selects the emitted aggregate; all statistics are maintained so
 	// the same pass can serve any function.
 	Fn AggFunc
-	m  map[int64]encoding.RunStats
+	// groups holds one entry per distinct key in first-seen order and slot
+	// maps a key to its index there, so a contribution to a known key is one
+	// map lookup and an update in place.
+	groups []GroupStats
+	slot   map[int64]int32
 	// TuplesIn counts tuple-at-a-time contributions (EM accounting).
 	TuplesIn int64
 	// RunsIn counts run-at-a-time contributions (LM accounting).
@@ -78,27 +83,46 @@ type Aggregator struct {
 
 // NewAggregator returns an empty aggregator for fn.
 func NewAggregator(fn AggFunc) *Aggregator {
-	return &Aggregator{Fn: fn, m: make(map[int64]encoding.RunStats)}
+	return &Aggregator{Fn: fn, slot: make(map[int64]int32)}
 }
 
 // NewSumAggregator returns an empty SUM aggregator.
 func NewSumAggregator() *Aggregator { return NewAggregator(AggSum) }
 
+// add folds st (Count > 0) into key's group.
 func (a *Aggregator) add(key int64, st encoding.RunStats) {
-	cur, ok := a.m[key]
-	if !ok || cur.Count == 0 {
-		a.m[key] = st
+	i, ok := a.slot[key]
+	if !ok {
+		a.slot[key] = int32(len(a.groups))
+		a.groups = append(a.groups, GroupStats{Key: key, Sum: st.Sum, Count: st.Count, Min: st.Min, Max: st.Max})
 		return
 	}
-	cur.Sum += st.Sum
-	cur.Count += st.Count
-	if st.Min < cur.Min {
-		cur.Min = st.Min
+	g := &a.groups[i]
+	g.Sum += st.Sum
+	g.Count += st.Count
+	g.Min = min(g.Min, st.Min)
+	g.Max = max(g.Max, st.Max)
+}
+
+// fold contributes aligned key/value vectors. Each run of equal keys is
+// summed up locally and touches the map once: integer sum, count, min and max
+// are associative, so the groups end up exactly as if every value had been
+// added on its own, and sorted or clustered keys cost a map access per run
+// instead of one per tuple.
+func (a *Aggregator) fold(keys, vals []int64) {
+	vals = vals[:len(keys)]
+	for i := 0; i < len(keys); {
+		k, v := keys[i], vals[i]
+		st := encoding.RunStats{Sum: v, Count: 1, Min: v, Max: v}
+		for i++; i < len(keys) && keys[i] == k; i++ {
+			v = vals[i]
+			st.Sum += v
+			st.Count++
+			st.Min = min(st.Min, v)
+			st.Max = max(st.Max, v)
+		}
+		a.add(k, st)
 	}
-	if st.Max > cur.Max {
-		cur.Max = st.Max
-	}
-	a.m[key] = cur
 }
 
 // AddTuple contributes one constructed tuple.
@@ -107,11 +131,10 @@ func (a *Aggregator) AddTuple(key, val int64) {
 	a.TuplesIn++
 }
 
-// AddBatch contributes aligned key/value vectors.
+// AddBatch contributes aligned key/value vectors, which it only reads: the
+// caller may recycle them once it returns.
 func (a *Aggregator) AddBatch(keys, vals []int64) {
-	for i := range keys {
-		a.add(keys[i], encoding.RunStats{Sum: vals[i], Count: 1, Min: vals[i], Max: vals[i]})
-	}
+	a.fold(keys, vals)
 	a.TuplesIn += int64(len(keys))
 }
 
@@ -126,7 +149,7 @@ func (a *Aggregator) AddRun(key int64, st encoding.RunStats) {
 }
 
 // Groups returns the number of distinct keys seen.
-func (a *Aggregator) Groups() int { return len(a.m) }
+func (a *Aggregator) Groups() int { return len(a.groups) }
 
 // Mergeable is the mergeable-state contract the morsel-parallel executor
 // relies on: a per-worker partial result that can absorb another partial
@@ -149,9 +172,7 @@ func (a *Aggregator) Merge(other *Aggregator) {
 	if other == nil {
 		return
 	}
-	for k, st := range other.m {
-		a.add(k, st)
-	}
+	a.AbsorbGroups(other.groups)
 	a.TuplesIn += other.TuplesIn
 	a.RunsIn += other.RunsIn
 }
@@ -173,11 +194,8 @@ type GroupStats struct {
 // ExportGroups returns the aggregator's per-group state sorted by key —
 // the partial a shard ships to the coordinator.
 func (a *Aggregator) ExportGroups() []GroupStats {
-	out := make([]GroupStats, 0, len(a.m))
-	for k, st := range a.m {
-		out = append(out, GroupStats{Key: k, Sum: st.Sum, Count: st.Count, Min: st.Min, Max: st.Max})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out := slices.Clone(a.groups)
+	slices.SortFunc(out, func(x, y GroupStats) int { return cmp.Compare(x.Key, y.Key) })
 	return out
 }
 
@@ -196,14 +214,9 @@ func (a *Aggregator) AbsorbGroups(gs []GroupStats) {
 // output column names. These are the only tuples an LM aggregation plan
 // ever constructs.
 func (a *Aggregator) Emit(keyName, outName string) *rows.Result {
-	keys := make([]int64, 0, len(a.m))
-	for k := range a.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	res := rows.NewResult(keyName, outName)
-	for _, k := range keys {
-		st := a.m[k]
+	res.Reserve(len(a.groups))
+	for _, st := range a.ExportGroups() {
 		var v int64
 		switch a.Fn {
 		case AggSum:
@@ -217,7 +230,7 @@ func (a *Aggregator) Emit(keyName, outName string) *rows.Result {
 		case AggMax:
 			v = st.Max
 		}
-		res.AppendRow(k, v)
+		res.AppendRow(st.Key, v)
 	}
 	return res
 }
@@ -273,9 +286,7 @@ func AggregateCompressedChunk(a *Aggregator, keyMC, valMC encoding.MiniColumn, d
 			}
 			keyBuf = keyMC.Extract(keyBuf[:0], positions.Ranges{r})
 			valBuf = valMC.Extract(valBuf[:0], positions.Ranges{r})
-			for i := range keyBuf {
-				a.add(keyBuf[i], encoding.RunStats{Sum: valBuf[i], Count: 1, Min: valBuf[i], Max: valBuf[i]})
-			}
+			a.fold(keyBuf, valBuf)
 			a.RunsIn++
 		}
 	}

@@ -44,6 +44,7 @@ func (m *Merger) MergeChunk(cols ...[]int64) error {
 			return fmt.Errorf("operators: merge input lengths differ (%d vs %d)", len(c), n)
 		}
 	}
+	m.res.Reserve(n)
 	for i, c := range cols {
 		m.res.Cols[i] = append(m.res.Cols[i], c...)
 	}

@@ -10,6 +10,7 @@ import (
 	"matstore/internal/encoding"
 	"matstore/internal/positions"
 	"matstore/internal/pred"
+	"matstore/internal/rows"
 	"matstore/internal/storage"
 )
 
@@ -45,10 +46,11 @@ func TestSPCChunk(t *testing.T) {
 		{1, 2, 3, 4, 5},      // col 0
 		{10, 20, 30, 40, 50}, // col 1
 	}
-	dst := make([][]int64, 2) // output schema: col1 then col0
+	res := rows.NewResult("b", "a") // output schema: col1 then col0
+	dst := res.Cols
 	n := SPCChunk(cols,
 		[]IndexedPred{{Col: 0, Pred: pred.AtLeast(2)}, {Col: 1, Pred: pred.LessThan(50)}},
-		[]int{1, 0}, dst)
+		[]int{1, 0}, res)
 	if n != 3 {
 		t.Fatalf("constructed = %d", n)
 	}
@@ -59,17 +61,17 @@ func TestSPCChunk(t *testing.T) {
 		t.Errorf("dst[1] = %v", dst[1])
 	}
 	// Appends accumulate across chunks.
-	n = SPCChunk([][]int64{{9}, {10}}, nil, []int{1, 0}, dst)
-	if n != 1 || len(dst[0]) != 4 {
-		t.Errorf("accumulation broken: n=%d len=%d", n, len(dst[0]))
+	n = SPCChunk([][]int64{{9}, {10}}, nil, []int{1, 0}, res)
+	if n != 1 || !reflect.DeepEqual(dst[0], []int64{20, 30, 40, 10}) || !reflect.DeepEqual(dst[1], []int64{2, 3, 4, 9}) {
+		t.Errorf("accumulation broken: n=%d cols=%v", n, dst)
 	}
 }
 
 func TestSPCChunkShortCircuit(t *testing.T) {
 	cols := [][]int64{{1, 1}, {5, 5}}
-	dst := make([][]int64, 1)
+	dst := rows.NewResult("a")
 	n := SPCChunk(cols, []IndexedPred{{Col: 0, Pred: pred.Equals(99)}}, []int{0}, dst)
-	if n != 0 || len(dst[0]) != 0 {
+	if n != 0 || dst.NumRows() != 0 {
 		t.Error("rows leaked through failing predicate")
 	}
 	if SPCChunk(nil, nil, nil, dst) != 0 {

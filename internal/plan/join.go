@@ -208,50 +208,42 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 
 		// Column-wise emission: outer payload by match index, inner payload
 		// per strategy (dense array, retained compressed minis, or zeros
-		// awaiting the deferred batched fetch).
+		// awaiting the deferred batched fetch). The match count is known, so
+		// every output column is reserved once and filled by index.
+		off := pt.res.NumRows()
+		pt.res.Reserve(len(matchIdx))
+		grown := func(c int) []int64 {
+			pt.res.Cols[c] = pt.res.Cols[c][:off+len(matchIdx)]
+			return pt.res.Cols[c][off:]
+		}
 		for c := range probe.LeftCols {
-			col, vals := pt.res.Cols[c], leftBufs[c]
-			for _, i := range matchIdx {
-				col = append(col, vals[i])
+			col, vals := grown(c), leftBufs[c]
+			for j, i := range matchIdx {
+				col[j] = vals[i]
 			}
-			pt.res.Cols[c] = col
 		}
 		switch {
-		case rt.DeferredPayload():
-			// Spill mode defers ALL right payload to the stored columns (the
-			// on-disk spill carries only hash entries): zeros now, one batched
-			// fetch over the merged pending list after pass B.
+		case !rt.DeferredPayload() && rt.Strategy() == operators.RightMaterialized:
 			for c := range payload {
-				col := pt.res.Cols[base+c]
-				for range matchPos {
-					col = append(col, 0)
+				col := grown(base + c)
+				for j, rpos := range matchPos {
+					col[j] = rt.DenseValue(c, rpos)
 				}
-				pt.res.Cols[base+c] = col
 			}
-			pt.pending = append(pt.pending, matchPos...)
-		case rt.Strategy() == operators.RightMaterialized:
+		case !rt.DeferredPayload() && rt.Strategy() == operators.RightMultiColumn:
 			for c := range payload {
-				col := pt.res.Cols[base+c]
-				for _, rpos := range matchPos {
-					col = append(col, rt.DenseValue(c, rpos))
+				col := grown(base + c)
+				for j, rpos := range matchPos {
+					col[j] = rt.PayloadMinis(rpos)[c].ValueAt(rpos)
 				}
-				pt.res.Cols[base+c] = col
-			}
-		case rt.Strategy() == operators.RightMultiColumn:
-			for c := range payload {
-				col := pt.res.Cols[base+c]
-				for _, rpos := range matchPos {
-					col = append(col, rt.PayloadMinis(rpos)[c].ValueAt(rpos))
-				}
-				pt.res.Cols[base+c] = col
 			}
 		default:
+			// The single-column strategy, and spill mode for every strategy
+			// (the on-disk spill carries only hash entries), defer the right
+			// payload to the stored columns: zeros now, one batched fetch over
+			// the merged pending list after the merge (and pass B).
 			for c := range payload {
-				col := pt.res.Cols[base+c]
-				for range matchPos {
-					col = append(col, 0) // filled by the deferred post-pass
-				}
-				pt.res.Cols[base+c] = col
+				clear(grown(base + c))
 			}
 			pt.pending = append(pt.pending, matchPos...)
 		}

@@ -290,6 +290,11 @@ func mergePartials(s Spec, parts []*partial, stats *RunStats) *rows.Result {
 		return res
 	}
 	res := parts[0].res
+	rest := 0
+	for _, pt := range parts[1:] {
+		rest += pt.res.NumRows()
+	}
+	res.Reserve(rest)
 	for _, pt := range parts[1:] {
 		if err := res.Append(pt.res); err != nil {
 			// Partials are built from the same query schema; a mismatch is a
@@ -557,13 +562,19 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 		ds4s[i+1] = datasource.DS4{Col: n.Column, Preds: n.execPreds}
 		ds4s[i+1].CompilePred()
 	}
-	var valBuf []int64
+	// The morsel's one batch: DS2 refills it per chunk and each DS4 widens it
+	// in place, so its buffers — one per chain column — are allocated once
+	// and what it holds is valid only until the next chunk.
+	names := make([]string, len(chain))
+	for i, n := range chain {
+		names[i] = n.Col
+	}
+	batch := rows.NewBatch(names...)
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		start := obsStart(observe)
-		batch, err := ds2.ScanChunk(cr, chain[0].Col)
-		if err != nil {
+		if err := ds2.ScanChunk(cr, batch); err != nil {
 			return err
 		}
 		pt.stats.TuplesConstructed += int64(batch.Len())
@@ -581,8 +592,7 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 			// for the whole batch's positions instead of a per-tuple jump,
 			// touching only the blocks that hold surviving positions.
 			start := obsStart(observe)
-			batch, valBuf, err = ds4s[i].ExtendChunkBatched(batch, chain[i].Col, valBuf)
-			if err != nil {
+			if err := ds4s[i].ExtendChunkBatched(batch, i); err != nil {
 				return err
 			}
 			pt.stats.TuplesConstructed += int64(batch.Len())
@@ -614,9 +624,9 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 	// Scratch buffers are per-morsel (workers share nothing but the pool).
 	scratch := make([][]int64, len(spc.SPCColumns))
 	// SPC constructs tuples column-wise straight into the result (or, for
-	// aggregations, into per-chunk key/value vectors feeding the hash
-	// aggregator).
-	aggDst := make([][]int64, 2)
+	// aggregations, into recycled per-chunk key/value vectors feeding the
+	// hash aggregator).
+	aggDst := rows.NewResult(p.Spec.GroupBy, p.Spec.AggCol)
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		start := obsStart(observe)
@@ -631,12 +641,11 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 		}
 		var constructed int64
 		if p.Spec.Aggregating {
-			aggDst[0] = aggDst[0][:0]
-			aggDst[1] = aggDst[1][:0]
+			aggDst.Cols[0], aggDst.Cols[1] = aggDst.Cols[0][:0], aggDst.Cols[1][:0]
 			constructed = operators.SPCChunk(scratch, spc.SPCFilters, spc.SPCOutIdx, aggDst)
-			agg.AddBatch(aggDst[0], aggDst[1])
+			agg.AddBatch(aggDst.Cols[0], aggDst.Cols[1])
 		} else {
-			constructed = operators.SPCChunk(scratch, spc.SPCFilters, spc.SPCOutIdx, res.Cols)
+			constructed = operators.SPCChunk(scratch, spc.SPCFilters, spc.SPCOutIdx, res)
 		}
 		pt.stats.TuplesConstructed += constructed
 		pt.stats.PositionsMatched += constructed
@@ -662,6 +671,7 @@ func emitBatch(batch *rows.Batch, s Spec, agg *operators.Aggregator, res *rows.R
 		agg.AddBatch(keys, vals)
 		return nil
 	}
+	res.Reserve(batch.Len())
 	for i, name := range s.Output {
 		vals, err := batch.Col(name)
 		if err != nil {

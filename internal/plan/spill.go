@@ -97,31 +97,32 @@ func (p *Plan) assembleSpillMatches(ctx context.Context, probe *Node, rt *operat
 	if int64(len(basePending)) != nb {
 		return nil, nil, fmt.Errorf("plan: spill pending misaligned: %d for %d rows", len(basePending), nb)
 	}
+	// The output size is known: allocate once (zeroed, so the inserted rows'
+	// right payload awaits the deferred fetch like everyone else's) and store
+	// by index.
 	out := rows.NewResult(p.Spec.OutNames...)
 	total := int(nb) + len(inserts)
 	for c := range out.Cols {
-		out.Cols[c] = make([]int64, 0, total)
+		out.Cols[c] = make([]int64, total)
 	}
-	pending := make([]int64, 0, total)
+	pending := make([]int64, total)
 	// Anchors are non-decreasing in seq, so one walk interleaves everything.
-	ii := 0
+	ii, w := 0, 0
 	for g := int64(0); g <= nb; g++ {
-		for ii < len(inserts) && inserts[ii].anchor == g {
+		for ; ii < len(inserts) && inserts[ii].anchor == g; ii++ {
 			ins := inserts[ii]
 			for c := 0; c < base; c++ {
-				out.Cols[c] = append(out.Cols[c], left[c][ins.seq])
+				out.Cols[c][w] = left[c][ins.seq]
 			}
-			for c := base; c < len(out.Cols); c++ {
-				out.Cols[c] = append(out.Cols[c], 0)
-			}
-			pending = append(pending, ins.rpos)
-			ii++
+			pending[w] = ins.rpos
+			w++
 		}
 		if g < nb {
 			for c := range out.Cols {
-				out.Cols[c] = append(out.Cols[c], res.Cols[c][g])
+				out.Cols[c][w] = res.Cols[c][g]
 			}
-			pending = append(pending, basePending[g])
+			pending[w] = basePending[g]
+			w++
 		}
 	}
 	if ii != len(inserts) {

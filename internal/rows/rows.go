@@ -5,11 +5,19 @@
 // representation" that EM plans build up one attribute at a time.
 package rows
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Batch is a set of (partially) constructed tuples: Pos[i] is the original
 // column position of tuple i, and Cols[c][i] its value for the c-th
 // materialized attribute. Names[c] labels attribute c.
+//
+// The plan executor recycles one batch per morsel: its data sources refill
+// and widen the same buffers chunk after chunk (attributes the chain has not
+// reached yet are empty), so a consumer handed a batch — or slices of it —
+// must be done with them when it returns.
 type Batch struct {
 	Names []string
 	Pos   []int64
@@ -80,6 +88,15 @@ func (r *Result) NumRows() int {
 		return 0
 	}
 	return len(r.Cols[0])
+}
+
+// Reserve makes room for n more rows in every column, one allocation per
+// column at most. Emission sites call it once per chunk with the row count
+// they already know, so the stores that follow never grow a slice.
+func (r *Result) Reserve(n int) {
+	for i, c := range r.Cols {
+		r.Cols[i] = slices.Grow(c, n)
+	}
 }
 
 // Col returns the values of the named output column.
