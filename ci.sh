@@ -18,15 +18,18 @@ go test -run 'TestCalibrationReducesError$' -count=20 ./internal/bench
 # so the hot path carries no test-only hooks by default; run it explicitly.
 go test -race -tags faultinject -run TestFaultinject -count=1 ./internal/service/
 
-# Smoke-check the perf-recording pipeline (not a perf gate: single run,
-# throwaway output). `make bench-json` writes the real BENCH_PR<N>.json.
-go test -run xxx -bench 'BenchmarkFilterPlain$' -benchtime 1x ./internal/encoding \
-	| go run ./cmd/benchjson -o /tmp/bench_smoke.json
+# Smoke-run the repository's benchmark (BENCHMARK.json) through its contract
+# command: a short paper_select window whose results the oracle must confirm.
+# Not a perf gate — two seconds measure nothing; the check is "correct":true.
+bash cmd/csperf/bench.sh --workload paper_select --seed 1 --seconds 2 \
+	| tail -n 1 | grep -q '"correct":true'
 
 # The tuple-construction micro-benchmarks report allocations; printed here so
 # that a change which brings per-chunk or per-tuple allocation back shows in
 # the log of the PR it lands in (chain: a few hundred allocs/op for 16 chunks,
-# all the scan layer's; AddBatch: 0; SPCChunk: 3).
+# all the scan layer's; AddBatch, SPCChunk — kernels and mask belong to the
+# compiled leaf — and CompactByMask: 0).
+go test -run xxx -bench 'BenchmarkCompactByMask$' -benchtime 1x ./internal/kernels
 go test -run xxx -bench 'BenchmarkEMPipelinedChain[24]Cols$' -benchtime 1x ./internal/datasource
 go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 1x ./internal/operators
 

@@ -233,10 +233,10 @@ func TestDifferentialJoinParallelism(t *testing.T) {
 // TestDifferentialOpSelectivitySweep is the end-to-end acceptance grid for
 // the compiled scan/gather kernels: every pred.Op at selectivities spanning
 // {0, ~0.01, ~0.5, ~0.99, 1}, under all four strategies × parallelism
-// {1, 4}. EM-parallel runs the retained scalar SPC loop while the other
-// strategies run the compiled kernels and batched gathers, so agreement here
-// checks compiled-vs-scalar equivalence through whole query plans (filter →
-// position set → gather → merge), not just per-operator.
+// {1, 4}. EM-parallel evaluates every filter over decompressed vectors into
+// selection masks while the other strategies filter in each encoding's native
+// format and gather, so agreement here checks the two through whole query
+// plans (filter → position set → gather → merge), not just per-operator.
 func TestDifferentialOpSelectivitySweep(t *testing.T) {
 	db := diffDB(t)
 	sels := []float64{0, 0.01, 0.5, 0.99, 1}

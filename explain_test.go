@@ -58,7 +58,7 @@ func TestExplainAllStrategies(t *testing.T) {
 			t.Errorf("%v: root observed rows = %d, want %d", s, got, stats.TuplesOut)
 		}
 		// The consecutive shipdate predicates must fuse everywhere except
-		// EM-parallel (whose SPC is the deliberately unfused reference).
+		// EM-parallel (whose SPC runs one kernel per filter).
 		if s != matstore.EMParallel {
 			if !strings.Contains(ex.Tree, "[fused x2]") {
 				t.Errorf("%v: fused scan not visible in tree:\n%s", s, ex.Tree)

@@ -17,8 +17,7 @@ import (
 	"matstore/internal/tpch"
 )
 
-// Coordinator-overhead benchmarks for the perf snapshot (make bench-json →
-// BENCH_PR8.json): the Direct/1Shard pair isolates what the scatter-gather
+// Coordinator-overhead benchmarks: the Direct/1Shard pair isolates what the scatter-gather
 // hop costs over executing in-process behind the same HTTP surface (one
 // extra request round-trip plus partial-merge bookkeeping at identical
 // work), and the closed-loop sweep at shard counts {1,2,4} reports

@@ -17,8 +17,7 @@ import (
 	"matstore/internal/tpch"
 )
 
-// Key-partitioning benchmarks for the perf snapshot (make bench-json →
-// BENCH_PR9.json): each pair runs the SAME request against the same rows
+// Key-partitioning benchmarks: each pair runs the SAME request against the same rows
 // under two layouts, so the deltas isolate what co-partitioning buys.
 //
 //   - JoinFanoutReplicated vs JoinFanoutCopartitioned: a fanned-out join

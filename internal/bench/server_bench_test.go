@@ -10,8 +10,7 @@ import (
 	"matstore/internal/tpch"
 )
 
-// Server-path benchmarks for the perf snapshot (make bench-json →
-// BENCH_PR6.json): the cold vs cached join build isolates what the shared
+// Server-path benchmarks: the cold vs cached join build isolates what the shared
 // build cache saves per query, the result-cache pair isolates what serving a
 // repeated query from cached bytes saves over re-executing it, and the
 // closed-loop benchmarks measure mixed-workload throughput and tail latency

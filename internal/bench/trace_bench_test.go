@@ -10,7 +10,7 @@ import (
 	"matstore/internal/tpch"
 )
 
-// Paired tracing-overhead benchmarks (make bench-json → BENCH_PR10.json):
+// Paired tracing-overhead benchmarks:
 // the same selection through the session path with tracing off (the default
 // — SpanFromContext returns nil and every instrumentation site is a nil
 // check) versus on (a trace attached to the request context, per-phase

@@ -132,9 +132,9 @@ func (e *Executor) buildEMPipelined(p *storage.Projection, q SelectQuery, groups
 }
 
 // buildEMParallel assembles the Figure 7(b) plan: one SPC leaf scanning
-// every referenced column in lockstep. The SPC's row loop is the retained
-// scalar reference (per-filter Predicate.Match dispatch), so it is
-// deliberately left unfused.
+// every referenced column in lockstep. The SPC runs one compiled kernel per
+// filter and ANDs their masks, so predicates on the same column are not
+// fused into one kernel here.
 func (e *Executor) buildEMParallel(p *storage.Projection, q SelectQuery) (*plan.Node, error) {
 	order := q.referenced()
 	cols := make([]*storage.Column, len(order))

@@ -33,6 +33,7 @@ import (
 
 	"matstore/internal/buffer"
 	"matstore/internal/datasource"
+	"matstore/internal/kernels"
 	"matstore/internal/operators"
 	"matstore/internal/plan"
 	"matstore/internal/pred"
@@ -317,14 +318,13 @@ func (e *Executor) RunPlanWith(pl *plan.Plan, s Strategy, parallelism int, opt p
 }
 
 // drainResult iterates over every output tuple, as the paper's experiments
-// do after query execution, returning a checksum of all values.
+// do after query execution, returning a checksum of all values. It sums one
+// column at a time: wrapping addition is commutative, so the checksum is the
+// row-order one.
 func drainResult(res *rows.Result) int64 {
 	var sum int64
-	n := res.NumRows()
-	for i := 0; i < n; i++ {
-		for c := range res.Cols {
-			sum += res.Cols[c][i]
-		}
+	for _, col := range res.Cols {
+		sum += kernels.SumColumn(col)
 	}
 	return sum
 }

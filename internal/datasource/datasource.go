@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"matstore/internal/encoding"
+	"matstore/internal/kernels"
 	"matstore/internal/positions"
 	"matstore/internal/pred"
 	"matstore/internal/rows"
@@ -262,20 +263,28 @@ func (ds *DS2) ScanChunk(r positions.Range, batch *rows.Batch) error {
 	}
 	batch.Reset()
 	batch.Cols[0] = mc.Extract(batch.Cols[0], ps)
-	pos := slices.Grow(batch.Pos, len(batch.Cols[0]))[:len(batch.Cols[0])]
+	batch.Pos = slices.Grow(batch.Pos, len(batch.Cols[0]))[:len(batch.Cols[0])]
+	expandPositions(batch.Pos, ps)
+	return nil
+}
+
+// expandPositions writes the members of ps, ascending, over pos, which must
+// be ps.Count() long: a bit-string's words expand directly, any other
+// representation run by run.
+func expandPositions(pos []int64, ps positions.Set) {
+	if bm, ok := ps.(*positions.Bitmap); ok {
+		kernels.PositionsFromMask(pos, bm.Start(), bm.Words(), int(bm.NBits()))
+		return
+	}
 	w := 0
 	for it := ps.Runs(); ; {
 		run, ok := it.Next()
 		if !ok {
-			break
+			return
 		}
-		for p := run.Start; p < run.End; p++ {
-			pos[w] = p
-			w++
-		}
+		kernels.FillRun(pos[w:w+int(run.Len())], run.Start)
+		w += int(run.Len())
 	}
-	batch.Pos = pos
-	return nil
 }
 
 // DS3 produces values for a list of positions (Case 3). With the
@@ -314,14 +323,19 @@ func (ds DS3) ValuesGather(ps positions.Set, dst []int64) ([]int64, error) {
 // DS4 widens early-materialized tuples (Case 4): for each input tuple it
 // jumps to the tuple's position in this column, applies the predicate, and
 // emits the input tuple extended with this column's value when it passes.
+// A DS4 belongs to one morsel: it holds the selection mask of the chunk it
+// last widened.
 type DS4 struct {
 	Col  *storage.Column
 	Pred pred.Predicate
 	// Preds, when non-empty, is a fused predicate conjunction replacing Pred:
-	// the compiled matcher evaluates all k predicates per gathered value.
+	// one compiled kernel evaluates all k predicates over the gathered values.
 	Preds []pred.Predicate
-	// match is the cached compiled form of the predicate(s) (see CompilePred).
-	match pred.Matcher
+	// kernel is the cached compiled form of the predicate(s) (see CompilePred).
+	kernel pred.Kernel
+	// mask is the recycled selection mask: bit i says whether tuple i of the
+	// batch being widened survives. Valid only until the next chunk.
+	mask []uint64
 }
 
 // ExtendChunk processes one input batch against the chunk's mini-column.
@@ -351,49 +365,33 @@ func (ds *DS4) ExtendChunk(mc encoding.MiniColumn, in *rows.Batch, colName strin
 // (attributes 0..c-1 are filled, c is the next recycled buffer): one batched
 // block-pinned gather of this column's values at the batch's positions
 // (ascending and distinct within a chunk) lands in attribute c, the compiled
-// predicate filters it, and Pos and attributes 0..c are compacted forward over
-// the survivors. The write index never passes the read index, so there is no
-// second buffer, and a chunk that loses no tuple copies nothing.
+// predicate evaluates it into the selection mask, and Pos and attributes 0..c
+// are each compacted forward through the mask, one column at a time. There is
+// no second buffer, and a chunk that loses no tuple copies nothing.
 func (ds *DS4) ExtendChunkBatched(b *rows.Batch, c int) error {
 	vals, err := ds.Col.GatherAt(positions.List(b.Pos), b.Cols[c][:0])
 	if err != nil {
 		return err
 	}
-	match := ds.match
-	if match == nil {
-		match = ds.compileMatcher()
+	if ds.kernel == nil {
+		ds.CompilePred()
 	}
-	w := 0
-	for w < len(vals) && match(vals[w]) {
-		w++
+	ds.mask = kernels.GrowMask(ds.mask, len(vals))
+	ds.kernel(vals, ds.mask)
+	b.Pos = b.Pos[:kernels.CompactByMask(b.Pos, b.Pos, ds.mask)]
+	for j, col := range b.Cols[:c] {
+		b.Cols[j] = col[:kernels.CompactByMask(col, col, ds.mask)]
 	}
-	for i := w + 1; i < len(vals); i++ {
-		v := vals[i]
-		if !match(v) {
-			continue
-		}
-		b.Pos[w] = b.Pos[i]
-		for _, col := range b.Cols[:c] {
-			col[w] = col[i]
-		}
-		vals[w] = v
-		w++
-	}
-	b.Pos = b.Pos[:w]
-	for j := range b.Cols[:c] {
-		b.Cols[j] = b.Cols[j][:w]
-	}
-	b.Cols[c] = vals[:w]
+	b.Cols[c] = vals[:kernels.CompactByMask(vals, vals, ds.mask)]
 	return nil
 }
 
 // CompilePred caches the compiled form of the predicate(s) so per-chunk
 // calls skip recompilation. Call it once after constructing the DS4.
-func (ds *DS4) CompilePred() { ds.match = ds.compileMatcher() }
-
-func (ds *DS4) compileMatcher() pred.Matcher {
+func (ds *DS4) CompilePred() {
 	if len(ds.Preds) > 0 {
-		return pred.CompileFusedMatcher(ds.Preds)
+		ds.kernel = pred.CompileFused(ds.Preds)
+	} else {
+		ds.kernel = pred.Compile(ds.Pred)
 	}
-	return pred.CompileMatcher(ds.Pred)
 }

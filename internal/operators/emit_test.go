@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"matstore/internal/pred"
@@ -116,6 +117,138 @@ func BenchmarkAggAddBatchSortedKeys(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/tuple")
 }
 
+// spcChunkRowLoop is the row-at-a-time SPC the compiled leaf replaced, kept
+// as its reference: every predicate applied to each row, short-circuiting in
+// order, and an output tuple stored across the columns for the rows where all
+// pass.
+func spcChunkRowLoop(cols [][]int64, filters []IndexedPred, outIdx []int, dst *rows.Result) int64 {
+	if len(cols) == 0 {
+		return 0
+	}
+	n := len(cols[0])
+	type filter struct {
+		match pred.Matcher
+		vals  []int64
+	}
+	fs := make([]filter, len(filters))
+	for f, ip := range filters {
+		fs[f] = filter{pred.CompileMatcher(ip.Pred), cols[ip.Col][:n]}
+	}
+	dst.Reserve(n)
+	off := dst.NumRows()
+	out := dst.Cols[:len(outIdx)]
+	for c := range out {
+		out[c] = out[c][:off+n]
+	}
+	w := off
+rowLoop:
+	for i := 0; i < n; i++ {
+		for _, f := range fs {
+			if !f.match(f.vals[i]) {
+				continue rowLoop
+			}
+		}
+		for c, idx := range outIdx {
+			out[c][w] = cols[idx][i]
+		}
+		w++
+	}
+	for c := range out {
+		out[c] = out[c][:w]
+	}
+	return int64(w - off)
+}
+
+// TestSPCChunkEqualsRowLoop holds the mask-and-compact leaf to the row loop
+// over consecutive chunks of changing length fed through ONE compiled SPC
+// (its mask is recycled, so a chunk must not see the one before): 0 to 3
+// filters, two on the same column, predicates that match everything, nothing,
+// all but one value and a range, output subsets and a repeated output column,
+// a destination that already holds rows, and the aggregating shape — a
+// two-column destination truncated before each chunk.
+func TestSPCChunkEqualsRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	lengths := []int{4096 + 17, 64, 0, 1, 65, 63, 1000}
+	chunks := make([][][]int64, len(lengths))
+	for ci, n := range lengths {
+		chunks[ci] = make([][]int64, 3)
+		for c := range chunks[ci] {
+			chunks[ci][c] = make([]int64, n)
+			for i := range chunks[ci][c] {
+				chunks[ci][c][i] = rng.Int63n(100)
+			}
+		}
+	}
+	filterSets := map[string][]IndexedPred{
+		"none":        nil,
+		"one":         {{Col: 1, Pred: pred.LessThan(50)}},
+		"two":         {{Col: 0, Pred: pred.LessThan(70)}, {Col: 1, Pred: pred.AtLeast(30)}},
+		"same-column": {{Col: 2, Pred: pred.AtLeast(20)}, {Col: 2, Pred: pred.LessThan(60)}},
+		"three":       {{Col: 0, Pred: pred.InRange(10, 90)}, {Col: 1, Pred: pred.NotEquals(7)}, {Col: 2, Pred: pred.AtMost(80)}},
+		"all-then-ne": {{Col: 0, Pred: pred.MatchAll}, {Col: 1, Pred: pred.NotEquals(42)}},
+		"none-first":  {{Col: 0, Pred: pred.Predicate{Op: pred.None}}, {Col: 1, Pred: pred.LessThan(50)}},
+		"none-last":   {{Col: 1, Pred: pred.LessThan(50)}, {Col: 2, Pred: pred.Predicate{Op: pred.None}}},
+		"sparse":      {{Col: 0, Pred: pred.Equals(3)}, {Col: 1, Pred: pred.InRange(0, 50)}},
+	}
+	outs := map[string][]int{
+		"all":      {0, 1, 2},
+		"subset":   {2},
+		"reorder":  {1, 0},
+		"repeated": {2, 0, 2},
+	}
+	for fname, filters := range filterSets {
+		for oname, outIdx := range outs {
+			names := make([]string, len(outIdx))
+			got, want := rows.NewResult(names...), rows.NewResult(names...)
+			for c := range got.Cols { // a warm destination: three rows already there
+				got.Cols[c] = append(got.Cols[c], -1, -2, -3)
+				want.Cols[c] = append(want.Cols[c], -1, -2, -3)
+			}
+			spc := CompileSPC(filters, outIdx)
+			for ci, cols := range chunks {
+				n, ref := spc.Chunk(cols, got), spcChunkRowLoop(cols, filters, outIdx, want)
+				if n != ref || !reflect.DeepEqual(got.Cols, want.Cols) {
+					t.Fatalf("%s/%s chunk %d (%d rows): constructed %d, row loop %d (or columns differ)",
+						fname, oname, ci, lengths[ci], n, ref)
+				}
+			}
+		}
+		// The aggregating shape: key and value columns, emptied per chunk.
+		got, want := rows.NewResult("k", "v"), rows.NewResult("k", "v")
+		spc := CompileSPC(filters, []int{2, 1})
+		for ci, cols := range chunks {
+			got.Cols[0], got.Cols[1] = got.Cols[0][:0], got.Cols[1][:0]
+			want.Cols[0], want.Cols[1] = want.Cols[0][:0], want.Cols[1][:0]
+			n, ref := spc.Chunk(cols, got), spcChunkRowLoop(cols, filters, []int{2, 1}, want)
+			if n != ref || !slices.Equal(got.Cols[0], want.Cols[0]) || !slices.Equal(got.Cols[1], want.Cols[1]) {
+				t.Fatalf("%s/agg chunk %d: constructed %d, row loop %d (or columns differ)", fname, ci, n, ref)
+			}
+		}
+	}
+}
+
+// TestSPCChunkReservesTheMatches: the destination grows by the rows a chunk
+// constructs, not by the rows it scans.
+func TestSPCChunkReservesTheMatches(t *testing.T) {
+	const n = 1 << 16
+	col := make([]int64, n)
+	for i := range col {
+		col[i] = int64(i % 100)
+	}
+	dst := rows.NewResult("a")
+	spc := CompileSPC([]IndexedPred{{Col: 0, Pred: pred.Equals(3)}}, []int{0})
+	constructed := spc.Chunk([][]int64{col}, dst)
+	if constructed != n/100+1 || cap(dst.Cols[0]) >= n/10 {
+		t.Errorf("a 1%%-selective chunk of %d rows constructed %d and left capacity %d", n, constructed, cap(dst.Cols[0]))
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		dst.Cols[0] = dst.Cols[0][:0]
+		spc.Chunk([][]int64{col}, dst)
+	}); a > 1 { // the [][]int64 literal
+		t.Errorf("a warm chunk allocated %v times", a)
+	}
+}
+
 // BenchmarkSPCChunk is the EM-parallel leaf over one default-width chunk of
 // three columns, two of them filtered (about half the rows survive both),
 // emitting two columns into a result that is truncated between chunks, as a
@@ -130,15 +263,14 @@ func BenchmarkSPCChunk(b *testing.B) {
 			cols[c][i] = rng.Int63n(100)
 		}
 	}
-	filters := []IndexedPred{{Col: 0, Pred: pred.LessThan(70)}, {Col: 1, Pred: pred.AtLeast(30)}}
-	outIdx := []int{0, 2}
+	spc := CompileSPC([]IndexedPred{{Col: 0, Pred: pred.LessThan(70)}, {Col: 1, Pred: pred.AtLeast(30)}}, []int{0, 2})
 	dst := rows.NewResult("a", "c")
-	constructed := SPCChunk(cols, filters, outIdx, dst)
+	constructed := spc.Chunk(cols, dst)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst.Cols[0], dst.Cols[1] = dst.Cols[0][:0], dst.Cols[1][:0]
-		constructed = SPCChunk(cols, filters, outIdx, dst)
+		constructed = spc.Chunk(cols, dst)
 	}
 	b.ReportMetric(float64(constructed), "tuples/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")

@@ -48,9 +48,9 @@ func TestSPCChunk(t *testing.T) {
 	}
 	res := rows.NewResult("b", "a") // output schema: col1 then col0
 	dst := res.Cols
-	n := SPCChunk(cols,
+	n := CompileSPC(
 		[]IndexedPred{{Col: 0, Pred: pred.AtLeast(2)}, {Col: 1, Pred: pred.LessThan(50)}},
-		[]int{1, 0}, res)
+		[]int{1, 0}).Chunk(cols, res)
 	if n != 3 {
 		t.Fatalf("constructed = %d", n)
 	}
@@ -61,7 +61,7 @@ func TestSPCChunk(t *testing.T) {
 		t.Errorf("dst[1] = %v", dst[1])
 	}
 	// Appends accumulate across chunks.
-	n = SPCChunk([][]int64{{9}, {10}}, nil, []int{1, 0}, res)
+	n = CompileSPC(nil, []int{1, 0}).Chunk([][]int64{{9}, {10}}, res)
 	if n != 1 || !reflect.DeepEqual(dst[0], []int64{20, 30, 40, 10}) || !reflect.DeepEqual(dst[1], []int64{2, 3, 4, 9}) {
 		t.Errorf("accumulation broken: n=%d cols=%v", n, dst)
 	}
@@ -70,11 +70,11 @@ func TestSPCChunk(t *testing.T) {
 func TestSPCChunkShortCircuit(t *testing.T) {
 	cols := [][]int64{{1, 1}, {5, 5}}
 	dst := rows.NewResult("a")
-	n := SPCChunk(cols, []IndexedPred{{Col: 0, Pred: pred.Equals(99)}}, []int{0}, dst)
+	n := CompileSPC([]IndexedPred{{Col: 0, Pred: pred.Equals(99)}}, []int{0}).Chunk(cols, dst)
 	if n != 0 || dst.NumRows() != 0 {
 		t.Error("rows leaked through failing predicate")
 	}
-	if SPCChunk(nil, nil, nil, dst) != 0 {
+	if CompileSPC(nil, nil).Chunk(nil, dst) != 0 {
 		t.Error("empty input mishandled")
 	}
 }

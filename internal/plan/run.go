@@ -554,7 +554,7 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 		return fmt.Errorf("plan: tuple chain leaf is %v, want DS2", chain[0].Kind)
 	}
 	// Compile the chain's data sources once per morsel: the DS2 leaf plus
-	// one DS4 (with pre-compiled fused matcher) per widening node.
+	// one DS4 (with pre-compiled fused kernel) per widening node.
 	ds2 := datasource.DS2{Col: chain[0].Column, Preds: chain[0].execPreds}
 	ds2.CompilePreds()
 	ds4s := make([]datasource.DS4, len(chain))
@@ -614,14 +614,18 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 }
 
 // runSPCMorsel interprets the EM-parallel leaf: every column's chunk is
-// decompressed into a value vector, predicates applied row-wise in lockstep
-// (the retained scalar reference — deliberately unfused), and tuples
-// constructed at the very bottom of the plan.
+// decompressed into a value vector, each filter's compiled kernel evaluates
+// its whole vector into a selection mask, and tuples are constructed at the
+// very bottom of the plan by compacting the output columns through the ANDed
+// masks.
 func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error {
 	agg, res := pt.init(p.Spec)
 	spc := p.Root.Children[0]
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
-	// Scratch buffers are per-morsel (workers share nothing but the pool).
+	// Compiled kernels, the mask and the scratch buffers are per-morsel
+	// (workers share nothing but the pool); the mask describes one chunk and is
+	// overwritten by the next.
+	leaf := operators.CompileSPC(spc.SPCFilters, spc.SPCOutIdx)
 	scratch := make([][]int64, len(spc.SPCColumns))
 	// SPC constructs tuples column-wise straight into the result (or, for
 	// aggregations, into recycled per-chunk key/value vectors feeding the
@@ -642,10 +646,10 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 		var constructed int64
 		if p.Spec.Aggregating {
 			aggDst.Cols[0], aggDst.Cols[1] = aggDst.Cols[0][:0], aggDst.Cols[1][:0]
-			constructed = operators.SPCChunk(scratch, spc.SPCFilters, spc.SPCOutIdx, aggDst)
+			constructed = leaf.Chunk(scratch, aggDst)
 			agg.AddBatch(aggDst.Cols[0], aggDst.Cols[1])
 		} else {
-			constructed = operators.SPCChunk(scratch, spc.SPCFilters, spc.SPCOutIdx, res)
+			constructed = leaf.Chunk(scratch, res)
 		}
 		pt.stats.TuplesConstructed += constructed
 		pt.stats.PositionsMatched += constructed

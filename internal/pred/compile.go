@@ -16,8 +16,10 @@ package pred
 type Kernel func(vals []int64, out []uint64)
 
 // Matcher is a compiled scalar predicate: one branch per call, no operator
-// switch. It is the right shape for gather-then-filter loops (DS4) and
-// run-at-a-time kernels where values arrive one at a time.
+// switch. It is the right shape where values arrive one at a time: sparse
+// position filtering and run-at-a-time kernels. A loop that has a whole vector
+// of values in hand — a scan, or the tuple domain's gather-then-filter (DS4)
+// and SPC — runs a Kernel over it instead.
 type Matcher func(int64) bool
 
 // Compile returns the vectorized kernel for p. The returned kernel is

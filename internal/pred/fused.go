@@ -158,8 +158,8 @@ func CompileFused(ps []Predicate) Kernel {
 }
 
 // CompileFusedMatcher returns the scalar compiled form of the conjunction of
-// ps: one call evaluates all k predicates (short-circuiting), for
-// gather-then-filter loops and sparse position filtering.
+// ps: one call evaluates all k predicates (short-circuiting), for sparse
+// position filtering, where a few gathered values are tested one at a time.
 func CompileFusedMatcher(ps []Predicate) Matcher {
 	ps = SimplifyConj(ps)
 	if len(ps) == 1 {
