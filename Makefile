@@ -12,6 +12,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l . | grep -v '^.bench_build/')"
 
 test:
 	$(GO) test ./...

@@ -461,11 +461,9 @@ func BenchmarkFusedMultiPredicate(b *testing.B) {
 }
 
 // BenchmarkJoinBuild isolates the hash-build phase of the join: the
-// radix-partitioned parallel build (BuildPartitioned, worker counts 1 and
-// 4) against the retained serial reference (BuildRightTable), per
-// inner-table materialization strategy. On the 1-CPU CI container the
-// radix/serial gap at w4 reflects partitioning overhead only; multi-core
-// hosts show the build-phase speedup PR 1 left on the table.
+// radix-partitioned build (BuildPartitioned) at worker counts 1 and 4, per
+// inner-table materialization strategy. On the 1-CPU CI container the w1/w4
+// gap reflects partitioning overhead only.
 func BenchmarkJoinBuild(b *testing.B) {
 	e := benchEnv(b)
 	customer, err := e.DB.Projection(tpch.CustomerProj)
@@ -485,18 +483,6 @@ func BenchmarkJoinBuild(b *testing.B) {
 	for _, rs := range []operators.RightStrategy{
 		operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
 	} {
-		b.Run(fmt.Sprintf("%s/serial", rs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rt, err := operators.BuildRightTable(customer, tpch.ColCustkey, payload, rs, chunkSize)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rt.Probe(1) == nil {
-					b.Fatal("empty build")
-				}
-			}
-		})
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("%s/radix-w%d", rs, workers), func(b *testing.B) {
 				b.ReportAllocs()

@@ -112,7 +112,7 @@ func main() {
 	}
 	if want("ablations") {
 		type ablation func([]float64) (bench.Figure, error)
-		for _, a := range []ablation{env.AblationMultiColumn, env.AblationPositionRep, env.AblationAggCompressed, env.AblationZoneIndex, env.AblationJoinBuild} {
+		for _, a := range []ablation{env.AblationMultiColumn, env.AblationPositionRep, env.AblationAggCompressed, env.AblationZoneIndex} {
 			fig, err := a(sels)
 			if err != nil {
 				log.Fatal(err)

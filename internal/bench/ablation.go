@@ -188,42 +188,3 @@ func (e *Env) JoinStatsAt(sel float64, rs operators.RightStrategy) (*core.JoinSt
 	_, stats, err := exec.Join(e.orders, e.customer, q, rs)
 	return stats, err
 }
-
-// AblationJoinBuild compares the radix-partitioned parallel hash build
-// against the retained serial-build reference across the outer-selectivity
-// sweep (right-materialized inner side, where the build does the most
-// work). The serial series is the pre-refactor join driver, kept behind
-// core.Options.SerialJoinBuild exactly for this ablation.
-func (e *Env) AblationJoinBuild(sels []float64) (Figure, error) {
-	fig := Figure{
-		ID:     "Ablation: join build",
-		Title:  "radix-partitioned parallel build vs serial reference (orders ⋈ customer, right-materialized)",
-		XLabel: "selectivity",
-		YLabel: "runtime ms, lower is better",
-		X:      sels,
-	}
-	execs := map[string]*core.Executor{
-		"radix build":  e.executor(),
-		"serial build": core.NewExecutor(e.DB.Pool(), core.Options{ChunkSize: e.ChunkSize, SerialJoinBuild: true}),
-	}
-	nCust := e.customer.TupleCount()
-	for _, name := range []string{"radix build", "serial build"} {
-		exec := execs[name]
-		ser := fig.series(name)
-		for _, sel := range sels {
-			q := core.JoinQuery{
-				LeftKey:     tpch.ColCustkey,
-				LeftPred:    pred.LessThan(tpch.CustkeyForSelectivity(sel, nCust)),
-				LeftOutput:  []string{tpch.ColOrderShipdate},
-				RightKey:    tpch.ColCustkey,
-				RightOutput: []string{tpch.ColNationcode},
-			}
-			ms, err := e.timeJoin(exec, q, operators.RightMaterialized)
-			if err != nil {
-				return fig, err
-			}
-			ser.Y = append(ser.Y, ms)
-		}
-	}
-	return fig, nil
-}

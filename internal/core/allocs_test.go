@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"matstore/internal/datasource"
+	"matstore/internal/operators"
+	"matstore/internal/plan"
 	"matstore/internal/pred"
 	"matstore/internal/storage"
 	"matstore/internal/tpch"
@@ -65,6 +67,17 @@ func TestEMPipelinedAllocsPerChunk(t *testing.T) {
 	}
 }
 
+// allocsPerAdditionalChunk returns the allocations each additional chunk adds
+// to run when a table's rows are cut into chunks of the given width instead of
+// 4096.
+func allocsPerAdditionalChunk(rows, chunk int64, run func(chunk int64)) float64 {
+	allocs := func(chunk int64) float64 {
+		return testing.AllocsPerRun(3, func() { run(chunk) })
+	}
+	chunks := func(chunk int64) int64 { return (rows + chunk - 1) / chunk }
+	return (allocs(chunk) - allocs(4096)) / float64(chunks(chunk)-chunks(4096))
+}
+
 // TestEMParallelAllocsPerChunk is the sibling contract for the SPC path: its
 // kernels are compiled and its mask and value vectors allocated once per
 // morsel, so what an additional chunk allocates is what reading it allocates —
@@ -104,14 +117,8 @@ func TestEMParallelAllocsPerChunk(t *testing.T) {
 			cols = append(cols, col)
 		}
 		vecs := make([][]int64, len(cols))
-		// perChunk returns the allocations each additional chunk adds to run
-		// when the rows are cut into chunks of the given width instead of 4096.
 		perChunk := func(chunk int64, run func(chunk int64)) float64 {
-			allocs := func(chunk int64) float64 {
-				return testing.AllocsPerRun(3, func() { run(chunk) })
-			}
-			chunks := func(chunk int64) int64 { return (li.TupleCount() + chunk - 1) / chunk }
-			return (allocs(chunk) - allocs(4096)) / float64(chunks(chunk)-chunks(4096))
+			return allocsPerAdditionalChunk(li.TupleCount(), chunk, run)
 		}
 		query := func(chunk int64) {
 			e := NewExecutor(db.Pool(), Options{ChunkSize: chunk})
@@ -137,6 +144,95 @@ func TestEMParallelAllocsPerChunk(t *testing.T) {
 			if got > scanOnly+2 {
 				t.Errorf("%s: each additional chunk of %d rows costs %.1f allocations, reading it %.1f",
 					name, chunk, got, scanOnly)
+			}
+		}
+	}
+}
+
+// TestJoinProbeAllocsPerChunk is the same contract for the join's probe
+// pipeline: key, payload and match scratch belong to the morsel and are sized
+// before they are filled, matches emit into a result reserved once per chunk,
+// and deferred right positions ride in the result itself — so what an
+// additional outer chunk allocates is what reading it allocates plus a little
+// regrowth. Reading it is measured through the same executor: the selection
+// with the join's outer predicate and outer columns (14 to 15 allocations per
+// additional chunk; the join reads 16 to 18). The in-memory strategies reuse
+// one built hash side, so only the probe is measured; the fully spilled run
+// rebuilds every time (its build is private to the run), which adds the inner
+// table's own chunks and the deferred-probe lists' regrowth, hence its wider
+// slack. Before the flat table and the reserve-once probe the join read 17 to
+// 21 and the selection itself 18 to 23: it kept every chunk's position
+// descriptor to count them after the merge.
+func TestJoinProbeAllocsPerChunk(t *testing.T) {
+	const slack, spillSlack = 3, 6
+	db := openDB(t)
+	orders, err := db.Projection(tpch.OrdersProj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	customer, err := db.Projection(tpch.CustomerProj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := joinTestQuery(true)
+	q.Parallelism = 1
+	perChunk := func(chunk int64, run func(chunk int64)) float64 {
+		return allocsPerAdditionalChunk(orders.TupleCount(), chunk, run)
+	}
+	// Reading a chunk, through the same executor: the selection with the
+	// join's outer predicate and outer columns — position scan, multi-column,
+	// two extractions, merge into a result.
+	sel := SelectQuery{
+		Output:      []string{q.LeftKey, q.LeftOutput[0]},
+		Filters:     []Filter{{Col: q.LeftKey, Pred: q.LeftPred}},
+		Parallelism: 1,
+	}
+	scan := func(chunk int64) {
+		e := NewExecutor(db.Pool(), Options{ChunkSize: chunk})
+		if _, _, err := e.Select(orders, sel, LMPipelined); err != nil {
+			t.Fatal(err)
+		}
+	}
+	join := func(rs operators.RightStrategy, spill bool) func(chunk int64) {
+		plans := map[int64]*plan.Plan{}
+		dir := t.TempDir()
+		return func(chunk int64) {
+			e := NewExecutor(db.Pool(), Options{ChunkSize: chunk})
+			pl := plans[chunk]
+			if pl == nil {
+				if pl, err = e.BuildJoinPlan(orders, customer, q, rs); err != nil {
+					t.Fatal(err)
+				}
+				pl.ReuseBuild = true
+				plans[chunk] = pl
+			}
+			var opt plan.RunOptions
+			if spill {
+				opt.Spill = &operators.SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20, Dir: dir}
+			}
+			if _, _, err := e.RunJoinPlanWith(pl, 1, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		run   func(chunk int64)
+		slack float64
+	}{
+		{"right-materialized", join(operators.RightMaterialized, false), slack},
+		{"right-multicolumn", join(operators.RightMultiColumn, false), slack},
+		{"right-singlecolumn", join(operators.RightSingleColumn, false), slack},
+		{"fully spilled", join(operators.RightMaterialized, true), spillSlack},
+	} {
+		tc.run(4096) // populate the reused build before counting
+		for _, chunk := range []int64{1024, 256} {
+			tc.run(chunk)
+			got, scanOnly := perChunk(chunk, tc.run), perChunk(chunk, scan)
+			t.Logf("%s: chunks of %d: %.1f allocs per additional chunk, %.1f of them reading it", tc.name, chunk, got, scanOnly)
+			if got > scanOnly+tc.slack {
+				t.Errorf("%s: each additional chunk of %d rows costs %.1f allocations, reading it %.1f",
+					tc.name, chunk, got, scanOnly)
 			}
 		}
 	}

@@ -202,11 +202,6 @@ type Options struct {
 	// join hash build (rounded up to a power of two; 0 derives it from the
 	// worker count). Results are identical at every partition count.
 	JoinPartitions int
-	// SerialJoinBuild routes joins through the retained serial hash build
-	// (operators.BuildRightTable + RunHashJoin) instead of the
-	// radix-partitioned plan path — the differential-test reference and the
-	// build-ablation baseline.
-	SerialJoinBuild bool
 }
 
 func (o Options) chunkSize() int64 {

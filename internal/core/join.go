@@ -108,13 +108,8 @@ func (e *Executor) BuildJoinPlan(left, right *storage.Projection, q JoinQuery, r
 // Join executes q with the given inner-table materialization strategy.
 // left is the outer (probing) projection, right the inner (built)
 // projection. The join is plan-built and plan-run exactly like Select
-// (BuildJoinPlan + RunJoinPlan); Options.SerialJoinBuild routes it through
-// the retained serial-build reference instead (the ablation baseline the
-// differential suite pins the radix build against).
+// (BuildJoinPlan + RunJoinPlan).
 func (e *Executor) Join(left, right *storage.Projection, q JoinQuery, rs operators.RightStrategy) (*rows.Result, *JoinStats, error) {
-	if e.Opt.SerialJoinBuild {
-		return e.joinSerialBuild(left, right, q, rs)
-	}
 	pl, err := e.BuildJoinPlan(left, right, q, rs)
 	if err != nil {
 		return nil, nil, err
@@ -180,65 +175,4 @@ func outerShape(probe *plan.Node) Strategy {
 		}
 	})
 	return shape
-}
-
-// joinSerialBuild is the retained pre-plan join driver: serial hash build
-// (operators.BuildRightTable) feeding the morsel-parallel probe of
-// operators.RunHashJoin. It exists as the reference implementation the
-// radix-partitioned plan path is differential-tested against, and as the
-// serial side of the build ablation benchmark.
-func (e *Executor) joinSerialBuild(left, right *storage.Projection, q JoinQuery, rs operators.RightStrategy) (*rows.Result, *JoinStats, error) {
-	if len(q.RightOutput) == 0 && rs != operators.RightMaterialized {
-		return nil, nil, errors.New("core: join without right outputs is a semi-join; use RightMaterialized")
-	}
-	leftKeyCol, err := left.Column(q.LeftKey)
-	if err != nil {
-		return nil, nil, err
-	}
-	leftOutputs := make([]operators.NamedColumn, len(q.LeftOutput))
-	for i, name := range q.LeftOutput {
-		c, err := left.Column(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		leftOutputs[i] = operators.NamedColumn{Name: name, Col: c}
-	}
-
-	stats := &JoinStats{RightStrategy: rs}
-	stats.Strategy = LMPipelined // DS1 positions chained into the probe
-	before := e.Pool.Stats()
-	start := time.Now()
-
-	rt, err := operators.BuildRightTable(right, q.RightKey, q.RightOutput, rs, e.Opt.chunkSize())
-	if err != nil {
-		return nil, nil, err
-	}
-	res, jstats, err := operators.RunHashJoin(operators.JoinSpec{
-		LeftKey:     leftKeyCol,
-		LeftPred:    q.LeftPred,
-		LeftOutputs: leftOutputs,
-		Right:       rt,
-		ChunkSize:   e.Opt.chunkSize(),
-		Workers:     q.Parallelism,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.Join = jstats
-	stats.Workers = jstats.Workers
-	stats.Morsels = jstats.Morsels
-	if !e.Opt.SkipOutputIteration {
-		stats.OutputChecksum = drainResult(res)
-	}
-	stats.Wall = time.Since(start)
-	stats.TuplesOut = int64(res.NumRows())
-	stats.TuplesConstructed = jstats.OutputTuples + jstats.RightBuildTuples
-	after := e.Pool.Stats()
-	stats.Buffer = buffer.Stats{
-		Hits:   after.Hits - before.Hits,
-		Misses: after.Misses - before.Misses,
-		Reads:  after.Reads - before.Reads,
-		Seeks:  after.Seeks - before.Seeks,
-	}
-	return res, stats, nil
 }

@@ -193,7 +193,7 @@ func fusedConjCases() [][]pred.Predicate {
 		{pred.LessThan(3 * d / 4), pred.AtLeast(d / 4), pred.NotEquals(d / 2)},
 		{pred.NotEquals(d / 3), pred.NotEquals(d / 2)},
 		{pred.MatchAll, pred.LessThan(d / 100)},
-		{pred.AtLeast(d), pred.LessThan(1)}, // contradiction
+		{pred.AtLeast(d), pred.LessThan(1)},                                   // contradiction
 		{pred.InRange(0, d), pred.InRange(d/2, d/2+1), pred.NotEquals(d / 2)}, // collapses to None
 		{pred.GreaterThan(d * 99 / 100), pred.NotEquals(d - 1)},
 		{pred.MatchAll, pred.MatchAll, pred.MatchAll},

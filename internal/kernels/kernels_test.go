@@ -44,9 +44,9 @@ func TestFilterIntoBitmapAlignment(t *testing.T) {
 func TestFilterIntoBitmapAdjacentSegments(t *testing.T) {
 	k := pred.Compile(pred.MatchAll)
 	bm := positions.NewBitmap(0, 256)
-	FilterIntoBitmap(bm, 0, make([]int64, 100), k)   // [0,100)
-	FilterIntoBitmap(bm, 100, make([]int64, 60), k)  // [100,160), both ends mid-word
-	FilterIntoBitmap(bm, 200, make([]int64, 56), k)  // [200,256), gap before
+	FilterIntoBitmap(bm, 0, make([]int64, 100), k)  // [0,100)
+	FilterIntoBitmap(bm, 100, make([]int64, 60), k) // [100,160), both ends mid-word
+	FilterIntoBitmap(bm, 200, make([]int64, 56), k) // [200,256), gap before
 	want := positions.NewRanges(positions.Range{Start: 0, End: 160}, positions.Range{Start: 200, End: 256})
 	if !positions.Equal(bm, want) {
 		t.Fatalf("got %v want %v", positions.ToRanges(bm), want)

@@ -103,7 +103,7 @@ func TestReserveCancel(t *testing.T) {
 func TestAllocationPressureFault(t *testing.T) {
 	faults.Reset()
 	defer faults.Reset()
-	g := New(1 << 20, 0)
+	g := New(1<<20, 0)
 	faults.Enable("mem.reserve", faults.Failpoint{Mode: faults.Error})
 	if g.TryReserve(1) != nil {
 		t.Fatal("armed mem.reserve should refuse")

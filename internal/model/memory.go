@@ -10,13 +10,15 @@ import "matstore/internal/operators"
 // exists to prevent, so the formula mirrors the build's actual accounting
 // (PartitionedTable.memBytes) term by term.
 
-// Sizing constants mirroring the build's resident-footprint accounting: a Go
-// map bucket entry for a distinct key (header + key + slice header), one
-// position per tuple in the bucket lists, one dense int64 per tuple per
-// materialized payload column, and retained compressed blocks for the
-// multi-column strategy.
+// Sizing constants mirroring the build's resident-footprint accounting
+// (operators.FlatTable): a distinct key takes 16-byte slots in a power-of-two
+// array kept at most half full, so between 32 and 64 bytes — the model
+// charges the 64, which keeps the estimate at or above the built table and
+// within twice it whatever the rounding; every tuple takes one 8-byte entry
+// in the positions array; a materialized payload column one dense int64 per
+// tuple; and the multi-column strategy retains its compressed blocks.
 const (
-	bytesPerDistinctKey = 48
+	bytesPerDistinctKey = 64
 	bytesPerPosition    = 8
 	bytesPerDenseValue  = 8
 	bytesPerBlock       = 64 * 1024
@@ -31,8 +33,8 @@ const (
 //	right-singlecolumn: hash entries only (payload stays on disk, fetched
 //	  by the deferred positional join).
 //
-// distinct <= 0 falls back to tuples (unique-key worst case for the bucket
-// map). The estimate is what admission reserves for an in-memory grant, and
+// distinct <= 0 falls back to tuples (unique-key worst case for the slot
+// array). The estimate is what admission reserves for an in-memory grant, and
 // what the spill planner divides by the partition count to pick the resident
 // share.
 func EstimateJoinMemory(tuples, distinct int64, payloadBlocks []int64, rs operators.RightStrategy) int64 {

@@ -146,10 +146,10 @@ func TestPrometheusRoundTrip(t *testing.T) {
 
 func TestParsePrometheusRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
-		"cs_x 1\n",                                  // no TYPE line
-		"# TYPE cs_x counter\ncs_x notanumber\n",    // bad value
-		"# TYPE cs_x counter\ncs_x{oops 1\n",        // unterminated labels
-		"# TYPE cs_x wibble\ncs_x 1\n",              // unknown type
+		"cs_x 1\n",                                         // no TYPE line
+		"# TYPE cs_x counter\ncs_x notanumber\n",           // bad value
+		"# TYPE cs_x counter\ncs_x{oops 1\n",               // unterminated labels
+		"# TYPE cs_x wibble\ncs_x 1\n",                     // unknown type
 		"# TYPE cs_x counter\n# WHAT cs_x\ncs_x 1ically\n", // unknown comment
 	} {
 		if _, err := ParsePrometheus(bad); err == nil {

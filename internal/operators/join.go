@@ -1,16 +1,6 @@
 package operators
 
-import (
-	"fmt"
-
-	"matstore/internal/datasource"
-	"matstore/internal/encoding"
-	"matstore/internal/exec"
-	"matstore/internal/positions"
-	"matstore/internal/pred"
-	"matstore/internal/rows"
-	"matstore/internal/storage"
-)
+import "fmt"
 
 // RightStrategy selects how the inner (right) table is materialized for a
 // hash join, matching the three curves of Figure 13.
@@ -60,91 +50,6 @@ func ParseRightStrategy(s string) (RightStrategy, error) {
 	}
 }
 
-// RightTable is the built (inner) side of a hash join.
-type RightTable struct {
-	strategy  RightStrategy
-	payload   []string
-	keyToPos  map[int64][]int64
-	dense     [][]int64               // RightMaterialized: payload[c][rightPos]
-	chunks    [][]encoding.MiniColumn // RightMultiColumn: [chunk][payloadIdx]
-	chunkSize int64
-	cols      []*storage.Column // RightSingleColumn: deferred fetch targets
-	// BuildTuples counts right tuples materialized during build.
-	BuildTuples int64
-}
-
-// BuildRightTable scans the right projection's key column (and, per
-// strategy, its payload columns) and builds the hash side serially. Since
-// the radix-partitioned build (radix.go) took over the plan-executor join
-// path, this is the retained reference implementation: the differential
-// suite pins the parallel build byte-identical to it, and
-// core.Options.SerialJoinBuild routes joins back through it for the
-// ablation benchmark.
-func BuildRightTable(p *storage.Projection, key string, payload []string, strat RightStrategy, chunkSize int64) (*RightTable, error) {
-	keyCol, err := p.Column(key)
-	if err != nil {
-		return nil, err
-	}
-	rt := &RightTable{
-		strategy:  strat,
-		payload:   payload,
-		keyToPos:  make(map[int64][]int64, p.TupleCount()),
-		chunkSize: chunkSize,
-	}
-	payloadCols := make([]*storage.Column, len(payload))
-	for i, name := range payload {
-		if payloadCols[i], err = p.Column(name); err != nil {
-			return nil, err
-		}
-	}
-	switch strat {
-	case RightMaterialized:
-		rt.dense = make([][]int64, len(payload))
-	case RightSingleColumn:
-		rt.cols = payloadCols
-	}
-
-	ch := datasource.NewChunker(keyCol.Extent(), chunkSize)
-	var keyBuf []int64
-	for ci := 0; ci < ch.NumChunks(); ci++ {
-		r := ch.Chunk(ci)
-		mc, err := keyCol.Window(r)
-		if err != nil {
-			return nil, err
-		}
-		keyBuf = mc.Decompress(keyBuf[:0])
-		for i, k := range keyBuf {
-			rt.keyToPos[k] = append(rt.keyToPos[k], r.Start+int64(i))
-		}
-		switch strat {
-		case RightMaterialized:
-			// Construct right tuples now (early materialization): payload
-			// columns are decompressed into position-addressable arrays.
-			for c := range payloadCols {
-				pm, err := payloadCols[c].Window(r)
-				if err != nil {
-					return nil, err
-				}
-				rt.dense[c] = pm.Decompress(rt.dense[c])
-			}
-			rt.BuildTuples += int64(len(keyBuf))
-		case RightMultiColumn:
-			// Retain the payload mini-columns, compressed, in memory.
-			minis := make([]encoding.MiniColumn, len(payloadCols))
-			for c := range payloadCols {
-				if minis[c], err = payloadCols[c].Window(r); err != nil {
-					return nil, err
-				}
-			}
-			rt.chunks = append(rt.chunks, minis)
-		}
-	}
-	return rt, nil
-}
-
-// Probe returns the right positions matching key (nil if none).
-func (rt *RightTable) Probe(key int64) []int64 { return rt.keyToPos[key] }
-
 // JoinStats reports join-side work counters.
 type JoinStats struct {
 	// LeftProbes is the number of left tuples passing the left predicate
@@ -161,11 +66,9 @@ type JoinStats struct {
 	// DeferredFetches is the number of out-of-order position jumps into
 	// stored right columns (single-column strategy only).
 	DeferredFetches int64
-	// Partitions is the radix partition count of the hash build (0 on the
-	// serial-build reference path).
+	// Partitions is the radix partition count of the hash build.
 	Partitions int
-	// BuildWorkers and BuildMorsels describe the parallel build phase (0 on
-	// the serial-build reference path).
+	// BuildWorkers and BuildMorsels describe the parallel build phase.
 	BuildWorkers int
 	BuildMorsels int
 	// BuildCacheHit reports that the build phase was satisfied from a shared
@@ -183,182 +86,4 @@ type JoinStats struct {
 	// SpillWriteNanos is the wall time the build spent writing spill frames
 	// (trace/slow-log attribution of disk time vs hash time).
 	SpillWriteNanos int64
-}
-
-// JoinSpec describes one hash join: the outer (left) table's key column
-// with an optional predicate, the left payload columns to output, and a
-// built right table.
-type JoinSpec struct {
-	LeftKey     *storage.Column
-	LeftPred    pred.Predicate
-	LeftOutputs []NamedColumn
-	Right       *RightTable
-	ChunkSize   int64
-	// Workers is the probe-phase parallelism (0 = one worker per CPU): the
-	// outer table is split into chunk-aligned morsels probed concurrently
-	// against the shared read-only hash side, and per-morsel outputs are
-	// concatenated in block order.
-	Workers int
-}
-
-// NamedColumn pairs an output name with its stored column.
-type NamedColumn struct {
-	Name string
-	Col  *storage.Column
-}
-
-// RunHashJoin executes the join chunk-at-a-time over the left table. The
-// output schema is the left output columns followed by the right payload
-// columns. For the single-column right strategy the right payload columns
-// are filled in a post-pass via out-of-order position fetches — positions
-// emerge from the probe in left order, not right order, so no merge join on
-// position is possible (Section 4.3).
-func RunHashJoin(spec JoinSpec) (*rows.Result, JoinStats, error) {
-	var stats JoinStats
-	rt := spec.Right
-	stats.RightBuildTuples = rt.BuildTuples
-	outNames := make([]string, 0, len(spec.LeftOutputs)+len(rt.payload))
-	for _, nc := range spec.LeftOutputs {
-		outNames = append(outNames, nc.Name)
-	}
-	outNames = append(outNames, rt.payload...)
-	deferred := rt.strategy == RightSingleColumn
-
-	// Probe phase: morsels of the outer table probe the (read-only) hash
-	// side concurrently; each produces a partial result plus, for the
-	// single-column strategy, its slice of the deferred right-position list.
-	workers := exec.Resolve(spec.Workers)
-	morsels := exec.Morsels(spec.LeftKey.Extent(), spec.ChunkSize, workers)
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	stats.Workers = workers
-	stats.Morsels = len(morsels)
-	type probePartial struct {
-		res     *rows.Result
-		pending []int64
-		stats   JoinStats
-	}
-	parts := make([]*probePartial, len(morsels))
-	err := exec.Run(workers, len(morsels), func(i int) error {
-		pt := &probePartial{res: rows.NewResult(outNames...)}
-		if err := probeMorsel(spec, morsels[i], outNames, pt.res, &pt.pending, &pt.stats); err != nil {
-			return err
-		}
-		parts[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	if len(parts) == 0 {
-		// Empty outer table: no morsels to probe; the join result is empty.
-		parts = []*probePartial{{res: rows.NewResult(outNames...)}}
-	}
-
-	// Merge in morsel order: result rows concatenate in left block order,
-	// and the deferred position list concatenates alongside so pending[i]
-	// stays the right position of result row i.
-	res := parts[0].res
-	rightPosPending := parts[0].pending
-	stats.LeftProbes += parts[0].stats.LeftProbes
-	stats.OutputTuples += parts[0].stats.OutputTuples
-	for _, pt := range parts[1:] {
-		if err := res.Append(pt.res); err != nil {
-			return nil, stats, err
-		}
-		rightPosPending = append(rightPosPending, pt.pending...)
-		stats.LeftProbes += pt.stats.LeftProbes
-		stats.OutputTuples += pt.stats.OutputTuples
-	}
-
-	if deferred && len(rightPosPending) > 0 {
-		// Post-join fetch of right payloads at out-of-order positions. The
-		// positions emerge in left probe order, so no merge join on position
-		// is possible — but the fetch itself is batched: one block-pinned
-		// gather per payload column walks the stored column in block order
-		// and scatters values back to probe order, instead of paying a block
-		// search plus a buffer-pool lock round-trip per (tuple, column).
-		base := len(spec.LeftOutputs)
-		var vals []int64
-		for c := range rt.payload {
-			var err error
-			vals, err = rt.cols[c].GatherUnordered(rightPosPending, vals[:0])
-			if err != nil {
-				return nil, stats, err
-			}
-			copy(res.Cols[base+c], vals)
-			stats.DeferredFetches += int64(len(rightPosPending))
-		}
-	}
-	return res, stats, nil
-}
-
-// probeMorsel runs the chunk-at-a-time probe loop over one morsel of the
-// outer table, appending matches to res (and, for the single-column
-// strategy, right positions to *pending, aligned with res rows).
-func probeMorsel(spec JoinSpec, morsel positions.Range, outNames []string, res *rows.Result, pending *[]int64, stats *JoinStats) error {
-	rt := spec.Right
-	ch := datasource.NewChunker(morsel, spec.ChunkSize)
-	ds1 := datasource.DS1{Col: spec.LeftKey, Pred: spec.LeftPred}
-	var keyBuf []int64
-	row := make([]int64, len(outNames))
-	base := len(spec.LeftOutputs)
-	for ci := 0; ci < ch.NumChunks(); ci++ {
-		r := ch.Chunk(ci)
-		ps, _, err := ds1.ScanChunk(r)
-		if err != nil {
-			return err
-		}
-		if ps.Count() == 0 {
-			continue
-		}
-		// Window the left output columns only for chunks with matches.
-		leftMinis := make([]encoding.MiniColumn, len(spec.LeftOutputs))
-		for i, nc := range spec.LeftOutputs {
-			if leftMinis[i], err = nc.Col.Window(r); err != nil {
-				return err
-			}
-		}
-		keyMini, err := spec.LeftKey.Window(r)
-		if err != nil {
-			return err
-		}
-		it := ps.Runs()
-		for {
-			run, ok := it.Next()
-			if !ok {
-				break
-			}
-			keyBuf = keyMini.Extract(keyBuf[:0], positions.Ranges{run})
-			for i, k := range keyBuf {
-				pos := run.Start + int64(i)
-				stats.LeftProbes++
-				for _, rpos := range rt.Probe(k) {
-					for c := range spec.LeftOutputs {
-						row[c] = leftMinis[c].ValueAt(pos)
-					}
-					switch rt.strategy {
-					case RightMaterialized:
-						for c := range rt.payload {
-							row[base+c] = rt.dense[c][rpos]
-						}
-					case RightMultiColumn:
-						minis := rt.chunks[rpos/rt.chunkSize]
-						for c := range rt.payload {
-							row[base+c] = minis[c].ValueAt(rpos)
-						}
-					default:
-						for c := range rt.payload {
-							row[base+c] = 0 // filled in post-pass
-						}
-						*pending = append(*pending, rpos)
-					}
-					res.AppendRow(row...)
-					stats.OutputTuples++
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -4,10 +4,12 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"matstore/internal/buffer"
 	"matstore/internal/encoding"
+	"matstore/internal/oracle"
 	"matstore/internal/positions"
 	"matstore/internal/pred"
 	"matstore/internal/rows"
@@ -221,90 +223,85 @@ func joinFixture(t *testing.T) (left, right *storage.Projection) {
 	return lp, rp
 }
 
-func TestHashJoinAllRightStrategies(t *testing.T) {
+// probeJoin joins the fixture through the operators' own surface — the radix
+// build, the batched probe and each strategy's payload accessor — and holds
+// the result to the nested-loop oracle: the outer payload and the inner val
+// of every (left row passing keep) x (right row with its key), in order.
+func probeJoin(t *testing.T, rs RightStrategy, keep pred.Predicate) (leftOut, rightOut []int64) {
+	t.Helper()
 	left, right := joinFixture(t)
 	leftKey, _ := left.Column("k")
 	leftPayload, _ := left.Column("payload")
+	rightKey, _ := right.Column("k")
+	rightVal, _ := right.Column("val")
+	rt, err := BuildPartitioned(rightKey, []*storage.Column{rightVal}, []string{"val"}, rs, 64, 1, 0)
+	if err != nil {
+		t.Fatalf("%v: %v", rs, err)
+	}
+	if want := map[RightStrategy]int64{RightMaterialized: 5}[rs]; rt.BuildTuples != want {
+		t.Errorf("%v: BuildTuples = %d, want %d", rs, rt.BuildTuples, want)
+	}
+	keyMini, err := leftKey.Window(leftKey.Extent())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloadMini, err := leftPayload.Window(leftPayload.Extent())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys, payload []int64
+	for i, k := range keyMini.Decompress(nil) {
+		if keep.Match(k) {
+			keys, payload = append(keys, k), append(payload, payloadMini.ValueAt(int64(i)))
+		}
+	}
+	idx, pos := rt.ProbeBatch(keys, nil, nil)
+	for j, i := range idx {
+		leftOut = append(leftOut, payload[i])
+		switch rs {
+		case RightMaterialized:
+			rightOut = append(rightOut, rt.DenseValue(0, pos[j]))
+		case RightMultiColumn:
+			rightOut = append(rightOut, rt.PayloadMinis(pos[j])[0].ValueAt(pos[j]))
+		}
+	}
+	if rs == RightSingleColumn {
+		if rightOut, err = rt.DeferredCol(0).GatherUnordered(pos, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, probes, err := oracle.NestedLoopJoin(leftKey, keep, []*storage.Column{leftPayload}, rightKey, []*storage.Column{rightVal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(probes) != len(keys) || !slices.Equal(leftOut, want[0]) || !slices.Equal(rightOut, want[1]) {
+		t.Errorf("%v: got %v/%v from %d probes, oracle %v/%v from %d", rs, leftOut, rightOut, len(keys), want[0], want[1], probes)
+	}
+	return leftOut, rightOut
+}
+
+func TestHashJoinAllRightStrategies(t *testing.T) {
 	// Expected: left rows with key 0,2,2,1 match; key 2 matches two right rows.
 	wantLeft := []int64{100, 101, 101, 102, 102, 105}
 	wantRight := []int64{1000, 1002, 1003, 1002, 1003, 1001}
 	for _, rs := range []RightStrategy{RightMaterialized, RightMultiColumn, RightSingleColumn} {
-		rt, err := BuildRightTable(right, "k", []string{"val"}, rs, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, stats, err := RunHashJoin(JoinSpec{
-			LeftKey:     leftKey,
-			LeftPred:    pred.MatchAll,
-			LeftOutputs: []NamedColumn{{Name: "payload", Col: leftPayload}},
-			Right:       rt,
-			ChunkSize:   64,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", rs, err)
-		}
-		gotLeft, _ := res.Col("payload")
-		gotRight, _ := res.Col("val")
+		gotLeft, gotRight := probeJoin(t, rs, pred.MatchAll)
 		if !reflect.DeepEqual(gotLeft, wantLeft) || !reflect.DeepEqual(gotRight, wantRight) {
 			t.Errorf("%v: got %v/%v, want %v/%v", rs, gotLeft, gotRight, wantLeft, wantRight)
-		}
-		if stats.OutputTuples != 6 || stats.LeftProbes != 6 {
-			t.Errorf("%v: stats = %+v", rs, stats)
-		}
-		switch rs {
-		case RightMaterialized:
-			if stats.RightBuildTuples != 5 {
-				t.Errorf("materialized build tuples = %d", stats.RightBuildTuples)
-			}
-		case RightSingleColumn:
-			if stats.DeferredFetches != 6 {
-				t.Errorf("deferred fetches = %d", stats.DeferredFetches)
-			}
 		}
 	}
 }
 
 func TestHashJoinLeftPredicate(t *testing.T) {
-	left, right := joinFixture(t)
-	leftKey, _ := left.Column("k")
-	leftPayload, _ := left.Column("payload")
-	rt, err := BuildRightTable(right, "k", []string{"val"}, RightMaterialized, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, stats, err := RunHashJoin(JoinSpec{
-		LeftKey:     leftKey,
-		LeftPred:    pred.LessThan(2), // keys 0 and 1 only
-		LeftOutputs: []NamedColumn{{Name: "payload", Col: leftPayload}},
-		Right:       rt,
-		ChunkSize:   64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() != 2 || stats.LeftProbes != 2 {
-		t.Errorf("rows=%d probes=%d, want 2/2", res.NumRows(), stats.LeftProbes)
+	// Keys 0 and 1 only.
+	if left, _ := probeJoin(t, RightMaterialized, pred.LessThan(2)); len(left) != 2 {
+		t.Errorf("rows = %d, want 2", len(left))
 	}
 }
 
 func TestHashJoinEmptyLeft(t *testing.T) {
-	left, right := joinFixture(t)
-	leftKey, _ := left.Column("k")
-	rt, err := BuildRightTable(right, "k", []string{"val"}, RightMultiColumn, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := RunHashJoin(JoinSpec{
-		LeftKey:   leftKey,
-		LeftPred:  pred.Predicate{Op: pred.None},
-		Right:     rt,
-		ChunkSize: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumRows() != 0 {
-		t.Errorf("rows = %d", res.NumRows())
+	if left, _ := probeJoin(t, RightMultiColumn, pred.Predicate{Op: pred.None}); len(left) != 0 {
+		t.Errorf("rows = %d", len(left))
 	}
 }
 

@@ -7,18 +7,19 @@ import (
 	"matstore/internal/storage"
 )
 
-// This file is the radix-partitioned parallel hash build that replaces the
-// serial BuildRightTable on the plan-executor join path (the serial build in
-// join.go survives as the differential-test reference and the ablation
-// benchmark's baseline). Workers scan the inner key column morsel-parallel,
-// routing every (key, position) pair into a per-morsel × per-partition
-// buffer by a radix of the key hash; a barrier later builds one small hash
-// table per partition with no locks, each partition owned by exactly one
-// worker. Because the buffers are indexed by morsel and concatenated in
-// morsel order, the position lists inside every hash bucket come out in
-// ascending position order — exactly the order the serial build's scan
-// produces — so probe results are byte-identical at every worker and
-// partition count.
+// This file is the radix-partitioned parallel hash build of the join's inner
+// side. Workers scan the inner key column morsel-parallel, routing every
+// (key, position) pair into a per-partition × per-morsel staging buffer by a
+// radix of the key hash; a barrier later builds one FlatTable (flattable.go)
+// per partition with no locks, each partition owned by exactly one worker.
+// Because the buffers are indexed by morsel and taken in morsel order, every
+// key's position list comes out in ascending position order — the order a
+// serial scan produces — so probe results are byte-identical at every worker
+// and partition count.
+//
+// The built PartitionedTable is read-only: its tables own the arrays that
+// Probe results alias, so it may be shared by concurrent probes (and by the
+// build cache across queries) without copying.
 
 // HashKey mixes a join key into a full-width hash (the 64-bit finalizer of
 // MurmurHash3). The low bits select the radix partition, so the mix must
@@ -66,14 +67,13 @@ func ResolvePartitions(workers, override int) int {
 }
 
 // PartitionedTable is the radix-partitioned inner side of a hash join: one
-// hash table per partition, plus the per-strategy payload storage of
-// RightTable (dense arrays, retained mini-columns, or deferred column
-// handles).
+// hash table per partition, plus the per-strategy payload storage (dense
+// arrays, retained mini-columns, or deferred column handles).
 type PartitionedTable struct {
 	strategy  RightStrategy
 	payload   []string
 	mask      uint64
-	tables    []map[int64][]int64
+	tables    []FlatTable
 	dense     [][]int64               // RightMaterialized: payload[c][rightPos]
 	chunks    [][]encoding.MiniColumn // RightMultiColumn: [chunk][payloadIdx]
 	chunkSize int64
@@ -118,10 +118,29 @@ func (rt *PartitionedTable) Spilled() bool { return rt.spill != nil }
 func (rt *PartitionedTable) Payload() []string { return rt.payload }
 
 // Probe returns the right positions matching key in ascending position
-// order (nil if none). Safe for concurrent use: the tables are read-only
-// after build.
+// order (nil if none). The result is a sub-slice of the partition table's
+// positions array — read-only, valid as long as the table. Safe for
+// concurrent use: the tables are read-only after build.
 func (rt *PartitionedTable) Probe(key int64) []int64 {
-	return rt.tables[HashKey(key)&rt.mask][key]
+	h := HashKey(key)
+	if m := rt.tables[h&rt.mask].probe(h, key); len(m) > 0 {
+		return m[:len(m):len(m)] // an append by the caller must not reach the next key's positions
+	}
+	return nil
+}
+
+// ProbeBatch probes every key in one loop, appending one (index into keys,
+// right position) pair per match to idx and pos: pairs ascend by key index,
+// and by position within a key — the order per-key Probe calls would produce.
+func (rt *PartitionedTable) ProbeBatch(keys []int64, idx []int32, pos []int64) ([]int32, []int64) {
+	for i, k := range keys {
+		h := HashKey(k)
+		for _, rpos := range rt.tables[h&rt.mask].probe(h, k) {
+			idx = append(idx, int32(i))
+			pos = append(pos, rpos)
+		}
+	}
+	return idx, pos
 }
 
 // DenseValue returns payload column c's value at a right position
@@ -156,11 +175,11 @@ func BuildPartitioned(key *storage.Column, payloadCols []*storage.Column, payloa
 	}
 	p := ResolvePartitions(workers, partitions)
 	rt := &PartitionedTable{
-		strategy:   strat,
-		payload:    payload,
-		mask:       uint64(p - 1),
-		tables:     make([]map[int64][]int64, p),
-		chunkSize:  chunkSize,
+		strategy:  strat,
+		payload:   payload,
+		mask:      uint64(p - 1),
+		tables:    make([]FlatTable, p),
+		chunkSize: chunkSize,
 		// Retain the stored-column handles for every strategy: the deferred
 		// single-column fetch needs them at probe time, and build-cache
 		// demotion needs them to rehydrate payload without a rescan.
@@ -197,12 +216,12 @@ func BuildPartitioned(key *storage.Column, payloadCols []*storage.Column, payloa
 	rt.BuildMorsels = len(morsels)
 
 	// Phase 1: morsel-parallel partitioning scan. Buffers are indexed by
-	// (morsel, partition) so phase 2 can concatenate them in morsel order,
-	// reproducing the serial build's ascending-position bucket order.
-	perMorsel := make([][][]buildEntry, len(morsels))
+	// (partition, morsel) so phase 2 can take them in morsel order, which
+	// keeps every key's position list ascending.
+	staged := newStaging(p, len(morsels))
 	buildTuples := make([]int64, len(morsels))
 	err := exec.Run(workers, len(morsels), func(i int) error {
-		bufs := make([][]buildEntry, p)
+		bufs := stagingBuffers(p, stagingShare(p, morsels[i].Len()))
 		ch := datasource.NewChunker(morsels[i], chunkSize)
 		var keyBuf []int64
 		for ci := 0; ci < ch.NumChunks(); ci++ {
@@ -238,7 +257,9 @@ func BuildPartitioned(key *storage.Column, payloadCols []*storage.Column, payloa
 				rt.chunks[r.Start/chunkSize] = minis
 			}
 		}
-		perMorsel[i] = bufs
+		for pt := range bufs {
+			staged[pt][i] = bufs[pt]
+		}
 		return nil
 	})
 	if err != nil {
@@ -249,39 +270,62 @@ func BuildPartitioned(key *storage.Column, payloadCols []*storage.Column, payloa
 	}
 
 	// Phase 2 (after the scan barrier): one hash table per partition, built
-	// lock-free — each partition is owned by a single worker, and morsel
-	// order concatenation keeps bucket position lists ascending.
-	if err := exec.Run(workers, p, func(pt int) error {
-		n := 0
-		for m := range perMorsel {
-			n += len(perMorsel[m][pt])
-		}
-		tbl := make(map[int64][]int64, n)
-		for m := range perMorsel {
-			for _, e := range perMorsel[m][pt] {
-				tbl[e.key] = append(tbl[e.key], e.pos)
-			}
-		}
-		rt.tables[pt] = tbl
-		return nil
-	}); err != nil {
+	// lock-free — each partition is owned by a single worker.
+	if err := rt.buildTables(workers, staged); err != nil {
 		return nil, err
 	}
 	rt.SizeBytes = rt.memBytes()
 	return rt, nil
 }
 
-// memBytes estimates the built table's heap footprint: hash buckets (map
-// header overhead per key plus the position list) and the per-strategy
-// payload storage. Deferred column handles (single-column) weigh nothing —
-// they point at the stored files.
+// newStaging allocates the phase-1 staging index: staged[partition][morsel]
+// is the morsel's entries for that partition. Morsel workers fill disjoint
+// elements, so no locks.
+func newStaging(partitions, morsels int) [][][]buildEntry {
+	staged := make([][][]buildEntry, partitions)
+	for pt := range staged {
+		staged[pt] = make([][]buildEntry, morsels)
+	}
+	return staged
+}
+
+// stagingShare is the capacity one partition's staging buffer gets for a
+// morsel, so the scan appends without regrowth: the whole morsel at one
+// partition, the even share plus an eighth (the radix hash spreads keys
+// evenly; a hotter partition just grows) at more.
+func stagingShare(partitions int, morselLen int64) int {
+	if partitions <= 1 {
+		return int(morselLen)
+	}
+	n := int(morselLen) / partitions
+	return n + n/8 + 16
+}
+
+// stagingBuffers allocates n per-partition staging buffers of one capacity.
+func stagingBuffers(n, capacity int) [][]buildEntry {
+	bufs := make([][]buildEntry, n)
+	for pt := range bufs {
+		bufs[pt] = make([]buildEntry, 0, capacity)
+	}
+	return bufs
+}
+
+// buildTables is phase 2 of both builds: one FlatTable per staged partition,
+// each built by a single worker from its morsel-ordered staging buffers.
+func (rt *PartitionedTable) buildTables(workers int, staged [][][]buildEntry) error {
+	return exec.Run(workers, len(staged), func(pt int) (err error) {
+		rt.tables[pt], err = newFlatTable(staged[pt]...)
+		return err
+	})
+}
+
+// memBytes is the built table's heap footprint: every partition's slot and
+// positions arrays and the per-strategy payload storage. Deferred column
+// handles (single-column) weigh nothing — they point at the stored files.
 func (rt *PartitionedTable) memBytes() int64 {
 	var b int64
-	for _, tbl := range rt.tables {
-		b += 48 * int64(len(tbl)) // map bucket + key + slice header
-		for _, poss := range tbl {
-			b += 8 * int64(len(poss))
-		}
+	for i := range rt.tables {
+		b += rt.tables[i].memBytes()
 	}
 	for _, col := range rt.dense {
 		b += 8 * int64(len(col))

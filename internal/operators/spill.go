@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,10 +18,11 @@ import (
 
 // This file is the Grace spill path of the radix join build. When the memory
 // governor denies an in-memory reservation, the build runs under a byte
-// budget: partitions that fit stay resident (normal hash tables), partitions
-// over the share stream their (key, position) pairs to per-partition temp
-// files as checksummed plain blocks — the same internal/encoding format the
-// stored columns use, with no decompression or expansion of payload data.
+// budget: partitions that fit stay resident (FlatTables, as in the in-memory
+// build), partitions over the share stream their (key, position) pairs to
+// per-partition temp files as checksummed plain blocks — the same
+// internal/encoding format the stored columns use, with no decompression or
+// expansion of payload data.
 // The probe handles resident partitions inline and spilled partitions
 // partition-at-a-time afterwards (see internal/plan), reproducing the exact
 // output order of the in-memory path, so spilled results are byte-identical
@@ -34,6 +34,12 @@ import (
 // compressed block form. The same insight drives build-cache demotion: a
 // demoted entry persists only the hash entries and rehydrates its payload by
 // re-windowing the stored columns.
+//
+// Every table that comes back from disk — a spilled partition loaded for pass
+// B, a demoted build rehydrated — is built by the same newFlatTable the
+// in-memory build uses, and like it is read-only and owns the positions array
+// its Probe results alias: the caller of LoadSpilledPartition keeps no probe
+// result past dropping the table.
 
 // SpillFilePrefix names every spill artifact (partition files and demoted
 // builds) so a startup sweep can remove orphans from a crashed process.
@@ -80,8 +86,8 @@ type SpillConfig struct {
 }
 
 // spillPartition is one cold partition's temp file. Writers from different
-// morsels interleave frames under mu; the probe-side load sorts entries by
-// position, so the on-disk frame order never affects results.
+// morsels interleave frames under mu; the probe-side load sorts every key's
+// positions, so the on-disk frame order never affects results.
 type spillPartition struct {
 	mu         sync.Mutex
 	f          *os.File
@@ -176,10 +182,13 @@ func (sp *spillPartition) writeFrame(site string, keys, poss []int64, blockBuf [
 }
 
 // readEntryFrames reads every (key, position) frame from r, verifying block
-// checksums. site names the fault-injection point for read errors.
-func readEntryFrames(r io.Reader, site string) ([]buildEntry, error) {
+// checksums. site names the fault-injection point for read errors; want is
+// the entry count the writer recorded, which sizes the result once (a file
+// holding a different number is the caller's error to report).
+func readEntryFrames(r io.Reader, site string, want int64) ([]buildEntry, error) {
 	buf := make([]byte, encoding.BlockSize)
-	var out []buildEntry
+	out := make([]buildEntry, 0, want)
+	var keys []int64
 	for {
 		if err := faults.Check(site); err != nil {
 			return nil, fmt.Errorf("%s: %w", site, err)
@@ -194,7 +203,7 @@ func readEntryFrames(r io.Reader, site string) ([]buildEntry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("spill key block: %w", err)
 		}
-		keys := append([]int64(nil), kb.Vals...)
+		keys = append(keys[:0], kb.Vals...)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("spill frame truncated: %w", err)
 		}
@@ -212,11 +221,11 @@ func readEntryFrames(r io.Reader, site string) ([]buildEntry, error) {
 }
 
 // LoadSpilledPartition reads one spilled partition back and builds its hash
-// table. Entries are sorted by position first, so bucket position lists come
-// out ascending regardless of how morsel flushes interleaved in the file —
-// the same order the in-memory build produces. The caller probes the table
-// and drops it before loading the next partition (partition-at-a-time).
-func (rt *PartitionedTable) LoadSpilledPartition(pt int) (map[int64][]int64, error) {
+// table. Every key's positions are then sorted, so they come out ascending
+// regardless of how morsel flushes interleaved in the file — the same order
+// the in-memory build produces. The caller probes the table and drops it
+// before loading the next partition (partition-at-a-time).
+func (rt *PartitionedTable) LoadSpilledPartition(pt int) (*FlatTable, error) {
 	sp := rt.spill.parts[pt]
 	if sp == nil {
 		return nil, fmt.Errorf("partition %d is resident", pt)
@@ -226,19 +235,19 @@ func (rt *PartitionedTable) LoadSpilledPartition(pt int) (map[int64][]int64, err
 		return nil, err
 	}
 	defer f.Close()
-	entries, err := readEntryFrames(f, "spill.read")
+	entries, err := readEntryFrames(f, "spill.read", sp.entries)
 	if err != nil {
 		return nil, err
 	}
 	if int64(len(entries)) != sp.entries {
 		return nil, fmt.Errorf("spill partition %d: %d entries on disk, wrote %d", pt, len(entries), sp.entries)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].pos < entries[j].pos })
-	tbl := make(map[int64][]int64, len(entries))
-	for _, e := range entries {
-		tbl[e.key] = append(tbl[e.key], e.pos)
+	tbl, err := newFlatTable(entries)
+	if err != nil {
+		return nil, err
 	}
-	return tbl, nil
+	tbl.sortGroups()
+	return &tbl, nil
 }
 
 // residentShare derives how many partitions fit the budget, assuming the
@@ -280,7 +289,7 @@ func BuildPartitionedSpill(ctx context.Context, key *storage.Column, payloadCols
 		strategy:   strat,
 		payload:    payload,
 		mask:       uint64(p - 1),
-		tables:     make([]map[int64][]int64, p),
+		tables:     make([]FlatTable, p),
 		chunkSize:  chunkSize,
 		cols:       payloadCols,
 		Tuples:     extent.Len(),
@@ -317,11 +326,17 @@ func BuildPartitionedSpill(ctx context.Context, key *storage.Column, payloadCols
 	// partitions buffer per (morsel, partition) exactly like the in-memory
 	// build; cold partitions accumulate up to a plain block's worth and flush
 	// frames under the partition lock.
-	perMorsel := make([][][]buildEntry, len(morsels))
+	staged := newStaging(resident, len(morsels))
 	err := exec.Run(workers, len(morsels), func(i int) error {
-		bufs := make([][]buildEntry, resident)
+		share := stagingShare(p, morsels[i].Len())
+		bufs := stagingBuffers(resident, share)
 		spillKeys := make([][]int64, p)
 		spillPoss := make([][]int64, p)
+		for pt := resident; pt < p; pt++ {
+			// A frame is flushed at a plain block's worth of entries.
+			spillKeys[pt] = make([]int64, 0, min(share, encoding.PlainBlockCap))
+			spillPoss[pt] = make([]int64, 0, min(share, encoding.PlainBlockCap))
+		}
 		blockBuf := make([]byte, encoding.BlockSize)
 		flush := func(pt int) error {
 			if len(spillKeys[pt]) == 0 {
@@ -366,7 +381,9 @@ func BuildPartitionedSpill(ctx context.Context, key *storage.Column, payloadCols
 				return err
 			}
 		}
-		perMorsel[i] = bufs
+		for pt := range bufs {
+			staged[pt][i] = bufs[pt]
+		}
 		return nil
 	})
 	if err != nil {
@@ -374,26 +391,10 @@ func BuildPartitionedSpill(ctx context.Context, key *storage.Column, payloadCols
 		return nil, err
 	}
 
-	// Phase 2: hash tables for resident partitions only, morsel order
-	// concatenation keeping bucket position lists ascending.
-	if resident > 0 {
-		if err := exec.Run(workers, resident, func(pt int) error {
-			n := 0
-			for m := range perMorsel {
-				n += len(perMorsel[m][pt])
-			}
-			tbl := make(map[int64][]int64, n)
-			for m := range perMorsel {
-				for _, e := range perMorsel[m][pt] {
-					tbl[e.key] = append(tbl[e.key], e.pos)
-				}
-			}
-			rt.tables[pt] = tbl
-			return nil
-		}); err != nil {
-			rt.ReleaseSpill()
-			return nil, err
-		}
+	// Phase 2: hash tables for resident partitions only.
+	if err := rt.buildTables(workers, staged); err != nil {
+		rt.ReleaseSpill()
+		return nil, err
 	}
 	rt.SizeBytes = rt.memBytes()
 	for i := resident; i < p; i++ {
@@ -430,10 +431,8 @@ func WriteDemoted(rt *PartitionedTable, dir string) (string, int64, error) {
 		return "", 0, err
 	}
 	var entryCount int64
-	for _, tbl := range rt.tables {
-		for _, poss := range tbl {
-			entryCount += int64(len(poss))
-		}
+	for i := range rt.tables {
+		entryCount += int64(rt.tables[i].Len())
 	}
 	blockBuf := make([]byte, encoding.BlockSize)
 	meta := []int64{demotedMagic, int64(rt.strategy), rt.Tuples, int64(rt.Partitions),
@@ -443,7 +442,8 @@ func WriteDemoted(rt *PartitionedTable, dir string) (string, int64, error) {
 	if err := spillAwareWrite(f, "cache.demote", blockBuf); err != nil {
 		return fail(err)
 	}
-	var keys, poss []int64
+	keys := make([]int64, 0, encoding.PlainBlockCap)
+	poss := make([]int64, 0, encoding.PlainBlockCap)
 	var written int64 = encoding.BlockSize
 	flush := func() error {
 		if len(keys) == 0 {
@@ -461,13 +461,15 @@ func WriteDemoted(rt *PartitionedTable, dir string) (string, int64, error) {
 		keys, poss = keys[:0], poss[:0]
 		return nil
 	}
-	// Bucket-by-bucket streaming keeps each bucket's ascending position order
-	// contiguous in the file; the load rebuilds buckets in file order, so the
-	// rehydrated table probes identically.
-	for _, tbl := range rt.tables {
-		for k, ps := range tbl {
-			for _, pos := range ps {
-				keys = append(keys, k)
+	// Partition by partition, slot by slot: a deterministic file order (unlike
+	// map iteration) that keeps each partition's entries contiguous and each
+	// key's positions ascending, so the load rebuilds tables that probe
+	// identically.
+	for i := range rt.tables {
+		t := &rt.tables[i]
+		for _, slot := range t.slots {
+			for _, pos := range t.pos[slot.off : slot.off+slot.cnt] {
+				keys = append(keys, slot.key)
 				poss = append(poss, pos)
 				if len(keys) == encoding.PlainBlockCap {
 					if err := flush(); err != nil {
@@ -516,7 +518,10 @@ func LoadDemoted(path string, payloadCols []*storage.Column, payload []string) (
 	if npayload != len(payloadCols) {
 		return nil, fmt.Errorf("demoted build: %d payload cols on disk, %d supplied", npayload, len(payloadCols))
 	}
-	entries, err := readEntryFrames(f, "cache.rehydrate")
+	if p < 1 || p&(p-1) != 0 || entryCount < 0 || entryCount > tuples {
+		return nil, fmt.Errorf("demoted meta: %d partitions, %d entries over %d tuples", p, entryCount, tuples)
+	}
+	entries, err := readEntryFrames(f, "cache.rehydrate", entryCount)
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +532,7 @@ func LoadDemoted(path string, payloadCols []*storage.Column, payload []string) (
 		strategy:     strat,
 		payload:      payload,
 		mask:         uint64(p - 1),
-		tables:       make([]map[int64][]int64, p),
+		tables:       make([]FlatTable, p),
 		chunkSize:    chunkSize,
 		cols:         payloadCols,
 		Tuples:       tuples,
@@ -536,14 +541,21 @@ func LoadDemoted(path string, payloadCols []*storage.Column, payload []string) (
 		BuildWorkers: int(mb.Vals[8]),
 		BuildMorsels: int(mb.Vals[9]),
 	}
-	for i := range rt.tables {
-		rt.tables[i] = map[int64][]int64{}
-	}
-	// File order is bucket-contiguous with ascending positions inside each
-	// bucket, so appending in file order rebuilds identical bucket lists.
-	for _, e := range entries {
-		pt := HashKey(e.key) & rt.mask
-		rt.tables[pt][e.key] = append(rt.tables[pt][e.key], e.pos)
+	// The file holds each partition's entries as one contiguous run, every
+	// key's positions ascending inside it: one table per run.
+	for start := 0; start < len(entries); {
+		pt := HashKey(entries[start].key) & rt.mask
+		end := start + 1
+		for end < len(entries) && HashKey(entries[end].key)&rt.mask == pt {
+			end++
+		}
+		if rt.tables[pt].Len() != 0 {
+			return nil, fmt.Errorf("demoted build: partition %d's entries are not contiguous", pt)
+		}
+		if rt.tables[pt], err = newFlatTable(entries[start:end]); err != nil {
+			return nil, err
+		}
+		start = end
 	}
 	numChunks := (tuples + chunkSize - 1) / chunkSize
 	switch strat {

@@ -88,7 +88,7 @@ func TestSpillBuildMatchesInMemory(t *testing.T) {
 		if rt.SpilledParts != rt.Partitions-rt.ResidentPartitions() {
 			t.Fatalf("SpilledParts = %d, resident %d of %d", rt.SpilledParts, rt.ResidentPartitions(), rt.Partitions)
 		}
-		spilledTables := map[int]map[int64][]int64{}
+		spilledTables := map[int]*FlatTable{}
 		for pt := rt.ResidentPartitions(); pt < rt.Partitions; pt++ {
 			tbl, err := rt.LoadSpilledPartition(pt)
 			if err != nil {
@@ -100,7 +100,7 @@ func TestSpillBuildMatchesInMemory(t *testing.T) {
 			want := ref.Probe(k)
 			var got []int64
 			if pt := rt.KeyPartition(k); rt.SpilledPartition(pt) {
-				got = spilledTables[pt][k]
+				got = spilledTables[pt].Probe(k)
 			} else {
 				got = rt.Probe(k)
 			}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"time"
 
@@ -122,16 +123,27 @@ func (p *Plan) buildKey(build *Node) operators.BuildKey {
 // runJoinProbeMorsel interprets one outer-table morsel of a join tree: the
 // position subtree (DS1 on the outer key, or ALLPOS) yields each chunk's
 // surviving positions; probe keys and outer payload values are gathered
-// batched at those positions; each key routes to its radix partition's hash
-// table; and matches emit column-wise into the morsel's partial result. For
-// the single-column strategy, matched right positions accumulate in
-// pt.pending (aligned with result rows) for the post-merge deferred fetch.
+// batched at those positions; the whole chunk's keys probe the partitioned
+// table in one loop; and matches emit column-wise into the morsel's partial
+// result. The pipeline is reserve-once: gather and match scratch is sized
+// from the chunk's surviving-position count before it is filled, and the
+// result from the match count.
+//
+// Deferred right payload (the single-column strategy, and every strategy in
+// spill mode) has no list of its own: each row's right position is stored in
+// the row's first right-payload column, where it rides through the merge and
+// pass B until joinDeferredFetch overwrites it with the fetched value.
 func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.PartitionedTable, observe bool) error {
 	probe := p.Root.Children[0]
 	posNode := probe.Children[0]
 	pt.res = rows.NewResult(p.Spec.OutNames...)
 	base := len(probe.LeftCols)
 	payload := rt.Payload()
+	spill := rt.DeferredPayload()
+	deferred := spill || rt.Strategy() == operators.RightSingleColumn
+	if spill {
+		pt.spillLeft = make([][]int64, base)
+	}
 
 	st := &morselState{}
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
@@ -149,38 +161,43 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		if skipped || desc == nil || desc.Count() == 0 {
 			continue
 		}
-		pt.matched = append(pt.matched, desc)
+		n := int(desc.Count())
+		pt.stats.PositionsMatched += int64(n)
 
 		// Batched key gather: from the scan's retained mini-column when the
-		// multi-column covers it, else the block-pinned gather.
+		// multi-column covers it, else the block-pinned gather. Every gather
+		// destination is sized to the surviving-position count first.
 		start := obsStart(observe)
-		if keyBuf, err = p.gatherAt(mc, probe.Col, probe.Column, desc, keyBuf[:0]); err != nil {
+		if keyBuf, err = p.gatherAt(mc, probe.Col, probe.Column, desc, slices.Grow(keyBuf[:0], n)); err != nil {
 			return err
 		}
 		// Batched outer payload gather at the same surviving positions.
 		for c, col := range probe.LeftCols {
-			if leftBufs[c], err = p.gatherAt(mc, probe.OutCols[c], col, desc, leftBufs[c][:0]); err != nil {
+			if leftBufs[c], err = p.gatherAt(mc, probe.OutCols[c], col, desc, slices.Grow(leftBufs[c][:0], n)); err != nil {
 				return err
 			}
 		}
 
-		// Probe: route each key to its partition; collect (chunk-local key
-		// index, right position) match pairs. In spill mode, keys landing in
-		// a spilled partition are recorded as deferred probes with the rows
-		// emitted so far as their insertion anchor — pass B resolves them
-		// partition-at-a-time and re-interleaves, reproducing this loop's
-		// output order exactly.
-		matchIdx, matchPos = matchIdx[:0], matchPos[:0]
-		if rt.DeferredPayload() {
-			if pt.spillLeft == nil {
-				pt.spillLeft = make([][]int64, base)
+		// Probe: collect (chunk-local key index, right position) match pairs,
+		// one per probing key when the inner key is unique — what the scratch
+		// is sized for.
+		matchIdx, matchPos = slices.Grow(matchIdx[:0], n), slices.Grow(matchPos[:0], n)
+		if spill {
+			// Keys landing in a spilled partition are recorded as deferred
+			// probes with the rows emitted so far as their insertion anchor —
+			// pass B resolves them partition-at-a-time and re-interleaves,
+			// reproducing the in-memory output order exactly.
+			pt.spillAnchors = slices.Grow(pt.spillAnchors, n)
+			pt.spillKeys = slices.Grow(pt.spillKeys, n)
+			for c := range pt.spillLeft {
+				pt.spillLeft[c] = slices.Grow(pt.spillLeft[c], n)
 			}
 			emitted := int64(pt.res.NumRows())
 			for i, k := range keyBuf {
 				if sp := rt.KeyPartition(k); rt.SpilledPartition(sp) {
 					pt.spillAnchors = append(pt.spillAnchors, emitted+int64(len(matchIdx)))
 					pt.spillKeys = append(pt.spillKeys, k)
-					for c := range probe.LeftCols {
+					for c := range pt.spillLeft {
 						pt.spillLeft[c] = append(pt.spillLeft[c], leftBufs[c][i])
 					}
 					continue
@@ -191,12 +208,7 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 				}
 			}
 		} else {
-			for i, k := range keyBuf {
-				for _, rpos := range rt.Probe(k) {
-					matchIdx = append(matchIdx, int32(i))
-					matchPos = append(matchPos, rpos)
-				}
-			}
+			matchIdx, matchPos = rt.ProbeBatch(keyBuf, matchIdx, matchPos)
 		}
 		pt.stats.Join.LeftProbes += int64(len(keyBuf))
 		if len(matchIdx) == 0 {
@@ -207,9 +219,9 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		}
 
 		// Column-wise emission: outer payload by match index, inner payload
-		// per strategy (dense array, retained compressed minis, or zeros
-		// awaiting the deferred batched fetch). The match count is known, so
-		// every output column is reserved once and filled by index.
+		// per strategy (dense array, retained compressed minis, or the right
+		// position awaiting the deferred batched fetch). The match count is
+		// known, so every output column is reserved once and filled by index.
 		off := pt.res.NumRows()
 		pt.res.Reserve(len(matchIdx))
 		grown := func(c int) []int64 {
@@ -223,29 +235,30 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 			}
 		}
 		switch {
-		case !rt.DeferredPayload() && rt.Strategy() == operators.RightMaterialized:
+		case deferred:
+			// Zeros for now, except the first payload column, which carries
+			// the right positions to the deferred fetch.
+			for c := range payload {
+				if c == 0 {
+					copy(grown(base), matchPos)
+				} else {
+					clear(grown(base + c))
+				}
+			}
+		case rt.Strategy() == operators.RightMaterialized:
 			for c := range payload {
 				col := grown(base + c)
 				for j, rpos := range matchPos {
 					col[j] = rt.DenseValue(c, rpos)
 				}
 			}
-		case !rt.DeferredPayload() && rt.Strategy() == operators.RightMultiColumn:
+		default: // RightMultiColumn
 			for c := range payload {
 				col := grown(base + c)
 				for j, rpos := range matchPos {
 					col[j] = rt.PayloadMinis(rpos)[c].ValueAt(rpos)
 				}
 			}
-		default:
-			// The single-column strategy, and spill mode for every strategy
-			// (the on-disk spill carries only hash entries), defer the right
-			// payload to the stored columns: zeros now, one batched fetch over
-			// the merged pending list after the merge (and pass B).
-			for c := range payload {
-				clear(grown(base + c))
-			}
-			pt.pending = append(pt.pending, matchPos...)
 		}
 		pt.stats.Join.OutputTuples += int64(len(matchIdx))
 		if observe {
@@ -268,23 +281,23 @@ func (p *Plan) gatherAt(mc *multicol.MultiColumn, name string, col *storage.Colu
 // joinDeferredFetch is the single-column strategy's post-join positional
 // fetch: right positions emerge from the probe in left order, so no merge
 // join on position is possible (Section 4.3) — but the fetch is batched, one
-// block-pinned GatherUnordered per payload column over the merged pending
-// list, scattering values back into the already-emitted result rows.
-func (p *Plan) joinDeferredFetch(probe *Node, rt *operators.PartitionedTable, res *rows.Result, pending []int64, stats *RunStats, observe bool) error {
+// block-pinned GatherUnordered per payload column over the result's right
+// positions, written straight into the already-emitted result column. The
+// positions sit in the first payload column (see runJoinProbeMorsel), so that
+// column is fetched last, in place.
+func (p *Plan) joinDeferredFetch(probe *Node, rt *operators.PartitionedTable, res *rows.Result, stats *RunStats, observe bool) error {
 	deferred := rt.Strategy() == operators.RightSingleColumn || rt.DeferredPayload()
-	if !deferred || len(pending) == 0 {
+	if !deferred || len(rt.Payload()) == 0 || res.NumRows() == 0 {
 		return nil
 	}
 	base := len(probe.LeftCols)
 	start := obsStart(observe)
-	var vals []int64
-	for c := range rt.Payload() {
+	pending := res.Cols[base]
+	for c := len(rt.Payload()) - 1; c >= 0; c-- {
 		var err error
-		vals, err = rt.DeferredCol(c).GatherUnordered(pending, vals[:0])
-		if err != nil {
+		if res.Cols[base+c], err = rt.DeferredCol(c).GatherUnordered(pending, res.Cols[base+c][:0]); err != nil {
 			return err
 		}
-		copy(res.Cols[base+c], vals)
 		stats.Join.DeferredFetches += int64(len(pending))
 	}
 	obsNanos(&probe.Obs, start, observe)

@@ -48,14 +48,8 @@ type RunStats struct {
 // columnar result (never both), plus counter deltas. Partials merge in
 // morsel order, which makes parallel output byte-identical to serial output.
 type partial struct {
-	agg     *operators.Aggregator
-	res     *rows.Result
-	matched []positions.Set
-	// pending is a join probe's deferred right positions (single-column
-	// strategy, and every strategy in spill mode), aligned with res rows;
-	// partials concatenate in morsel order so pending[i] stays the right
-	// position of result row i.
-	pending []int64
+	agg *operators.Aggregator
+	res *rows.Result
 	// Spill-mode deferred probes: keys that routed to a spilled partition.
 	// spillAnchors[j] is the partial's emitted row count at the moment probe
 	// j was seen — the insertion point that reproduces the in-memory output
@@ -182,25 +176,17 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 	gspan := opt.Trace.Child("merge")
 	res := mergePartials(p.Spec, parts, &stats)
 	if probe != nil {
-		var pending []int64
-		if len(parts) == 1 {
-			pending = parts[0].pending
-		} else {
-			for _, pt := range parts {
-				pending = append(pending, pt.pending...)
-			}
-		}
 		if built.DeferredPayload() {
 			// Pass B of the Grace join: resolve the probes that routed to
 			// spilled partitions, partition-at-a-time, and re-interleave their
 			// matches at the recorded anchors.
 			aspan := gspan.Child("spill.assemble")
-			if res, pending, err = p.assembleSpillMatches(ctx, probe, built, res, parts, pending, &stats); err != nil {
+			if res, err = p.assembleSpillMatches(ctx, probe, built, res, parts, &stats); err != nil {
 				return nil, RunStats{}, err
 			}
 			aspan.End()
 		}
-		if err := p.joinDeferredFetch(probe, built, res, pending, &stats, observe); err != nil {
+		if err := p.joinDeferredFetch(probe, built, res, &stats, observe); err != nil {
 			return nil, RunStats{}, err
 		}
 	}
@@ -238,11 +224,7 @@ func (p *Plan) updateSkew(morsels []positions.Range, parts []*partial) {
 	dens := make([]float64, len(parts))
 	var mean float64
 	for i, pt := range parts {
-		matched := pt.stats.PositionsMatched
-		for _, d := range pt.matched {
-			matched += d.Count()
-		}
-		dens[i] = float64(matched) / float64(morsels[i].Len())
+		dens[i] = float64(pt.stats.PositionsMatched) / float64(morsels[i].Len())
 		mean += dens[i]
 	}
 	mean /= float64(len(dens))
@@ -263,20 +245,12 @@ func (p *Plan) updateSkew(morsels []positions.Range, parts []*partial) {
 // row partials concatenate in morsel (block) order. A lone partial is
 // adopted wholesale, so serial execution does no extra copying.
 func mergePartials(s Spec, parts []*partial, stats *RunStats) *rows.Result {
-	var matched []positions.Set
 	for _, pt := range parts {
 		stats.TuplesConstructed += pt.stats.TuplesConstructed
 		stats.PositionsMatched += pt.stats.PositionsMatched
 		stats.ChunksSkipped += pt.stats.ChunksSkipped
 		stats.Join.LeftProbes += pt.stats.Join.LeftProbes
 		stats.Join.OutputTuples += pt.stats.Join.OutputTuples
-		matched = append(matched, pt.matched...)
-	}
-	if len(matched) > 0 {
-		// Positions-domain merge: per-chunk descriptors, already in block
-		// order across morsels, concatenate into the query's matched
-		// position set; its cardinality is the PositionsMatched stat.
-		stats.PositionsMatched += positions.Concat(matched...).Count()
 	}
 	if s.Aggregating {
 		agg := parts[0].agg
@@ -402,7 +376,7 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 			continue
 		}
 		mc.SetDescriptor(desc)
-		pt.matched = append(pt.matched, desc)
+		pt.stats.PositionsMatched += desc.Count()
 
 		if p.Spec.Aggregating {
 			// Aggregate directly on compressed data; no tuples constructed.

@@ -3,7 +3,7 @@ package plan
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"matstore/internal/operators"
 	"matstore/internal/rows"
@@ -15,35 +15,40 @@ import (
 // probe with an anchor — the rows its partial had emitted at the moment the
 // probe was seen. Since every outer row's matches come wholly from one
 // partition, the in-memory output is exactly the base rows with each
-// deferred probe's matches inserted at its anchor, in probe order, bucket
+// deferred probe's matches inserted at its anchor, in probe order, right
 // positions ascending. Pass B loads each spilled partition once (bounded
 // memory: one partition's hash table at a time), probes the deferred keys,
 // and re-interleaves — which is why spilled results are byte-identical to
 // the in-memory path at every budget and worker count.
 
-// spillInsert is one deferred match awaiting re-insertion: seq orders probes
-// globally (morsel order, then within-chunk key order), anchor is the global
-// base-result row the matches precede, rpos the matched right position.
-type spillInsert struct {
-	seq    int
-	anchor int64
-	rpos   int64
-}
-
 // assembleSpillMatches resolves deferred probes partition-at-a-time and
-// rebuilds the result with their matches inserted at the recorded anchors.
-// Returns the new result and its aligned pending list (one deferred right
-// position per row — in spill mode all payload is deferred).
-func (p *Plan) assembleSpillMatches(ctx context.Context, probe *Node, rt *operators.PartitionedTable, res *rows.Result, parts []*partial, basePending []int64, stats *RunStats) (*rows.Result, []int64, error) {
+// rebuilds the result with their matches inserted at the recorded anchors. In
+// spill mode all payload is deferred, so every row — base or inserted —
+// carries its right position in the first right-payload column (see
+// runJoinProbeMorsel) for joinDeferredFetch.
+func (p *Plan) assembleSpillMatches(ctx context.Context, probe *Node, rt *operators.PartitionedTable, res *rows.Result, parts []*partial, stats *RunStats) (*rows.Result, error) {
 	base := len(probe.LeftCols)
 
-	// Concatenate the per-partial deferred probes in morsel order, converting
-	// local anchors to global row numbers via each partial's emitted-row
-	// count (stats.Join.OutputTuples counts exactly the rows the partial
-	// emitted; parts[0].res is aliased by the merged result, so its row count
-	// cannot be read after the merge).
-	var keys, anchors []int64
+	// Concatenate the per-partial deferred probes in morsel order (sized from
+	// the partials' lengths), converting local anchors to global row numbers
+	// via each partial's emitted-row count (stats.Join.OutputTuples counts
+	// exactly the rows the partial emitted; parts[0].res is aliased by the
+	// merged result, so its row count cannot be read after the merge). A
+	// probe's index in this concatenation is its seq: morsel order, then
+	// within-chunk key order — the order its matches must appear in.
+	n := 0
+	for _, pt := range parts {
+		n += len(pt.spillKeys)
+	}
+	if n == 0 {
+		return res, nil
+	}
+	stats.Join.SpillProbes += int64(n)
+	keys, anchors := make([]int64, 0, n), make([]int64, 0, n)
 	left := make([][]int64, base)
+	for c := range left {
+		left[c] = make([]int64, 0, n)
+	}
 	var offset int64
 	for _, pt := range parts {
 		for _, a := range pt.spillAnchors {
@@ -55,80 +60,101 @@ func (p *Plan) assembleSpillMatches(ctx context.Context, probe *Node, rt *operat
 		}
 		offset += pt.stats.Join.OutputTuples
 	}
-	if len(keys) == 0 {
-		return res, basePending, nil
-	}
-	stats.Join.SpillProbes += int64(len(keys))
 
-	// Group deferred probes by partition, then load each spilled partition
-	// once and probe its keys. The partition table is dropped before the
-	// next loads — the whole point of Grace probing.
-	byPart := make(map[int][]int)
-	for s, k := range keys {
-		byPart[rt.KeyPartition(k)] = append(byPart[rt.KeyPartition(k)], s)
+	// Group the probes by partition with a counting pass: bySeq[starts[pt]:
+	// starts[pt+1]] lists partition pt's probes in seq order.
+	starts := make([]int, rt.Partitions+1)
+	for _, k := range keys {
+		starts[rt.KeyPartition(k)+1]++
 	}
-	var inserts []spillInsert
+	for pt := range rt.Partitions {
+		starts[pt+1] += starts[pt]
+	}
+	bySeq := make([]int, n)
+	next := slices.Clone(starts[:rt.Partitions])
+	for s, k := range keys {
+		pt := rt.KeyPartition(k)
+		bySeq[next[pt]] = s
+		next[pt]++
+	}
+
+	// Load each spilled partition once and probe its keys; the partition
+	// table is dropped before the next loads — the whole point of Grace
+	// probing — so the matched positions are staged, with each probe's
+	// (offset, count) into the staging array. One match per probe is what a
+	// unique inner key yields; more just grows the array.
+	staged := make([]int64, 0, n)
+	stagedOff, stagedCnt := make([]int, n), make([]int, n)
 	for pt := rt.ResidentPartitions(); pt < rt.Partitions; pt++ {
-		seqs := byPart[pt]
-		if len(seqs) == 0 {
+		probes := bySeq[starts[pt]:starts[pt+1]]
+		if len(probes) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		tbl, err := rt.LoadSpilledPartition(pt)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		for _, s := range seqs {
-			for _, rpos := range tbl[keys[s]] {
-				inserts = append(inserts, spillInsert{seq: s, anchor: anchors[s], rpos: rpos})
+		for _, s := range probes {
+			matches := tbl.Probe(keys[s])
+			stagedOff[s], stagedCnt[s] = len(staged), len(matches)
+			for _, rpos := range matches { // short lists: cheaper than a bulk append
+				staged = append(staged, rpos)
 			}
 		}
 	}
-	if len(inserts) == 0 {
-		return res, basePending, nil
+	if len(staged) == 0 {
+		return res, nil
 	}
-	// Stable by seq: matches of one probe keep their ascending bucket order,
-	// probes at one anchor keep their key order.
-	sort.SliceStable(inserts, func(i, j int) bool { return inserts[i].seq < inserts[j].seq })
 
-	nb := int64(res.NumRows())
-	if int64(len(basePending)) != nb {
-		return nil, nil, fmt.Errorf("plan: spill pending misaligned: %d for %d rows", len(basePending), nb)
-	}
 	// The output size is known: allocate once (zeroed, so the inserted rows'
 	// right payload awaits the deferred fetch like everyone else's) and store
-	// by index.
+	// by index. Anchors are non-decreasing in seq, so one walk over the
+	// probes in seq order interleaves everything — base rows up to the
+	// probe's anchor, then its matches: a probe's matches keep their
+	// ascending position order, probes at one anchor their key order.
+	nb := res.NumRows()
 	out := rows.NewResult(p.Spec.OutNames...)
-	total := int(nb) + len(inserts)
 	for c := range out.Cols {
-		out.Cols[c] = make([]int64, total)
+		out.Cols[c] = make([]int64, nb+len(staged))
 	}
-	pending := make([]int64, total)
-	// Anchors are non-decreasing in seq, so one walk interleaves everything.
-	ii, w := 0, 0
-	for g := int64(0); g <= nb; g++ {
-		for ; ii < len(inserts) && inserts[ii].anchor == g; ii++ {
-			ins := inserts[ii]
-			for c := 0; c < base; c++ {
-				out.Cols[c][w] = left[c][ins.seq]
-			}
-			pending[w] = ins.rpos
-			w++
+	g, w := 0, 0 // base rows consumed, output rows written
+	copyBase := func(upto int) {
+		for c := range out.Cols {
+			copy(out.Cols[c][w:], res.Cols[c][g:upto])
 		}
-		if g < nb {
-			for c := range out.Cols {
-				out.Cols[c][w] = res.Cols[c][g]
-			}
-			pending[w] = basePending[g]
-			w++
+		w += upto - g
+		g = upto
+	}
+	for s, cnt := range stagedCnt {
+		if cnt == 0 {
+			continue
 		}
+		if a := int(anchors[s]); a != g {
+			if a < g || a > nb {
+				return nil, fmt.Errorf("plan: spill probe %d anchored at row %d, outside [%d,%d]", s, a, g, nb)
+			}
+			copyBase(a)
+		}
+		// Matches per probe are few: plain loops, not bulk copies.
+		for c := 0; c < base; c++ {
+			v, col := left[c][s], out.Cols[c][w:w+cnt]
+			for j := range col {
+				col[j] = v
+			}
+		}
+		if len(out.Cols) > base {
+			matches, col := staged[stagedOff[s]:], out.Cols[base][w:w+cnt]
+			for j := range col {
+				col[j] = matches[j]
+			}
+		}
+		w += cnt
 	}
-	if ii != len(inserts) {
-		return nil, nil, fmt.Errorf("plan: %d spill inserts unplaced", len(inserts)-ii)
-	}
-	stats.Join.OutputTuples += int64(len(inserts))
-	stats.TuplesConstructed += int64(len(inserts))
-	return out, pending, nil
+	copyBase(nb)
+	stats.Join.OutputTuples += int64(len(staged))
+	stats.TuplesConstructed += int64(len(staged))
+	return out, nil
 }

@@ -237,7 +237,9 @@ func (c *Column) gatherBV(ps positions.Set, dst []int64) ([]int64, error) {
 // are sorted, deduplicated, fetched with one batched GatherAt, and scattered
 // back to input order. Either way the stored column is walked once in block
 // order no matter how shuffled the input is. Every position must lie within
-// the column extent.
+// the column extent. dst may be ps[:0]: each value is stored after its
+// position has been read, so a position list can be overwritten in place by
+// the values at those positions.
 func (c *Column) GatherUnordered(ps []int64, dst []int64) ([]int64, error) {
 	if len(ps) == 0 {
 		return dst, nil

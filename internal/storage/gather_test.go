@@ -3,6 +3,7 @@ package storage
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"matstore/internal/encoding"
@@ -150,6 +151,12 @@ func TestDifferentialGatherUnordered(t *testing.T) {
 				if got[i] != vals[p] {
 					t.Fatalf("%v/%s: ps[%d]=%d: gather %d, want %d", enc, name, i, p, got[i], vals[p])
 				}
+			}
+			// In place, as the join's deferred fetch calls it: the values
+			// overwrite the positions they were fetched at.
+			inPlace := slices.Clone(ps)
+			if inPlace, err = c.GatherUnordered(inPlace, inPlace[:0]); err != nil || !slices.Equal(inPlace, got) {
+				t.Fatalf("%v/%s: in-place gather differs (err %v)", enc, name, err)
 			}
 		}
 	}

@@ -33,7 +33,6 @@
 package matstore
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"matstore/internal/buffer"
@@ -281,9 +280,6 @@ func (db *DB) Join(left, right string, q JoinQuery, rs RightStrategy) (*Result, 
 // budget resident and writes the rest to per-partition temp files under the
 // database's spill directory.
 func (db *DB) spillJoinPlan(lp, rp *storage.Projection, right string, q JoinQuery, rs RightStrategy) (*plan.Plan, *operators.SpillConfig, error) {
-	if db.exec.Opt.SerialJoinBuild {
-		return nil, nil, errors.New("matstore: SpillBudgetBytes requires the radix build (Options.SerialJoinBuild is set)")
-	}
 	pl, err := db.exec.BuildJoinPlan(lp, rp, q, rs)
 	if err != nil {
 		return nil, nil, err
