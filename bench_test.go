@@ -503,7 +503,7 @@ func BenchmarkJoinBuild(b *testing.B) {
 // BenchmarkJoinProbe isolates the streaming probe phase (batched key and
 // payload gathers, radix-routed lookups, and the single-column strategy's
 // deferred batched fetch) by reusing one built hash side across iterations
-// via Plan.ReuseBuild.
+// through a build cache of the plan's own.
 func BenchmarkJoinProbe(b *testing.B) {
 	e := benchEnv(b)
 	orders, err := e.DB.Projection(tpch.OrdersProj)
@@ -529,7 +529,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pl.ReuseBuild = true
+		pl.Builds = operators.NewBuildCache(0)
 		if _, _, err := exec.RunJoinPlan(pl, 1, false); err != nil {
 			b.Fatal(err) // populate the reused build
 		}

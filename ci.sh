@@ -8,8 +8,18 @@ go build ./...
 go vet ./...
 # Every Go file is gofmt-clean (the benchmark's build directory is not ours).
 test -z "$(gofmt -l . | grep -v '^.bench_build/')"
+# One of each in the serving layer: the one LRU lives in internal/cache and
+# nothing else hand-rolls a list, and the byte governor stays folded into the
+# service governor.
+test -z "$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'"container/list"' . | grep -v '^./internal/cache/')"
+test ! -e internal/memory
 go test ./...
 go test -race ./...
+# The governor's wait loop: cancel racing a waiter's park (the lost wakeup
+# shows only under the race detector's scheduling, about one run in two) and
+# the three-resource invariant under 64 goroutines.
+go test -race -count=5 -run 'TestGovernor' ./internal/service/
 
 # The calibration acceptance test failed about one run in four while it
 # fitted wall-clock timings; it fits synthetic observations now. Prove it.
@@ -42,6 +52,13 @@ go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 
 # 34 allocations (it was 1,537 with a map of position lists), a probe of the
 # 15k-row outer table 36 to 40 (it was 105 to 129, three times the bytes).
 go test -run xxx -bench 'BenchmarkJoin(Build|Probe)$' -benchtime 1x .
+# The serving stack's code lines (non-blank, non-comment, non-test: service,
+# buffer pool, the shared LRU, the build cache), printed next to the
+# allocation counts so that growth shows in the log of the PR that causes it
+# (3,223 before PR 16 folded six LRUs, two governors and the coordinator).
+ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
+	internal/operators/buildcache.go | grep -v _test.go | xargs cat \
+	| grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 
 # Smoke-run EXPLAIN end to end: generate a small dataset, print an annotated
 # physical plan (modeled vs observed per node) for a fused-scan query.

@@ -304,3 +304,23 @@ func TestPinnedPressureKeepsMRU(t *testing.T) {
 		t.Fatal("re-Get of fresh entry reloaded instead of hitting")
 	}
 }
+
+// TestKeyThatDoesNotPack: the pool keys its LRU by one packed word, so a key
+// outside the packing (a file id past 24 bits, a block index past 40 or
+// negative) is refused with an error instead of being cached where it could
+// collide with another block's word.
+func TestKeyThatDoesNotPack(t *testing.T) {
+	p := New(0)
+	load := func() (any, int64, error) {
+		t.Error("loader ran for a key the pool must refuse")
+		return nil, 0, nil
+	}
+	for _, key := range []Key{{File: 1 << 24, Block: 0}, {File: 1, Block: 1 << 40}, {File: 1, Block: -1}} {
+		if _, err := p.Get(key, load); err == nil {
+			t.Errorf("key %+v was accepted", key)
+		}
+		if p.Contains(key) || p.Len() != 0 {
+			t.Errorf("key %+v was cached", key)
+		}
+	}
+}

@@ -203,7 +203,7 @@ func TestJoinProbeAllocsPerChunk(t *testing.T) {
 				if pl, err = e.BuildJoinPlan(orders, customer, q, rs); err != nil {
 					t.Fatal(err)
 				}
-				pl.ReuseBuild = true
+				pl.Builds = operators.NewBuildCache(0)
 				plans[chunk] = pl
 			}
 			var opt plan.RunOptions

@@ -168,8 +168,8 @@ func TestJoinStatsReportActualShape(t *testing.T) {
 	}
 }
 
-// TestJoinPlanReuseBuild checks the probe-isolation switch: with ReuseBuild
-// set, repeated runs of one join plan share the partitioned hash side and
+// TestJoinPlanReuseBuild checks probe isolation: with a build cache of its
+// own, repeated runs of one join plan share the partitioned hash side and
 // keep returning identical results.
 func TestJoinPlanReuseBuild(t *testing.T) {
 	orders, customer, e := joinProjections(t)
@@ -177,7 +177,7 @@ func TestJoinPlanReuseBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.ReuseBuild = true
+	pl.Builds = operators.NewBuildCache(0)
 	first, _, err := e.RunJoinPlan(pl, 2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestJoinSemiJoinValidation(t *testing.T) {
 }
 
 // TestJoinPlanConcurrentRuns executes one shared join plan from several
-// goroutines at once (both with and without ReuseBuild): every run must
+// goroutines at once (both with and without a shared build): every run must
 // return the reference result, and the build-phase handoff must be
 // race-clean (exercised under `make ci`'s -race pass).
 func TestJoinPlanConcurrentRuns(t *testing.T) {
@@ -222,7 +222,9 @@ func TestJoinPlanConcurrentRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl.ReuseBuild = reuse
+		if reuse {
+			pl.Builds = operators.NewBuildCache(0)
+		}
 		var wg sync.WaitGroup
 		errs := make([]error, 4)
 		for g := 0; g < 4; g++ {

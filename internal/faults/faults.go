@@ -12,7 +12,8 @@
 //	spill.read     – reading a spill frame back during the probe
 //	cache.demote   – writing a demoted build-cache entry
 //	cache.rehydrate– reading a demoted build-cache entry back
-//	mem.reserve    – allocation-pressure hook inside memory.Governor.TryReserve
+//	mem.reserve    – allocation-pressure hook in the service governor's admit:
+//	                 a join's full byte estimate is refused as if it did not fit
 package faults
 
 import (

@@ -1,17 +1,15 @@
 package operators
 
 import (
-	"container/list"
 	"os"
 	"sync"
 
+	"matstore/internal/cache"
 	"matstore/internal/storage"
 )
 
-// This file is the shared join-build cache: the operators-level
-// generalization of plan.Plan.ReuseBuild. Where ReuseBuild retains ONE
-// partitioned hash side inside one plan, the BuildCache shares retained
-// builds ACROSS queries and sessions, keyed on what the build physically
+// This file is the shared join-build cache: it shares retained partitioned
+// hash sides ACROSS queries and sessions, keyed on what the build physically
 // depends on — the inner projection, its key column, the payload schema and
 // materialization strategy, the requested partition override and the chunk
 // size. Entries are byte-accounted (PartitionedTable.SizeBytes), evicted
@@ -37,12 +35,10 @@ type BuildKey struct {
 	ChunkSize  int64
 }
 
-// RetainedBuild is a shared handle on one cached partitioned hash side.
-type RetainedBuild struct {
-	Key   BuildKey
-	Table *PartitionedTable
-	// Bytes is the entry's accounted size.
-	Bytes int64
+// retained is one cached partitioned hash side and the generation of its
+// projection it was built under.
+type retained struct {
+	table *PartitionedTable
 	gen   uint64
 }
 
@@ -69,33 +65,29 @@ type BuildCacheStats struct {
 }
 
 // BuildCache is a keyed LRU cache of retained join builds under a byte
-// budget, with per-projection generation invalidation.
+// budget, with per-projection generation invalidation. Both tiers sit on the
+// shared cache.LRU; the cache's own are the single-flight slots, the
+// generations and what eviction means (demotion, then file removal).
 type BuildCache struct {
 	mu       sync.Mutex
 	capacity int64
-	bytes    int64
-	entries  map[BuildKey]*list.Element // of *RetainedBuild
-	lru      *list.List                 // front = most recent
+	resident *cache.LRU[BuildKey, retained] // charged PartitionedTable.SizeBytes
 	inflight map[BuildKey]*buildFlight
 	gens     map[string]uint64
 	stats    BuildCacheStats
 
 	// Demotion tier (EnableDemotion): evicted builds persist their hash
 	// entries to disk instead of vanishing, under their own byte budget.
-	demoteDir    string
-	demotedCap   int64
-	demotedBytes int64
-	demoted      map[BuildKey]*list.Element // of *demotedBuild
-	demotedLRU   *list.List
+	demoteDir  string
+	demotedCap int64
+	demoted    *cache.LRU[BuildKey, *demotedBuild] // charged file bytes
 }
 
 // demotedBuild is one evicted build living on disk. The stored-column
 // handles are retained so rehydration can re-window payload without a
 // catalog lookup.
 type demotedBuild struct {
-	key     BuildKey
 	path    string
-	bytes   int64
 	gen     uint64
 	cols    []*storage.Column
 	payload []string
@@ -112,13 +104,11 @@ type buildFlight struct {
 // unbounded).
 func NewBuildCache(capacity int64) *BuildCache {
 	return &BuildCache{
-		capacity:   capacity,
-		entries:    make(map[BuildKey]*list.Element),
-		lru:        list.New(),
-		inflight:   make(map[BuildKey]*buildFlight),
-		gens:       make(map[string]uint64),
-		demoted:    make(map[BuildKey]*list.Element),
-		demotedLRU: list.New(),
+		capacity: capacity,
+		resident: cache.New[BuildKey, retained](),
+		inflight: make(map[BuildKey]*buildFlight),
+		gens:     make(map[string]uint64),
+		demoted:  cache.New[BuildKey, *demotedBuild](),
 	}
 }
 
@@ -141,11 +131,11 @@ func (c *BuildCache) Stats() BuildCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Entries = len(c.entries)
-	st.Bytes = c.bytes
+	st.Entries = c.resident.Len()
+	st.Bytes = c.resident.Bytes()
 	st.Capacity = c.capacity
-	st.DemotedEntries = len(c.demoted)
-	st.DemotedBytes = c.demotedBytes
+	st.DemotedEntries = c.demoted.Len()
+	st.DemotedBytes = c.demoted.Bytes()
 	return st
 }
 
@@ -163,18 +153,14 @@ func (c *BuildCache) Invalidate(proj string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens[proj]++
-	for key, el := range c.entries {
+	n := c.resident.DeleteFunc(func(key BuildKey, _ retained) bool { return key.Proj == proj })
+	n += c.demoted.DeleteFunc(func(key BuildKey, db *demotedBuild) bool {
 		if key.Proj == proj {
-			c.removeLocked(el)
-			c.stats.Invalidations++
+			os.Remove(db.path)
 		}
-	}
-	for key, el := range c.demoted {
-		if key.Proj == proj {
-			c.removeDemotedLocked(el)
-			c.stats.Invalidations++
-		}
-	}
+		return key.Proj == proj
+	})
+	c.stats.Invalidations += int64(n)
 }
 
 // GetOrBuild returns the cached table for key, building (and caching) it via
@@ -186,17 +172,15 @@ func (c *BuildCache) GetOrBuild(key BuildKey, build func() (*PartitionedTable, e
 	for {
 		c.mu.Lock()
 		gen := c.gens[key.Proj]
-		if el, ok := c.entries[key]; ok {
-			rb := el.Value.(*RetainedBuild)
+		if rb, ok := c.resident.Get(key); ok {
 			if rb.gen == gen {
-				c.lru.MoveToFront(el)
 				c.stats.Hits++
 				c.mu.Unlock()
-				return rb.Table, true, nil
+				return rb.table, true, nil
 			}
 			// Stale generation (Invalidate removes eagerly; this guards a
 			// racy bump between lookup phases).
-			c.removeLocked(el)
+			c.resident.Delete(key)
 		}
 		if fl, ok := c.inflight[key]; ok {
 			// Wait for the in-flight build of this key, then retry from the
@@ -211,10 +195,10 @@ func (c *BuildCache) GetOrBuild(key BuildKey, build func() (*PartitionedTable, e
 			}
 			continue
 		}
-		if el, ok := c.demoted[key]; ok {
-			db := el.Value.(*demotedBuild)
+		if db, ok := c.demoted.Peek(key); ok {
 			if db.gen != gen {
-				c.removeDemotedLocked(el)
+				c.demoted.Delete(key)
+				os.Remove(db.path)
 			} else if rt, ok := c.rehydrate(key, gen, db); ok {
 				// rehydrate reacquired and released c.mu; a success means the
 				// table is cached under the checked generation.
@@ -269,8 +253,9 @@ func (c *BuildCache) rehydrate(key BuildKey, gen uint64, db *demotedBuild) (*Par
 	delete(c.inflight, key)
 	// An Invalidate may have removed the record (and file) while we read it.
 	present := false
-	if el, ok := c.demoted[key]; ok && el.Value.(*demotedBuild) == db {
-		c.removeDemotedLocked(el)
+	if cur, ok := c.demoted.Peek(key); ok && cur == db {
+		c.demoted.Delete(key)
+		os.Remove(db.path)
 		present = true
 	}
 	ok := err == nil && present && c.gens[key.Proj] == gen
@@ -296,65 +281,36 @@ func (c *BuildCache) insertLocked(key BuildKey, gen uint64, rt *PartitionedTable
 	if c.capacity > 0 && rt.SizeBytes > c.capacity {
 		return
 	}
-	if el, ok := c.entries[key]; ok {
-		c.removeLocked(el)
-	}
-	rb := &RetainedBuild{Key: key, Table: rt, Bytes: rt.SizeBytes, gen: gen}
-	c.entries[key] = c.lru.PushFront(rb)
-	c.bytes += rb.Bytes
-	for c.capacity > 0 && c.bytes > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		c.evictLocked(back)
+	c.resident.Put(key, retained{rt, gen}, rt.SizeBytes)
+	if c.capacity > 0 {
+		c.stats.Evictions += int64(c.resident.Shrink(c.capacity, nil, c.demoteLocked))
 	}
 }
 
-// evictLocked removes the entry and, when demotion is enabled, persists its
-// hash entries to disk first. A failed demote degrades to a plain eviction.
-// The write happens under c.mu: demote files are hash entries only (no
-// payload), so the IO is proportional to key cardinality, not table bytes.
-func (c *BuildCache) evictLocked(el *list.Element) {
-	rb := el.Value.(*RetainedBuild)
-	c.removeLocked(el)
-	c.stats.Evictions++
-	if c.demoteDir == "" || rb.Table.DeferredPayload() {
+// demoteLocked is the resident tier's evict hook: with demotion enabled it
+// persists the evicted build's hash entries to disk. A failed demote degrades
+// to a plain eviction. The write happens under c.mu: demote files are hash
+// entries only (no payload), so the IO is proportional to key cardinality,
+// not table bytes.
+func (c *BuildCache) demoteLocked(key BuildKey, rb retained) {
+	if c.demoteDir == "" || rb.table.DeferredPayload() {
 		return
 	}
-	path, bytes, err := WriteDemoted(rb.Table, c.demoteDir)
+	path, bytes, err := WriteDemoted(rb.table, c.demoteDir)
 	if err != nil {
 		c.stats.DemoteFailures++
 		return
 	}
-	db := &demotedBuild{key: rb.Key, path: path, bytes: bytes, gen: rb.gen,
-		cols: rb.Table.cols, payload: rb.Table.payload}
-	if old, ok := c.demoted[rb.Key]; ok {
-		c.removeDemotedLocked(old)
-	}
-	c.demoted[rb.Key] = c.demotedLRU.PushFront(db)
-	c.demotedBytes += bytes
 	c.stats.Demotions++
-	for c.demotedCap > 0 && c.demotedBytes > c.demotedCap {
-		back := c.demotedLRU.Back()
-		if back == nil {
-			break
-		}
-		c.removeDemotedLocked(back)
+	if c.demotedCap > 0 && bytes > c.demotedCap {
+		os.Remove(path) // larger than the whole disk budget: not retained
+		return
 	}
-}
-
-func (c *BuildCache) removeDemotedLocked(el *list.Element) {
-	db := el.Value.(*demotedBuild)
-	c.demotedLRU.Remove(el)
-	delete(c.demoted, db.key)
-	c.demotedBytes -= db.bytes
-	os.Remove(db.path)
-}
-
-func (c *BuildCache) removeLocked(el *list.Element) {
-	rb := el.Value.(*RetainedBuild)
-	c.lru.Remove(el)
-	delete(c.entries, rb.Key)
-	c.bytes -= rb.Bytes
+	db := &demotedBuild{path: path, gen: rb.gen, cols: rb.table.cols, payload: rb.table.payload}
+	if old, replaced := c.demoted.Put(key, db, bytes); replaced {
+		os.Remove(old.path)
+	}
+	if c.demotedCap > 0 {
+		c.demoted.Shrink(c.demotedCap, nil, func(_ BuildKey, db *demotedBuild) { os.Remove(db.path) })
+	}
 }

@@ -72,8 +72,7 @@ type JoinStats struct {
 	BuildWorkers int
 	BuildMorsels int
 	// BuildCacheHit reports that the build phase was satisfied from a shared
-	// retained build (the service-level build cache or Plan.ReuseBuild)
-	// instead of scanning the inner table.
+	// retained build (the build cache) instead of scanning the inner table.
 	BuildCacheHit bool
 	// Spilled reports a Grace spill-mode run: the build ran under a byte
 	// budget with SpilledParts partitions on disk (SpillBytes total) and all

@@ -28,15 +28,15 @@ import (
 // scanned morsel-parallel into radix partitions and one hash table is built
 // per partition, all through the same exec scheduler the probe morsels use.
 // Nothing streams until the build completes. The returned table flows
-// through the run explicitly (node state is only a ReuseBuild cache behind
+// through the run explicitly (the node retains one only for EXPLAIN, behind
 // the plan's build mutex), so concurrent Run calls on a shared plan each
 // probe the table their own build phase produced.
 func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats *RunStats, observe bool, spill *operators.SpillConfig) (*operators.PartitionedTable, error) {
 	if spill != nil {
 		// Grace spill mode: a budget-bounded, run-private build. It bypasses
-		// both the node's ReuseBuild slot and the shared build cache — the
-		// table owns temp files whose lifetime is exactly this run, and
-		// sharing them would race concurrent probes against file removal.
+		// the shared build cache — the table owns temp files whose lifetime
+		// is exactly this run, and sharing them would race concurrent probes
+		// against file removal.
 		start := obsStart(observe)
 		rt, err := operators.BuildPartitionedSpill(ctx,
 			build.Column, build.RightCols, build.RightPayload,
@@ -46,8 +46,7 @@ func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats
 		}
 		if observe {
 			build.Obs.add(rt.Tuples, time.Since(start).Nanoseconds())
-			// Retain for the EXPLAIN renderer only: the reuse fast path below
-			// skips Spilled() tables, whose temp files die with this run.
+			// Retain for the EXPLAIN renderer only.
 			p.buildMu.Lock()
 			build.built = rt
 			p.buildMu.Unlock()
@@ -62,41 +61,37 @@ func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats
 		stats.Join.SpillWriteNanos = rt.SpillWriteNanos
 		return rt, nil
 	}
-	p.buildMu.Lock()
-	rt := build.built
-	cached := rt != nil && p.ReuseBuild && !rt.Spilled()
-	if !cached {
-		start := obsStart(observe)
-		buildFn := func() (*operators.PartitionedTable, error) {
-			return operators.BuildPartitioned(
-				build.Column, build.RightCols, build.RightPayload,
-				build.RightStrategy, p.Spec.ChunkSize, workers, build.Partitions)
-		}
-		var err error
-		if p.Builds != nil {
-			// Shared retained-build path: the cache either hands back a table
-			// another query already built (no inner-table scan at all) or
-			// builds one and retains it for the next query.
-			rt, cached, err = p.Builds.GetOrBuild(p.buildKey(build), buildFn)
-		} else {
-			rt, err = buildFn()
-		}
-		if err != nil {
-			p.buildMu.Unlock()
-			return nil, err
-		}
-		// Retain the table on the node only for the readers that need it —
-		// the ReuseBuild fast path above and the EXPLAIN renderer (observe).
+	start := obsStart(observe)
+	buildFn := func() (*operators.PartitionedTable, error) {
+		return operators.BuildPartitioned(
+			build.Column, build.RightCols, build.RightPayload,
+			build.RightStrategy, p.Spec.ChunkSize, workers, build.Partitions)
+	}
+	var (
+		rt     *operators.PartitionedTable
+		cached bool
+		err    error
+	)
+	if p.Builds != nil {
+		// Shared retained-build path: the cache either hands back a table
+		// another query already built (no inner-table scan at all) or
+		// builds one and retains it for the next query.
+		rt, cached, err = p.Builds.GetOrBuild(p.buildKey(build), buildFn)
+	} else {
+		rt, err = buildFn()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if observe {
+		// Retain the table on the node only for the EXPLAIN renderer.
 		// Unconditional retention would pin one hash side per plan held by
 		// the service plan cache, outside the build cache's byte budget.
-		if p.ReuseBuild || observe {
-			build.built = rt
-		}
-		if observe {
-			build.Obs.add(rt.Tuples, time.Since(start).Nanoseconds())
-		}
+		p.buildMu.Lock()
+		build.built = rt
+		p.buildMu.Unlock()
+		build.Obs.add(rt.Tuples, time.Since(start).Nanoseconds())
 	}
-	p.buildMu.Unlock()
 	stats.Join.RightBuildTuples = rt.BuildTuples
 	stats.Join.Partitions = rt.Partitions
 	stats.Join.BuildWorkers = rt.BuildWorkers

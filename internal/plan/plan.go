@@ -186,10 +186,10 @@ type Node struct {
 	// LeftCols are the probe node's resolved outer payload columns (aligned
 	// with OutCols).
 	LeftCols []*storage.Column
-	// built caches the most recent build-barrier phase's partitioned hash
-	// side (guarded by the owning Plan's buildMu): the ReuseBuild fast path
-	// and the EXPLAIN renderer read it; execution itself threads the table
-	// through the run, so concurrent Run calls never share it implicitly.
+	// built retains the most recent observed build-barrier phase's
+	// partitioned hash side (guarded by the owning Plan's buildMu) for the
+	// EXPLAIN renderer alone; execution itself threads the table through the
+	// run, so concurrent Run calls never share it implicitly.
 	built *operators.PartitionedTable
 
 	// Modeled is the analytical model's cost prediction for this node
@@ -404,11 +404,6 @@ type Plan struct {
 	Root  *Node
 	Spec  Spec
 
-	// ReuseBuild keeps a join plan's partitioned hash side across Run calls
-	// instead of rebuilding it per run — the probe-isolation switch for
-	// benchmarks; Builds generalizes it across plans.
-	ReuseBuild bool
-
 	// Builds, when set, routes the build-barrier phase through a shared
 	// retained-build source (the service layer's keyed join-build cache), so
 	// repeated joins over one inner table share a single partitioned hash
@@ -425,8 +420,7 @@ type Plan struct {
 	// (exec.AdaptiveMorselsPerWorker). Atomic so concurrent Run calls on a
 	// shared plan stay race-free.
 	skewBits atomic.Uint64
-	// buildMu serializes the build-barrier phase's access to the JOINBUILD
-	// node's cached hash side.
+	// buildMu guards the JOINBUILD node's retained hash side (EXPLAIN's).
 	buildMu sync.Mutex
 }
 

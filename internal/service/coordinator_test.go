@@ -7,10 +7,12 @@ package service_test
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -363,6 +365,54 @@ func TestCoordinatorShardFailures(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadGateway {
 		t.Errorf("dead shards: HTTP %d, want 502", resp3.StatusCode)
+	}
+
+	// A failed shard beside a slow one: the failure cancels its sibling, so
+	// the reply is the failed shard's 500 at once, not after the slow shard
+	// (or its 30 s timeout), and the cancelled call leaves nothing running.
+	before := runtime.NumGoroutine()
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+		fmt.Fprint(w, `{"error":"broken shard"}`)
+	}))
+	defer broken.Close()
+	sleepy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // the server watches for a hang-up only once the body is read
+		select {
+		case <-time.After(2 * time.Second):
+		case <-r.Context().Done():
+		}
+		fmt.Fprint(w, `{}`)
+	}))
+	defer sleepy.Close()
+	for _, eps := range [][]string{{broken.URL, sleepy.URL}, {sleepy.URL, broken.URL}} {
+		coord4, err := service.NewCoordinator(root, eps, service.CoordinatorConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts4 := httptest.NewServer(coord4.Handler())
+		start := time.Now()
+		resp4, err := http.Post(ts4.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, _ := io.ReadAll(resp4.Body)
+		resp4.Body.Close()
+		ts4.Close()
+		if resp4.StatusCode != http.StatusInternalServerError || !strings.Contains(string(reply), "broken shard") {
+			t.Errorf("failed + slow shard: HTTP %d %s, want the failed shard's 500", resp4.StatusCode, reply)
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("failed + slow shard: reply took %v, want well under 1s (the sibling was not cancelled)", took)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Errorf("goroutines did not settle after the cancelled fan-out: %d, started with %d", n, before)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"matstore"
 	"matstore/internal/faults"
-	"matstore/internal/memory"
 	"matstore/internal/service"
 	"matstore/internal/tpch"
 )
@@ -27,7 +26,7 @@ import (
 // TestFaultinjectSaturationShedsAndKeepsServing drives more concurrent
 // spilling joins than the memory governor can queue, with slow-IO faults
 // stretching each spill so the pile-up is real: some requests shed with
-// memory.ErrShed, every non-shed request returns the byte-identical result,
+// service.ErrShed, every non-shed request returns the byte-identical result,
 // and afterwards the governor has fully drained.
 func TestFaultinjectSaturationShedsAndKeepsServing(t *testing.T) {
 	defer faults.Reset()
@@ -83,7 +82,7 @@ func TestFaultinjectSaturationShedsAndKeepsServing(t *testing.T) {
 			if !reflect.DeepEqual(results[i].Cols, ref.Res.Cols) {
 				t.Fatalf("request %d: result differs under saturation", i)
 			}
-		case errors.Is(errs[i], memory.ErrShed):
+		case errors.Is(errs[i], service.ErrShed):
 			shed++
 		default:
 			t.Fatalf("request %d: unexpected error %v", i, errs[i])

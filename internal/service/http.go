@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"matstore"
-	"matstore/internal/memory"
 	"matstore/internal/obs"
 	"matstore/internal/operators"
 	"matstore/internal/storage"
@@ -145,18 +144,8 @@ const defaultRowLimit = 100
 
 // Handler returns the server's HTTP mux.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	m := s.metrics
-	mux.Handle("/query", instrument(m.requests, m.latency, "query", s.handleQuery))
-	mux.Handle("/join", instrument(m.requests, m.latency, "join", s.handleJoin))
-	mux.Handle("/explain", instrument(m.requests, m.latency, "explain", s.handleExplain))
-	mux.Handle("/stats", instrument(m.requests, m.latency, "stats",
-		func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, s.Stats())
-		}))
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		writePrometheus(w, m.reg)
-	})
+	mux := s.mux(s.handleQuery, s.handleJoin, s.handleExplain,
+		func(w http.ResponseWriter, r *http.Request) { writeJSON(w, http.StatusOK, s.Stats()) })
 	// Liveness: the process is up and serving HTTP — always 200.
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, healthBody(s.start))
@@ -200,9 +189,26 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// mux returns the endpoint surface both front-ends serve — the four
+// instrumented endpoints and /metrics — so clients (and the csserve client
+// mode) are oblivious to whether they talk to one engine or a fleet. The
+// caller adds its own /healthz and /readyz.
+func (f *front) mux(query, join, explain, stats http.HandlerFunc) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/query", f.instrument("query", query))
+	mux.Handle("/join", f.instrument("join", join))
+	mux.Handle("/explain", f.instrument("explain", explain))
+	mux.Handle("/stats", f.instrument("stats", stats))
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		f.reg.WritePrometheus(w)
+	})
+	return mux
+}
+
 // instrument wraps an endpoint handler to count requests and observe latency
-// by endpoint × outcome. Shared by the engine server and the coordinator.
-func instrument(requests *obs.CounterVec, latency *obs.HistogramVec, endpoint string, h http.HandlerFunc) http.Handler {
+// by endpoint × outcome.
+func (f *front) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
@@ -212,15 +218,9 @@ func instrument(requests *obs.CounterVec, latency *obs.HistogramVec, endpoint st
 			status = http.StatusOK
 		}
 		outcome := outcomeOf(status)
-		requests.With(endpoint, outcome).Inc()
-		latency.With(endpoint, outcome).Observe(time.Since(start).Seconds())
+		f.requests.With(endpoint, outcome).Inc()
+		f.latency.With(endpoint, outcome).Observe(time.Since(start).Seconds())
 	})
-}
-
-// writePrometheus serves a registry in Prometheus text exposition format.
-func writePrometheus(w http.ResponseWriter, reg *obs.Registry) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	reg.WritePrometheus(w)
 }
 
 // healthBody is the enriched /healthz payload both serving processes return.
@@ -247,12 +247,20 @@ func ensureTraceID(w http.ResponseWriter, r *http.Request) string {
 	return tid
 }
 
-func (r QueryRequest) build() (matstore.Query, error) {
+// rowIDs reports that the hidden row-id column rides this request's output
+// list (aggregations have no rows to tag).
+func (r QueryRequest) rowIDs() bool { return r.RowIDs && r.GroupBy == "" && r.AggCol == "" }
+
+// resolveQuery parses a request body into the engine's query and strategy,
+// consulting the cost model for "advise" (the advisor needs at least one
+// filter; it falls back to LM-parallel otherwise, the paper's all-round
+// default). Every error is the request's fault.
+func (s *Server) resolveQuery(r QueryRequest) (q matstore.Query, strat matstore.Strategy, err error) {
 	filters, err := parseWhereList(r.Where)
 	if err != nil {
-		return matstore.Query{}, err
+		return q, 0, err
 	}
-	q := matstore.Query{
+	q = matstore.Query{
 		Output:      r.Output,
 		Filters:     filters,
 		GroupBy:     r.GroupBy,
@@ -261,57 +269,105 @@ func (r QueryRequest) build() (matstore.Query, error) {
 	}
 	if r.Agg != "" {
 		if q.Agg, err = matstore.ParseAggFunc(r.Agg); err != nil {
-			return matstore.Query{}, err
+			return q, 0, err
 		}
 	}
-	return q, nil
-}
-
-// strategyFor resolves the request strategy, consulting the cost model for
-// "advise" (the advisor needs at least one filter; it falls back to
-// LM-parallel otherwise, the paper's all-round default).
-func (s *Server) strategyFor(name, projection string, q matstore.Query) (matstore.Strategy, error) {
-	switch name {
+	if r.rowIDs() {
+		q.Output = append(append([]string{}, q.Output...), storage.RowIDColumn)
+	}
+	switch r.Strategy {
 	case "", "advise":
-		if name == "advise" && len(q.Filters) > 0 {
-			adv, err := s.db.AdviseParallel(projection, q, s.cfg.WorkerBudget)
+		strat = matstore.LMParallel
+		if r.Strategy == "advise" && len(q.Filters) > 0 {
+			adv, err := s.db.AdviseParallel(r.Projection, q, s.cfg.WorkerBudget)
 			if err != nil {
-				return 0, err
+				return q, 0, err
 			}
-			return adv.Best, nil
+			strat = adv.Best
 		}
-		return matstore.LMParallel, nil
 	default:
-		return matstore.ParseStrategy(name)
+		strat, err = matstore.ParseStrategy(r.Strategy)
 	}
+	return q, strat, err
 }
 
-// startTrace attaches a new trace to ctx when the request asked for one.
-func (s *Server) startTrace(ctx context.Context, tid, root string, want bool) (context.Context, *obs.Trace) {
-	if !want {
-		return ctx, nil
-	}
-	s.metrics.traced.Inc()
-	tr := obs.NewTrace(tid, root)
-	return obs.ContextWithSpan(ctx, tr.Root()), tr
+// front is what the engine server and the coordinator share at the HTTP
+// edge: the request metrics, tracing, the slow-query log and the error log.
+type front struct {
+	frontMetrics
+	logger *obs.Logger // nil disables logging; all call sites are nil-safe
+	// slowUS is the slow-query log threshold in µs (0 = disabled).
+	slowUS int64
+	// rootPrefix names the root spans: "" on an engine, "coordinator." on the
+	// coordinator, so a grafted shard tree is told from the tree around it.
+	rootPrefix string
 }
 
-// noteSlow emits the structured slow-query record — query shape, trace
-// summary and the modeled-vs-observed delta — once wall time crosses the
-// configured threshold.
-func (s *Server) noteSlow(endpoint, tid, shape string, wall time.Duration, modeledUS float64, tr *obs.Trace) {
-	th := s.cfg.SlowQueryMicros
-	if th <= 0 || wall < time.Duration(th)*time.Microsecond {
-		return
+// exchange is one request from the end of decoding to the reply: the trace,
+// slow-log and error epilogue every query endpoint of both front-ends shares.
+type exchange struct {
+	f        *front
+	w        http.ResponseWriter
+	tid      string
+	endpoint string
+	shape    string     // the request, compactly, for the logs
+	start    time.Time  // a coordinator's wall clock (an engine reports the executor's)
+	tr       *obs.Trace // nil unless the request asked for a span tree
+}
+
+// begin opens an exchange, with a trace when the request asked for one.
+func (f *front) begin(w http.ResponseWriter, tid, endpoint, shape string, traced bool) exchange {
+	x := exchange{f: f, w: w, tid: tid, endpoint: endpoint, shape: shape, start: time.Now()}
+	if traced {
+		f.traced.Inc()
+		x.tr = obs.NewTrace(tid, f.rootPrefix+endpoint)
 	}
-	s.metrics.slow.Inc()
-	kv := []any{"trace_id", tid, "endpoint", endpoint, "shape", shape,
-		"wall_us", wall.Microseconds(), "modeled_us", int64(modeledUS),
-		"delta_us", wall.Microseconds() - int64(modeledUS)}
-	if tj := tr.JSON(); tj != nil {
-		kv = append(kv, "phases", spanSummary(tj.Root))
+	return x
+}
+
+// context attaches the exchange's trace, if any, to ctx.
+func (x *exchange) context(ctx context.Context) context.Context {
+	if x.tr == nil {
+		return ctx
 	}
-	s.logger.Info("slow query", kv...)
+	return obs.ContextWithSpan(ctx, x.tr.Root())
+}
+
+// fail logs a failed request and answers with the error's HTTP mapping.
+func (x *exchange) fail(err error) {
+	x.f.logger.Error(x.endpoint+" failed", "trace_id", x.tid, "endpoint", x.endpoint,
+		"shape", x.shape, "error", err.Error())
+	writeServiceError(x.w, err)
+}
+
+// reply closes the trace into *trace (the response's trace field), emits the
+// structured slow-query record — query shape, trace summary and the caller's
+// detail (an engine's modeled-vs-observed delta, a coordinator's shard
+// count; asked for only when the record is written) — once wall time crosses
+// the configured threshold, and sends resp.
+func (x *exchange) reply(resp any, trace **obs.TraceJSON, wall time.Duration, detail func() []any) {
+	if x.tr != nil {
+		x.tr.Root().End()
+		*trace = x.tr.JSON()
+	}
+	if th := x.f.slowUS; th > 0 && wall >= time.Duration(th)*time.Microsecond {
+		x.f.slow.Inc()
+		kv := append([]any{"trace_id", x.tid, "endpoint", x.endpoint, "shape", x.shape,
+			"wall_us", wall.Microseconds()}, detail()...)
+		if *trace != nil {
+			kv = append(kv, "phases", spanSummary((*trace).Root))
+		}
+		x.f.logger.Info("slow query", kv...)
+	}
+	writeJSON(x.w, http.StatusOK, resp)
+}
+
+// modelDelta is an engine's slow-query detail: the modeled cost and how far
+// the observed wall time is from it.
+func modelDelta(wall time.Duration, modeledUS float64) func() []any {
+	return func() []any {
+		return []any{"modeled_us", int64(modeledUS), "delta_us", wall.Microseconds() - int64(modeledUS)}
+	}
 }
 
 // spanSummary renders a compact trace summary: each top-level phase with
@@ -359,26 +415,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	q, err := req.build()
+	q, strat, err := s.resolveQuery(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	rowids := req.RowIDs && req.GroupBy == "" && req.AggCol == ""
-	if rowids {
-		q.Output = append(append([]string{}, q.Output...), storage.RowIDColumn)
-	}
-	strat, err := s.strategyFor(req.Strategy, req.Projection, q)
+	x := s.begin(w, tid, "query", req.shape(), req.Trace)
+	out, err := s.NewSession().Select(x.context(r.Context()), req.Projection, q, strat)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, tr := s.startTrace(r.Context(), tid, "query", req.Trace)
-	out, err := s.NewSession().Select(ctx, req.Projection, q, strat)
-	if err != nil {
-		s.logger.Error("query failed", "trace_id", tid, "endpoint", "query",
-			"shape", req.shape(), "error", err.Error())
-		writeServiceError(w, err)
+		x.fail(err)
 		return
 	}
 	resp := baseResponse(out.Res, out.Stats, out.Info, req.Limit)
@@ -389,19 +434,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Groups = out.Stats.AggState.ExportGroups()
 		resp.Rows = nil
 	}
-	if rowids {
+	if req.rowIDs() {
 		stripRowIDs(resp, out.Res, len(req.Output))
 	}
-	if tr != nil {
-		tr.Root().End()
-		resp.Trace = tr.JSON()
-	}
-	s.noteSlow("query", tid, req.shape(), out.Stats.Wall, out.Info.EstCostUS, tr)
-	writeJSON(w, http.StatusOK, resp)
+	x.reply(resp, &resp.Trace, out.Stats.Wall, modelDelta(out.Stats.Wall, out.Info.EstCostUS))
 }
 
-func (r JoinRequest) build() (matstore.JoinQuery, error) {
-	q := matstore.JoinQuery{
+// resolveJoin parses a join body into the engine's query and inner-table
+// strategy, consulting the Section 4.3 cost terms for "advise".
+func (s *Server) resolveJoin(r JoinRequest) (q matstore.JoinQuery, rs matstore.RightStrategy, err error) {
+	q = matstore.JoinQuery{
 		LeftKey:     r.LeftKey,
 		LeftPred:    matstore.MatchAll,
 		LeftOutput:  r.LeftOutput,
@@ -411,19 +453,34 @@ func (r JoinRequest) build() (matstore.JoinQuery, error) {
 	}
 	filters, err := parseWhereList(r.Where)
 	if err != nil {
-		return q, err
+		return q, 0, err
 	}
 	switch len(filters) {
 	case 0:
 	case 1:
 		if filters[0].Col != q.LeftKey {
-			return q, fmt.Errorf("join where must predicate the outer join key %q, got %q", q.LeftKey, filters[0].Col)
+			return q, 0, fmt.Errorf("join where must predicate the outer join key %q, got %q", q.LeftKey, filters[0].Col)
 		}
 		q.LeftPred = filters[0].Pred
 	default:
-		return q, fmt.Errorf("join accepts at most one where predicate, got %d", len(filters))
+		return q, 0, fmt.Errorf("join accepts at most one where predicate, got %d", len(filters))
 	}
-	return q, nil
+	if r.RowIDs {
+		q.LeftOutput = append(append([]string{}, q.LeftOutput...), storage.RowIDColumn)
+	}
+	switch r.RightStrategy {
+	case "":
+		rs = matstore.RightMaterialized
+	case "advise":
+		adv, err := s.db.AdviseJoin(r.Left, r.Right, q)
+		if err != nil {
+			return q, 0, err
+		}
+		rs = adv.Best
+	default:
+		rs, err = matstore.ParseRightStrategy(r.RightStrategy)
+	}
+	return q, rs, err
 }
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -432,132 +489,85 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	q, err := req.build()
+	q, rs, err := s.resolveJoin(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.RowIDs {
-		q.LeftOutput = append(append([]string{}, q.LeftOutput...), storage.RowIDColumn)
-	}
-	rs, err := s.rightStrategyFor(req, q)
+	x := s.begin(w, tid, "join", req.shape(), req.Trace)
+	out, err := s.NewSession().Join(x.context(r.Context()), req.Left, req.Right, q, rs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		x.fail(err)
 		return
 	}
-	ctx, tr := s.startTrace(r.Context(), tid, "join", req.Trace)
-	out, err := s.NewSession().Join(ctx, req.Left, req.Right, q, rs)
-	if err != nil {
-		s.logger.Error("join failed", "trace_id", tid, "endpoint", "join",
-			"shape", req.shape(), "error", err.Error())
-		writeServiceError(w, err)
-		return
-	}
+	js := out.Stats.Join
 	resp := baseResponse(out.Res, &out.Stats.Stats, out.Info, req.Limit)
 	resp.Strategy = out.Stats.RightStrategy.String()
-	resp.Partitions = out.Stats.Join.Partitions
-	resp.Probes = out.Stats.Join.LeftProbes
-	resp.BuildTuples = out.Stats.Join.RightBuildTuples
-	resp.DeferredFetches = out.Stats.Join.DeferredFetches
+	resp.Partitions = js.Partitions
+	resp.Probes = js.LeftProbes
+	resp.BuildTuples = js.RightBuildTuples
+	resp.DeferredFetches = js.DeferredFetches
 	resp.ReservedBytes = out.Info.ReservedBytes
-	resp.Spilled = out.Stats.Join.Spilled
-	resp.SpilledPartitions = out.Stats.Join.SpilledParts
-	resp.SpillBytes = out.Stats.Join.SpillBytes
+	resp.Spilled = js.Spilled
+	resp.SpilledPartitions = js.SpilledParts
+	resp.SpillBytes = js.SpillBytes
 	if req.RowIDs {
 		stripRowIDs(resp, out.Res, len(req.LeftOutput))
 	}
-	if tr != nil {
-		tr.Root().End()
-		resp.Trace = tr.JSON()
-	}
-	s.noteSlow("join", tid, req.shape(), out.Stats.Stats.Wall, out.Info.EstCostUS, tr)
-	writeJSON(w, http.StatusOK, resp)
+	wall := out.Stats.Stats.Wall
+	x.reply(resp, &resp.Trace, wall, modelDelta(wall, out.Info.EstCostUS))
 }
 
-// rightStrategyFor resolves the inner-table strategy, consulting the
-// Section 4.3 cost terms for "advise".
-func (s *Server) rightStrategyFor(req JoinRequest, q matstore.JoinQuery) (matstore.RightStrategy, error) {
-	switch req.RightStrategy {
-	case "":
-		return matstore.RightMaterialized, nil
-	case "advise":
-		adv, err := s.db.AdviseJoin(req.Left, req.Right, q)
-		if err != nil {
-			return 0, err
-		}
-		return adv.Best, nil
-	default:
-		return matstore.ParseRightStrategy(req.RightStrategy)
-	}
-}
+// explainCall runs one resolved explain request on a session.
+type explainCall func(*Session, context.Context) (*matstore.Explanation, Info, error)
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	tid := ensureTraceID(w, r)
-	// One body shape for both: the join fields decide which explain runs.
+// resolveExplain parses an /explain body — one body shape for both: a join
+// body when "right" is set, a query body otherwise — into its log shape,
+// whether it asked for a trace, and the session call that runs it.
+func (s *Server) resolveExplain(raw json.RawMessage) (shape string, traced bool, call explainCall, err error) {
 	var probe struct {
 		Right string `json:"right"`
 		Trace bool   `json:"trace"`
 	}
+	if err = json.Unmarshal(raw, &probe); err != nil {
+		return "", false, nil, err
+	}
+	if probe.Right != "" {
+		var req JoinRequest
+		if err = json.Unmarshal(raw, &req); err != nil {
+			return "", false, nil, err
+		}
+		q, rs, err := s.resolveJoin(req)
+		return req.shape(), probe.Trace, func(c *Session, ctx context.Context) (*matstore.Explanation, Info, error) {
+			return c.ExplainJoin(ctx, req.Left, req.Right, q, rs)
+		}, err
+	}
+	var req QueryRequest
+	if err = json.Unmarshal(raw, &req); err != nil {
+		return "", false, nil, err
+	}
+	q, strat, err := s.resolveQuery(req)
+	return req.shape(), probe.Trace, func(c *Session, ctx context.Context) (*matstore.Explanation, Info, error) {
+		return c.Explain(ctx, req.Projection, q, strat)
+	}, err
+}
+
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	tid := ensureTraceID(w, r)
 	var raw json.RawMessage
 	if !decodeBody(w, r, &raw) {
 		return
 	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
+	shape, traced, explain, err := s.resolveExplain(raw)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, tr := s.startTrace(r.Context(), tid, "explain", probe.Trace)
-	var (
-		ex    *matstore.Explanation
-		info  Info
-		shape string
-	)
-	if probe.Right != "" {
-		var req JoinRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		shape = req.shape()
-		q, err := req.build()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		rs, err := s.rightStrategyFor(req, q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if ex, info, err = s.NewSession().ExplainJoin(ctx, req.Left, req.Right, q, rs); err != nil {
-			s.logger.Error("explain failed", "trace_id", tid, "endpoint", "explain",
-				"shape", shape, "error", err.Error())
-			writeServiceError(w, err)
-			return
-		}
-	} else {
-		var req QueryRequest
-		if err := json.Unmarshal(raw, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		shape = req.shape()
-		q, err := req.build()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		strat, err := s.strategyFor(req.Strategy, req.Projection, q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if ex, info, err = s.NewSession().Explain(ctx, req.Projection, q, strat); err != nil {
-			s.logger.Error("explain failed", "trace_id", tid, "endpoint", "explain",
-				"shape", shape, "error", err.Error())
-			writeServiceError(w, err)
-			return
-		}
+	x := s.begin(w, tid, "explain", shape, traced)
+	ex, info, err := explain(s.NewSession(), x.context(r.Context()))
+	if err != nil {
+		x.fail(err)
+		return
 	}
 	resp := ExplainResponse{
 		Strategy:  ex.Strategy.String(),
@@ -567,12 +577,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Workers:   info.Workers,
 		RowCount:  ex.Result.NumRows(),
 	}
-	if tr != nil {
-		tr.Root().End()
-		resp.Trace = tr.JSON()
-	}
-	s.noteSlow("explain", tid, shape, ex.Stats.Wall, ex.Modeled.Total(), tr)
-	writeJSON(w, http.StatusOK, resp)
+	x.reply(resp, &resp.Trace, ex.Stats.Wall, modelDelta(ex.Stats.Wall, ex.Modeled.Total()))
 }
 
 func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit int) *QueryResponse {
@@ -670,20 +675,25 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, body)
 }
 
-// writeServiceError maps a session error onto an HTTP status: request
+// writeServiceError maps a request's error onto an HTTP status: request
 // faults (RequestError: unknown projection/column, malformed shape) are 400,
 // a cancelled or timed-out request context is 499 (the de-facto
-// "client closed request" status), a memory-governor shed is 503 with a
-// Retry-After hint (the correct backpressure signal for load balancers and
-// retrying clients), and execution failures are 500 so monitoring and retry
-// logic see a server fault.
+// "client closed request" status), a governor shed is 503 with a Retry-After
+// hint (the correct backpressure signal for load balancers and retrying
+// clients), a coordinator's failed fan-out answers as the fan-out decided,
+// and execution failures are 500 so monitoring and retry logic see a server
+// fault.
 func writeServiceError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var re *RequestError
+	var he *httpError
 	switch {
+	case errors.As(err, &he):
+		he.write(w)
+		return
 	case errors.As(err, &re):
 		status = http.StatusBadRequest
-	case errors.Is(err, memory.ErrShed):
+	case errors.Is(err, ErrShed):
 		w.Header().Set("Retry-After", "1")
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

@@ -3,6 +3,7 @@ package service
 import (
 	"os"
 	"runtime"
+	"strconv"
 	"time"
 
 	"matstore/internal/obs"
@@ -23,24 +24,21 @@ import (
 //
 // All serving series share the cs_ prefix (column store).
 
-// serverMetrics is one engine server's metric set.
-type serverMetrics struct {
-	reg *obs.Registry
-
-	// requests/latency are observed by the HTTP instrument wrapper.
+// frontMetrics is the metric set both serving processes expose: the
+// registry, the request counters and latency histograms the HTTP instrument
+// wrapper observes, and the trace and slow-query counters.
+type frontMetrics struct {
+	reg      *obs.Registry
 	requests *obs.CounterVec   // cs_requests_total{endpoint,outcome}
 	latency  *obs.HistogramVec // cs_request_seconds{endpoint,outcome}
-
-	// Session-path instruments (unlabeled: observed on the hot path).
-	queueWait *obs.Histogram // cs_admission_queue_seconds
-	grants    *obs.Histogram // cs_grant_workers
-	traced    *obs.Counter   // cs_traced_requests_total
-	slow      *obs.Counter   // cs_slow_queries_total
+	traced   *obs.Counter      // cs_traced_requests_total
+	slow     *obs.Counter      // cs_slow_queries_total
 }
 
-func newServerMetrics(s *Server) *serverMetrics {
+func newFrontMetrics(start time.Time) frontMetrics {
 	reg := obs.NewRegistry()
-	m := &serverMetrics{
+	registerProcessMetrics(reg, start)
+	return frontMetrics{
 		reg: reg,
 		requests: reg.NewCounterVec("cs_requests_total",
 			"HTTP requests served, by endpoint and outcome (ok/client_error/server_error/shed/cancelled).",
@@ -48,18 +46,24 @@ func newServerMetrics(s *Server) *serverMetrics {
 		latency: reg.NewHistogramVec("cs_request_seconds",
 			"HTTP request latency in seconds, by endpoint and outcome.",
 			obs.LatencyBuckets(), "endpoint", "outcome"),
-		queueWait: reg.NewHistogram("cs_admission_queue_seconds",
-			"Time requests spent blocked at the admission gate (slot wait plus worker wait).",
-			obs.LatencyBuckets()),
-		grants: reg.NewHistogram("cs_grant_workers",
-			"Granted morsel parallelism per admitted request.",
-			obs.ExpBuckets(1, 2, 8)),
 		traced: reg.NewCounter("cs_traced_requests_total",
 			"Requests that carried \"trace\": true and returned a span tree."),
 		slow: reg.NewCounter("cs_slow_queries_total",
 			"Requests whose wall time crossed the slow-query threshold."),
 	}
-	registerProcessMetrics(reg, s.start)
+}
+
+// registerServerMetrics adds an engine server's own series: the two
+// session-path instruments (unlabeled: observed on the hot path) and the
+// scrape-time collectors.
+func registerServerMetrics(s *Server) {
+	reg := s.reg
+	s.queueWait = reg.NewHistogram("cs_admission_queue_seconds",
+		"Time requests spent blocked at the admission gate (waiting for bytes, a slot or a worker).",
+		obs.LatencyBuckets())
+	s.grants = reg.NewHistogram("cs_grant_workers",
+		"Granted morsel parallelism per admitted request.",
+		obs.ExpBuckets(1, 2, 8))
 
 	// Everything below derives from the Stats() snapshot at scrape time.
 	reg.NewGaugeFunc("cs_queries", "Total queries accepted by the service layer.",
@@ -95,56 +99,32 @@ func newServerMetrics(s *Server) *serverMetrics {
 		})
 	reg.NewGaugeFunc("cs_workers_in_use", "Morsel workers currently granted.",
 		func() float64 { return float64(s.gov.snapshot().WorkersInUse) })
-	if s.mem != nil {
+	if s.cfg.MemoryBudgetBytes > 0 {
 		reg.NewGaugeFunc("cs_memory_budget_bytes", "Configured memory-governor byte budget.",
-			func() float64 { return float64(s.mem.Budget()) })
+			func() float64 { return float64(s.cfg.MemoryBudgetBytes) })
 		reg.NewGaugeFunc("cs_memory_reserved_bytes", "Bytes currently reserved against the memory budget.",
-			func() float64 { return float64(s.mem.Stats().Reserved) })
+			func() float64 { return float64(s.gov.memory().Reserved) })
 		reg.NewGaugeFunc("cs_memory_sheds_total", "Requests shed by the memory governor.",
-			func() float64 { return float64(s.mem.Stats().Shed) })
+			func() float64 { return float64(s.gov.memory().Shed) })
 		reg.NewGaugeFunc("cs_memory_wait_seconds_total", "Cumulative time requests spent queued for memory.",
-			func() float64 { return float64(s.mem.Stats().WaitNanos) / 1e9 })
+			func() float64 { return float64(s.gov.memory().WaitNanos) / 1e9 })
 		reg.NewGaugeFunc("cs_spilled_joins_total", "Joins forced into Grace spill mode.",
 			func() float64 { return float64(s.spilledJoins.Load()) })
 		reg.NewGaugeFunc("cs_spill_bytes_total", "Bytes written to spill files by governed joins.",
 			func() float64 { return float64(s.spillBytes.Load()) })
 	}
-	return m
 }
 
-// coordMetrics is the coordinator's metric set.
-type coordMetrics struct {
-	reg *obs.Registry
-
-	requests *obs.CounterVec   // cs_requests_total{endpoint,outcome}
-	latency  *obs.HistogramVec // cs_request_seconds{endpoint,outcome}
-	// shardLatency is pre-resolved per shard index (With on the hot path
-	// would build a key string per shard call).
-	shardLatency []*obs.Histogram // cs_shard_request_seconds{shard}
-	traced       *obs.Counter
-	slow         *obs.Counter
-}
-
-func newCoordMetrics(c *Coordinator, start time.Time) *coordMetrics {
-	reg := obs.NewRegistry()
-	m := &coordMetrics{
-		reg: reg,
-		requests: reg.NewCounterVec("cs_requests_total",
-			"HTTP requests served, by endpoint and outcome.", "endpoint", "outcome"),
-		latency: reg.NewHistogramVec("cs_request_seconds",
-			"HTTP request latency in seconds, by endpoint and outcome.",
-			obs.LatencyBuckets(), "endpoint", "outcome"),
-		traced: reg.NewCounter("cs_traced_requests_total",
-			"Requests that carried \"trace\": true and returned a span tree."),
-		slow: reg.NewCounter("cs_slow_queries_total",
-			"Requests whose wall time crossed the slow-query threshold."),
-	}
+// registerCoordMetrics adds the coordinator's own series.
+func registerCoordMetrics(c *Coordinator) {
+	reg := c.reg
+	// Pre-resolved per shard index (With on the hot path would build a key
+	// string per shard call).
 	shardLat := reg.NewHistogramVec("cs_shard_request_seconds",
 		"Per-shard fan-out request latency in seconds.", obs.LatencyBuckets(), "shard")
 	for k := range c.shards {
-		m.shardLatency = append(m.shardLatency, shardLat.With(shardLabel(k)))
+		c.shardLatency = append(c.shardLatency, shardLat.With(strconv.Itoa(k)))
 	}
-	registerProcessMetrics(reg, start)
 	reg.NewGaugeFunc("cs_coordinator_queries", "Queries accepted by the coordinator.",
 		func() float64 { return float64(c.queries.Load()) })
 	reg.NewCollector("cs_shard_requests",
@@ -165,15 +145,6 @@ func newCoordMetrics(c *Coordinator, start time.Time) *coordMetrics {
 			emit([]string{"finalized_aggs"}, float64(c.finalizedAggs.Load()))
 			emit([]string{"rowid_merges"}, float64(c.rowidMerges.Load()))
 		})
-	return m
-}
-
-// shardLabel renders a shard index as its label value without fmt.
-func shardLabel(k int) string {
-	if k < 10 {
-		return string(rune('0' + k))
-	}
-	return shardLabel(k/10) + string(rune('0'+k%10))
 }
 
 // registerProcessMetrics adds the build/uptime series every serving process

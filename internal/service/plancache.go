@@ -1,12 +1,12 @@
 package service
 
 import (
-	"container/list"
 	"fmt"
 	"strings"
 	"sync"
 
 	"matstore"
+	"matstore/internal/cache"
 	"matstore/internal/plan"
 )
 
@@ -29,57 +29,41 @@ type PlanCacheStats struct {
 	Capacity  int   `json:"capacity"`
 }
 
-type planEntry struct {
-	key string
-	pl  *plan.Plan
-}
-
-// planCache is a mutex-guarded LRU of built plans, bounded by entry count.
+// planCache is a mutex-guarded LRU of built plans, each charged 1, so its
+// capacity is an entry count.
 type planCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element // of *planEntry
-	lru     *list.List
-	stats   PlanCacheStats
+	mu    sync.Mutex
+	cap   int
+	lru   *cache.LRU[string, *plan.Plan]
+	stats PlanCacheStats
 }
 
 func newPlanCache(capacity int) *planCache {
-	return &planCache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
+	return &planCache{cap: capacity, lru: cache.New[string, *plan.Plan]()}
 }
 
 func (c *planCache) get(key string) (*plan.Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	pl, ok := c.lru.Get(key)
+	if ok {
+		c.stats.Hits++
+	} else {
 		c.stats.Misses++
-		return nil, false
 	}
-	c.lru.MoveToFront(el)
-	c.stats.Hits++
-	return el.Value.(*planEntry).pl, true
+	return pl, ok
 }
 
 func (c *planCache) put(key string, pl *plan.Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if _, ok := c.lru.Get(key); ok {
 		// A concurrent miss built the same plan; keep the existing entry so
 		// in-flight runs and future hits share one.
-		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.lru.PushFront(&planEntry{key: key, pl: pl})
-	for c.cap > 0 && c.lru.Len() > c.cap {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*planEntry).key)
-		c.stats.Evictions++
-	}
+	c.lru.Put(key, pl, 1)
+	c.stats.Evictions += int64(c.lru.Shrink(int64(c.cap), nil, nil))
 }
 
 // clear drops every entry (projection invalidation is conservative: plans
@@ -87,8 +71,7 @@ func (c *planCache) put(key string, pl *plan.Plan) {
 func (c *planCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[string]*list.Element)
-	c.lru.Init()
+	c.lru = cache.New[string, *plan.Plan]()
 }
 
 func (c *planCache) snapshot() PlanCacheStats {

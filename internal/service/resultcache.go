@@ -1,10 +1,11 @@
 package service
 
 import (
-	"container/list"
+	"slices"
 	"sync"
 
 	"matstore"
+	"matstore/internal/cache"
 )
 
 // DefaultResultCacheBytes bounds the result cache when Config leaves it 0.
@@ -58,49 +59,35 @@ type resultEntry struct {
 	// threshold.
 	costUS float64
 
-	res       *matstore.Result
-	selStats  *matstore.Stats
-	joinStats *matstore.JoinStats
+	outcome
 }
 
-// resultCache is a mutex-guarded, byte-accounted LRU of served responses
-// with per-projection generation invalidation. Zero-row responses live in a
-// separate negative LRU under its own (much smaller) byte budget: a query
+// resultCache is a mutex-guarded pair of byte-charged LRUs of served
+// responses with per-projection generation invalidation. Zero-row responses
+// live in the negative tier under its own (much smaller) byte budget: a query
 // shape that matches nothing is the cheapest possible answer to remember, and
 // isolating those entries means bulk result traffic can never evict them.
 type resultCache struct {
-	mu       sync.Mutex
-	capBytes int64
+	mu               sync.Mutex
+	capBytes, negCap int64
 	// minCostUS is the admission threshold: responses whose modeled cost is
 	// below it are not cached (0 admits everything). Entries with no cost
 	// estimate are always admitted — an unknown cost is no evidence the
 	// query is cheap.
 	minCostUS float64
-	bytes     int64
-	entries   map[string]*list.Element // of *resultEntry
-	lru       *list.List
+	main, neg *cache.LRU[string, *resultEntry]
 	gens      map[string]uint64
 	stats     ResultCacheStats
-
-	negCap     int64
-	negBytes   int64
-	negEntries map[string]*list.Element // of *resultEntry, zero-row only
-	negLRU     *list.List
 }
 
-func newResultCache(capBytes int64) *resultCache {
-	negCap := capBytes / 8
-	if negCap < 4096 {
-		negCap = 4096
-	}
+func newResultCache(capBytes int64, minCostUS float64) *resultCache {
 	return &resultCache{
-		capBytes:   capBytes,
-		entries:    make(map[string]*list.Element),
-		lru:        list.New(),
-		gens:       make(map[string]uint64),
-		negCap:     negCap,
-		negEntries: make(map[string]*list.Element),
-		negLRU:     list.New(),
+		capBytes:  capBytes,
+		negCap:    max(capBytes/8, 4096),
+		minCostUS: minCostUS,
+		main:      cache.New[string, *resultEntry](),
+		neg:       cache.New[string, *resultEntry](),
+		gens:      make(map[string]uint64),
 	}
 }
 
@@ -118,34 +105,25 @@ func (c *resultCache) generations(projs []string) []uint64 {
 }
 
 // get returns the cached entry for key if present and current, consulting
-// the main LRU then the negative (zero-row) LRU.
+// the main tier then the negative (zero-row) tier.
 func (c *resultCache) get(key string) (*resultEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*resultEntry)
+	for _, tier := range [...]*cache.LRU[string, *resultEntry]{c.main, c.neg} {
+		e, ok := tier.Get(key)
+		if !ok {
+			continue
+		}
 		if !c.currentLocked(e) {
 			// Stale under a generation bump that raced the eager sweep.
-			c.removeLocked(el)
+			tier.Delete(key)
 			c.stats.Invalidations++
-			c.stats.Misses++
-			return nil, false
+			break
 		}
-		c.lru.MoveToFront(el)
 		c.stats.Hits++
-		return e, true
-	}
-	if el, ok := c.negEntries[key]; ok {
-		e := el.Value.(*resultEntry)
-		if !c.currentLocked(e) {
-			c.removeNegLocked(el)
-			c.stats.Invalidations++
-			c.stats.Misses++
-			return nil, false
+		if tier == c.neg {
+			c.stats.NegativeHits++
 		}
-		c.negLRU.MoveToFront(el)
-		c.stats.Hits++
-		c.stats.NegativeHits++
 		return e, true
 	}
 	c.stats.Misses++
@@ -164,8 +142,9 @@ func (c *resultCache) currentLocked(e *resultEntry) bool {
 }
 
 // put inserts a response produced by a run that started at the given
-// generations. Oversized entries and entries whose generations have moved on
-// are dropped; an existing entry for the key is replaced.
+// generations, zero-row responses into the negative tier. Oversized entries
+// and entries whose generations have moved on are dropped; an existing entry
+// for the key is replaced.
 func (c *resultCache) put(e *resultEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -176,39 +155,15 @@ func (c *resultCache) put(e *resultEntry) {
 		c.stats.CostSkips++
 		return
 	}
+	tier, capBytes := c.main, c.capBytes
 	if e.res != nil && e.res.NumRows() == 0 {
-		c.putNegativeLocked(e)
+		tier, capBytes = c.neg, c.negCap
+	}
+	if e.bytes > capBytes {
 		return
 	}
-	if e.bytes > c.capBytes {
-		return
-	}
-	if el, ok := c.entries[e.key]; ok {
-		c.removeLocked(el)
-	}
-	c.entries[e.key] = c.lru.PushFront(e)
-	c.bytes += e.bytes
-	for c.bytes > c.capBytes {
-		back := c.lru.Back()
-		c.removeLocked(back)
-		c.stats.Evictions++
-	}
-}
-
-// putNegativeLocked files a zero-row response in the negative LRU.
-func (c *resultCache) putNegativeLocked(e *resultEntry) {
-	if e.bytes > c.negCap {
-		return
-	}
-	if el, ok := c.negEntries[e.key]; ok {
-		c.removeNegLocked(el)
-	}
-	c.negEntries[e.key] = c.negLRU.PushFront(e)
-	c.negBytes += e.bytes
-	for c.negBytes > c.negCap {
-		c.removeNegLocked(c.negLRU.Back())
-		c.stats.Evictions++
-	}
+	tier.Put(e.key, e, e.bytes)
+	c.stats.Evictions += int64(tier.Shrink(capBytes, nil, nil))
 }
 
 // invalidate bumps proj's generation and eagerly drops every entry that read
@@ -218,56 +173,19 @@ func (c *resultCache) invalidate(proj string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens[proj]++
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if readsProj(el.Value.(*resultEntry), proj) {
-			c.removeLocked(el)
-			c.stats.Invalidations++
-		}
-		el = next
-	}
-	for el := c.negLRU.Front(); el != nil; {
-		next := el.Next()
-		if readsProj(el.Value.(*resultEntry), proj) {
-			c.removeNegLocked(el)
-			c.stats.Invalidations++
-		}
-		el = next
-	}
-}
-
-func readsProj(e *resultEntry, proj string) bool {
-	for _, p := range e.projs {
-		if p == proj {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *resultCache) removeLocked(el *list.Element) {
-	e := el.Value.(*resultEntry)
-	c.lru.Remove(el)
-	delete(c.entries, e.key)
-	c.bytes -= e.bytes
-}
-
-func (c *resultCache) removeNegLocked(el *list.Element) {
-	e := el.Value.(*resultEntry)
-	c.negLRU.Remove(el)
-	delete(c.negEntries, e.key)
-	c.negBytes -= e.bytes
+	reads := func(_ string, e *resultEntry) bool { return slices.Contains(e.projs, proj) }
+	c.stats.Invalidations += int64(c.main.DeleteFunc(reads) + c.neg.DeleteFunc(reads))
 }
 
 func (c *resultCache) snapshot() ResultCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Entries = c.lru.Len()
-	st.Bytes = c.bytes
+	st.Entries = c.main.Len()
+	st.Bytes = c.main.Bytes()
 	st.Capacity = c.capBytes
-	st.NegativeEntries = c.negLRU.Len()
-	st.NegativeBytes = c.negBytes
+	st.NegativeEntries = c.neg.Len()
+	st.NegativeBytes = c.neg.Bytes()
 	return st
 }
 

@@ -3,26 +3,32 @@
 // paper reproduction into a server that runs many queries against one DB,
 // one buffer pool and one global worker budget at once.
 //
-// Four cooperating parts:
+// One of each, because each is the same mechanism wherever it appears:
 //
-//   - Admission control & worker sharing (admission.go): requests enter
-//     through sessions and an admission gate (at most MaxConcurrent in
-//     flight; the rest queue), and each admitted query's morsel parallelism
-//     is sized from the analytical model's cost estimate (big scans wide,
-//     point lookups narrow), clamped so the sum of grants never exceeds the
-//     global WorkerBudget. Admission waits are context-aware: a cancelled
-//     request leaves the queue immediately.
-//   - A result cache (resultcache.go): repeated identical requests are
-//     answered from a byte-accounted LRU of served responses without
-//     admitting to the worker pool at all, invalidated per projection by
-//     generation bumps.
-//   - Shared execution caches: a keyed join-build cache
-//     (operators.BuildCache) shares partitioned hash sides across queries
-//     under a byte budget with LRU eviction and generation invalidation,
-//     and a plan cache (plancache.go) skips BuildPlan for repeated query
-//     shapes.
-//   - A serving front-end (http.go, cmd/csserve): HTTP JSON endpoints
-//     /query, /join, /explain and /stats over a Server.
+//   - One governor (admission.go) grants every request its bytes, its
+//     admission slot and its morsel workers together, from one queue under
+//     one lock: at most MaxConcurrent requests in flight, the sum of worker
+//     grants within WorkerBudget, reserved bytes within MemoryBudgetBytes.
+//     Worker grants are sized from the analytical model's cost estimate (big
+//     scans wide, point lookups narrow); a join whose predicted build side
+//     does not fit is granted a bounded slice and runs in Grace spill mode;
+//     a request that would have to queue for bytes behind too many others is
+//     shed (503). Waits are context-aware: a cancelled request leaves the
+//     queue at once, holding nothing.
+//   - One LRU (internal/cache) is under every cache: the result cache and
+//     its zero-row sibling (resultcache.go: repeated identical requests are
+//     answered without admission at all, invalidated per projection by
+//     generation bumps), the plan cache (plancache.go: repeated shapes skip
+//     BuildPlan), the shared join-build cache and its on-disk demoted tier
+//     (operators.BuildCache: partitioned hash sides shared across queries,
+//     single-flight) and the buffer pool. Each owner keeps its lock and what
+//     is its own; recency, byte charging and eviction are written once.
+//   - One request path (Session.serve, below): result-cache lookup →
+//     estimate → admit → plan cache → run → put. Select, Join, Explain and
+//     ExplainJoin are shape adapters over it.
+//   - The front-ends (http.go, cmd/csserve; coord_*.go for the
+//     scatter-gather coordinator): HTTP JSON endpoints /query, /join,
+//     /explain and /stats.
 //
 // Sharing caches and derating parallelism are pure execution choices — the
 // paper's core invariant — so every response is byte-identical to serial
@@ -31,16 +37,15 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"matstore"
 	"matstore/internal/buffer"
 	"matstore/internal/core"
-	"matstore/internal/memory"
 	"matstore/internal/obs"
 	"matstore/internal/operators"
 	"matstore/internal/plan"
@@ -85,11 +90,11 @@ type Config struct {
 	// absorb when sizing admission grants (0 = the 100 µs default, negative
 	// = cost-aware sizing disabled; every grant uses the uniform fair share).
 	GrantSliceMicros float64
-	// MemoryBudgetBytes turns on the byte-budget memory governor: every join
-	// reserves its predicted build bytes before admission, runs in Grace
-	// spill mode under a smaller reservation when the estimate doesn't fit,
-	// queues when the spill grant doesn't fit either, and is shed (HTTP 503)
-	// past the waiter cap. 0 disables memory governance entirely.
+	// MemoryBudgetBytes turns on byte governance: every join is admitted with
+	// its predicted build bytes reserved, runs in Grace spill mode under a
+	// smaller reservation when the estimate doesn't fit, queues when the
+	// spill grant doesn't fit either, and is shed (HTTP 503) past the waiter
+	// cap. 0 disables memory governance entirely.
 	MemoryBudgetBytes int64
 	// SpillDir is where spill-mode joins and demoted cache builds write temp
 	// files ("" = the DB's .spill directory). Only used when
@@ -106,14 +111,15 @@ type Config struct {
 
 // Server serves concurrent queries against one matstore.DB.
 type Server struct {
+	front // request metrics, tracing, the slow-query and error logs
+
 	db    *matstore.DB
 	exec  *core.Executor
 	store *storage.DB
 	cfg   Config
 
 	gov      *governor
-	mem      *memory.Governor // nil when memory governance is off
-	spillDir string
+	spillDir string                // set when memory governance is on
 	builds   *operators.BuildCache // nil when disabled
 	plans    *planCache            // nil when disabled
 	results  *resultCache          // nil when disabled
@@ -127,9 +133,9 @@ type Server struct {
 	spilledParts atomic.Int64
 	spillBytes   atomic.Int64
 
-	start   time.Time
-	metrics *serverMetrics
-	logger  *obs.Logger
+	start     time.Time
+	queueWait *obs.Histogram // cs_admission_queue_seconds
+	grants    *obs.Histogram // cs_grant_workers
 }
 
 // New wraps an open DB in a serving layer.
@@ -155,14 +161,14 @@ func New(db *matstore.DB, cfg Config) *Server {
 		cfg.GrantSliceMicros = DefaultGrantSliceMicros
 	}
 	s := &Server{
-		db:     db,
-		exec:   db.Exec(),
-		store:  db.Storage(),
-		cfg:    cfg,
-		gov:    newGovernor(cfg.MaxConcurrent, cfg.WorkerBudget, cfg.GrantSliceMicros),
-		start:  time.Now(),
-		logger: cfg.Logger,
+		db:    db,
+		exec:  db.Exec(),
+		store: db.Storage(),
+		cfg:   cfg,
+		gov:   newGovernor(cfg.MaxConcurrent, cfg.WorkerBudget, cfg.GrantSliceMicros, cfg.MemoryBudgetBytes),
+		start: time.Now(),
 	}
+	s.front = front{frontMetrics: newFrontMetrics(s.start), logger: cfg.Logger, slowUS: cfg.SlowQueryMicros}
 	if cfg.BuildCacheBytes > 0 {
 		s.builds = operators.NewBuildCache(cfg.BuildCacheBytes)
 	}
@@ -170,11 +176,9 @@ func New(db *matstore.DB, cfg Config) *Server {
 		s.plans = newPlanCache(cfg.PlanCacheEntries)
 	}
 	if cfg.ResultCacheBytes > 0 {
-		s.results = newResultCache(cfg.ResultCacheBytes)
-		s.results.minCostUS = cfg.ResultCacheMinCostUS
+		s.results = newResultCache(cfg.ResultCacheBytes, cfg.ResultCacheMinCostUS)
 	}
 	if cfg.MemoryBudgetBytes > 0 {
-		s.mem = memory.New(cfg.MemoryBudgetBytes, 0)
 		s.spillDir = cfg.SpillDir
 		if s.spillDir == "" {
 			s.spillDir = db.SpillDir()
@@ -185,15 +189,9 @@ func New(db *matstore.DB, cfg Config) *Server {
 			s.builds.EnableDemotion(s.spillDir, 0)
 		}
 	}
-	s.metrics = newServerMetrics(s)
+	registerServerMetrics(s)
 	return s
 }
-
-// Metrics returns the server's Prometheus registry (the /metrics backing).
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
-// DB returns the wrapped database.
-func (s *Server) DB() *matstore.DB { return s.db }
 
 // Config returns the resolved configuration.
 func (s *Server) Config() Config { return s.cfg }
@@ -223,16 +221,7 @@ func (s *Server) MarkDraining() { s.draining.Store(true) }
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // MemoryPressured reports whether requests are queued for memory right now.
-func (s *Server) MemoryPressured() bool { return s.mem != nil && s.mem.Pressured() }
-
-// MemoryStats is the /stats memory block: the governor's reservation
-// counters plus the server's cumulative spill activity.
-type MemoryStats struct {
-	memory.Stats
-	SpilledJoins      int64 `json:"spilled_joins"`
-	SpilledPartitions int64 `json:"spilled_partitions"`
-	SpillBytes        int64 `json:"spill_bytes"`
-}
+func (s *Server) MemoryPressured() bool { return s.gov.pressured() }
 
 // Stats is the /stats snapshot: admission, worker and cache counters.
 type Stats struct {
@@ -270,24 +259,20 @@ func (s *Server) Stats() Stats {
 		PlanBuilds:    s.planBuilds.Load(),
 		Pool:          s.db.PoolStats(),
 	}
-	if s.metrics != nil {
-		reqs := map[string]int64{}
-		for _, sm := range s.metrics.requests.Snapshot() {
-			if len(sm.Labels) > 0 {
-				reqs[sm.Labels[0].Value] += int64(sm.Value)
-			}
-		}
-		if len(reqs) > 0 {
-			st.EndpointRequests = reqs
+	reqs := map[string]int64{}
+	for _, sm := range s.requests.Snapshot() {
+		if len(sm.Labels) > 0 {
+			reqs[sm.Labels[0].Value] += int64(sm.Value)
 		}
 	}
-	if s.mem != nil {
-		st.Memory = MemoryStats{
-			Stats:             s.mem.Stats(),
-			SpilledJoins:      s.spilledJoins.Load(),
-			SpilledPartitions: s.spilledParts.Load(),
-			SpillBytes:        s.spillBytes.Load(),
-		}
+	if len(reqs) > 0 {
+		st.EndpointRequests = reqs
+	}
+	if s.cfg.MemoryBudgetBytes > 0 {
+		st.Memory = s.gov.memory()
+		st.Memory.SpilledJoins = s.spilledJoins.Load()
+		st.Memory.SpilledPartitions = s.spilledParts.Load()
+		st.Memory.SpillBytes = s.spillBytes.Load()
 	}
 	if s.results != nil {
 		st.ResultCache = s.results.snapshot()
@@ -299,17 +284,6 @@ func (s *Server) Stats() Stats {
 		st.BuildCache = s.builds.Stats()
 	}
 	return st
-}
-
-// observeAdmission records an admission outcome on the live instruments:
-// the queue-wait histogram and the grant-width histogram. Both are unlabeled
-// (pre-resolved), so the cost is two allocation-free atomic observations.
-func (s *Server) observeAdmission(ai admitInfo) {
-	if s.metrics == nil {
-		return
-	}
-	s.metrics.queueWait.Observe((ai.AdmissionWait + ai.WorkerWait).Seconds())
-	s.metrics.grants.Observe(float64(ai.Grant))
 }
 
 // RequestError marks a failure attributable to the request itself — unknown
@@ -348,8 +322,8 @@ type Info struct {
 	// Workers is the granted (derated) morsel parallelism (0 when the
 	// request was served from the result cache without admission).
 	Workers int `json:"workers"`
-	// Queued is the time spent blocked at the admission gate (admission
-	// slot wait plus worker wait).
+	// Queued is the time spent blocked at the admission gate (waiting for
+	// bytes, a slot or a worker).
 	Queued time.Duration `json:"queued_nanos"`
 	// EstCostUS is the analytical model's total cost estimate the grant
 	// sizer used (0 when unavailable).
@@ -381,345 +355,269 @@ type JoinResult struct {
 	Info  Info
 }
 
-// Select runs a selection/aggregation through the result cache, admission
-// control and the plan cache. The query's Parallelism is a ceiling on the
-// granted worker share (0 = take the full cost-sized share). Cancelling ctx
-// abandons the request at the admission gate or between plan phases.
-func (c *Session) Select(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*SelectResult, error) {
+// outcome is what a request's run produced: a result with its selection or
+// join stats, or an explanation.
+type outcome struct {
+	res  *matstore.Result
+	sel  *matstore.Stats
+	join *matstore.JoinStats
+	ex   *matstore.Explanation
+}
+
+// request is one request's shape on the serving path: what differs between
+// a selection, a join and their explains.
+type request struct {
+	// want is the query's Parallelism: a ceiling on the granted worker share
+	// (0 = take the full cost-sized share).
+	want int
+	// estimate returns the model's cost (0 when unavailable) and the
+	// predicted working-set bytes the governor should reserve (0 for none).
+	estimate func() (costUS float64, estBytes int64)
+	// build constructs the plan on a plan-cache miss; its errors are the
+	// request's fault. Nil for explains, which build their own fresh tree.
+	build func() (*plan.Plan, error)
+	// run executes under the grant; espan is the request's "execute" span
+	// (nil when untraced).
+	run func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error)
+}
+
+// serve is the one request path: result-cache lookup → estimate → admit →
+// plan cache → run → put. key canonicalizes the query shape for the result
+// and plan caches and projs are the projections it reads; an empty key
+// bypasses both caches (explains: their per-node observed counters want a
+// fresh tree). Cancelling ctx abandons the request at the admission gate,
+// between plan phases or between morsels.
+//
+// key and projs travel beside rq, not in it, and nothing of rq is retained:
+// that keeps the shape's three closures on the caller's stack, so a
+// result-cache hit allocates nothing for a path it does not take.
+func (c *Session) serve(ctx context.Context, key string, projs []string, rq request) (outcome, Info, error) {
 	s := c.srv
 	s.queries.Add(1)
 	info := Info{Session: c.ID}
 	span := obs.SpanFromContext(ctx)
-	traced := span != nil
+	cached := s.results != nil && key != ""
 
-	var key string
-	if s.results != nil || s.plans != nil {
-		key = selectKey(projection, q, strat)
-	}
 	var gens []uint64
-	if s.results != nil {
+	var held []string // projs, copied for the entry: the caller's stays on its stack
+	if cached {
 		cspan := span.Child("result_cache.lookup")
 		e, hit := s.results.get(key)
 		cspan.SetAttr("hit", hit)
 		cspan.End()
 		if hit {
 			info.ResultCacheHit = true
-			return &SelectResult{Res: e.res, Stats: e.selStats, Info: info}, nil
+			return e.outcome, info, nil
 		}
-		gens = s.results.generations([]string{projection})
+		held = slices.Clone(projs)
+		gens = s.results.generations(held)
 	}
-	if est, err := s.db.EstimateSelectCost(projection, q, strat); err == nil {
-		info.EstCostUS = est.Total()
-	}
+	var estBytes int64
+	info.EstCostUS, estBytes = rq.estimate()
 
 	aspan := span.Child("admission")
-	ai, release, err := s.gov.admit(ctx, q.Parallelism, info.EstCostUS)
+	g, release, err := s.gov.admit(ctx, ask{want: rq.want, costUS: info.EstCostUS, estBytes: estBytes})
 	aspan.End()
 	if err != nil {
-		return nil, err
+		return outcome{}, info, err
 	}
 	defer release()
-	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
-	aspan.SetAttr("grant", ai.Grant)
+	info.Workers, info.Queued, info.ReservedBytes = g.workers, g.queued(), g.bytes
+	aspan.SetAttr("grant", g.workers)
 	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
-	s.observeAdmission(ai)
+	if estBytes > 0 {
+		aspan.SetAttr("est_bytes", estBytes)
+		aspan.SetAttr("reserved_bytes", g.bytes)
+		aspan.SetAttr("spill_mode", g.spill)
+	}
+	// Both instruments are unlabeled (pre-resolved): two allocation-free
+	// atomic observations.
+	s.queueWait.Observe(info.Queued.Seconds())
+	s.grants.Observe(float64(g.workers))
 
-	p, err := s.store.Projection(projection)
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	// Traced requests bypass the plan cache on BOTH sides (no get, no put):
-	// the per-node Observed counters must describe exactly this run, and a
-	// cached plan accumulates counters across every traced run that touches
-	// it (the same reason Explain builds fresh trees).
-	pspan := span.Child("plan.build")
 	var pl *plan.Plan
-	if s.plans != nil && !traced {
-		if cached, ok := s.plans.get(key); ok {
-			pl, info.PlanCacheHit = cached, true
-		} else {
-			if pl, err = s.buildSelect(p, q, strat); err != nil {
-				return nil, badRequest(err)
-			}
-			s.plans.put(key, pl)
+	if rq.build != nil {
+		// Traced requests bypass the plan cache on BOTH sides (no get, no
+		// put): the per-node Observed counters must describe exactly this
+		// run, and a cached plan accumulates counters across every traced run
+		// that touches it (the same reason Explain builds fresh trees).
+		plans := s.plans
+		if span != nil || key == "" {
+			plans = nil
 		}
-	} else if pl, err = s.buildSelect(p, q, strat); err != nil {
-		return nil, badRequest(err)
-	}
-	pspan.SetAttr("cache_hit", info.PlanCacheHit)
-	pspan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err // cancelled between build and run: the slot releases unused
+		pspan := span.Child("plan.build")
+		if plans != nil {
+			pl, info.PlanCacheHit = plans.get(key)
+		}
+		if pl == nil {
+			if pl, err = rq.build(); err != nil {
+				return outcome{}, info, badRequest(err)
+			}
+			if plans != nil {
+				plans.put(key, pl)
+			}
+		}
+		pspan.SetAttr("cache_hit", info.PlanCacheHit)
+		pspan.End()
+		if err := ctx.Err(); err != nil {
+			return outcome{}, info, err // cancelled between build and run: the grant releases unused
+		}
 	}
 	espan := span.Child("execute")
-	var res *matstore.Result
-	var stats *matstore.Stats
-	if traced {
+	out, err := rq.run(ctx, pl, g, espan)
+	espan.End()
+	if err != nil {
+		return outcome{}, info, err
+	}
+	if cached {
+		s.results.put(&resultEntry{
+			key: key, projs: held, gens: gens,
+			bytes: resultBytes(key, out.res), costUS: info.EstCostUS, outcome: out,
+		})
+	}
+	return out, info, nil
+}
+
+// runOptions are a served plan's run options: cancellable, and observed
+// (with the model's per-node predictions annotated for the trace's
+// modeled-vs-observed attributes) exactly when the request is traced.
+func (s *Server) runOptions(ctx context.Context, pl *plan.Plan, espan *obs.Span, spill *operators.SpillConfig) plan.RunOptions {
+	if espan != nil {
 		consts := s.db.Constants()
 		consts.AnnotatePlan(pl, true)
-		res, stats, err = s.exec.RunPlanWith(pl, strat, ai.Grant,
-			plan.RunOptions{Ctx: ctx, Observe: true, Trace: espan})
-	} else {
-		res, stats, err = s.exec.RunPlan(pl, strat, ai.Grant, false)
 	}
-	espan.End()
+	return plan.RunOptions{Ctx: ctx, Observe: espan != nil, Spill: spill, Trace: espan}
+}
+
+// costUS is an estimate's total in µs, 0 when the model could not make one
+// (the grant sizer then falls back to the fair share).
+func costUS(est matstore.Cost, err error) float64 {
+	if err != nil {
+		return 0
+	}
+	return est.Total()
+}
+
+// Select runs a selection/aggregation through the result cache, admission
+// control and the plan cache.
+func (c *Session) Select(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*SelectResult, error) {
+	s := c.srv
+	out, info, err := c.serve(ctx, selectKey(projection, q, strat), []string{projection}, request{
+		want:     q.Parallelism,
+		estimate: func() (float64, int64) { return costUS(s.db.EstimateSelectCost(projection, q, strat)), 0 },
+		build: func() (*plan.Plan, error) {
+			p, err := s.store.Projection(projection)
+			if err != nil {
+				return nil, err
+			}
+			s.planBuilds.Add(1)
+			return s.exec.BuildPlan(p, q, strat)
+		},
+		run: func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
+			res, stats, err := s.exec.RunPlanWith(pl, strat, g.workers, s.runOptions(ctx, pl, espan, nil))
+			return outcome{res: res, sel: stats}, err
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	if s.results != nil {
-		s.results.put(&resultEntry{
-			key: key, projs: []string{projection}, gens: gens,
-			bytes: resultBytes(key, res), costUS: info.EstCostUS,
-			res: res, selStats: stats,
-		})
-	}
-	return &SelectResult{Res: res, Stats: stats, Info: info}, nil
-}
-
-func (s *Server) buildSelect(p *storage.Projection, q matstore.Query, strat matstore.Strategy) (*plan.Plan, error) {
-	s.planBuilds.Add(1)
-	return s.exec.BuildPlan(p, q, strat)
+	return &SelectResult{Res: out.res, Stats: out.sel, Info: info}, nil
 }
 
 // Join runs an equi-join through the result cache, admission control and
 // both shared execution caches: the plan cache skips BuildJoinPlan for a
 // repeated shape, and the build cache shares the partitioned hash side
-// across queries over the same inner table.
+// across queries over the same inner table. The predicted bytes of the build
+// side are part of the one grant, held until the request finishes on every
+// path out; a spill-mode grant runs the build as a Grace join under it.
 func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*JoinResult, error) {
 	s := c.srv
-	s.queries.Add(1)
-	info := Info{Session: c.ID}
-	span := obs.SpanFromContext(ctx)
-	traced := span != nil
-
-	var key string
-	if s.results != nil || s.plans != nil {
-		key = joinKey(left, right, q, rs)
-	}
-	var gens []uint64
-	projs := []string{left, right}
-	if s.results != nil {
-		cspan := span.Child("result_cache.lookup")
-		e, hit := s.results.get(key)
-		cspan.SetAttr("hit", hit)
-		cspan.End()
-		if hit {
-			info.ResultCacheHit = true
-			return &JoinResult{Res: e.res, Stats: e.joinStats, Info: info}, nil
-		}
-		gens = s.results.generations(projs)
-	}
-	if est, err := s.db.EstimateJoinCost(left, right, q, rs); err == nil {
-		info.EstCostUS = est.Total()
-	}
-
-	// Memory admission comes BEFORE the worker-slot gate (one consistent
-	// acquisition order: bytes, then slots — a memory waiter never sits on a
-	// worker slot). The reservation is held until this request finishes, on
-	// every path out.
-	memEst, _ := s.db.EstimateJoinMemory(right, q, rs)
-	mspan := span.Child("memory.reserve")
-	resv, spillCfg, err := s.admitMemory(ctx, memEst)
-	mspan.End()
-	if err != nil {
-		return nil, err
-	}
-	defer resv.Release()
-	mspan.SetAttr("est_bytes", memEst)
-	if resv != nil {
-		info.ReservedBytes = resv.Bytes()
-		mspan.SetAttr("reserved_bytes", resv.Bytes())
-	}
-	if spillCfg != nil {
-		mspan.SetAttr("spill_mode", true)
-	}
-
-	aspan := span.Child("admission")
-	ai, release, err := s.gov.admit(ctx, q.Parallelism, info.EstCostUS)
-	aspan.End()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
-	aspan.SetAttr("grant", ai.Grant)
-	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
-	s.observeAdmission(ai)
-
-	pspan := span.Child("plan.build")
-	var pl *plan.Plan
-	if s.plans != nil && !traced {
-		if cached, ok := s.plans.get(key); ok {
-			pl, info.PlanCacheHit = cached, true
-		} else {
-			if pl, err = s.buildJoin(left, right, q, rs); err != nil {
-				return nil, badRequest(err)
+	var estBytes int64
+	out, info, err := c.serve(ctx, joinKey(left, right, q, rs), []string{left, right}, request{
+		want: q.Parallelism,
+		estimate: func() (float64, int64) {
+			estBytes, _ = s.db.EstimateJoinMemory(right, q, rs)
+			return costUS(s.db.EstimateJoinCost(left, right, q, rs)), estBytes
+		},
+		build: func() (*plan.Plan, error) {
+			lp, err := s.store.Projection(left)
+			if err != nil {
+				return nil, err
 			}
-			s.plans.put(key, pl)
-		}
-	} else if pl, err = s.buildJoin(left, right, q, rs); err != nil {
-		return nil, badRequest(err)
-	}
-	pspan.SetAttr("cache_hit", info.PlanCacheHit)
-	pspan.End()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	espan := span.Child("execute")
-	if traced {
-		consts := s.db.Constants()
-		consts.AnnotatePlan(pl, true)
-	}
-	res, stats, err := s.exec.RunJoinPlanWith(pl, ai.Grant,
-		plan.RunOptions{Ctx: ctx, Observe: traced, Spill: spillCfg, Trace: espan})
-	espan.End()
+			rp, err := s.store.Projection(right)
+			if err != nil {
+				return nil, err
+			}
+			s.planBuilds.Add(1)
+			pl, err := s.exec.BuildJoinPlan(lp, rp, q, rs)
+			if err == nil && s.builds != nil {
+				pl.Builds = s.builds
+			}
+			return pl, err
+		},
+		run: func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
+			var spill *operators.SpillConfig
+			if g.spill {
+				spill = &operators.SpillConfig{BudgetBytes: g.bytes, EstBytes: estBytes, Dir: s.spillDir}
+			}
+			res, stats, err := s.exec.RunJoinPlanWith(pl, g.workers, s.runOptions(ctx, pl, espan, spill))
+			if err == nil && stats.Join.Spilled {
+				s.spilledJoins.Add(1)
+				s.spilledParts.Add(int64(stats.Join.SpilledParts))
+				s.spillBytes.Add(stats.Join.SpillBytes)
+			}
+			return outcome{res: res, join: stats}, err
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	info.BuildCacheHit = stats.Join.BuildCacheHit
-	if stats.Join.Spilled {
-		info.Spilled = true
-		s.spilledJoins.Add(1)
-		s.spilledParts.Add(int64(stats.Join.SpilledParts))
-		s.spillBytes.Add(stats.Join.SpillBytes)
+	if !info.ResultCacheHit {
+		info.BuildCacheHit, info.Spilled = out.join.Join.BuildCacheHit, out.join.Join.Spilled
 	}
-	if s.results != nil {
-		s.results.put(&resultEntry{
-			key: key, projs: projs, gens: gens,
-			bytes: resultBytes(key, res), costUS: info.EstCostUS,
-			res: res, joinStats: stats,
-		})
-	}
-	return &JoinResult{Res: res, Stats: stats, Info: info}, nil
-}
-
-// spillGrantFloor is the smallest spill-mode reservation admitMemory asks
-// for: enough for one resident partition's working set plus frame buffers.
-const spillGrantFloor = 64 << 10
-
-// admitMemory resolves a join's byte reservation against the governor.
-// Outcomes, in order: memory governance off or no estimate → run ungoverned;
-// the full estimate fits right now → in-memory grant (nil SpillConfig); else
-// a spill-mode grant of min(estimate, budget/4) clamped to
-// [spillGrantFloor, budget] — preferring bounded spill over waiting for the
-// full footprint — which may queue briefly and is shed (memory.ErrShed) past
-// the waiter cap. The caller releases the reservation on every path.
-func (s *Server) admitMemory(ctx context.Context, est int64) (*memory.Reservation, *operators.SpillConfig, error) {
-	if s.mem == nil || est <= 0 {
-		return nil, nil, nil
-	}
-	if r := s.mem.TryReserve(est); r != nil {
-		return r, nil, nil
-	}
-	budget := s.mem.Budget()
-	grant := est
-	if quarter := budget / 4; grant > quarter {
-		grant = quarter
-	}
-	if grant < spillGrantFloor {
-		grant = spillGrantFloor
-	}
-	if grant > budget {
-		grant = budget
-	}
-	r, err := s.mem.Reserve(ctx, grant)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, &operators.SpillConfig{BudgetBytes: grant, EstBytes: est, Dir: s.spillDir}, nil
-}
-
-func (s *Server) buildJoin(left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*plan.Plan, error) {
-	lp, err := s.store.Projection(left)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := s.store.Projection(right)
-	if err != nil {
-		return nil, err
-	}
-	s.planBuilds.Add(1)
-	pl, err := s.exec.BuildJoinPlan(lp, rp, q, rs)
-	if err != nil {
-		return nil, err
-	}
-	if s.builds != nil {
-		pl.Builds = s.builds
-	}
-	return pl, nil
+	return &JoinResult{Res: out.res, Stats: out.join, Info: info}, nil
 }
 
 // Explain runs DB.Explain (selection) through admission control; the
-// observed run executes at the granted parallelism. Explains bypass the
-// result and plan caches — their per-node observed counters want a fresh
-// tree.
+// observed run executes at the granted parallelism.
 func (c *Session) Explain(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*matstore.Explanation, Info, error) {
 	s := c.srv
-	info := Info{Session: c.ID}
-	span := obs.SpanFromContext(ctx)
-	if est, err := s.db.EstimateSelectCost(projection, q, strat); err == nil {
-		info.EstCostUS = est.Total()
-	}
-	aspan := span.Child("admission")
-	ai, release, err := s.gov.admit(ctx, q.Parallelism, info.EstCostUS)
-	aspan.End()
-	if err != nil {
-		return nil, info, err
-	}
-	defer release()
-	s.queries.Add(1)
-	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
-	aspan.SetAttr("grant", ai.Grant)
-	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
-	s.observeAdmission(ai)
-	p, err := s.store.Projection(projection)
-	if err != nil {
-		return nil, info, badRequest(err)
-	}
-	if err := q.Validate(p); err != nil {
-		return nil, info, badRequest(err)
-	}
-	q.Parallelism = ai.Grant
-	espan := span.Child("execute")
-	ex, err := s.db.ExplainTraced(projection, q, strat, espan)
-	espan.End()
-	return ex, info, err
+	out, info, err := c.serve(ctx, "", nil, request{
+		want:     q.Parallelism,
+		estimate: func() (float64, int64) { return costUS(s.db.EstimateSelectCost(projection, q, strat)), 0 },
+		run: func(_ context.Context, _ *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
+			p, err := s.store.Projection(projection)
+			if err == nil {
+				err = q.Validate(p)
+			}
+			if err != nil {
+				return outcome{}, badRequest(err)
+			}
+			q.Parallelism = g.workers
+			ex, err := s.db.ExplainTraced(projection, q, strat, espan)
+			return outcome{ex: ex}, err
+		},
+	})
+	return out.ex, info, err
 }
 
-// ExplainJoin runs DB.ExplainJoin through admission control.
+// ExplainJoin runs DB.ExplainJoin through admission control. It asks for no
+// bytes: an explained join always builds in memory.
 func (c *Session) ExplainJoin(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*matstore.Explanation, Info, error) {
 	s := c.srv
-	info := Info{Session: c.ID}
-	span := obs.SpanFromContext(ctx)
-	if est, err := s.db.EstimateJoinCost(left, right, q, rs); err == nil {
-		info.EstCostUS = est.Total()
-	}
-	aspan := span.Child("admission")
-	ai, release, err := s.gov.admit(ctx, q.Parallelism, info.EstCostUS)
-	aspan.End()
-	if err != nil {
-		return nil, info, err
-	}
-	defer release()
-	s.queries.Add(1)
-	info.Workers, info.Queued = ai.Grant, ai.AdmissionWait+ai.WorkerWait
-	aspan.SetAttr("grant", ai.Grant)
-	aspan.SetAttr("queued_ns", info.Queued.Nanoseconds())
-	s.observeAdmission(ai)
-	for _, proj := range []string{left, right} {
-		if _, err := s.store.Projection(proj); err != nil {
-			return nil, info, badRequest(err)
-		}
-	}
-	q.Parallelism = ai.Grant
-	espan := span.Child("execute")
-	ex, err := s.db.ExplainJoinTraced(left, right, q, rs, espan)
-	espan.End()
-	return ex, info, err
-}
-
-// String renders a one-line server description.
-func (s *Server) String() string {
-	return fmt.Sprintf("service.Server{budget=%d, max_concurrent=%d, result_cache=%v, build_cache=%v, plan_cache=%v}",
-		s.cfg.WorkerBudget, s.cfg.MaxConcurrent, s.results != nil, s.builds != nil, s.plans != nil)
+	out, info, err := c.serve(ctx, "", nil, request{
+		want:     q.Parallelism,
+		estimate: func() (float64, int64) { return costUS(s.db.EstimateJoinCost(left, right, q, rs)), 0 },
+		run: func(_ context.Context, _ *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
+			for _, proj := range []string{left, right} {
+				if _, err := s.store.Projection(proj); err != nil {
+					return outcome{}, badRequest(err)
+				}
+			}
+			q.Parallelism = g.workers
+			ex, err := s.db.ExplainJoinTraced(left, right, q, rs, espan)
+			return outcome{ex: ex}, err
+		},
+	})
+	return out.ex, info, err
 }

@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"matstore/internal/memory"
 )
 
 // TestWriteServiceErrorShed pins the shed-load HTTP contract: a governor shed
@@ -14,7 +12,7 @@ import (
 // signal load balancers and retrying clients key off.
 func TestWriteServiceErrorShed(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeServiceError(rec, fmt.Errorf("join orders⋈customer: %w", memory.ErrShed))
+	writeServiceError(rec, fmt.Errorf("join orders⋈customer: %w", ErrShed))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("shed status = %d, want 503", rec.Code)
 	}
