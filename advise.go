@@ -3,9 +3,9 @@ package matstore
 import (
 	"errors"
 
+	"matstore/internal/core"
 	"matstore/internal/exec"
 	"matstore/internal/model"
-	"matstore/internal/storage"
 )
 
 // Advice is the analytical model's evaluation of a query: the predicted
@@ -17,209 +17,74 @@ type Advice struct {
 	Best Strategy
 	// Costs maps every strategy to its predicted cost.
 	Costs map[Strategy]Cost
-	// Inputs are the derived model inputs (for inspection/debugging).
-	Inputs model.SelectionInputs
 }
 
 // Advise predicts per-strategy costs for q over a warm buffer pool using
-// the DB's current model constants (Table 2 until calibrated), deriving all
-// model inputs from catalog statistics. The prediction is for serial
-// (one-worker) execution; use AdviseParallel for a morsel-parallel
-// prediction.
+// the DB's current model constants (Table 2 until calibrated): it builds the
+// plan each strategy would run — no data is read — and prices it, so a
+// strategy's cost here, the serving layer's est_cost_us and EXPLAIN's
+// "modeled total" are the same number. The prediction is for serial
+// (one-worker) execution; use AdviseParallel for a morsel-parallel one.
 func (db *DB) Advise(projection string, q Query) (Advice, error) {
-	return db.AdviseWith(db.Constants(), projection, q, true)
+	return db.advise(db.Constants(), projection, q, true, 1)
 }
 
 // AdviseParallel predicts per-strategy costs for q executed morsel-parallel
 // at the given worker count (0 = one worker per CPU, matching
 // Query.Parallelism semantics) over a warm buffer pool: plan-body CPU
 // divides across workers, the coordinator tail (partial-result merge and
-// output iteration) and the disk-arm I/O term do not.
+// output iteration) and the disk-arm I/O term do not. Parallelism can move
+// the crossover: strategies whose serial disadvantage is plan-body CPU (e.g.
+// EM-parallel's eager tuple construction) regain ground as W grows, while
+// coordinator-tail costs stay fixed.
 func (db *DB) AdviseParallel(projection string, q Query, workers int) (Advice, error) {
-	in, err := db.adviceInputs(projection, q, true)
-	if err != nil {
-		return Advice{}, err
-	}
-	w := exec.Resolve(workers)
-	consts := db.Constants()
-	adv := Advice{Costs: make(map[Strategy]Cost, len(Strategies)), Inputs: in}
-	adv.Best, _ = consts.AdviseParallel(in, w)
-	for _, s := range Strategies {
-		adv.Costs[s] = consts.ParallelSelectionCost(s, in, w)
-	}
-	return adv, nil
-}
-
-// adviceInputs validates q and derives the model inputs every advisor
-// variant shares.
-func (db *DB) adviceInputs(projection string, q Query, hot bool) (model.SelectionInputs, error) {
-	p, err := db.inner.Projection(projection)
-	if err != nil {
-		return model.SelectionInputs{}, err
-	}
-	if len(q.Filters) == 0 {
-		return model.SelectionInputs{}, errors.New("matstore: Advise needs at least one filter")
-	}
-	return deriveInputs(p, q, hot)
+	return db.advise(db.Constants(), projection, q, true, exec.Resolve(workers))
 }
 
 // AdviseWith is Advise with explicit model constants and pool temperature
 // (hot=false charges full scan I/O, the cold-start case).
 func (db *DB) AdviseWith(consts Constants, projection string, q Query, hot bool) (Advice, error) {
-	in, err := db.adviceInputs(projection, q, hot)
-	if err != nil {
-		return Advice{}, err
+	return db.advise(consts, projection, q, hot, 1)
+}
+
+func (db *DB) advise(consts Constants, projection string, q Query, hot bool, workers int) (Advice, error) {
+	if len(q.Filters) == 0 {
+		return Advice{}, errors.New("matstore: Advise needs at least one filter")
 	}
-	adv := Advice{Costs: make(map[Strategy]Cost, len(Strategies)), Inputs: in}
-	best, bestCost := consts.Advise(in)
-	adv.Best = best
-	_ = bestCost
-	for _, s := range Strategies {
-		adv.Costs[s] = consts.SelectionCost(s, in)
+	costs := make([]Cost, len(core.AdviseOrder))
+	adv := Advice{Costs: make(map[Strategy]Cost, len(core.AdviseOrder))}
+	for i, s := range core.AdviseOrder {
+		est, err := db.price(consts, projection, q, s, hot)
+		if err != nil {
+			return Advice{}, err
+		}
+		costs[i] = consts.AtWorkers(est, workers)
+		adv.Costs[s] = costs[i]
 	}
+	adv.Best = core.AdviseOrder[model.Cheapest(costs)]
 	return adv, nil
+}
+
+// price builds the plan s would run for q and prices it.
+func (db *DB) price(consts Constants, projection string, q Query, s Strategy, hot bool) (model.Estimate, error) {
+	p, err := db.inner.Projection(projection)
+	if err != nil {
+		return model.Estimate{}, err
+	}
+	pl, err := db.exec.BuildPlan(p, q, s)
+	if err != nil {
+		return model.Estimate{}, err
+	}
+	return consts.Price(pl, hot), nil
 }
 
 // EstimateSelectCost predicts the serial cost (µs, warm pool) of running q
 // under strategy s using the DB's current constants — the grant sizer of the
-// serving layer's admission governor calls this on every request, so it
-// derives everything from catalog statistics and reads no data. Unlike
-// Advise it accepts filterless queries (full scans: every selectivity 1).
+// serving layer's admission governor calls this on every request. It builds
+// a plan of its own and prices it: catalog statistics only, no data read and
+// nothing shared with a running query. Unlike Advise it accepts filterless
+// queries (an ALLPOS or unpredicated-scan plan like any other).
 func (db *DB) EstimateSelectCost(projection string, q Query, s Strategy) (Cost, error) {
-	p, err := db.inner.Projection(projection)
-	if err != nil {
-		return Cost{}, err
-	}
-	if len(q.Filters) == 0 {
-		// Full scan: model both columns as the widest referenced column at
-		// selectivity 1 (positions stay fully dense).
-		name := q.GroupBy
-		for _, cand := range [][]string{q.Output, {q.AggCol}} {
-			for _, c := range cand {
-				if name == "" && c != "" {
-					name = c
-				}
-			}
-		}
-		if name == "" && len(p.Meta.Columns) > 0 {
-			name = p.Meta.Columns[0].Name
-		}
-		c, err := p.Column(name)
-		if err != nil {
-			return Cost{}, err
-		}
-		cs := columnStats(c, true)
-		in := model.SelectionInputs{
-			A: cs, B: cs, SFA: 1, SFB: 1,
-			PosRunsA: cs.Tuples, PosRunsB: cs.Tuples,
-		}
-		if q.Aggregating() {
-			in.Aggregating = true
-			in.Groups = 1
-			if g, err := p.Column(q.GroupBy); err == nil && g.Distinct() > 0 {
-				in.Groups = float64(g.Distinct())
-			}
-		}
-		return db.Constants().SelectionCost(s, in), nil
-	}
-	in, err := deriveInputs(p, q, true)
-	if err != nil {
-		return Cost{}, err
-	}
-	return db.Constants().SelectionCost(s, in), nil
-}
-
-// deriveInputs maps catalog statistics onto the model's SelectionInputs:
-// column sizes and run lengths come from column headers, selectivities from
-// predicate bounds against column min/max, and position-run lengths from
-// the projection sort key (a predicate over the k-th sort-key column emits
-// contiguous position runs within each combination of the preceding key
-// columns, so the cluster count is the product of their distinct counts).
-func deriveInputs(p *storage.Projection, q Query, hot bool) (model.SelectionInputs, error) {
-	f0 := q.Filters[0]
-	colA, err := p.Column(f0.Col)
-	if err != nil {
-		return model.SelectionInputs{}, err
-	}
-	statsA := columnStats(colA, hot)
-	loA, hiA := colA.MinMax()
-	sfA := f0.Pred.Selectivity(loA, hiA)
-
-	statsB := statsA
-	sfB := 1.0
-	colBName := f0.Col
-	if len(q.Filters) > 1 {
-		f1 := q.Filters[1]
-		colB, err := p.Column(f1.Col)
-		if err != nil {
-			return model.SelectionInputs{}, err
-		}
-		statsB = columnStats(colB, hot)
-		loB, hiB := colB.MinMax()
-		sfB = f1.Pred.Selectivity(loB, hiB)
-		colBName = f1.Col
-		// Fold any further predicates into SFB (the model is two-column;
-		// extra predicates only scale the surviving fraction).
-		for _, f := range q.Filters[2:] {
-			c, err := p.Column(f.Col)
-			if err != nil {
-				return model.SelectionInputs{}, err
-			}
-			lo, hi := c.MinMax()
-			sfB *= f.Pred.Selectivity(lo, hi)
-		}
-	}
-
-	sortedA, clustersA := sortPosition(p, f0.Col)
-	sortedB, clustersB := sortPosition(p, colBName)
-	in := model.SelectionInputs{
-		A: statsA, B: statsB, SFA: sfA, SFB: sfB,
-		PosRunsA: model.EstimatePosRuns(statsA, sfA, sortedA, clustersA),
-		PosRunsB: model.EstimatePosRuns(statsB, sfB, sortedB, clustersB),
-	}
-	if q.Aggregating() {
-		in.Aggregating = true
-		g, err := p.Column(q.GroupBy)
-		if err != nil {
-			return model.SelectionInputs{}, err
-		}
-		groups := float64(g.Distinct()) * sfA * sfB
-		if groups < 1 {
-			groups = 1
-		}
-		in.Groups = groups
-	}
-	return in, nil
-}
-
-func columnStats(c *storage.Column, hot bool) model.ColumnStats {
-	f := 0.0
-	if hot {
-		f = 1.0
-	}
-	return model.ColumnStats{
-		Blocks: float64(c.NumBlocks()),
-		Tuples: float64(c.TupleCount()),
-		RunLen: c.AvgRunLen(),
-		F:      f,
-	}
-}
-
-// sortPosition reports whether col is part of the projection's sort key
-// and, if so, how many clusters a predicate's matches split across (the
-// product of the distinct counts of the preceding sort-key columns).
-func sortPosition(p *storage.Projection, col string) (sorted bool, clusters float64) {
-	clusters = 1
-	for _, key := range p.Meta.SortKey {
-		if key == col {
-			return true, clusters
-		}
-		for _, cm := range p.Meta.Columns {
-			if cm.Name == key {
-				clusters *= float64(cm.Distinct)
-				break
-			}
-		}
-	}
-	return false, 1
+	est, err := db.price(db.Constants(), projection, q, s, true)
+	return est.Cost, err
 }

@@ -1,22 +1,20 @@
 package matstore
 
 import (
+	"matstore/internal/core"
 	"matstore/internal/model"
-	"matstore/internal/pred"
 )
 
 // JoinAdvice is the analytical model's evaluation of a join query: the
 // predicted end-to-end cost of each inner-table materialization strategy
-// (Section 4.3 build + probe terms composed with the outer scan and output
-// iteration) and the argmin — the Figure 13 winner at the query's
-// selectivity.
+// (the Section 4.3 build and probe terms, the outer scan, the probe-side
+// gathers and output iteration — the priced join plan) and the argmin, the
+// Figure 13 winner at the query's selectivity.
 type JoinAdvice struct {
 	// Best is the inner-table strategy with the lowest predicted total cost.
 	Best RightStrategy
 	// Costs maps every inner-table strategy to its predicted cost.
 	Costs map[RightStrategy]Cost
-	// Inputs are the derived model inputs (for inspection/debugging).
-	Inputs model.JoinInputs
 }
 
 // JoinStrategies lists the three inner-table strategies in presentation
@@ -24,34 +22,43 @@ type JoinAdvice struct {
 var JoinStrategies = model.JoinStrategies
 
 // AdviseJoin predicts per-strategy costs for the join left ⋈ right over a
-// warm buffer pool using the paper's Table 2 constants, deriving all model
-// inputs from catalog statistics: the outer predicate's selectivity from the
-// outer key's min/max, and the matches-per-key fan-out from the inner key's
-// distinct count (exact for the paper's foreign-key join).
+// warm buffer pool using the DB's current model constants, pricing the join
+// plan each strategy would run: the outer predicate's selectivity comes from
+// the outer key's min/max, and the matches-per-key fan-out from the inner
+// key's distinct count (exact for the paper's foreign-key join).
 func (db *DB) AdviseJoin(left, right string, q JoinQuery) (JoinAdvice, error) {
-	in, err := db.deriveJoinInputs(left, right, q)
-	if err != nil {
-		return JoinAdvice{}, err
+	costs := make([]Cost, len(JoinStrategies))
+	adv := JoinAdvice{Costs: make(map[RightStrategy]Cost, len(JoinStrategies))}
+	for i, rs := range JoinStrategies {
+		c, err := db.EstimateJoinCost(left, right, q, rs)
+		if err != nil {
+			return JoinAdvice{}, err
+		}
+		costs[i] = c
+		adv.Costs[rs] = c
 	}
-	consts := db.Constants()
-	adv := JoinAdvice{Costs: make(map[RightStrategy]Cost, len(JoinStrategies)), Inputs: in}
-	adv.Best, _ = consts.AdviseJoin(in)
-	for _, rs := range JoinStrategies {
-		adv.Costs[rs] = consts.JoinCost(in, rs)
-	}
+	adv.Best = JoinStrategies[model.Cheapest(costs)]
 	return adv, nil
 }
 
 // EstimateJoinCost predicts the end-to-end cost (µs, warm pool) of the join
 // under one inner-table strategy using the DB's current constants — the
 // catalog-statistics-only estimate the admission governor's grant sizer
-// uses.
+// uses: it builds a join plan of its own and prices it.
 func (db *DB) EstimateJoinCost(left, right string, q JoinQuery, rs RightStrategy) (Cost, error) {
-	in, err := db.deriveJoinInputs(left, right, q)
+	lp, err := db.inner.Projection(left)
 	if err != nil {
 		return Cost{}, err
 	}
-	return db.Constants().JoinCost(in, rs), nil
+	rp, err := db.inner.Projection(right)
+	if err != nil {
+		return Cost{}, err
+	}
+	pl, err := db.exec.BuildJoinPlan(lp, rp, q, rs)
+	if err != nil {
+		return Cost{}, err
+	}
+	return db.Constants().Price(pl, true).Cost, nil
 }
 
 // EstimateJoinMemory predicts the resident heap bytes the join's blocking
@@ -65,61 +72,18 @@ func (db *DB) EstimateJoinMemory(right string, q JoinQuery, rs RightStrategy) (i
 	if err != nil {
 		return 0, err
 	}
-	rightKey, err := rp.Column(q.RightKey)
+	t := core.TableOf(rp)
+	key, err := t.Column(q.RightKey)
 	if err != nil {
 		return 0, err
 	}
 	blocks := make([]int64, 0, len(q.RightOutput))
 	for _, name := range q.RightOutput {
-		c, err := rp.Column(name)
+		c, err := t.Column(name)
 		if err != nil {
 			return 0, err
 		}
-		blocks = append(blocks, int64(c.NumBlocks()))
+		blocks = append(blocks, int64(c.Stats.Blocks))
 	}
-	return model.EstimateJoinMemory(rightKey.TupleCount(), rightKey.Distinct(), blocks, rs), nil
-}
-
-// deriveJoinInputs maps catalog statistics onto the model's JoinInputs: the
-// outer predicate's selectivity from the outer key's min/max, and the
-// matches-per-key fan-out from the inner key's distinct count.
-func (db *DB) deriveJoinInputs(left, right string, q JoinQuery) (model.JoinInputs, error) {
-	lp, err := db.inner.Projection(left)
-	if err != nil {
-		return model.JoinInputs{}, err
-	}
-	rp, err := db.inner.Projection(right)
-	if err != nil {
-		return model.JoinInputs{}, err
-	}
-	leftKey, err := lp.Column(q.LeftKey)
-	if err != nil {
-		return model.JoinInputs{}, err
-	}
-	rightKey, err := rp.Column(q.RightKey)
-	if err != nil {
-		return model.JoinInputs{}, err
-	}
-	in := model.JoinInputs{
-		Outer:       columnStats(leftKey, true),
-		Key:         columnStats(rightKey, true),
-		NumLeftCols: len(q.LeftOutput),
-		SF:          1,
-		MatchPerKey: 1,
-	}
-	for _, name := range q.RightOutput {
-		c, err := rp.Column(name)
-		if err != nil {
-			return model.JoinInputs{}, err
-		}
-		in.Payload = append(in.Payload, columnStats(c, true))
-	}
-	if q.LeftPred.Op != pred.All {
-		lo, hi := leftKey.MinMax()
-		in.SF = q.LeftPred.Selectivity(lo, hi)
-	}
-	if d := rightKey.Distinct(); d > 0 {
-		in.MatchPerKey = in.Key.Tuples / float64(d)
-	}
-	return in, nil
+	return model.EstimateJoinMemory(int64(key.Stats.Tuples), key.Stats.Distinct, blocks, rs), nil
 }

@@ -174,15 +174,14 @@ func BenchmarkFig10(b *testing.B) {
 	e := benchEnv(b)
 	db := benchDB(b)
 	for _, sel := range []float64{0.1, 0.5, 0.9} {
-		in, err := e.ModelInputs(encoding.RLE, sel, false)
-		if err != nil {
-			b.Fatal(err)
-		}
 		q := selQuery(encoding.RLE, sel, false)
 		for _, s := range matstore.Strategies {
 			b.Run(fmt.Sprintf("%s/sel=%.1f", s, sel), func(b *testing.B) {
 				runSelect(b, db, q, s)
-				predicted := e.Constants.SelectionCost(s, in).Total() / 1e3
+				predicted, err := e.ModelMS(q, s)
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportMetric(predicted, "model_ms/op")
 			})
 		}

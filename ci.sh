@@ -14,8 +14,19 @@ test -z "$(gofmt -l . | grep -v '^.bench_build/')"
 test -z "$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'"container/list"' . | grep -v '^./internal/cache/')"
 test ! -e internal/memory
+# One cost model: the plan tree is its only input, so none of the input-struct
+# model's types or its three input derivations may come back in production
+# code.
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'SelectionInputs|JoinInputs|deriveInputs|deriveJoinInputs|ModelInputs|paperInputs' .)"
 go test ./...
 go test -race ./...
+# The guard against a second composition (Advise == est_cost_us == EXPLAIN's
+# modeled total on 21 selection shapes and 12 joins, hot and cold) and the
+# estimate-vs-served-plan race, named so that a -run filter elsewhere cannot
+# drop them.
+go test -race -run 'TestAdviseMatchesExplain$' .
+go test -race -count=5 -run 'TestEstimateRacesServedPlans$' ./internal/service/
 # The governor's wait loop: cancel racing a waiter's park (the lost wakeup
 # shows only under the race detector's scheduling, about one run in two) and
 # the three-resource invariant under 64 goroutines.
@@ -59,6 +70,10 @@ go test -run xxx -bench 'BenchmarkJoin(Build|Probe)$' -benchtime 1x .
 ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 	internal/operators/buildcache.go | grep -v _test.go | xargs cat \
 	| grep -v '^\s*$' | grep -v '^\s*//' | wc -l
+# The same for the model stack (the cost model, the advisors, EXPLAIN and the
+# plan builders: 1,497 before PR 17 deleted the input-struct composition).
+ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builders.go \
+	| grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 
 # Smoke-run EXPLAIN end to end: generate a small dataset, print an annotated
 # physical plan (modeled vs observed per node) for a fused-scan query.
@@ -147,8 +162,11 @@ done
 	| grep -q '"peak_reserved":'
 
 # Smoke-run calibration: refit the Table 2 CPU constants from the mixed
-# workload's observed per-node times; the report must show the refit.
+# workload's observed per-node times; the report must show the refit. And the
+# paper-scale mode (no -dir): the same builders' plans priced over a literal
+# statistics table.
 go run ./cmd/csmodel -dir "$ci_explain_dir" -calibrate | grep -q 'calibrated over'
+go run ./cmd/csmodel | grep -q 'LM-pipelined$'
 
 # Sharded-serving smoke: generate a 2-shard layout, boot one engine per
 # shard plus the scatter-gather coordinator over them, and drive a

@@ -10,6 +10,10 @@
 //	csmodel -dir ./data -calibrate # constants refit by least squares over
 //	                               # the mixed workload's observed node times
 //	csmodel -dir ./data -enc rle   # derive column stats from a real dataset
+//
+// Every number is the price of the plan the strategy's builder assembles —
+// over a literal statistics table at the paper's scale, or over the dataset's
+// lineitem projection with -dir — the same walk Advise and EXPLAIN run.
 package main
 
 import (
@@ -22,6 +26,7 @@ import (
 	"matstore/internal/core"
 	"matstore/internal/encoding"
 	"matstore/internal/model"
+	"matstore/internal/plan"
 	"matstore/internal/tpch"
 )
 
@@ -43,24 +48,22 @@ func main() {
 			consts.BIC, consts.TICTUP, consts.TICCOL, consts.FC)
 	}
 
-	inputsAt := paperInputs
+	table, hot, enc := paperTable(), false, encoding.RLE
 	if *dir != "" {
 		env, err := bench.Setup(*dir, *scale, 42)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer env.Close()
-		k, err := encoding.ParseKind(*encFlag)
+		if enc, err = encoding.ParseKind(*encFlag); err != nil {
+			log.Fatal(err)
+		}
+		lineitem, err := env.DB.Projection(tpch.LineitemProj)
 		if err != nil {
 			log.Fatal(err)
 		}
-		inputsAt = func(sel float64, agg bool) model.SelectionInputs {
-			in, err := env.ModelInputs(k, sel, agg)
-			if err != nil {
-				log.Fatal(err)
-			}
-			return in
-		}
+		// The F=1 hot-pool configuration matching the measured steady state.
+		table, hot = core.TableOf(lineitem), true
 	}
 
 	if *calibrate {
@@ -99,28 +102,36 @@ func main() {
 	fmt.Printf("predicted cost (ms) for the %s query, by strategy and selectivity:\n\n", kind)
 	fmt.Printf("%-12s%16s%16s%16s%16s%18s\n", "selectivity",
 		core.EMPipelined, core.EMParallel, core.LMPipelined, core.LMParallel, "advisor")
+	exec := core.NewExecutor(nil, core.Options{})
 	for _, sel := range bench.DefaultSelectivities {
-		in := inputsAt(sel, *agg)
+		q := bench.SelectionQuery(enc, sel, *agg)
+		costs := make([]model.Cost, len(core.AdviseOrder))
+		by := map[core.Strategy]model.Cost{}
+		for i, s := range core.AdviseOrder {
+			pl, err := exec.BuildPlanOn(table, q, s)
+			if err != nil {
+				log.Fatal(err)
+			}
+			costs[i] = consts.Price(pl, hot).Cost
+			by[s] = costs[i]
+		}
 		fmt.Printf("%-12.3f", sel)
 		for _, s := range core.Strategies {
-			fmt.Printf("%16.3f", consts.SelectionCost(s, in).Total()/1e3)
+			fmt.Printf("%16.3f", by[s].Total()/1e3)
 		}
-		best, _ := consts.Advise(in)
-		fmt.Printf("%18s\n", best)
+		fmt.Printf("%18s\n", core.AdviseOrder[model.Cheapest(costs)])
 	}
 }
 
-// paperInputs models the paper's scale-10 lineitem projection: 60M tuples,
-// RLE shipdate and linenum with the Section 3.7 encoded sizes scaled up.
-func paperInputs(sel float64, agg bool) model.SelectionInputs {
-	a := model.ColumnStats{Blocks: 10, Tuples: 60_000_000, RunLen: 60_000_000 / (3 * tpch.ShipdateDays), F: 0}
-	b := model.ColumnStats{Blocks: 50, Tuples: 60_000_000, RunLen: 8, F: 0}
-	sfB := 1.0 - 1.0/float64(tpch.LinenumWeightSum)
-	return model.SelectionInputs{
-		A: a, B: b, SFA: sel, SFB: sfB,
-		PosRunsA:    model.EstimatePosRuns(a, sel, true, 3),
-		PosRunsB:    model.EstimatePosRuns(b, sfB, true, 3*tpch.ShipdateDays),
-		Aggregating: agg,
-		Groups:      sel * tpch.ShipdateDays,
-	}
+// paperTable models the paper's scale-10 lineitem projection, cold: 60M
+// tuples sorted on (returnflag, shipdate, linenum), RLE shipdate and linenum
+// with the Section 3.7 encoded sizes scaled up.
+func paperTable() core.Table {
+	const tuples = 60_000_000
+	return core.StatsTable(tpch.LineitemProj, tuples, map[string]plan.ColStats{
+		tpch.ColShipdate: {Blocks: 10, Tuples: tuples, RunLen: tuples / (3 * tpch.ShipdateDays),
+			Min: 0, Max: tpch.ShipdateDays - 1, Distinct: tpch.ShipdateDays, SortRank: 2, Clusters: 3},
+		tpch.ColLinenumRLE: {Blocks: 50, Tuples: tuples, RunLen: 8,
+			Min: 1, Max: tpch.LinenumMax, Distinct: tpch.LinenumMax, SortRank: 3, Clusters: 3 * tpch.ShipdateDays},
+	})
 }

@@ -23,7 +23,9 @@ type Explanation struct {
 	// Tree is the rendered node tree, one line per node with modeled and
 	// observed columns.
 	Tree string
-	// Modeled is the sum of the per-node model predictions (µs).
+	// Modeled is the model's price of the plan (µs): the sum of the per-node
+	// predictions, and the same number Advise and the serving layer's
+	// est_cost_us report for this strategy.
 	Modeled Cost
 	// Stats is the execution's query-level statistics.
 	Stats *Stats
@@ -42,7 +44,7 @@ type Explanation struct {
 // node. Feed batches of these to FitConstants to refit the model's CPU
 // constants to this machine.
 func (ex *Explanation) Observations() []Observation {
-	return model.CollectObservations(ex.Plan, ex.Constants)
+	return model.CollectObservations(ex.Plan)
 }
 
 // String renders the explanation: the node tree followed by the modeled
@@ -68,9 +70,9 @@ func (ex *Explanation) String() string {
 }
 
 // Explain builds the physical plan the strategy would run for q, annotates
-// every node with the analytical model's predicted cost (Table 2 constants,
-// warm pool), executes the plan with per-node observation enabled, and
-// returns the rendered tree with modeled vs. observed stats side by side.
+// every node with the analytical model's predicted cost (the DB's current
+// constants, warm pool), executes the plan with per-node observation enabled,
+// and returns the rendered tree with modeled vs. observed stats side by side.
 // q.Parallelism controls the observed run exactly as in Select.
 func (db *DB) Explain(projection string, q Query, s Strategy) (*Explanation, error) {
 	return db.ExplainTraced(projection, q, s, nil)
@@ -89,17 +91,16 @@ func (db *DB) ExplainTraced(projection string, q Query, s Strategy, tr *obs.Span
 		return nil, err
 	}
 	consts := db.Constants()
-	consts.AnnotatePlan(pl, true)
+	modeled := consts.AnnotatePlan(pl, true).Cost
 	res, stats, err := db.exec.RunPlanWith(pl, s, q.Parallelism, plan.RunOptions{Observe: true, Trace: tr})
 	if err != nil {
 		return nil, err
 	}
-	total := pl.ModeledTotal()
 	return &Explanation{
 		Strategy:  s,
 		Plan:      pl,
 		Tree:      pl.Render(),
-		Modeled:   Cost{CPU: total.CPU, IO: total.IO},
+		Modeled:   modeled,
 		Stats:     stats,
 		Result:    res,
 		Constants: consts,
@@ -108,10 +109,11 @@ func (db *DB) ExplainTraced(projection string, q Query, s Strategy, tr *obs.Span
 
 // ExplainJoin builds the physical join plan for q (left ⋈ right under the
 // given inner-table materialization strategy), annotates every node with the
-// analytical model's Section 4.3 cost terms, executes the plan with per-node
-// observation enabled — radix-partitioned parallel build, batched probe —
-// and returns the rendered tree with modeled vs. observed stats side by
-// side. q.Parallelism controls both join phases exactly as in Join.
+// analytical model's Section 4.3 cost terms (the DB's current constants),
+// executes the plan with per-node observation enabled — radix-partitioned
+// parallel build, batched probe — and returns the rendered tree with modeled
+// vs. observed stats side by side. q.Parallelism controls both join phases
+// exactly as in Join.
 func (db *DB) ExplainJoin(left, right string, q JoinQuery, rs RightStrategy) (*Explanation, error) {
 	return db.ExplainJoinTraced(left, right, q, rs, nil)
 }
@@ -138,17 +140,16 @@ func (db *DB) ExplainJoinTraced(left, right string, q JoinQuery, rs RightStrateg
 		return nil, err
 	}
 	consts := db.Constants()
-	consts.AnnotatePlan(pl, true)
+	modeled := consts.AnnotatePlan(pl, true).Cost
 	res, stats, err := db.exec.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Observe: true, Spill: spill, Trace: tr})
 	if err != nil {
 		return nil, err
 	}
-	total := pl.ModeledTotal()
 	return &Explanation{
 		Strategy:  stats.Strategy,
 		Plan:      pl,
 		Tree:      pl.Render(),
-		Modeled:   Cost{CPU: total.CPU, IO: total.IO},
+		Modeled:   modeled,
 		Stats:     &stats.Stats,
 		JoinStats: stats,
 		Result:    res,

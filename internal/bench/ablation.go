@@ -30,7 +30,7 @@ func (e *Env) AblationMultiColumn(sels []float64) (Figure, error) {
 		exec := core.NewExecutor(e.DB.Pool(), core.Options{ChunkSize: e.ChunkSize, DisableMultiColumn: mode.disable})
 		ser := fig.series(mode.name)
 		for _, sel := range sels {
-			ms, err := e.timeSelect(exec, e.lineitem, selectionQuery(encoding.RLE, sel, false), core.LMParallel)
+			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(encoding.RLE, sel, false), core.LMParallel)
 			if err != nil {
 				return fig, err
 			}
@@ -57,7 +57,7 @@ func (e *Env) AblationPositionRep(sels []float64) (Figure, error) {
 		exec := core.NewExecutor(e.DB.Pool(), core.Options{ChunkSize: e.ChunkSize, ForceBitmapPositions: mode.force})
 		ser := fig.series(mode.name)
 		for _, sel := range sels {
-			ms, err := e.timeSelect(exec, e.lineitem, selectionQuery(encoding.RLE, sel, false), core.LMParallel)
+			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(encoding.RLE, sel, false), core.LMParallel)
 			if err != nil {
 				return fig, err
 			}
@@ -83,7 +83,7 @@ func (e *Env) AblationChunkSize(chunkSizes []int64) (Figure, error) {
 		ser := fig.series(s.String())
 		for _, cs := range chunkSizes {
 			exec := core.NewExecutor(e.DB.Pool(), core.Options{ChunkSize: cs})
-			ms, err := e.timeSelect(exec, e.lineitem, selectionQuery(encoding.RLE, 0.5, false), s)
+			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(encoding.RLE, 0.5, false), s)
 			if err != nil {
 				return fig, err
 			}
@@ -112,7 +112,7 @@ func (e *Env) AblationAggCompressed(sels []float64) (Figure, error) {
 		}
 		ser := fig.series(name)
 		for _, sel := range sels {
-			ms, err := e.timeSelect(exec, e.lineitem, selectionQuery(encoding.RLE, sel, true), s)
+			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(encoding.RLE, sel, true), s)
 			if err != nil {
 				return fig, err
 			}
@@ -140,7 +140,7 @@ func (e *Env) AblationZoneIndex(sels []float64) (Figure, error) {
 		exec := core.NewExecutor(e.DB.Pool(), core.Options{ChunkSize: e.ChunkSize, UseZoneIndex: mode.zone})
 		ser := fig.series(mode.name)
 		for _, sel := range sels {
-			ms, err := e.timeSelect(exec, e.lineitem, selectionQuery(encoding.RLE, sel, false), core.LMParallel)
+			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(encoding.RLE, sel, false), core.LMParallel)
 			if err != nil {
 				return fig, err
 			}

@@ -207,9 +207,9 @@ func (e *Env) timeJoin(exec *core.Executor, q core.JoinQuery, rs operators.Right
 	})
 }
 
-// selectionQuery builds the paper's Section 4 selection query over the
+// SelectionQuery builds the paper's Section 4 selection query over the
 // chosen LINENUM encoding at shipdate-selectivity sel.
-func selectionQuery(enc encoding.Kind, sel float64, agg bool) core.SelectQuery {
+func SelectionQuery(enc encoding.Kind, sel float64, agg bool) core.SelectQuery {
 	linenum := tpch.LinenumColumn(enc)
 	q := core.SelectQuery{
 		Filters: []core.Filter{
@@ -250,7 +250,7 @@ func (e *Env) Fig11(enc encoding.Kind, sels []float64) (Figure, error) {
 	for _, s := range fig11Strategies(enc) {
 		ser := fig.series(s.String())
 		for _, sel := range sels {
-			ms, err := e.timeSelect(exec, e.lineitem, selectionQuery(enc, sel, false), s)
+			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(enc, sel, false), s)
 			if err != nil {
 				return fig, err
 			}
@@ -273,7 +273,7 @@ func (e *Env) Fig12(enc encoding.Kind, sels []float64) (Figure, error) {
 	for _, s := range fig11Strategies(enc) {
 		ser := fig.series(s.String())
 		for _, sel := range sels {
-			ms, err := e.timeSelect(exec, e.lineitem, selectionQuery(enc, sel, true), s)
+			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(enc, sel, true), s)
 			if err != nil {
 				return fig, err
 			}
@@ -314,17 +314,16 @@ func (e *Env) Fig10(sels []float64) (Figure, Figure, error) {
 	}
 	exec := e.executor()
 	for _, sel := range sels {
-		q := selectionQuery(encoding.RLE, sel, false)
-		in, err := e.ModelInputs(encoding.RLE, sel, false)
-		if err != nil {
-			return lm, em, err
-		}
+		q := SelectionQuery(encoding.RLE, sel, false)
 		for _, s := range core.Strategies {
 			ms, err := e.timeSelect(exec, e.lineitem, q, s)
 			if err != nil {
 				return lm, em, err
 			}
-			predMS := e.Constants.SelectionCost(s, in).Total() / 1e3
+			predMS, err := e.ModelMS(q, s)
+			if err != nil {
+				return lm, em, err
+			}
 			fig := &em
 			if s == core.LMPipelined || s == core.LMParallel {
 				fig = &lm
@@ -338,34 +337,15 @@ func (e *Env) Fig10(sels []float64) (Figure, Figure, error) {
 	return lm, em, nil
 }
 
-// ModelInputs derives the analytical-model inputs for the selection query
-// from catalog statistics (the F=1 hot-pool configuration matching the
-// measured steady state).
-func (e *Env) ModelInputs(enc encoding.Kind, sel float64, agg bool) (model.SelectionInputs, error) {
-	ship, err := e.lineitem.Column(tpch.ColShipdate)
+// ModelMS is the model's prediction (ms) for q under s: the price of the plan
+// the strategy builds over lineitem, in the F=1 hot-pool configuration
+// matching the measured steady state.
+func (e *Env) ModelMS(q core.SelectQuery, s core.Strategy) (float64, error) {
+	pl, err := e.executor().BuildPlan(e.lineitem, q, s)
 	if err != nil {
-		return model.SelectionInputs{}, err
+		return 0, err
 	}
-	linenum, err := e.lineitem.Column(tpch.LinenumColumn(enc))
-	if err != nil {
-		return model.SelectionInputs{}, err
-	}
-	a := model.ColumnStats{
-		Blocks: float64(ship.NumBlocks()), Tuples: float64(ship.TupleCount()),
-		RunLen: ship.AvgRunLen(), F: 1,
-	}
-	b := model.ColumnStats{
-		Blocks: float64(linenum.NumBlocks()), Tuples: float64(linenum.TupleCount()),
-		RunLen: linenum.AvgRunLen(), F: 1,
-	}
-	sfB := 1.0 - 1.0/float64(tpch.LinenumWeightSum) // linenum < 7
-	return model.SelectionInputs{
-		A: a, B: b, SFA: sel, SFB: sfB,
-		PosRunsA:    model.EstimatePosRuns(a, sel, true, 3),
-		PosRunsB:    model.EstimatePosRuns(b, sfB, true, 3*tpch.ShipdateDays),
-		Aggregating: agg,
-		Groups:      sel * tpch.ShipdateDays,
-	}, nil
+	return e.Constants.Price(pl, true).Total() / 1e3, nil
 }
 
 // Fig13 regenerates Figure 13: the orders ⋈ customer join under the three

@@ -50,12 +50,85 @@ func matCols(q SelectQuery) []string {
 	return q.Output
 }
 
+// Table is a projection as the plan builders see it: a name, a tuple count
+// and a column resolver. TableOf wraps a stored projection; StatsTable wraps
+// a literal statistics table, whose plans can be priced but not run.
+type Table struct {
+	Name   string
+	Tuples int64
+	// Column resolves a column by name.
+	Column func(name string) (plan.Col, error)
+}
+
+// TableOf is the one place catalog statistics are read for the cost model:
+// it resolves p's columns to their handles plus the statistics every plan
+// node carries — sizes, run length, bounds and distinct count from the column
+// header, sort-key rank and preceding-key cluster count from the projection's
+// sort key.
+func TableOf(p *storage.Projection) Table {
+	return Table{Name: p.Name(), Tuples: p.TupleCount(), Column: func(name string) (plan.Col, error) {
+		h, err := p.Column(name)
+		if err != nil {
+			return plan.Col{}, err
+		}
+		st := plan.ColStats{
+			Blocks: float64(h.NumBlocks()), Tuples: float64(h.TupleCount()),
+			RunLen: h.AvgRunLen(), Distinct: h.Distinct(), Clusters: 1,
+		}
+		st.Min, st.Max = h.MinMax()
+		clusters := 1.0
+		for i, key := range p.Meta.SortKey {
+			if key == name {
+				st.SortRank, st.Clusters = i+1, clusters
+				break
+			}
+			for _, cm := range p.Meta.Columns {
+				if cm.Name == key {
+					clusters *= float64(cm.Distinct)
+					break
+				}
+			}
+		}
+		return plan.Col{Name: name, Handle: h, Stats: st}, nil
+	}}
+}
+
+// StatsTable is a Table over literal column statistics — the model's
+// property tests and csmodel's paper-scale mode price the same builders'
+// trees over it that a stored projection would get.
+func StatsTable(name string, tuples int64, cols map[string]plan.ColStats) Table {
+	return Table{Name: name, Tuples: tuples, Column: func(col string) (plan.Col, error) {
+		st, ok := cols[col]
+		if !ok {
+			return plan.Col{}, fmt.Errorf("core: projection %s has no column %q", name, col)
+		}
+		return plan.Col{Name: col, Stats: st}, nil
+	}}
+}
+
+// resolveAll resolves names in order.
+func resolveAll(t Table, names []string) ([]plan.Col, error) {
+	cols := make([]plan.Col, len(names))
+	for i, name := range names {
+		var err error
+		if cols[i], err = t.Column(name); err != nil {
+			return nil, err
+		}
+	}
+	return cols, nil
+}
+
 // BuildPlan compiles q into the physical plan the given strategy would
-// execute against p. The plan is self-contained (columns resolved, chunk
-// size and ablation switches captured) and can be annotated with modeled
-// costs and executed any number of times.
+// execute against p. The plan is self-contained (columns and their
+// statistics resolved, chunk size and ablation switches captured) and can be
+// priced by the cost model and executed any number of times.
 func (e *Executor) BuildPlan(p *storage.Projection, q SelectQuery, s Strategy) (*plan.Plan, error) {
-	if err := q.Validate(p); err != nil {
+	return e.BuildPlanOn(TableOf(p), q, s)
+}
+
+// BuildPlanOn is BuildPlan over any Table. Building reads no data.
+func (e *Executor) BuildPlanOn(t Table, q SelectQuery, s Strategy) (*plan.Plan, error) {
+	if err := q.check(); err != nil {
 		return nil, err
 	}
 	groups := fuseFilters(q.Filters, !e.Opt.DisableFusion)
@@ -63,13 +136,13 @@ func (e *Executor) BuildPlan(p *storage.Projection, q SelectQuery, s Strategy) (
 	var err error
 	switch s {
 	case EMPipelined:
-		root, err = e.buildEMPipelined(p, q, groups)
+		root, err = buildEMPipelined(t, q, groups)
 	case EMParallel:
-		root, err = e.buildEMParallel(p, q)
+		root, err = buildEMParallel(t, q)
 	case LMPipelined:
-		root, err = e.buildLM(p, q, groups, true)
+		root, err = buildLM(t, q, groups, true)
 	case LMParallel:
-		root, err = e.buildLM(p, q, groups, false)
+		root, err = buildLM(t, q, groups, false)
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %v", s)
 	}
@@ -87,7 +160,7 @@ func (e *Executor) BuildPlan(p *storage.Projection, q SelectQuery, s Strategy) (
 			Agg:                q.Agg,
 			Aggregating:        q.Aggregating(),
 			MatCols:            matCols(q),
-			Tuples:             p.TupleCount(),
+			Tuples:             t.Tuples,
 			ChunkSize:          e.Opt.chunkSize(),
 			DisableMultiColumn: e.Opt.DisableMultiColumn,
 			ForceBitmap:        e.Opt.ForceBitmapPositions,
@@ -100,51 +173,45 @@ func (e *Executor) BuildPlan(p *storage.Projection, q SelectQuery, s Strategy) (
 // filter group producing early (position, value) tuples, a DS4 widen+filter
 // node per further group, then DS4 widen nodes for the remaining output
 // columns, topped by PROJECT (or AGG).
-func (e *Executor) buildEMPipelined(p *storage.Projection, q SelectQuery, groups []filterGroup) (*plan.Node, error) {
-	resolve := columnResolver(p)
+func buildEMPipelined(t Table, q SelectQuery, groups []filterGroup) (*plan.Node, error) {
 	var cur *plan.Node
-	if len(groups) > 0 {
-		c, err := resolve(groups[0].col)
+	for i, g := range groups {
+		c, err := t.Column(g.col)
 		if err != nil {
 			return nil, err
 		}
-		cur = plan.NewDS2(groups[0].col, c, groups[0].preds)
-		for _, g := range groups[1:] {
-			c, err := resolve(g.col)
-			if err != nil {
-				return nil, err
-			}
-			cur = plan.NewDS4(g.col, c, g.preds, cur)
+		if i == 0 {
+			cur = plan.NewDS2(c, g.preds)
+		} else {
+			cur = plan.NewDS4(c, g.preds, cur)
 		}
 	}
 	for _, name := range nonFilterColumns(q) {
-		c, err := resolve(name)
+		c, err := t.Column(name)
 		if err != nil {
 			return nil, err
 		}
 		if cur == nil {
-			cur = plan.NewDS2(name, c, nil)
+			cur = plan.NewDS2(c, nil)
 		} else {
-			cur = plan.NewDS4(name, c, nil, cur)
+			cur = plan.NewDS4(c, nil, cur)
 		}
 	}
-	return emRoot(q, cur), nil
+	return emRoot(t, q, cur)
 }
 
 // buildEMParallel assembles the Figure 7(b) plan: one SPC leaf scanning
 // every referenced column in lockstep. The SPC runs one compiled kernel per
 // filter and ANDs their masks, so predicates on the same column are not
 // fused into one kernel here.
-func (e *Executor) buildEMParallel(p *storage.Projection, q SelectQuery) (*plan.Node, error) {
+func buildEMParallel(t Table, q SelectQuery) (*plan.Node, error) {
 	order := q.referenced()
-	cols := make([]*storage.Column, len(order))
+	cols, err := resolveAll(t, order)
+	if err != nil {
+		return nil, err
+	}
 	idx := make(map[string]int, len(order))
 	for i, name := range order {
-		c, err := p.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
 		idx[name] = i
 	}
 	filters := make([]operators.IndexedPred, len(q.Filters))
@@ -156,76 +223,63 @@ func (e *Executor) buildEMParallel(p *storage.Projection, q SelectQuery) (*plan.
 	for i, name := range outNames {
 		outIdx[i] = idx[name]
 	}
-	return emRoot(q, plan.NewSPC(order, cols, filters, outIdx)), nil
+	return emRoot(t, q, plan.NewSPC(cols, filters, outIdx))
 }
 
 // buildLM assembles the late-materialization plans of Figure 8: a position
 // subtree (pipelined: DS1 chained through DS3+pred narrowing nodes;
 // parallel: DS1 per group ANDed) under a MERGE of DS3 extractions (or a
 // compressed-direct AGG).
-func (e *Executor) buildLM(p *storage.Projection, q SelectQuery, groups []filterGroup, pipelined bool) (*plan.Node, error) {
-	resolve := columnResolver(p)
+func buildLM(t Table, q SelectQuery, groups []filterGroup, pipelined bool) (*plan.Node, error) {
+	scans := make([]*plan.Node, len(groups))
 	var pos *plan.Node
+	for i, g := range groups {
+		c, err := t.Column(g.col)
+		if err != nil {
+			return nil, err
+		}
+		if pipelined && i > 0 {
+			pos = plan.NewFilterAt(c, g.preds, pos)
+		} else {
+			pos = plan.NewDS1(c, g.preds)
+		}
+		scans[i] = pos
+	}
 	switch {
 	case len(groups) == 0:
 		pos = plan.NewPosAll()
-	case pipelined:
-		c, err := resolve(groups[0].col)
-		if err != nil {
-			return nil, err
-		}
-		pos = plan.NewDS1(groups[0].col, c, groups[0].preds)
-		for _, g := range groups[1:] {
-			c, err := resolve(g.col)
-			if err != nil {
-				return nil, err
-			}
-			pos = plan.NewFilterAt(g.col, c, g.preds, pos)
-		}
-	default:
-		scans := make([]*plan.Node, len(groups))
-		for i, g := range groups {
-			c, err := resolve(g.col)
-			if err != nil {
-				return nil, err
-			}
-			scans[i] = plan.NewDS1(g.col, c, g.preds)
-		}
-		if len(scans) == 1 {
-			pos = scans[0]
-		} else {
-			pos = plan.NewAND(scans...)
-		}
+	case !pipelined && len(scans) > 1:
+		pos = plan.NewAND(scans...)
 	}
 
+	mat, err := resolveAll(t, matCols(q))
+	if err != nil {
+		return nil, err
+	}
 	if q.Aggregating() {
-		root := plan.NewAggregate(pos, q.GroupBy, q.AggCol, q.Agg)
-		for _, name := range matCols(q) {
-			c, err := resolve(name)
-			if err != nil {
-				return nil, err
-			}
-			root.MatColumns = append(root.MatColumns, c)
+		root := plan.NewAggregate(pos, mat[0], q.AggCol, q.Agg)
+		for _, c := range mat {
+			root.MatColumns = append(root.MatColumns, c.Handle)
 		}
 		return root, nil
 	}
-	extracts := make([]*plan.Node, len(q.Output))
-	for i, name := range q.Output {
-		c, err := resolve(name)
-		if err != nil {
-			return nil, err
-		}
-		extracts[i] = plan.NewDS3(name, c)
+	extracts := make([]*plan.Node, len(mat))
+	for i, c := range mat {
+		extracts[i] = plan.NewDS3(c)
 	}
 	return plan.NewMerge(pos, extracts, q.outputNames()), nil
 }
 
 // emRoot tops an EM tuple subtree with the aggregation or projection root.
-func emRoot(q SelectQuery, child *plan.Node) *plan.Node {
-	if q.Aggregating() {
-		return plan.NewAggregate(child, q.GroupBy, q.AggCol, q.Agg)
+func emRoot(t Table, q SelectQuery, child *plan.Node) (*plan.Node, error) {
+	if !q.Aggregating() {
+		return plan.NewProject(child, q.Output), nil
 	}
-	return plan.NewProject(child, q.Output)
+	g, err := t.Column(q.GroupBy)
+	if err != nil {
+		return nil, err
+	}
+	return plan.NewAggregate(child, g, q.AggCol, q.Agg), nil
 }
 
 // nonFilterColumns returns the referenced columns that carry no filter, in
@@ -242,20 +296,4 @@ func nonFilterColumns(q SelectQuery) []string {
 		}
 	}
 	return out
-}
-
-// columnResolver caches column lookups for one build.
-func columnResolver(p *storage.Projection) func(string) (*storage.Column, error) {
-	cache := map[string]*storage.Column{}
-	return func(name string) (*storage.Column, error) {
-		if c, ok := cache[name]; ok {
-			return c, nil
-		}
-		c, err := p.Column(name)
-		if err != nil {
-			return nil, err
-		}
-		cache[name] = c
-		return c, nil
-	}
 }

@@ -58,6 +58,12 @@ const (
 // Strategies lists all four strategies in presentation order.
 var Strategies = []Strategy{EMPipelined, EMParallel, LMPipelined, LMParallel}
 
+// AdviseOrder is the order a cost-based advisor compares strategies in; the
+// first strictly cheaper one wins, so two strategies that build the same
+// tree (a one-filter LM plan is the same pipelined or parallel) resolve to
+// the earlier.
+var AdviseOrder = []Strategy{EMParallel, EMPipelined, LMPipelined, LMParallel}
+
 func (s Strategy) String() string {
 	switch s {
 	case EMPipelined:
@@ -124,14 +130,23 @@ type SelectQuery struct {
 // Aggregating reports whether the query has an aggregation on top.
 func (q SelectQuery) Aggregating() bool { return q.GroupBy != "" }
 
-// Validate checks structural sanity against a projection.
-func (q SelectQuery) Validate(p *storage.Projection) error {
+// check is the projection-independent half of Validate (the plan builders
+// resolve every referenced column themselves).
+func (q SelectQuery) check() error {
 	if q.Aggregating() {
 		if q.AggCol == "" {
 			return errors.New("core: GROUP BY requires AggCol")
 		}
 	} else if len(q.Output) == 0 {
 		return errors.New("core: query needs output columns or an aggregation")
+	}
+	return nil
+}
+
+// Validate checks structural sanity against a projection.
+func (q SelectQuery) Validate(p *storage.Projection) error {
+	if err := q.check(); err != nil {
+		return err
 	}
 	for _, name := range q.referenced() {
 		if _, err := p.Column(name); err != nil {

@@ -56,39 +56,41 @@ type JoinStats struct {
 // build-barrier phase constructs the partitioned hash side before the probe
 // morsels stream.
 func (e *Executor) BuildJoinPlan(left, right *storage.Projection, q JoinQuery, rs operators.RightStrategy) (*plan.Plan, error) {
+	return e.BuildJoinPlanOn(TableOf(left), TableOf(right), q, rs)
+}
+
+// BuildJoinPlanOn is BuildJoinPlan over any two Tables. Building reads no
+// data.
+func (e *Executor) BuildJoinPlanOn(left, right Table, q JoinQuery, rs operators.RightStrategy) (*plan.Plan, error) {
 	if len(q.RightOutput) == 0 && rs != operators.RightMaterialized {
 		return nil, errors.New("core: join without right outputs is a semi-join; use RightMaterialized")
 	}
-	leftKeyCol, err := left.Column(q.LeftKey)
+	leftKey, err := left.Column(q.LeftKey)
 	if err != nil {
 		return nil, err
 	}
-	leftCols := make([]*storage.Column, len(q.LeftOutput))
-	for i, name := range q.LeftOutput {
-		if leftCols[i], err = left.Column(name); err != nil {
-			return nil, err
-		}
-	}
-	rightKeyCol, err := right.Column(q.RightKey)
+	leftCols, err := resolveAll(left, q.LeftOutput)
 	if err != nil {
 		return nil, err
 	}
-	rightCols := make([]*storage.Column, len(q.RightOutput))
-	for i, name := range q.RightOutput {
-		if rightCols[i], err = right.Column(name); err != nil {
-			return nil, err
-		}
+	rightKey, err := right.Column(q.RightKey)
+	if err != nil {
+		return nil, err
+	}
+	rightCols, err := resolveAll(right, q.RightOutput)
+	if err != nil {
+		return nil, err
 	}
 
 	var pos *plan.Node
 	if q.LeftPred.Op == pred.All {
 		pos = plan.NewPosAll()
 	} else {
-		pos = plan.NewDS1(q.LeftKey, leftKeyCol, []pred.Predicate{q.LeftPred})
+		pos = plan.NewDS1(leftKey, []pred.Predicate{q.LeftPred})
 	}
-	build := plan.NewJoinBuild(q.RightKey, rightKeyCol, q.RightOutput, rightCols, rs, e.Opt.JoinPartitions)
-	build.Proj = right.Name() // the shared build cache's keying identity
-	probe := plan.NewJoinProbe(q.LeftKey, leftKeyCol, q.LeftOutput, leftCols, pos, build)
+	build := plan.NewJoinBuild(rightKey, rightCols, rs, e.Opt.JoinPartitions)
+	build.Proj = right.Name // the shared build cache's keying identity
+	probe := plan.NewJoinProbe(leftKey, leftCols, pos, build)
 	outNames := append(append([]string{}, q.LeftOutput...), q.RightOutput...)
 	return &plan.Plan{
 		Label: "join " + rs.String(),
@@ -96,7 +98,7 @@ func (e *Executor) BuildJoinPlan(left, right *storage.Projection, q JoinQuery, r
 		Spec: plan.Spec{
 			OutNames:           outNames,
 			Output:             outNames,
-			Tuples:             left.TupleCount(),
+			Tuples:             left.Tuples,
 			ChunkSize:          e.Opt.chunkSize(),
 			DisableMultiColumn: e.Opt.DisableMultiColumn,
 			ForceBitmap:        e.Opt.ForceBitmapPositions,

@@ -17,8 +17,10 @@ import (
 // linear in the four CPU constants, so an annotated node's predicted cost is
 // a dot product feature·constants, where the feature vector depends only on
 // catalog statistics and query shape. CollectObservations extracts those
-// feature vectors by annotating the plan with unit-basis constant sets; the
-// node's observed self-time (Observed.Nanos) is the regression target.
+// feature vectors by pricing the plan under unit-basis constant sets — the
+// same walk the advisor and the grant sizer run, so the refit tunes the
+// function they steer on; the node's observed self-time (Observed.Nanos) is
+// the regression target.
 // Calibrate then solves the ridge-regularized normal equations, pulling
 // toward the prior where the workload leaves a constant unconstrained, and
 // never returns constants that fit the observations worse than the prior.
@@ -47,8 +49,8 @@ func (o Observation) predict(c Constants) float64 {
 
 // basis returns a constant set with exactly one CPU constant set to 1 µs
 // (index into CPUConstants; -1 zeroes all four). I/O terms are neutralized:
-// the annotator runs hot (F=1) so SEEK/READ contribute nothing, and PF=1
-// avoids a 0/0 in the scan I/O formula.
+// the walk runs hot (F=1) so SEEK/READ contribute nothing, and PF=1 avoids a
+// 0/0 in the scan I/O formula.
 func basis(i int) Constants {
 	c := Constants{PF: 1, WordSize: 64}
 	switch i {
@@ -66,40 +68,33 @@ func basis(i int) Constants {
 
 // CollectObservations extracts one Observation per executed node of an
 // observed plan run (a DB.Explain execution): the node's per-constant model
-// features via basis annotations, against its observed self-time. Nodes that
-// never executed, carry no model, or have an all-zero feature vector (e.g.
-// ALLPOS) are skipped. The plan is left re-annotated with restore.
-func CollectObservations(p *plan.Plan, restore Constants) []Observation {
-	type nodeFeat struct {
-		n *plan.Node
-		f [4]float64
-	}
-	var nodes []nodeFeat
-	plan.Walk(p.Root, func(n *plan.Node) {
-		nodes = append(nodes, nodeFeat{n: n})
-	})
+// features — its price under each unit-basis constant set — against its
+// observed self-time. Nodes that never executed or have an all-zero feature
+// vector (e.g. ALLPOS) are skipped. The plan is not written to.
+func CollectObservations(p *plan.Plan) []Observation {
+	var nodes []*plan.Node
+	var feats [][4]float64
 	for i := 0; i < 4; i++ {
-		basis(i).AnnotatePlan(p, true)
-		for j := range nodes {
-			if nodes[j].n.HasModel {
-				nodes[j].f[i] = nodes[j].n.Modeled.Total()
+		k := 0 // the walk visits nodes in the same order on every pass
+		basis(i).price(p, true, func(n *plan.Node, c Cost) {
+			if i == 0 {
+				nodes = append(nodes, n)
+				feats = append(feats, [4]float64{})
 			}
-		}
+			feats[k][i] = c.Total()
+			k++
+		})
 	}
-	restore.AnnotatePlan(p, true)
 
 	var obs []Observation
-	for _, nf := range nodes {
-		if !nf.n.HasModel || nf.n.Obs.Chunks.Load() == 0 {
-			continue
-		}
-		if nf.f[0] == 0 && nf.f[1] == 0 && nf.f[2] == 0 && nf.f[3] == 0 {
+	for k, n := range nodes {
+		if n.Obs.Chunks.Load() == 0 || feats[k] == [4]float64{} {
 			continue
 		}
 		obs = append(obs, Observation{
-			Node:       nf.n.Kind.String() + " " + nf.n.Col,
-			Features:   nf.f,
-			ObservedUS: float64(nf.n.Obs.Nanos.Load()) / 1e3,
+			Node:       n.Kind.String() + " " + n.Col,
+			Features:   feats[k],
+			ObservedUS: float64(n.Obs.Nanos.Load()) / 1e3,
 		})
 	}
 	return obs

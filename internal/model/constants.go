@@ -1,9 +1,14 @@
 // Package model implements the paper's analytical cost model (Section 3):
-// the operator cost formulas of Figures 1–6 over the notation of Table 1,
-// the measured constants of Table 2, plan-level cost composition for all
-// four materialization strategies, and the strategy advisor the paper
-// motivates ("an analytical model that can be used, for example, in a query
-// optimizer to select a materialization strategy").
+// the operator cost formulas of Figures 1–6 over the notation of Table 1
+// (cost.go; the join's Section 4.3 terms in join.go), the measured constants
+// of Table 2, and one composition of them — Price (price.go) walks the
+// physical plan a strategy's builder assembled and charges each node its
+// formula from the column statistics the node carries. The plan tree is the
+// model's only input: the advisor the paper motivates ("an analytical model
+// that can be used, for example, in a query optimizer to select a
+// materialization strategy") is "build each strategy's plan, price it, take
+// the cheapest", and the admission sizer, EXPLAIN and calibration read the
+// same walk.
 //
 // All costs are in microseconds (as in Table 2). CPU and I/O components are
 // reported separately; I/O is the modelled disk time and is zero for

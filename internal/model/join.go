@@ -2,14 +2,10 @@ package model
 
 import "matstore/internal/operators"
 
-// This file composes the Figure 1–6 operator formulas into the join cost
-// terms of Section 4.3, per inner-table materialization strategy. The paper
-// frames the join's right-side choice exactly like the selection strategies:
-// constructing right tuples before the join (EM) pays tuple construction at
-// build; sending the right table as compressed multi-columns defers the
-// payload extraction to each probe match; sending only the join column (pure
-// LM) pays an extra non-merge positional join after the probe, because right
-// positions emerge in left order.
+// This file holds the Section 4.3 operator terms of the join — the blocking
+// build and the streaming probe, per inner-table materialization strategy.
+// Like the Figure 1–6 formulas of cost.go they are composed in one place, the
+// plan walk of price.go.
 
 // JoinBuild predicts the blocking hash-build phase over the inner table:
 // a full scan of the key column (DS1-style iteration) plus one hash insert
@@ -41,60 +37,9 @@ func (m Constants) JoinBuild(key ColumnStats, payload []ColumnStats, rs operator
 	return cpu, io
 }
 
-// JoinInputs carries everything the end-to-end join cost needs, derived
-// from catalog statistics (DB.AdviseJoin) or picked directly (table tests).
-type JoinInputs struct {
-	// Outer is the outer (probing) key column; Key the inner key column;
-	// Payload the inner payload columns.
-	Outer   ColumnStats
-	Key     ColumnStats
-	Payload []ColumnStats
-	// SF is the outer predicate's selectivity; MatchPerKey the inner table's
-	// average matches per key (inner tuples over distinct keys — exact for
-	// the paper's FK join).
-	SF          float64
-	MatchPerKey float64
-	// NumLeftCols is the number of outer payload columns glued per match.
-	NumLeftCols int
-}
-
-// Probes returns the predicted probe count (outer tuples surviving SF).
-func (in JoinInputs) Probes() float64 { return in.SF * in.Outer.Tuples }
-
-// Out returns the predicted output cardinality.
-func (in JoinInputs) Out() float64 { return in.Probes() * in.MatchPerKey }
-
-// JoinCost composes the Section 4.3 terms into one end-to-end prediction
-// for an inner-table materialization strategy: the outer key scan (DS1),
-// the blocking build, the streaming probe with its per-strategy payload
-// access, and output iteration — the quantity Figure 13 measures.
-func (m Constants) JoinCost(in JoinInputs, rs operators.RightStrategy) Cost {
-	var c Cost
-	c = c.Add(m.DS1(in.Outer, in.SF))
-	c = c.Add(m.JoinBuild(in.Key, in.Payload, rs))
-	c = c.Add(m.JoinProbe(in.Probes(), in.Out(), in.NumLeftCols, in.Payload, rs, in.Key.Tuples))
-	c = c.Add(m.OutputIteration(in.Out()), 0)
-	return c
-}
-
 // JoinStrategies lists the inner-table strategies in presentation order.
 var JoinStrategies = []operators.RightStrategy{
 	operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
-}
-
-// AdviseJoin returns the inner-table materialization strategy with the
-// lowest predicted total cost — the Figure 13 winner at these inputs — and
-// its cost.
-func (m Constants) AdviseJoin(in JoinInputs) (operators.RightStrategy, Cost) {
-	best := operators.RightMaterialized
-	var bestCost Cost
-	for i, rs := range JoinStrategies {
-		c := m.JoinCost(in, rs)
-		if i == 0 || c.Total() < bestCost.Total() {
-			best, bestCost = rs, c
-		}
-	}
-	return best, bestCost
 }
 
 // JoinProbe predicts the streaming probe phase, excluding the outer-table

@@ -48,95 +48,3 @@ func TestJoinProbeCostOrdering(t *testing.T) {
 		t.Errorf("probe cost not monotone in probes: %.0f <= %.0f", many, few)
 	}
 }
-
-// joinInputs builds the Figure 13 experiment shape: a 10:1 orders ⋈ customer
-// FK join with one payload column per side, at outer selectivity sf.
-func joinInputs(sf float64, hot bool) JoinInputs {
-	f := 0.0
-	if hot {
-		f = 1
-	}
-	return JoinInputs{
-		Outer:       ColumnStats{Blocks: 2000, Tuples: 1_500_000, RunLen: 1, F: f},
-		Key:         ColumnStats{Blocks: 200, Tuples: 150_000, RunLen: 1, F: f},
-		Payload:     []ColumnStats{{Blocks: 200, Tuples: 150_000, RunLen: 1, F: f}},
-		SF:          sf,
-		MatchPerKey: 10,
-		NumLeftCols: 1,
-	}
-}
-
-// TestAdviseJoinFigure13Shape pins the advisor's ordering of the three
-// inner-table strategies across the selectivity sweep — the qualitative
-// shape of Figure 13. Cold (full scan I/O charged), the three regimes
-// appear in order: sending only the join column wins when almost nothing is
-// probed, the compressed multi-column hybrid wins the low-selectivity band,
-// and early materialization wins once output volume amortizes its build.
-func TestAdviseJoinFigure13Shape(t *testing.T) {
-	m := Paper
-	cold := []struct {
-		sf   float64
-		want operators.RightStrategy
-	}{
-		{0.0001, operators.RightSingleColumn},
-		{0.001, operators.RightSingleColumn},
-		{0.02, operators.RightMultiColumn},
-		{0.05, operators.RightMultiColumn},
-		{0.3, operators.RightMaterialized},
-		{1.0, operators.RightMaterialized},
-	}
-	for _, tc := range cold {
-		best, cost := m.AdviseJoin(joinInputs(tc.sf, false))
-		if best != tc.want {
-			t.Errorf("cold sf=%v: advisor chose %v, want %v", tc.sf, best, tc.want)
-		}
-		if cost.Total() <= 0 {
-			t.Errorf("cold sf=%v: nonpositive best cost %v", tc.sf, cost)
-		}
-	}
-
-	// Warm pool: I/O vanishes, so the single-column strategy's cheap build
-	// loses its edge, but the low/high split must remain — materialized never
-	// wins the lowest point and always wins full selectivity.
-	lowBest, _ := m.AdviseJoin(joinInputs(0.001, true))
-	if lowBest == operators.RightMaterialized {
-		t.Errorf("warm sf=0.001: materialized should not win the low end")
-	}
-	highBest, _ := m.AdviseJoin(joinInputs(1, true))
-	if highBest != operators.RightMaterialized {
-		t.Errorf("warm sf=1: advisor chose %v, want right-materialized", highBest)
-	}
-
-	// The ordering must flip exactly once between materialized and the
-	// cheaper builds as selectivity rises (all cost curves are affine in SF,
-	// Figure 13's straight lines).
-	prevMatBest := false
-	flips := 0
-	for _, sf := range []float64{0.001, 0.01, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0} {
-		best, _ := m.AdviseJoin(joinInputs(sf, true))
-		matBest := best == operators.RightMaterialized
-		if matBest != prevMatBest {
-			flips++
-		}
-		prevMatBest = matBest
-	}
-	if flips != 1 {
-		t.Errorf("materialized should take over exactly once across the sweep, flipped %d times", flips)
-	}
-}
-
-// TestJoinCostMonotoneInSelectivity: every strategy's end-to-end cost grows
-// with selectivity (more probes, more output).
-func TestJoinCostMonotoneInSelectivity(t *testing.T) {
-	m := Paper
-	for _, rs := range JoinStrategies {
-		prev := -1.0
-		for _, sf := range []float64{0.001, 0.01, 0.1, 0.5, 1.0} {
-			c := m.JoinCost(joinInputs(sf, true), rs).Total()
-			if c <= prev {
-				t.Errorf("%v: cost not monotone at sf=%v (%.0f <= %.0f)", rs, sf, c, prev)
-			}
-			prev = c
-		}
-	}
-}

@@ -3,8 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-
-	"matstore/internal/core"
 )
 
 // close enough for hand-computed formula checks
@@ -116,63 +114,6 @@ func TestSPCFormula(t *testing.T) {
 	wantIO := (2/m.PF*m.SEEK + 2*m.READ) + (4/m.PF*m.SEEK + 4*m.READ)
 	if !approx(cpu, wantCPU) || !approx(io, wantIO) {
 		t.Errorf("SPC = %v,%v want %v,%v", cpu, io, wantCPU, wantIO)
-	}
-}
-
-// lineitemInputs models the paper's Section 3.7 configuration: RLE shipdate
-// (1 block, 3800 tuples... scaled here to the full-column counts) and RLE
-// linenum.
-func lineitemInputs(sfA float64, agg bool) SelectionInputs {
-	return SelectionInputs{
-		A:           ColumnStats{Blocks: 1, Tuples: 60000, RunLen: 23.75, F: 0},
-		B:           ColumnStats{Blocks: 5, Tuples: 60000, RunLen: 8, F: 0},
-		SFA:         sfA,
-		SFB:         0.96,
-		PosRunsA:    EstimatePosRuns(ColumnStats{Tuples: 60000}, sfA, true, 3),
-		PosRunsB:    EstimatePosRuns(ColumnStats{Tuples: 60000}, 0.96, true, 3*2526),
-		Aggregating: agg,
-		Groups:      2526 * sfA,
-	}
-}
-
-func TestSelectionCostMonotoneInSelectivity(t *testing.T) {
-	m := Paper
-	for _, s := range core.Strategies {
-		last := -1.0
-		for _, sf := range []float64{0.01, 0.1, 0.3, 0.6, 0.9, 1.0} {
-			c := m.SelectionCost(s, lineitemInputs(sf, false)).Total()
-			if c < last {
-				t.Errorf("%v: cost not monotone in selectivity (sf=%v: %v < %v)", s, sf, c, last)
-			}
-			last = c
-		}
-	}
-}
-
-func TestLMBeatsEMOnCompressedAggregation(t *testing.T) {
-	// Figure 12(b): with RLE data and aggregation, LM should win across the
-	// selectivity range.
-	m := Paper
-	for _, sf := range []float64{0.1, 0.5, 0.9} {
-		in := lineitemInputs(sf, true)
-		lm := m.SelectionCost(core.LMParallel, in).Total()
-		em := m.SelectionCost(core.EMParallel, in).Total()
-		if lm >= em {
-			t.Errorf("sf=%v: LM-parallel (%v) should beat EM-parallel (%v) for RLE aggregation", sf, lm, em)
-		}
-	}
-}
-
-func TestAdvisePrefersLMAtLowSelectivity(t *testing.T) {
-	m := Paper
-	s, _ := m.Advise(lineitemInputs(0.01, false))
-	if s == core.EMParallel {
-		t.Errorf("Advise at 1%% selectivity chose %v; expected a pipelined/late strategy", s)
-	}
-	// The paper's heuristic: aggregation -> LM.
-	s, _ = m.Advise(lineitemInputs(0.5, true))
-	if s != core.LMParallel && s != core.LMPipelined {
-		t.Errorf("Advise for aggregation chose %v, want an LM strategy", s)
 	}
 }
 

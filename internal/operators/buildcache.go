@@ -78,10 +78,13 @@ type BuildCache struct {
 
 	// Demotion tier (EnableDemotion): evicted builds persist their hash
 	// entries to disk instead of vanishing, under their own byte budget.
-	demoteDir  string
-	demotedCap int64
-	demoted    *cache.LRU[BuildKey, *demotedBuild] // charged file bytes
+	demoteDir string
+	demoted   *cache.LRU[BuildKey, *demotedBuild] // charged file bytes
 }
+
+// demotedCapFactor bounds the demotion tier's disk bytes to this multiple of
+// the in-memory budget (an unbounded cache demotes nothing: it never evicts).
+const demotedCapFactor = 8
 
 // demotedBuild is one evicted build living on disk. The stored-column
 // handles are retained so rehydration can re-window payload without a
@@ -113,17 +116,13 @@ func NewBuildCache(capacity int64) *BuildCache {
 }
 
 // EnableDemotion turns eviction into demotion: evicted builds write their
-// hash entries to spill-format files under dir, bounded by capBytes of disk
-// (<= 0 means 8x the in-memory budget). Demoted entries rehydrate on the
-// next lookup of their key, so warm keys stay probeable past the byte budget.
-func (c *BuildCache) EnableDemotion(dir string, capBytes int64) {
+// hash entries to spill-format files under dir, bounded by demotedCapFactor
+// times the in-memory budget of disk. Demoted entries rehydrate on the next
+// lookup of their key, so warm keys stay probeable past the byte budget.
+func (c *BuildCache) EnableDemotion(dir string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if capBytes <= 0 {
-		capBytes = 8 * c.capacity
-	}
 	c.demoteDir = dir
-	c.demotedCap = capBytes
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -302,7 +301,8 @@ func (c *BuildCache) demoteLocked(key BuildKey, rb retained) {
 		return
 	}
 	c.stats.Demotions++
-	if c.demotedCap > 0 && bytes > c.demotedCap {
+	diskCap := demotedCapFactor * c.capacity
+	if bytes > diskCap {
 		os.Remove(path) // larger than the whole disk budget: not retained
 		return
 	}
@@ -310,7 +310,5 @@ func (c *BuildCache) demoteLocked(key BuildKey, rb retained) {
 	if old, replaced := c.demoted.Put(key, db, bytes); replaced {
 		os.Remove(old.path)
 	}
-	if c.demotedCap > 0 {
-		c.demoted.Shrink(c.demotedCap, nil, func(_ BuildKey, db *demotedBuild) { os.Remove(db.path) })
-	}
+	c.demoted.Shrink(diskCap, nil, func(_ BuildKey, db *demotedBuild) { os.Remove(db.path) })
 }

@@ -272,7 +272,7 @@ func TestBuildCacheDemotion(t *testing.T) {
 	}
 	dir := t.TempDir()
 	c := NewBuildCache(probeOne.SizeBytes + probeOne.SizeBytes/2) // room for one
-	c.EnableDemotion(dir, 0)
+	c.EnableDemotion(dir)
 	keyA := BuildKey{Proj: "right", KeyCol: "k", Payload: "val", Strategy: RightSingleColumn, Partitions: 4, ChunkSize: 64}
 	keyB := keyA
 	keyB.Partitions = 8

@@ -13,10 +13,13 @@
 // the tree states WHAT is composed, the compiled kernels underneath
 // (internal/pred, internal/kernels) do the work.
 //
-// Every node carries two annotation slots: the analytical model's predicted
-// cost (filled by internal/model's AnnotatePlan) and observed execution
-// counters (filled when a plan runs with observation enabled), which is what
-// DB.Explain renders side by side.
+// Every node carries the catalog statistics of the columns it reads (ColStats,
+// filled by the builder's column resolver) — the cost model's only input: it
+// prices the tree it is handed and reads nothing else. EXPLAIN additionally
+// uses two annotation slots: the model's per-node prediction (stored by
+// internal/model's AnnotatePlan on EXPLAIN's private tree) and observed
+// execution counters (filled when a plan runs with observation enabled),
+// rendered side by side.
 package plan
 
 import (
@@ -109,7 +112,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Cost is a modeled node cost in microseconds, CPU and I/O separately.
+// Cost is a modeled cost in microseconds, CPU and I/O separately — of one
+// node or of a whole plan (model.Cost and matstore.Cost are this type).
 type Cost struct {
 	CPU float64
 	IO  float64
@@ -117,6 +121,50 @@ type Cost struct {
 
 // Total returns CPU+IO.
 func (c Cost) Total() float64 { return c.CPU + c.IO }
+
+// Add accumulates another cost.
+func (c Cost) Add(cpu, io float64) Cost { return Cost{c.CPU + cpu, c.IO + io} }
+
+func (c Cost) String() string { return fmt.Sprintf("cpu=%.0fµs io=%.0fµs", c.CPU, c.IO) }
+
+// ColStats is what the catalog knows about one stored column, carried by
+// value on the nodes that read it so that pricing a plan touches no storage.
+type ColStats struct {
+	// Blocks is |Ci|, Tuples ||Ci||, RunLen RLc (Table 1 notation).
+	Blocks, Tuples, RunLen float64
+	// Min, Max and Distinct are the column's value bounds and distinct count
+	// (an upper bound for sorted data: the run count).
+	Min, Max, Distinct int64
+	// SortRank is the column's 1-based rank in the projection's sort key, 0
+	// when it is not part of it. Clusters is the product of the distinct
+	// counts of the sort-key columns before it: a predicate over the k-th
+	// key column matches one contiguous position run inside each combination
+	// of the preceding key columns, which is what the model's position-run
+	// estimate needs.
+	SortRank int
+	Clusters float64
+}
+
+// Col is a resolved column: its name, the handle the executor reads through
+// and the statistics the model prices it with. Handle is nil when the column
+// was resolved over a literal statistics table — such a plan can be priced
+// and rendered, not run.
+type Col struct {
+	Name   string
+	Handle *storage.Column
+	Stats  ColStats
+}
+
+// split separates resolved columns into the parallel slices a node stores.
+func split(cols []Col) (names []string, handles []*storage.Column, stats []ColStats) {
+	names = make([]string, len(cols))
+	handles = make([]*storage.Column, len(cols))
+	stats = make([]ColStats, len(cols))
+	for i, c := range cols {
+		names[i], handles[i], stats[i] = c.Name, c.Handle, c.Stats
+	}
+	return names, handles, stats
+}
 
 // Observed is a node's execution counters, accumulated across all chunks of
 // all morsels (atomically — morsels run on concurrent workers).
@@ -146,9 +194,11 @@ type Node struct {
 	Children []*Node
 
 	// Col and Column name and resolve the column of scan/extract/widen
-	// nodes.
+	// nodes; Stats are its catalog statistics. On an Aggregate node Stats
+	// describes the GroupBy column (group count and key-run estimates).
 	Col    string
 	Column *storage.Column
+	Stats  ColStats
 	// Preds is the node's predicate conjunction as written in the query
 	// (k>1 means a fused multi-predicate scan). execPreds is the simplified
 	// form actually executed.
@@ -158,6 +208,7 @@ type Node struct {
 	// SPC leaf configuration.
 	SPCNames   []string
 	SPCColumns []*storage.Column
+	SPCStats   []ColStats
 	SPCFilters []operators.IndexedPred
 	SPCOutIdx  []int
 
@@ -182,10 +233,12 @@ type Node struct {
 	RightStrategy operators.RightStrategy
 	RightPayload  []string
 	RightCols     []*storage.Column
+	RightStats    []ColStats
 	Partitions    int
 	// LeftCols are the probe node's resolved outer payload columns (aligned
-	// with OutCols).
-	LeftCols []*storage.Column
+	// with OutCols), LeftStats their statistics.
+	LeftCols  []*storage.Column
+	LeftStats []ColStats
 	// built retains the most recent observed build-barrier phase's
 	// partitioned hash side (guarded by the owning Plan's buildMu) for the
 	// EXPLAIN renderer alone; execution itself threads the table through the
@@ -193,7 +246,9 @@ type Node struct {
 	built *operators.PartitionedTable
 
 	// Modeled is the analytical model's cost prediction for this node
-	// (valid when HasModel; set by model.AnnotatePlan).
+	// (valid when HasModel). Only model.AnnotatePlan stores it, and only
+	// EXPLAIN and traced runs call that, on trees no other request shares;
+	// estimates and the advisors price without writing (model.Price).
 	Modeled  Cost
 	HasModel bool
 	// Obs accumulates observed execution counters when the plan runs with
@@ -210,30 +265,32 @@ func (n *Node) ExecPreds() []pred.Predicate { return n.execPreds }
 func (n *Node) Fused() bool { return len(n.Preds) > 1 }
 
 // NewDS1 builds a DS1 position-scan leaf.
-func NewDS1(col string, c *storage.Column, preds []pred.Predicate) *Node {
-	return &Node{Kind: KindDS1, Col: col, Column: c, Preds: preds, execPreds: simplify(preds)}
+func NewDS1(c Col, preds []pred.Predicate) *Node {
+	return &Node{Kind: KindDS1, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, execPreds: simplify(preds)}
 }
 
 // NewDS2 builds a DS2 early-materialization scan leaf.
-func NewDS2(col string, c *storage.Column, preds []pred.Predicate) *Node {
-	return &Node{Kind: KindDS2, Col: col, Column: c, Preds: preds, execPreds: simplify(preds)}
+func NewDS2(c Col, preds []pred.Predicate) *Node {
+	return &Node{Kind: KindDS2, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, execPreds: simplify(preds)}
 }
 
 // NewDS3 builds a DS3 value-extraction node (positions supplied by the
 // Merge/Aggregate parent).
-func NewDS3(col string, c *storage.Column) *Node {
-	return &Node{Kind: KindDS3, Col: col, Column: c}
+func NewDS3(c Col) *Node {
+	return &Node{Kind: KindDS3, Col: c.Name, Column: c.Handle, Stats: c.Stats}
 }
 
 // NewDS4 builds a DS4 widening node over a tuple-domain child. Empty preds
 // widen unconditionally (a pure output column).
-func NewDS4(col string, c *storage.Column, preds []pred.Predicate, child *Node) *Node {
-	return &Node{Kind: KindDS4, Col: col, Column: c, Preds: preds, execPreds: simplify(preds), Children: []*Node{child}}
+func NewDS4(c Col, preds []pred.Predicate, child *Node) *Node {
+	return &Node{Kind: KindDS4, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, execPreds: simplify(preds), Children: []*Node{child}}
 }
 
 // NewSPC builds the scan-predicate-construct leaf.
-func NewSPC(names []string, cols []*storage.Column, filters []operators.IndexedPred, outIdx []int) *Node {
-	return &Node{Kind: KindSPC, SPCNames: names, SPCColumns: cols, SPCFilters: filters, SPCOutIdx: outIdx}
+func NewSPC(cols []Col, filters []operators.IndexedPred, outIdx []int) *Node {
+	n := &Node{Kind: KindSPC, SPCFilters: filters, SPCOutIdx: outIdx}
+	n.SPCNames, n.SPCColumns, n.SPCStats = split(cols)
+	return n
 }
 
 // NewAND builds a position-intersection node.
@@ -242,8 +299,8 @@ func NewAND(children ...*Node) *Node {
 }
 
 // NewFilterAt builds a DS3+predicate position-narrowing node.
-func NewFilterAt(col string, c *storage.Column, preds []pred.Predicate, child *Node) *Node {
-	return &Node{Kind: KindFilterAt, Col: col, Column: c, Preds: preds, execPreds: simplify(preds), Children: []*Node{child}}
+func NewFilterAt(c Col, preds []pred.Predicate, child *Node) *Node {
+	return &Node{Kind: KindFilterAt, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, execPreds: simplify(preds), Children: []*Node{child}}
 }
 
 // NewPosAll builds the filterless full-range position source.
@@ -262,32 +319,35 @@ func NewProject(child *Node, outCols []string) *Node {
 
 // NewAggregate builds an aggregation root. The child is either a tuple
 // subtree (EM) or a position subtree (LM, aggregating directly on
-// compressed mini-columns).
-func NewAggregate(child *Node, groupBy, aggCol string, fn operators.AggFunc) *Node {
-	return &Node{Kind: KindAggregate, Children: []*Node{child}, GroupBy: groupBy, AggCol: aggCol, Agg: fn}
+// compressed mini-columns). groupBy's statistics stay on the node: the model
+// estimates the group count from them.
+func NewAggregate(child *Node, groupBy Col, aggCol string, fn operators.AggFunc) *Node {
+	return &Node{Kind: KindAggregate, Children: []*Node{child}, GroupBy: groupBy.Name, Stats: groupBy.Stats, AggCol: aggCol, Agg: fn}
 }
 
 // NewJoinBuild builds the blocking inner-side hash-build node. partitions
 // overrides the radix partition count (0 = next power of two of the run's
 // worker count).
-func NewJoinBuild(keyCol string, key *storage.Column, payload []string, payloadCols []*storage.Column, rs operators.RightStrategy, partitions int) *Node {
-	return &Node{
-		Kind: KindJoinBuild, Col: keyCol, Column: key,
-		RightPayload: payload, RightCols: payloadCols,
+func NewJoinBuild(key Col, payload []Col, rs operators.RightStrategy, partitions int) *Node {
+	n := &Node{
+		Kind: KindJoinBuild, Col: key.Name, Column: key.Handle, Stats: key.Stats,
 		RightStrategy: rs, Partitions: partitions,
 	}
+	n.RightPayload, n.RightCols, n.RightStats = split(payload)
+	return n
 }
 
 // NewJoinProbe builds the streaming probe node: pos is the outer-table
 // position subtree (a DS1 scan of the outer key, or ALLPOS when the join
 // carries no outer predicate), build the JoinBuild node it probes into.
-// leftOut/leftCols are the outer payload columns emitted per match.
-func NewJoinProbe(keyCol string, key *storage.Column, leftOut []string, leftCols []*storage.Column, pos, build *Node) *Node {
-	return &Node{
-		Kind: KindJoinProbe, Col: keyCol, Column: key,
-		OutCols: leftOut, LeftCols: leftCols,
+// leftOut are the outer payload columns emitted per match.
+func NewJoinProbe(key Col, leftOut []Col, pos, build *Node) *Node {
+	n := &Node{
+		Kind: KindJoinProbe, Col: key.Name, Column: key.Handle, Stats: key.Stats,
 		Children: []*Node{pos, build},
 	}
+	n.OutCols, n.LeftCols, n.LeftStats = split(leftOut)
+	return n
 }
 
 func simplify(ps []pred.Predicate) []pred.Predicate {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestNodeLabelsAndWalk(t *testing.T) {
-	ds1 := NewDS1("a", nil, []pred.Predicate{pred.AtLeast(1), pred.LessThan(9)})
+	ds1 := NewDS1(Col{Name: "a"}, []pred.Predicate{pred.AtLeast(1), pred.LessThan(9)})
 	if !ds1.Fused() {
 		t.Error("two-predicate DS1 should report fused")
 	}
@@ -19,8 +19,8 @@ func TestNodeLabelsAndWalk(t *testing.T) {
 	if !strings.Contains(ds1.label(), "[fused x2]") {
 		t.Errorf("label = %q", ds1.label())
 	}
-	and := NewAND(ds1, NewDS1("b", nil, []pred.Predicate{pred.Equals(3)}))
-	root := NewMerge(and, []*Node{NewDS3("a", nil), NewDS3("b", nil)}, []string{"a", "b"})
+	and := NewAND(ds1, NewDS1(Col{Name: "b"}, []pred.Predicate{pred.Equals(3)}))
+	root := NewMerge(and, []*Node{NewDS3(Col{Name: "a"}), NewDS3(Col{Name: "b"})}, []string{"a", "b"})
 	var kinds []Kind
 	Walk(root, func(n *Node) { kinds = append(kinds, n.Kind) })
 	want := []Kind{KindMerge, KindAND, KindDS1, KindDS1, KindDS3, KindDS3}
@@ -39,17 +39,14 @@ func TestNodeLabelsAndWalk(t *testing.T) {
 	}
 }
 
-func TestModeledTotalAndShape(t *testing.T) {
-	ds1 := NewDS1("a", nil, []pred.Predicate{pred.LessThan(5)})
+func TestShapeAndRender(t *testing.T) {
+	ds1 := NewDS1(Col{Name: "a"}, []pred.Predicate{pred.LessThan(5)})
 	ds1.Modeled = Cost{CPU: 10, IO: 2}
 	ds1.HasModel = true
-	root := NewMerge(ds1, []*Node{NewDS3("a", nil)}, []string{"a"})
+	root := NewMerge(ds1, []*Node{NewDS3(Col{Name: "a"})}, []string{"a"})
 	root.Modeled = Cost{CPU: 3}
 	root.HasModel = true
 	p := &Plan{Label: "test", Root: root, Spec: Spec{OutNames: []string{"a"}}}
-	if got := p.ModeledTotal(); got.CPU != 13 || got.IO != 2 {
-		t.Errorf("ModeledTotal = %+v", got)
-	}
 	shape := p.Shape()
 	for _, wantLine := range []string{"test plan", "MERGE out=(a)", "├─ DS1 scan a (a < 5)", "└─ DS3 extract a"} {
 		if !strings.Contains(shape, wantLine) {

@@ -65,19 +65,6 @@ func (p *Plan) annotations(n *Node) string {
 	return "[" + strings.Join(parts, " | ") + "]"
 }
 
-// ModeledTotal sums the per-node modeled costs over the whole tree (valid
-// for the annotated subset).
-func (p *Plan) ModeledTotal() Cost {
-	var total Cost
-	Walk(p.Root, func(n *Node) {
-		if n.HasModel {
-			total.CPU += n.Modeled.CPU
-			total.IO += n.Modeled.IO
-		}
-	})
-	return total
-}
-
 // Shape returns the rendered tree without annotations — the stable golden
 // form plan-builder tests pin.
 func (p *Plan) Shape() string {

@@ -186,7 +186,7 @@ func New(db *matstore.DB, cfg Config) *Server {
 		if s.builds != nil {
 			// Under memory governance, evicted warm builds demote to on-disk
 			// hash entries instead of being discarded outright.
-			s.builds.EnableDemotion(s.spillDir, 0)
+			s.builds.EnableDemotion(s.spillDir)
 		}
 	}
 	registerServerMetrics(s)

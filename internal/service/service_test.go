@@ -391,3 +391,73 @@ func TestExplainThroughService(t *testing.T) {
 		t.Error("join explain carried no join stats")
 	}
 }
+
+// TestEstimateRacesServedPlans: the admission sizer prices a plan on every
+// request while other requests run the plan-cache's shared tree of the same
+// shape and a calibration pass swaps the constants. The estimate builds a
+// tree of its own and the pricing walk writes nowhere, so under -race this
+// must be silent — it would not be if estimates annotated the cached plan.
+func TestEstimateRacesServedPlans(t *testing.T) {
+	db := openDB(t)
+	srv := service.New(db, cacheConfig(2, 8, true))
+	sel := matstore.Query{
+		Output: []string{tpch.ColShipdate, tpch.ColLinenum},
+		Filters: []matstore.Filter{
+			{Col: tpch.ColShipdate, Pred: matstore.LessThan(1200)},
+			{Col: tpch.ColLinenum, Pred: matstore.LessThan(7)},
+		},
+	}
+	join := joinReq()
+	ctx := context.Background()
+	want, err := srv.NewSession().Select(ctx, tpch.LineitemProj, sel, matstore.LMPipelined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJoin, err := srv.NewSession().Join(ctx, tpch.OrdersProj, tpch.CustomerProj, join, matstore.RightMultiColumn)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const rounds = 40
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if c, err := db.EstimateSelectCost(tpch.LineitemProj, sel, matstore.LMPipelined); err != nil || c.Total() <= 0 {
+					t.Errorf("EstimateSelectCost = %v, %v", c, err)
+				}
+				if c, err := db.EstimateJoinCost(tpch.OrdersProj, tpch.CustomerProj, join, matstore.RightMultiColumn); err != nil || c.Total() <= 0 {
+					t.Errorf("EstimateJoinCost = %v, %v", c, err)
+				}
+				if (i+g)%4 == 0 {
+					c := matstore.PaperConstants()
+					c.FC *= 1 + float64(i%3)
+					db.SetConstants(c)
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := srv.NewSession()
+			for i := 0; i < rounds/4; i++ {
+				got, err := sess.Select(ctx, tpch.LineitemProj, sel, matstore.LMPipelined)
+				if err != nil || !reflect.DeepEqual(got.Res.Cols, want.Res.Cols) {
+					t.Errorf("served selection differs (err %v)", err)
+				}
+				gotJoin, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, join, matstore.RightMultiColumn)
+				if err != nil || !reflect.DeepEqual(gotJoin.Res.Cols, wantJoin.Res.Cols) {
+					t.Errorf("served join differs (err %v)", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := srv.Stats(); st.PlanCache.Hits == 0 {
+		t.Error("the served shapes never shared a cached plan")
+	}
+}

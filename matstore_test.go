@@ -32,8 +32,10 @@ func apiData(t *testing.T) string {
 
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if apiDir != "" {
-		os.RemoveAll(apiDir)
+	for _, dir := range []string{apiDir, paperDir} {
+		if dir != "" {
+			os.RemoveAll(dir)
+		}
 	}
 	benchCleanup()
 	os.Exit(code)
