@@ -5,7 +5,6 @@
 //	BenchmarkFig11           — selection × {plain, RLE, bit-vector} × strategy
 //	BenchmarkFig12           — aggregation × {plain, RLE, bit-vector} × strategy
 //	BenchmarkFig13           — join × inner-table strategy
-//	BenchmarkAblation*       — the DESIGN.md ablations
 //
 // Figure benchmarks report the measured time per query; Fig10 additionally
 // reports the analytical model's prediction as the custom metric
@@ -317,91 +316,6 @@ func BenchmarkParallelAggregation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMultiColumn isolates the LM re-access penalty the
-// multi-column structure avoids (Sections 2.2 and 3.6).
-func BenchmarkAblationMultiColumn(b *testing.B) {
-	e := benchEnv(b)
-	q := selQuery(encoding.RLE, 0.5, false)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"multi-column", false}, {"re-access", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db, err := matstore.Open(e.Dir, matstore.Options{Exec: core.Options{DisableMultiColumn: mode.disable}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			runSelect(b, db, q, matstore.LMParallel)
-		})
-	}
-}
-
-// BenchmarkAblationPositionRep compares adaptive position representations
-// against forced bitmaps (Section 3.3).
-func BenchmarkAblationPositionRep(b *testing.B) {
-	e := benchEnv(b)
-	q := selQuery(encoding.RLE, 0.5, false)
-	for _, mode := range []struct {
-		name  string
-		force bool
-	}{{"adaptive", false}, {"forced-bitmap", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db, err := matstore.Open(e.Dir, matstore.Options{Exec: core.Options{ForceBitmapPositions: mode.force}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			runSelect(b, db, q, matstore.LMParallel)
-		})
-	}
-}
-
-// BenchmarkAblationChunkSize sweeps the horizontal-partition width.
-func BenchmarkAblationChunkSize(b *testing.B) {
-	e := benchEnv(b)
-	q := selQuery(encoding.RLE, 0.5, false)
-	for _, cs := range []int64{4096, 16384, 65536, 262144} {
-		b.Run(fmt.Sprintf("chunk=%d", cs), func(b *testing.B) {
-			db, err := matstore.Open(e.Dir, matstore.Options{Exec: core.Options{ChunkSize: cs}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			runSelect(b, db, q, matstore.LMParallel)
-		})
-	}
-}
-
-// BenchmarkAblationZoneIndex compares scan-derived vs index-derived
-// positions (Section 2.1.1).
-func BenchmarkAblationZoneIndex(b *testing.B) {
-	e := benchEnv(b)
-	q := selQuery(encoding.RLE, 0.3, false)
-	for _, mode := range []struct {
-		name string
-		zone bool
-	}{{"scan-derived", false}, {"index-derived", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db, err := matstore.Open(e.Dir, matstore.Options{Exec: core.Options{UseZoneIndex: mode.zone}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			runSelect(b, db, q, matstore.LMParallel)
-		})
-	}
-}
-
-// BenchmarkAblationAggCompressed compares aggregation directly on
-// compressed data (LM) against decompress-then-hash (EM), Section 4.2.
-func BenchmarkAblationAggCompressed(b *testing.B) {
-	db := benchDB(b)
-	q := selQuery(encoding.RLE, 0.5, true)
-	b.Run("direct-on-compressed", func(b *testing.B) { runSelect(b, db, q, matstore.LMParallel) })
-	b.Run("decompress-then-hash", func(b *testing.B) { runSelect(b, db, q, matstore.EMParallel) })
-}
-
 // BenchmarkJoinBuildSide isolates per-strategy join cost at mid selectivity
 // including the right-table build.
 func BenchmarkJoinBuildSide(b *testing.B) {
@@ -424,16 +338,12 @@ func BenchmarkJoinBuildSide(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedMultiPredicate measures whole-query multi-predicate fusion:
-// a selective two-predicate range conjunction over one unsorted column
-// (quantity), executed with the planner fusing consecutive same-column
-// filters into one scan pass (default) vs. one scan node per predicate
-// (DisableFusion, the unfused reference). The query is scan-dominated (few
-// survivors, cheap materialization), so the fused single pass vs. two DS1
-// passes plus a position AND is what the numbers show; LM-parallel makes
-// the difference purest.
+// BenchmarkFusedMultiPredicate measures a whole query whose two predicates
+// fuse: a selective range conjunction over one unsorted column (quantity),
+// which the planner turns into one scan pass. The query is scan-dominated
+// (few survivors, cheap materialization), and LM-parallel makes the scan's
+// share purest.
 func BenchmarkFusedMultiPredicate(b *testing.B) {
-	e := benchEnv(b)
 	q := matstore.Query{
 		Output: []string{tpch.ColShipdate, tpch.ColQuantity},
 		Filters: []matstore.Filter{
@@ -441,22 +351,7 @@ func BenchmarkFusedMultiPredicate(b *testing.B) {
 			{Col: tpch.ColQuantity, Pred: pred.LessThan(13)},
 		},
 	}
-	for _, mode := range []struct {
-		name string
-		opt  core.Options
-	}{
-		{"fused", core.Options{}},
-		{"unfused", core.Options{DisableFusion: true}},
-	} {
-		db, err := matstore.Open(e.Dir, matstore.Options{Exec: mode.opt})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mode.name, func(b *testing.B) {
-			runSelect(b, db, q, matstore.LMParallel)
-		})
-		db.Close()
-	}
+	runSelect(b, benchDB(b), q, matstore.LMParallel)
 }
 
 // BenchmarkJoinBuild isolates the hash-build phase of the join: the

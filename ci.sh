@@ -19,6 +19,14 @@ test ! -e internal/memory
 # code.
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'SelectionInputs|JoinInputs|deriveInputs|deriveJoinInputs|ModelInputs|paperInputs' .)"
+# An executor without switches: the plan tree is the executor's only input, so
+# none of the five ablation options (or the zone-index scan only one of them
+# reached) may come back in production code, and the join has one partitioning
+# scan loop — the in-memory build is the Grace build with every partition
+# resident — so internal/operators windows the key column in one place.
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'DisableMultiColumn|ForceBitmapPositions|UseZoneIndex|SkipOutputIteration|DisableFusion|ZonePositions' .)"
+test "$(cat $(ls internal/operators/*.go | grep -v _test.go) | grep -c 'key\.Window(')" -le 1
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -27,6 +35,12 @@ go test -race ./...
 # drop them.
 go test -race -run 'TestAdviseMatchesExplain$' .
 go test -race -count=5 -run 'TestEstimateRacesServedPlans$' ./internal/service/
+# The one reference: every strategy x parallelism against internal/oracle's
+# row-at-a-time loops on seeded random queries (repeated filter columns,
+# selections and aggregations), and a column file whose blocks sit in the wrong
+# slot returning ErrCorruptFile instead of panicking. Named for the same reason.
+go test -race -run 'TestRandomQueriesAgainstOracle$' .
+go test -race -run 'TestMisplacedBlock' ./internal/storage/
 # The governor's wait loop: cancel racing a waiter's park (the lost wakeup
 # shows only under the race detector's scheduling, about one run in two) and
 # the three-resource invariant under 64 goroutines.
@@ -73,6 +87,14 @@ ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 # The same for the model stack (the cost model, the advisors, EXPLAIN and the
 # plan builders: 1,497 before PR 17 deleted the input-struct composition).
 ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builders.go \
+	| grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
+# And for the executor stack (the strategies' entry points, the plan executor,
+# the data sources, the radix/Grace build, the block reader and the encodings:
+# 4,301 before PR 18 deleted the ablation options, the zone-index scan and the
+# second build).
+ls internal/core/core.go internal/core/join.go internal/plan/*.go internal/datasource/*.go \
+	internal/operators/radix.go internal/operators/spill.go internal/storage/column.go \
+	internal/storage/gather.go internal/encoding/*.go \
 	| grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 
 # Smoke-run EXPLAIN end to end: generate a small dataset, print an annotated

@@ -1,6 +1,6 @@
 // Command csbench regenerates the paper's evaluation: Table 2 and Figures
-// 10–13, plus the ablation experiments, printing each as a text table (or
-// CSV) of runtime versus selectivity per strategy.
+// 10–13, printing each as a text table (or CSV) of runtime versus selectivity
+// per strategy.
 //
 // Usage:
 //
@@ -29,7 +29,7 @@ func main() {
 	dir := flag.String("dir", "./benchdata", "dataset directory (generated if missing)")
 	scale := flag.Float64("scale", 0.04, "TPC-H scale factor for the dataset")
 	seed := flag.Uint64("seed", 42, "generator seed")
-	exp := flag.String("exp", "all", "experiment: table2|fig10|fig11|fig12|fig13|ablations|all")
+	exp := flag.String("exp", "all", "experiment: table2|fig10|fig11|fig12|fig13|all")
 	encFlag := flag.String("enc", "", "restrict fig11/fig12 to one LINENUM encoding: plain|rle|bv")
 	points := flag.Int("points", len(bench.DefaultSelectivities), "number of selectivity points (2..)")
 	runs := flag.Int("runs", 3, "timed repetitions per point (minimum is reported)")
@@ -105,21 +105,6 @@ func main() {
 	}
 	if want("fig13") {
 		fig, err := env.Fig13(sels)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(fig)
-	}
-	if want("ablations") {
-		type ablation func([]float64) (bench.Figure, error)
-		for _, a := range []ablation{env.AblationMultiColumn, env.AblationPositionRep, env.AblationAggCompressed, env.AblationZoneIndex} {
-			fig, err := a(sels)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emit(fig)
-		}
-		fig, err := env.AblationChunkSize([]int64{4096, 16384, 65536, 262144})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation (Table 2, Figures 10–13) plus the
-// ablations called out in DESIGN.md, over TPC-H-shaped data produced by
-// internal/tpch. Each experiment returns a Figure — an x-axis (selectivity)
+// figure of the paper's evaluation (Table 2, Figures 10–13) over
+// TPC-H-shaped data produced by internal/tpch. Each experiment returns a
+// Figure — an x-axis (selectivity)
 // with one runtime series per strategy — which the CLI and the benchmark
 // suite render as text tables or CSV.
 package bench
@@ -18,6 +18,7 @@ import (
 	"matstore/internal/encoding"
 	"matstore/internal/model"
 	"matstore/internal/operators"
+	"matstore/internal/positions"
 	"matstore/internal/pred"
 	"matstore/internal/storage"
 	"matstore/internal/tpch"
@@ -165,7 +166,7 @@ func (e *Env) executor() *core.Executor {
 // timeBest runs one timed query e.Runs+1 times (the first run warms the
 // buffer pool, as the paper's properly-pipelined assumption requires) and
 // returns the minimum wall time in milliseconds — the timing policy shared
-// by every figure and ablation.
+// by every figure.
 func (e *Env) timeBest(run func() (time.Duration, error)) (float64, error) {
 	best := time.Duration(0)
 	for r := 0; r <= e.Runs; r++ {
@@ -183,11 +184,12 @@ func (e *Env) timeBest(run func() (time.Duration, error)) (float64, error) {
 	return float64(best) / float64(time.Millisecond), nil
 }
 
-// timeSelect applies the timeBest policy to a selection query.
-func (e *Env) timeSelect(exec *core.Executor, p *storage.Projection, q core.SelectQuery, s core.Strategy) (float64, error) {
+// timeSelect applies the timeBest policy to a selection query over lineitem.
+func (e *Env) timeSelect(q core.SelectQuery, s core.Strategy) (float64, error) {
 	q.Parallelism = e.Parallelism
+	exec := e.executor()
 	return e.timeBest(func() (time.Duration, error) {
-		_, stats, err := exec.Select(p, q, s)
+		_, stats, err := exec.Select(e.lineitem, q, s)
 		if err != nil {
 			return 0, err
 		}
@@ -196,8 +198,9 @@ func (e *Env) timeSelect(exec *core.Executor, p *storage.Projection, q core.Sele
 }
 
 // timeJoin applies the timeBest policy to a join query.
-func (e *Env) timeJoin(exec *core.Executor, q core.JoinQuery, rs operators.RightStrategy) (float64, error) {
+func (e *Env) timeJoin(q core.JoinQuery, rs operators.RightStrategy) (float64, error) {
 	q.Parallelism = e.Parallelism
+	exec := e.executor()
 	return e.timeBest(func() (time.Duration, error) {
 		_, stats, err := exec.Join(e.orders, e.customer, q, rs)
 		if err != nil {
@@ -246,11 +249,10 @@ func (e *Env) Fig11(enc encoding.Kind, sels []float64) (Figure, error) {
 		YLabel: "runtime ms, lower is better",
 		X:      sels,
 	}
-	exec := e.executor()
 	for _, s := range fig11Strategies(enc) {
 		ser := fig.series(s.String())
 		for _, sel := range sels {
-			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(enc, sel, false), s)
+			ms, err := e.timeSelect(SelectionQuery(enc, sel, false), s)
 			if err != nil {
 				return fig, err
 			}
@@ -269,11 +271,10 @@ func (e *Env) Fig12(enc encoding.Kind, sels []float64) (Figure, error) {
 		YLabel: "runtime ms, lower is better",
 		X:      sels,
 	}
-	exec := e.executor()
 	for _, s := range fig11Strategies(enc) {
 		ser := fig.series(s.String())
 		for _, sel := range sels {
-			ms, err := e.timeSelect(exec, e.lineitem, SelectionQuery(enc, sel, true), s)
+			ms, err := e.timeSelect(SelectionQuery(enc, sel, true), s)
 			if err != nil {
 				return fig, err
 			}
@@ -312,11 +313,10 @@ func (e *Env) Fig10(sels []float64) (Figure, Figure, error) {
 		fig.series(s.String() + " Real")
 		fig.series(s.String() + " Model")
 	}
-	exec := e.executor()
 	for _, sel := range sels {
 		q := SelectionQuery(encoding.RLE, sel, false)
 		for _, s := range core.Strategies {
-			ms, err := e.timeSelect(exec, e.lineitem, q, s)
+			ms, err := e.timeSelect(q, s)
 			if err != nil {
 				return lm, em, err
 			}
@@ -359,7 +359,6 @@ func (e *Env) Fig13(sels []float64) (Figure, error) {
 		YLabel: "runtime ms, lower is better",
 		X:      sels,
 	}
-	exec := e.executor()
 	nCust := e.customer.TupleCount()
 	for _, rs := range []operators.RightStrategy{
 		operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
@@ -373,7 +372,7 @@ func (e *Env) Fig13(sels []float64) (Figure, error) {
 				RightKey:    tpch.ColCustkey,
 				RightOutput: []string{tpch.ColNationcode},
 			}
-			ms, err := e.timeJoin(exec, q, rs)
+			ms, err := e.timeJoin(q, rs)
 			if err != nil {
 				return fig, err
 			}
@@ -460,4 +459,43 @@ func SortedSeriesNames(f Figure) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// PositionIntersectMicro measures the raw position-AND primitives of
+// Section 3.3 (ranges×ranges, bitmap×bitmap, ranges×bitmap) over n
+// positions, reporting millions of positions intersected per millisecond.
+// It is exercised by the benchmark suite rather than the figure sweeps.
+func PositionIntersectMicro(n int64) map[string]positions.Set {
+	half := positions.NewRanges(positions.Range{Start: 0, End: n / 2})
+	quarter := positions.NewRanges(positions.Range{Start: n / 4, End: 3 * n / 4})
+	bmEven := positions.NewBitmap(0, n)
+	for i := int64(0); i < n; i += 2 {
+		bmEven.Set(i)
+	}
+	bmThirds := positions.NewBitmap(0, n)
+	for i := int64(0); i < n; i += 3 {
+		bmThirds.Set(i)
+	}
+	return map[string]positions.Set{
+		"ranges-x-ranges": positions.And(half, quarter),
+		"bitmap-x-bitmap": positions.And(bmEven, bmThirds),
+		"ranges-x-bitmap": positions.And(half, bmEven),
+	}
+}
+
+// JoinStatsAt returns the join work counters at a fixed selectivity, used
+// to verify Figure 13's mechanism (deferred fetches for the single-column
+// strategy).
+func (e *Env) JoinStatsAt(sel float64, rs operators.RightStrategy) (*core.JoinStats, error) {
+	exec := e.executor()
+	q := core.JoinQuery{
+		LeftKey:     tpch.ColCustkey,
+		LeftPred:    pred.LessThan(tpch.CustkeyForSelectivity(sel, e.customer.TupleCount())),
+		LeftOutput:  []string{tpch.ColOrderShipdate},
+		RightKey:    tpch.ColCustkey,
+		RightOutput: []string{tpch.ColNationcode},
+		Parallelism: e.Parallelism,
+	}
+	_, stats, err := exec.Join(e.orders, e.customer, q, rs)
+	return stats, err
 }

@@ -40,12 +40,6 @@ func TestMain(m *testing.M) {
 	if envDir != "" {
 		os.RemoveAll(envDir)
 	}
-	if coordRoot != "" {
-		os.RemoveAll(coordRoot)
-	}
-	if kpBenchRoot != "" {
-		os.RemoveAll(kpBenchRoot)
-	}
 	os.Exit(code)
 }
 
@@ -138,25 +132,6 @@ func TestFig13Runs(t *testing.T) {
 	}
 	if len(fig.Series) != 3 {
 		t.Errorf("series = %v", SortedSeriesNames(fig))
-	}
-}
-
-func TestAblations(t *testing.T) {
-	e := testEnv(t)
-	if _, err := e.AblationMultiColumn(smallSels()); err != nil {
-		t.Error(err)
-	}
-	if _, err := e.AblationPositionRep(smallSels()); err != nil {
-		t.Error(err)
-	}
-	if _, err := e.AblationChunkSize([]int64{1024, 65536}); err != nil {
-		t.Error(err)
-	}
-	if _, err := e.AblationAggCompressed(smallSels()); err != nil {
-		t.Error(err)
-	}
-	if _, err := e.AblationZoneIndex(smallSels()); err != nil {
-		t.Error(err)
 	}
 }
 

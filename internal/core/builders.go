@@ -16,7 +16,7 @@ import (
 // single generic morsel executor in internal/plan runs whichever tree it is
 // handed. Consecutive filters over the same column fuse into one
 // multi-predicate scan node (one pass, k compiled predicates per loaded
-// word) unless Options.DisableFusion splits them back apart.
+// word).
 
 // filterGroup is a maximal run of consecutive WHERE predicates over one
 // column — the unit that becomes a single (possibly fused) scan node.
@@ -25,14 +25,12 @@ type filterGroup struct {
 	preds []pred.Predicate
 }
 
-// fuseFilters groups q's filters into scan units: with fusion enabled,
-// consecutive filters over the same column merge into one k-predicate
-// group; with fusion disabled every filter stays its own group (the unfused
-// reference path differential tests pin against).
-func fuseFilters(fs []Filter, fuse bool) []filterGroup {
+// fuseFilters groups q's filters into scan units: consecutive filters over
+// the same column merge into one k-predicate group.
+func fuseFilters(fs []Filter) []filterGroup {
 	var out []filterGroup
 	for _, f := range fs {
-		if fuse && len(out) > 0 && out[len(out)-1].col == f.Col {
+		if len(out) > 0 && out[len(out)-1].col == f.Col {
 			out[len(out)-1].preds = append(out[len(out)-1].preds, f.Pred)
 			continue
 		}
@@ -120,8 +118,8 @@ func resolveAll(t Table, names []string) ([]plan.Col, error) {
 
 // BuildPlan compiles q into the physical plan the given strategy would
 // execute against p. The plan is self-contained (columns and their
-// statistics resolved, chunk size and ablation switches captured) and can be
-// priced by the cost model and executed any number of times.
+// statistics resolved, chunk size captured) and can be priced by the cost
+// model and executed any number of times.
 func (e *Executor) BuildPlan(p *storage.Projection, q SelectQuery, s Strategy) (*plan.Plan, error) {
 	return e.BuildPlanOn(TableOf(p), q, s)
 }
@@ -131,7 +129,7 @@ func (e *Executor) BuildPlanOn(t Table, q SelectQuery, s Strategy) (*plan.Plan, 
 	if err := q.check(); err != nil {
 		return nil, err
 	}
-	groups := fuseFilters(q.Filters, !e.Opt.DisableFusion)
+	groups := fuseFilters(q.Filters)
 	var root *plan.Node
 	var err error
 	switch s {
@@ -153,18 +151,15 @@ func (e *Executor) BuildPlanOn(t Table, q SelectQuery, s Strategy) (*plan.Plan, 
 		Label: s.String(),
 		Root:  root,
 		Spec: plan.Spec{
-			OutNames:           q.outputNames(),
-			Output:             q.Output,
-			GroupBy:            q.GroupBy,
-			AggCol:             q.AggCol,
-			Agg:                q.Agg,
-			Aggregating:        q.Aggregating(),
-			MatCols:            matCols(q),
-			Tuples:             t.Tuples,
-			ChunkSize:          e.Opt.chunkSize(),
-			DisableMultiColumn: e.Opt.DisableMultiColumn,
-			ForceBitmap:        e.Opt.ForceBitmapPositions,
-			UseZoneIndex:       e.Opt.UseZoneIndex,
+			OutNames:    q.outputNames(),
+			Output:      q.Output,
+			GroupBy:     q.GroupBy,
+			AggCol:      q.AggCol,
+			Agg:         q.Agg,
+			Aggregating: q.Aggregating(),
+			MatCols:     matCols(q),
+			Tuples:      t.Tuples,
+			ChunkSize:   e.Opt.chunkSize(),
 		},
 	}, nil
 }

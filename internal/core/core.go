@@ -14,16 +14,20 @@
 //   - LM-parallel: DS1 on every predicate column in parallel, position
 //     lists ANDed, then DS3 extraction and a final MERGE.
 //
-// Both LM strategies use the multi-column optimization of Section 3.6 by
-// default (mini-columns are retained so DS3 never re-reads a block);
-// Options.DisableMultiColumn forces the column re-access the paper
-// describes as the fundamental LM penalty.
+// Both LM strategies use the multi-column optimization of Section 3.6
+// (mini-columns are retained, so DS3 never re-reads a block a scan of the
+// same chunk already windowed); a column no scan touched is re-accessed
+// through the batched gather — the LM penalty of Section 2.2.
 //
-// Since PR 3 each strategy is a plan BUILDER (builders.go): it assembles a
-// tree of internal/plan operator nodes, and the single generic morsel
-// executor in internal/plan runs any such tree. Consecutive same-column
-// predicates fuse into one multi-predicate scan node unless
-// Options.DisableFusion splits them apart.
+// Each strategy is a plan BUILDER (builders.go): it assembles a tree of
+// internal/plan operator nodes, and the single generic morsel executor in
+// internal/plan runs any such tree. Consecutive same-column predicates fuse
+// into one multi-predicate scan node. The plan tree is the executor's only
+// input: what varies between two runs of a query is the tree (the strategy
+// and, for joins, the inner-table strategy), the worker count and the two
+// sizes in Options — there is no switch that selects a different code path
+// under the same tree. The reference every strategy is tested against is
+// internal/oracle's row-at-a-time loop, not a second path in here.
 package core
 
 import (
@@ -189,30 +193,13 @@ func (q SelectQuery) outputNames() []string {
 	return q.Output
 }
 
-// Options tunes the executor.
+// Options are the executor's two sizes. Neither selects a code path: results
+// are identical at every value, and the test suites set them to reach
+// multi-chunk and multi-partition execution on small data.
 type Options struct {
 	// ChunkSize is the horizontal-partition width in positions (default
 	// datasource.DefaultChunkSize). Must be a positive multiple of 64.
 	ChunkSize int64
-	// DisableMultiColumn forces LM strategies to re-access columns through
-	// the buffer pool at materialization time instead of reusing
-	// mini-columns (the Section 2.2 penalty; ablation).
-	DisableMultiColumn bool
-	// ForceBitmapPositions forces every DS1 position output into bitmap
-	// representation (position-representation ablation; Section 3.3).
-	ForceBitmapPositions bool
-	// UseZoneIndex lets late-materialization scans derive positions from
-	// block min/max metadata without reading values where possible
-	// (Section 2.1.1's index-derived positions).
-	UseZoneIndex bool
-	// SkipOutputIteration drops the final scan over output tuples. The
-	// paper charges numOutTuples × TIC_TUP for result iteration in both
-	// model and experiments, so the default (false) mirrors that.
-	SkipOutputIteration bool
-	// DisableFusion keeps every WHERE predicate its own scan node instead
-	// of fusing consecutive same-column predicates into one multi-predicate
-	// pass (the unfused reference path; ablation and differential testing).
-	DisableFusion bool
 	// JoinPartitions overrides the radix partition count of the parallel
 	// join hash build (rounded up to a power of two; 0 derives it from the
 	// worker count). Results are identical at every partition count.
@@ -312,9 +299,7 @@ func (e *Executor) RunPlanWith(pl *plan.Plan, s Strategy, parallelism int, opt p
 	stats.Morsels = runStats.Morsels
 	stats.AggState = runStats.AggState
 
-	if !e.Opt.SkipOutputIteration {
-		stats.OutputChecksum = drainResult(res)
-	}
+	stats.OutputChecksum = drainResult(res)
 	stats.Wall = time.Since(start)
 	stats.TuplesOut = int64(res.NumRows())
 	after := e.Pool.Stats()

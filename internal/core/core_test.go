@@ -9,6 +9,7 @@ import (
 
 	"matstore/internal/encoding"
 	"matstore/internal/operators"
+	"matstore/internal/oracle"
 	"matstore/internal/pred"
 	"matstore/internal/rows"
 	"matstore/internal/storage"
@@ -77,59 +78,34 @@ func resultsEqual(a, b *rows.Result) bool {
 	return true
 }
 
-// naiveSelect recomputes the expected selection result by scanning fully
-// decompressed columns.
+// naiveSelect computes the expected result with internal/oracle's
+// row-at-a-time reference.
 func naiveSelect(t *testing.T, p *storage.Projection, q SelectQuery) *rows.Result {
 	t.Helper()
-	decomp := map[string][]int64{}
-	for _, f := range q.Filters {
-		decomp[f.Col] = decompressAll(t, p, f.Col)
+	col := func(name string) *storage.Column {
+		c, err := p.Column(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	var matNames []string
+	filters := make([]oracle.Filter, len(q.Filters))
+	for i, f := range q.Filters {
+		filters[i] = oracle.Filter{Col: col(f.Col), Pred: f.Pred}
+	}
+	res := rows.NewResult(q.outputNames()...)
+	var err error
 	if q.Aggregating() {
-		matNames = []string{q.GroupBy, q.AggCol}
+		res.Cols[0], res.Cols[1], err = oracle.Aggregate(filters, col(q.GroupBy), col(q.AggCol), q.Agg.String())
 	} else {
-		matNames = q.Output
+		out := make([]*storage.Column, len(q.Output))
+		for i, name := range q.Output {
+			out[i] = col(name)
+		}
+		res.Cols, err = oracle.Select(filters, out)
 	}
-	for _, n := range matNames {
-		if _, ok := decomp[n]; !ok {
-			decomp[n] = decompressAll(t, p, n)
-		}
-	}
-	n := p.TupleCount()
-	if q.Aggregating() {
-		agg := operators.NewAggregator(q.Agg)
-		for i := int64(0); i < n; i++ {
-			ok := true
-			for _, f := range q.Filters {
-				if !f.Pred.Match(decomp[f.Col][i]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				agg.AddTuple(decomp[q.GroupBy][i], decomp[q.AggCol][i])
-			}
-		}
-		return agg.Emit(q.GroupBy, q.Agg.String()+"("+q.AggCol+")")
-	}
-	res := rows.NewResult(q.Output...)
-	vals := make([]int64, len(q.Output))
-	for i := int64(0); i < n; i++ {
-		ok := true
-		for _, f := range q.Filters {
-			if !f.Pred.Match(decomp[f.Col][i]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for c, name := range q.Output {
-			vals[c] = decomp[name][i]
-		}
-		res.AppendRow(vals...)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return res
 }
@@ -334,97 +310,6 @@ func TestBlockSkipping(t *testing.T) {
 		}
 		if stats.ChunksSkipped != 0 {
 			t.Errorf("%v: ChunksSkipped = %d, want 0", s, stats.ChunksSkipped)
-		}
-	}
-}
-
-func TestDisableMultiColumnAblation(t *testing.T) {
-	db := openDB(t)
-	p, _ := db.Projection(tpch.LineitemProj)
-	q := lineitemQuery(tpch.ColLinenumRLE, tpch.ShipdateForSelectivity(0.4), tpch.LinenumMax)
-
-	with := NewExecutor(db.Pool(), Options{ChunkSize: 1024})
-	resWith, _, err := with.Select(p, q, LMParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without := NewExecutor(db.Pool(), Options{ChunkSize: 1024, DisableMultiColumn: true})
-	resWithout, statsWithout, err := without.Select(p, q, LMParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(resWith, resWithout) {
-		t.Error("DisableMultiColumn changed the result")
-	}
-	// Re-access goes through the pool: hits must appear (the I/O is free but
-	// the blocks are touched again).
-	if statsWithout.Buffer.Hits == 0 {
-		t.Error("expected buffer hits from column re-access with multi-columns disabled")
-	}
-}
-
-// TestZoneIndexEquivalence: with index-derived positions enabled, LM
-// strategies must return identical results while reading fewer blocks for
-// selective predicates over the sorted leading column.
-func TestZoneIndexEquivalence(t *testing.T) {
-	db := openDB(t)
-	p, _ := db.Projection(tpch.LineitemProj)
-	plain := NewExecutor(db.Pool(), Options{ChunkSize: 1024})
-	zoned := NewExecutor(db.Pool(), Options{ChunkSize: 1024, UseZoneIndex: true})
-	for _, enc := range []encoding.Kind{encoding.Plain, encoding.RLE, encoding.BitVector} {
-		for _, sel := range []float64{0.05, 0.5, 1.0} {
-			q := lineitemQuery(tpch.LinenumColumn(enc), tpch.ShipdateForSelectivity(sel), tpch.LinenumMax)
-			for _, s := range []Strategy{LMParallel, LMPipelined} {
-				a, _, err := plain.Select(p, q, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, _, err := zoned.Select(p, q, s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !resultsEqual(a, b) {
-					t.Errorf("%v/%v sel=%v: zone index changed the result", enc, s, sel)
-				}
-			}
-		}
-	}
-	// Aggregation under zone index.
-	q := SelectQuery{
-		Filters: []Filter{{Col: tpch.ColRetflag, Pred: pred.Equals(1)}},
-		GroupBy: tpch.ColShipdate,
-		AggCol:  tpch.ColQuantity,
-	}
-	a, _, err := plain.Select(p, q, LMParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := zoned.Select(p, q, LMParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(a, b) {
-		t.Error("zone index changed aggregation result")
-	}
-}
-
-func TestForceBitmapAblation(t *testing.T) {
-	db := openDB(t)
-	p, _ := db.Projection(tpch.LineitemProj)
-	q := lineitemQuery(tpch.ColLinenumRLE, tpch.ShipdateForSelectivity(0.4), 4)
-	a := NewExecutor(db.Pool(), Options{ChunkSize: 1024})
-	b := NewExecutor(db.Pool(), Options{ChunkSize: 1024, ForceBitmapPositions: true})
-	for _, s := range Strategies {
-		ra, _, err := a.Select(p, q, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, _, err := b.Select(p, q, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !resultsEqual(ra, rb) {
-			t.Errorf("%v: ForceBitmapPositions changed the result", s)
 		}
 	}
 }

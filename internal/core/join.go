@@ -96,13 +96,10 @@ func (e *Executor) BuildJoinPlanOn(left, right Table, q JoinQuery, rs operators.
 		Label: "join " + rs.String(),
 		Root:  plan.NewProject(probe, outNames),
 		Spec: plan.Spec{
-			OutNames:           outNames,
-			Output:             outNames,
-			Tuples:             left.Tuples,
-			ChunkSize:          e.Opt.chunkSize(),
-			DisableMultiColumn: e.Opt.DisableMultiColumn,
-			ForceBitmap:        e.Opt.ForceBitmapPositions,
-			UseZoneIndex:       e.Opt.UseZoneIndex,
+			OutNames:  outNames,
+			Output:    outNames,
+			Tuples:    left.Tuples,
+			ChunkSize: e.Opt.chunkSize(),
 		},
 	}, nil
 }
@@ -148,9 +145,7 @@ func (e *Executor) RunJoinPlanWith(pl *plan.Plan, parallelism int, opt plan.RunO
 	stats.Morsels = runStats.Morsels
 	stats.PositionsMatched = runStats.PositionsMatched
 	stats.ChunksSkipped = runStats.ChunksSkipped
-	if !e.Opt.SkipOutputIteration {
-		stats.OutputChecksum = drainResult(res)
-	}
+	stats.OutputChecksum = drainResult(res)
 	stats.Wall = time.Since(start)
 	stats.TuplesOut = int64(res.NumRows())
 	stats.TuplesConstructed = runStats.Join.OutputTuples + runStats.Join.RightBuildTuples

@@ -20,7 +20,6 @@ func TestPlanShapesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewExecutor(db.Pool(), Options{ChunkSize: 1024})
-	unfused := NewExecutor(db.Pool(), Options{ChunkSize: 1024, DisableFusion: true})
 
 	oneFilter := SelectQuery{
 		Output:  []string{tpch.ColShipdate, tpch.ColLinenum},
@@ -43,51 +42,50 @@ func TestPlanShapesGolden(t *testing.T) {
 
 	cases := []struct {
 		name string
-		exec *Executor
 		q    SelectQuery
 		s    Strategy
 		want string
 	}{
-		{"one-filter", e, oneFilter, EMPipelined, `EM-pipelined plan
+		{"one-filter", oneFilter, EMPipelined, `EM-pipelined plan
 PROJECT (shipdate, linenum)
 └─ DS4 widen linenum
    └─ DS2 scan shipdate (shipdate < 400)
 `},
-		{"one-filter", e, oneFilter, EMParallel, `EM-parallel plan
+		{"one-filter", oneFilter, EMParallel, `EM-parallel plan
 PROJECT (shipdate, linenum)
 └─ SPC scan (shipdate, linenum) where shipdate < 400
 `},
-		{"one-filter", e, oneFilter, LMPipelined, `LM-pipelined plan
+		{"one-filter", oneFilter, LMPipelined, `LM-pipelined plan
 MERGE out=(shipdate, linenum)
 ├─ DS1 scan shipdate (shipdate < 400)
 ├─ DS3 extract shipdate
 └─ DS3 extract linenum
 `},
-		{"one-filter", e, oneFilter, LMParallel, `LM-parallel plan
+		{"one-filter", oneFilter, LMParallel, `LM-parallel plan
 MERGE out=(shipdate, linenum)
 ├─ DS1 scan shipdate (shipdate < 400)
 ├─ DS3 extract shipdate
 └─ DS3 extract linenum
 `},
 
-		{"three-filter-fused", e, threeFilter, EMPipelined, `EM-pipelined plan
+		{"three-filter-fused", threeFilter, EMPipelined, `EM-pipelined plan
 PROJECT (shipdate, quantity)
 └─ DS4 widen quantity
    └─ DS4 widen+filter linenum (linenum < 5)
       └─ DS2 scan shipdate (shipdate >= 100 AND shipdate < 400) [fused x2]
 `},
-		{"three-filter-fused", e, threeFilter, EMParallel, `EM-parallel plan
+		{"three-filter-fused", threeFilter, EMParallel, `EM-parallel plan
 PROJECT (shipdate, quantity)
 └─ SPC scan (shipdate, linenum, quantity) where shipdate >= 100 AND shipdate < 400 AND linenum < 5
 `},
-		{"three-filter-fused", e, threeFilter, LMPipelined, `LM-pipelined plan
+		{"three-filter-fused", threeFilter, LMPipelined, `LM-pipelined plan
 MERGE out=(shipdate, quantity)
 ├─ DS3+pred filter linenum (linenum < 5)
 │  └─ DS1 scan shipdate (shipdate >= 100 AND shipdate < 400) [fused x2]
 ├─ DS3 extract shipdate
 └─ DS3 extract quantity
 `},
-		{"three-filter-fused", e, threeFilter, LMParallel, `LM-parallel plan
+		{"three-filter-fused", threeFilter, LMParallel, `LM-parallel plan
 MERGE out=(shipdate, quantity)
 ├─ AND (2 position lists)
 │  ├─ DS1 scan shipdate (shipdate >= 100 AND shipdate < 400) [fused x2]
@@ -95,61 +93,41 @@ MERGE out=(shipdate, quantity)
 ├─ DS3 extract shipdate
 └─ DS3 extract quantity
 `},
-		// With fusion disabled the same query splits back into one scan node
-		// per predicate — the unfused reference path.
-		{"three-filter-unfused", unfused, threeFilter, LMParallel, `LM-parallel plan
-MERGE out=(shipdate, quantity)
-├─ AND (3 position lists)
-│  ├─ DS1 scan shipdate (shipdate >= 100)
-│  ├─ DS1 scan shipdate (shipdate < 400)
-│  └─ DS1 scan linenum (linenum < 5)
-├─ DS3 extract shipdate
-└─ DS3 extract quantity
-`},
-		{"three-filter-unfused", unfused, threeFilter, LMPipelined, `LM-pipelined plan
-MERGE out=(shipdate, quantity)
-├─ DS3+pred filter linenum (linenum < 5)
-│  └─ DS3+pred filter shipdate (shipdate < 400)
-│     └─ DS1 scan shipdate (shipdate >= 100)
-├─ DS3 extract shipdate
-└─ DS3 extract quantity
-`},
-
-		{"aggregation", e, aggregation, EMPipelined, `EM-pipelined plan
+		{"aggregation", aggregation, EMPipelined, `EM-pipelined plan
 AGG sum(quantity) group by returnflag
 └─ DS4 widen quantity
    └─ DS4 widen returnflag
       └─ DS2 scan shipdate (shipdate < 400)
 `},
-		{"aggregation", e, aggregation, EMParallel, `EM-parallel plan
+		{"aggregation", aggregation, EMParallel, `EM-parallel plan
 AGG sum(quantity) group by returnflag
 └─ SPC scan (shipdate, returnflag, quantity) where shipdate < 400
 `},
-		{"aggregation", e, aggregation, LMPipelined, `LM-pipelined plan
+		{"aggregation", aggregation, LMPipelined, `LM-pipelined plan
 AGG sum(quantity) group by returnflag
 └─ DS1 scan shipdate (shipdate < 400)
 `},
-		{"aggregation", e, aggregation, LMParallel, `LM-parallel plan
+		{"aggregation", aggregation, LMParallel, `LM-parallel plan
 AGG sum(quantity) group by returnflag
 └─ DS1 scan shipdate (shipdate < 400)
 `},
 
-		{"join-right-side", e, joinRightSide, EMPipelined, `EM-pipelined plan
+		{"join-right-side", joinRightSide, EMPipelined, `EM-pipelined plan
 PROJECT (shipdate, quantity)
 └─ DS4 widen quantity
    └─ DS2 scan shipdate
 `},
-		{"join-right-side", e, joinRightSide, EMParallel, `EM-parallel plan
+		{"join-right-side", joinRightSide, EMParallel, `EM-parallel plan
 PROJECT (shipdate, quantity)
 └─ SPC scan (shipdate, quantity)
 `},
-		{"join-right-side", e, joinRightSide, LMPipelined, `LM-pipelined plan
+		{"join-right-side", joinRightSide, LMPipelined, `LM-pipelined plan
 MERGE out=(shipdate, quantity)
 ├─ ALL positions
 ├─ DS3 extract shipdate
 └─ DS3 extract quantity
 `},
-		{"join-right-side", e, joinRightSide, LMParallel, `LM-parallel plan
+		{"join-right-side", joinRightSide, LMParallel, `LM-parallel plan
 MERGE out=(shipdate, quantity)
 ├─ ALL positions
 ├─ DS3 extract shipdate
@@ -157,7 +135,7 @@ MERGE out=(shipdate, quantity)
 `},
 	}
 	for _, tc := range cases {
-		pl, err := tc.exec.BuildPlan(p, tc.q, tc.s)
+		pl, err := e.BuildPlan(p, tc.q, tc.s)
 		if err != nil {
 			t.Fatalf("%s/%v: %v", tc.name, tc.s, err)
 		}
@@ -168,8 +146,7 @@ MERGE out=(shipdate, quantity)
 }
 
 // TestFuseFilters pins the grouping rule: consecutive same-column filters
-// merge, non-consecutive repeats and distinct columns do not; DisableFusion
-// keeps singletons.
+// merge, non-consecutive repeats and distinct columns do not.
 func TestFuseFilters(t *testing.T) {
 	fs := []Filter{
 		{Col: "a", Pred: pred.AtLeast(1)},
@@ -177,15 +154,11 @@ func TestFuseFilters(t *testing.T) {
 		{Col: "b", Pred: pred.Equals(3)},
 		{Col: "a", Pred: pred.NotEquals(5)},
 	}
-	got := fuseFilters(fs, true)
+	got := fuseFilters(fs)
 	if len(got) != 3 || len(got[0].preds) != 2 || got[0].col != "a" || got[1].col != "b" || got[2].col != "a" {
 		t.Errorf("fuseFilters = %+v", got)
 	}
-	got = fuseFilters(fs, false)
-	if len(got) != 4 {
-		t.Errorf("unfused groups = %d, want 4", len(got))
-	}
-	if fuseFilters(nil, true) != nil {
+	if fuseFilters(nil) != nil {
 		t.Error("no filters should give no groups")
 	}
 }

@@ -64,179 +64,70 @@ func (c Chunker) Chunk(i int) positions.Range {
 	return positions.Range{Start: start, End: end}
 }
 
+// conj is a predicate conjunction over one column, compiled once when its
+// data source is constructed (once per morsel) and applied to every chunk.
+type conj struct {
+	// preds is the pred.SimplifyConj form, never empty: interval predicates
+	// collapse into one, so only Ne residue keeps it k-ary.
+	preds []pred.Predicate
+	// fused is the k-ary conjunction kernel (pred.CompileFused) when more
+	// than one predicate is left: all k are evaluated in a single pass over
+	// each loaded chunk instead of k scans ANDed downstream.
+	fused pred.Kernel
+}
+
+func compileConj(ps []pred.Predicate) conj {
+	c := conj{preds: pred.SimplifyConj(ps)}
+	if len(c.preds) > 1 {
+		c.fused = pred.CompileFused(c.preds)
+	}
+	return c
+}
+
+// filter returns the positions of mc whose values satisfy the conjunction.
+func (c conj) filter(mc encoding.MiniColumn) positions.Set {
+	if len(c.preds) == 1 {
+		return mc.Filter(c.preds[0])
+	}
+	return encoding.FilterFusedKernel(mc, c.preds, c.fused)
+}
+
 // DS1 scans a column and produces, per chunk, the positions whose values
 // satisfy the predicate conjunction, along with the chunk's mini-column (so
 // the caller can attach it to a multi-column for later value extraction).
 type DS1 struct {
-	Col  *storage.Column
-	Pred pred.Predicate
-	// Preds, when non-empty, is a fused predicate conjunction replacing Pred:
-	// all k predicates are evaluated in a single pass over each loaded chunk
-	// (pred.CompileFused) instead of k scans ANDed downstream. Callers should
-	// pass the pred.SimplifyConj form so interval conjunctions collapse to
-	// one predicate and stay eligible for the zone-index fast path.
-	Preds []pred.Predicate
-	// ForceBitmap requests bitmap position output regardless of shape (the
-	// position-representation ablation).
-	ForceBitmap bool
-	// UseZoneIndex derives positions from the block index's min/max zones
-	// where possible (Section 2.1.1), reading only straddling blocks. When
-	// the fast path applies, no mini-column is produced (the values were
-	// never accessed) and the returned mini-column is nil.
-	UseZoneIndex bool
-	// fused caches the compiled k-ary conjunction kernel (CompilePreds).
-	fused pred.Kernel
+	Col *storage.Column
+	conj
 }
 
-// CompilePreds caches the fused conjunction kernel so per-chunk ScanChunk
-// calls skip recompilation. Call it once per morsel after constructing the
-// DS1; a nil receiver state recompiles lazily.
-func (ds *DS1) CompilePreds() {
-	if len(ds.Preds) > 1 {
-		ds.fused = pred.CompileFused(ds.Preds)
-	}
+// NewDS1 compiles the scan of col under the conjunction preds (none matches
+// every value).
+func NewDS1(col *storage.Column, preds []pred.Predicate) *DS1 {
+	return &DS1{Col: col, conj: compileConj(preds)}
 }
 
-// pred1 returns the single effective predicate and true when the data source
-// is not running a k-ary fused conjunction.
-func (ds *DS1) pred1() (pred.Predicate, bool) {
-	switch len(ds.Preds) {
-	case 0:
-		return ds.Pred, true
-	case 1:
-		return ds.Preds[0], true
-	default:
-		return pred.Predicate{}, false
-	}
-}
-
-// ScanChunk reads the chunk window and applies the predicate(s). The
-// returned mini-column is nil when the zone-index fast path resolved the
-// predicate without materializing the window.
+// ScanChunk reads the chunk window and applies the predicate(s).
 func (ds *DS1) ScanChunk(r positions.Range) (positions.Set, encoding.MiniColumn, error) {
-	if ds.UseZoneIndex {
-		if p, single := ds.pred1(); single {
-			ps, used, err := ds.Col.ZonePositions(r, p)
-			if err != nil {
-				return nil, nil, err
-			}
-			if used {
-				return ds.forceBitmap(ps, r.Intersect(ds.Col.Extent())), nil, nil
-			}
-		} else if ps, used, err := ds.zoneFusedScan(r); err != nil {
-			return nil, nil, err
-		} else if used {
-			return ds.forceBitmap(ps, r.Intersect(ds.Col.Extent())), nil, nil
-		}
-	}
 	mc, err := ds.Col.Window(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	var ps positions.Set
-	if p, single := ds.pred1(); single {
-		ps = mc.Filter(p)
-	} else {
-		k := ds.fused
-		if k == nil {
-			k = pred.CompileFused(ds.Preds)
-		}
-		ps = encoding.FilterFusedKernel(mc, ds.Preds, k)
-	}
-	return ds.forceBitmap(ps, mc.Covering()), mc, nil
-}
-
-// zoneFusedScan is the zone-index path for a fused conjunction of one
-// interval predicate plus Ne residue (the only multi-predicate shape
-// pred.SimplifyConj leaves): the interval part derives positions from the
-// block zones exactly as the single-predicate path does, and when the
-// survivors are sparse the residue is applied by a batched block-pinned
-// gather of just their values — so fusion keeps the zone index's block
-// skipping instead of regressing to a full window scan. Dense survivor
-// sets fall back to the window + fused-kernel path (used=false), which is
-// cheaper than gathering most of the chunk.
-func (ds *DS1) zoneFusedScan(r positions.Range) (positions.Set, bool, error) {
-	if _, _, ok := ds.Preds[0].Interval(); !ok {
-		return nil, false, nil // pure-Ne conjunction: zones carry no information
-	}
-	for _, p := range ds.Preds[1:] {
-		if p.Op != pred.Ne {
-			return nil, false, nil
-		}
-	}
-	ps, used, err := ds.Col.ZonePositions(r, ds.Preds[0])
-	if err != nil || !used {
-		return nil, used, err
-	}
-	n := ps.Count()
-	window := r.Intersect(ds.Col.Extent())
-	if n == 0 {
-		return positions.Empty{}, true, nil
-	}
-	if n*4 > window.Len() {
-		return nil, false, nil // dense: let the fused window scan handle it
-	}
-	vals, err := ds.Col.GatherAt(ps, make([]int64, 0, n))
-	if err != nil {
-		return nil, false, err
-	}
-	match := pred.CompileFusedMatcher(ds.Preds[1:])
-	b := positions.NewBuilder(window)
-	i := 0
-	it := ps.Runs()
-	for {
-		run, ok := it.Next()
-		if !ok {
-			break
-		}
-		runStart := int64(-1)
-		for p := run.Start; p < run.End; p++ {
-			if match(vals[i]) {
-				if runStart < 0 {
-					runStart = p
-				}
-			} else if runStart >= 0 {
-				b.AddRange(positions.Range{Start: runStart, End: p})
-				runStart = -1
-			}
-			i++
-		}
-		if runStart >= 0 {
-			b.AddRange(positions.Range{Start: runStart, End: run.End})
-		}
-	}
-	return b.Build(), true, nil
-}
-
-// forceBitmap applies the position-representation ablation to a scan's
-// output set.
-func (ds *DS1) forceBitmap(ps positions.Set, extent positions.Range) positions.Set {
-	if ds.ForceBitmap && ps.Kind() != positions.KindBitmap && ps.Kind() != positions.KindEmpty {
-		return positions.ToBitmap(ps, extent)
-	}
-	return ps
+	return ds.filter(mc), mc, nil
 }
 
 // DS2 scans a column and produces, per chunk, early-materialized
-// (position, value) pairs for the values satisfying the predicate. This is
-// the EM leaf: values are glued to positions immediately (the TIC_TUP cost
-// in the model's Case 2).
+// (position, value) pairs for the values satisfying the predicate
+// conjunction. This is the EM leaf: values are glued to positions immediately
+// (the TIC_TUP cost in the model's Case 2).
 type DS2 struct {
-	Col  *storage.Column
-	Pred pred.Predicate
-	// Preds, when non-empty, is a fused predicate conjunction replacing Pred
-	// (see DS1.Preds): one pass over the chunk evaluates all k predicates.
-	Preds []pred.Predicate
-	// fused caches the compiled conjunction kernel (CompilePreds).
-	fused pred.Kernel
+	Col *storage.Column
+	conj
 }
 
-// CompilePreds caches the fused conjunction kernel so per-chunk calls skip
-// recompilation. Call it once per morsel after constructing the DS2.
-func (ds *DS2) CompilePreds() {
-	if len(ds.Preds) > 1 {
-		ds.fused = pred.CompileFused(ds.Preds)
-	}
+// NewDS2 compiles the scan of col under the conjunction preds (none matches
+// every value).
+func NewDS2(col *storage.Column, preds []pred.Predicate) *DS2 {
+	return &DS2{Col: col, conj: compileConj(preds)}
 }
 
 // ScanChunk refills batch with the chunk's early-materialized tuples:
@@ -248,19 +139,7 @@ func (ds *DS2) ScanChunk(r positions.Range, batch *rows.Batch) error {
 	if err != nil {
 		return err
 	}
-	var ps positions.Set
-	switch len(ds.Preds) {
-	case 0:
-		ps = mc.Filter(ds.Pred)
-	case 1:
-		ps = mc.Filter(ds.Preds[0])
-	default:
-		k := ds.fused
-		if k == nil {
-			k = pred.CompileFused(ds.Preds)
-		}
-		ps = encoding.FilterFusedKernel(mc, ds.Preds, k)
-	}
+	ps := ds.filter(mc)
 	batch.Reset()
 	batch.Cols[0] = mc.Extract(batch.Cols[0], ps)
 	batch.Pos = slices.Grow(batch.Pos, len(batch.Cols[0]))[:len(batch.Cols[0])]
@@ -291,19 +170,15 @@ func expandPositions(pos []int64, ps positions.Set) {
 // multi-column optimization the values come from an in-memory mini-column
 // and the I/O cost is zero; without it the column is re-accessed through
 // the buffer pool (warm, but paying the CPU cost of re-scanning — the LM
-// re-access penalty of Section 2.2).
+// re-access penalty of Section 2.2). Query execution makes that choice per
+// chunk and column where it has the multi-column at hand (internal/plan's
+// gatherAt: the retained mini's Extract, else storage.Column.GatherAt).
 type DS3 struct {
 	Col *storage.Column
 }
 
-// ValuesFromMini extracts the values at ps from an attached mini-column.
-func (DS3) ValuesFromMini(mc encoding.MiniColumn, ps positions.Set, dst []int64) []int64 {
-	return mc.Extract(dst, ps)
-}
-
 // ValuesReaccess re-reads the chunk window from the column and extracts the
-// values at ps. It is the retained scalar reference for the re-access path;
-// query execution uses ValuesGather.
+// values at ps. It is the retained scalar reference for the re-access path.
 func (ds DS3) ValuesReaccess(r positions.Range, ps positions.Set, dst []int64) ([]int64, error) {
 	mc, err := ds.Col.Window(r)
 	if err != nil {
@@ -312,44 +187,40 @@ func (ds DS3) ValuesReaccess(r positions.Range, ps positions.Set, dst []int64) (
 	return mc.Extract(dst, ps), nil
 }
 
-// ValuesGather re-accesses the stored column through the batched
-// block-pinned gather: only the blocks containing surviving positions are
-// touched (a window re-read decodes every block overlapping the chunk), each
-// pinned once with a tight per-encoding copy loop.
-func (ds DS3) ValuesGather(ps positions.Set, dst []int64) ([]int64, error) {
-	return ds.Col.GatherAt(ps, dst)
-}
-
 // DS4 widens early-materialized tuples (Case 4): for each input tuple it
-// jumps to the tuple's position in this column, applies the predicate, and
-// emits the input tuple extended with this column's value when it passes.
-// A DS4 belongs to one morsel: it holds the selection mask of the chunk it
-// last widened.
+// jumps to the tuple's position in this column, applies the predicate
+// conjunction, and emits the input tuple extended with this column's value
+// when it passes. A DS4 belongs to one morsel: it holds the selection mask of
+// the chunk it last widened.
 type DS4 struct {
-	Col  *storage.Column
-	Pred pred.Predicate
-	// Preds, when non-empty, is a fused predicate conjunction replacing Pred:
-	// one compiled kernel evaluates all k predicates over the gathered values.
-	Preds []pred.Predicate
-	// kernel is the cached compiled form of the predicate(s) (see CompilePred).
+	Col *storage.Column
+	// Preds is the conjunction as given (none widens unconditionally); kernel
+	// its one compiled form, evaluating all k predicates over the gathered
+	// values.
+	Preds  []pred.Predicate
 	kernel pred.Kernel
 	// mask is the recycled selection mask: bit i says whether tuple i of the
 	// batch being widened survives. Valid only until the next chunk.
 	mask []uint64
 }
 
+// NewDS4 compiles the widening of tuples by col under the conjunction preds.
+func NewDS4(col *storage.Column, preds []pred.Predicate) *DS4 {
+	return &DS4{Col: col, Preds: preds, kernel: pred.CompileFused(preds)}
+}
+
 // ExtendChunk processes one input batch against the chunk's mini-column.
 // The returned batch carries the input attributes plus colName. It is the
 // retained scalar reference path (one ValueAt jump and one Predicate.Match
-// dispatch per tuple, a fresh batch per call); query execution uses
-// ExtendChunkBatched, which the tests hold to this one.
+// dispatch per predicate per tuple, a fresh batch per call); query execution
+// uses ExtendChunkBatched, which the tests hold to this one.
 func (ds *DS4) ExtendChunk(mc encoding.MiniColumn, in *rows.Batch, colName string) *rows.Batch {
 	out := rows.NewBatch(append(append([]string{}, in.Names...), colName)...)
 	last := len(out.Cols) - 1
 	for i := 0; i < in.Len(); i++ {
 		pos := in.Pos[i]
 		v := mc.ValueAt(pos)
-		if !ds.Pred.Match(v) {
+		if !pred.MatchConj(ds.Preds, v) {
 			continue
 		}
 		out.Pos = append(out.Pos, pos)
@@ -373,9 +244,6 @@ func (ds *DS4) ExtendChunkBatched(b *rows.Batch, c int) error {
 	if err != nil {
 		return err
 	}
-	if ds.kernel == nil {
-		ds.CompilePred()
-	}
 	ds.mask = kernels.GrowMask(ds.mask, len(vals))
 	ds.kernel(vals, ds.mask)
 	b.Pos = b.Pos[:kernels.CompactByMask(b.Pos, b.Pos, ds.mask)]
@@ -384,14 +252,4 @@ func (ds *DS4) ExtendChunkBatched(b *rows.Batch, c int) error {
 	}
 	b.Cols[c] = vals[:kernels.CompactByMask(vals, vals, ds.mask)]
 	return nil
-}
-
-// CompilePred caches the compiled form of the predicate(s) so per-chunk
-// calls skip recompilation. Call it once after constructing the DS4.
-func (ds *DS4) CompilePred() {
-	if len(ds.Preds) > 0 {
-		ds.kernel = pred.CompileFused(ds.Preds)
-	} else {
-		ds.kernel = pred.Compile(ds.Pred)
-	}
 }

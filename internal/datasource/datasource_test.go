@@ -78,7 +78,7 @@ func TestChunkerAlignmentPanics(t *testing.T) {
 func TestDS1ScanChunk(t *testing.T) {
 	vals := sortedVals(1000)
 	col, _ := writeColumn(t, encoding.RLE, vals)
-	ds := DS1{Col: col, Pred: pred.LessThan(5)} // values 0..4: positions 0..49
+	ds := NewDS1(col, []pred.Predicate{pred.LessThan(5)}) // values 0..4: positions 0..49
 	ps, mc, err := ds.ScanChunk(positions.Range{Start: 0, End: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -91,25 +91,10 @@ func TestDS1ScanChunk(t *testing.T) {
 	}
 }
 
-func TestDS1ForceBitmap(t *testing.T) {
-	col, _ := writeColumn(t, encoding.RLE, sortedVals(1000))
-	ds := DS1{Col: col, Pred: pred.LessThan(5), ForceBitmap: true}
-	ps, _, err := ds.ScanChunk(positions.Range{Start: 0, End: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps.Kind() != positions.KindBitmap {
-		t.Errorf("kind = %v, want bitmap", ps.Kind())
-	}
-	if ps.Count() != 50 {
-		t.Errorf("count = %d", ps.Count())
-	}
-}
-
 func TestDS2ProducesPosValPairs(t *testing.T) {
 	vals := []int64{9, 1, 8, 2, 7, 3}
 	col, _ := writeColumn(t, encoding.Plain, vals)
-	ds := DS2{Col: col, Pred: pred.LessThan(5)}
+	ds := NewDS2(col, []pred.Predicate{pred.LessThan(5)})
 	batch := rows.NewBatch("v")
 	batch.Append(99, 99) // a recycled batch: ScanChunk must clear what it held
 	if err := ds.ScanChunk(positions.Range{Start: 0, End: 64}, batch); err != nil {
@@ -133,10 +118,9 @@ func TestDS3FromMiniAndReaccessAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := positions.NewRanges(positions.Range{Start: 100, End: 150}, positions.Range{Start: 900, End: 910})
-	ds := DS3{Col: col}
-	fromMini := ds.ValuesFromMini(mc, ps, nil)
+	fromMini := mc.Extract(nil, ps)
 	pool.ResetStats()
-	reaccess, err := ds.ValuesReaccess(r, ps, nil)
+	reaccess, err := DS3{Col: col}.ValuesReaccess(r, ps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +147,7 @@ func TestDS4ExtendChunk(t *testing.T) {
 	in.Append(0, 100)
 	in.Append(2, 300)
 	in.Append(4, 500)
-	ds := DS4{Col: col, Pred: pred.LessThan(50)} // drops position 4 (value 50)
+	ds := NewDS4(col, []pred.Predicate{pred.LessThan(50)}) // drops position 4 (value 50)
 	out := ds.ExtendChunk(mc, in, "b")
 	if !reflect.DeepEqual(out.Pos, []int64{0, 2}) {
 		t.Errorf("Pos = %v", out.Pos)
@@ -181,7 +165,7 @@ func TestDS4ExtendChunk(t *testing.T) {
 func TestDS4EmptyInput(t *testing.T) {
 	col, _ := writeColumn(t, encoding.Plain, []int64{1, 2, 3})
 	mc, _ := col.Window(col.Extent())
-	ds := DS4{Col: col, Pred: pred.MatchAll}
+	ds := NewDS4(col, nil)
 	out := ds.ExtendChunk(mc, rows.NewBatch("a"), "b")
 	if out.Len() != 0 {
 		t.Errorf("Len = %d", out.Len())
@@ -198,7 +182,7 @@ func TestDS1AcrossChunksCoversColumn(t *testing.T) {
 	}
 	for _, enc := range []encoding.Kind{encoding.Plain, encoding.RLE, encoding.BitVector} {
 		col, _ := writeColumn(t, enc, vals)
-		ds := DS1{Col: col, Pred: pred.Equals(3)}
+		ds := NewDS1(col, []pred.Predicate{pred.Equals(3)})
 		ch := NewChunker(col.Extent(), 512)
 		var got []int64
 		for i := 0; i < ch.NumChunks(); i++ {

@@ -48,7 +48,7 @@ func (m Constants) AnnotatePlan(p *plan.Plan, hot bool) Estimate {
 // price is the walk behind both; sink, when set, sees every node's own cost
 // in a fixed (tree-determined) order.
 func (m Constants) price(p *plan.Plan, hot bool, sink func(*plan.Node, Cost)) Estimate {
-	w := &walker{m: m, p: p, sink: sink, accessed: map[string]bool{}}
+	w := &walker{m: m, sink: sink, accessed: map[string]bool{}}
 	if hot {
 		w.f = 1
 	}
@@ -157,7 +157,6 @@ func Cheapest(costs []Cost) int {
 
 type walker struct {
 	m      Constants
-	p      *plan.Plan
 	f      float64 // F: the buffer-resident fraction of every column
 	tuples float64 // the projection's extent in positions
 	sink   func(*plan.Node, Cost)
@@ -183,7 +182,7 @@ func (w *walker) stats(s plan.ColStats) ColumnStats {
 // reuse reports whether a DS3 over col finds the column's mini-column
 // retained by the multi-column optimization (no I/O, Figure 2's F=1 case).
 func (w *walker) reuse(col string) bool {
-	return w.accessed[col] && !w.p.Spec.DisableMultiColumn
+	return w.accessed[col]
 }
 
 // posRuns estimates RLp for the output of n's own predicates from the

@@ -1,9 +1,12 @@
 package operators
 
 import (
+	"context"
+
 	"matstore/internal/datasource"
 	"matstore/internal/encoding"
 	"matstore/internal/exec"
+	"matstore/internal/positions"
 	"matstore/internal/storage"
 )
 
@@ -109,11 +112,6 @@ type PartitionedTable struct {
 // Strategy returns the inner-table materialization strategy built.
 func (rt *PartitionedTable) Strategy() RightStrategy { return rt.strategy }
 
-// Spilled reports whether this is a budget-bounded Grace build whose
-// partitions (and temp files) live only as long as the run that built it —
-// such a table must never be reused or cached across runs.
-func (rt *PartitionedTable) Spilled() bool { return rt.spill != nil }
-
 // Payload returns the payload column names.
 func (rt *PartitionedTable) Payload() []string { return rt.payload }
 
@@ -169,10 +167,20 @@ type buildEntry struct {
 // partition count from it. The same chunkSize as the probe side keeps the
 // multi-column chunk addressing aligned.
 func BuildPartitioned(key *storage.Column, payloadCols []*storage.Column, payload []string, strat RightStrategy, chunkSize int64, workers, partitions int) (*PartitionedTable, error) {
+	// The signature supplies no context: an in-memory build is not cancelled.
+	return buildPartitioned(context.TODO(), key, payloadCols, payload, strat, chunkSize, workers, partitions, nil)
+}
+
+// buildPartitioned is the one build: the in-memory build is the Grace build
+// with every partition resident. With cfg nil all p partitions stage in memory
+// and the payload is loaded per the strategy; with a spill configuration the
+// first residentShare partitions do, the rest stream to per-partition temp
+// files, and only the key column is scanned (payload is deferred to the stored
+// columns). Cancellation is observed between chunks; every error path removes
+// the temp files before returning.
+func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*storage.Column, payload []string, strat RightStrategy, chunkSize int64, workers, partitions int, cfg *SpillConfig) (*PartitionedTable, error) {
 	extent := key.Extent()
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	p := ResolvePartitions(workers, partitions)
 	rt := &PartitionedTable{
 		strategy:  strat,
@@ -181,50 +189,47 @@ func BuildPartitioned(key *storage.Column, payloadCols []*storage.Column, payloa
 		tables:    make([]FlatTable, p),
 		chunkSize: chunkSize,
 		// Retain the stored-column handles for every strategy: the deferred
-		// single-column fetch needs them at probe time, and build-cache
-		// demotion needs them to rehydrate payload without a rescan.
+		// fetch (single-column, and every strategy in spill mode) needs them
+		// at probe time, and build-cache demotion needs them to rehydrate
+		// payload without a rescan.
 		cols:       payloadCols,
 		Tuples:     extent.Len(),
 		Partitions: p,
 	}
-	numChunks := (extent.Len() + chunkSize - 1) / chunkSize
-	switch strat {
-	case RightMaterialized:
-		// Construct right tuples at build (early materialization): each
-		// payload column decompresses into one position-addressable array.
-		// Morsels fill disjoint ranges of the shared arrays, so no locks.
-		rt.dense = make([][]int64, len(payloadCols))
-		for c := range payloadCols {
-			rt.dense[c] = make([]int64, extent.Len())
+	resident := p
+	if cfg != nil {
+		resident = residentShare(p, *cfg)
+		if err := rt.openSpill(*cfg, resident); err != nil {
+			return nil, err
 		}
-	case RightMultiColumn:
-		// Retain the payload mini-columns, compressed, in memory. Chunks are
-		// morsel-aligned, so each slot is written by exactly one worker.
-		rt.chunks = make([][]encoding.MiniColumn, numChunks)
-	case RightSingleColumn:
-		rt.cols = payloadCols
+	} else {
+		rt.allocPayload()
 	}
 
 	morsels := exec.Morsels(extent, chunkSize, workers)
-	if workers > len(morsels) {
-		workers = len(morsels)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, len(morsels)), 1)
 	rt.BuildWorkers = workers
 	rt.BuildMorsels = len(morsels)
 
-	// Phase 1: morsel-parallel partitioning scan. Buffers are indexed by
-	// (partition, morsel) so phase 2 can take them in morsel order, which
-	// keeps every key's position list ascending.
-	staged := newStaging(p, len(morsels))
-	buildTuples := make([]int64, len(morsels))
+	// Phase 1: morsel-parallel partitioning scan. Resident partitions buffer
+	// per (partition, morsel) so phase 2 can take the buffers in morsel order,
+	// which keeps every key's position list ascending; cold partitions
+	// accumulate up to a plain block's worth and flush frames under the
+	// partition lock.
+	staged := newStaging(resident, len(morsels))
 	err := exec.Run(workers, len(morsels), func(i int) error {
-		bufs := stagingBuffers(p, stagingShare(p, morsels[i].Len()))
+		share := stagingShare(p, morsels[i].Len())
+		bufs := stagingBuffers(resident, share)
+		var cold *coldWriter
+		if resident < p {
+			cold = rt.spill.newColdWriter(share)
+		}
 		ch := datasource.NewChunker(morsels[i], chunkSize)
 		var keyBuf []int64
 		for ci := 0; ci < ch.NumChunks(); ci++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			r := ch.Chunk(ci)
 			mc, err := key.Window(r)
 			if err != nil {
@@ -232,50 +237,88 @@ func BuildPartitioned(key *storage.Column, payloadCols []*storage.Column, payloa
 			}
 			keyBuf = mc.Decompress(keyBuf[:0])
 			for j, k := range keyBuf {
-				pt := HashKey(k) & rt.mask
-				bufs[pt] = append(bufs[pt], buildEntry{key: k, pos: r.Start + int64(j)})
+				pt := int(HashKey(k) & rt.mask)
+				if pt < resident {
+					bufs[pt] = append(bufs[pt], buildEntry{key: k, pos: r.Start + int64(j)})
+				} else if err := cold.add(pt, k, r.Start+int64(j)); err != nil {
+					return err
+				}
 			}
-			switch strat {
-			case RightMaterialized:
-				for c := range payloadCols {
-					pm, err := payloadCols[c].Window(r)
-					if err != nil {
-						return err
-					}
-					dst := rt.dense[c][r.Start:r.Start:r.End]
-					pm.Decompress(dst)
+			if cfg == nil {
+				if err := rt.loadPayloadChunk(r); err != nil {
+					return err
 				}
-				buildTuples[i] += int64(len(keyBuf))
-			case RightMultiColumn:
-				minis := make([]encoding.MiniColumn, len(payloadCols))
-				for c := range payloadCols {
-					var err error
-					if minis[c], err = payloadCols[c].Window(r); err != nil {
-						return err
-					}
-				}
-				rt.chunks[r.Start/chunkSize] = minis
 			}
 		}
 		for pt := range bufs {
 			staged[pt][i] = bufs[pt]
 		}
-		return nil
+		return cold.flushAll()
 	})
+	// Phase 2 (after the scan barrier): one hash table per resident
+	// partition, built lock-free — each partition is owned by a single worker.
+	if err == nil {
+		err = rt.buildTables(workers, staged)
+	}
 	if err != nil {
-		return nil, err
-	}
-	for _, n := range buildTuples {
-		rt.BuildTuples += n
-	}
-
-	// Phase 2 (after the scan barrier): one hash table per partition, built
-	// lock-free — each partition is owned by a single worker.
-	if err := rt.buildTables(workers, staged); err != nil {
+		rt.ReleaseSpill()
 		return nil, err
 	}
 	rt.SizeBytes = rt.memBytes()
+	if cfg != nil {
+		for _, sp := range rt.spill.parts[resident:] {
+			rt.SpillBytes += sp.bytes
+			rt.SpillWriteNanos += sp.writeNanos
+		}
+		rt.SpilledParts = p - resident
+	}
 	return rt, nil
+}
+
+// allocPayload allocates the in-memory payload storage the strategy fills at
+// build time (none for the single-column strategy, which fetches after the
+// join) and counts the right tuples it will hold as built.
+func (rt *PartitionedTable) allocPayload() {
+	switch rt.strategy {
+	case RightMaterialized:
+		// Construct right tuples at build (early materialization): each
+		// payload column decompresses into one position-addressable array.
+		rt.dense = make([][]int64, len(rt.cols))
+		for c := range rt.cols {
+			rt.dense[c] = make([]int64, rt.Tuples)
+		}
+		rt.BuildTuples = rt.Tuples
+	case RightMultiColumn:
+		// Retain the payload mini-columns, compressed, in memory.
+		rt.chunks = make([][]encoding.MiniColumn, (rt.Tuples+rt.chunkSize-1)/rt.chunkSize)
+	}
+}
+
+// loadPayloadChunk fills chunk r's share of the storage allocPayload made,
+// for the build scan and for LoadDemoted alike. Chunks are morsel-aligned and
+// disjoint, so concurrent morsels write disjoint ranges of the dense arrays
+// and distinct chunk slots, with no locks.
+func (rt *PartitionedTable) loadPayloadChunk(r positions.Range) error {
+	switch rt.strategy {
+	case RightMaterialized:
+		for c, col := range rt.cols {
+			pm, err := col.Window(r)
+			if err != nil {
+				return err
+			}
+			pm.Decompress(rt.dense[c][r.Start:r.Start:r.End])
+		}
+	case RightMultiColumn:
+		minis := make([]encoding.MiniColumn, len(rt.cols))
+		for c, col := range rt.cols {
+			var err error
+			if minis[c], err = col.Window(r); err != nil {
+				return err
+			}
+		}
+		rt.chunks[r.Start/rt.chunkSize] = minis
+	}
+	return nil
 }
 
 // newStaging allocates the phase-1 staging index: staged[partition][morsel]
@@ -310,7 +353,7 @@ func stagingBuffers(n, capacity int) [][]buildEntry {
 	return bufs
 }
 
-// buildTables is phase 2 of both builds: one FlatTable per staged partition,
+// buildTables is phase 2 of the build: one FlatTable per staged partition,
 // each built by a single worker from its morsel-ordered staging buffers.
 func (rt *PartitionedTable) buildTables(workers int, staged [][][]buildEntry) error {
 	return exec.Run(workers, len(staged), func(pt int) (err error) {

@@ -11,8 +11,8 @@ import (
 
 	"matstore/internal/datasource"
 	"matstore/internal/encoding"
-	"matstore/internal/exec"
 	"matstore/internal/faults"
+	"matstore/internal/positions"
 	"matstore/internal/storage"
 )
 
@@ -100,7 +100,6 @@ type spillPartition struct {
 // spillState marks a table as spill-built: partitions >= resident live on
 // disk, and all payload access is deferred to the stored columns.
 type spillState struct {
-	dir      string
 	resident int
 	parts    []*spillPartition // nil below resident
 	release  sync.Once
@@ -108,6 +107,8 @@ type spillState struct {
 
 // DeferredPayload reports whether this table was built in spill mode, where
 // every right-payload value is fetched post-merge from the stored columns.
+// Such a table's partitions (and temp files) live only as long as the run
+// that built it: it must never be reused or cached across runs.
 func (rt *PartitionedTable) DeferredPayload() bool { return rt.spill != nil }
 
 // SpilledPartition reports whether partition pt lives on disk.
@@ -270,139 +271,94 @@ func residentShare(partitions int, cfg SpillConfig) int {
 	return resident
 }
 
-// BuildPartitionedSpill is the budget-bounded variant of BuildPartitioned:
-// it scans only the key column (payload is deferred to the stored columns),
-// keeps the first residentShare partitions as in-memory hash tables, and
-// streams the rest to per-partition temp files. Cancellation is observed
-// between chunks; every error path removes the temp files before returning.
+// BuildPartitionedSpill is the budget-bounded BuildPartitioned: it scans only
+// the key column (payload is deferred to the stored columns), keeps the first
+// residentShare partitions as in-memory hash tables, and streams the rest to
+// per-partition temp files under cfg.Dir.
 func BuildPartitionedSpill(ctx context.Context, key *storage.Column, payloadCols []*storage.Column, payload []string, strat RightStrategy, chunkSize int64, workers, partitions int, cfg SpillConfig) (*PartitionedTable, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	extent := key.Extent()
-	if workers < 1 {
-		workers = 1
-	}
-	p := ResolvePartitions(workers, partitions)
-	resident := residentShare(p, cfg)
-	rt := &PartitionedTable{
-		strategy:   strat,
-		payload:    payload,
-		mask:       uint64(p - 1),
-		tables:     make([]FlatTable, p),
-		chunkSize:  chunkSize,
-		cols:       payloadCols,
-		Tuples:     extent.Len(),
-		Partitions: p,
-		spill:      &spillState{dir: cfg.Dir, resident: resident, parts: make([]*spillPartition, p)},
-	}
+	return buildPartitioned(ctx, key, payloadCols, payload, strat, chunkSize, workers, partitions, &cfg)
+}
+
+// openSpill marks rt spill-built and creates the temp files of the
+// partitions past resident, removing what it created if one fails.
+func (rt *PartitionedTable) openSpill(cfg SpillConfig, resident int) error {
+	rt.spill = &spillState{resident: resident, parts: make([]*spillPartition, rt.Partitions)}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, err
+		return err
 	}
-	for i := resident; i < p; i++ {
-		if err := faults.Check("spill.create"); err != nil {
-			rt.ReleaseSpill()
-			return nil, fmt.Errorf("spill.create: %w", err)
-		}
-		f, err := os.CreateTemp(cfg.Dir, SpillFilePrefix+"part-*.tmp")
+	for i := resident; i < rt.Partitions; i++ {
+		f, err := createSpillFile(cfg.Dir)
 		if err != nil {
 			rt.ReleaseSpill()
-			return nil, err
+			return err
 		}
 		rt.spill.parts[i] = &spillPartition{f: f, path: f.Name()}
 	}
+	return nil
+}
 
-	morsels := exec.Morsels(extent, chunkSize, workers)
-	if workers > len(morsels) {
-		workers = len(morsels)
+func createSpillFile(dir string) (*os.File, error) {
+	if err := faults.Check("spill.create"); err != nil {
+		return nil, fmt.Errorf("spill.create: %w", err)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	rt.BuildWorkers = workers
-	rt.BuildMorsels = len(morsels)
+	return os.CreateTemp(dir, SpillFilePrefix+"part-*.tmp")
+}
 
-	// Phase 1: morsel-parallel partitioning scan of the key column. Resident
-	// partitions buffer per (morsel, partition) exactly like the in-memory
-	// build; cold partitions accumulate up to a plain block's worth and flush
-	// frames under the partition lock.
-	staged := newStaging(resident, len(morsels))
-	err := exec.Run(workers, len(morsels), func(i int) error {
-		share := stagingShare(p, morsels[i].Len())
-		bufs := stagingBuffers(resident, share)
-		spillKeys := make([][]int64, p)
-		spillPoss := make([][]int64, p)
-		for pt := resident; pt < p; pt++ {
-			// A frame is flushed at a plain block's worth of entries.
-			spillKeys[pt] = make([]int64, 0, min(share, encoding.PlainBlockCap))
-			spillPoss[pt] = make([]int64, 0, min(share, encoding.PlainBlockCap))
-		}
-		blockBuf := make([]byte, encoding.BlockSize)
-		flush := func(pt int) error {
-			if len(spillKeys[pt]) == 0 {
-				return nil
-			}
-			if err := rt.spill.parts[pt].writeFrame("spill.write", spillKeys[pt], spillPoss[pt], blockBuf); err != nil {
-				return err
-			}
-			spillKeys[pt] = spillKeys[pt][:0]
-			spillPoss[pt] = spillPoss[pt][:0]
-			return nil
-		}
-		ch := datasource.NewChunker(morsels[i], chunkSize)
-		var keyBuf []int64
-		for ci := 0; ci < ch.NumChunks(); ci++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			r := ch.Chunk(ci)
-			mc, err := key.Window(r)
-			if err != nil {
-				return err
-			}
-			keyBuf = mc.Decompress(keyBuf[:0])
-			for j, k := range keyBuf {
-				pt := int(HashKey(k) & rt.mask)
-				if pt < resident {
-					bufs[pt] = append(bufs[pt], buildEntry{key: k, pos: r.Start + int64(j)})
-					continue
-				}
-				spillKeys[pt] = append(spillKeys[pt], k)
-				spillPoss[pt] = append(spillPoss[pt], r.Start+int64(j))
-				if len(spillKeys[pt]) == encoding.PlainBlockCap {
-					if err := flush(pt); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		for pt := resident; pt < p; pt++ {
-			if err := flush(pt); err != nil {
-				return err
-			}
-		}
-		for pt := range bufs {
-			staged[pt][i] = bufs[pt]
-		}
+// coldWriter is one morsel's frame buffers for the spilled partitions: the
+// scan adds (key, position) pairs, and a partition's pairs are written out as
+// a frame once they fill a plain block.
+type coldWriter struct {
+	st         *spillState
+	keys, poss [][]int64 // by partition; nil below st.resident
+	blockBuf   []byte
+}
+
+// newColdWriter sizes each cold partition's buffers to a morsel's staging
+// share, a plain block's worth at most.
+func (st *spillState) newColdWriter(share int) *coldWriter {
+	w := &coldWriter{
+		st: st, blockBuf: make([]byte, encoding.BlockSize),
+		keys: make([][]int64, len(st.parts)), poss: make([][]int64, len(st.parts)),
+	}
+	for pt := st.resident; pt < len(st.parts); pt++ {
+		w.keys[pt] = make([]int64, 0, min(share, encoding.PlainBlockCap))
+		w.poss[pt] = make([]int64, 0, min(share, encoding.PlainBlockCap))
+	}
+	return w
+}
+
+func (w *coldWriter) add(pt int, key, pos int64) error {
+	w.keys[pt] = append(w.keys[pt], key)
+	w.poss[pt] = append(w.poss[pt], pos)
+	if len(w.keys[pt]) == encoding.PlainBlockCap {
+		return w.flush(pt)
+	}
+	return nil
+}
+
+func (w *coldWriter) flush(pt int) error {
+	if len(w.keys[pt]) == 0 {
 		return nil
-	})
-	if err != nil {
-		rt.ReleaseSpill()
-		return nil, err
 	}
+	if err := w.st.parts[pt].writeFrame("spill.write", w.keys[pt], w.poss[pt], w.blockBuf); err != nil {
+		return err
+	}
+	w.keys[pt], w.poss[pt] = w.keys[pt][:0], w.poss[pt][:0]
+	return nil
+}
 
-	// Phase 2: hash tables for resident partitions only.
-	if err := rt.buildTables(workers, staged); err != nil {
-		rt.ReleaseSpill()
-		return nil, err
+// flushAll writes out every partition's partial frame at the end of a
+// morsel. A nil writer (no cold partition) has nothing to flush.
+func (w *coldWriter) flushAll() error {
+	if w == nil {
+		return nil
 	}
-	rt.SizeBytes = rt.memBytes()
-	for i := resident; i < p; i++ {
-		rt.SpillBytes += rt.spill.parts[i].bytes
-		rt.SpillWriteNanos += rt.spill.parts[i].writeNanos
+	for pt := w.st.resident; pt < len(w.keys); pt++ {
+		if err := w.flush(pt); err != nil {
+			return err
+		}
 	}
-	rt.SpilledParts = p - resident
-	return rt, nil
+	return nil
 }
 
 // demotedMagic guards demoted-build files against stray spill partitions.
@@ -537,7 +493,6 @@ func LoadDemoted(path string, payloadCols []*storage.Column, payload []string) (
 		cols:         payloadCols,
 		Tuples:       tuples,
 		Partitions:   p,
-		BuildTuples:  mb.Vals[7],
 		BuildWorkers: int(mb.Vals[8]),
 		BuildMorsels: int(mb.Vals[9]),
 	}
@@ -557,34 +512,11 @@ func LoadDemoted(path string, payloadCols []*storage.Column, payload []string) (
 		}
 		start = end
 	}
-	numChunks := (tuples + chunkSize - 1) / chunkSize
-	switch strat {
-	case RightMaterialized:
-		rt.dense = make([][]int64, len(payloadCols))
-		for c := range payloadCols {
-			rt.dense[c] = make([]int64, tuples)
-			ch := datasource.NewChunker(payloadCols[c].Extent(), chunkSize)
-			for ci := 0; ci < ch.NumChunks(); ci++ {
-				r := ch.Chunk(ci)
-				pm, err := payloadCols[c].Window(r)
-				if err != nil {
-					return nil, err
-				}
-				pm.Decompress(rt.dense[c][r.Start:r.Start:r.End])
-			}
-		}
-	case RightMultiColumn:
-		rt.chunks = make([][]encoding.MiniColumn, numChunks)
-		ch := datasource.NewChunker(payloadCols[0].Extent(), chunkSize)
-		for ci := 0; ci < ch.NumChunks(); ci++ {
-			r := ch.Chunk(ci)
-			minis := make([]encoding.MiniColumn, len(payloadCols))
-			for c := range payloadCols {
-				if minis[c], err = payloadCols[c].Window(r); err != nil {
-					return nil, err
-				}
-			}
-			rt.chunks[r.Start/chunkSize] = minis
+	rt.allocPayload()
+	ch := datasource.NewChunker(positions.Range{Start: 0, End: tuples}, chunkSize)
+	for ci := 0; ci < ch.NumChunks(); ci++ {
+		if err := rt.loadPayloadChunk(ch.Chunk(ci)); err != nil {
+			return nil, err
 		}
 	}
 	rt.SizeBytes = rt.memBytes()

@@ -1,5 +1,8 @@
 // Package oracle holds the reference implementations the engine's tests are
-// compared against. Only _test files import it.
+// compared against: a selection, an aggregation and an equi-join, each a
+// row-at-a-time loop over fully decompressed columns that shares nothing with
+// the executor but the column reader and pred.Predicate.Match. Only _test
+// files import it.
 package oracle
 
 import (
@@ -13,14 +16,9 @@ import (
 // hash join promises. It returns the output columns (leftOut..., rightOut...)
 // and the number of left rows that passed keep.
 func NestedLoopJoin(leftKey *storage.Column, keep pred.Predicate, leftOut []*storage.Column, rightKey *storage.Column, rightOut []*storage.Column) (out [][]int64, probes int64, err error) {
-	cols := append(append([]*storage.Column{leftKey, rightKey}, leftOut...), rightOut...)
-	vals := make([][]int64, len(cols))
-	for i, c := range cols {
-		mc, err := c.Window(c.Extent())
-		if err != nil {
-			return nil, 0, err
-		}
-		vals[i] = mc.Decompress(nil)
+	vals, err := decompress(append(append([]*storage.Column{leftKey, rightKey}, leftOut...), rightOut...))
+	if err != nil {
+		return nil, 0, err
 	}
 	lo, ro := vals[2:2+len(leftOut)], vals[2+len(leftOut):]
 	out = make([][]int64, len(lo)+len(ro))

@@ -32,52 +32,32 @@ import (
 // the plan's build mutex), so concurrent Run calls on a shared plan each
 // probe the table their own build phase produced.
 func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats *RunStats, observe bool, spill *operators.SpillConfig) (*operators.PartitionedTable, error) {
-	if spill != nil {
-		// Grace spill mode: a budget-bounded, run-private build. It bypasses
-		// the shared build cache — the table owns temp files whose lifetime
-		// is exactly this run, and sharing them would race concurrent probes
-		// against file removal.
-		start := obsStart(observe)
-		rt, err := operators.BuildPartitionedSpill(ctx,
-			build.Column, build.RightCols, build.RightPayload,
-			build.RightStrategy, p.Spec.ChunkSize, workers, build.Partitions, *spill)
-		if err != nil {
-			return nil, err
-		}
-		if observe {
-			build.Obs.add(rt.Tuples, time.Since(start).Nanoseconds())
-			// Retain for the EXPLAIN renderer only.
-			p.buildMu.Lock()
-			build.built = rt
-			p.buildMu.Unlock()
-		}
-		stats.Join.RightBuildTuples = rt.BuildTuples
-		stats.Join.Partitions = rt.Partitions
-		stats.Join.BuildWorkers = rt.BuildWorkers
-		stats.Join.BuildMorsels = rt.BuildMorsels
-		stats.Join.Spilled = true
-		stats.Join.SpilledParts = rt.SpilledParts
-		stats.Join.SpillBytes = rt.SpillBytes
-		stats.Join.SpillWriteNanos = rt.SpillWriteNanos
-		return rt, nil
-	}
 	start := obsStart(observe)
-	buildFn := func() (*operators.PartitionedTable, error) {
-		return operators.BuildPartitioned(
-			build.Column, build.RightCols, build.RightPayload,
-			build.RightStrategy, p.Spec.ChunkSize, workers, build.Partitions)
-	}
 	var (
 		rt     *operators.PartitionedTable
 		cached bool
 		err    error
 	)
-	if p.Builds != nil {
+	buildFn := func() (*operators.PartitionedTable, error) {
+		return operators.BuildPartitioned(
+			build.Column, build.RightCols, build.RightPayload,
+			build.RightStrategy, p.Spec.ChunkSize, workers, build.Partitions)
+	}
+	switch {
+	case spill != nil:
+		// Grace spill mode: a budget-bounded, run-private build. It bypasses
+		// the shared build cache — the table owns temp files whose lifetime
+		// is exactly this run, and sharing them would race concurrent probes
+		// against file removal.
+		rt, err = operators.BuildPartitionedSpill(ctx,
+			build.Column, build.RightCols, build.RightPayload,
+			build.RightStrategy, p.Spec.ChunkSize, workers, build.Partitions, *spill)
+	case p.Builds != nil:
 		// Shared retained-build path: the cache either hands back a table
 		// another query already built (no inner-table scan at all) or
 		// builds one and retains it for the next query.
 		rt, cached, err = p.Builds.GetOrBuild(p.buildKey(build), buildFn)
-	} else {
+	default:
 		rt, err = buildFn()
 	}
 	if err != nil {
@@ -97,6 +77,10 @@ func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats
 	stats.Join.BuildWorkers = rt.BuildWorkers
 	stats.Join.BuildMorsels = rt.BuildMorsels
 	stats.Join.BuildCacheHit = cached
+	stats.Join.Spilled = rt.DeferredPayload()
+	stats.Join.SpilledParts = rt.SpilledParts
+	stats.Join.SpillBytes = rt.SpillBytes
+	stats.Join.SpillWriteNanos = rt.SpillWriteNanos
 	return rt, nil
 }
 
@@ -163,12 +147,12 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		// multi-column covers it, else the block-pinned gather. Every gather
 		// destination is sized to the surviving-position count first.
 		start := obsStart(observe)
-		if keyBuf, err = p.gatherAt(mc, probe.Col, probe.Column, desc, slices.Grow(keyBuf[:0], n)); err != nil {
+		if keyBuf, err = gatherAt(mc, probe.Col, probe.Column, desc, slices.Grow(keyBuf[:0], n)); err != nil {
 			return err
 		}
 		// Batched outer payload gather at the same surviving positions.
 		for c, col := range probe.LeftCols {
-			if leftBufs[c], err = p.gatherAt(mc, probe.OutCols[c], col, desc, slices.Grow(leftBufs[c][:0], n)); err != nil {
+			if leftBufs[c], err = gatherAt(mc, probe.OutCols[c], col, desc, slices.Grow(leftBufs[c][:0], n)); err != nil {
 				return err
 			}
 		}
@@ -263,14 +247,17 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 	return nil
 }
 
-// gatherAt extracts a column's values at the surviving positions of one
-// chunk: from the multi-column's retained mini when available (zero
-// re-access), otherwise through the batched block-pinned gather.
-func (p *Plan) gatherAt(mc *multicol.MultiColumn, name string, col *storage.Column, desc positions.Set, dst []int64) ([]int64, error) {
-	if mini, ok := mc.Mini(name); ok && !p.Spec.DisableMultiColumn {
-		return datasource.DS3{}.ValuesFromMini(mini, desc, dst), nil
+// gatherAt is the executor's DS3: it extracts a column's values at the
+// surviving positions of one chunk — from the mini-column a scan of this
+// chunk left in the multi-column when there is one (the multi-column
+// optimization of Section 3.6: zero re-access), otherwise through the batched
+// block-pinned gather, which touches only the blocks holding surviving
+// positions instead of re-windowing the whole chunk.
+func gatherAt(mc *multicol.MultiColumn, name string, col *storage.Column, desc positions.Set, dst []int64) ([]int64, error) {
+	if mini, ok := mc.Mini(name); ok {
+		return mini.Extract(dst, desc), nil
 	}
-	return datasource.DS3{Col: col}.ValuesGather(desc, dst)
+	return col.GatherAt(desc, dst)
 }
 
 // joinDeferredFetch is the single-column strategy's post-join positional

@@ -218,8 +218,8 @@ type Node struct {
 	GroupBy, AggCol string
 	Agg             operators.AggFunc
 	// MatColumns are the resolved Spec.MatCols handles of a
-	// position-domain Aggregate node (which re-windows a mini-column when
-	// the multi-column optimization is disabled or did not cover it).
+	// position-domain Aggregate node (which re-windows a mini-column the
+	// position subtree's scans did not leave in the multi-column).
 	MatColumns []*storage.Column
 
 	// Join-node configuration. A JoinBuild node names the inner key in Col
@@ -434,8 +434,8 @@ func (n *Node) label() string {
 	}
 }
 
-// Spec carries the query-shape and executor configuration a plan needs at
-// run time, resolved once at build time.
+// Spec carries the query shape and the chunk size a plan needs at run time,
+// resolved once at build time.
 type Spec struct {
 	// OutNames is the result schema.
 	OutNames []string
@@ -451,10 +451,6 @@ type Spec struct {
 	Tuples int64
 	// ChunkSize is the horizontal-partition width in positions.
 	ChunkSize int64
-	// DisableMultiColumn / ForceBitmap / UseZoneIndex mirror core.Options.
-	DisableMultiColumn bool
-	ForceBitmap        bool
-	UseZoneIndex       bool
 }
 
 // Plan is an executable physical plan: a node tree plus its run-time spec.

@@ -321,18 +321,13 @@ func (st *morselState) policy(n *Node) *encoding.AdaptiveFilterAt {
 }
 
 // ds1 returns the morsel's compiled DS1 for a scan node.
-func (st *morselState) ds1(n *Node, s Spec) *datasource.DS1 {
+func (st *morselState) ds1(n *Node) *datasource.DS1 {
 	if st.scans == nil {
 		st.scans = make(map[*Node]*datasource.DS1)
 	}
 	ds, ok := st.scans[n]
 	if !ok {
-		ds = &datasource.DS1{
-			Col: n.Column, Preds: n.execPreds,
-			ForceBitmap:  s.ForceBitmap,
-			UseZoneIndex: s.UseZoneIndex,
-		}
-		ds.CompilePreds()
+		ds = datasource.NewDS1(n.Column, n.execPreds)
 		st.scans[n] = ds
 	}
 	return ds
@@ -386,7 +381,7 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 			minis := make([]encoding.MiniColumn, len(p.Spec.MatCols))
 			for i, name := range p.Spec.MatCols {
 				mini, ok := mc.Mini(name)
-				if !ok || p.Spec.DisableMultiColumn {
+				if !ok {
 					var err error
 					if mini, err = root.MatColumns[i].Window(cr); err != nil {
 						return err
@@ -399,20 +394,12 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 			continue
 		}
 
-		// Materialization: DS3 per needed column — from the multi-column's
-		// mini-columns when available (zero re-access); otherwise the
-		// batched block-pinned gather touches only the blocks holding
-		// surviving positions instead of re-windowing the whole chunk.
+		// Materialization: DS3 per needed column (gatherAt).
 		for i, n := range extracts {
 			start := obsStart(observe)
-			if mini, ok := mc.Mini(n.Col); ok && !p.Spec.DisableMultiColumn {
-				valBufs[i] = datasource.DS3{}.ValuesFromMini(mini, desc, valBufs[i][:0])
-			} else {
-				var err error
-				ds3 := datasource.DS3{Col: n.Column}
-				if valBufs[i], err = ds3.ValuesGather(desc, valBufs[i][:0]); err != nil {
-					return err
-				}
+			var err error
+			if valBufs[i], err = gatherAt(mc, n.Col, n.Column, desc, valBufs[i][:0]); err != nil {
+				return err
 			}
 			if observe {
 				n.Obs.add(int64(len(valBufs[i])), time.Since(start).Nanoseconds())
@@ -448,13 +435,11 @@ func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColu
 
 	case KindDS1:
 		start := obsStart(observe)
-		ps, mini, err := st.ds1(n, p.Spec).ScanChunk(cr)
+		ps, mini, err := st.ds1(n).ScanChunk(cr)
 		if err != nil {
 			return nil, false, err
 		}
-		if mini != nil {
-			mc.Attach(n.Col, mini)
-		}
+		mc.Attach(n.Col, mini)
 		if observe {
 			n.Obs.add(ps.Count(), time.Since(start).Nanoseconds())
 		}
@@ -529,12 +514,10 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 	}
 	// Compile the chain's data sources once per morsel: the DS2 leaf plus
 	// one DS4 (with pre-compiled fused kernel) per widening node.
-	ds2 := datasource.DS2{Col: chain[0].Column, Preds: chain[0].execPreds}
-	ds2.CompilePreds()
-	ds4s := make([]datasource.DS4, len(chain))
+	ds2 := datasource.NewDS2(chain[0].Column, chain[0].execPreds)
+	ds4s := make([]*datasource.DS4, len(chain))
 	for i, n := range chain[1:] {
-		ds4s[i+1] = datasource.DS4{Col: n.Column, Preds: n.execPreds}
-		ds4s[i+1].CompilePred()
+		ds4s[i+1] = datasource.NewDS4(n.Column, n.execPreds)
 	}
 	// The morsel's one batch: DS2 refills it per chunk and each DS4 widens it
 	// in place, so its buffers — one per chain column — are allocated once

@@ -11,7 +11,8 @@ type Builder struct {
 	runs    Ranges
 	lastEnd int64
 	count   int64
-	// forceBitmap requests bitmap output regardless of shape (ablation hook).
+	// forceBitmap requests bitmap output regardless of shape (the scalar
+	// filter references replay their runs into one).
 	forceBitmap bool
 	// extent, when non-empty, fixes the covering range of a bitmap output.
 	extent Range

@@ -157,32 +157,6 @@ func CompileFused(ps []Predicate) Kernel {
 	}
 }
 
-// CompileFusedMatcher returns the scalar compiled form of the conjunction of
-// ps: one call evaluates all k predicates (short-circuiting), for sparse
-// position filtering, where a few gathered values are tested one at a time.
-func CompileFusedMatcher(ps []Predicate) Matcher {
-	ps = SimplifyConj(ps)
-	if len(ps) == 1 {
-		return CompileMatcher(ps[0])
-	}
-	if len(ps) == 2 {
-		a, b := CompileMatcher(ps[0]), CompileMatcher(ps[1])
-		return func(v int64) bool { return a(v) && b(v) }
-	}
-	ms := make([]Matcher, len(ps))
-	for i, p := range ps {
-		ms[i] = CompileMatcher(p)
-	}
-	return func(v int64) bool {
-		for _, m := range ms {
-			if !m(v) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // MatchConj reports whether v satisfies every predicate in ps (the scalar
 // reference for the fused paths).
 func MatchConj(ps []Predicate, v int64) bool {

@@ -130,22 +130,3 @@ func TestCompileFusedDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestCompileFusedMatcher checks the scalar fused matcher against the
-// reference conjunction.
-func TestCompileFusedMatcher(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for iter := 0; iter < 200; iter++ {
-		k := 1 + rng.Intn(4)
-		ps := make([]Predicate, k)
-		for i := range ps {
-			ps[i] = randPred(rng)
-		}
-		m := CompileFusedMatcher(ps)
-		for v := int64(-3); v < 105; v++ {
-			if m(v) != MatchConj(ps, v) {
-				t.Fatalf("CompileFusedMatcher(%v)(%d) = %v, want %v", ps, v, m(v), MatchConj(ps, v))
-			}
-		}
-	}
-}

@@ -213,8 +213,8 @@ func (c *Coordinator) shardsFor(proj string, filters []matstore.Filter) ([]int, 
 }
 
 // pruneShard reports that shard k provably holds no row of proj matching
-// every filter, using the per-shard catalog min/max (the same test the
-// executor's zone index applies per block, lifted to shard granularity).
+// every filter, using the per-shard catalog min/max (a zone-map test at
+// shard granularity).
 // Conservative: unknown columns and non-interval predicates never prune.
 func (c *Coordinator) pruneShard(k int, proj string, filters []matstore.Filter) bool {
 	meta, ok := c.shards[k].metas[proj]

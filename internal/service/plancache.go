@@ -11,9 +11,9 @@ import (
 )
 
 // The plan cache skips BuildPlan/BuildJoinPlan for repeated query shapes: a
-// plan is self-contained (columns resolved, chunk size and ablation switches
-// captured at build time) and plan.Plan.Run is safe for concurrent callers
-// (per-run partials, atomic node counters, a build mutex on the hash side),
+// plan is self-contained (columns resolved, chunk size captured at build
+// time) and plan.Plan.Run is safe for concurrent callers (per-run partials,
+// atomic node counters, a build mutex on the hash side),
 // so one cached plan serves any number of concurrent sessions at any
 // parallelism. Keys canonicalize the query shape; the executor's options are
 // fixed per server, so they stay out of the key. Parallelism is a Run-time

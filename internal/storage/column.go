@@ -16,9 +16,7 @@ import (
 
 	"matstore/internal/buffer"
 	"matstore/internal/encoding"
-	"matstore/internal/kernels"
 	"matstore/internal/positions"
-	"matstore/internal/pred"
 )
 
 const (
@@ -50,9 +48,10 @@ type BlockInfo struct {
 	// Count is the number of values (plain), triples (RLE) or bits (BV).
 	Count uint32
 	// MinV and MaxV bound the values inside the block (zone map). For
-	// bit-vector blocks both equal Value. They let predicates over sorted
-	// columns derive position ranges from the index without reading the
-	// values (Section 2.1.1 of the paper).
+	// bit-vector blocks both equal Value. They are part of format version 2;
+	// no scan reads them: deriving positions from them (Section 2.1.1 of the
+	// paper) measured no faster than the window scan on any benchmark
+	// workload (CHANGES.md, PR 18), so the executor has the one scan.
 	MinV int64
 	MaxV int64
 }
@@ -237,8 +236,9 @@ func (c *Column) block(i int) (any, error) {
 	return c.pool.Get(buffer.Key{File: c.fid, Block: i}, c.blockLoader(i))
 }
 
-// blockLoader returns the read-and-decode miss handler for block i, shared
-// by the unpinned (Get) and pinned (Pin) fetch paths.
+// blockLoader returns the read-decode-validate miss handler for block i,
+// shared by the unpinned (Get) and pinned (Pin) fetch paths. A block that
+// fails either check never enters the pool.
 func (c *Column) blockLoader(i int) func() (any, int64, error) {
 	return func() (any, int64, error) {
 		buf := make([]byte, encoding.BlockSize)
@@ -246,11 +246,66 @@ func (c *Column) blockLoader(i int) func() (any, int64, error) {
 			return nil, 0, fmt.Errorf("%s block %d: %w", c.path, i, err)
 		}
 		dec, err := encoding.DecodeBlock(buf)
+		if err == nil {
+			err = c.validateBlock(i, dec)
+		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("%s block %d: %w", c.path, i, err)
 		}
 		return dec, encoding.BlockSize, nil
 	}
+}
+
+// validateBlock checks a decoded block against what the file says sits in
+// slot i: the header's encoding and the footer entry's cover (and, for a
+// bit-vector block, its value). A block's checksum only proves the block is
+// some block this writer produced — two blocks swapped, or one copied over
+// another, pass it — and every reader below indexes into the block by the
+// footer's cover, so a block that is not the one the footer describes would
+// read out of bounds or return another range's values. RLE runs must also
+// tile the cover without a gap, which is what lets a reader find a position's
+// run by binary search.
+func (c *Column) validateBlock(i int, dec any) error {
+	want := c.index[i]
+	var kind encoding.Kind
+	var cover positions.Range
+	var inside error // what is wrong within a block of the right kind and cover
+	switch b := dec.(type) {
+	case *encoding.PlainBlock:
+		kind, cover = encoding.Plain, b.Cover()
+	case *encoding.RLEBlock:
+		kind, cover = encoding.RLE, b.Cover()
+		for j := 1; j < len(b.Triples); j++ {
+			if b.Triples[j].Start != b.Triples[j-1].End() {
+				inside = fmt.Errorf("%w: gap before RLE run %d", ErrCorruptFile, j)
+				break
+			}
+		}
+	case *encoding.BVBlock:
+		kind, cover = encoding.BitVector, b.Cover()
+		if b.Value != want.Value {
+			inside = fmt.Errorf("%w: bit-string of value %d where the index has value %d", ErrCorruptFile, b.Value, want.Value)
+		}
+	}
+	if kind != c.hdr.enc {
+		return fmt.Errorf("%w: %v block in a %v column", ErrCorruptFile, kind, c.hdr.enc)
+	}
+	if cover != want.Cover {
+		return fmt.Errorf("%w: block covers [%d,%d) where the index has [%d,%d)",
+			ErrCorruptFile, cover.Start, cover.End, want.Cover.Start, want.Cover.End)
+	}
+	return inside
+}
+
+// blockAs types a fetched block (c.block or c.pinBlock) as the column's
+// encoding's block type B. The assertion cannot fail: validateBlock admitted
+// the block only with the header's kind, and every caller dispatches on that
+// same header.
+func blockAs[B any](dec any, err error) (*B, error) {
+	if err != nil {
+		return nil, err
+	}
+	return dec.(*B), nil
 }
 
 // blocksOverlapping returns the indexes of plain/RLE blocks whose cover
@@ -304,13 +359,9 @@ func (c *Column) plainWindow(r positions.Range) (encoding.MiniColumn, error) {
 		return m, nil
 	}
 	for _, i := range c.blocksOverlapping(r) {
-		dec, err := c.block(i)
+		pb, err := blockAs[encoding.PlainBlock](c.block(i))
 		if err != nil {
 			return nil, err
-		}
-		pb, ok := dec.(*encoding.PlainBlock)
-		if !ok {
-			return nil, fmt.Errorf("%s block %d: %w: not a plain block", c.path, i, ErrCorruptFile)
 		}
 		o := pb.Cover().Intersect(r)
 		m.AddSegment(o.Start, pb.Vals[o.Start-pb.Start:o.End-pb.Start])
@@ -324,13 +375,9 @@ func (c *Column) rleWindow(r positions.Range) (encoding.MiniColumn, error) {
 	}
 	var triples []encoding.Triple
 	for _, i := range c.blocksOverlapping(r) {
-		dec, err := c.block(i)
+		rb, err := blockAs[encoding.RLEBlock](c.block(i))
 		if err != nil {
 			return nil, err
-		}
-		rb, ok := dec.(*encoding.RLEBlock)
-		if !ok {
-			return nil, fmt.Errorf("%s block %d: %w: not an RLE block", c.path, i, ErrCorruptFile)
 		}
 		for _, t := range rb.Triples {
 			o := t.Cover().Intersect(r)
@@ -355,13 +402,9 @@ func (c *Column) bvWindow(r positions.Range) (encoding.MiniColumn, error) {
 	for vi, v := range c.values {
 		words := make([]uint64, nw)
 		for _, i := range c.bvBlocksOverlapping(v, r) {
-			dec, err := c.block(i)
+			bb, err := blockAs[encoding.BVBlock](c.block(i))
 			if err != nil {
 				return nil, err
-			}
-			bb, ok := dec.(*encoding.BVBlock)
-			if !ok {
-				return nil, fmt.Errorf("%s block %d: %w: not a BV block", c.path, i, ErrCorruptFile)
 			}
 			o := bb.Cover().Intersect(r)
 			if o.Empty() {
@@ -387,89 +430,6 @@ func (c *Column) bvWindow(r positions.Range) (encoding.MiniColumn, error) {
 // (e.g. the primary sort-key column of a projection).
 func (c *Column) Sorted() bool { return c.hdr.sorted }
 
-// ZonePositions computes the positions within window r whose values satisfy
-// p, using the per-block min/max zone metadata of the block index: blocks
-// whose value range lies entirely inside the predicate's accepted interval
-// contribute their whole cover as a position range *without being read*,
-// blocks entirely outside are skipped, and only straddling blocks are read
-// and filtered. This realizes Section 2.1.1's observation that positions
-// matching a predicate can often be derived from an index so that "the
-// original column values never have to be accessed".
-//
-// It applies to plain and RLE columns with interval predicates; for other
-// cases (bit-vector encoding, non-interval predicates) it falls back to
-// reading and filtering the window. The returned bool reports whether the
-// zone fast path was used.
-//
-// Straddling blocks run the compiled predicate kernel block-locally: the
-// decoded block's values (or RLE triples) are filtered in place, without
-// assembling a mini-column window around them — the only work besides the
-// block fetch is the comparison loop itself.
-func (c *Column) ZonePositions(r positions.Range, p pred.Predicate) (positions.Set, bool, error) {
-	lo, hi, intervalOK := p.Interval()
-	if !intervalOK || c.hdr.enc == encoding.BitVector {
-		mc, err := c.Window(r)
-		if err != nil {
-			return nil, false, err
-		}
-		return mc.Filter(p), false, nil
-	}
-	r = r.Intersect(c.Extent())
-	b := positions.NewBuilder(r)
-	var kern pred.Kernel // compiled lazily: many calls never see a straddler
-	for _, i := range c.blocksOverlapping(r) {
-		bi := c.index[i]
-		if bi.MinV > hi || bi.MaxV < lo {
-			continue // zone disjoint from predicate: skip without reading
-		}
-		window := bi.Cover.Intersect(r)
-		if bi.MinV >= lo && bi.MaxV <= hi {
-			// Zone entirely accepted: positions derived from the index.
-			b.AddRange(window)
-			continue
-		}
-		// Straddling block: fetch and filter just this block, in place.
-		dec, err := c.block(i)
-		if err != nil {
-			return nil, true, err
-		}
-		switch blk := dec.(type) {
-		case *encoding.PlainBlock:
-			if kern == nil {
-				kern = pred.Compile(p)
-			}
-			zoneFilterPlainBlock(b, blk, window, kern)
-		case *encoding.RLEBlock:
-			for _, t := range blk.Triples {
-				o := t.Cover().Intersect(window)
-				if !o.Empty() && t.Value >= lo && t.Value <= hi {
-					b.AddRange(o)
-				}
-			}
-		default:
-			return nil, true, fmt.Errorf("%s block %d: %w: unexpected block type", c.path, i, ErrCorruptFile)
-		}
-	}
-	return b.Build(), true, nil
-}
-
-// zoneFilterPlainBlock runs the compiled kernel over the window's slice of a
-// plain block, emitting matches into a block-local bitmap whose runs feed
-// the builder.
-func zoneFilterPlainBlock(b *positions.Builder, blk *encoding.PlainBlock, window positions.Range, kern pred.Kernel) {
-	base := window.Start &^ 63
-	bm := positions.NewBitmap(base, window.End-base)
-	kernels.FilterIntoBitmap(bm, window.Start, blk.Vals[window.Start-blk.Start:window.End-blk.Start], kern)
-	it := bm.Runs()
-	for {
-		run, ok := it.Next()
-		if !ok {
-			return
-		}
-		b.AddRange(run)
-	}
-}
-
 // ValueAt reads the single value at pos, touching only the block(s)
 // containing it. For bit-vector columns this must probe each distinct
 // value's bit-string — the cost asymmetry the paper notes for DS3 over
@@ -480,20 +440,16 @@ func (c *Column) ValueAt(pos int64) (int64, error) {
 	}
 	switch c.hdr.enc {
 	case encoding.Plain:
-		i := c.blockContaining(pos)
-		dec, err := c.block(i)
+		pb, err := blockAs[encoding.PlainBlock](c.block(c.blockContaining(pos)))
 		if err != nil {
 			return 0, err
 		}
-		pb := dec.(*encoding.PlainBlock)
 		return pb.Vals[pos-pb.Start], nil
 	case encoding.RLE:
-		i := c.blockContaining(pos)
-		dec, err := c.block(i)
+		rb, err := blockAs[encoding.RLEBlock](c.block(c.blockContaining(pos)))
 		if err != nil {
 			return 0, err
 		}
-		rb := dec.(*encoding.RLEBlock)
 		ts := rb.Triples
 		j := sort.Search(len(ts), func(j int) bool { return ts[j].End() > pos })
 		return ts[j].Value, nil
@@ -508,11 +464,10 @@ func (c *Column) ValueAt(pos int64) (int64, error) {
 			if j == len(blocks) || !c.index[blocks[j]].Cover.Contains(pos) {
 				continue
 			}
-			dec, err := c.block(blocks[j])
+			bb, err := blockAs[encoding.BVBlock](c.block(blocks[j]))
 			if err != nil {
 				return 0, err
 			}
-			bb := dec.(*encoding.BVBlock)
 			bit := pos - bb.StartBit
 			if bb.Words[bit>>6]&(1<<uint(bit&63)) != 0 {
 				return v, nil

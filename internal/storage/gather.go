@@ -77,15 +77,11 @@ func (c *Column) gatherPlain(ps positions.Set, dst []int64) ([]int64, error) {
 					c.unpinBlock(pinned)
 					pinned = -1
 				}
-				dec, err := c.pinBlock(bi)
-				if err != nil {
+				var err error
+				if pb, err = blockAs[encoding.PlainBlock](c.pinBlock(bi)); err != nil {
 					return dst, err
 				}
 				pinned = bi
-				var isPlain bool
-				if pb, isPlain = dec.(*encoding.PlainBlock); !isPlain {
-					return dst, fmt.Errorf("%s block %d: %w: not a plain block", c.path, bi, ErrCorruptFile)
-				}
 			}
 			end := r.End
 			if pe := pb.Start + int64(len(pb.Vals)); pe < end {
@@ -126,15 +122,11 @@ func (c *Column) gatherRLE(ps positions.Set, dst []int64) ([]int64, error) {
 					c.unpinBlock(pinned)
 					pinned = -1
 				}
-				dec, err := c.pinBlock(bi)
-				if err != nil {
+				var err error
+				if rb, err = blockAs[encoding.RLEBlock](c.pinBlock(bi)); err != nil {
 					return dst, err
 				}
 				pinned = bi
-				var isRLE bool
-				if rb, isRLE = dec.(*encoding.RLEBlock); !isRLE {
-					return dst, fmt.Errorf("%s block %d: %w: not an RLE block", c.path, bi, ErrCorruptFile)
-				}
 			}
 			end := r.End
 			if be := c.index[bi].Cover.End; be < end {
@@ -206,14 +198,9 @@ func (c *Column) gatherBV(ps positions.Set, dst []int64) ([]int64, error) {
 			if runs[ri].Start >= cover.End {
 				continue // no requested position in this block: skip the read
 			}
-			dec, err := c.pinBlock(bi)
+			bb, err := blockAs[encoding.BVBlock](c.pinBlock(bi))
 			if err != nil {
 				return dst, err
-			}
-			bb, isBV := dec.(*encoding.BVBlock)
-			if !isBV {
-				c.unpinBlock(bi)
-				return dst, fmt.Errorf("%s block %d: %w: not a BV block", c.path, bi, ErrCorruptFile)
 			}
 			for rj := ri; rj < len(runs) && runs[rj].Start < cover.End; rj++ {
 				o := runs[rj].Intersect(cover)

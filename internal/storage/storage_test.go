@@ -458,3 +458,36 @@ func TestWindowMatchesSliceRandom(t *testing.T) {
 		}
 	}
 }
+
+func TestSortedFlag(t *testing.T) {
+	dir := t.TempDir()
+	sorted := filepath.Join(dir, "s.col")
+	writeColumn(t, sorted, encoding.Plain, []int64{1, 1, 2, 5, 5, 9})
+	if c := openColumn(t, sorted); !c.Sorted() {
+		t.Error("sorted column not flagged")
+	}
+	unsorted := filepath.Join(dir, "u.col")
+	writeColumn(t, unsorted, encoding.Plain, []int64{1, 5, 2})
+	if c := openColumn(t, unsorted); c.Sorted() {
+		t.Error("unsorted column flagged sorted")
+	}
+}
+
+func TestZoneMetadataInFooter(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.col")
+	vals := make([]int64, 2*encoding.PlainBlockCap)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	writeColumn(t, path, encoding.Plain, vals)
+	c := openColumn(t, path)
+	if len(c.index) != 2 {
+		t.Fatalf("blocks = %d", len(c.index))
+	}
+	if c.index[0].MinV != 0 || c.index[0].MaxV != int64(encoding.PlainBlockCap-1) {
+		t.Errorf("block 0 zone = [%d,%d]", c.index[0].MinV, c.index[0].MaxV)
+	}
+	if c.index[1].MinV != int64(encoding.PlainBlockCap) {
+		t.Errorf("block 1 zone min = %d", c.index[1].MinV)
+	}
+}

@@ -171,7 +171,7 @@ func Generate(dir string, scale float64, seed uint64) error {
 type Options struct {
 	// PoolBytes bounds the buffer pool (0 = unbounded).
 	PoolBytes int64
-	// Exec tunes the executor (chunk size, ablation switches).
+	// Exec sets the executor's two sizes (chunk size, join partition count).
 	Exec core.Options
 }
 
