@@ -27,6 +27,10 @@ test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'DisableMultiColumn|ForceBitmapPositions|UseZoneIndex|SkipOutputIteration|DisableFusion|ZonePositions' .)"
 test "$(cat $(ls internal/operators/*.go | grep -v _test.go) | grep -c 'key\.Window(')" -le 1
+# One output path: count and checksum are folded chunk by chunk as the result
+# is written (rows.Result.Seal), so the second pass over a finished result may
+# not come back.
+test -z "$(grep -rl --include='*.go' --exclude-dir=.bench_build 'drainResult' .)"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -45,6 +49,10 @@ go test -race -run 'TestMisplacedBlock' ./internal/storage/
 # shows only under the race detector's scheduling, about one run in two) and
 # the three-resource invariant under 64 goroutines.
 go test -race -count=5 -run 'TestGovernor' ./internal/service/
+# Capped and uncapped requests for one shape at once: whichever runs and
+# whichever entry is resident, every reply holds the oracle's leading rows,
+# count and sums.
+go test -race -count=5 -run 'TestResultCacheConcurrentLimits$' ./internal/service/
 
 # The calibration acceptance test failed about one run in four while it
 # fitted wall-clock timings; it fits synthetic observations now. Prove it.
@@ -77,6 +85,11 @@ go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 
 # 34 allocations (it was 1,537 with a map of position lists), a probe of the
 # 15k-row outer table 36 to 40 (it was 105 to 129, three times the bytes).
 go test -run xxx -bench 'BenchmarkJoin(Build|Probe)$' -benchtime 1x .
+# What a request that keeps 100 rows of 150k allocates, beside the same request
+# uncapped, per strategy and parallelism (0.8 to 1.6 MB against 13 to 15: the
+# scan layer's few kB a chunk and the morsels' chunk-wide vectors, not the
+# result).
+go test -run 'TestCappedSelectAllocs$' -v ./internal/core | grep 'kB a request'
 # The serving stack's code lines (non-blank, non-comment, non-test: service,
 # buffer pool, the shared LRU, the build cache), printed next to the
 # allocation counts so that growth shows in the log of the PR that causes it
@@ -108,6 +121,11 @@ go run ./cmd/csquery -dir "$ci_explain_dir" -proj lineitem \
 go run ./cmd/csquery -dir "$ci_explain_dir" -proj lineitem \
 	-where 'shipdate<300' -groupby returnflag -sum quantity \
 	-strategy em-pipelined -explain | grep -q 'AGG sum(quantity)'
+# The row cap through the library, no service in between: three rows kept and
+# printed, every row counted.
+go run ./cmd/csquery -dir "$ci_explain_dir" -proj lineitem -out shipdate,linenum \
+	-where 'shipdate<400' -strategy em-parallel -parallelism 2 -limit 3 \
+	| grep -q 'rows total'
 
 # Smoke-run join EXPLAIN: the radix-build join plan must render both join
 # nodes with modeled vs observed stats (and the resolved partition count).

@@ -48,7 +48,7 @@ func main() {
 	aggFn := flag.String("agg", "sum", "aggregate function: sum|count|avg|min|max")
 	strategy := flag.String("strategy", "lm-parallel", "em-pipelined|em-parallel|lm-pipelined|lm-parallel|advise")
 	parallelism := flag.Int("parallelism", 1, "morsel-parallel workers (0 = one per CPU, 1 = serial)")
-	limit := flag.Int("limit", 10, "max rows to print")
+	limit := flag.Int("limit", 10, "rows to keep and print (0 = every row); tuples_out still counts them all")
 	explain := flag.Bool("explain", false, "print the physical plan with modeled vs. observed per-node stats instead of rows")
 	joinProj := flag.String("join", "", "inner projection: join -proj (outer) against it")
 	leftKey := flag.String("leftkey", "", "outer join key column (with -join)")
@@ -94,7 +94,7 @@ func main() {
 		log.Fatal("-advise applies only in join mode (-join); use -strategy advise for selections")
 	}
 
-	q := matstore.Query{GroupBy: *groupby, AggCol: *sum, Agg: fn}
+	q := matstore.Query{GroupBy: *groupby, AggCol: *sum, Agg: fn, Limit: *limit}
 	if *out != "" {
 		q.Output = strings.Split(*out, ",")
 	}
@@ -131,7 +131,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	printRows(res, *limit)
+	printRows(res)
 	fmt.Printf("\nstrategy=%v wall=%v workers=%d morsels=%d tuples_out=%d tuples_constructed=%d positions=%d chunks_skipped=%d\n",
 		stats.Strategy, stats.Wall, stats.Workers, stats.Morsels, stats.TuplesOut,
 		stats.TuplesConstructed, stats.PositionsMatched, stats.ChunksSkipped)
@@ -163,6 +163,7 @@ func runJoin(db *matstore.DB, outer, inner, leftKey, rightKey, out, rightOut, ri
 		RightKey:         rightKey,
 		Parallelism:      parallelism,
 		SpillBudgetBytes: spillBudget,
+		Limit:            limit,
 	}
 	if out != "" {
 		q.LeftOutput = strings.Split(out, ",")
@@ -205,7 +206,7 @@ func runJoin(db *matstore.DB, outer, inner, leftKey, rightKey, out, rightOut, ri
 	if err != nil {
 		log.Fatal(err)
 	}
-	printRows(res, limit)
+	printRows(res)
 	fmt.Printf("\nouter=%v right=%v wall=%v workers=%d morsels=%d partitions=%d build_workers=%d\n",
 		stats.Strategy, stats.RightStrategy, stats.Wall, stats.Workers, stats.Morsels,
 		stats.Join.Partitions, stats.Join.BuildWorkers)
@@ -217,14 +218,11 @@ func runJoin(db *matstore.DB, outer, inner, leftKey, rightKey, out, rightOut, ri
 	}
 }
 
-// printRows prints the result header plus up to limit rows.
-func printRows(res *matstore.Result, limit int) {
+// printRows prints the result header and the rows the run kept (the query's
+// Limit), then how many it produced when that is more.
+func printRows(res *matstore.Result) {
 	fmt.Println(strings.Join(res.Columns, "\t"))
-	n := res.NumRows()
-	shown := n
-	if shown > limit {
-		shown = limit
-	}
+	shown := res.NumRows()
 	for i := 0; i < shown; i++ {
 		row := res.Row(i)
 		parts := make([]string, len(row))
@@ -233,7 +231,7 @@ func printRows(res *matstore.Result, limit int) {
 		}
 		fmt.Println(strings.Join(parts, "\t"))
 	}
-	if shown < n {
-		fmt.Printf("... (%d rows total)\n", n)
+	if int64(shown) < res.Total {
+		fmt.Printf("... (%d rows total)\n", res.Total)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
@@ -166,7 +165,8 @@ func oracleResult(t *testing.T, db *matstore.DB, q matstore.Query) [][]int64 {
 }
 
 // checkAgainstOracle runs q under all four strategies × parallelism {1, 4}
-// and requires every result byte-identical to the oracle's, which also makes
+// and requires every result byte-identical to the oracle's — the rows q.Limit
+// keeps, and the count and per-column sums over all of them — which also makes
 // the strategies agree with each other and parallel row order equal serial
 // row order.
 func checkAgainstOracle(t *testing.T, db *matstore.DB, q matstore.Query) {
@@ -175,13 +175,16 @@ func checkAgainstOracle(t *testing.T, db *matstore.DB, q matstore.Query) {
 	for _, s := range matstore.Strategies {
 		for _, par := range []int{1, 4} {
 			q.Parallelism = par
-			res, _, err := db.Select(tpch.LineitemProj, q, s)
+			res, stats, err := db.Select(tpch.LineitemProj, q, s)
 			if err != nil {
 				t.Fatalf("%v/par=%d: %v (query %+v)", s, par, err, q)
 			}
-			if !slices.EqualFunc(res.Cols, want, slices.Equal[[]int64]) {
-				t.Errorf("%v/par=%d: %d rows differ from the oracle's %d on query %+v",
-					s, par, res.NumRows(), len(want[0]), q)
+			if err := oracle.Capped(res, want, q.Limit); err != nil {
+				t.Errorf("%v/par=%d: %v on query %+v", s, par, err, q)
+			}
+			if stats.TuplesOut != res.Total || stats.OutputChecksum != res.Checksum() {
+				t.Errorf("%v/par=%d: stats report %d rows summing to %d, the result %d and %d",
+					s, par, stats.TuplesOut, stats.OutputChecksum, res.Total, res.Checksum())
 			}
 		}
 	}
@@ -348,7 +351,9 @@ func TestDifferentialJoinSelectivitySweep(t *testing.T) {
 // build byte-identical (row order included) to the serial definition of the
 // join — the nested-loop oracle over the decompressed columns — sweeping the
 // partition count (1, 2, 8, 64 — and 0, the worker-derived default) across
-// all three inner-table strategies, worker counts and outer selectivities.
+// all three inner-table strategies, worker counts and outer selectivities —
+// and, at every point, under every row cap of oracle.Limits: a capped join
+// keeps the oracle's leading rows and still counts and sums all of them.
 func TestDifferentialJoinRadixBuild(t *testing.T) {
 	partitionDBs := map[int]*matstore.DB{}
 	for _, p := range []int{0, 1, 2, 8, 64} {
@@ -376,16 +381,22 @@ func TestDifferentialJoinRadixBuild(t *testing.T) {
 			for p, db := range partitionDBs {
 				for _, par := range []int{1, 4} {
 					q.Parallelism = par
-					res, stats, err := db.Join("orders", "customer", q, rs)
-					if err != nil {
-						t.Fatalf("sel=%v %v/p=%d/par=%d: %v", sel, rs, p, par, err)
-					}
-					if !slices.EqualFunc(res.Cols, ref, slices.Equal[[]int64]) {
-						t.Errorf("sel=%v %v/p=%d/par=%d: radix result not byte-identical to the oracle's",
-							sel, rs, p, par)
-					}
-					if p > 0 && stats.Join.Partitions != p {
-						t.Errorf("sel=%v %v/p=%d: reported partitions = %d", sel, rs, p, stats.Join.Partitions)
+					for _, q.Limit = range oracle.Limits(len(ref[0])) {
+						res, stats, err := db.Join("orders", "customer", q, rs)
+						if err != nil {
+							t.Fatalf("sel=%v %v/p=%d/par=%d/limit=%d: %v", sel, rs, p, par, q.Limit, err)
+						}
+						if err := oracle.Capped(res, ref, q.Limit); err != nil {
+							t.Errorf("sel=%v %v/p=%d/par=%d/limit=%d: radix result not the oracle's: %v",
+								sel, rs, p, par, q.Limit, err)
+						}
+						if stats.TuplesOut != res.Total || stats.OutputChecksum != res.Checksum() {
+							t.Errorf("sel=%v %v/p=%d/par=%d/limit=%d: stats report %d rows summing to %d, the result %d and %d",
+								sel, rs, p, par, q.Limit, stats.TuplesOut, stats.OutputChecksum, res.Total, res.Checksum())
+						}
+						if p > 0 && stats.Join.Partitions != p {
+							t.Errorf("sel=%v %v/p=%d: reported partitions = %d", sel, rs, p, stats.Join.Partitions)
+						}
 					}
 				}
 			}
@@ -479,9 +490,10 @@ func TestRandomQueriesAgainstOracle(t *testing.T) {
 	db := diffDB(t)
 	for _, seed := range randomOracleSeeds {
 		rng := rand.New(rand.NewSource(seed))
-		// The aggregation twin draws from its own stream, so the WHERE clauses
-		// and outputs a seed generates do not depend on it.
+		// The aggregation twin and the row cap draw from their own streams, so
+		// the WHERE clauses and outputs a seed generates do not depend on them.
 		aggRng := rand.New(rand.NewSource(seed + 1<<32))
+		capRng := rand.New(rand.NewSource(seed + 2<<32))
 		for iter := 0; iter < 20; iter++ {
 			c := diffFilterCols[rng.Intn(len(diffFilterCols))]
 			var q matstore.Query
@@ -514,9 +526,12 @@ func TestRandomQueriesAgainstOracle(t *testing.T) {
 					matstore.Sum, matstore.Count, matstore.Avg, matstore.Min, matstore.Max,
 				}[aggRng.Intn(5)],
 			}
+			draw := capRng.Intn(len(oracle.Limits(0)))
 			t.Run(fmt.Sprintf("seed%d/query%02d", seed, iter), func(t *testing.T) {
-				checkAgainstOracle(t, db, q)
-				checkAgainstOracle(t, db, agg)
+				for _, q := range []matstore.Query{q, agg} {
+					q.Limit = oracle.Limits(len(oracleResult(t, db, q)[0]))[draw]
+					checkAgainstOracle(t, db, q)
+				}
 			})
 		}
 	}

@@ -92,7 +92,7 @@ func (db *DB) ExplainTraced(projection string, q Query, s Strategy, tr *obs.Span
 	}
 	consts := db.Constants()
 	modeled := consts.AnnotatePlan(pl, true).Cost
-	res, stats, err := db.exec.RunPlanWith(pl, s, q.Parallelism, plan.RunOptions{Observe: true, Trace: tr})
+	res, stats, err := db.exec.RunPlanWith(pl, s, q.Parallelism, plan.RunOptions{Observe: true, Limit: q.Limit, Trace: tr})
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +141,7 @@ func (db *DB) ExplainJoinTraced(left, right string, q JoinQuery, rs RightStrateg
 	}
 	consts := db.Constants()
 	modeled := consts.AnnotatePlan(pl, true).Cost
-	res, stats, err := db.exec.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Observe: true, Spill: spill, Trace: tr})
+	res, stats, err := db.exec.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Observe: true, Spill: spill, Limit: q.Limit, Trace: tr})
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,6 @@ import (
 
 	"matstore/internal/buffer"
 	"matstore/internal/datasource"
-	"matstore/internal/kernels"
 	"matstore/internal/operators"
 	"matstore/internal/plan"
 	"matstore/internal/pred"
@@ -129,6 +128,12 @@ type SelectQuery struct {
 	// 1 runs the exact serial chunk-at-a-time plan. Results are identical at
 	// every level: per-morsel partials are merged in block order.
 	Parallelism int
+	// Limit caps the rows the result holds: its first Limit rows in output
+	// order (0 = every row). The result's Total and Sums, and with them
+	// Stats.TuplesOut and Stats.OutputChecksum, cover every row either way —
+	// rows beyond the cap are counted and summed chunk by chunk and never
+	// kept. Like Parallelism it sizes the run and is no part of the plan.
+	Limit int
 }
 
 // Aggregating reports whether the query has an aggregation on top.
@@ -218,7 +223,8 @@ type Stats struct {
 	Strategy Strategy
 	// Wall is the end-to-end execution time.
 	Wall time.Duration
-	// TuplesOut is the number of result tuples.
+	// TuplesOut is the number of result tuples (every one, also under a
+	// Limit that keeps fewer).
 	TuplesOut int64
 	// TuplesConstructed counts every intermediate or output tuple stitched
 	// together (the quantity LM tries to minimize).
@@ -237,9 +243,10 @@ type Stats struct {
 	Morsels int
 	// Buffer is the buffer-pool traffic delta attributable to this query.
 	Buffer buffer.Stats
-	// OutputChecksum is a fold over all output values from the final
-	// result-iteration pass (prevents dead-code elimination in benchmarks
-	// and doubles as a cheap cross-strategy equivalence probe).
+	// OutputChecksum is a fold over all output values — the paper's
+	// result-iteration pass, taken chunk by chunk as the result is written
+	// (prevents dead-code elimination in benchmarks and doubles as a cheap
+	// cross-strategy equivalence probe).
 	OutputChecksum int64
 	// AggState is the query's final merged aggregator (aggregating queries
 	// only): the mergeable per-group statistics behind the emitted rows,
@@ -269,7 +276,7 @@ func (e *Executor) Select(p *storage.Projection, q SelectQuery, s Strategy) (*ro
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.RunPlan(pl, s, q.Parallelism, false)
+	return e.RunPlanWith(pl, s, q.Parallelism, plan.RunOptions{Limit: q.Limit})
 }
 
 // RunPlan executes a built physical plan through the generic morsel
@@ -299,9 +306,9 @@ func (e *Executor) RunPlanWith(pl *plan.Plan, s Strategy, parallelism int, opt p
 	stats.Morsels = runStats.Morsels
 	stats.AggState = runStats.AggState
 
-	stats.OutputChecksum = drainResult(res)
+	stats.OutputChecksum = res.Checksum()
 	stats.Wall = time.Since(start)
-	stats.TuplesOut = int64(res.NumRows())
+	stats.TuplesOut = res.Total
 	after := e.Pool.Stats()
 	stats.Buffer = buffer.Stats{
 		Hits:   after.Hits - before.Hits,
@@ -310,16 +317,4 @@ func (e *Executor) RunPlanWith(pl *plan.Plan, s Strategy, parallelism int, opt p
 		Seeks:  after.Seeks - before.Seeks,
 	}
 	return res, stats, nil
-}
-
-// drainResult iterates over every output tuple, as the paper's experiments
-// do after query execution, returning a checksum of all values. It sums one
-// column at a time: wrapping addition is commutative, so the checksum is the
-// row-order one.
-func drainResult(res *rows.Result) int64 {
-	var sum int64
-	for _, col := range res.Cols {
-		sum += kernels.SumColumn(col)
-	}
-	return sum
 }

@@ -39,6 +39,9 @@ type JoinQuery struct {
 	// service sets the equivalent automatically from its memory governor;
 	// this field is the direct-API and CLI switch.)
 	SpillBudgetBytes int64
+	// Limit caps the rows the result holds, as SelectQuery.Limit does (0 =
+	// every row).
+	Limit int
 }
 
 // JoinStats extends Stats with join-side counters.
@@ -113,7 +116,7 @@ func (e *Executor) Join(left, right *storage.Projection, q JoinQuery, rs operato
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.RunJoinPlan(pl, q.Parallelism, false)
+	return e.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Limit: q.Limit})
 }
 
 // RunJoinPlan executes a built join plan through the generic morsel
@@ -145,9 +148,9 @@ func (e *Executor) RunJoinPlanWith(pl *plan.Plan, parallelism int, opt plan.RunO
 	stats.Morsels = runStats.Morsels
 	stats.PositionsMatched = runStats.PositionsMatched
 	stats.ChunksSkipped = runStats.ChunksSkipped
-	stats.OutputChecksum = drainResult(res)
+	stats.OutputChecksum = res.Checksum()
 	stats.Wall = time.Since(start)
-	stats.TuplesOut = int64(res.NumRows())
+	stats.TuplesOut = res.Total
 	stats.TuplesConstructed = runStats.Join.OutputTuples + runStats.Join.RightBuildTuples
 	after := e.Pool.Stats()
 	stats.Buffer = buffer.Stats{

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"matstore/internal/operators"
+	"matstore/internal/oracle"
 	"matstore/internal/plan"
 	"matstore/internal/pred"
 	"matstore/internal/tpch"
@@ -17,7 +18,8 @@ import (
 // runs of consecutive outer rows route to spilled partitions and share one
 // anchor; and at half the budget resident and spilled partitions mix, so base
 // rows and inserted rows interleave. The spilled result must equal the
-// in-memory one byte for byte at every budget, worker count and strategy.
+// in-memory one byte for byte at every budget, worker count and strategy, and
+// its leading rows, count and sums under every row cap of oracle.Limits.
 func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 	db := openDB(t)
 	orders, err := db.Projection(tpch.OrdersProj)
@@ -48,6 +50,19 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 			t.Fatalf("%v: %d rows from %d probes: the fixture lost its duplicate inner keys",
 				rs, want.NumRows(), wantStats.Join.LeftProbes)
 		}
+		// The same caps without a spill: ten matches a probe, so a chunk's
+		// emission straddles the cap mid-probe.
+		for _, limit := range oracle.Limits(want.NumRows()) {
+			for _, workers := range []int{1, 4} {
+				capped, _, err := e.RunJoinPlanWith(pl, workers, plan.RunOptions{Limit: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := oracle.Capped(capped, want.Cols, limit); err != nil {
+					t.Errorf("%v/in-memory/w=%d/limit=%d: %v", rs, workers, limit, err)
+				}
+			}
+		}
 		build := pl.JoinProbe().Children[1]
 		ref, err := operators.BuildPartitioned(build.Column, build.RightCols, build.RightPayload, operators.RightSingleColumn, 256, 1, 8)
 		if err != nil {
@@ -69,6 +84,18 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 				if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Columns, want.Columns) {
 					t.Errorf("%v/budget=%d/w=%d: spilled result differs from in-memory (%d vs %d rows)",
 						rs, budget, workers, got.NumRows(), want.NumRows())
+				}
+				for _, limit := range oracle.Limits(want.NumRows()) {
+					capped, _, err := e.RunJoinPlanWith(spl, workers, plan.RunOptions{
+						Limit: limit,
+						Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes, Dir: dir},
+					})
+					if err != nil {
+						t.Fatalf("%v/budget=%d/w=%d/limit=%d: %v", rs, budget, workers, limit, err)
+					}
+					if err := oracle.Capped(capped, want.Cols, limit); err != nil {
+						t.Errorf("%v/budget=%d/w=%d/limit=%d: %v", rs, budget, workers, limit, err)
+					}
 				}
 				mixed := stats.Join.SpilledParts > 0 && stats.Join.SpilledParts < stats.Join.Partitions
 				if (budget > 1) != mixed {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"matstore/internal/operators"
+	"matstore/internal/oracle"
 	"matstore/internal/plan"
 )
 
@@ -16,7 +17,10 @@ import (
 // at the plan level: a Grace spill build probed partition-at-a-time must
 // return results byte-identical (order included) to the in-memory radix
 // join, at every budget (everything spilled, partially spilled, nothing
-// spilled) × worker count × strategy, with and without the outer predicate.
+// spilled) × worker count × strategy, with and without the outer predicate —
+// and under every row cap of oracle.Limits, where anchors and deferred
+// positions are what a prefix could get wrong: the capped spill run keeps the
+// in-memory result's leading rows and counts and sums all of them.
 func TestJoinSpillMatchesInMemory(t *testing.T) {
 	orders, customer, e := joinProjections(t)
 	dir := t.TempDir()
@@ -55,6 +59,18 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 					if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Columns, want.Columns) {
 						t.Errorf("%v/pred=%v/budget=%d/w=%d: spilled result differs from in-memory (%d vs %d rows)",
 							rs, withPred, budget, workers, got.NumRows(), want.NumRows())
+					}
+					for _, limit := range oracle.Limits(want.NumRows()) {
+						capped, _, err := e.RunJoinPlanWith(spl, workers, plan.RunOptions{
+							Limit: limit,
+							Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes, Dir: dir},
+						})
+						if err != nil {
+							t.Fatalf("%v/pred=%v/budget=%d/w=%d/limit=%d: %v", rs, withPred, budget, workers, limit, err)
+						}
+						if err := oracle.Capped(capped, want.Cols, limit); err != nil {
+							t.Errorf("%v/pred=%v/budget=%d/w=%d/limit=%d: %v", rs, withPred, budget, workers, limit, err)
+						}
 					}
 					if !stats.Join.Spilled {
 						t.Errorf("%v/budget=%d: Spilled not reported", rs, budget)

@@ -117,19 +117,6 @@ func SumRange(mc MiniColumn, r positions.Range) int64 {
 	}
 }
 
-// SumSet sums mc's values over an arbitrary position set.
-func SumSet(mc MiniColumn, ps positions.Set) int64 {
-	var sum int64
-	it := ps.Runs()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return sum
-		}
-		sum += SumRange(mc, r)
-	}
-}
-
 // RunStats are the aggregate statistics of one run of values, the unit of
 // work for aggregation directly on compressed data: a whole run contributes
 // in O(1) (RLE) or O(distinct) (bit-vector) instead of O(values).

@@ -112,16 +112,6 @@ func TestMiniSumRange(t *testing.T) {
 	}
 }
 
-func TestMiniSumSet(t *testing.T) {
-	vals := []int64{1, 10, 100, 1000, 10000}
-	ps := positions.List{0, 2, 4}
-	for _, m := range minis(0, vals) {
-		if got := SumSet(m, ps); got != 10101 {
-			t.Errorf("%v SumSet = %d, want 10101", m.Kind(), got)
-		}
-	}
-}
-
 func TestPlainMiniSegmented(t *testing.T) {
 	m := NewPlainMini(rangeOf(0, 10))
 	m.AddSegment(0, []int64{0, 1, 2, 3})

@@ -8,6 +8,7 @@ import (
 	"matstore/internal/buffer"
 	"matstore/internal/encoding"
 	"matstore/internal/pred"
+	"matstore/internal/rows"
 	"matstore/internal/storage"
 )
 
@@ -174,5 +175,43 @@ func TestNestedLoopJoinDuplicateKeys(t *testing.T) {
 	}
 	if probes != 2 || len(out[0]) != 0 {
 		t.Errorf("keys 4 and 3: got %v from %d probes, want no rows from 2", out, probes)
+	}
+}
+
+// TestCapped states the row cap's contract on a hand-written result: the
+// kept prefix, the total and the sums, and each way of missing them.
+func TestCapped(t *testing.T) {
+	full := [][]int64{{1, 2, 3}, {10, 20, 30}}
+	run := func(limit int) *rows.Result {
+		r := rows.NewResult("a", "b")
+		for i := range full[0] {
+			r.AppendRow(full[0][i], full[1][i])
+		}
+		r.Seal(limit)
+		return r
+	}
+	for _, limit := range []int{0, -1, 1, 3, 4} {
+		if err := Capped(run(limit), full, limit); err != nil {
+			t.Errorf("limit %d: %v", limit, err)
+		}
+	}
+	if err := Capped(run(0), full, 2); err == nil {
+		t.Error("an uncapped result passed for one capped at 2")
+	}
+	if err := Capped(run(2), full, 0); err == nil {
+		t.Error("a result capped at 2 passed for the whole")
+	}
+	short := run(2)
+	short.Total--
+	if err := Capped(short, full, 2); err == nil {
+		t.Error("a wrong Total passed")
+	}
+	off := run(2)
+	off.Sums[1]++
+	if err := Capped(off, full, 2); err == nil {
+		t.Error("a wrong sum passed")
+	}
+	if err := Capped(rows.NewResult("a", "b"), [][]int64{nil, nil}, 5); err != nil {
+		t.Errorf("empty result: %v", err)
 	}
 }

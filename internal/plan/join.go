@@ -111,7 +111,10 @@ func (p *Plan) buildKey(build *Node) operators.BuildKey {
 // Deferred right payload (the single-column strategy, and every strategy in
 // spill mode) has no list of its own: each row's right position is stored in
 // the row's first right-payload column, where it rides through the merge and
-// pass B until joinDeferredFetch overwrites it with the fetched value.
+// pass B until joinDeferredFetch overwrites it with the fetched value. Such a
+// morsel does not seal its result — a sum over positions means nothing, and
+// the fetch and pass B need every one of them — so the run's rows exist in
+// full until RunWith seals them after the fetch; they do not outlive it.
 func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.PartitionedTable, observe bool) error {
 	probe := p.Root.Children[0]
 	posNode := probe.Children[0]
@@ -238,6 +241,9 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 					col[j] = rt.PayloadMinis(rpos)[c].ValueAt(rpos)
 				}
 			}
+		}
+		if !deferred {
+			pt.res.Seal(pt.limit)
 		}
 		pt.stats.Join.OutputTuples += int64(len(matchIdx))
 		if observe {

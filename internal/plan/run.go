@@ -50,6 +50,9 @@ type RunStats struct {
 type partial struct {
 	agg *operators.Aggregator
 	res *rows.Result
+	// limit is the run's row cap (RunOptions.Limit): res is sealed to it after
+	// every chunk, so a morsel holds its first limit rows plus one chunk's.
+	limit int
 	// Spill-mode deferred probes: keys that routed to a spilled partition.
 	// spillAnchors[j] is the partial's emitted row count at the moment probe
 	// j was seen — the insertion point that reproduces the in-memory output
@@ -84,6 +87,10 @@ type RunOptions struct {
 	// results are byte-identical to in-memory execution; the temp files are
 	// removed when the run returns, on every path.
 	Spill *operators.SpillConfig
+	// Limit caps the rows the result keeps (0 = every row); its Total and Sums
+	// cover every row regardless. It is a size of this run, not of the plan:
+	// one cached plan serves every limit.
+	Limit int
 	// Trace is the parent span for this run's phase spans (join build,
 	// morsel execution, merge, spill assembly) plus one synthetic span per
 	// plan node from the Observed counters. Nil (the default) adds no spans
@@ -154,7 +161,7 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pt := &partial{}
+		pt := &partial{limit: opt.Limit}
 		if err := p.runMorsel(morsels[i], pt, built, observe); err != nil {
 			return err
 		}
@@ -190,6 +197,12 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 			return nil, RunStats{}, err
 		}
 	}
+	// Sealed per chunk, this only cuts the concatenated prefixes to the cap;
+	// an aggregation's emitted groups and a deferred join's fetched rows are
+	// folded here, once they are final. Either way the chunk-sized buffers the
+	// rows were written through end with the run.
+	res.Seal(opt.Limit)
+	res.Clip()
 	gspan.End()
 	if workers > len(morsels) {
 		workers = len(morsels) // a worker without a morsel never runs
@@ -204,7 +217,7 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 		case KindAggregate:
 			p.Root.Obs.Rows.Store(int64(stats.Groups))
 		default:
-			p.Root.Obs.Rows.Store(int64(res.NumRows()))
+			p.Root.Obs.Rows.Store(res.Total)
 		}
 	}
 	// Synthetic per-node spans from the final Observed counters (after the
@@ -242,8 +255,10 @@ func (p *Plan) updateSkew(morsels []positions.Range, parts []*partial) {
 
 // mergePartials recombines per-morsel partials deterministically: aggregate
 // states merge through the mergeable-state contract and emit sorted by key;
-// row partials concatenate in morsel (block) order. A lone partial is
-// adopted wholesale, so serial execution does no extra copying.
+// row partials concatenate in morsel (block) order, their totals and sums
+// adding. A lone partial is adopted wholesale, so serial execution does no
+// extra copying. Under a cap every partial holds at most the cap's rows, so
+// the concatenation holds a superset of the kept prefix; RunWith cuts it.
 func mergePartials(s Spec, parts []*partial, stats *RunStats) *rows.Result {
 	for _, pt := range parts {
 		stats.TuplesConstructed += pt.stats.TuplesConstructed
@@ -347,10 +362,10 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 		agg = operators.NewAggregator(p.Spec.Agg)
 		pt.agg = agg
 	} else {
-		// The morsel's MERGE accumulates the partial's result (adopted as
-		// pt.res below); per-morsel results concatenate in block order at
-		// the top.
+		// The morsel's MERGE accumulates the partial's result; per-morsel
+		// results concatenate in block order at the top.
 		merger = operators.NewMerger(p.Spec.OutNames...)
+		pt.res = merger.Result()
 		extracts = root.Children[1:]
 	}
 
@@ -409,12 +424,12 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 		if err := merger.MergeChunk(valBufs...); err != nil {
 			return err
 		}
+		pt.res.Seal(pt.limit)
 		obsNanos(&root.Obs, start, observe)
 	}
 
 	if !p.Spec.Aggregating {
 		pt.stats.TuplesConstructed += merger.TuplesConstructed
-		pt.res = merger.Result()
 	}
 	return nil
 }
@@ -562,7 +577,7 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 		}
 		pt.stats.PositionsMatched += int64(batch.Len())
 		start = obsStart(observe)
-		if err := emitBatch(batch, p.Spec, agg, res); err != nil {
+		if err := emitBatch(batch, p.Spec, agg, res, pt.limit); err != nil {
 			return err
 		}
 		obsNanos(&p.Root.Obs, start, observe)
@@ -607,6 +622,7 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 			agg.AddBatch(aggDst.Cols[0], aggDst.Cols[1])
 		} else {
 			constructed = leaf.Chunk(scratch, res)
+			res.Seal(pt.limit)
 		}
 		pt.stats.TuplesConstructed += constructed
 		pt.stats.PositionsMatched += constructed
@@ -618,8 +634,8 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 }
 
 // emitBatch routes a constructed-tuple batch into the aggregator or the
-// result, in output order.
-func emitBatch(batch *rows.Batch, s Spec, agg *operators.Aggregator, res *rows.Result) error {
+// result, in output order, and seals the result to limit.
+func emitBatch(batch *rows.Batch, s Spec, agg *operators.Aggregator, res *rows.Result, limit int) error {
 	if s.Aggregating {
 		keys, err := batch.Col(s.GroupBy)
 		if err != nil {
@@ -640,6 +656,7 @@ func emitBatch(batch *rows.Batch, s Spec, agg *operators.Aggregator, res *rows.R
 		}
 		res.Cols[i] = append(res.Cols[i], vals...)
 	}
+	res.Seal(limit)
 	return nil
 }
 

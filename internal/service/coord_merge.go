@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"matstore"
-	"matstore/internal/kernels"
 	"matstore/internal/operators"
 )
 
@@ -133,9 +132,8 @@ func mergeFinalizedAggParts(parts []*QueryResponse, limit int) *QueryResponse {
 // per-group statistics are absorbed into one fresh Aggregator — the wire
 // form of the executor's Aggregator.Merge — and re-emitted sorted by key,
 // identical to aggregating the un-sharded table. The re-emitted groups
-// replace the partials' rows, counts and checksums: they are rendered by
-// baseResponse, as an engine renders its result, over a checksum recomputed
-// by folding the merged output exactly as the engine's result drain does.
+// replace the partials' rows, counts and checksums: they are sealed and
+// rendered by baseResponse exactly as an engine's result is.
 func mergeAggParts(parts []*QueryResponse, fn operators.AggFunc, limit int) *QueryResponse {
 	agg := operators.NewAggregator(fn)
 	out := mergedHeader(parts)
@@ -144,11 +142,8 @@ func mergeAggParts(parts []*QueryResponse, fn operators.AggFunc, limit int) *Que
 		sumPartCounters(out, p)
 	}
 	res := agg.Emit(out.Columns[0], out.Columns[1])
-	var stats matstore.Stats
-	for _, col := range res.Cols {
-		stats.OutputChecksum += kernels.SumColumn(col)
-	}
-	shown := baseResponse(res, &stats, Info{}, limit)
+	res.Seal(0)
+	shown := baseResponse(res, &matstore.Stats{}, Info{}, limit)
 	out.Rows, out.RowCount, out.Checksum = shown.Rows, shown.RowCount, shown.Checksum
 	return out
 }

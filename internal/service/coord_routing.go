@@ -239,16 +239,6 @@ func (c *Coordinator) pruneShard(k int, proj string, filters []matstore.Filter) 
 	return false
 }
 
-// resolveLimit applies the request limit convention (0 = the default cap,
-// negative = all rows) once at the coordinator; shards always receive an
-// explicit limit.
-func resolveLimit(limit int) int {
-	if limit == 0 {
-		return defaultRowLimit
-	}
-	return limit
-}
-
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tid := ensureTraceID(w, r)
 	var req QueryRequest

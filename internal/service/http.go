@@ -142,6 +142,20 @@ type ExplainResponse struct {
 
 const defaultRowLimit = 100
 
+// resolveLimit applies the request limit convention: 0 = the default cap,
+// negative = all rows. A coordinator resolves once, so shards always receive
+// an explicit limit.
+func resolveLimit(limit int) int {
+	if limit == 0 {
+		return defaultRowLimit
+	}
+	return limit
+}
+
+// rowCap is the executor's row cap for a request's limit: the rows the reply
+// will show, every row (0) for a negative limit.
+func rowCap(limit int) int { return max(resolveLimit(limit), 0) }
+
 // Handler returns the server's HTTP mux.
 func (s *Server) Handler() http.Handler {
 	mux := s.mux(s.handleQuery, s.handleJoin, s.handleExplain,
@@ -266,6 +280,7 @@ func (s *Server) resolveQuery(r QueryRequest) (q matstore.Query, strat matstore.
 		GroupBy:     r.GroupBy,
 		AggCol:      r.AggCol,
 		Parallelism: r.Parallelism,
+		Limit:       rowCap(r.Limit),
 	}
 	if r.Agg != "" {
 		if q.Agg, err = matstore.ParseAggFunc(r.Agg); err != nil {
@@ -450,6 +465,7 @@ func (s *Server) resolveJoin(r JoinRequest) (q matstore.JoinQuery, rs matstore.R
 		RightKey:    r.RightKey,
 		RightOutput: r.RightOutput,
 		Parallelism: r.Parallelism,
+		Limit:       rowCap(r.Limit),
 	}
 	filters, err := parseWhereList(r.Where)
 	if err != nil {
@@ -575,18 +591,18 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		ModeledUS: ex.Modeled.Total(),
 		Wall:      ex.Stats.Wall.Nanoseconds(),
 		Workers:   info.Workers,
-		RowCount:  ex.Result.NumRows(),
+		RowCount:  int(ex.Result.Total),
 	}
 	x.reply(resp, &resp.Trace, ex.Stats.Wall, modelDelta(ex.Stats.Wall, ex.Modeled.Total()))
 }
 
+// baseResponse renders a result as the reply every query endpoint shares: up
+// to limit of the rows it holds (a run capped at this request's rowCap, or a
+// cached one that kept at least as many), and the count and checksum it
+// carries over every row the run produced.
 func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit int) *QueryResponse {
-	if limit == 0 {
-		limit = defaultRowLimit
-	}
-	n := res.NumRows()
-	shown := n
-	if limit > 0 && shown > limit {
+	shown := res.NumRows()
+	if limit = resolveLimit(limit); limit > 0 && shown > limit {
 		shown = limit
 	}
 	rows := make([][]int64, shown)
@@ -596,8 +612,8 @@ func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit 
 	return &QueryResponse{
 		Columns:        res.Columns,
 		Rows:           rows,
-		RowCount:       n,
-		Checksum:       stats.OutputChecksum,
+		RowCount:       int(res.Total),
+		Checksum:       res.Checksum(),
 		Wall:           stats.Wall.Nanoseconds(),
 		Workers:        info.Workers,
 		Morsels:        stats.Morsels,
@@ -616,11 +632,7 @@ func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit 
 // result rows — the checksum covers every matching row, not just the shown
 // ones — so shard checksums still sum to the single-engine value.
 func stripRowIDs(resp *QueryResponse, res *matstore.Result, idx int) {
-	var total int64
-	for _, v := range res.Cols[idx] {
-		total += v
-	}
-	resp.Checksum -= total
+	resp.Checksum -= res.Sums[idx]
 	cols := make([]string, 0, len(resp.Columns)-1)
 	cols = append(cols, resp.Columns[:idx]...)
 	cols = append(cols, resp.Columns[idx+1:]...)

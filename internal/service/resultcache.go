@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync"
 
-	"matstore"
 	"matstore/internal/cache"
 )
 
@@ -17,6 +16,10 @@ const DefaultResultCacheBytes = 32 << 20
 // worker pool at all — zero workers granted, zero morsels run. Because
 // results are byte-identical at every parallelism level (the engine's core
 // invariant), a cached response is indistinguishable from a fresh execution.
+//
+// An entry stores what its run returned: the rows the request's limit kept,
+// beside the count and sums over all of them. The limit is no part of the
+// key; whether an entry can answer a request is read off the entry (covers).
 //
 // Entries record the generation of every projection they read at the time
 // the source run STARTED; InvalidateProjection bumps the generation, which
@@ -104,9 +107,19 @@ func (c *resultCache) generations(projs []string) []uint64 {
 	return gens
 }
 
-// get returns the cached entry for key if present and current, consulting
-// the main tier then the negative (zero-row) tier.
-func (c *resultCache) get(key string) (*resultEntry, bool) {
+// covers reports whether the entry can answer a request for limit rows (0 =
+// every row): it holds the whole result, or at least as many rows as asked
+// for.
+func (e *resultEntry) covers(limit int) bool {
+	held := e.res.NumRows()
+	return int64(held) == e.res.Total || (limit > 0 && held >= limit)
+}
+
+// get returns the cached entry for key if present, current and holding the
+// limit rows asked for (0 = every row), consulting the main tier then the
+// negative (zero-row) tier. An entry that holds too few rows is a miss; it
+// stays until the re-run's put replaces it.
+func (c *resultCache) get(key string, limit int) (*resultEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, tier := range [...]*cache.LRU[string, *resultEntry]{c.main, c.neg} {
@@ -118,6 +131,9 @@ func (c *resultCache) get(key string) (*resultEntry, bool) {
 			// Stale under a generation bump that raced the eager sweep.
 			tier.Delete(key)
 			c.stats.Invalidations++
+			break
+		}
+		if !e.covers(limit) {
 			break
 		}
 		c.stats.Hits++
@@ -189,12 +205,19 @@ func (c *resultCache) snapshot() ResultCacheStats {
 	return st
 }
 
-// resultBytes estimates a response's retained size: 8 bytes per cell plus a
-// fixed per-entry overhead for headers, names and stats.
-func resultBytes(key string, r *matstore.Result) int64 {
+// resultBytes estimates what caching a run's outcome retains: 8 bytes per
+// cell, the aggregator behind an aggregation's rows (Stats.AggState: a shard
+// exports its groups from it on a hit, and it is several times the size of
+// the two emitted columns) and a fixed per-entry overhead for headers, names
+// and stats.
+func resultBytes(key string, out outcome) int64 {
 	cells := int64(0)
-	for _, col := range r.Cols {
-		cells += int64(len(col))
+	for _, col := range out.res.Cols {
+		cells += int64(cap(col))
 	}
-	return 8*cells + int64(len(key)) + 256
+	bytes := 8*cells + int64(len(key)) + 256
+	if out.sel != nil && out.sel.AggState != nil {
+		bytes += out.sel.AggState.MemBytes()
+	}
+	return bytes
 }

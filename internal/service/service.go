@@ -370,6 +370,9 @@ type request struct {
 	// want is the query's Parallelism: a ceiling on the granted worker share
 	// (0 = take the full cost-sized share).
 	want int
+	// limit is the query's Limit: how many rows a cached result must hold to
+	// answer this request (0 = every row).
+	limit int
 	// estimate returns the model's cost (0 when unavailable) and the
 	// predicted working-set bytes the governor should reserve (0 for none).
 	estimate func() (costUS float64, estBytes int64)
@@ -402,7 +405,7 @@ func (c *Session) serve(ctx context.Context, key string, projs []string, rq requ
 	var held []string // projs, copied for the entry: the caller's stays on its stack
 	if cached {
 		cspan := span.Child("result_cache.lookup")
-		e, hit := s.results.get(key)
+		e, hit := s.results.get(key, rq.limit)
 		cspan.SetAttr("hit", hit)
 		cspan.End()
 		if hit {
@@ -472,7 +475,7 @@ func (c *Session) serve(ctx context.Context, key string, projs []string, rq requ
 	if cached {
 		s.results.put(&resultEntry{
 			key: key, projs: held, gens: gens,
-			bytes: resultBytes(key, out.res), costUS: info.EstCostUS, outcome: out,
+			bytes: resultBytes(key, out), costUS: info.EstCostUS, outcome: out,
 		})
 	}
 	return out, info, nil
@@ -481,12 +484,12 @@ func (c *Session) serve(ctx context.Context, key string, projs []string, rq requ
 // runOptions are a served plan's run options: cancellable, and observed
 // (with the model's per-node predictions annotated for the trace's
 // modeled-vs-observed attributes) exactly when the request is traced.
-func (s *Server) runOptions(ctx context.Context, pl *plan.Plan, espan *obs.Span, spill *operators.SpillConfig) plan.RunOptions {
+func (s *Server) runOptions(ctx context.Context, pl *plan.Plan, espan *obs.Span, spill *operators.SpillConfig, limit int) plan.RunOptions {
 	if espan != nil {
 		consts := s.db.Constants()
 		consts.AnnotatePlan(pl, true)
 	}
-	return plan.RunOptions{Ctx: ctx, Observe: espan != nil, Spill: spill, Trace: espan}
+	return plan.RunOptions{Ctx: ctx, Observe: espan != nil, Spill: spill, Limit: limit, Trace: espan}
 }
 
 // costUS is an estimate's total in µs, 0 when the model could not make one
@@ -504,6 +507,7 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 	s := c.srv
 	out, info, err := c.serve(ctx, selectKey(projection, q, strat), []string{projection}, request{
 		want:     q.Parallelism,
+		limit:    q.Limit,
 		estimate: func() (float64, int64) { return costUS(s.db.EstimateSelectCost(projection, q, strat)), 0 },
 		build: func() (*plan.Plan, error) {
 			p, err := s.store.Projection(projection)
@@ -514,7 +518,7 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 			return s.exec.BuildPlan(p, q, strat)
 		},
 		run: func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
-			res, stats, err := s.exec.RunPlanWith(pl, strat, g.workers, s.runOptions(ctx, pl, espan, nil))
+			res, stats, err := s.exec.RunPlanWith(pl, strat, g.workers, s.runOptions(ctx, pl, espan, nil, q.Limit))
 			return outcome{res: res, sel: stats}, err
 		},
 	})
@@ -534,7 +538,8 @@ func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQ
 	s := c.srv
 	var estBytes int64
 	out, info, err := c.serve(ctx, joinKey(left, right, q, rs), []string{left, right}, request{
-		want: q.Parallelism,
+		want:  q.Parallelism,
+		limit: q.Limit,
 		estimate: func() (float64, int64) {
 			estBytes, _ = s.db.EstimateJoinMemory(right, q, rs)
 			return costUS(s.db.EstimateJoinCost(left, right, q, rs)), estBytes
@@ -560,7 +565,7 @@ func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQ
 			if g.spill {
 				spill = &operators.SpillConfig{BudgetBytes: g.bytes, EstBytes: estBytes, Dir: s.spillDir}
 			}
-			res, stats, err := s.exec.RunJoinPlanWith(pl, g.workers, s.runOptions(ctx, pl, espan, spill))
+			res, stats, err := s.exec.RunJoinPlanWith(pl, g.workers, s.runOptions(ctx, pl, espan, spill, q.Limit))
 			if err == nil && stats.Join.Spilled {
 				s.spilledJoins.Add(1)
 				s.spilledParts.Add(int64(stats.Join.SpilledParts))

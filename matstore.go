@@ -270,7 +270,7 @@ func (db *DB) Join(left, right string, q JoinQuery, rs RightStrategy) (*Result, 
 		if err != nil {
 			return nil, nil, err
 		}
-		return db.exec.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Spill: spill})
+		return db.exec.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Spill: spill, Limit: q.Limit})
 	}
 	return db.exec.Join(lp, rp, q, rs)
 }
