@@ -44,7 +44,14 @@ go test -race -count=5 -run 'TestEstimateRacesServedPlans$' ./internal/service/
 # selections and aggregations), and a column file whose blocks sit in the wrong
 # slot returning ErrCorruptFile instead of panicking. Named for the same reason.
 go test -race -run 'TestRandomQueriesAgainstOracle$' .
-go test -race -run 'TestMisplacedBlock' ./internal/storage/
+go test -race -run 'TestMisplacedBlock|TestOpenRejectsUntiledIndex' ./internal/storage/
+# One gather: a bit-string or list descriptor reaches the kernels as words or
+# direct indexes, so no production Extract or gather body may walk a
+# descriptor run by run, and both gathers are fuzzed against per-position
+# ValueAt for all three encodings (seeds in the test and under testdata/fuzz).
+test -z "$(grep -lE 'RunIter|\.Runs\(\)' internal/kernels/mask.go internal/encoding/gather.go \
+	internal/storage/gather.go internal/positions/piece.go)"
+go test -run '^$' -fuzz 'FuzzGatherAgainstValueAt$' -fuzztime=5s ./internal/storage/
 # The governor's wait loop: cancel racing a waiter's park (the lost wakeup
 # shows only under the race detector's scheduling, about one run in two) and
 # the three-resource invariant under 64 goroutines.
@@ -78,6 +85,13 @@ bash cmd/csperf/bench.sh --workload paper_join --seed 1 --seconds 2 \
 # all the scan layer's; AddBatch, SPCChunk — kernels and mask belong to the
 # compiled leaf — and CompactByMask: 0).
 go test -run xxx -bench 'BenchmarkCompactByMask$' -benchtime 1x ./internal/kernels
+# The gathers beside it, into destinations sized beforehand: a mini-column's
+# Extract per encoding and the block-pinned GatherAt, under a 50 % and a 2 %
+# bit-string, an ascending list and two long ranges. 0 allocs/op everywhere
+# but bit-vector data under a list or ranges, which allocates the descriptor's
+# words (1 alloc/op, 8 kB a chunk).
+go test -run xxx -bench 'BenchmarkExtract(Plain|RLE|BV)$' -benchtime 20x ./internal/encoding
+go test -run xxx -bench 'BenchmarkGatherAtPlain$' -benchtime 20x ./internal/storage
 go test -run xxx -bench 'BenchmarkEMPipelinedChain[24]Cols$' -benchtime 1x ./internal/datasource
 go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 1x ./internal/operators
 # The join's hash side is flat arrays and its probe reserves before it fills,
@@ -86,9 +100,11 @@ go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 
 # 15k-row outer table 36 to 40 (it was 105 to 129, three times the bytes).
 go test -run xxx -bench 'BenchmarkJoin(Build|Probe)$' -benchtime 1x .
 # What a request that keeps 100 rows of 150k allocates, beside the same request
-# uncapped, per strategy and parallelism (0.8 to 1.6 MB against 13 to 15: the
-# scan layer's few kB a chunk and the morsels' chunk-wide vectors, not the
-# result).
+# uncapped, per strategy and parallelism (0.8 to 1.4 MB against 13 to 15 at
+# 1024-row chunks: the scan layer's few kB a chunk and the morsels' chunk-wide
+# vectors, not the result), and at the default 64Ki-row chunks, where those
+# vectors are most of it (LM 3.7 MB at one worker since they are sized before
+# the gather; 6.6 when they grew from nil).
 go test -run 'TestCappedSelectAllocs$' -v ./internal/core | grep 'kB a request'
 # The serving stack's code lines (non-blank, non-comment, non-test: service,
 # buffer pool, the shared LRU, the build cache), printed next to the

@@ -246,10 +246,10 @@ func (ds *DS4) ExtendChunkBatched(b *rows.Batch, c int) error {
 	}
 	ds.mask = kernels.GrowMask(ds.mask, len(vals))
 	ds.kernel(vals, ds.mask)
-	b.Pos = b.Pos[:kernels.CompactByMask(b.Pos, b.Pos, ds.mask)]
+	b.Pos = b.Pos[:kernels.CompactByMask(b.Pos, b.Pos, ds.mask, 0)]
 	for j, col := range b.Cols[:c] {
-		b.Cols[j] = col[:kernels.CompactByMask(col, col, ds.mask)]
+		b.Cols[j] = col[:kernels.CompactByMask(col, col, ds.mask, 0)]
 	}
-	b.Cols[c] = vals[:kernels.CompactByMask(vals, vals, ds.mask)]
+	b.Cols[c] = vals[:kernels.CompactByMask(vals, vals, ds.mask, 0)]
 	return nil
 }

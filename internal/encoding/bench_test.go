@@ -105,28 +105,64 @@ func BenchmarkFilterBV(b *testing.B) {
 	}
 }
 
+// benchExtract gathers from one default-width chunk into a destination sized
+// beforehand, under each shape of descriptor the executor hands a DS3: two
+// long ranges (a predicate over sorted data), the bit-string of a predicate
+// over unsorted data at 50 % (runs two positions long) and at 2 %, and the
+// ascending list an EM-pipelined batch carries (every third position). A
+// presized destination is never regrown, so plain and RLE allocate nothing;
+// bit-vector data allocates its descriptor's words when the descriptor is not
+// a bit-string already.
 func benchExtract(b *testing.B, m MiniColumn) {
 	b.Helper()
-	ps := positions.NewRanges(
-		positions.Range{Start: 1000, End: 20000},
-		positions.Range{Start: 30000, End: 50000},
-	)
-	var dst []int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = m.Extract(dst[:0], ps)
-		if len(dst) == 0 {
-			b.Fatal("empty")
+	const n = 1 << 16
+	rng := rand.New(rand.NewSource(5))
+	bitmap := func(density float64) positions.Set {
+		bm := positions.NewBitmap(0, n)
+		for p := int64(0); p < n; p++ {
+			if rng.Float64() < density {
+				bm.Set(p)
+			}
 		}
+		return bm
+	}
+	var list positions.List
+	for p := int64(1); p < n; p += 3 {
+		list = append(list, p)
+	}
+	for _, d := range []struct {
+		name string
+		ps   positions.Set
+	}{
+		{"ranges", positions.NewRanges(positions.Range{Start: 1000, End: 20000}, positions.Range{Start: 30000, End: 50000})},
+		{"bitmap50", bitmap(0.5)},
+		{"bitmap02", bitmap(0.02)},
+		{"list", list},
+	} {
+		b.Run(d.name, func(b *testing.B) {
+			dst := make([]int64, 0, d.ps.Count())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = m.Extract(dst[:0], d.ps)
+			}
+			if int64(len(dst)) != d.ps.Count() {
+				b.Fatal("short extract")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/pos")
+		})
 	}
 }
 
+// The plain and bit-vector windows hold unsorted data, as the columns such
+// descriptors come from do; the RLE window runs of 77, paper_select's length.
 func BenchmarkExtractPlain(b *testing.B) {
-	benchExtract(b, PlainMiniFromValues(0, benchVals(1<<16, 7)))
+	benchExtract(b, PlainMiniFromValues(0, benchValsRandom(1<<16, 7)))
 }
-func BenchmarkExtractRLE(b *testing.B) { benchExtract(b, RLEMiniFromValues(0, benchVals(1<<16, 7))) }
-func BenchmarkExtractBV(b *testing.B)  { benchExtract(b, BVMiniFromValues(0, benchVals(1<<16, 7))) }
+func BenchmarkExtractRLE(b *testing.B) { benchExtract(b, RLEMiniFromValues(0, benchVals(1<<16, 851))) }
+func BenchmarkExtractBV(b *testing.B) {
+	benchExtract(b, BVMiniFromValues(0, benchValsRandom(1<<16, 7)))
+}
 
 func benchSumRange(b *testing.B, m MiniColumn) {
 	b.Helper()

@@ -2,9 +2,10 @@ package encoding
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 	"sort"
 
+	"matstore/internal/kernels"
 	"matstore/internal/positions"
 	"matstore/internal/pred"
 )
@@ -174,27 +175,25 @@ func (m *BVMini) ValueAt(pos int64) int64 {
 	panic(fmt.Sprintf("encoding: position %d set in no bit-string of %v", pos, m.cov))
 }
 
-// Extract decompresses the window once and then gathers the requested
-// positions. This mirrors the paper's observation that the dominant cost of
-// querying bit-vector data is decompression, for EM and LM alike.
+// Extract appends the values at ps to dst without decompressing the window:
+// the descriptor is taken as bit-string words and each distinct value's
+// bit-string is ANDed with it word by word, a surviving bit storing the value
+// at its rank among the descriptor's positions. The cost is one pass over the
+// descriptor's words per distinct value — the O(distinct values) of
+// position-filtered access to bit-vector data the paper notes — plus one store
+// per position.
 func (m *BVMini) Extract(dst []int64, ps positions.Set) []int64 {
-	if ps.Count() == 0 {
+	desc, base, n := positions.MaskWords(ps, m.cov)
+	if n == 0 {
 		return dst
 	}
-	scratch := make([]int64, m.cov.Len())
-	m.decompressInto(scratch)
-	it := ps.Runs()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return dst
-		}
-		r = r.Intersect(m.cov)
-		if r.Empty() {
-			continue
-		}
-		dst = append(dst, scratch[r.Start-m.cov.Start:r.End-m.cov.Start]...)
+	at := len(dst)
+	dst = slices.Grow(dst, n)[:at+n]
+	off := (base - m.cov.Start) >> 6
+	for i, bm := range m.bms {
+		kernels.ScatterMasked(dst[at:], m.vals[i], bm.Words()[off:], desc)
 	}
+	return dst
 }
 
 // Decompress appends the full window to dst.
@@ -265,21 +264,5 @@ func (m *BVMini) statsRange(r positions.Range) RunStats {
 // popcountRange counts set bits of bm within r.
 func popcountRange(bm *positions.Bitmap, r positions.Range) int64 {
 	r = r.Intersect(bm.Covering())
-	if r.Empty() {
-		return 0
-	}
-	words := bm.Words()
-	lo, hi := r.Start-bm.Start(), r.End-bm.Start()
-	lw, hw := lo>>6, (hi-1)>>6
-	var n int
-	if lw == hw {
-		mask := (^uint64(0) << uint(lo&63)) & (^uint64(0) >> uint(63-(hi-1)&63))
-		return int64(bits.OnesCount64(words[lw] & mask))
-	}
-	n += bits.OnesCount64(words[lw] & (^uint64(0) << uint(lo&63)))
-	for w := lw + 1; w < hw; w++ {
-		n += bits.OnesCount64(words[w])
-	}
-	n += bits.OnesCount64(words[hw] & (^uint64(0) >> uint(63-(hi-1)&63)))
-	return int64(n)
+	return int64(kernels.CountMaskRange(bm.Words(), int(r.Start-bm.Start()), int(r.End-bm.Start())))
 }

@@ -1,8 +1,8 @@
 package encoding
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"matstore/internal/positions"
@@ -87,6 +87,13 @@ func diffMinis(t *testing.T) []diffMiniCase {
 	seg.AddSegment(128, random[:8188])
 	seg.AddSegment(128+8188, random[8188:])
 	addPlain("plain/blockseg", seg)
+	// A chunk window over three blocks: the tail of one, the whole of the next
+	// and the head of a third.
+	three := NewPlainMini(positions.Range{Start: 7488, End: 7488 + n})
+	three.AddSegment(7488, random[:700])
+	three.AddSegment(8188, random[700:700+8188])
+	three.AddSegment(2*8188, random[700+8188:])
+	addPlain("plain/threeblocks", three)
 	odd := NewPlainMini(positions.Range{Start: 0, End: n})
 	for off := 0; off < n; {
 		l := 97 + (off % 61)
@@ -165,9 +172,37 @@ func TestDifferentialFilterKernels(t *testing.T) {
 	}
 }
 
+// extractShapes adds to the FilterAt candidates the descriptor shapes a gather
+// meets and a filter's own output does not cover: a bit-string that reaches
+// past the window on both sides with bits set out there (a descriptor clipped
+// by the column extent), and a long ascending list.
+func extractShapes(cov positions.Range) map[string]positions.Set {
+	shapes := diffCandidates(cov)
+	start := max(cov.Start-128, 0) &^ 63
+	clipped := positions.NewBitmap(start, cov.End+200-start)
+	rng := rand.New(rand.NewSource(11))
+	for p := start; p < cov.End+200; p++ {
+		if rng.Intn(2) == 0 {
+			clipped.Set(p)
+		}
+	}
+	shapes["clipped"] = clipped
+	long := positions.List{}
+	for p := cov.Start + 1; p < cov.End; p += 1 + rng.Int63n(3) {
+		long = append(long, p)
+	}
+	shapes["longlist"] = long
+	return shapes
+}
+
 // TestDifferentialExtractAfterKernels closes the loop from filter output to
 // value extraction: whatever representation the kernel emits, Extract must
-// return the same values as extracting the scalar reference's output.
+// return the same values as extracting the scalar reference's output — and,
+// for every descriptor representation and density (the dense random bit-string
+// of ~50 %, one clipped by the window, sparse and long lists, short and full
+// ranges) over windows of one segment, of two and three blocks and of many odd
+// segments, the values the per-position ValueAt reference returns, appended
+// after what dst already holds.
 func TestDifferentialExtractAfterKernels(t *testing.T) {
 	for _, c := range diffMinis(t) {
 		for _, p := range []pred.Predicate{
@@ -175,8 +210,20 @@ func TestDifferentialExtractAfterKernels(t *testing.T) {
 		} {
 			got := c.mc.Extract(nil, c.mc.Filter(p))
 			want := c.mc.Extract(nil, c.filter(p))
-			if fmt.Sprint(got) != fmt.Sprint(want) {
+			if !slices.Equal(got, want) {
 				t.Fatalf("%s Extract after Filter(%v): values differ (%d vs %d)", c.name, p, len(got), len(want))
+			}
+		}
+		cov := c.mc.Covering()
+		for name, ps := range extractShapes(cov) {
+			want := []int64{-1, -2}
+			for _, p := range positions.Slice(ps) {
+				if cov.Contains(p) {
+					want = append(want, c.mc.ValueAt(p))
+				}
+			}
+			if got := c.mc.Extract([]int64{-1, -2}, ps); !slices.Equal(got, want) {
+				t.Fatalf("%s Extract(%s): %d values, ValueAt gives %d (or values differ)", c.name, name, len(got)-2, len(want)-2)
 			}
 		}
 	}

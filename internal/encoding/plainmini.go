@@ -269,31 +269,25 @@ func (m *PlainMini) filterAtScalar(ps positions.Set, p pred.Predicate) positions
 	}
 }
 
-// Extract appends the values at ps to dst.
+// Extract appends the values at ps to dst: the segment walk of Gather over
+// the window's zero-copy slices.
 func (m *PlainMini) Extract(dst []int64, ps positions.Set) []int64 {
-	it := ps.Runs()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return dst
-		}
-		r = r.Intersect(m.cov)
-		if r.Empty() {
-			continue
-		}
-		si := m.seg(r.Start)
-		for pos := r.Start; pos < r.End; {
-			s := m.segs[si]
-			end := r.End
-			if s.end() < end {
-				end = s.end()
-			}
-			dst = append(dst, s.vals[pos-s.start:end-s.start]...)
-			pos = end
-			si++
-		}
-	}
+	dst, _ = Gather(dst, m, ps) // the window is in memory: Pin cannot fail
+	return dst
 }
+
+// NumSegments, SegmentCover, Pin and Unpin present the window to Gather.
+func (m *PlainMini) NumSegments() int { return len(m.segs) }
+
+func (m *PlainMini) SegmentCover(i int) positions.Range {
+	return positions.Range{Start: m.segs[i].start, End: m.segs[i].end()}
+}
+
+func (m *PlainMini) Pin(i int) (Segment, error) {
+	return Segment{Cover: m.SegmentCover(i), Vals: m.segs[i].vals}, nil
+}
+
+func (m *PlainMini) Unpin(int) {}
 
 // Decompress appends the full window to dst.
 func (m *PlainMini) Decompress(dst []int64) []int64 {

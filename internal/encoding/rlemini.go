@@ -2,8 +2,10 @@ package encoding
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"matstore/internal/kernels"
 	"matstore/internal/positions"
 	"matstore/internal/pred"
 )
@@ -189,38 +191,31 @@ func (m *RLEMini) filterAtScalar(ps positions.Set, p pred.Predicate) positions.S
 	}
 }
 
-// Extract appends the values at ps to dst; each overlapping run contributes
-// value × overlap copies.
+// Extract appends the values at ps to dst; each run contributes its value as
+// many times as ps holds positions under it (Gather, over the window as one
+// segment of runs).
 func (m *RLEMini) Extract(dst []int64, ps positions.Set) []int64 {
-	it := ps.Runs()
-	ti := 0
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return dst
-		}
-		r = r.Intersect(m.cov)
-		if r.Empty() {
-			continue
-		}
-		for ti < len(m.triples) && m.triples[ti].End() <= r.Start {
-			ti++
-		}
-		for tj := ti; tj < len(m.triples) && m.triples[tj].Start < r.End; tj++ {
-			o := m.triples[tj].Cover().Intersect(r)
-			for k := int64(0); k < o.Len(); k++ {
-				dst = append(dst, m.triples[tj].Value)
-			}
-		}
-	}
+	dst, _ = Gather(dst, m, ps) // the window is in memory: Pin cannot fail
+	return dst
 }
 
-// Decompress expands every run into dst.
+// NumSegments, SegmentCover, Pin and Unpin present the window to Gather.
+func (m *RLEMini) NumSegments() int { return 1 }
+
+func (m *RLEMini) SegmentCover(int) positions.Range { return m.cov }
+
+func (m *RLEMini) Pin(int) (Segment, error) { return Segment{Cover: m.cov, Triples: m.triples}, nil }
+
+func (m *RLEMini) Unpin(int) {}
+
+// Decompress expands every run into dst, one fill per run.
 func (m *RLEMini) Decompress(dst []int64) []int64 {
+	at := len(dst)
+	dst = slices.Grow(dst, int(m.cov.Len()))[:at+int(m.cov.Len())]
+	out := dst[at:]
 	for _, t := range m.triples {
-		for k := int64(0); k < t.Len; k++ {
-			dst = append(dst, t.Value)
-		}
+		kernels.Fill(out[:t.Len], t.Value)
+		out = out[t.Len:]
 	}
 	return dst
 }

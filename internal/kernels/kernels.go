@@ -1,15 +1,15 @@
 // Package kernels implements the specialized scan and gather inner loops the
 // data sources run on: compiled-predicate filtering that emits 64 results at
 // a time as bitmap words (no per-value operator dispatch, no intermediate
-// run list), and bit-scatter loops for gathering values out of bit-vector
-// blocks. It sits below encoding and storage — those layers supply the data
-// in its native format and this layer supplies the tight loops — mirroring
-// the format-direct operator style of MorphStore and C-Store.
+// run list), and the gather that consumes such words 64 at a time (mask.go:
+// mask, list and run forms over plain and run-length-encoded data, a masked
+// bit-scatter over bit-vector data). It sits below encoding and storage —
+// those layers supply the data in its native format and this layer supplies
+// the tight loops — mirroring the format-direct operator style of MorphStore
+// and C-Store.
 package kernels
 
 import (
-	"math/bits"
-
 	"matstore/internal/positions"
 	"matstore/internal/pred"
 )
@@ -61,38 +61,6 @@ func orWords(bm *positions.Bitmap, bitOff int64, words []uint64) {
 		bm.OrWordAt(wi+int64(i), w<<sh)
 		if hi := w >> (64 - sh); hi != 0 {
 			bm.OrWordAt(wi+int64(i)+1, hi)
-		}
-	}
-}
-
-// ScatterBits writes v into out at the slots of the set bits of words within
-// the window r: a set bit at global position p (with words[j] holding bits
-// [bitBase+64j, bitBase+64j+64)) stores v at out[dstOff+(p-r.Start)]. It is
-// the per-(distinct value, block, run) inner loop of the batched bit-vector
-// gather: each decoded block's words are consumed in place, one
-// TrailingZeros per set bit, with edge words masked rather than tested
-// bit-by-bit. r must lie within the bit range covered by words.
-func ScatterBits(out []int64, v int64, words []uint64, bitBase int64, r positions.Range, dstOff int64) {
-	if r.Empty() {
-		return
-	}
-	lo, hi := r.Start-bitBase, r.End-bitBase
-	lw, hw := lo>>6, (hi-1)>>6
-	outBase := dstOff - (r.Start - bitBase) // out index of local bit 0
-	for wj := lw; wj <= hw; wj++ {
-		w := words[wj]
-		if wj == lw {
-			w &= ^uint64(0) << uint(lo&63)
-		}
-		if wj == hw {
-			if t := hi & 63; t != 0 {
-				w &= (1 << uint(t)) - 1
-			}
-		}
-		for w != 0 {
-			b := int64(bits.TrailingZeros64(w))
-			out[outBase+wj<<6+b] = v
-			w &= w - 1
 		}
 	}
 }

@@ -62,59 +62,3 @@ func countMatches(vals []int64, p pred.Predicate) int64 {
 	}
 	return n
 }
-
-// TestScatterBits exercises the bit-scatter gather loop across window edges
-// that start and end mid-word and bit patterns with empty and full words.
-func TestScatterBits(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const bitBase, nbits = 128, 512
-	words := make([]uint64, nbits/64)
-	for i := range words {
-		switch i % 3 {
-		case 0:
-			words[i] = rng.Uint64()
-		case 1:
-			words[i] = 0
-		default:
-			words[i] = ^uint64(0)
-		}
-	}
-	contains := func(p int64) bool {
-		i := p - bitBase
-		return words[i>>6]&(1<<uint(i&63)) != 0
-	}
-	for _, r := range []positions.Range{
-		{Start: 128, End: 640},
-		{Start: 130, End: 139},
-		{Start: 191, End: 193},
-		{Start: 200, End: 200}, // empty
-		{Start: 576, End: 640},
-	} {
-		const dstOff = 5
-		out := make([]int64, dstOff+r.Len()+3)
-		for i := range out {
-			out[i] = -1
-		}
-		ScatterBits(out, 42, words, bitBase, r, dstOff)
-		for p := r.Start; p < r.End; p++ {
-			want := int64(-1)
-			if contains(p) {
-				want = 42
-			}
-			if got := out[dstOff+p-r.Start]; got != want {
-				t.Fatalf("window %v pos %d: got %d want %d", r, p, got, want)
-			}
-		}
-		// Slots outside the window untouched.
-		for i := 0; i < dstOff; i++ {
-			if out[i] != -1 {
-				t.Fatalf("window %v: wrote before dstOff", r)
-			}
-		}
-		for i := dstOff + int(r.Len()); i < len(out); i++ {
-			if out[i] != -1 {
-				t.Fatalf("window %v: wrote past window", r)
-			}
-		}
-	}
-}

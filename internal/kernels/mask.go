@@ -25,16 +25,25 @@ func GrowMask(buf []uint64, n int) []uint64 {
 }
 
 // CountMask returns the number of set bits among the first n of mask.
-func CountMask(mask []uint64, n int) int {
-	if n == 0 {
+func CountMask(mask []uint64, n int) int { return CountMaskRange(mask, 0, n) }
+
+// CountMaskRange returns the number of set bits among bits [lo, hi) of mask:
+// how many positions of a bit-string descriptor fall under one column segment
+// or one run.
+func CountMaskRange(mask []uint64, lo, hi int) int {
+	if hi <= lo {
 		return 0
 	}
-	last := (n - 1) >> 6
-	c := 0
-	for _, w := range mask[:last] {
+	lw, hw := lo>>6, (hi-1)>>6
+	first, last := ^uint64(0)<<uint(lo&63), lowBits((hi-1)&63+1)
+	if lw == hw {
+		return bits.OnesCount64(mask[lw] & first & last)
+	}
+	c := bits.OnesCount64(mask[lw]&first) + bits.OnesCount64(mask[hw]&last)
+	for _, w := range mask[lw+1 : hw] {
 		c += bits.OnesCount64(w)
 	}
-	return c + bits.OnesCount64(mask[last]&lowBits(n-last<<6))
+	return c
 }
 
 // AndMask ANDs src into dst word by word and returns the number of set bits
@@ -49,17 +58,31 @@ func AndMask(dst, src []uint64, n int) int {
 	return CountMask(dst, n)
 }
 
-// CompactByMask copies the values of src whose mask bit is set to the front
-// of dst, in order, and returns how many it wrote; dst must have room for
-// them. dst may be src itself (the write index never passes the read index):
-// compaction in place, where a leading stretch of all-ones words moves
-// nothing. A full word is one 64-value copy, an empty word is skipped, and a
-// mixed word walks its set bits.
-func CompactByMask(dst, src []int64, mask []uint64) int {
+// CompactByMask is the gather's mask form: it copies the values of src whose
+// mask bit is set to the front of dst, in order, and returns how many it
+// wrote; dst must have room for them. Bit bitOff+i of mask answers for src[i],
+// bitOff in [0, 64): a tuple-domain selection mask starts at bit 0, a position
+// descriptor's words under a column segment start wherever the segment does
+// (plain blocks hold 8188 values, so their segments are never word-aligned to
+// a chunk's bit-string). The values under the rest of the first word are
+// walked as a head, after which words and values line up. dst may be src
+// itself (the write index never passes the read index): compaction in place,
+// where a leading stretch of all-ones words moves nothing. A full word is one
+// 64-value copy, an empty word is skipped, and a mixed word walks its set
+// bits.
+func CompactByMask(dst, src []int64, mask []uint64, bitOff int) int {
 	n := len(src)
 	inPlace := n > 0 && len(dst) > 0 && &dst[0] == &src[0]
-	w := 0
-	for wi, base := 0, 0; base < n; wi, base = wi+1, base+64 {
+	w, base := 0, 0
+	if bitOff != 0 && n > 0 {
+		base = min(n, 64-bitOff)
+		for m := mask[0] >> uint(bitOff) & lowBits(base); m != 0; m &= m - 1 {
+			dst[w] = src[bits.TrailingZeros64(m)]
+			w++
+		}
+		mask = mask[1:]
+	}
+	for wi := 0; base < n; wi, base = wi+1, base+64 {
 		m := mask[wi]
 		if m == 0 {
 			continue
@@ -80,6 +103,56 @@ func CompactByMask(dst, src []int64, mask []uint64) int {
 		}
 	}
 	return w
+}
+
+// GatherList is the gather's list form: dst[i] = src[pos[i]-base] for every
+// listed position, src holding the values of positions base, base+1, …. The
+// positions index src directly, in whatever order they come; dst must be as
+// long as pos, and may be pos itself (each value is stored after its position
+// has been read).
+func GatherList(dst, src, pos []int64, base int64) {
+	dst = dst[:len(pos)]
+	for i, p := range pos {
+		dst[i] = src[p-base]
+	}
+}
+
+// Fill is the gather's run form over run-length-encoded data: one value
+// written over the whole of dst. (Over plain data a run is a copy.)
+func Fill(dst []int64, v int64) {
+	for i := range dst {
+		dst[i] = v
+	}
+}
+
+// ScatterMasked is the bit-vector gather: it writes v over out at the rank of
+// every position whose bit is set in both words (one distinct value's
+// bit-string) and desc (the position descriptor, same base), a position's rank
+// being the number of descriptor bits below it — its slot in the gathered
+// output. It returns the descriptor's bit count, the rank at which the next
+// stretch of words continues. Every position belongs to exactly one value's
+// bit-string, so one call per distinct value fills every slot once.
+func ScatterMasked(out []int64, v int64, words, desc []uint64) int {
+	rank := 0
+	for j, d := range desc {
+		if d == 0 {
+			continue
+		}
+		if m := words[j] & d; m != 0 {
+			slots := out[rank:]
+			if d == ^uint64(0) {
+				for ; m != 0; m &= m - 1 {
+					slots[bits.TrailingZeros64(m)] = v
+				}
+			} else {
+				for ; m != 0; m &= m - 1 {
+					slots[bits.OnesCount64(d&lowBits(bits.TrailingZeros64(m)))] = v
+				}
+			}
+		}
+		rank += bits.OnesCount64(d)
+	}
+	return rank
 }
 
 // PositionsFromMask writes base+i for every set bit i below n to the front of

@@ -95,15 +95,156 @@ func TestCompactByMask(t *testing.T) {
 		// Out of place: exactly the matches are written, nothing after them.
 		dst := make([]int64, len(want)+1)
 		dst[len(want)] = -7
-		if w := CompactByMask(dst, vals, mask); w != len(want) || !slices.Equal(dst[:w], want) || dst[len(want)] != -7 {
+		if w := CompactByMask(dst, vals, mask, 0); w != len(want) || !slices.Equal(dst[:w], want) || dst[len(want)] != -7 {
 			t.Fatalf("%s: out of place wrote %d values, want %d (or values differ)", name, w, len(want))
 		}
 		// In place: dst is src.
 		in := slices.Clone(vals)
-		if w := CompactByMask(in, in, mask); w != len(want) || !slices.Equal(in[:w], want) {
+		if w := CompactByMask(in, in, mask, 0); w != len(want) || !slices.Equal(in[:w], want) {
 			t.Fatalf("%s: in place wrote %d values, want %d (or values differ)", name, w, len(want))
 		}
 	})
+}
+
+// gatherWords names the four word fillings of the gather's mask-form table.
+var gatherWords = []struct {
+	name string
+	word func(rng *rand.Rand, wi int) uint64
+}{
+	{"all-zero", func(*rand.Rand, int) uint64 { return 0 }},
+	{"all-one", func(*rand.Rand, int) uint64 { return ^uint64(0) }},
+	{"alternating", func(*rand.Rand, int) uint64 { return 0xAAAAAAAAAAAAAAAA }},
+	{"random", func(rng *rand.Rand, _ int) uint64 { return rng.Uint64() }},
+}
+
+// TestCompactByMaskBitOffsets is the mask form of the gather as a column
+// segment meets it: the segment's first value answers to any bit of the
+// descriptor's first word (0…63), its length is anything up to a plain block's
+// 8188 values, and the bits below the offset and past the segment's end belong
+// to neighbouring segments — set here, so reading one shows. Out of place the
+// slot after the last match must stay untouched; in place (dst is src) the
+// result must be the same.
+func TestCompactByMaskBitOffsets(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{0, 1, 63, 64, 65, 8188} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = rng.Int63()
+		}
+		for off := 0; off < 64; off++ {
+			for _, gw := range gatherWords {
+				mask := make([]uint64, (off+n+63)/64+1)
+				for wi := range mask {
+					mask[wi] = gw.word(rng, wi)
+				}
+				var want []int64
+				for i, v := range vals {
+					if b := off + i; mask[b/64]>>uint(b%64)&1 == 1 {
+						want = append(want, v)
+					}
+				}
+				name := fmt.Sprintf("n=%d/off=%d/%s", n, off, gw.name)
+				if c := CountMaskRange(mask, off, off+n); c != len(want) {
+					t.Fatalf("%s: CountMaskRange %d, want %d", name, c, len(want))
+				}
+				dst := make([]int64, len(want)+1)
+				dst[len(want)] = -7
+				if w := CompactByMask(dst, vals, mask, off); w != len(want) || !slices.Equal(dst[:w], want) || dst[len(want)] != -7 {
+					t.Fatalf("%s: out of place wrote %d values, want %d (or values differ)", name, w, len(want))
+				}
+				in := slices.Clone(vals)
+				if w := CompactByMask(in, in, mask, off); w != len(want) || !slices.Equal(in[:w], want) {
+					t.Fatalf("%s: in place wrote %d values, want %d (or values differ)", name, w, len(want))
+				}
+			}
+		}
+	}
+}
+
+// TestGatherListAndFill: listed positions index the segment directly against
+// its base — ascending as a descriptor lists them, or shuffled with repeats as
+// a join probe produces them — also when the values overwrite the positions
+// they were read from; Fill writes exactly the slice it is handed.
+func TestGatherListAndFill(t *testing.T) {
+	const base = 8188 * 3
+	rng := rand.New(rand.NewSource(41))
+	src := make([]int64, 8188)
+	for i := range src {
+		src[i] = rng.Int63()
+	}
+	for name, pos := range map[string][]int64{
+		"none":      {},
+		"ends":      {base, base + 8187},
+		"ascending": {base + 1, base + 2, base + 64, base + 4000, base + 8000},
+		"shuffled":  {base + 900, base + 3, base + 900, base + 8187, base},
+	} {
+		want := make([]int64, len(pos))
+		for i, p := range pos {
+			want[i] = src[p-base]
+		}
+		dst := make([]int64, len(pos)+1)
+		dst[len(pos)] = -7
+		GatherList(dst, src, pos, base)
+		if !slices.Equal(dst[:len(pos)], want) || dst[len(pos)] != -7 {
+			t.Fatalf("%s: out of place values differ", name)
+		}
+		in := slices.Clone(pos)
+		GatherList(in, src, in, base)
+		if !slices.Equal(in, want) {
+			t.Fatalf("%s: in place values differ", name)
+		}
+	}
+	run := []int64{1, 2, 3, 4, 5}
+	Fill(run[1:1], 9)
+	Fill(run[1:4], 9)
+	if !slices.Equal(run, []int64{1, 9, 9, 9, 5}) {
+		t.Fatalf("Fill wrote %v", run)
+	}
+}
+
+// TestScatterMasked: every position set in the descriptor gets the value of
+// the one bit-string that holds it, at its rank among the descriptor's
+// positions, whatever mix of empty, full and mixed words the two have — and a
+// stretch of words continues at the rank the previous one returned.
+func TestScatterMasked(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const nw, distinct = 40, 5
+	for _, gw := range gatherWords {
+		desc := make([]uint64, nw)
+		for j := range desc {
+			desc[j] = gw.word(rng, j)
+		}
+		// Each position belongs to exactly one of the distinct values.
+		strings := make([][]uint64, distinct)
+		for v := range strings {
+			strings[v] = make([]uint64, nw)
+		}
+		var want []int64
+		for p := 0; p < nw*64; p++ {
+			v := rng.Intn(distinct)
+			strings[v][p/64] |= 1 << uint(p%64)
+			if desc[p/64]>>uint(p%64)&1 == 1 {
+				want = append(want, int64(v))
+			}
+		}
+		out := make([]int64, len(want)+1)
+		for i := range out {
+			out[i] = -7
+		}
+		const cut = 17 // gathered as two stretches of words, like two blocks
+		for v, words := range strings {
+			rank := ScatterMasked(out, int64(v), words[:cut], desc[:cut])
+			if rank != CountMask(desc, cut*64) {
+				t.Fatalf("%s: first stretch returned rank %d", gw.name, rank)
+			}
+			if total := rank + ScatterMasked(out[rank:], int64(v), words[cut:], desc[cut:]); total != len(want) {
+				t.Fatalf("%s: descriptor holds %d positions, ranks end at %d", gw.name, len(want), total)
+			}
+		}
+		if !slices.Equal(out[:len(want)], want) || out[len(want)] != -7 {
+			t.Fatalf("%s: gathered values differ", gw.name)
+		}
+	}
 }
 
 func TestPositionsFromMaskAndFillRun(t *testing.T) {
@@ -194,7 +335,7 @@ func BenchmarkCompactByMask(b *testing.B) {
 			b.ReportAllocs()
 			w := 0
 			for i := 0; i < b.N; i++ {
-				w = CompactByMask(dst, src, mask)
+				w = CompactByMask(dst, src, mask, 0)
 			}
 			b.ReportMetric(float64(w), "kept/op")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")

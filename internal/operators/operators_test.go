@@ -316,3 +316,10 @@ func TestRightStrategyString(t *testing.T) {
 		}
 	}
 }
+
+// PayloadMinis returns the retained compressed mini-columns of the chunk
+// holding a right position (RightMultiColumn only): the per-match lookup the
+// tests hold GatherMinis and the probe to.
+func (rt *PartitionedTable) PayloadMinis(pos int64) []encoding.MiniColumn {
+	return rt.chunks[pos/rt.chunkSize]
+}

@@ -145,10 +145,22 @@ func (rt *PartitionedTable) ProbeBatch(keys []int64, idx []int32, pos []int64) (
 // (RightMaterialized only).
 func (rt *PartitionedTable) DenseValue(c int, pos int64) int64 { return rt.dense[c][pos] }
 
-// PayloadMinis returns the retained compressed mini-columns of the chunk
-// holding a right position (RightMultiColumn only).
-func (rt *PartitionedTable) PayloadMinis(pos int64) []encoding.MiniColumn {
-	return rt.chunks[pos/rt.chunkSize]
+// GatherMinis writes payload column c's values at the right positions pos —
+// one per match, in probe order, repeats allowed — over dst, which is as long
+// as pos, out of the retained compressed mini-columns (RightMultiColumn only):
+// the deferred fetch's batched gather (encoding.Unordered — a window extracted
+// once and indexed, or one sorted extract), with each right chunk's mini-column
+// answering for the positions it holds, instead of a ValueAt search per match.
+// u is the probing morsel's, so its window is recycled from chunk to chunk.
+func (rt *PartitionedTable) GatherMinis(c int, pos, dst []int64, u *encoding.Unordered) error {
+	_, err := u.Gather(dst[:0], pos, positions.Range{End: rt.Tuples}, func(set positions.Set, vals []int64) ([]int64, error) {
+		cov := set.Covering()
+		for k := cov.Start / rt.chunkSize; k*rt.chunkSize < cov.End; k++ {
+			vals = rt.chunks[k][c].Extract(vals, set) // a mini-column extracts the positions inside its window
+		}
+		return vals, nil
+	})
+	return err
 }
 
 // DeferredCol returns payload column c's stored-column handle for the

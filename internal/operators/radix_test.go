@@ -1,9 +1,13 @@
 package operators
 
 import (
+	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"matstore/internal/buffer"
+	"matstore/internal/encoding"
 	"matstore/internal/storage"
 )
 
@@ -124,5 +128,82 @@ func TestBuildPartitionedEmptyRight(t *testing.T) {
 	}
 	if rt.Partitions != 4 {
 		t.Errorf("Partitions = %d, want 4", rt.Partitions)
+	}
+}
+
+// TestGatherMinis holds the multi-column strategy's batched payload gather to
+// the stored values, for every payload encoding, over an inner table of many
+// chunks: matches shuffled and repeated across all of them (the extracted
+// window), a few far apart (the sorted extract), and all inside one chunk —
+// reusing one scratch from call to call as a probing morsel does.
+func TestGatherMinis(t *testing.T) {
+	const n, chunkSize = 1000, 64
+	dir := filepath.Join(t.TempDir(), "right")
+	w, err := storage.NewProjectionWriter(dir, "right", nil, []storage.ColumnSpec{
+		{Name: "k", Encoding: encoding.Plain},
+		{Name: "plain", Encoding: encoding.Plain},
+		{Name: "rle", Encoding: encoding.RLE},
+		{Name: "bv", Encoding: encoding.BitVector},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	want := map[string][]int64{}
+	for i := int64(0); i < n; i++ {
+		row := map[string]int64{"plain": rng.Int63n(1000), "rle": i / 37, "bv": rng.Int63n(5)}
+		if err := w.AppendRow(i, row["plain"], row["rle"], row["bv"]); err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range row {
+			want[name] = append(want[name], v)
+		}
+	}
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	right, err := storage.OpenProjection(dir, buffer.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer right.Close()
+	payload := []string{"plain", "rle", "bv"}
+	var cols []*storage.Column
+	for _, name := range append([]string{"k"}, payload...) {
+		c, err := right.Column(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols = append(cols, c)
+	}
+	rt, err := BuildPartitioned(cols[0], cols[1:], payload, RightMultiColumn, chunkSize, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := make([]int64, 3*n)
+	for i := range dense {
+		dense[i] = rng.Int63n(n)
+	}
+	var scratch encoding.Unordered
+	for name, pos := range map[string][]int64{
+		"dense":     dense,
+		"sparse":    {n - 1, 3, 500, 3, 64},
+		"one-chunk": {130, 129, 191, 128, 130},
+		"none":      {},
+	} {
+		for c, col := range payload {
+			got := make([]int64, len(pos))
+			if err := rt.GatherMinis(c, pos, got, &scratch); err != nil {
+				t.Fatalf("%s/%s: %v", name, col, err)
+			}
+			for i, p := range pos {
+				if got[i] != want[col][p] {
+					t.Fatalf("%s/%s: match %d at right position %d: %d, want %d", name, col, i, p, got[i], want[col][p])
+				}
+			}
+		}
+	}
+	if err := rt.GatherMinis(0, []int64{n}, make([]int64, 1), &scratch); err == nil {
+		t.Fatal("a position past the inner table was gathered")
 	}
 }

@@ -84,7 +84,7 @@ func (s *SPC) Chunk(cols [][]int64, dst *rows.Result) int64 {
 		col := dst.Cols[c]
 		off := len(col)
 		col = col[:off+count]
-		kernels.CompactByMask(col[off:], cols[idx][:n], s.mask)
+		kernels.CompactByMask(col[off:], cols[idx][:n], s.mask, 0)
 		dst.Cols[c] = col
 	}
 	return int64(count)

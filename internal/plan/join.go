@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"matstore/internal/datasource"
+	"matstore/internal/encoding"
 	"matstore/internal/multicol"
 	"matstore/internal/operators"
 	"matstore/internal/positions"
@@ -104,9 +105,11 @@ func (p *Plan) buildKey(build *Node) operators.BuildKey {
 // surviving positions; probe keys and outer payload values are gathered
 // batched at those positions; the whole chunk's keys probe the partitioned
 // table in one loop; and matches emit column-wise into the morsel's partial
-// result. The pipeline is reserve-once: gather and match scratch is sized
-// from the chunk's surviving-position count before it is filled, and the
-// result from the match count.
+// result — the multi-column strategy's inner payload included, gathered once
+// per chunk of matches out of the retained mini-columns. The pipeline is
+// reserve-once: gather and match scratch is sized from the chunk's
+// surviving-position count before it is filled, and the result from the match
+// count.
 //
 // Deferred right payload (the single-column strategy, and every strategy in
 // spill mode) has no list of its own: each row's right position is stored in
@@ -133,6 +136,7 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 	leftBufs := make([][]int64, base)
 	var matchIdx []int32
 	var matchPos []int64
+	var minis encoding.Unordered // the multi-column payload gather's recycled window
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		mc := multicol.New(cr)
@@ -236,9 +240,8 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 			}
 		default: // RightMultiColumn
 			for c := range payload {
-				col := grown(base + c)
-				for j, rpos := range matchPos {
-					col[j] = rt.PayloadMinis(rpos)[c].ValueAt(rpos)
+				if err := rt.GatherMinis(c, matchPos, grown(base+c), &minis); err != nil {
+					return err
 				}
 			}
 		}

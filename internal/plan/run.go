@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"matstore/internal/datasource"
@@ -409,11 +410,12 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 			continue
 		}
 
-		// Materialization: DS3 per needed column (gatherAt).
+		// Materialization: DS3 per needed column (gatherAt), each vector sized
+		// to the surviving-position count before it is filled.
 		for i, n := range extracts {
 			start := obsStart(observe)
 			var err error
-			if valBufs[i], err = gatherAt(mc, n.Col, n.Column, desc, valBufs[i][:0]); err != nil {
+			if valBufs[i], err = gatherAt(mc, n.Col, n.Column, desc, slices.Grow(valBufs[i][:0], int(desc.Count()))); err != nil {
 				return err
 			}
 			if observe {

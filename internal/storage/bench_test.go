@@ -90,6 +90,66 @@ func BenchmarkGather(b *testing.B) {
 	}
 }
 
+// BenchmarkGatherAtPlain is the executor's DS3 without a retained mini-column:
+// one default-width chunk's descriptor — the bit-string of a predicate over
+// unsorted data at 50 % (runs two positions long), or the ascending list an
+// EM-pipelined batch carries — gathered from the nine plain blocks under it
+// into a destination sized beforehand. What it allocates is the pool's loader
+// closure, one per block pinned.
+func BenchmarkGatherAtPlain(b *testing.B) {
+	const n = 13 * encoding.PlainBlockCap
+	path := filepath.Join(b.TempDir(), "plain.col")
+	w, err := NewColumnWriter(path, encoding.Plain)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := int64(0); i < n; i++ {
+		if err := w.Append(i % 977); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	c, err := Open(path, buffer.New(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+
+	const chunk = 1 << 16
+	bm := positions.NewBitmap(chunk/2, chunk) // a chunk that starts mid-block
+	var list positions.List
+	s := uint64(1)
+	for p := bm.Start(); p < bm.Start()+chunk; p++ {
+		if s = s*6364136223846793005 + 1442695040888963407; s>>63 == 1 {
+			bm.Set(p)
+		}
+		if p%3 == 0 {
+			list = append(list, p)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		ps   positions.Set
+	}{{"bitmap50", bm}, {"list", list}} {
+		b.Run(d.name, func(b *testing.B) {
+			dst := make([]int64, 0, d.ps.Count())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dst, err = c.GatherAt(d.ps, dst[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if int64(len(dst)) != d.ps.Count() {
+				b.Fatal("short gather")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/pos")
+		})
+	}
+}
+
 // BenchmarkGatherUnordered measures the join deferred-fetch shape: shuffled,
 // repeated positions against the per-position jumps they replace.
 func BenchmarkGatherUnordered(b *testing.B) {

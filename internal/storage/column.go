@@ -194,7 +194,40 @@ func Open(path string, pool *buffer.Pool) (*Column, error) {
 		}
 		sort.Slice(c.values, func(i, j int) bool { return c.values[i] < c.values[j] })
 	}
+	if err := c.checkIndexTiles(); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return c, nil
+}
+
+// checkIndexTiles rejects a footer index whose covers do not tile the extent.
+// Every reader advances through the index assuming they do — a plain or RLE
+// column's blocks, and each distinct value's blocks of a bit-vector column,
+// start at 0, each where the one before ended, and end at the tuple count — so
+// an entry that overlaps its neighbour, leaves a gap or stops short would be
+// read past its end or skipped without a word.
+func (c *Column) checkIndexTiles() error {
+	// Per tiling (one, under key 0, unless the column is bit-vector encoded):
+	// where its next block is due, and its last entry so far.
+	due, last := map[int64]int64{0: 0}, map[int64]int{}
+	for i, bi := range c.index {
+		k := int64(0)
+		if c.hdr.enc == encoding.BitVector {
+			k = bi.Value
+		}
+		if bi.Cover.Start != due[k] || bi.Cover.End <= due[k] {
+			return fmt.Errorf("%s block %d: %w: index entry covers [%d,%d) where a block starting at %d is due",
+				c.path, i, ErrCorruptFile, bi.Cover.Start, bi.Cover.End, due[k])
+		}
+		due[k], last[k] = bi.Cover.End, i
+	}
+	for k, end := range due {
+		if _, any := last[k]; end != c.hdr.tuples && (any || len(c.index) == 0) {
+			return fmt.Errorf("%s block %d: %w: index ends at %d of %d tuples", c.path, last[k], ErrCorruptFile, end, c.hdr.tuples)
+		}
+	}
+	return nil
 }
 
 // Close releases the file handle.

@@ -42,7 +42,8 @@ func gatherColumns(t *testing.T) (map[encoding.Kind]*Column, []int64) {
 }
 
 // gatherSets builds position sets in every representation and density class,
-// including runs that straddle block boundaries of all three encodings.
+// including runs that straddle block boundaries of all three encodings and
+// bit-strings that start and end inside a block.
 func gatherSets(n int64) map[string]positions.Set {
 	rng := rand.New(rand.NewSource(18))
 	sparse := positions.List{}
@@ -64,6 +65,20 @@ func gatherSets(n int64) map[string]positions.Set {
 	for i := 0; i < 5000; i++ {
 		bm.Set(rng.Int63n(n))
 	}
+	// randomBits sets about half the bits of a bit-string over [start, end).
+	randomBits := func(start, end int64) *positions.Bitmap {
+		bm := positions.NewBitmap(start, end-start)
+		for p := start; p < end; p++ {
+			if rng.Intn(2) == 0 {
+				bm.Set(p)
+			}
+		}
+		return bm
+	}
+	long := positions.List{}
+	for p := int64(5); p < n; p += 1 + rng.Int63n(4) {
+		long = append(long, p)
+	}
 	return map[string]positions.Set{
 		"empty":  positions.Empty{},
 		"single": positions.List{n / 2},
@@ -72,6 +87,14 @@ func gatherSets(n int64) map[string]positions.Set {
 		"edges":  edges,
 		"bitmap": bm,
 		"full":   positions.NewRanges(positions.Range{Start: 0, End: n}),
+		// What a filter over unsorted data hands the gather: runs two long.
+		"dense-bitmap": randomBits(0, n),
+		// A descriptor reaching past the column's last position, bits set there.
+		"clipped-bitmap": randomBits((n-2000)&^63, n+500),
+		// One chunk's descriptor over the tail of a plain block, the whole of
+		// the next and the head of a third (255*64 = 2*8188-56).
+		"three-blocks": randomBits(255*64, 255*64+8188+300),
+		"long-list":    long,
 	}
 }
 
@@ -87,9 +110,6 @@ func TestDifferentialGatherAt(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s: %v", enc, name, err)
 			}
-			if int64(len(got)) != ps.Count() {
-				t.Fatalf("%v/%s: got %d values, want %d", enc, name, len(got), ps.Count())
-			}
 			// Every position checks against the generator's ground truth;
 			// the retained per-position ValueAt reference is cross-checked
 			// on a sample (it is orders of magnitude slower under -race).
@@ -100,7 +120,10 @@ func TestDifferentialGatherAt(t *testing.T) {
 				if !ok {
 					break
 				}
-				for p := r.Start; p < r.End; p++ {
+				for p := r.Start; p < min(r.End, int64(len(vals))); p++ {
+					if i == len(got) {
+						t.Fatalf("%v/%s: gather stops after %d values, before pos %d", enc, name, i, p)
+					}
 					if got[i] != vals[p] {
 						t.Fatalf("%v/%s: pos %d: gather %d, want %d", enc, name, p, got[i], vals[p])
 					}
@@ -115,6 +138,9 @@ func TestDifferentialGatherAt(t *testing.T) {
 					}
 					i++
 				}
+			}
+			if i != len(got) {
+				t.Fatalf("%v/%s: got %d values, want %d", enc, name, len(got), i)
 			}
 		}
 	}
@@ -169,6 +195,92 @@ func TestDifferentialGatherUnordered(t *testing.T) {
 			t.Fatalf("%v: negative position accepted", enc)
 		}
 	}
+}
+
+// FuzzGatherAgainstValueAt holds both gathers — the block-pinned GatherAt over
+// a stored column and Extract over a window of it — to the per-position
+// ValueAt reference, for all three encodings, on descriptors the fuzzer
+// shapes: a bit-string (any word contents, any length, reaching past the
+// column's end), a list (any gaps) or ranges (any lengths and gaps), starting
+// anywhere. The column is three plain blocks and a bit long, in short runs.
+func FuzzGatherAgainstValueAt(f *testing.F) {
+	const n = 3*encoding.PlainBlockCap + 1000
+	rng := rand.New(rand.NewSource(21))
+	vals := make([]int64, n)
+	for i := 1; i < n; i++ {
+		if vals[i] = vals[i-1]; rng.Intn(3) == 0 {
+			vals[i] = rng.Int63n(7)
+		}
+	}
+	dir := f.TempDir()
+	var cols []*Column
+	for _, enc := range []encoding.Kind{encoding.Plain, encoding.RLE, encoding.BitVector} {
+		path := filepath.Join(dir, enc.String()+".col")
+		writeColumn(f, path, enc, vals)
+		cols = append(cols, openColumn(f, path))
+	}
+	f.Add(uint8(0), uint32(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x55})
+	f.Add(uint8(0), uint32(8100), []byte("a descriptor over the first block boundary, 8188, is what this seed is"))
+	f.Add(uint8(0), uint32(n-30), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Add(uint8(1), uint32(8180), []byte{0, 0, 0, 5, 0, 0, 200, 1, 0})
+	f.Add(uint8(2), uint32(16000), []byte{0, 200, 0, 255, 3, 1, 0, 1, 0, 90})
+	f.Fuzz(func(t *testing.T, kind uint8, start uint32, data []byte) {
+		at := int64(start) % (n + 100)
+		var ps positions.Set
+		switch kind % 3 {
+		case 0: // bit-string: data is its bits, the last few cut off
+			bm := positions.NewBitmap(at&^63, max(8*int64(len(data))-int64(kind>>2), 0))
+			for i := int64(0); i < bm.NBits(); i++ {
+				if data[i/8]>>uint(i%8)&1 == 1 {
+					bm.Set(bm.Start() + i)
+				}
+			}
+			ps = bm
+		case 1: // list: data is the gaps between positions, less one
+			l := positions.List{}
+			for _, gap := range data {
+				l = append(l, at)
+				at += 1 + int64(gap)
+			}
+			ps = l
+		default: // ranges: data is (length less one, gap less one) pairs
+			var rs positions.Ranges
+			for i := 0; i+1 < len(data); i += 2 {
+				rs = append(rs, positions.Range{Start: at, End: at + 1 + int64(data[i])})
+				at += 2 + int64(data[i]) + int64(data[i+1])
+			}
+			ps = rs
+		}
+		members := positions.Slice(ps)
+		window := positions.Range{Start: (int64(start) % n) &^ 63, End: min((int64(start)%n)&^63+8192, n)}
+		for _, c := range cols {
+			var want, wantIn []int64
+			for _, p := range members {
+				if p >= n {
+					break
+				}
+				v, err := c.ValueAt(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, v)
+				if window.Contains(p) {
+					wantIn = append(wantIn, v)
+				}
+			}
+			got, err := c.GatherAt(ps, nil)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%v GatherAt: %d values, ValueAt gives %d (or values differ; err %v)", c.Encoding(), len(got), len(want), err)
+			}
+			mc, err := c.Window(window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mc.Extract(nil, ps); !slices.Equal(got, wantIn) {
+				t.Fatalf("%v Extract over %v: %d values, ValueAt gives %d (or values differ)", c.Encoding(), window, len(got), len(wantIn))
+			}
+		}
+	})
 }
 
 // TestBVValueAtMultiBlock is the regression test for the bit-vector ValueAt

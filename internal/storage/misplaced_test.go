@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -177,6 +178,61 @@ func TestMisplacedBlockNotCached(t *testing.T) {
 	for try := 0; try < 2; try++ {
 		if _, err := c.ValueAt(int64(encoding.PlainBlockCap)); !errors.Is(err, ErrCorruptFile) {
 			t.Fatalf("read %d of the duplicated block: err = %v", try, err)
+		}
+	}
+}
+
+// TestOpenRejectsUntiledIndex: the footer index is what every reader advances
+// through, assuming its entries tile [0, tuples) — once for a plain or RLE
+// column, once per distinct value for a bit-vector column. An index whose
+// second entry overlaps the first, leaves a gap after it, or whose last entry
+// stops short of the header's tuple count must be refused at Open, with
+// ErrCorruptFile naming the file and the entry, before any gather walks it.
+func TestOpenRejectsUntiledIndex(t *testing.T) {
+	for _, tc := range []struct {
+		enc  encoding.Kind
+		n    int
+		last int // the last index entry of the first tiling
+	}{
+		{encoding.Plain, 3 * encoding.PlainBlockCap, 2},
+		{encoding.RLE, 3 * encoding.RLEBlockCap, 2},
+		{encoding.BitVector, encoding.BVBlockBits + 70000, 1}, // value 0's two blocks
+	} {
+		vals := make([]int64, tc.n)
+		for i := range vals {
+			vals[i] = int64(i % 2)
+		}
+		for _, damage := range []struct {
+			name         string
+			entry, field int   // footer entry and byte offset of the bound to move
+			by           int64 // how far
+		}{
+			{"overlap", 1, 0, -1},
+			{"gap", 1, 0, +1},
+			{"short", tc.last, 8, -1},
+		} {
+			t.Run(fmt.Sprintf("%v/%s", tc.enc, damage.name), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "c.col")
+				writeColumn(t, path, tc.enc, vals)
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := raw[int(binary.LittleEndian.Uint64(raw[64:]))+damage.entry*footerEntrySize+damage.field:]
+				binary.LittleEndian.PutUint64(bound, uint64(int64(binary.LittleEndian.Uint64(bound))+damage.by))
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				c, err := Open(path, buffer.New(0))
+				if err == nil {
+					c.Close()
+					t.Fatal("Open accepted the index")
+				}
+				if want := fmt.Sprintf("block %d:", damage.entry); !errors.Is(err, ErrCorruptFile) ||
+					!strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %v, want ErrCorruptFile naming %s and %q", err, path, want)
+				}
+			})
 		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"matstore/internal/pred"
 )
 
-func writeColumn(t *testing.T, path string, enc encoding.Kind, vals []int64) {
+func writeColumn(t testing.TB, path string, enc encoding.Kind, vals []int64) {
 	t.Helper()
 	w, err := NewColumnWriter(path, enc)
 	if err != nil {
@@ -30,7 +30,7 @@ func writeColumn(t *testing.T, path string, enc encoding.Kind, vals []int64) {
 	}
 }
 
-func openColumn(t *testing.T, path string) *Column {
+func openColumn(t testing.TB, path string) *Column {
 	t.Helper()
 	c, err := Open(path, buffer.New(0))
 	if err != nil {
