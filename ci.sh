@@ -52,6 +52,17 @@ go test -race -run 'TestMisplacedBlock|TestOpenRejectsUntiledIndex' ./internal/s
 test -z "$(grep -lE 'RunIter|\.Runs\(\)' internal/kernels/mask.go internal/encoding/gather.go \
 	internal/storage/gather.go internal/positions/piece.go)"
 go test -run '^$' -fuzz 'FuzzGatherAgainstValueAt$' -fuzztime=5s ./internal/storage/
+# One filter: a conjunction is compiled once, when the plan is built, and
+# FilterAt reads its candidate set the way the gather reads a descriptor, so no
+# density policy, dense/sparse fork, fused-filter wrapper or per-morsel compile
+# may come back in production code; no Filter or FilterAt body walks positions
+# run by run; and FilterAt is fuzzed against the scalar references for all
+# three encodings (seeds in the test and under testdata/fuzz).
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'AdaptiveFilterAt|FilterAtChoice|filterAtSparse|filterAtDenseCutoff|FilterFused|FilterAtFused|compileConj' .)"
+test -z "$(awk '/^func \(m \*[A-Za-z]+\) (Filter|FilterAt)\(/,/^}/' internal/encoding/*mini.go \
+	| grep -E 'RunIter|\.Runs\(\)')"
+go test -run '^$' -fuzz 'FuzzFilterAtAgainstScalar$' -fuzztime=5s ./internal/encoding/
 # The governor's wait loop: cancel racing a waiter's park (the lost wakeup
 # shows only under the race detector's scheduling, about one run in two) and
 # the three-resource invariant under 64 goroutines.
@@ -91,6 +102,12 @@ go test -run xxx -bench 'BenchmarkCompactByMask$' -benchtime 1x ./internal/kerne
 # but bit-vector data under a list or ranges, which allocates the descriptor's
 # words (1 alloc/op, 8 kB a chunk).
 go test -run xxx -bench 'BenchmarkExtract(Plain|RLE|BV)$' -benchtime 20x ./internal/encoding
+# The filters beside them: FilterAt per encoding under each candidate form over
+# a three-block window — one range and part of one, bit-strings at 50, 2 and
+# 0.1 %, lists of 64 and 2,048 — allocating its output and nothing per word,
+# run or position (plain: 2 allocs/op everywhere); and a bit-vector chunk
+# decompressed word at a time into a sized destination (0 allocs/op).
+go test -run xxx -bench 'Benchmark(FilterAt(Plain|RLE|BV)|DecompressBV)$' -benchtime 20x ./internal/encoding
 go test -run xxx -bench 'BenchmarkGatherAtPlain$' -benchtime 20x ./internal/storage
 go test -run xxx -bench 'BenchmarkEMPipelinedChain[24]Cols$' -benchtime 1x ./internal/datasource
 go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 1x ./internal/operators

@@ -63,7 +63,7 @@ func TestExtendChunkBatchedRecycledBatch(t *testing.T) {
 		for c := range preds {
 			preds[c] = pred.LessThan(bounds[sel[c]])
 		}
-		ds2 := NewDS2(cols[0], preds[:1])
+		ds2 := NewDS2(cols[0], pred.CompileConj(preds[:1]))
 		batch := rows.NewBatch(names...)
 		for ci := 0; ci < ch.NumChunks(); ci++ {
 			cr := ch.Chunk(ci)
@@ -99,7 +99,7 @@ func TestExtendChunkBatchedRecycledBatch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ds4 := NewDS4(cols[c], preds[c:c+1])
+				ds4 := NewDS4(cols[c], pred.CompileConj(preds[c:c+1]))
 				ref = ds4.ExtendChunk(mc, ref, names[c])
 				if err := ds4.ExtendChunkBatched(batch, c); err != nil {
 					t.Fatal(err)
@@ -127,10 +127,10 @@ func benchChain(b *testing.B, nCols int) {
 		cols[c], _ = writeColumn(b, encoding.Plain, vals)
 		names[c] = fmt.Sprint("c", c)
 	}
-	ds2 := NewDS2(cols[0], []pred.Predicate{pred.LessThan(90)})
+	ds2 := NewDS2(cols[0], pred.CompileConj([]pred.Predicate{pred.LessThan(90)}))
 	ds4s := make([]*DS4, nCols)
 	for c := 1; c < nCols; c++ {
-		ds4s[c] = NewDS4(cols[c], []pred.Predicate{pred.LessThan(90)})
+		ds4s[c] = NewDS4(cols[c], pred.CompileConj([]pred.Predicate{pred.LessThan(90)}))
 	}
 	ch := NewChunker(cols[0].Extent(), DefaultChunkSize)
 	batch := rows.NewBatch(names...)

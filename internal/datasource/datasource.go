@@ -64,55 +64,27 @@ func (c Chunker) Chunk(i int) positions.Range {
 	return positions.Range{Start: start, End: end}
 }
 
-// conj is a predicate conjunction over one column, compiled once when its
-// data source is constructed (once per morsel) and applied to every chunk.
-type conj struct {
-	// preds is the pred.SimplifyConj form, never empty: interval predicates
-	// collapse into one, so only Ne residue keeps it k-ary.
-	preds []pred.Predicate
-	// fused is the k-ary conjunction kernel (pred.CompileFused) when more
-	// than one predicate is left: all k are evaluated in a single pass over
-	// each loaded chunk instead of k scans ANDed downstream.
-	fused pred.Kernel
-}
-
-func compileConj(ps []pred.Predicate) conj {
-	c := conj{preds: pred.SimplifyConj(ps)}
-	if len(c.preds) > 1 {
-		c.fused = pred.CompileFused(c.preds)
-	}
-	return c
-}
-
-// filter returns the positions of mc whose values satisfy the conjunction.
-func (c conj) filter(mc encoding.MiniColumn) positions.Set {
-	if len(c.preds) == 1 {
-		return mc.Filter(c.preds[0])
-	}
-	return encoding.FilterFusedKernel(mc, c.preds, c.fused)
-}
-
 // DS1 scans a column and produces, per chunk, the positions whose values
 // satisfy the predicate conjunction, along with the chunk's mini-column (so
 // the caller can attach it to a multi-column for later value extraction).
 type DS1 struct {
 	Col *storage.Column
-	conj
+	// Conj is the conjunction, compiled when the plan was built.
+	Conj *pred.Conj
 }
 
-// NewDS1 compiles the scan of col under the conjunction preds (none matches
-// every value).
-func NewDS1(col *storage.Column, preds []pred.Predicate) *DS1 {
-	return &DS1{Col: col, conj: compileConj(preds)}
+// NewDS1 returns the scan of col under the compiled conjunction c.
+func NewDS1(col *storage.Column, c *pred.Conj) *DS1 {
+	return &DS1{Col: col, Conj: c}
 }
 
-// ScanChunk reads the chunk window and applies the predicate(s).
+// ScanChunk reads the chunk window and applies the conjunction.
 func (ds *DS1) ScanChunk(r positions.Range) (positions.Set, encoding.MiniColumn, error) {
 	mc, err := ds.Col.Window(r)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ds.filter(mc), mc, nil
+	return mc.Filter(ds.Conj), mc, nil
 }
 
 // DS2 scans a column and produces, per chunk, early-materialized
@@ -121,13 +93,13 @@ func (ds *DS1) ScanChunk(r positions.Range) (positions.Set, encoding.MiniColumn,
 // (the TIC_TUP cost in the model's Case 2).
 type DS2 struct {
 	Col *storage.Column
-	conj
+	// Conj is the conjunction, compiled when the plan was built.
+	Conj *pred.Conj
 }
 
-// NewDS2 compiles the scan of col under the conjunction preds (none matches
-// every value).
-func NewDS2(col *storage.Column, preds []pred.Predicate) *DS2 {
-	return &DS2{Col: col, conj: compileConj(preds)}
+// NewDS2 returns the scan of col under the compiled conjunction c.
+func NewDS2(col *storage.Column, c *pred.Conj) *DS2 {
+	return &DS2{Col: col, Conj: c}
 }
 
 // ScanChunk refills batch with the chunk's early-materialized tuples:
@@ -139,7 +111,7 @@ func (ds *DS2) ScanChunk(r positions.Range, batch *rows.Batch) error {
 	if err != nil {
 		return err
 	}
-	ps := ds.filter(mc)
+	ps := mc.Filter(ds.Conj)
 	batch.Reset()
 	batch.Cols[0] = mc.Extract(batch.Cols[0], ps)
 	batch.Pos = slices.Grow(batch.Pos, len(batch.Cols[0]))[:len(batch.Cols[0])]
@@ -194,19 +166,19 @@ func (ds DS3) ValuesReaccess(r positions.Range, ps positions.Set, dst []int64) (
 // the chunk it last widened.
 type DS4 struct {
 	Col *storage.Column
-	// Preds is the conjunction as given (none widens unconditionally); kernel
-	// its one compiled form, evaluating all k predicates over the gathered
-	// values.
-	Preds  []pred.Predicate
-	kernel pred.Kernel
+	// Conj is the conjunction, compiled when the plan was built (an empty one
+	// accepts every value, so the tuples widen unconditionally); its kernel
+	// evaluates all k predicates over the gathered values.
+	Conj *pred.Conj
 	// mask is the recycled selection mask: bit i says whether tuple i of the
 	// batch being widened survives. Valid only until the next chunk.
 	mask []uint64
 }
 
-// NewDS4 compiles the widening of tuples by col under the conjunction preds.
-func NewDS4(col *storage.Column, preds []pred.Predicate) *DS4 {
-	return &DS4{Col: col, Preds: preds, kernel: pred.CompileFused(preds)}
+// NewDS4 returns the widening of tuples by col under the compiled
+// conjunction c.
+func NewDS4(col *storage.Column, c *pred.Conj) *DS4 {
+	return &DS4{Col: col, Conj: c}
 }
 
 // ExtendChunk processes one input batch against the chunk's mini-column.
@@ -220,7 +192,7 @@ func (ds *DS4) ExtendChunk(mc encoding.MiniColumn, in *rows.Batch, colName strin
 	for i := 0; i < in.Len(); i++ {
 		pos := in.Pos[i]
 		v := mc.ValueAt(pos)
-		if !pred.MatchConj(ds.Preds, v) {
+		if !pred.MatchConj(ds.Conj.Preds, v) {
 			continue
 		}
 		out.Pos = append(out.Pos, pos)
@@ -245,7 +217,7 @@ func (ds *DS4) ExtendChunkBatched(b *rows.Batch, c int) error {
 		return err
 	}
 	ds.mask = kernels.GrowMask(ds.mask, len(vals))
-	ds.kernel(vals, ds.mask)
+	ds.Conj.Kernel(vals, ds.mask)
 	b.Pos = b.Pos[:kernels.CompactByMask(b.Pos, b.Pos, ds.mask, 0)]
 	for j, col := range b.Cols[:c] {
 		b.Cols[j] = col[:kernels.CompactByMask(col, col, ds.mask, 0)]

@@ -78,7 +78,7 @@ func TestChunkerAlignmentPanics(t *testing.T) {
 func TestDS1ScanChunk(t *testing.T) {
 	vals := sortedVals(1000)
 	col, _ := writeColumn(t, encoding.RLE, vals)
-	ds := NewDS1(col, []pred.Predicate{pred.LessThan(5)}) // values 0..4: positions 0..49
+	ds := NewDS1(col, pred.CompileConj([]pred.Predicate{pred.LessThan(5)})) // values 0..4: positions 0..49
 	ps, mc, err := ds.ScanChunk(positions.Range{Start: 0, End: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestDS1ScanChunk(t *testing.T) {
 func TestDS2ProducesPosValPairs(t *testing.T) {
 	vals := []int64{9, 1, 8, 2, 7, 3}
 	col, _ := writeColumn(t, encoding.Plain, vals)
-	ds := NewDS2(col, []pred.Predicate{pred.LessThan(5)})
+	ds := NewDS2(col, pred.CompileConj([]pred.Predicate{pred.LessThan(5)}))
 	batch := rows.NewBatch("v")
 	batch.Append(99, 99) // a recycled batch: ScanChunk must clear what it held
 	if err := ds.ScanChunk(positions.Range{Start: 0, End: 64}, batch); err != nil {
@@ -147,7 +147,7 @@ func TestDS4ExtendChunk(t *testing.T) {
 	in.Append(0, 100)
 	in.Append(2, 300)
 	in.Append(4, 500)
-	ds := NewDS4(col, []pred.Predicate{pred.LessThan(50)}) // drops position 4 (value 50)
+	ds := NewDS4(col, pred.CompileConj([]pred.Predicate{pred.LessThan(50)})) // drops position 4 (value 50)
 	out := ds.ExtendChunk(mc, in, "b")
 	if !reflect.DeepEqual(out.Pos, []int64{0, 2}) {
 		t.Errorf("Pos = %v", out.Pos)
@@ -165,7 +165,7 @@ func TestDS4ExtendChunk(t *testing.T) {
 func TestDS4EmptyInput(t *testing.T) {
 	col, _ := writeColumn(t, encoding.Plain, []int64{1, 2, 3})
 	mc, _ := col.Window(col.Extent())
-	ds := NewDS4(col, nil)
+	ds := NewDS4(col, pred.CompileConj(nil))
 	out := ds.ExtendChunk(mc, rows.NewBatch("a"), "b")
 	if out.Len() != 0 {
 		t.Errorf("Len = %d", out.Len())
@@ -182,7 +182,7 @@ func TestDS1AcrossChunksCoversColumn(t *testing.T) {
 	}
 	for _, enc := range []encoding.Kind{encoding.Plain, encoding.RLE, encoding.BitVector} {
 		col, _ := writeColumn(t, enc, vals)
-		ds := NewDS1(col, []pred.Predicate{pred.Equals(3)})
+		ds := NewDS1(col, pred.CompileConj([]pred.Predicate{pred.Equals(3)}))
 		ch := NewChunker(col.Extent(), 512)
 		var got []int64
 		for i := 0; i < ch.NumChunks(); i++ {

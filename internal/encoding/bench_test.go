@@ -214,95 +214,64 @@ func BenchmarkDecodeRLEBlock(b *testing.B) {
 	}
 }
 
-// Fused multi-predicate scan benchmarks: FilterFused evaluates k predicates
-// over one column in a single pass; the unfused reference runs k Filter
-// scans and ANDs the resulting position sets. The interval pair collapses
-// to one compiled kernel (the planner's common case); the +Ne variant keeps
-// a genuine 2-ary fused kernel.
-func BenchmarkFilterFused2(b *testing.B) {
-	m := PlainMiniFromValues(0, benchValsRandom(1<<16, 1000))
-	ps := []pred.Predicate{pred.AtLeast(100), pred.LessThan(900)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if FilterFused(m, ps).Count() == 0 {
-			b.Fatal("empty")
+// benchRuns is data in runs of runLen equal values drawn from [0, domain).
+func benchRuns(n, runLen int, domain int64) []int64 {
+	vals := make([]int64, n)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < n; i += runLen {
+		v := rng.Int63n(domain)
+		for j := i; j < min(i+runLen, n); j++ {
+			vals[j] = v
 		}
+	}
+	return vals
+}
+
+// benchFilterAt narrows each candidate form FilterAt is handed by a predicate
+// accepting about half the values, over a window of 20,000 positions that a
+// plain column stores across three blocks (the tail of one, a whole one, the
+// head of a third): one range over the window and one over part of it,
+// bit-strings at 50 %, 2 % and 0.1 %, lists of 64 and 2,048 positions.
+func benchFilterAt(b *testing.B, m MiniColumn, p pred.Predicate) {
+	b.Helper()
+	cands := filterAtCandidates(m.Covering())
+	c := pred.CompileConj([]pred.Predicate{p})
+	for _, name := range []string{"range", "halfrange", "bitmap50", "bitmap02", "bitmap001", "list64", "list2048"} {
+		b.Run(name, func(b *testing.B) {
+			cand := cands[name]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m.FilterAt(cand, c).Count() > cand.Count() {
+					b.Fatal("FilterAt grew its candidate set")
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkFilterUnfused2(b *testing.B) {
-	m := PlainMiniFromValues(0, benchValsRandom(1<<16, 1000))
-	ps := []pred.Predicate{pred.AtLeast(100), pred.LessThan(900)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := positions.And(m.Filter(ps[0]), m.Filter(ps[1]))
-		if out.Count() == 0 {
-			b.Fatal("empty")
-		}
-	}
+// Plain data is unsorted; RLE data runs 77 long, paper_select's length;
+// bit-vector data has seven distinct values.
+func BenchmarkFilterAtPlain(b *testing.B) {
+	benchFilterAt(b, threeBlockPlain(0, 700, benchValsRandom(20000, 1000)).mc, pred.LessThan(500))
+}
+func BenchmarkFilterAtRLE(b *testing.B) {
+	benchFilterAt(b, RLEMiniFromValues(0, benchRuns(20000, 77, 1000)), pred.LessThan(500))
+}
+func BenchmarkFilterAtBV(b *testing.B) {
+	benchFilterAt(b, BVMiniFromValues(0, benchValsRandom(20000, 7)), pred.LessThan(4))
 }
 
-func BenchmarkFilterFused3Ne(b *testing.B) {
-	m := PlainMiniFromValues(0, benchValsRandom(1<<16, 1000))
-	ps := []pred.Predicate{pred.AtLeast(100), pred.LessThan(900), pred.NotEquals(500)}
+// BenchmarkDecompressBV expands a default-width chunk of unsorted seven-value
+// bit-vector data into a destination sized beforehand — EM-parallel's
+// decompression of a bit-vector column on every chunk.
+func BenchmarkDecompressBV(b *testing.B) {
+	m := BVMiniFromValues(0, benchValsRandom(1<<16, 7))
+	dst := make([]int64, 0, 1<<16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if FilterFused(m, ps).Count() == 0 {
-			b.Fatal("empty")
-		}
+		dst = m.Decompress(dst[:0])
 	}
-}
-
-func BenchmarkFilterUnfused3Ne(b *testing.B) {
-	m := PlainMiniFromValues(0, benchValsRandom(1<<16, 1000))
-	ps := []pred.Predicate{pred.AtLeast(100), pred.LessThan(900), pred.NotEquals(500)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := m.Filter(ps[0])
-		for _, p := range ps[1:] {
-			out = positions.And(out, m.Filter(p))
-		}
-		if out.Count() == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-// Adaptive FilterAt benchmarks: the dense regime (a near-full candidate set,
-// where the compiled kernel path wins) and the sparse regime (a few
-// candidates, where the run-builder path wins), both driven through the
-// adaptive policy as the executor drives them.
-func BenchmarkFilterAtAdaptiveDense(b *testing.B) {
-	m := PlainMiniFromValues(0, benchValsRandom(1<<16, 1000))
-	cand := positions.NewRanges(positions.Range{Start: 0, End: 1 << 16})
-	p := pred.LessThan(500)
-	var pol AdaptiveFilterAt
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pol.FilterAt(m, cand, p).Count() == 0 {
-			b.Fatal("empty")
-		}
-	}
-}
-
-func BenchmarkFilterAtAdaptiveSparse(b *testing.B) {
-	m := PlainMiniFromValues(0, benchValsRandom(1<<16, 1000))
-	var cand positions.List
-	for p := int64(0); p < 1<<16; p += 1024 {
-		cand = append(cand, p)
-	}
-	p := pred.LessThan(999)
-	var pol AdaptiveFilterAt
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if pol.FilterAt(m, cand, p).Count() == 0 {
-			b.Fatal("empty")
-		}
-	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(dst)), "ns/value")
 }

@@ -80,14 +80,15 @@ func (m *BVMini) DistinctValues() []int64 { return m.vals }
 // BitString returns the bitmap for distinct value index i.
 func (m *BVMini) BitString(i int) *positions.Bitmap { return m.bms[i] }
 
-// Filter ORs together the bit-strings of the values matching p. The
-// predicate is applied once per distinct value, never per position: this is
-// the "predicate has already been applied a-priori" property of bit-vector
-// data. Interval-shaped predicates locate the contiguous matching value
-// range by binary search over the ascending distinct values, so the
+// Filter ORs together the bit-strings of the values the conjunction accepts.
+// The conjunction is applied once per distinct value, never per position:
+// this is the "predicate has already been applied a-priori" property of
+// bit-vector data. An interval conjunction locates the contiguous matching
+// value range by binary search over the ascending distinct values, so the
 // per-value predicate work is O(log distinct) before the word-at-a-time ORs.
-func (m *BVMini) Filter(p pred.Predicate) positions.Set {
-	if lo, hi, ok := p.Interval(); ok {
+func (m *BVMini) Filter(f Conjunction) positions.Set {
+	c := f.Compiled()
+	if lo, hi, ok := c.Interval(); ok {
 		i0 := sort.Search(len(m.vals), func(i int) bool { return m.vals[i] >= lo })
 		i1 := sort.Search(len(m.vals), func(i int) bool { return m.vals[i] > hi })
 		if i1 <= i0 { // no distinct value in [lo, hi] (including reversed Between)
@@ -95,12 +96,11 @@ func (m *BVMini) Filter(p pred.Predicate) positions.Set {
 		}
 		return m.orStrings(i0, i1)
 	}
-	// Non-interval predicate (Ne): the matching values need not be
-	// contiguous; test each distinct value with a compiled matcher.
-	match := pred.CompileMatcher(p)
+	// Non-interval conjunction (Ne residue): the matching values need not be
+	// contiguous; test each distinct value.
 	var idxs []int
 	for i, v := range m.vals {
-		if match(v) {
+		if c.Accepts(v) {
 			idxs = append(idxs, i)
 		}
 	}
@@ -160,9 +160,10 @@ func (m *BVMini) filterScalar(p pred.Predicate) positions.Set {
 	}
 }
 
-// FilterAt restricts Filter's result to ps.
-func (m *BVMini) FilterAt(ps positions.Set, p pred.Predicate) positions.Set {
-	return positions.And(m.Filter(p), ps)
+// FilterAt restricts Filter's result to ps: the paper's AND, the bit-strings
+// of the accepted values against the candidate set.
+func (m *BVMini) FilterAt(ps positions.Set, f Conjunction) positions.Set {
+	return positions.And(m.Filter(f), ps)
 }
 
 // ValueAt scans the distinct values' bit-strings for the one holding pos.
@@ -196,35 +197,37 @@ func (m *BVMini) Extract(dst []int64, ps positions.Set) []int64 {
 	return dst
 }
 
-// Decompress appends the full window to dst.
+// Decompress appends the full window to dst, grown in place: each distinct
+// value's bit-string is scattered word at a time (ScatterMasked against an
+// all-ones descriptor writes the value at every set bit's own index). Every
+// position is set in exactly one bit-string, so every slot is written once.
 func (m *BVMini) Decompress(dst []int64) []int64 {
-	n := len(dst)
-	dst = append(dst, make([]int64, m.cov.Len())...)
-	m.decompressInto(dst[n:])
+	at, n := len(dst), int(m.cov.Len())
+	dst = slices.Grow(dst, n)[:at+n]
+	out := dst[at:]
+	for i, bm := range m.bms {
+		words := bm.Words()
+		for j := 0; j < len(words); j += len(allOnes) {
+			k := min(len(allOnes), len(words)-j)
+			kernels.ScatterMasked(out[64*j:], m.vals[i], words[j:j+k], allOnes[:k])
+		}
+	}
 	return dst
 }
+
+// allOnes is a descriptor that selects every position of 4,096.
+var allOnes = func() (w [64]uint64) {
+	for i := range w {
+		w[i] = ^uint64(0)
+	}
+	return w
+}()
 
 // MemBytes estimates the window's heap footprint: one full-cover bitmap per
 // distinct value plus the value list.
 func (m *BVMini) MemBytes() int64 {
 	words := (m.cov.Len() + 63) / 64
 	return int64(len(m.vals))*(8+24+8*words) + 8*int64(len(m.vals))
-}
-
-func (m *BVMini) decompressInto(out []int64) {
-	for i, bm := range m.bms {
-		v := m.vals[i]
-		it := bm.Runs()
-		for {
-			r, ok := it.Next()
-			if !ok {
-				break
-			}
-			for p := r.Start; p < r.End; p++ {
-				out[p-m.cov.Start] = v
-			}
-		}
-	}
 }
 
 // sumRange computes sum over [r) as Σ value × popcount(bit-string ∧ r):

@@ -67,6 +67,13 @@ func (t Triple) End() int64 { return t.Start + t.Len }
 // Cover returns the position range of the run.
 func (t Triple) Cover() positions.Range { return positions.Range{Start: t.Start, End: t.End()} }
 
+// Conjunction is what a filter applies: a pred.Conj compiled when the plan
+// was built, or a single pred.Predicate — a conjunction of one, compiled on
+// the call.
+type Conjunction interface {
+	Compiled() *pred.Conj
+}
+
 // MiniColumn is a read-only window over one column restricted to a covering
 // position range, kept in the column's native compressed form. Mini-columns
 // are the unit that flows between operators inside a multi-column; every
@@ -76,12 +83,13 @@ type MiniColumn interface {
 	Kind() Kind
 	// Covering returns the position range this window spans.
 	Covering() positions.Range
-	// Filter applies p to every value in the window and returns the set of
+	// Filter applies a conjunction — compiled at plan build, or a single
+	// predicate — to every value in the window and returns the set of
 	// positions whose values match (data source case 1 per chunk).
-	Filter(p pred.Predicate) positions.Set
-	// FilterAt applies p only at the positions in ps, returning the subset
-	// that match (the pipelined-LM narrowing step).
-	FilterAt(ps positions.Set, p pred.Predicate) positions.Set
+	Filter(f Conjunction) positions.Set
+	// FilterAt applies the conjunction only at the positions in ps, returning
+	// the subset that match (the pipelined-LM narrowing step).
+	FilterAt(ps positions.Set, f Conjunction) positions.Set
 	// Extract appends to dst the values at the positions in ps, in position
 	// order (data source case 3 per chunk).
 	Extract(dst []int64, ps positions.Set) []int64

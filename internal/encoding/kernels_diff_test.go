@@ -89,11 +89,9 @@ func diffMinis(t *testing.T) []diffMiniCase {
 	addPlain("plain/blockseg", seg)
 	// A chunk window over three blocks: the tail of one, the whole of the next
 	// and the head of a third.
-	three := NewPlainMini(positions.Range{Start: 7488, End: 7488 + n})
-	three.AddSegment(7488, random[:700])
-	three.AddSegment(8188, random[700:700+8188])
-	three.AddSegment(2*8188, random[700+8188:])
-	addPlain("plain/threeblocks", three)
+	three := threeBlockPlain(7488, 700, random)
+	three.name = "plain/threeblocks"
+	cases = append(cases, three)
 	odd := NewPlainMini(positions.Range{Start: 0, End: n})
 	for off := 0; off < n; {
 		l := 97 + (off % 61)
@@ -119,7 +117,7 @@ func diffMinis(t *testing.T) []diffMiniCase {
 }
 
 // diffCandidates builds FilterAt candidate sets over cov in each
-// representation and density class (both sides of the dense cutoff).
+// representation and density class.
 func diffCandidates(cov positions.Range) map[string]positions.Set {
 	full := positions.NewRanges(cov)
 	sparseList := positions.List{}
@@ -202,7 +200,7 @@ func extractShapes(cov positions.Range) map[string]positions.Set {
 // of ~50 %, one clipped by the window, sparse and long lists, short and full
 // ranges) over windows of one segment, of two and three blocks and of many odd
 // segments, the values the per-position ValueAt reference returns, appended
-// after what dst already holds.
+// after what dst already holds. Decompress is held to ValueAt the same way.
 func TestDifferentialExtractAfterKernels(t *testing.T) {
 	for _, c := range diffMinis(t) {
 		for _, p := range []pred.Predicate{
@@ -215,6 +213,13 @@ func TestDifferentialExtractAfterKernels(t *testing.T) {
 			}
 		}
 		cov := c.mc.Covering()
+		whole := []int64{-1, -2}
+		for p := cov.Start; p < cov.End; p++ {
+			whole = append(whole, c.mc.ValueAt(p))
+		}
+		if got := c.mc.Decompress([]int64{-1, -2}); !slices.Equal(got, whole) {
+			t.Fatalf("%s Decompress: %d values, ValueAt gives %d (or values differ)", c.name, len(got)-2, len(whole)-2)
+		}
 		for name, ps := range extractShapes(cov) {
 			want := []int64{-1, -2}
 			for _, p := range positions.Slice(ps) {
@@ -247,125 +252,272 @@ func fusedConjCases() [][]pred.Predicate {
 	}
 }
 
+// sequentialFilterAt is the scalar reference for a conjunction at candidate
+// positions: the per-predicate filterAtScalar references applied in turn.
+func sequentialFilterAt(filterAt func(positions.Set, pred.Predicate) positions.Set, cand positions.Set, ps []pred.Predicate) positions.Set {
+	for _, p := range ps {
+		cand = filterAt(cand, p)
+	}
+	return cand
+}
+
 // TestDifferentialFilterFused: for every encoding and conjunction shape, the
-// single-pass fused filter must equal the AND of per-predicate scalar
-// reference filters — the unfused path.
+// single-pass filter of the compiled conjunction must equal the AND of
+// per-predicate scalar reference filters — the unfused path.
 func TestDifferentialFilterFused(t *testing.T) {
 	for _, c := range diffMinis(t) {
 		for ci, ps := range fusedConjCases() {
-			got := FilterFused(c.mc, ps)
+			got := c.mc.Filter(pred.CompileConj(ps))
 			want := c.filter(ps[0])
 			for _, p := range ps[1:] {
 				want = positions.And(want, c.filter(p))
 			}
 			if !positions.Equal(got, want) {
-				t.Fatalf("%s FilterFused case %d (%v): fused %d positions, unfused %d",
+				t.Fatalf("%s Filter(conj) case %d (%v): fused %d positions, unfused %d",
 					c.name, ci, ps, got.Count(), want.Count())
 			}
 		}
 	}
 }
 
-// TestDifferentialFilterAtFused checks the fused candidate-narrowing path
-// (with and without the adaptive policy) against sequential per-predicate
-// FilterAt over every candidate representation.
+// TestDifferentialFilterAtFused checks candidate narrowing by a compiled
+// conjunction — one pass, whatever its arity — against sequential
+// per-predicate scalar FilterAt over every candidate representation.
 func TestDifferentialFilterAtFused(t *testing.T) {
 	for _, c := range diffMinis(t) {
 		cands := diffCandidates(c.mc.Covering())
 		for ci, ps := range fusedConjCases() {
+			conj := pred.CompileConj(ps)
 			for cname, cand := range cands {
-				want := cand
-				for _, p := range ps {
-					want = c.filterAt(want, p)
-				}
-				got := FilterAtFused(c.mc, cand, ps, nil)
-				if !positions.Equal(got, want) {
-					t.Fatalf("%s FilterAtFused(%s) case %d: fused %d positions, sequential %d",
+				want := sequentialFilterAt(c.filterAt, cand, ps)
+				if got := c.mc.FilterAt(cand, conj); !positions.Equal(got, want) {
+					t.Fatalf("%s FilterAt(%s, conj) case %d: fused %d positions, sequential %d",
 						c.name, cname, ci, got.Count(), want.Count())
 				}
-				var pol AdaptiveFilterAt
-				gotPol := FilterAtFused(c.mc, cand, ps, &pol)
-				if !positions.Equal(gotPol, want) {
-					t.Fatalf("%s FilterAtFused(%s, adaptive) case %d: %d positions, want %d",
-						c.name, cname, ci, gotPol.Count(), want.Count())
-				}
 			}
 		}
 	}
 }
 
-// TestDifferentialFilterAtChoice forces BOTH the dense (kernel+bitmap) and
-// sparse (run-builder) FilterAt paths for every plain case, candidate shape
-// and predicate — each regime must match the scalar reference regardless of
-// what the cutoff would have chosen.
-func TestDifferentialFilterAtChoice(t *testing.T) {
-	for _, c := range diffMinis(t) {
-		pm, ok := c.mc.(*PlainMini)
-		if !ok {
-			continue
+// filterAtValues draws a window's values: runs one to twelve long over
+// [0, diffDomain), so an RLE window has runs to test once and a plain one mixes
+// matching and failing values inside every word.
+func filterAtValues(seed int64, n int) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	vals := make([]int64, n)
+	for i := 0; i < n; {
+		v, l := rng.Int63n(diffDomain), 1+rng.Intn(12)
+		for ; l > 0 && i < n; l-- {
+			vals[i] = v
+			i++
 		}
-		cands := diffCandidates(c.mc.Covering())
-		for _, op := range diffOps {
-			for pi, p := range diffPredicates(op) {
-				for cname, ps := range cands {
-					want := c.filterAt(ps, p)
-					for _, dense := range []bool{false, true} {
-						got := pm.FilterAtChoice(ps, p, dense)
-						if !positions.Equal(got, want) {
-							t.Fatalf("%s FilterAtChoice(%s, %v, dense=%v) [case %d]: %d positions, scalar %d",
-								c.name, cname, p, dense, pi, got.Count(), want.Count())
-						}
-					}
-				}
+	}
+	return vals
+}
+
+// threeBlockPlain returns the plain window [start, start+len(vals)) split like
+// a chunk over three stored blocks: the first head values, then a whole block
+// of PlainBlockCap, then the rest.
+func threeBlockPlain(start int64, head int, vals []int64) diffMiniCase {
+	m := NewPlainMini(positions.Range{Start: start, End: start + int64(len(vals))})
+	m.AddSegment(start, vals[:head])
+	m.AddSegment(start+int64(head), vals[head:head+PlainBlockCap])
+	m.AddSegment(start+int64(head+PlainBlockCap), vals[head+PlainBlockCap:])
+	return diffMiniCase{"plain", m, m.filterScalar, m.filterAtScalar}
+}
+
+// compressedMinis returns the window [start, start+len(vals)) run-length and
+// bit-vector encoded.
+func compressedMinis(start int64, vals []int64) []diffMiniCase {
+	rle := RLEMiniFromValues(start, vals)
+	bv := BVMiniFromValues(start, vals)
+	return []diffMiniCase{
+		{"rle", rle, rle.filterScalar, rle.filterAtScalar},
+		{"bv", bv, bv.filterScalar, func(ps positions.Set, p pred.Predicate) positions.Set {
+			return positions.And(bv.filterScalar(p), ps)
+		}},
+	}
+}
+
+// filterAtCandidates builds the candidate forms FilterAt is handed, over the
+// window cov: no position, one range over the window, one over part of it,
+// many short ranges; bit-strings at 50 %, 2 % and 0.1 % and one reaching past
+// the window on both sides; lists of 1, 64 and 2,048 positions.
+func filterAtCandidates(cov positions.Range) map[string]positions.Set {
+	rng := rand.New(rand.NewSource(23))
+	bitmap := func(start, end int64, density float64) *positions.Bitmap {
+		bm := positions.NewBitmap(start, end-start)
+		for p := start; p < end; p++ {
+			if rng.Float64() < density {
+				bm.Set(p)
+			}
+		}
+		return bm
+	}
+	list := func(k int) positions.List {
+		l := positions.List{}
+		for _, i := range rng.Perm(int(cov.Len()))[:k] {
+			l = append(l, cov.Start+int64(i))
+		}
+		slices.Sort(l)
+		return l
+	}
+	var many positions.Ranges
+	for p := cov.Start + 3; p+9 < cov.End; p += 37 + rng.Int63n(40) {
+		many = append(many, positions.Range{Start: p, End: p + 1 + rng.Int63n(9)})
+	}
+	return map[string]positions.Set{
+		"empty":     positions.Empty{},
+		"range":     positions.NewRanges(cov),
+		"halfrange": positions.NewRanges(positions.Range{Start: cov.Start + 1001, End: cov.Start + cov.Len()/2}),
+		"ranges":    many,
+		"bitmap50":  bitmap(cov.Start, cov.End, 0.5),
+		"bitmap02":  bitmap(cov.Start, cov.End, 0.02),
+		"bitmap001": bitmap(cov.Start, cov.End, 0.001),
+		"pastwin":   bitmap(cov.Start-128, cov.End+300, 0.5),
+		"list1":     list(1),
+		"list64":    list(64),
+		"list2048":  list(2048),
+	}
+}
+
+// filterAtConjs is every predicate op as a conjunction of one, plus a
+// Between, conjunctions with Ne residue and a contradiction.
+func filterAtConjs() [][]pred.Predicate {
+	var out [][]pred.Predicate
+	for _, op := range diffOps {
+		for _, p := range diffPredicates(op) {
+			out = append(out, []pred.Predicate{p})
+		}
+	}
+	return append(out, fusedConjCases()...)
+}
+
+// checkFilterAt holds one FilterAt to its references: the per-predicate
+// scalar filterAtScalar applied in turn, and pred.MatchConj at every candidate
+// position inside the window, whose values are vals. A list candidate must
+// come back a list (or empty) and a bit-string candidate a bit-string (or
+// empty).
+func checkFilterAt(t *testing.T, c diffMiniCase, vals []int64, cname string, cand positions.Set, ps []pred.Predicate) {
+	t.Helper()
+	got := c.mc.FilterAt(cand, pred.CompileConj(ps))
+	if want := sequentialFilterAt(c.filterAt, cand, ps); !positions.Equal(got, want) {
+		t.Fatalf("%s FilterAt(%s, %v): %d positions, scalar %d", c.name, cname, ps, got.Count(), want.Count())
+	}
+	cov := c.mc.Covering()
+	var want int64
+	for _, p := range positions.Slice(cand) {
+		if cov.Contains(p) && pred.MatchConj(ps, vals[p-cov.Start]) {
+			want++
+			if !got.Contains(p) {
+				t.Fatalf("%s FilterAt(%s, %v): position %d missing", c.name, cname, ps, p)
+			}
+		}
+	}
+	if got.Count() != want {
+		t.Fatalf("%s FilterAt(%s, %v): %d positions, MatchConj accepts %d", c.name, cname, ps, got.Count(), want)
+	}
+	if k := got.Kind(); k != positions.KindEmpty && cand.Kind() != positions.KindRanges && k != cand.Kind() {
+		t.Fatalf("%s FilterAt(%s, %v): a %v candidate came back a %v", c.name, cname, ps, cand.Kind(), k)
+	}
+}
+
+// TestDifferentialFilterAt runs FilterAt over a window of three plain blocks
+// (and the same window run-length and bit-vector encoded) under every
+// candidate form and every conjunction shape, and then sweeps the plain block
+// boundary through every bit offset 0…63 of the candidate bit-string's words.
+func TestDifferentialFilterAt(t *testing.T) {
+	vals := filterAtValues(29, 10000)
+	const start = 7488 // a multiple of 64, as chunk windows are
+	for _, c := range append(compressedMinis(start, vals), threeBlockPlain(start, 700, vals)) {
+		for cname, cand := range filterAtCandidates(c.mc.Covering()) {
+			for _, ps := range filterAtConjs() {
+				checkFilterAt(t, c, vals, cname, cand, ps)
+			}
+		}
+	}
+	conjs := [][]pred.Predicate{
+		{pred.LessThan(diffDomain / 2)},
+		{pred.AtLeast(diffDomain / 8), pred.NotEquals(vals[640]), pred.NotEquals(vals[700])},
+	}
+	for off := 0; off < 64; off++ {
+		plain := threeBlockPlain(0, 640+off, vals)
+		cands := filterAtCandidates(plain.mc.Covering())
+		for _, cname := range []string{"bitmap50", "bitmap001", "pastwin"} {
+			for _, ps := range conjs {
+				checkFilterAt(t, plain, vals, cname, cands[cname], ps)
 			}
 		}
 	}
 }
 
-// TestAdaptiveFilterAtPolicy pins the decision rule: the first chunk uses
-// the static cutoff, later chunks predict from the previous chunk's
-// candidate density, and the policy actually switches regimes when density
-// crosses the threshold.
-func TestAdaptiveFilterAtPolicy(t *testing.T) {
-	var a AdaptiveFilterAt
-	const width = 1 << 16
-	// No history: static cutoff on the current count.
-	if a.dense(filterAtDenseCutoff, width) {
-		t.Error("first chunk: count at cutoff should be sparse")
-	}
-	if !a.dense(filterAtDenseCutoff+1, width) {
-		t.Error("first chunk: count above cutoff should be dense")
-	}
-	// Dense history: a dense previous chunk predicts dense even when the
-	// current count is small.
-	a.observe(width/2, width)
-	if !a.dense(8, width) {
-		t.Error("dense history should choose the dense path")
-	}
-	// Sparse history: predicts sparse even for a count above the cutoff.
-	a.observe(4, width)
-	if a.dense(100000, width) {
-		t.Error("sparse history should choose the sparse path")
-	}
-	// The policy-driven path must agree with the static path on results
-	// across a chunk sequence whose density flips between regimes.
-	vals := make([]int64, 4096)
-	for i := range vals {
-		vals[i] = int64(i % 251)
-	}
-	m := PlainMiniFromValues(0, vals)
-	p := pred.LessThan(200)
-	var pol AdaptiveFilterAt
-	for chunk, cand := range []positions.Set{
-		positions.NewRanges(positions.Range{Start: 0, End: 4096}), // dense
-		positions.List{1, 2, 4093},                                // sparse
-		positions.NewRanges(positions.Range{Start: 64, End: 3200}),
-		positions.List{700},
+// TestPlainFilterAllocs pins the scan's allocations: over a three-block window
+// PlainMini.Filter with a compiled conjunction — one predicate or k — makes
+// only its output bit-string (the Bitmap and its words), whatever the
+// segments' alignment.
+func TestPlainFilterAllocs(t *testing.T) {
+	vals := filterAtValues(31, 3*PlainBlockCap)
+	m := threeBlockPlain(64, 1000, vals).mc
+	for _, ps := range [][]pred.Predicate{
+		{pred.LessThan(diffDomain / 2)},
+		{pred.LessThan(diffDomain / 2), pred.NotEquals(3), pred.NotEquals(5)},
 	} {
-		got := pol.FilterAt(m, cand, p)
-		want := m.filterAtScalar(cand, p)
-		if !positions.Equal(got, want) {
-			t.Fatalf("adaptive chunk %d: %d positions, want %d", chunk, got.Count(), want.Count())
+		c := pred.CompileConj(ps)
+		if a := testing.AllocsPerRun(20, func() { m.Filter(c) }); a > 2 {
+			t.Fatalf("Filter(%v): %v allocations a call, want 2 (the output bit-string)", ps, a)
 		}
 	}
+}
+
+// FuzzFilterAtAgainstScalar holds FilterAt over all three encodings to the
+// scalar references on candidates and conjunctions the fuzzer shapes: a
+// bit-string (any word contents, starting anywhere, reaching past the
+// window), a list (any gaps) or ranges (any lengths and gaps); one predicate
+// of any op and constants, ANDed with a Ne when asked. The window is three
+// plain blocks split at a fuzzed offset.
+func FuzzFilterAtAgainstScalar(f *testing.F) {
+	vals := filterAtValues(37, 2*PlainBlockCap+900)
+	compressed := compressedMinis(0, vals)
+	f.Add(uint8(0), uint16(700), uint8(1), int64(500), int64(0), []byte{0xff, 0x55, 0x0f, 0xf0, 0x01, 0x80, 0xaa})
+	f.Add(uint8(0), uint16(8190), uint8(7), int64(100), int64(800), []byte("a bit-string over the second block boundary"))
+	f.Add(uint8(1), uint16(8100), uint8(4|0x80), int64(250), int64(0), []byte{0, 0, 0, 5, 0, 0, 200, 1, 0})
+	f.Add(uint8(2), uint16(16000), uint8(2), int64(900), int64(0), []byte{0, 200, 0, 255, 3, 1, 0, 1, 0, 90})
+	f.Fuzz(func(t *testing.T, kind uint8, at uint16, op uint8, a, b int64, data []byte) {
+		head := 1 + int(at)%(len(vals)-PlainBlockCap-1)
+		minis := append([]diffMiniCase{threeBlockPlain(0, head, vals)}, compressed...)
+		cov := minis[0].mc.Covering()
+		pos := int64(at) % (cov.End + 200)
+		var cand positions.Set
+		switch kind % 3 {
+		case 0: // bit-string: data is its bits
+			bm := positions.NewBitmap(pos&^63, 8*int64(len(data)))
+			for i := int64(0); i < bm.NBits(); i++ {
+				if data[i/8]>>uint(i%8)&1 == 1 {
+					bm.Set(bm.Start() + i)
+				}
+			}
+			cand = bm
+		case 1: // list: data is the gaps between positions, less one
+			l := positions.List{}
+			for _, gap := range data {
+				l = append(l, pos)
+				pos += 1 + int64(gap)
+			}
+			cand = l
+		default: // ranges: data is (length less one, gap less one) pairs
+			var rs positions.Ranges
+			for i := 0; i+1 < len(data); i += 2 {
+				rs = append(rs, positions.Range{Start: pos, End: pos + 1 + int64(data[i])})
+				pos += 2 + int64(data[i]) + int64(data[i+1])
+			}
+			cand = rs
+		}
+		ps := []pred.Predicate{{Op: pred.Op(op&0x7f) % (pred.None + 1), A: a, B: b}}
+		if op&0x80 != 0 {
+			ps = append(ps, pred.NotEquals(b))
+		}
+		for _, c := range minis {
+			checkFilterAt(t, c, vals, "fuzzed", cand, ps)
+		}
+	})
 }

@@ -75,129 +75,104 @@ func (m *PlainMini) ValueAt(pos int64) int64 {
 	return s.vals[pos-s.start]
 }
 
-// Filter applies p to every value in the window. As in C-Store, a scan of
-// uncompressed data emits its positions as a bit-string: without encoded
-// runs to exploit, the data source does not try to discover value runs on
-// the fly (predicates over sorted or RLE columns are the ones that produce
-// position ranges). The predicate is compiled once and the comparison loop
-// emits 64 results at a time directly into the bitmap — no per-value
-// operator dispatch, no intermediate run list.
-func (m *PlainMini) Filter(p pred.Predicate) positions.Set {
-	bm := m.newFilterBitmap()
-	k := pred.Compile(p)
+// Filter applies the conjunction to every value in the window. As in
+// C-Store, a scan of uncompressed data emits its positions as a bit-string:
+// without encoded runs to exploit, the data source does not try to discover
+// value runs on the fly (predicates over sorted or RLE columns are the ones
+// that produce position ranges). The compiled kernel emits 64 results at a
+// time directly into the bitmap — no per-value operator dispatch, no
+// intermediate run list.
+func (m *PlainMini) Filter(f Conjunction) positions.Set {
+	k := f.Compiled().Kernel
+	bm := filterBitmap(m.cov)
 	for _, s := range m.segs {
 		kernels.FilterIntoBitmap(bm, s.start, s.vals, k)
 	}
-	if bm.Count() == 0 {
+	return nonEmpty(bm)
+}
+
+// FilterAt applies the conjunction only at the positions in ps — the
+// pipelined-LM narrowing step. Like Gather it walks the window's segments and
+// takes ps's piece under each in ps's own representation (positions.Within):
+// a bit-string is read word by word, every non-zero word getting one kernel
+// call over the values under it, ANDed into the output bit-string; listed
+// positions are tested one by one and stay a list; ranges run the kernel over
+// each range into the output bit-string.
+func (m *PlainMini) FilterAt(ps positions.Set, f Conjunction) positions.Set {
+	c := f.Compiled()
+	span := ps.Covering().Intersect(m.cov)
+	if span.Empty() {
 		return positions.Empty{}
 	}
-	return bm
-}
-
-// newFilterBitmap allocates the window's filter-output bitmap, 64-aligned
-// like Builder's forced-bitmap output.
-func (m *PlainMini) newFilterBitmap() *positions.Bitmap {
-	start := m.cov.Start &^ 63
-	return positions.NewBitmap(start, m.cov.End-start)
-}
-
-// filterAtDenseCutoff is the static position count above which FilterAt
-// switches from the run-builder output to the compiled word-at-a-time kernel
-// emitting a bitmap: below it the candidate set is sparse enough that a
-// compact list/range output is worth keeping for downstream intersections.
-// It is the fallback decision rule; the executor drives the per-chunk choice
-// through AdaptiveFilterAt, which predicts from the previous chunk's
-// observed candidate density instead.
-const filterAtDenseCutoff = 128
-
-// FilterAt applies p only at the positions in ps, choosing the execution
-// path by the static cutoff on the candidate count. Chunk-at-a-time callers
-// should prefer AdaptiveFilterAt, which feeds FilterAtChoice from observed
-// density.
-func (m *PlainMini) FilterAt(ps positions.Set, p pred.Predicate) positions.Set {
-	return m.FilterAtChoice(ps, p, ps.Count() > filterAtDenseCutoff)
-}
-
-// FilterAtChoice is FilterAt with the dense/sparse decision made by the
-// caller. Dense candidate sets run through the compiled kernel run-by-run
-// straight into a bitmap; sparse sets keep the adaptive run-builder
-// representation, evaluated with a compiled scalar matcher. Both paths
-// return exactly the same position set — only the work profile and output
-// representation differ.
-func (m *PlainMini) FilterAtChoice(ps positions.Set, p pred.Predicate, dense bool) positions.Set {
-	if !dense {
-		return m.filterAtSparse(ps, pred.CompileMatcher(p))
+	var bm *positions.Bitmap
+	var list positions.List
+	if l, ok := ps.(positions.List); ok {
+		list = make(positions.List, 0, len(l))
+	} else {
+		bm = filterBitmap(m.cov)
 	}
-	bm := m.newFilterBitmap()
-	k := pred.Compile(p)
-	it := ps.Runs()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		r = r.Intersect(m.cov)
-		if r.Empty() {
-			continue
-		}
-		si := m.seg(r.Start)
-		for pos := r.Start; pos < r.End; {
-			s := m.segs[si]
-			end := r.End
-			if s.end() < end {
-				end = s.end()
-			}
-			kernels.FilterIntoBitmap(bm, pos, s.vals[pos-s.start:end-s.start], k)
-			pos = end
-			si++
-		}
-	}
-	if bm.Count() == 0 {
-		return positions.Empty{}
-	}
-	return bm
-}
-
-// filterAtSparse is the sparse-candidate FilterAt path: the old run-builder
-// output shape, with the predicate compiled to a scalar matcher.
-func (m *PlainMini) filterAtSparse(ps positions.Set, match pred.Matcher) positions.Set {
-	b := positions.NewBuilder(m.cov)
-	it := ps.Runs()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return b.Build()
-		}
-		r = r.Intersect(m.cov)
-		if r.Empty() {
-			continue
-		}
-		si := m.seg(r.Start)
-		for pos := r.Start; pos < r.End; {
-			s := m.segs[si]
-			end := r.End
-			if s.end() < end {
-				end = s.end()
-			}
-			vals := s.vals[pos-s.start : end-s.start]
-			runStart := int64(-1)
-			for i, v := range vals {
-				if match(v) {
-					if runStart < 0 {
-						runStart = pos + int64(i)
-					}
-				} else if runStart >= 0 {
-					b.AddRange(positions.Range{Start: runStart, End: pos + int64(i)})
-					runStart = -1
+	for i := m.seg(span.Start); i < len(m.segs) && m.segs[i].start < span.End; i++ {
+		s := m.segs[i]
+		switch pc := positions.Within(ps, m.SegmentCover(i)); {
+		case pc.Words != nil:
+			filterWords(bm, s.vals[pc.Range.Start-s.start:pc.Range.End-s.start], pc, c.Kernel)
+		case pc.List != nil:
+			for _, p := range pc.List {
+				if c.Accepts(s.vals[p-s.start]) {
+					list = append(list, p)
 				}
 			}
-			if runStart >= 0 {
-				b.AddRange(positions.Range{Start: runStart, End: end})
+		default:
+			for _, r := range pc.Runs {
+				r = r.Intersect(pc.Range)
+				kernels.FilterIntoBitmap(bm, r.Start, s.vals[r.Start-s.start:r.End-s.start], c.Kernel)
 			}
-			pos = end
-			si++
 		}
 	}
+	if bm != nil {
+		return nonEmpty(bm)
+	}
+	if len(list) == 0 {
+		return positions.Empty{}
+	}
+	return list
+}
+
+// filterWords is FilterAt's bit-string arm over one plain segment: vals are
+// the values under pc, bit pc.BitOff+i of pc.Words answering for vals[i]. A
+// non-zero candidate word gets one kernel call over the values under it; the
+// kernel writes straight into the output word, whose earlier bits (the
+// previous segment's, when the two share the word) are held meanwhile, and the
+// result is ANDed with the candidate word.
+func filterWords(out *positions.Bitmap, vals []int64, pc positions.Piece, k pred.Kernel) {
+	words := out.Words()[(pc.Range.Start-out.Start())>>6:] // both bit-strings are 64-aligned
+	for j, cw := range pc.Words {
+		if cw == 0 {
+			continue
+		}
+		held := words[j]
+		k(vals[max(64*j-pc.BitOff, 0):min(64*j+64-pc.BitOff, len(vals))], words[j:j+1])
+		r := words[j]
+		if j == 0 {
+			r <<= uint(pc.BitOff)
+		}
+		words[j] = held | r&cw
+	}
+}
+
+// filterBitmap allocates a filter's output bit-string over a window,
+// 64-aligned like Builder's forced-bitmap output.
+func filterBitmap(cov positions.Range) *positions.Bitmap {
+	start := cov.Start &^ 63
+	return positions.NewBitmap(start, cov.End-start)
+}
+
+// nonEmpty returns bm, or Empty when no bit is set.
+func nonEmpty(bm *positions.Bitmap) positions.Set {
+	if bm.Count() == 0 {
+		return positions.Empty{}
+	}
+	return bm
 }
 
 // filterScalar is the retained per-value reference implementation of Filter:

@@ -86,67 +86,100 @@ func (m *RLEMini) triple(pos int64) int {
 // ValueAt returns the value at pos.
 func (m *RLEMini) ValueAt(pos int64) int64 { return m.triples[m.triple(pos)].Value }
 
-// Filter applies p once per run, emitting whole runs (this is why RLE
-// predicate outputs are naturally position ranges). Interval-shaped
-// predicates compile to one two-comparison interval test per run —
-// compressed data is filtered without expansion and without per-run operator
-// dispatch; non-interval predicates fall back to a compiled scalar matcher.
-func (m *RLEMini) Filter(p pred.Predicate) positions.Set {
+// Filter applies the conjunction once per run, emitting whole runs (this is
+// why RLE predicate outputs are naturally position ranges). An interval
+// conjunction is one two-comparison test per run — compressed data is
+// filtered without expansion and without per-run operator dispatch — and any
+// other runs its compiled matcher.
+func (m *RLEMini) Filter(f Conjunction) positions.Set {
+	c := f.Compiled()
 	b := positions.NewBuilder(m.cov)
-	if lo, hi, ok := p.Interval(); ok {
-		for _, t := range m.triples {
-			if t.Value >= lo && t.Value <= hi {
-				b.AddRange(t.Cover())
-			}
-		}
-		return b.Build()
-	}
-	match := pred.CompileMatcher(p)
 	for _, t := range m.triples {
-		if match(t.Value) {
+		if c.Accepts(t.Value) {
 			b.AddRange(t.Cover())
 		}
 	}
 	return b.Build()
 }
 
-// FilterAt applies p to the runs overlapping ps, with the same run-at-a-time
-// interval kernel as Filter.
-func (m *RLEMini) FilterAt(ps positions.Set, p pred.Predicate) positions.Set {
-	lo, hi, intervalOK := p.Interval()
-	var match pred.Matcher
-	if !intervalOK {
-		match = pred.CompileMatcher(p)
+// FilterAt tests each run the candidate set overlaps once, as Filter does,
+// and keeps the candidate's positions under every matching run in the
+// candidate's own representation (positions.Within over the window): a
+// bit-string's words under the run are copied into the output bit-string,
+// listed positions below the run's end stay a list, and ranges are clipped to
+// the run.
+func (m *RLEMini) FilterAt(ps positions.Set, f Conjunction) positions.Set {
+	c := f.Compiled()
+	pc := positions.Within(ps, m.cov)
+	ts := m.triples
+	tj := sort.Search(len(ts), func(j int) bool { return ts[j].End() > pc.Range.Start })
+	switch {
+	case pc.Words != nil:
+		out := filterBitmap(m.cov)
+		bit0 := pc.Range.Start - int64(pc.BitOff) // the position bit 0 of Words stands for
+		words := out.Words()[(bit0-out.Start())>>6:]
+		for pos := pc.Range.Start; pos < pc.Range.End; tj++ {
+			end := min(ts[tj].End(), pc.Range.End)
+			if c.Accepts(ts[tj].Value) {
+				orBits(words, pc.Words, int(pos-bit0), int(end-bit0))
+			}
+			pos = end
+		}
+		return nonEmpty(out)
+	case pc.List != nil:
+		out := make(positions.List, 0, len(pc.List))
+		for l := pc.List; len(l) > 0; tj++ {
+			k := 0
+			for k < len(l) && l[k] < ts[tj].End() {
+				k++
+			}
+			if k > 0 && c.Accepts(ts[tj].Value) {
+				out = append(out, l[:k]...)
+			}
+			l = l[k:]
+		}
+		if len(out) == 0 {
+			return positions.Empty{}
+		}
+		return out
 	}
-	b := positions.NewBuilder(m.cov)
-	it := ps.Runs()
-	ti := 0
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return b.Build()
+	var out positions.Ranges
+	for _, r := range pc.Runs {
+		r = r.Intersect(pc.Range)
+		for ts[tj].End() <= r.Start {
+			tj++
 		}
-		r = r.Intersect(m.cov)
-		if r.Empty() {
-			continue
-		}
-		// Runs arrive in ascending order, so advance ti monotonically.
-		for ti < len(m.triples) && m.triples[ti].End() <= r.Start {
-			ti++
-		}
-		for tj := ti; tj < len(m.triples) && m.triples[tj].Start < r.End; tj++ {
-			v := m.triples[tj].Value
-			if intervalOK {
-				if v < lo || v > hi {
-					continue
+		for pos := r.Start; ; tj++ {
+			end := min(ts[tj].End(), r.End)
+			if c.Accepts(ts[tj].Value) {
+				if n := len(out); n > 0 && out[n-1].End == pos {
+					out[n-1].End = end // runs that both match stay one range
+				} else {
+					out = append(out, positions.Range{Start: pos, End: end})
 				}
-			} else if !match(v) {
-				continue
 			}
-			if o := m.triples[tj].Cover().Intersect(r); !o.Empty() {
-				b.AddRange(o)
+			if pos = end; pos == r.End {
+				break // the next range may start inside this run
 			}
 		}
+	}
+	if len(out) == 0 {
+		return positions.Empty{}
+	}
+	return out
+}
+
+// orBits ORs bits [lo, hi) of src into dst, word for word.
+func orBits(dst, src []uint64, lo, hi int) {
+	for w := lo >> 6; w <= (hi-1)>>6; w++ {
+		m := ^uint64(0)
+		if w == lo>>6 {
+			m <<= uint(lo & 63)
+		}
+		if w == (hi-1)>>6 {
+			m &= ^uint64(0) >> uint(63-(hi-1)&63)
+		}
+		dst[w] |= src[w] & m
 	}
 }
 

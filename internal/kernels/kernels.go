@@ -15,8 +15,8 @@ import (
 )
 
 // filterTileVals is the number of values a compiled kernel evaluates per
-// tile: 64 output words on the stack, merged into the destination bitmap in
-// one pass. Tiling keeps the unaligned (shifted) merge allocation-free.
+// tile: the bitmap words it overwrites are held in a 64-word array on the
+// stack meanwhile and merged back in one pass.
 const filterTileVals = 64 * 64
 
 // FilterIntoBitmap evaluates the compiled kernel k over vals — whose first
@@ -24,43 +24,36 @@ const filterTileVals = 64 * 64
 // bm. The bitmap must cover [base, base+len(vals)); base need not be
 // 64-aligned (plain blocks hold 8188 values, so mid-chunk segments start at
 // arbitrary bit offsets) — misaligned emissions are shifted word-at-a-time.
+//
+// The kernel writes each tile straight into the bitmap's words the tile
+// starts in; what they held is kept in held, which is never handed to the
+// kernel. A tile scratch passed to k — a func value the compiler cannot see
+// through — would be moved to the heap on every call.
 func FilterIntoBitmap(bm *positions.Bitmap, base int64, vals []int64, k pred.Kernel) {
+	words := bm.Words()
 	off := base - bm.Start()
-	var tile [filterTileVals / 64]uint64
+	var held [filterTileVals / 64]uint64
 	for len(vals) > 0 {
-		n := len(vals)
-		if n > filterTileVals {
-			n = filterTileVals
-		}
+		n := min(len(vals), filterTileVals)
 		nw := (n + 63) / 64
-		k(vals[:n], tile[:nw])
-		orWords(bm, off, tile[:nw])
+		wi, sh := off>>6, uint(off&63)
+		dst := words[wi : wi+int64(nw)]
+		copy(held[:nw], dst)
+		k(vals[:n], dst)
+		// Result word i answers for the 64 positions from bit sh of word wi+i:
+		// its low 64-sh bits stay in that word and the rest carry into the next.
+		// Kernels zero the bits past n, so a carry out of the last word holds
+		// positions inside the bitmap.
+		var carry uint64
+		for i, h := range held[:nw] {
+			r := dst[i]
+			dst[i] = h | r<<sh | carry
+			carry = r >> (64 - sh) // 0 when sh is 0: a shift by 64 clears a word
+		}
+		if carry != 0 {
+			words[wi+int64(nw)] |= carry
+		}
 		off += int64(n)
 		vals = vals[n:]
-	}
-}
-
-// orWords ORs the given result words into bm starting at bit offset bitOff
-// (relative to the bitmap start). Zero words are skipped, so sparse filter
-// results cost only the comparison loop.
-func orWords(bm *positions.Bitmap, bitOff int64, words []uint64) {
-	wi := bitOff >> 6
-	sh := uint(bitOff & 63)
-	if sh == 0 {
-		for i, w := range words {
-			if w != 0 {
-				bm.OrWordAt(wi+int64(i), w)
-			}
-		}
-		return
-	}
-	for i, w := range words {
-		if w == 0 {
-			continue
-		}
-		bm.OrWordAt(wi+int64(i), w<<sh)
-		if hi := w >> (64 - sh); hi != 0 {
-			bm.OrWordAt(wi+int64(i)+1, hi)
-		}
 	}
 }

@@ -53,6 +53,45 @@ func TestFilterIntoBitmapAdjacentSegments(t *testing.T) {
 	}
 }
 
+// TestFilterIntoBitmapKeepsBits: the kernel writes into the bitmap's own
+// words, so every bit set before the call — under the emission as well as
+// beside it, at every alignment — must survive it, and no allocation may be
+// made for the tile.
+func TestFilterIntoBitmapKeepsBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p := pred.LessThan(5)
+	k := pred.Compile(p)
+	for _, base := range []int64{0, 1, 60, 64, 127} {
+		for _, n := range []int{1, 63, 64, 65, 4097, 9000} {
+			vals := make([]int64, n)
+			for i := range vals {
+				vals[i] = rng.Int63n(10)
+			}
+			bm := positions.NewBitmap(0, base+int64(n)+70)
+			before := map[int64]bool{}
+			for i := int64(0); i < bm.NBits(); i++ {
+				if rng.Intn(3) == 0 {
+					bm.Set(i)
+					before[i] = true
+				}
+			}
+			FilterIntoBitmap(bm, base, vals, k)
+			for i := int64(0); i < bm.NBits(); i++ {
+				want := before[i]
+				if j := i - base; j >= 0 && j < int64(n) && p.Match(vals[j]) {
+					want = true
+				}
+				if bm.Contains(i) != want {
+					t.Fatalf("base=%d n=%d: bit %d = %v, want %v", base, n, i, bm.Contains(i), want)
+				}
+			}
+			if a := testing.AllocsPerRun(5, func() { FilterIntoBitmap(bm, base, vals, k) }); a != 0 {
+				t.Fatalf("base=%d n=%d: %v allocations a call", base, n, a)
+			}
+		}
+	}
+}
+
 func countMatches(vals []int64, p pred.Predicate) int64 {
 	var n int64
 	for _, v := range vals {

@@ -335,7 +335,7 @@ func (w *walker) tuple(n *plan.Node) float64 {
 // product of two overlapping half-bounds.
 func conjSF(n *plan.Node) float64 {
 	sf := 1.0
-	for _, p := range n.ExecPreds() {
+	for _, p := range n.Conj.Preds {
 		sf *= p.Selectivity(n.Stats.Min, n.Stats.Max)
 	}
 	return sf

@@ -77,8 +77,6 @@ type Aggregator struct {
 	slot   map[int64]int32
 	// TuplesIn counts tuple-at-a-time contributions (EM accounting).
 	TuplesIn int64
-	// RunsIn counts run-at-a-time contributions (LM accounting).
-	RunsIn int64
 }
 
 // NewAggregator returns an empty aggregator for fn.
@@ -145,7 +143,6 @@ func (a *Aggregator) AddRun(key int64, st encoding.RunStats) {
 		return
 	}
 	a.add(key, st)
-	a.RunsIn++
 }
 
 // Groups returns the number of distinct keys seen.
@@ -184,7 +181,6 @@ func (a *Aggregator) Merge(other *Aggregator) {
 	}
 	a.AbsorbGroups(other.groups)
 	a.TuplesIn += other.TuplesIn
-	a.RunsIn += other.RunsIn
 }
 
 // GroupStats is one group's mergeable aggregate state in wire form: the
@@ -254,8 +250,8 @@ func (a *Aggregator) Emit(keyName, outName string) *rows.Result {
 //     value×length for RLE values and popcounts for bit-vector values).
 //   - Bit-vector keys contribute one AddRun per distinct key value, using
 //     bit-string ∧ descriptor.
-//   - Plain keys fall back to value-at-a-time accumulation within
-//     descriptor runs.
+//   - Plain keys are gathered with the values, each once per chunk under the
+//     descriptor as it is, and folded run of equal keys by run.
 func AggregateCompressedChunk(a *Aggregator, keyMC, valMC encoding.MiniColumn, desc positions.Set) {
 	switch key := keyMC.(type) {
 	case *encoding.RLEMini:
@@ -287,17 +283,7 @@ func AggregateCompressedChunk(a *Aggregator, keyMC, valMC encoding.MiniColumn, d
 			a.AddRun(v, encoding.StatsSet(valMC, ps))
 		}
 	default:
-		var keyBuf, valBuf []int64
-		it := desc.Runs()
-		for {
-			r, ok := it.Next()
-			if !ok {
-				return
-			}
-			keyBuf = keyMC.Extract(keyBuf[:0], positions.Ranges{r})
-			valBuf = valMC.Extract(valBuf[:0], positions.Ranges{r})
-			a.fold(keyBuf, valBuf)
-			a.RunsIn++
-		}
+		n := int(desc.Count())
+		a.fold(keyMC.Extract(make([]int64, 0, n), desc), valMC.Extract(make([]int64, 0, n), desc))
 	}
 }

@@ -137,7 +137,4 @@ func TestAggregatorMergeRunStates(t *testing.T) {
 	if !reflect.DeepEqual(a.Emit("k", "v").Cols, whole.Emit("k", "v").Cols) {
 		t.Error("run-state merge disagrees with single shot")
 	}
-	if a.RunsIn != whole.RunsIn {
-		t.Errorf("RunsIn = %d, want %d", a.RunsIn, whole.RunsIn)
-	}
 }

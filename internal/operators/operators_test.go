@@ -98,8 +98,8 @@ func TestSumAggregatorTupleAndRunAgree(t *testing.T) {
 	if !reflect.DeepEqual(ra.Cols, rb.Cols) {
 		t.Errorf("tuple-wise %v vs run-wise %v", ra.Cols, rb.Cols)
 	}
-	if a.TuplesIn != 5 || b.RunsIn != 3 {
-		t.Errorf("counters: tuples=%d runs=%d", a.TuplesIn, b.RunsIn)
+	if a.TuplesIn != 5 || b.TuplesIn != 0 {
+		t.Errorf("counters: tuples=%d, run-wise %d", a.TuplesIn, b.TuplesIn)
 	}
 	if a.Groups() != 3 {
 		t.Errorf("Groups = %d", a.Groups())
@@ -113,7 +113,7 @@ func TestSumAggregatorTupleAndRunAgree(t *testing.T) {
 
 // TestAggregateCompressedChunkAllKeyEncodings verifies aggregation directly
 // on compressed data matches a naive recompute for every (key, value)
-// encoding pair.
+// encoding pair, under a descriptor of ranges, a bit-string and a list.
 func TestAggregateCompressedChunkAllKeyEncodings(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	n := 600
@@ -123,14 +123,14 @@ func TestAggregateCompressedChunkAllKeyEncodings(t *testing.T) {
 		keys[i] = int64(i / 97) // sorted key with runs
 		vals[i] = int64(rng.Intn(100))
 	}
-	desc := positions.NewRanges(
-		positions.Range{Start: 50, End: 300},
-		positions.Range{Start: 400, End: 550},
-	)
-	want := map[int64]int64{}
-	for i := 0; i < n; i++ {
-		if desc.Contains(int64(i)) {
-			want[keys[i]] += vals[i]
+	bits := positions.NewBitmap(0, int64(n))
+	var list positions.List
+	for p := int64(0); p < int64(n); p++ {
+		if rng.Intn(2) == 0 {
+			bits.Set(p)
+		}
+		if p%7 == 3 {
+			list = append(list, p)
 		}
 	}
 	keyMinis := []encoding.MiniColumn{
@@ -143,20 +143,32 @@ func TestAggregateCompressedChunkAllKeyEncodings(t *testing.T) {
 		encoding.RLEMiniFromValues(0, vals),
 		encoding.BVMiniFromValues(0, vals),
 	}
-	for _, km := range keyMinis {
-		for _, vm := range valMinis {
-			a := NewSumAggregator()
-			AggregateCompressedChunk(a, km, vm, desc)
-			if a.Groups() != len(want) {
-				t.Fatalf("key=%v val=%v: groups %d, want %d", km.Kind(), vm.Kind(), a.Groups(), len(want))
+	for _, desc := range []positions.Set{
+		positions.NewRanges(positions.Range{Start: 50, End: 300}, positions.Range{Start: 400, End: 550}),
+		bits,
+		list,
+	} {
+		want := map[int64]int64{}
+		for i := 0; i < n; i++ {
+			if desc.Contains(int64(i)) {
+				want[keys[i]] += vals[i]
 			}
-			res := a.Emit("k", "s")
-			k, _ := res.Col("k")
-			s, _ := res.Col("s")
-			for i := range k {
-				if want[k[i]] != s[i] {
-					t.Fatalf("key=%v val=%v: group %d sum %d, want %d",
-						km.Kind(), vm.Kind(), k[i], s[i], want[k[i]])
+		}
+		for _, km := range keyMinis {
+			for _, vm := range valMinis {
+				a := NewSumAggregator()
+				AggregateCompressedChunk(a, km, vm, desc)
+				if a.Groups() != len(want) {
+					t.Fatalf("%v key=%v val=%v: groups %d, want %d", desc.Kind(), km.Kind(), vm.Kind(), a.Groups(), len(want))
+				}
+				res := a.Emit("k", "s")
+				k, _ := res.Col("k")
+				s, _ := res.Col("s")
+				for i := range k {
+					if want[k[i]] != s[i] {
+						t.Fatalf("%v key=%v val=%v: group %d sum %d, want %d",
+							desc.Kind(), km.Kind(), vm.Kind(), k[i], s[i], want[k[i]])
+					}
 				}
 			}
 		}

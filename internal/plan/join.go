@@ -130,7 +130,6 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		pt.spillLeft = make([][]int64, base)
 	}
 
-	st := &morselState{}
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
 	var keyBuf []int64
 	leftBufs := make([][]int64, base)
@@ -140,7 +139,7 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		mc := multicol.New(cr)
-		desc, skipped, err := p.evalPositions(posNode, cr, mc, pt, st, observe)
+		desc, skipped, err := p.evalPositions(posNode, cr, mc, pt, observe)
 		if err != nil {
 			return err
 		}

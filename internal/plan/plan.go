@@ -200,10 +200,11 @@ type Node struct {
 	Column *storage.Column
 	Stats  ColStats
 	// Preds is the node's predicate conjunction as written in the query
-	// (k>1 means a fused multi-predicate scan). execPreds is the simplified
-	// form actually executed.
-	Preds     []pred.Predicate
-	execPreds []pred.Predicate
+	// (k>1 means a fused multi-predicate scan). Conj is that conjunction
+	// compiled when the node is built — simplified form, kernel, matcher and
+	// interval — which every chunk of every run applies.
+	Preds []pred.Predicate
+	Conj  *pred.Conj
 
 	// SPC leaf configuration.
 	SPCNames   []string
@@ -256,22 +257,18 @@ type Node struct {
 	Obs Observed
 }
 
-// ExecPreds returns the simplified predicate conjunction the node executes
-// (the pred.SimplifyConj form of Preds).
-func (n *Node) ExecPreds() []pred.Predicate { return n.execPreds }
-
 // Fused reports whether the node evaluates a fused multi-predicate
 // conjunction (more than one predicate as written).
 func (n *Node) Fused() bool { return len(n.Preds) > 1 }
 
 // NewDS1 builds a DS1 position-scan leaf.
 func NewDS1(c Col, preds []pred.Predicate) *Node {
-	return &Node{Kind: KindDS1, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, execPreds: simplify(preds)}
+	return &Node{Kind: KindDS1, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, Conj: pred.CompileConj(preds)}
 }
 
 // NewDS2 builds a DS2 early-materialization scan leaf.
 func NewDS2(c Col, preds []pred.Predicate) *Node {
-	return &Node{Kind: KindDS2, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, execPreds: simplify(preds)}
+	return &Node{Kind: KindDS2, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, Conj: pred.CompileConj(preds)}
 }
 
 // NewDS3 builds a DS3 value-extraction node (positions supplied by the
@@ -283,7 +280,7 @@ func NewDS3(c Col) *Node {
 // NewDS4 builds a DS4 widening node over a tuple-domain child. Empty preds
 // widen unconditionally (a pure output column).
 func NewDS4(c Col, preds []pred.Predicate, child *Node) *Node {
-	return &Node{Kind: KindDS4, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, execPreds: simplify(preds), Children: []*Node{child}}
+	return &Node{Kind: KindDS4, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, Conj: pred.CompileConj(preds), Children: []*Node{child}}
 }
 
 // NewSPC builds the scan-predicate-construct leaf.
@@ -300,7 +297,7 @@ func NewAND(children ...*Node) *Node {
 
 // NewFilterAt builds a DS3+predicate position-narrowing node.
 func NewFilterAt(c Col, preds []pred.Predicate, child *Node) *Node {
-	return &Node{Kind: KindFilterAt, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, execPreds: simplify(preds), Children: []*Node{child}}
+	return &Node{Kind: KindFilterAt, Col: c.Name, Column: c.Handle, Stats: c.Stats, Preds: preds, Conj: pred.CompileConj(preds), Children: []*Node{child}}
 }
 
 // NewPosAll builds the filterless full-range position source.
@@ -348,13 +345,6 @@ func NewJoinProbe(key Col, leftOut []Col, pos, build *Node) *Node {
 	}
 	n.OutCols, n.LeftCols, n.LeftStats = split(leftOut)
 	return n
-}
-
-func simplify(ps []pred.Predicate) []pred.Predicate {
-	if len(ps) == 0 {
-		return nil
-	}
-	return pred.SimplifyConj(ps)
 }
 
 // PositionsDomain reports whether the node produces a position set.

@@ -13,8 +13,8 @@ func TestNodeLabelsAndWalk(t *testing.T) {
 		t.Error("two-predicate DS1 should report fused")
 	}
 	// The executed conjunction is the simplified form: one interval.
-	if got := ds1.ExecPreds(); len(got) != 1 || got[0] != pred.InRange(1, 9) {
-		t.Errorf("ExecPreds = %v", got)
+	if got := ds1.Conj.Preds; len(got) != 1 || got[0] != pred.InRange(1, 9) {
+		t.Errorf("Conj.Preds = %v", got)
 	}
 	if !strings.Contains(ds1.label(), "[fused x2]") {
 		t.Errorf("label = %q", ds1.label())

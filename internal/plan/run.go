@@ -315,40 +315,6 @@ func (p *Plan) runMorsel(r positions.Range, pt *partial, built *operators.Partit
 	}
 }
 
-// morselState is per-morsel interpreter state shared across chunks: the
-// adaptive FilterAt policies (one per narrowing node, fed by the previous
-// chunk's candidate density) and the per-node compiled DS1 scans (fused
-// conjunction kernels compile once per morsel, not per chunk).
-type morselState struct {
-	adaptive map[*Node]*encoding.AdaptiveFilterAt
-	scans    map[*Node]*datasource.DS1
-}
-
-func (st *morselState) policy(n *Node) *encoding.AdaptiveFilterAt {
-	if st.adaptive == nil {
-		st.adaptive = make(map[*Node]*encoding.AdaptiveFilterAt)
-	}
-	pol, ok := st.adaptive[n]
-	if !ok {
-		pol = &encoding.AdaptiveFilterAt{}
-		st.adaptive[n] = pol
-	}
-	return pol
-}
-
-// ds1 returns the morsel's compiled DS1 for a scan node.
-func (st *morselState) ds1(n *Node) *datasource.DS1 {
-	if st.scans == nil {
-		st.scans = make(map[*Node]*datasource.DS1)
-	}
-	ds, ok := st.scans[n]
-	if !ok {
-		ds = datasource.NewDS1(n.Column, n.execPreds)
-		st.scans[n] = ds
-	}
-	return ds
-}
-
 // runPositionsMorsel interprets position-domain trees: both LM strategies.
 // The position subtree (DS1 scans, AND, DS3+pred narrowing) produces each
 // chunk's surviving descriptor; the Merge root extracts and merges values,
@@ -370,13 +336,12 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 		extracts = root.Children[1:]
 	}
 
-	st := &morselState{}
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
 	valBufs := make([][]int64, len(p.Spec.MatCols))
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		mc := multicol.New(cr)
-		desc, skipped, err := p.evalPositions(posNode, cr, mc, pt, st, observe)
+		desc, skipped, err := p.evalPositions(posNode, cr, mc, pt, observe)
 		if err != nil {
 			return err
 		}
@@ -441,7 +406,7 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 // skipped return reports pipelined chunk skipping: a narrowing node whose
 // input ran dry skips the remaining columns' blocks entirely (counted once
 // per chunk).
-func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColumn, pt *partial, st *morselState, observe bool) (positions.Set, bool, error) {
+func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColumn, pt *partial, observe bool) (positions.Set, bool, error) {
 	switch n.Kind {
 	case KindPosAll:
 		set := positions.Set(positions.NewRanges(cr))
@@ -452,7 +417,7 @@ func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColu
 
 	case KindDS1:
 		start := obsStart(observe)
-		ps, mini, err := st.ds1(n).ScanChunk(cr)
+		ps, mini, err := datasource.NewDS1(n.Column, n.Conj).ScanChunk(cr)
 		if err != nil {
 			return nil, false, err
 		}
@@ -465,7 +430,7 @@ func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColu
 	case KindAND:
 		sets := make([]positions.Set, len(n.Children))
 		for i, c := range n.Children {
-			s, _, err := p.evalPositions(c, cr, mc, pt, st, observe)
+			s, _, err := p.evalPositions(c, cr, mc, pt, observe)
 			if err != nil {
 				return nil, false, err
 			}
@@ -479,7 +444,7 @@ func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColu
 		return set, false, nil
 
 	case KindFilterAt:
-		in, skipped, err := p.evalPositions(n.Children[0], cr, mc, pt, st, observe)
+		in, skipped, err := p.evalPositions(n.Children[0], cr, mc, pt, observe)
 		if err != nil || skipped {
 			return nil, skipped, err
 		}
@@ -495,7 +460,7 @@ func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColu
 			return nil, false, err
 		}
 		mc.Attach(n.Col, mini)
-		set := encoding.FilterAtFused(mini, in, n.execPreds, st.policy(n))
+		set := mini.FilterAt(in, n.Conj)
 		if observe {
 			n.Obs.add(set.Count(), time.Since(start).Nanoseconds())
 		}
@@ -529,12 +494,12 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 	if chain[0].Kind != KindDS2 {
 		return fmt.Errorf("plan: tuple chain leaf is %v, want DS2", chain[0].Kind)
 	}
-	// Compile the chain's data sources once per morsel: the DS2 leaf plus
-	// one DS4 (with pre-compiled fused kernel) per widening node.
-	ds2 := datasource.NewDS2(chain[0].Column, chain[0].execPreds)
+	// The chain's data sources, over the conjunctions the plan compiled: the
+	// DS2 leaf plus one DS4 per widening node, each holding this morsel's mask.
+	ds2 := datasource.NewDS2(chain[0].Column, chain[0].Conj)
 	ds4s := make([]*datasource.DS4, len(chain))
 	for i, n := range chain[1:] {
-		ds4s[i+1] = datasource.NewDS4(n.Column, n.execPreds)
+		ds4s[i+1] = datasource.NewDS4(n.Column, n.Conj)
 	}
 	// The morsel's one batch: DS2 refills it per chunk and each DS4 widens it
 	// in place, so its buffers — one per chain column — are allocated once

@@ -285,21 +285,12 @@ func (b *Bitmap) Start() int64 { return b.start }
 // NBits returns the number of addressable bits.
 func (b *Bitmap) NBits() int64 { return b.nbits }
 
-// Words exposes the underlying storage (read-only by convention).
+// Words exposes the underlying storage: read-only by convention, except to the
+// filter kernels that emit into a bitmap they are filling.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
 // NumWords returns the number of 64-bit words backing the bitmap.
 func (b *Bitmap) NumWords() int64 { return int64(len(b.words)) }
-
-// OrWordAt ORs w into word wi of the bitmap: bit j of w corresponds to
-// position Start()+64*wi+j. It is the word-append primitive scan kernels use
-// to emit 64 comparison results at a time straight into the final position
-// representation. Bits beyond NBits must be zero in w.
-func (b *Bitmap) OrWordAt(wi int64, w uint64) { b.words[wi] |= w }
-
-// SetWordAt overwrites word wi of the bitmap with w. Bits beyond NBits must
-// be zero in w.
-func (b *Bitmap) SetWordAt(wi int64, w uint64) { b.words[wi] = w }
 
 // Set marks position pos as present. pos must lie within the bitmap extent.
 func (b *Bitmap) Set(pos int64) {

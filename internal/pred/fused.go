@@ -12,14 +12,14 @@ package pred
 // intersects into a single interval, so the common case — a range query
 // written as two half-bounds — collapses to ONE compiled kernel, which is the
 // biggest win available. Only non-interval residue (Ne) keeps the conjunction
-// k-ary, and CompileFused then composes the compiled kernels tile-at-a-time:
+// k-ary, and CompileConj then composes the compiled kernels tile-at-a-time:
 // values stream through all k kernels while they sit in L1, and the result
-// words are ANDed on the stack.
+// words are ANDed without leaving the stack.
 
 // fusedTileVals is the number of values a fused kernel pushes through all
 // member kernels before advancing: 2048 values (16KB) keep the tile resident
-// in L1 across the k passes, and the 32 result words of the scratch tile live
-// on the stack.
+// in L1 across the k passes, and the 32 words of the held conjunction live on
+// the stack.
 const fusedTileVals = 2048
 
 // SimplifyConj reduces a predicate conjunction to a minimal equivalent list:
@@ -118,47 +118,95 @@ func intervalPredicate(lo, hi int64) (Predicate, bool) {
 	}
 }
 
-// CompileFused returns one vectorized kernel evaluating the conjunction of
-// ps in a single pass. After algebraic simplification the common interval
-// conjunction compiles to a single ordinary kernel; a residual k-ary
-// conjunction streams tiles of values through the k member kernels while the
-// tile is L1-resident, AND-ing the comparison words on the stack — no
-// per-predicate bitmap is materialized. The returned kernel follows the
-// Kernel contract (fully overwrites its output words) and is safe for
-// concurrent use.
-func CompileFused(ps []Predicate) Kernel {
+// Conj is a predicate conjunction over one column, compiled once — when a
+// plan is built — and applied to every chunk of every morsel: the simplified
+// predicates, their one-pass kernel, their scalar matcher and, when the
+// conjunction accepts one interval of values, that interval. It is never
+// modified after CompileConj returns, so concurrent runs of one plan share it.
+type Conj struct {
+	// Preds is the SimplifyConj form, never empty: interval predicates
+	// collapse into one, so only Ne residue keeps it k-ary.
+	Preds []Predicate
+	// Kernel evaluates every predicate of Preds over a vector in one pass.
+	Kernel Kernel
+
+	match    Matcher
+	lo, hi   int64
+	interval bool
+}
+
+// CompileConj simplifies and compiles the conjunction ps; an empty ps accepts
+// every value. After simplification the common interval conjunction compiles
+// to a single ordinary kernel; a residual k-ary conjunction streams tiles of
+// values through the k member kernels while the tile is L1-resident, AND-ing
+// the comparison words — no per-predicate bitmap is materialized.
+func CompileConj(ps []Predicate) *Conj {
 	ps = SimplifyConj(ps)
 	if len(ps) == 1 {
-		return Compile(ps[0])
+		c := &Conj{Preds: ps, Kernel: Compile(ps[0]), match: CompileMatcher(ps[0])}
+		c.lo, c.hi, c.interval = ps[0].Interval()
+		return c
 	}
 	ks := make([]Kernel, len(ps))
+	ms := make([]Matcher, len(ps))
 	for i, p := range ps {
-		ks[i] = Compile(p)
+		ks[i], ms[i] = Compile(p), CompileMatcher(p)
 	}
-	return func(vals []int64, out []uint64) {
-		var tmp [fusedTileVals / 64]uint64
-		k := 0
-		for len(vals) > 0 {
-			n := len(vals)
-			if n > fusedTileVals {
-				n = fusedTileVals
-			}
+	kernel := func(vals []int64, out []uint64) {
+		// Every member kernel writes where the result ends up; the conjunction
+		// so far is held in acc meanwhile. acc is never handed to a kernel — a
+		// func value the compiler cannot see through — so it stays on the stack.
+		var acc [fusedTileVals / 64]uint64
+		for k := 0; len(vals) > 0; {
+			n := min(len(vals), fusedTileVals)
 			nw := (n + 63) / 64
-			ks[0](vals[:n], out[k:k+nw])
+			dst := out[k : k+nw]
+			ks[0](vals[:n], dst)
 			for _, kr := range ks[1:] {
-				kr(vals[:n], tmp[:nw])
-				for i, w := range tmp[:nw] {
-					out[k+i] &= w
+				copy(acc[:nw], dst)
+				kr(vals[:n], dst)
+				for i, w := range acc[:nw] {
+					dst[i] &= w
 				}
 			}
 			vals = vals[n:]
 			k += nw
 		}
 	}
+	match := func(v int64) bool {
+		for _, m := range ms {
+			if !m(v) {
+				return false
+			}
+		}
+		return true
+	}
+	return &Conj{Preds: ps, Kernel: kernel, match: match}
 }
 
+// Interval returns the closed interval [lo, hi] the conjunction accepts, or
+// ok=false when it accepts no single interval (Predicate.Interval's contract).
+func (c *Conj) Interval() (lo, hi int64, ok bool) { return c.lo, c.hi, c.interval }
+
+// Accepts reports whether v satisfies the conjunction: the interval's two
+// comparisons when there is one, the compiled matcher otherwise. It is the
+// test for values that arrive one at a time — a run's, a distinct value's, a
+// listed position's.
+func (c *Conj) Accepts(v int64) bool {
+	if c.interval {
+		return v >= c.lo && v <= c.hi
+	}
+	return c.match(v)
+}
+
+// Compiled returns c itself.
+func (c *Conj) Compiled() *Conj { return c }
+
+// Compiled compiles p as a conjunction of one.
+func (p Predicate) Compiled() *Conj { return CompileConj([]Predicate{p}) }
+
 // MatchConj reports whether v satisfies every predicate in ps (the scalar
-// reference for the fused paths).
+// reference for compiled conjunctions).
 func MatchConj(ps []Predicate, v int64) bool {
 	for _, p := range ps {
 		if !p.Match(v) {

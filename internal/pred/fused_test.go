@@ -82,9 +82,10 @@ func TestSimplifyConjBoundaryShrink(t *testing.T) {
 	}
 }
 
-// TestCompileFusedDifferential: the fused kernel must emit exactly the AND of
-// the individual compiled kernels' bitmaps, for random conjunctions over
-// random value slices whose lengths hit every tail and tile boundary.
+// TestCompileFusedDifferential: a compiled conjunction's kernel must emit
+// exactly the AND of the individual compiled kernels' bitmaps, for random
+// conjunctions over random value slices whose lengths hit every tail and tile
+// boundary, and its scalar test must agree with every bit.
 func TestCompileFusedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	lengths := []int{0, 1, 63, 64, 65, 127, 1000, fusedTileVals - 1, fusedTileVals, fusedTileVals + 1, 3*fusedTileVals + 17}
@@ -94,7 +95,17 @@ func TestCompileFusedDifferential(t *testing.T) {
 		for i := range ps {
 			ps[i] = randPred(rng)
 		}
-		fused := CompileFused(ps)
+		if iter%2 == 1 {
+			// Random conjunctions rarely keep Ne residue; every other one is
+			// an interval with two Ne holes, which stays k-ary.
+			ps = []Predicate{AtLeast(rng.Int63n(30)), LessThan(71 + rng.Int63n(30)),
+				NotEquals(30 + rng.Int63n(40)), NotEquals(30 + rng.Int63n(40))}
+		}
+		c := CompileConj(ps)
+		if iter%2 == 1 && len(c.Preds) < 2 {
+			t.Fatalf("CompileConj(%v) = %v: want Ne residue", ps, c.Preds)
+		}
+		fused := c.Kernel
 		n := lengths[iter%len(lengths)]
 		vals := make([]int64, n)
 		for i := range vals {
@@ -118,15 +129,45 @@ func TestCompileFusedDifferential(t *testing.T) {
 		}
 		for j := range want {
 			if got[j] != want[j] {
-				t.Fatalf("CompileFused(%v) n=%d word %d = %#x, want %#x", ps, n, j, got[j], want[j])
+				t.Fatalf("CompileConj(%v) n=%d word %d = %#x, want %#x", ps, n, j, got[j], want[j])
 			}
 		}
 		// And against the scalar conjunction.
 		for i, v := range vals {
 			bit := got[i/64]>>(uint(i)%64)&1 == 1
-			if bit != MatchConj(ps, v) {
-				t.Fatalf("CompileFused(%v) vals[%d]=%d: bit %v, scalar %v", ps, i, v, bit, MatchConj(ps, v))
+			if bit != MatchConj(ps, v) || c.Accepts(v) != bit {
+				t.Fatalf("CompileConj(%v) vals[%d]=%d: bit %v, Accepts %v, scalar %v", ps, i, v, bit, c.Accepts(v), MatchConj(ps, v))
 			}
 		}
+	}
+}
+
+// TestConjIntervalAndAccepts: a conjunction reports an interval exactly when
+// it simplifies to one interval predicate, and Accepts agrees with the
+// original conjunction across the domain either way — including for a single
+// Predicate compiled as a conjunction of one.
+func TestConjIntervalAndAccepts(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for iter := 0; iter < 300; iter++ {
+		ps := make([]Predicate, 1+rng.Intn(3))
+		for i := range ps {
+			ps[i] = randPred(rng)
+		}
+		c := CompileConj(ps)
+		if _, _, ok := c.Interval(); ok != (len(c.Preds) == 1 && c.Preds[0].Op != Ne && c.Preds[0].Op != None) {
+			t.Fatalf("CompileConj(%v) = %v: Interval ok=%v", ps, c.Preds, ok)
+		}
+		one := ps[0].Compiled()
+		for v := int64(-3); v < 105; v++ {
+			if c.Accepts(v) != MatchConj(ps, v) {
+				t.Fatalf("CompileConj(%v).Accepts(%d) = %v", ps, v, c.Accepts(v))
+			}
+			if one.Accepts(v) != ps[0].Match(v) {
+				t.Fatalf("%v.Compiled().Accepts(%d) = %v", ps[0], v, one.Accepts(v))
+			}
+		}
+	}
+	if c := CompileConj(nil); len(c.Preds) != 1 || c.Preds[0] != MatchAll || !c.Accepts(-1) {
+		t.Fatalf("CompileConj(nil) = %v", c.Preds)
 	}
 }
