@@ -441,3 +441,26 @@ func BenchmarkJoinProbe(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkJoinSpill is the Grace-spill join end to end: orders ⋈ customer at
+// parallelism 1 under a quarter of the build's estimated bytes, so the build
+// writes its one radix partition to disk and every probe key waits for pass B
+// (see TestJoinSpillBytesPerOp for the bytes it may allocate).
+func BenchmarkJoinSpill(b *testing.B) {
+	db := benchDB(b)
+	for _, sel := range []float64{0.5, 0.9} {
+		q := spillJoinQuery(b, db, benchScale, sel)
+		b.Run(fmt.Sprintf("sel=%.1f", sel), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, stats, err := db.Join(tpch.OrdersProj, tpch.CustomerProj, q, matstore.RightMaterialized)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !stats.Join.Spilled || stats.Join.SpillProbes != stats.Join.LeftProbes {
+					b.Fatalf("%d of %d probes spilled", stats.Join.SpillProbes, stats.Join.LeftProbes)
+				}
+			}
+		})
+	}
+}

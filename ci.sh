@@ -31,6 +31,12 @@ test "$(cat $(ls internal/operators/*.go | grep -v _test.go) | grep -c 'key\.Win
 # is written (rows.Result.Seal), so the second pass over a finished result may
 # not come back.
 test -z "$(grep -rl --include='*.go' --exclude-dir=.bench_build 'drainResult' .)"
+# One result through pass B: a probe deferred to a spilled partition emits a
+# placeholder row that its partition fills in place, so neither the anchors
+# and left values of a second result nor its staging and counting sort may
+# come back in production code.
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'spillAnchors|spillLeft|stagedOff|stagedCnt|bySeq' .)"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -45,6 +51,12 @@ go test -race -count=5 -run 'TestEstimateRacesServedPlans$' ./internal/service/
 # slot returning ErrCorruptFile instead of panicking. Named for the same reason.
 go test -race -run 'TestRandomQueriesAgainstOracle$' .
 go test -race -run 'TestMisplacedBlock|TestOpenRejectsUntiledIndex' ./internal/storage/
+# Pass B of the Grace join — placeholders filled in place, dropped or expanded
+# — against the in-memory join at every budget, worker count, partition count,
+# strategy and cap, and through the service's governor. Named for the same
+# reason.
+go test -race -run 'TestJoinSpillPassB|TestJoinSpillMatchesInMemory$' ./internal/core/
+go test -race -run 'TestDifferentialSpillJoin$' ./internal/service/
 # One gather: a bit-string or list descriptor reaches the kernels as words or
 # direct indexes, so no production Extract or gather body may walk a
 # descriptor run by run, and both gathers are fuzzed against per-position
@@ -115,7 +127,12 @@ go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 
 # so neither allocates per key: a build of the 1.5k-row inner table is 17 to
 # 34 allocations (it was 1,537 with a map of position lists), a probe of the
 # 15k-row outer table 36 to 40 (it was 105 to 129, three times the bytes).
-go test -run xxx -bench 'BenchmarkJoin(Build|Probe)$' -benchtime 1x .
+# Beside them the Grace-spill join end to end at one worker under a quarter of
+# its estimate: every probe waits for pass B, which fills placeholder rows in
+# place (scale 0.01: about 1.0 MB and 100 to 130 allocations; at the
+# benchmark's scale 0.1, TestJoinSpillBytesPerOp bounds the bytes at twice the
+# in-memory single-column join's).
+go test -run xxx -bench 'BenchmarkJoin(Build|Probe|Spill)$' -benchtime 1x .
 # What a request that keeps 100 rows of 150k allocates, beside the same request
 # uncapped, per strategy and parallelism (0.8 to 1.4 MB against 13 to 15 at
 # 1024-row chunks: the scan layer's few kB a chunk and the morsels' chunk-wide

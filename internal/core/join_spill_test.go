@@ -18,8 +18,8 @@ import (
 // return results byte-identical (order included) to the in-memory radix
 // join, at every budget (everything spilled, partially spilled, nothing
 // spilled) × worker count × strategy, with and without the outer predicate —
-// and under every row cap of oracle.Limits, where anchors and deferred
-// positions are what a prefix could get wrong: the capped spill run keeps the
+// and under every row cap of oracle.Limits, where placeholder rows and
+// deferred positions are what a prefix could get wrong: the capped spill run keeps the
 // in-memory result's leading rows and counts and sums all of them.
 func TestJoinSpillMatchesInMemory(t *testing.T) {
 	orders, customer, e := joinProjections(t)

@@ -105,9 +105,7 @@ func putHeader(buf []byte, kind Kind, count uint32, start, value int64) {
 func sealBlock(buf []byte, payloadLen int) {
 	binary.LittleEndian.PutUint64(buf[24:], fnv1a(buf[BlockHeaderSize:BlockHeaderSize+payloadLen]))
 	// Zero any slack so blocks are deterministic on disk.
-	for i := BlockHeaderSize + payloadLen; i < BlockSize; i++ {
-		buf[i] = 0
-	}
+	clear(buf[BlockHeaderSize+payloadLen : BlockSize])
 }
 
 type blockHeader struct {

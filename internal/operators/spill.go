@@ -189,7 +189,6 @@ func (sp *spillPartition) writeFrame(site string, keys, poss []int64, blockBuf [
 func readEntryFrames(r io.Reader, site string, want int64) ([]buildEntry, error) {
 	buf := make([]byte, encoding.BlockSize)
 	out := make([]buildEntry, 0, want)
-	var keys []int64
 	for {
 		if err := faults.Check(site); err != nil {
 			return nil, fmt.Errorf("%s: %w", site, err)
@@ -204,7 +203,7 @@ func readEntryFrames(r io.Reader, site string, want int64) ([]buildEntry, error)
 		if err != nil {
 			return nil, fmt.Errorf("spill key block: %w", err)
 		}
-		keys = append(keys[:0], kb.Vals...)
+		keys := kb.Vals // decoded into a fresh slice: the next read cannot reach it
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("spill frame truncated: %w", err)
 		}

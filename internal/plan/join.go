@@ -127,7 +127,7 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 	spill := rt.DeferredPayload()
 	deferred := spill || rt.Strategy() == operators.RightSingleColumn
 	if spill {
-		pt.spillLeft = make([][]int64, base)
+		pt.spilled = make([][]deferredProbe, rt.Partitions)
 	}
 
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
@@ -167,24 +167,28 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		// one per probing key when the inner key is unique — what the scratch
 		// is sized for.
 		matchIdx, matchPos = slices.Grow(matchIdx[:0], n), slices.Grow(matchPos[:0], n)
+		placeholders := 0
 		if spill {
-			// Keys landing in a spilled partition are recorded as deferred
-			// probes with the rows emitted so far as their insertion anchor —
-			// pass B resolves them partition-at-a-time and re-interleaves,
-			// reproducing the in-memory output order exactly.
-			pt.spillAnchors = slices.Grow(pt.spillAnchors, n)
-			pt.spillKeys = slices.Grow(pt.spillKeys, n)
-			for c := range pt.spillLeft {
-				pt.spillLeft[c] = slices.Grow(pt.spillLeft[c], n)
+			// A key landing in a spilled partition emits a placeholder row
+			// where its match belongs and is listed, with that row, on its
+			// partition's list; pass B fills the row in place, or drops or
+			// expands it when the key matches zero or several times. The
+			// lists are presized per chunk the way the build presizes its
+			// staging buffers, so the appends below do not regrow them.
+			share := n
+			if rt.Partitions > 1 {
+				share = n/rt.Partitions + n/8 + 16
 			}
-			emitted := int64(pt.res.NumRows())
+			for sp := rt.ResidentPartitions(); sp < rt.Partitions; sp++ {
+				pt.spilled[sp] = slices.Grow(pt.spilled[sp], share)
+			}
+			row := pt.res.NumRows()
 			for i, k := range keyBuf {
 				if sp := rt.KeyPartition(k); rt.SpilledPartition(sp) {
-					pt.spillAnchors = append(pt.spillAnchors, emitted+int64(len(matchIdx)))
-					pt.spillKeys = append(pt.spillKeys, k)
-					for c := range pt.spillLeft {
-						pt.spillLeft[c] = append(pt.spillLeft[c], leftBufs[c][i])
-					}
+					pt.spilled[sp] = append(pt.spilled[sp], deferredProbe{row: row + len(matchIdx), key: k})
+					matchIdx = append(matchIdx, int32(i))
+					matchPos = append(matchPos, 0)
+					placeholders++
 					continue
 				}
 				for _, rpos := range rt.Probe(k) {
@@ -247,9 +251,11 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		if !deferred {
 			pt.res.Seal(pt.limit)
 		}
-		pt.stats.Join.OutputTuples += int64(len(matchIdx))
+		// Placeholders are not output until pass B resolves them.
+		matched := int64(len(matchIdx) - placeholders)
+		pt.stats.Join.OutputTuples += matched
 		if observe {
-			probe.Obs.add(int64(len(matchIdx)), time.Since(start).Nanoseconds())
+			probe.Obs.add(matched, time.Since(start).Nanoseconds())
 		}
 	}
 	return nil

@@ -54,14 +54,18 @@ type partial struct {
 	// limit is the run's row cap (RunOptions.Limit): res is sealed to it after
 	// every chunk, so a morsel holds its first limit rows plus one chunk's.
 	limit int
-	// Spill-mode deferred probes: keys that routed to a spilled partition.
-	// spillAnchors[j] is the partial's emitted row count at the moment probe
-	// j was seen — the insertion point that reproduces the in-memory output
-	// order; spillLeft[c][j] is the probe's outer payload value for column c.
-	spillAnchors []int64
-	spillKeys    []int64
-	spillLeft    [][]int64
-	stats        RunStats
+	// spilled[sp] lists the spill-mode probes whose keys routed to spilled
+	// partition sp, in row order: each holds a placeholder row in res that
+	// pass B fills in place (see assembleSpillMatches).
+	spilled [][]deferredProbe
+	stats   RunStats
+}
+
+// deferredProbe is one probe key awaiting its spilled partition, and the row
+// of its partial's result that holds its placeholder.
+type deferredProbe struct {
+	row int
+	key int64
 }
 
 // init allocates the partial's accumulator for the spec's shape and returns
@@ -186,8 +190,8 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 	if probe != nil {
 		if built.DeferredPayload() {
 			// Pass B of the Grace join: resolve the probes that routed to
-			// spilled partitions, partition-at-a-time, and re-interleave their
-			// matches at the recorded anchors.
+			// spilled partitions, partition-at-a-time, into their placeholder
+			// rows.
 			aspan := gspan.Child("spill.assemble")
 			if res, err = p.assembleSpillMatches(ctx, probe, built, res, parts, &stats); err != nil {
 				return nil, RunStats{}, err

@@ -3,9 +3,12 @@ package matstore_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"matstore"
+	"matstore/internal/pred"
+	"matstore/internal/tpch"
 )
 
 // TestOpenSweepsOrphanedSpillFiles pins the crash-recovery satellite: spill
@@ -99,5 +102,70 @@ func TestEstimateJoinMemoryFromCatalog(t *testing.T) {
 	}
 	if _, err := db.EstimateJoinMemory("nope", q, matstore.RightMaterialized); err == nil {
 		t.Error("unknown projection accepted")
+	}
+}
+
+// spillJoinQuery is the benchmark's Grace-spill op on a dataset of the given
+// scale: orders ⋈ customer at one worker, the outer key below the given
+// selectivity, keeping a quarter of the build's estimated bytes resident (with
+// one worker the build has a single radix partition, so that quarter spills it
+// all).
+func spillJoinQuery(t testing.TB, db *matstore.DB, scale, sel float64) matstore.JoinQuery {
+	t.Helper()
+	nCust := tpch.Config{Scale: scale}.CustomerRows()
+	q := matstore.JoinQuery{
+		LeftKey:     tpch.ColCustkey,
+		LeftPred:    pred.LessThan(tpch.CustkeyForSelectivity(sel, nCust)),
+		LeftOutput:  []string{tpch.ColOrderShipdate},
+		RightKey:    tpch.ColCustkey,
+		RightOutput: []string{tpch.ColNationcode},
+		Parallelism: 1,
+	}
+	est, err := db.EstimateJoinMemory(tpch.CustomerProj, q, matstore.RightMaterialized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.SpillBudgetBytes = est / 4
+	return q
+}
+
+// TestJoinSpillBytesPerOp bounds what pass B of the Grace join allocates. On a
+// unique inner key every deferred probe's placeholder row is filled in place,
+// so a fully spilled run allocates what the in-memory single-column run of the
+// same query does — result rows holding right positions, then the deferred
+// fetch — plus the per-partition probe lists, the spill frames and the
+// partition reloaded from disk. Measured on the benchmark's dataset (scale
+// 0.1) at selectivities 0.5 and 0.9: 1.7× and 1.6× the single-column run's
+// bytes (8.1 and 9.5 MB). A second result rebuilt around anchors, with its
+// staging arrays, measured 2.5× and 2.9× (12.0 and 17.2 MB). The bound is 2×.
+func TestJoinSpillBytesPerOp(t *testing.T) {
+	db := paperScaleDB(t)
+	bytesPerRun := func(q matstore.JoinQuery, rs matstore.RightStrategy) float64 {
+		const runs = 3
+		run := func() {
+			if _, _, err := db.Join(tpch.OrdersProj, tpch.CustomerProj, q, rs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // the pool reads the blocks once
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, sel := range []float64{0.5, 0.9} {
+		q := spillJoinQuery(t, db, 0.1, sel)
+		spilled := bytesPerRun(q, matstore.RightMaterialized)
+		q.SpillBudgetBytes = 0
+		single := bytesPerRun(q, matstore.RightSingleColumn)
+		t.Logf("sel=%.1f: spilled %.1f MB a run, in-memory single-column %.1f MB (%.2fx)",
+			sel, spilled/(1<<20), single/(1<<20), spilled/single)
+		if spilled > 2*single {
+			t.Errorf("sel=%.1f: a spilled run allocates %.1f MB, %.2fx the in-memory single-column run's %.1f MB; bound 2x",
+				sel, spilled/(1<<20), spilled/single, single/(1<<20))
+		}
 	}
 }
