@@ -37,6 +37,12 @@ test -z "$(grep -rl --include='*.go' --exclude-dir=.bench_build 'drainResult' .)
 # come back in production code.
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'spillAnchors|spillLeft|stagedOff|stagedCnt|bySeq' .)"
+# A result is its chunks: each emission site writes one chunk of exactly its
+# row count and partials merge by listing chunks, so neither a MERGE that
+# copies gathered vectors into the result nor a result column that is
+# reserved, regrown or concatenated may come back in production code.
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'MergeChunk|NewMerger|valBufs|func \(r \*Result\) (Append|Reserve)\b' .)"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -57,6 +63,15 @@ go test -race -run 'TestMisplacedBlock|TestOpenRejectsUntiledIndex' ./internal/s
 # reason.
 go test -race -run 'TestJoinSpillPassB|TestJoinSpillMatchesInMemory$' ./internal/core/
 go test -race -run 'TestDifferentialSpillJoin$' ./internal/service/
+# Chunk-exact results: caps on every side of a chunk boundary against the
+# oracle (selections, joins in memory and spilled, pass B's exceptions), the
+# result cache charged for every array a chunk list reaches, a large select
+# allocating 1.6x its result at most, and an RLE window allocating its triples
+# once. Named for the same reason.
+go test -race -run 'TestChunkBoundariesAgainstOracle$' ./internal/core/
+go test -race -run 'TestResultCacheChargesChunks$' ./internal/service/
+go test -race -run 'TestSelectResultBytes$' .
+go test -race -run 'TestRLEWindowAllocatesTriplesOnce$' ./internal/storage/
 # One gather: a bit-string or list descriptor reaches the kernels as words or
 # direct indexes, so no production Extract or gather body may walk a
 # descriptor run by run, and both gathers are fuzzed against per-position
@@ -134,11 +149,12 @@ go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 
 # in-memory single-column join's).
 go test -run xxx -bench 'BenchmarkJoin(Build|Probe|Spill)$' -benchtime 1x .
 # What a request that keeps 100 rows of 150k allocates, beside the same request
-# uncapped, per strategy and parallelism (0.8 to 1.4 MB against 13 to 15 at
+# uncapped, per strategy and parallelism (0.7 to 1.3 MB against 3.1 to 3.4 at
 # 1024-row chunks: the scan layer's few kB a chunk and the morsels' chunk-wide
-# vectors, not the result), and at the default 64Ki-row chunks, where those
-# vectors are most of it (LM 3.7 MB at one worker since they are sized before
-# the gather; 6.6 when they grew from nil).
+# vectors, not the result; uncapped was 13 to 15 while result columns were
+# regrown), and at the default 64Ki-row chunks, where those vectors are most
+# of it (LM 2.0 MB at one worker since it gathers straight into the result
+# chunk; 3.7 through sized vectors, 6.6 when they grew from nil).
 go test -run 'TestCappedSelectAllocs$' -v ./internal/core | grep 'kB a request'
 # The serving stack's code lines (non-blank, non-comment, non-test: service,
 # buffer pool, the shared LRU, the build cache), printed next to the

@@ -226,7 +226,7 @@ func TestDifferentialParallelismRepeatStable(t *testing.T) {
 				first = res
 				continue
 			}
-			if !reflect.DeepEqual(res.Cols, first.Cols) || !reflect.DeepEqual(res.Columns, first.Columns) {
+			if !reflect.DeepEqual(oracle.Columns(res), oracle.Columns(first)) || !reflect.DeepEqual(res.Columns, first.Columns) {
 				t.Fatalf("%v: run %d output differs", s, run)
 			}
 		}

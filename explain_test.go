@@ -7,6 +7,7 @@ import (
 
 	"matstore"
 	"matstore/internal/core"
+	"matstore/internal/oracle"
 	"matstore/internal/plan"
 	"matstore/internal/tpch"
 )
@@ -34,7 +35,7 @@ func TestExplainAllStrategies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ex.Result.Cols, res.Cols) {
+		if !reflect.DeepEqual(oracle.Columns(ex.Result), oracle.Columns(res)) {
 			t.Errorf("%v: explain result differs from Select", s)
 		}
 		if ex.Stats.TuplesOut != stats.TuplesOut {
@@ -112,7 +113,7 @@ func TestExplainDoesNotDisturbSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(before.Cols, after.Cols) {
+	if !reflect.DeepEqual(oracle.Columns(before), oracle.Columns(after)) {
 		t.Error("Select result changed after Explain")
 	}
 }
@@ -142,7 +143,7 @@ func TestExplainJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ex.Result.Cols, res.Cols) {
+		if !reflect.DeepEqual(oracle.Columns(ex.Result), oracle.Columns(res)) {
 			t.Errorf("%v: explain result differs from Join", rs)
 		}
 		if ex.JoinStats == nil || ex.JoinStats.RightStrategy != rs {

@@ -6,6 +6,7 @@ import (
 
 	"matstore/internal/exec"
 	"matstore/internal/operators"
+	"matstore/internal/oracle"
 	"matstore/internal/pred"
 	"matstore/internal/tpch"
 )
@@ -46,7 +47,7 @@ func TestAdaptiveMorselsDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/w=%d run %d: %v", s, workers, run, err)
 				}
-				if !reflect.DeepEqual(res.Cols, want.Cols) {
+				if !reflect.DeepEqual(oracle.Columns(res), oracle.Columns(want)) {
 					t.Fatalf("%v/w=%d run %d: adapted result differs from serial reference", s, workers, run)
 				}
 				if run > 0 && workers > 1 && stats.Morsels < prevMorsels {
@@ -114,7 +115,7 @@ func TestAdaptiveMorselsJoin(t *testing.T) {
 			if err != nil {
 				t.Fatalf("w=%d run %d: %v", workers, run, err)
 			}
-			if !reflect.DeepEqual(res.Cols, want.Cols) {
+			if !reflect.DeepEqual(oracle.Columns(res), oracle.Columns(want)) {
 				t.Fatalf("w=%d run %d: adapted join result differs", workers, run)
 			}
 		}

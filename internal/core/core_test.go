@@ -67,15 +67,19 @@ func lineitemQuery(linenumCol string, x, y int64) SelectQuery {
 }
 
 func resultsEqual(a, b *rows.Result) bool {
-	if !reflect.DeepEqual(a.Columns, b.Columns) || a.NumRows() != b.NumRows() {
-		return false
-	}
-	for c := range a.Cols {
-		if !reflect.DeepEqual(a.Cols[c], b.Cols[c]) && !(len(a.Cols[c]) == 0 && len(b.Cols[c]) == 0) {
-			return false
+	return reflect.DeepEqual(a.Columns, b.Columns) && reflect.DeepEqual(oracle.Columns(a), oracle.Columns(b))
+}
+
+// resultOf lists reference columns as the one chunk of a result (none when
+// they hold no row).
+func resultOf(names []string, cols [][]int64) *rows.Result {
+	res := rows.NewResult(names...)
+	if len(cols) > 0 && len(cols[0]) > 0 {
+		for c, dst := range res.AddChunk(len(cols[0])) {
+			copy(dst, cols[c])
 		}
 	}
-	return true
+	return res
 }
 
 // naiveSelect computes the expected result with internal/oracle's
@@ -93,21 +97,21 @@ func naiveSelect(t *testing.T, p *storage.Projection, q SelectQuery) *rows.Resul
 	for i, f := range q.Filters {
 		filters[i] = oracle.Filter{Col: col(f.Col), Pred: f.Pred}
 	}
-	res := rows.NewResult(q.outputNames()...)
+	cols := make([][]int64, 2)
 	var err error
 	if q.Aggregating() {
-		res.Cols[0], res.Cols[1], err = oracle.Aggregate(filters, col(q.GroupBy), col(q.AggCol), q.Agg.String())
+		cols[0], cols[1], err = oracle.Aggregate(filters, col(q.GroupBy), col(q.AggCol), q.Agg.String())
 	} else {
 		out := make([]*storage.Column, len(q.Output))
 		for i, name := range q.Output {
 			out[i] = col(name)
 		}
-		res.Cols, err = oracle.Select(filters, out)
+		cols, err = oracle.Select(filters, out)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return resultOf(q.outputNames(), cols)
 }
 
 func decompressAll(t *testing.T, p *storage.Projection, name string) []int64 {
@@ -278,7 +282,7 @@ func TestAggregationOnSortedKeyUsesFewGroups(t *testing.T) {
 		total += v
 	}
 	var gotTotal int64
-	for _, v := range got.Cols[1] {
+	for _, v := range oracle.Columns(got)[1] {
 		gotTotal += v
 	}
 	if gotTotal != total {
@@ -508,23 +512,21 @@ func naiveJoin(t *testing.T, left, right *storage.Projection, q JoinQuery) *rows
 	for i, k := range rk {
 		rIndex[k] = append(rIndex[k], i)
 	}
-	res := rows.NewResult(append(append([]string{}, q.LeftOutput...), q.RightOutput...)...)
-	row := make([]int64, len(q.LeftOutput)+len(q.RightOutput))
+	cols := make([][]int64, len(q.LeftOutput)+len(q.RightOutput))
 	for i, k := range lk {
 		if !q.LeftPred.Match(k) {
 			continue
 		}
 		for _, ri := range rIndex[k] {
 			for c := range lOut {
-				row[c] = lOut[c][i]
+				cols[c] = append(cols[c], lOut[c][i])
 			}
 			for c := range rOut {
-				row[len(lOut)+c] = rOut[c][ri]
+				cols[len(lOut)+c] = append(cols[len(lOut)+c], rOut[c][ri])
 			}
-			res.AppendRow(row...)
 		}
 	}
-	return res
+	return resultOf(append(append([]string{}, q.LeftOutput...), q.RightOutput...), cols)
 }
 
 func TestJoinStats(t *testing.T) {

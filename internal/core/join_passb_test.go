@@ -64,7 +64,7 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := oracle.Capped(capped, want.Cols, limit); err != nil {
+				if err := oracle.Capped(capped, oracle.Columns(want), limit); err != nil {
 					t.Errorf("%v/in-memory/w=%d/limit=%d: %v", rs, workers, limit, err)
 				}
 			}
@@ -87,7 +87,7 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/budget=%d/w=%d: %v", rs, budget, workers, err)
 				}
-				if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Columns, want.Columns) {
+				if !reflect.DeepEqual(oracle.Columns(got), oracle.Columns(want)) || !reflect.DeepEqual(got.Columns, want.Columns) {
 					t.Errorf("%v/budget=%d/w=%d: spilled result differs from in-memory (%d vs %d rows)",
 						rs, budget, workers, got.NumRows(), want.NumRows())
 				}
@@ -99,7 +99,7 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v/budget=%d/w=%d/limit=%d: %v", rs, budget, workers, limit, err)
 					}
-					if err := oracle.Capped(capped, want.Cols, limit); err != nil {
+					if err := oracle.Capped(capped, oracle.Columns(want), limit); err != nil {
 						t.Errorf("%v/budget=%d/w=%d/limit=%d: %v", rs, budget, workers, limit, err)
 					}
 				}
@@ -237,7 +237,7 @@ func TestJoinSpillPassBUnmatchedKeys(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(want.Cols, ref) || wantStats.Join.LeftProbes != probes {
+				if !reflect.DeepEqual(oracle.Columns(want), ref) || wantStats.Join.LeftProbes != probes {
 					t.Fatalf("%s: in-memory join differs from the oracle (%d rows, %d probes; oracle %d probes)",
 						name, want.NumRows(), wantStats.Join.LeftProbes, probes)
 				}
@@ -254,7 +254,7 @@ func TestJoinSpillPassBUnmatchedKeys(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", at, err)
 						}
-						if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Columns, want.Columns) {
+						if !reflect.DeepEqual(oracle.Columns(got), oracle.Columns(want)) || !reflect.DeepEqual(got.Columns, want.Columns) {
 							t.Errorf("%s: spilled result differs from in-memory (%d vs %d rows)", at, got.NumRows(), want.NumRows())
 						}
 						if stats.Join.OutputTuples != wantStats.Join.OutputTuples || stats.Join.LeftProbes != probes ||
@@ -278,7 +278,7 @@ func TestJoinSpillPassBUnmatchedKeys(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s/limit=%d: %v", at, limit, err)
 							}
-							if err := oracle.Capped(capped, want.Cols, limit); err != nil {
+							if err := oracle.Capped(capped, oracle.Columns(want), limit); err != nil {
 								t.Errorf("%s/limit=%d: %v", at, limit, err)
 							}
 						}

@@ -115,7 +115,7 @@ func TestJoinRadixMatchesSerialBuild(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v/w=%d/p=%d: %v", rs, workers, partitions, err)
 					}
-					if !reflect.DeepEqual(got.Cols, want) {
+					if !reflect.DeepEqual(oracle.Columns(got), want) {
 						t.Errorf("%v/pred=%v/w=%d/p=%d: result differs from the oracle (%d vs %d rows)",
 							rs, withPred, workers, partitions, got.NumRows(), len(want[0]))
 					}
@@ -187,7 +187,7 @@ func TestJoinPlanReuseBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(res.Cols, first.Cols) {
+		if !reflect.DeepEqual(oracle.Columns(res), oracle.Columns(first)) {
 			t.Fatalf("run %d: reused-build result differs", run)
 		}
 	}
@@ -237,7 +237,7 @@ func TestJoinPlanConcurrentRuns(t *testing.T) {
 						errs[g] = err
 						return
 					}
-					if !reflect.DeepEqual(res.Cols, want.Cols) {
+					if !reflect.DeepEqual(oracle.Columns(res), oracle.Columns(want)) {
 						errs[g] = fmt.Errorf("goroutine %d run %d: result differs", g, run)
 						return
 					}

@@ -56,7 +56,7 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v/pred=%v/budget=%d/w=%d: %v", rs, withPred, budget, workers, err)
 					}
-					if !reflect.DeepEqual(got.Cols, want.Cols) || !reflect.DeepEqual(got.Columns, want.Columns) {
+					if !reflect.DeepEqual(oracle.Columns(got), oracle.Columns(want)) || !reflect.DeepEqual(got.Columns, want.Columns) {
 						t.Errorf("%v/pred=%v/budget=%d/w=%d: spilled result differs from in-memory (%d vs %d rows)",
 							rs, withPred, budget, workers, got.NumRows(), want.NumRows())
 					}
@@ -68,7 +68,7 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%v/pred=%v/budget=%d/w=%d/limit=%d: %v", rs, withPred, budget, workers, limit, err)
 						}
-						if err := oracle.Capped(capped, want.Cols, limit); err != nil {
+						if err := oracle.Capped(capped, oracle.Columns(want), limit); err != nil {
 							t.Errorf("%v/pred=%v/budget=%d/w=%d/limit=%d: %v", rs, withPred, budget, workers, limit, err)
 						}
 					}

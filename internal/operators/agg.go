@@ -162,7 +162,7 @@ func (a *Aggregator) MemBytes() int64 {
 // relies on: a per-worker partial result that can absorb another partial
 // computed over a disjoint position range. Merging any partition of the
 // input must yield the same state as processing the input in one shot.
-// (Row partials merge through rows.Result.Append and position partials
+// (Row partials merge through rows.Result.AppendChunks and position partials
 // through positions.Concat; the aggregator is the operator whose state
 // needs this contract.)
 type Mergeable[T any] interface {
@@ -221,8 +221,11 @@ func (a *Aggregator) AbsorbGroups(gs []GroupStats) {
 // ever constructs.
 func (a *Aggregator) Emit(keyName, outName string) *rows.Result {
 	res := rows.NewResult(keyName, outName)
-	res.Reserve(len(a.groups))
-	for _, st := range a.ExportGroups() {
+	if len(a.groups) == 0 {
+		return res
+	}
+	out := res.AddChunk(len(a.groups)) // one chunk of exactly the groups
+	for i, st := range a.ExportGroups() {
 		var v int64
 		switch a.Fn {
 		case AggSum:
@@ -236,7 +239,7 @@ func (a *Aggregator) Emit(keyName, outName string) *rows.Result {
 		case AggMax:
 			v = st.Max
 		}
-		res.AppendRow(st.Key, v)
+		out[0][i], out[1][i] = st.Key, v
 	}
 	return res
 }

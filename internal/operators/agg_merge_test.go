@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"matstore/internal/encoding"
+	"matstore/internal/oracle"
 )
 
 // aggFuncs lists every aggregate function under test.
@@ -69,7 +70,7 @@ func TestAggregatorMergeEqualsSingleShot(t *testing.T) {
 			}
 			got := merged.Emit("k", "v")
 
-			if !reflect.DeepEqual(got.Cols, want.Cols) {
+			if !reflect.DeepEqual(oracle.Columns(got), oracle.Columns(want)) {
 				t.Errorf("%s/%v: merged partials disagree with single shot", tc.name, fn)
 			}
 			if merged.Groups() != whole.Groups() {
@@ -93,9 +94,8 @@ func TestAggregatorMergeSingleGroupEdge(t *testing.T) {
 		a.Merge(b)
 		got := a.Emit("k", "v")
 		want := map[AggFunc]int64{AggSum: 4, AggCount: 2, AggAvg: 2, AggMin: -5, AggMax: 9}[fn]
-		if got.NumRows() != 1 || got.Cols[0][0] != 42 || got.Cols[1][0] != want {
-			t.Errorf("%v: Emit = %v rows, key=%v val=%v, want 42/%d",
-				fn, got.NumRows(), got.Cols[0], got.Cols[1], want)
+		if got.NumRows() != 1 || !reflect.DeepEqual(got.Row(0), []int64{42, want}) {
+			t.Errorf("%v: Emit = %v, want one row 42/%d", fn, oracle.Columns(got), want)
 		}
 	}
 }
@@ -114,7 +114,7 @@ func TestAggregatorMergeEmptyPartials(t *testing.T) {
 	a.Merge(b)
 	a.Merge(NewAggregator(AggSum)) // empty after data
 	res := a.Emit("k", "v")
-	if res.NumRows() != 1 || res.Cols[1][0] != 10 {
+	if res.NumRows() != 1 || res.Row(0)[1] != 10 {
 		t.Errorf("Emit = %+v", res)
 	}
 }
@@ -134,7 +134,7 @@ func TestAggregatorMergeRunStates(t *testing.T) {
 	b.AddRun(8, encoding.RunStats{Sum: 11, Count: 1, Min: 11, Max: 11})
 	a.Merge(b)
 
-	if !reflect.DeepEqual(a.Emit("k", "v").Cols, whole.Emit("k", "v").Cols) {
+	if !reflect.DeepEqual(oracle.Columns(a.Emit("k", "v")), oracle.Columns(whole.Emit("k", "v"))) {
 		t.Error("run-state merge disagrees with single shot")
 	}
 }

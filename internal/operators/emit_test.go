@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"matstore/internal/oracle"
 	"matstore/internal/pred"
 	"matstore/internal/rows"
 )
@@ -69,7 +70,7 @@ func TestAddBatchEqualsAddTuple(t *testing.T) {
 					tuples.AddTuple(k, vals[i])
 				}
 				if got, want := batched.Emit("k", "v"), tuples.Emit("k", "v"); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%v: AddBatch emits %v, AddTuple %v", kc.name, fn, got.Cols, want.Cols)
+					t.Errorf("%s/%v: AddBatch emits %v, AddTuple %v", kc.name, fn, oracle.Columns(got), oracle.Columns(want))
 				}
 				if !reflect.DeepEqual(batched.ExportGroups(), tuples.ExportGroups()) {
 					t.Errorf("%s/%v: group statistics differ", kc.name, fn)
@@ -119,11 +120,12 @@ func BenchmarkAggAddBatchSortedKeys(b *testing.B) {
 
 // spcChunkRowLoop is the row-at-a-time SPC the compiled leaf replaced, kept
 // as its reference: every predicate applied to each row, short-circuiting in
-// order, and an output tuple stored across the columns for the rows where all
-// pass.
-func spcChunkRowLoop(cols [][]int64, filters []IndexedPred, outIdx []int, dst *rows.Result) int64 {
+// order, and an output tuple appended across the columns for the rows where
+// all pass.
+func spcChunkRowLoop(cols [][]int64, filters []IndexedPred, outIdx []int) [][]int64 {
+	out := make([][]int64, len(outIdx))
 	if len(cols) == 0 {
-		return 0
+		return out
 	}
 	n := len(cols[0])
 	type filter struct {
@@ -134,13 +136,6 @@ func spcChunkRowLoop(cols [][]int64, filters []IndexedPred, outIdx []int, dst *r
 	for f, ip := range filters {
 		fs[f] = filter{pred.CompileMatcher(ip.Pred), cols[ip.Col][:n]}
 	}
-	dst.Reserve(n)
-	off := dst.NumRows()
-	out := dst.Cols[:len(outIdx)]
-	for c := range out {
-		out[c] = out[c][:off+n]
-	}
-	w := off
 rowLoop:
 	for i := 0; i < n; i++ {
 		for _, f := range fs {
@@ -149,14 +144,10 @@ rowLoop:
 			}
 		}
 		for c, idx := range outIdx {
-			out[c][w] = cols[idx][i]
+			out[c] = append(out[c], cols[idx][i])
 		}
-		w++
 	}
-	for c := range out {
-		out[c] = out[c][:w]
-	}
-	return int64(w - off)
+	return out
 }
 
 // TestSPCChunkEqualsRowLoop holds the mask-and-compact leaf to the row loop
@@ -164,8 +155,8 @@ rowLoop:
 // (its mask is recycled, so a chunk must not see the one before): 0 to 3
 // filters, two on the same column, predicates that match everything, nothing,
 // all but one value and a range, output subsets and a repeated output column,
-// a destination that already holds rows, and the aggregating shape — a
-// two-column destination truncated before each chunk.
+// constructed into one result chunk per input chunk — and the aggregating
+// shape, two recycled key/value vectors cut to each chunk's count.
 func TestSPCChunkEqualsRowLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	lengths := []int{4096 + 17, 64, 0, 1, 65, 63, 1000}
@@ -198,61 +189,69 @@ func TestSPCChunkEqualsRowLoop(t *testing.T) {
 	}
 	for fname, filters := range filterSets {
 		for oname, outIdx := range outs {
-			names := make([]string, len(outIdx))
-			got, want := rows.NewResult(names...), rows.NewResult(names...)
-			for c := range got.Cols { // a warm destination: three rows already there
-				got.Cols[c] = append(got.Cols[c], -1, -2, -3)
-				want.Cols[c] = append(want.Cols[c], -1, -2, -3)
-			}
+			got := rows.NewResult(make([]string, len(outIdx))...)
 			spc := CompileSPC(filters, outIdx)
 			for ci, cols := range chunks {
-				n, ref := spc.Chunk(cols, got), spcChunkRowLoop(cols, filters, outIdx, want)
-				if n != ref || !reflect.DeepEqual(got.Cols, want.Cols) {
-					t.Fatalf("%s/%s chunk %d (%d rows): constructed %d, row loop %d (or columns differ)",
-						fname, oname, ci, lengths[ci], n, ref)
+				n, ref := spc.Chunk(cols), spcChunkRowLoop(cols, filters, outIdx)
+				if n != len(ref[0]) {
+					t.Fatalf("%s/%s chunk %d (%d rows): %d survive, row loop %d", fname, oname, ci, lengths[ci], n, len(ref[0]))
+				}
+				if n == 0 {
+					continue
+				}
+				out := got.AddChunk(n)
+				spc.Construct(cols, out)
+				if !reflect.DeepEqual(out, ref) {
+					t.Fatalf("%s/%s chunk %d (%d rows): columns differ from the row loop", fname, oname, ci, lengths[ci])
 				}
 			}
 		}
-		// The aggregating shape: key and value columns, emptied per chunk.
-		got, want := rows.NewResult("k", "v"), rows.NewResult("k", "v")
+		// The aggregating shape: key and value vectors, recycled per chunk.
+		kv := make([][]int64, 2)
 		spc := CompileSPC(filters, []int{2, 1})
 		for ci, cols := range chunks {
-			got.Cols[0], got.Cols[1] = got.Cols[0][:0], got.Cols[1][:0]
-			want.Cols[0], want.Cols[1] = want.Cols[0][:0], want.Cols[1][:0]
-			n, ref := spc.Chunk(cols, got), spcChunkRowLoop(cols, filters, []int{2, 1}, want)
-			if n != ref || !slices.Equal(got.Cols[0], want.Cols[0]) || !slices.Equal(got.Cols[1], want.Cols[1]) {
-				t.Fatalf("%s/agg chunk %d: constructed %d, row loop %d (or columns differ)", fname, ci, n, ref)
+			n, ref := spc.Chunk(cols), spcChunkRowLoop(cols, filters, []int{2, 1})
+			for c := range kv {
+				kv[c] = slices.Grow(kv[c][:0], n)[:n]
+			}
+			spc.Construct(cols, kv)
+			if n != len(ref[0]) || !slices.Equal(kv[0], ref[0]) || !slices.Equal(kv[1], ref[1]) {
+				t.Fatalf("%s/agg chunk %d: %d survive, row loop %d (or columns differ)", fname, ci, n, len(ref[0]))
 			}
 		}
 	}
 }
 
-// TestSPCChunkReservesTheMatches: the destination grows by the rows a chunk
-// constructs, not by the rows it scans.
+// TestSPCChunkReservesTheMatches: the chunk a result is asked for holds the
+// rows a chunk constructs, not the rows it scans, and a warm leaf allocates
+// nothing to select and construct them.
 func TestSPCChunkReservesTheMatches(t *testing.T) {
 	const n = 1 << 16
 	col := make([]int64, n)
 	for i := range col {
 		col[i] = int64(i % 100)
 	}
+	in := [][]int64{col}
 	dst := rows.NewResult("a")
 	spc := CompileSPC([]IndexedPred{{Col: 0, Pred: pred.Equals(3)}}, []int{0})
-	constructed := spc.Chunk([][]int64{col}, dst)
-	if constructed != n/100+1 || cap(dst.Cols[0]) >= n/10 {
-		t.Errorf("a 1%%-selective chunk of %d rows constructed %d and left capacity %d", n, constructed, cap(dst.Cols[0]))
+	constructed := spc.Chunk(in)
+	out := dst.AddChunk(constructed)
+	spc.Construct(in, out)
+	if constructed != n/100+1 || cap(out[0]) != constructed {
+		t.Errorf("a 1%%-selective chunk of %d rows constructed %d into a chunk of capacity %d", n, constructed, cap(out[0]))
 	}
 	if a := testing.AllocsPerRun(10, func() {
-		dst.Cols[0] = dst.Cols[0][:0]
-		spc.Chunk([][]int64{col}, dst)
-	}); a > 1 { // the [][]int64 literal
+		spc.Chunk(in)
+		spc.Construct(in, out)
+	}); a != 0 {
 		t.Errorf("a warm chunk allocated %v times", a)
 	}
 }
 
 // BenchmarkSPCChunk is the EM-parallel leaf over one default-width chunk of
 // three columns, two of them filtered (about half the rows survive both),
-// emitting two columns into a result that is truncated between chunks, as a
-// morsel's result is once it has grown to size.
+// constructing two columns into vectors sized to the survivors, as a result
+// chunk is.
 func BenchmarkSPCChunk(b *testing.B) {
 	const n = 1 << 16
 	rng := rand.New(rand.NewSource(5))
@@ -264,13 +263,13 @@ func BenchmarkSPCChunk(b *testing.B) {
 		}
 	}
 	spc := CompileSPC([]IndexedPred{{Col: 0, Pred: pred.LessThan(70)}, {Col: 1, Pred: pred.AtLeast(30)}}, []int{0, 2})
-	dst := rows.NewResult("a", "c")
-	constructed := spc.Chunk(cols, dst)
+	out := [][]int64{make([]int64, n), make([]int64, n)}
+	constructed := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst.Cols[0], dst.Cols[1] = dst.Cols[0][:0], dst.Cols[1][:0]
-		constructed = spc.Chunk(cols, dst)
+		constructed = spc.Chunk(cols)
+		spc.Construct(cols, [][]int64{out[0][:constructed], out[1][:constructed]})
 	}
 	b.ReportMetric(float64(constructed), "tuples/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")

@@ -12,71 +12,47 @@ import (
 	"matstore/internal/oracle"
 	"matstore/internal/positions"
 	"matstore/internal/pred"
-	"matstore/internal/rows"
 	"matstore/internal/storage"
 )
-
-func TestMergerBasics(t *testing.T) {
-	m := NewMerger("a", "b")
-	if err := m.MergeChunk([]int64{1, 2}, []int64{10, 20}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.MergeChunk([]int64{3}, []int64{30}); err != nil {
-		t.Fatal(err)
-	}
-	res := m.Result()
-	if res.NumRows() != 3 || m.TuplesConstructed != 3 {
-		t.Errorf("rows=%d constructed=%d", res.NumRows(), m.TuplesConstructed)
-	}
-	if !reflect.DeepEqual(res.Row(2), []int64{3, 30}) {
-		t.Errorf("Row(2) = %v", res.Row(2))
-	}
-}
-
-func TestMergerErrors(t *testing.T) {
-	m := NewMerger("a", "b")
-	if err := m.MergeChunk([]int64{1}); err == nil {
-		t.Error("wrong arity accepted")
-	}
-	if err := m.MergeChunk([]int64{1, 2}, []int64{10}); err == nil {
-		t.Error("ragged inputs accepted")
-	}
-}
 
 func TestSPCChunk(t *testing.T) {
 	cols := [][]int64{
 		{1, 2, 3, 4, 5},      // col 0
 		{10, 20, 30, 40, 50}, // col 1
 	}
-	res := rows.NewResult("b", "a") // output schema: col1 then col0
-	dst := res.Cols
-	n := CompileSPC(
+	spc := CompileSPC( // output schema: col1 then col0
 		[]IndexedPred{{Col: 0, Pred: pred.AtLeast(2)}, {Col: 1, Pred: pred.LessThan(50)}},
-		[]int{1, 0}).Chunk(cols, res)
+		[]int{1, 0})
+	n := spc.Chunk(cols)
 	if n != 3 {
 		t.Fatalf("constructed = %d", n)
 	}
+	dst := [][]int64{make([]int64, n), make([]int64, n)}
+	spc.Construct(cols, dst)
 	if !reflect.DeepEqual(dst[0], []int64{20, 30, 40}) {
 		t.Errorf("dst[0] = %v", dst[0])
 	}
 	if !reflect.DeepEqual(dst[1], []int64{2, 3, 4}) {
 		t.Errorf("dst[1] = %v", dst[1])
 	}
-	// Appends accumulate across chunks.
-	n = CompileSPC(nil, []int{1, 0}).Chunk([][]int64{{9}, {10}}, res)
-	if n != 1 || !reflect.DeepEqual(dst[0], []int64{20, 30, 40, 10}) || !reflect.DeepEqual(dst[1], []int64{2, 3, 4, 9}) {
-		t.Errorf("accumulation broken: n=%d cols=%v", n, dst)
+	// Without a filter every row survives.
+	all := CompileSPC(nil, []int{1, 0})
+	one := [][]int64{{9}, {10}}
+	if n := all.Chunk(one); n != 1 {
+		t.Fatalf("filterless leaf kept %d of 1 rows", n)
+	}
+	all.Construct(one, dst)
+	if dst[0][0] != 10 || dst[1][0] != 9 {
+		t.Errorf("filterless leaf constructed %v", dst)
 	}
 }
 
 func TestSPCChunkShortCircuit(t *testing.T) {
 	cols := [][]int64{{1, 1}, {5, 5}}
-	dst := rows.NewResult("a")
-	n := CompileSPC([]IndexedPred{{Col: 0, Pred: pred.Equals(99)}}, []int{0}).Chunk(cols, dst)
-	if n != 0 || dst.NumRows() != 0 {
+	if n := CompileSPC([]IndexedPred{{Col: 0, Pred: pred.Equals(99)}}, []int{0}).Chunk(cols); n != 0 {
 		t.Error("rows leaked through failing predicate")
 	}
-	if CompileSPC(nil, nil).Chunk(nil, dst) != 0 {
+	if CompileSPC(nil, nil).Chunk(nil) != 0 {
 		t.Error("empty input mishandled")
 	}
 }
@@ -95,8 +71,8 @@ func TestSumAggregatorTupleAndRunAgree(t *testing.T) {
 
 	ra := a.Emit("k", "s")
 	rb := b.Emit("k", "s")
-	if !reflect.DeepEqual(ra.Cols, rb.Cols) {
-		t.Errorf("tuple-wise %v vs run-wise %v", ra.Cols, rb.Cols)
+	if !reflect.DeepEqual(oracle.Columns(ra), oracle.Columns(rb)) {
+		t.Errorf("tuple-wise %v vs run-wise %v", oracle.Columns(ra), oracle.Columns(rb))
 	}
 	if a.TuplesIn != 5 || b.TuplesIn != 0 {
 		t.Errorf("counters: tuples=%d, run-wise %d", a.TuplesIn, b.TuplesIn)

@@ -1,9 +1,17 @@
+// Package operators implements the query-plan operators above the data
+// sources: the SPC scan-predicate-construct leaf (Section 3.4), aggregation
+// that can operate directly on compressed data (Section 4.2), and the hash
+// join with the three inner-table materialization strategies of Section 4.3.
+// The n-ary MERGE of LM plans (Section 3.4) is no operator of its own: the
+// plan executor gathers each output column straight into the chunk of the
+// result that holds it (internal/plan). Position intersection (the AND
+// operator of Section 3.3) lives in internal/positions and internal/multicol,
+// since it is pure position algebra.
 package operators
 
 import (
 	"matstore/internal/kernels"
 	"matstore/internal/pred"
-	"matstore/internal/rows"
 )
 
 // IndexedPred applies Pred to column index Col of an SPC input.
@@ -44,22 +52,20 @@ func CompileSPC(filters []IndexedPred, outIdx []int) *SPC {
 	return s
 }
 
-// Chunk constructs the output tuples of one chunk: cols are its k full-chunk
-// decompressed vectors (EM decompresses early — that is the point), walked in
-// lockstep. Each filter's kernel runs over its whole vector into a mask, the
-// masks are ANDed, and every output column is then built by compacting its
-// input vector through the conjunction — column at a time, with exactly the
-// surviving row count reserved on dst beforehand (dst must have one column per
-// output column). Tuples are appended to dst; their number is returned.
+// Chunk evaluates the filters over one chunk and returns how many of its rows
+// survive them all; Construct then writes those rows. cols are the chunk's k
+// full-chunk decompressed vectors (EM decompresses early — that is the point),
+// walked in lockstep: each filter's kernel runs over its whole vector into a
+// mask and the masks are ANDed.
 //
 // The model charges this operator Π SF_j — the j-th column touched only for
 // rows that survived predicates 1..j-1. That term is a cost model, not a
 // description of this loop: a kernel evaluates all n values of its column at
 // well under a nanosecond each, which is cheaper than finding the survivors to
 // skip the others. What does follow the data is the survivor count each AND
-// returns: once it is zero the remaining filters and all construction are
-// skipped.
-func (s *SPC) Chunk(cols [][]int64, dst *rows.Result) int64 {
+// returns: once it is zero the remaining filters are skipped, and so is
+// construction — the caller has nothing to ask room for.
+func (s *SPC) Chunk(cols [][]int64) int {
 	if len(cols) == 0 {
 		return 0
 	}
@@ -76,16 +82,16 @@ func (s *SPC) Chunk(cols [][]int64, dst *rows.Result) int64 {
 		f.kernel(cols[f.col][:n], s.scratch)
 		count = kernels.AndMask(s.mask, s.scratch, n)
 	}
-	if count == 0 {
-		return 0
-	}
-	dst.Reserve(count)
+	return count
+}
+
+// Construct builds the output tuples of the chunk last passed to Chunk, column
+// at a time: every output column is its input vector compacted through the
+// conjunction into out's array for it, which the caller sized to Chunk's count
+// (one result chunk, or the recycled key/value vectors of an aggregation).
+func (s *SPC) Construct(cols, out [][]int64) {
+	n := len(cols[0])
 	for c, idx := range s.outIdx {
-		col := dst.Cols[c]
-		off := len(col)
-		col = col[:off+count]
-		kernels.CompactByMask(col[off:], cols[idx][:n], s.mask, 0)
-		dst.Cols[c] = col
+		kernels.CompactByMask(out[c], cols[idx][:n], s.mask, 0)
 	}
-	return int64(count)
 }

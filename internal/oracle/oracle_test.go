@@ -184,8 +184,11 @@ func TestCapped(t *testing.T) {
 	full := [][]int64{{1, 2, 3}, {10, 20, 30}}
 	run := func(limit int) *rows.Result {
 		r := rows.NewResult("a", "b")
-		for i := range full[0] {
-			r.AppendRow(full[0][i], full[1][i])
+		for c, dst := range r.AddChunk(2) { // two chunks: the cap can cut either
+			copy(dst, full[c][:2])
+		}
+		for c, dst := range r.AddChunk(1) {
+			copy(dst, full[c][2:])
 		}
 		r.Seal(limit)
 		return r

@@ -108,8 +108,8 @@ func (p *Plan) buildKey(build *Node) operators.BuildKey {
 // result — the multi-column strategy's inner payload included, gathered once
 // per chunk of matches out of the retained mini-columns. The pipeline is
 // reserve-once: gather and match scratch is sized from the chunk's
-// surviving-position count before it is filled, and the result from the match
-// count.
+// surviving-position count before it is filled, and each chunk's matches are
+// written into one result chunk of exactly the match count.
 //
 // Deferred right payload (the single-column strategy, and every strategy in
 // spill mode) has no list of its own: each row's right position is stored in
@@ -121,16 +121,19 @@ func (p *Plan) buildKey(build *Node) operators.BuildKey {
 func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.PartitionedTable, observe bool) error {
 	probe := p.Root.Children[0]
 	posNode := probe.Children[0]
-	pt.res = rows.NewResult(p.Spec.OutNames...)
+	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
+	_, res := pt.init(p.Spec, ch.NumChunks())
 	base := len(probe.LeftCols)
 	payload := rt.Payload()
 	spill := rt.DeferredPayload()
 	deferred := spill || rt.Strategy() == operators.RightSingleColumn
+	var perPart []int   // keys of one chunk per partition
+	var keyPart []int32 // each key's partition, one chunk's worth
 	if spill {
-		pt.spilled = make([][]deferredProbe, rt.Partitions)
+		pt.spilled = make([][]spillSegment, rt.Partitions)
+		perPart = make([]int, rt.Partitions)
 	}
 
-	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
 	var keyBuf []int64
 	leftBufs := make([][]int64, base)
 	var matchIdx []int32
@@ -170,22 +173,29 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		placeholders := 0
 		if spill {
 			// A key landing in a spilled partition emits a placeholder row
-			// where its match belongs and is listed, with that row, on its
-			// partition's list; pass B fills the row in place, or drops or
-			// expands it when the key matches zero or several times. The
-			// lists are presized per chunk the way the build presizes its
-			// staging buffers, so the appends below do not regrow them.
-			share := n
-			if rt.Partitions > 1 {
-				share = n/rt.Partitions + n/8 + 16
+			// where its match belongs and is listed, with that row's chunk and
+			// offset, on its partition's list; pass B fills the row in place,
+			// or drops or expands it when the key matches zero or several
+			// times. The keys are counted per partition first, so each list
+			// gets one segment per chunk of exactly its probes: nothing is
+			// regrown, and nothing is allocated for probes that never come.
+			clear(perPart)
+			keyPart = slices.Grow(keyPart[:0], n)[:n]
+			for i, k := range keyBuf {
+				sp := rt.KeyPartition(k)
+				keyPart[i] = int32(sp)
+				perPart[sp]++
 			}
 			for sp := rt.ResidentPartitions(); sp < rt.Partitions; sp++ {
-				pt.spilled[sp] = slices.Grow(pt.spilled[sp], share)
+				if perPart[sp] > 0 { // these matches are written into the next chunk
+					pt.spilled[sp] = append(pt.spilled[sp], spillSegment{
+						chunk: len(res.Chunks), probes: make([]deferredProbe, 0, perPart[sp])})
+				}
 			}
-			row := pt.res.NumRows()
 			for i, k := range keyBuf {
-				if sp := rt.KeyPartition(k); rt.SpilledPartition(sp) {
-					pt.spilled[sp] = append(pt.spilled[sp], deferredProbe{row: row + len(matchIdx), key: k})
+				if sp := int(keyPart[i]); rt.SpilledPartition(sp) {
+					seg := &pt.spilled[sp][len(pt.spilled[sp])-1]
+					seg.probes = append(seg.probes, deferredProbe{off: len(matchIdx), key: k})
 					matchIdx = append(matchIdx, int32(i))
 					matchPos = append(matchPos, 0)
 					placeholders++
@@ -207,18 +217,13 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 			continue
 		}
 
-		// Column-wise emission: outer payload by match index, inner payload
-		// per strategy (dense array, retained compressed minis, or the right
-		// position awaiting the deferred batched fetch). The match count is
-		// known, so every output column is reserved once and filled by index.
-		off := pt.res.NumRows()
-		pt.res.Reserve(len(matchIdx))
-		grown := func(c int) []int64 {
-			pt.res.Cols[c] = pt.res.Cols[c][:off+len(matchIdx)]
-			return pt.res.Cols[c][off:]
-		}
+		// Column-wise emission into one result chunk of the match count:
+		// outer payload by match index, inner payload per strategy (dense
+		// array, retained compressed minis, or the right position awaiting the
+		// deferred batched fetch).
+		out := res.AddChunk(len(matchIdx))
 		for c := range probe.LeftCols {
-			col, vals := grown(c), leftBufs[c]
+			col, vals := out[c], leftBufs[c]
 			for j, i := range matchIdx {
 				col[j] = vals[i]
 			}
@@ -229,27 +234,27 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 			// the right positions to the deferred fetch.
 			for c := range payload {
 				if c == 0 {
-					copy(grown(base), matchPos)
+					copy(out[base], matchPos)
 				} else {
-					clear(grown(base + c))
+					clear(out[base+c])
 				}
 			}
 		case rt.Strategy() == operators.RightMaterialized:
 			for c := range payload {
-				col := grown(base + c)
+				col := out[base+c]
 				for j, rpos := range matchPos {
 					col[j] = rt.DenseValue(c, rpos)
 				}
 			}
 		default: // RightMultiColumn
 			for c := range payload {
-				if err := rt.GatherMinis(c, matchPos, grown(base+c), &minis); err != nil {
+				if err := rt.GatherMinis(c, matchPos, out[base+c], &minis); err != nil {
 					return err
 				}
 			}
 		}
 		if !deferred {
-			pt.res.Seal(pt.limit)
+			res.Seal(pt.limit)
 		}
 		// Placeholders are not output until pass B resolves them.
 		matched := int64(len(matchIdx) - placeholders)
@@ -277,24 +282,32 @@ func gatherAt(mc *multicol.MultiColumn, name string, col *storage.Column, desc p
 // joinDeferredFetch is the single-column strategy's post-join positional
 // fetch: right positions emerge from the probe in left order, so no merge
 // join on position is possible (Section 4.3) — but the fetch is batched, one
-// block-pinned GatherUnordered per payload column over the result's right
-// positions, written straight into the already-emitted result column. The
-// positions sit in the first payload column (see runJoinProbeMorsel), so that
-// column is fetched last, in place.
+// unordered block-pinned gather (Column.GatherUnordered's, its window recycled
+// from chunk to chunk) per result chunk and payload column over the chunk's
+// right positions, written straight into the already-emitted chunk column.
+// The positions sit in the first payload column (see runJoinProbeMorsel), so
+// that column is fetched last, in place.
 func (p *Plan) joinDeferredFetch(probe *Node, rt *operators.PartitionedTable, res *rows.Result, stats *RunStats, observe bool) error {
 	deferred := rt.Strategy() == operators.RightSingleColumn || rt.DeferredPayload()
-	if !deferred || len(rt.Payload()) == 0 || res.NumRows() == 0 {
+	if !deferred || len(rt.Payload()) == 0 {
 		return nil
 	}
 	base := len(probe.LeftCols)
 	start := obsStart(observe)
-	pending := res.Cols[base]
-	for c := len(rt.Payload()) - 1; c >= 0; c-- {
-		var err error
-		if res.Cols[base+c], err = rt.DeferredCol(c).GatherUnordered(pending, res.Cols[base+c][:0]); err != nil {
-			return err
+	var u encoding.Unordered
+	for _, ch := range res.Chunks {
+		pending := ch[base]
+		if len(pending) == 0 {
+			continue
 		}
-		stats.Join.DeferredFetches += int64(len(pending))
+		for c := len(rt.Payload()) - 1; c >= 0; c-- {
+			col := rt.DeferredCol(c)
+			var err error
+			if ch[base+c], err = u.Gather(ch[base+c][:0], pending, col.Extent(), col.GatherAt); err != nil {
+				return err
+			}
+			stats.Join.DeferredFetches += int64(len(pending))
+		}
 	}
 	obsNanos(&probe.Obs, start, observe)
 	return nil

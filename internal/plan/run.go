@@ -55,27 +55,37 @@ type partial struct {
 	// every chunk, so a morsel holds its first limit rows plus one chunk's.
 	limit int
 	// spilled[sp] lists the spill-mode probes whose keys routed to spilled
-	// partition sp, in row order: each holds a placeholder row in res that
-	// pass B fills in place (see assembleSpillMatches).
-	spilled [][]deferredProbe
+	// partition sp, in row order and one segment per chunk: each holds a
+	// placeholder row in res that pass B fills in place (see
+	// assembleSpillMatches).
+	spilled [][]spillSegment
 	stats   RunStats
 }
 
+// spillSegment is one chunk's probes awaiting one spilled partition: chunk is
+// the chunk of the partial's result that holds their placeholder rows.
+type spillSegment struct {
+	chunk  int
+	probes []deferredProbe
+}
+
 // deferredProbe is one probe key awaiting its spilled partition, and the row
-// of its partial's result that holds its placeholder.
+// of its segment's chunk that holds its placeholder.
 type deferredProbe struct {
-	row int
+	off int
 	key int64
 }
 
 // init allocates the partial's accumulator for the spec's shape and returns
-// both slots (one of them nil).
-func (pt *partial) init(s Spec) (*operators.Aggregator, *rows.Result) {
+// both slots (one of them nil). A result's chunk list is sized for the
+// morsel's chunks, at most one result chunk each.
+func (pt *partial) init(s Spec, chunks int) (*operators.Aggregator, *rows.Result) {
 	if s.Aggregating {
 		pt.agg = operators.NewAggregator(s.Agg)
 		return pt.agg, nil
 	}
 	pt.res = rows.NewResult(s.OutNames...)
+	pt.res.Chunks = make([][][]int64, 0, chunks)
 	return nil, pt.res
 }
 
@@ -181,7 +191,7 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 		// Empty projection: no morsels exist, so synthesize one empty
 		// partial and let the merge produce a valid empty result.
 		pt := &partial{}
-		pt.init(p.Spec)
+		pt.init(p.Spec, 0)
 		parts = []*partial{pt}
 	}
 	p.updateSkew(morsels, parts)
@@ -193,7 +203,7 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 			// spilled partitions, partition-at-a-time, into their placeholder
 			// rows.
 			aspan := gspan.Child("spill.assemble")
-			if res, err = p.assembleSpillMatches(ctx, probe, built, res, parts, &stats); err != nil {
+			if err := p.assembleSpillMatches(ctx, probe, built, res, parts, &stats); err != nil {
 				return nil, RunStats{}, err
 			}
 			aspan.End()
@@ -260,10 +270,11 @@ func (p *Plan) updateSkew(morsels []positions.Range, parts []*partial) {
 
 // mergePartials recombines per-morsel partials deterministically: aggregate
 // states merge through the mergeable-state contract and emit sorted by key;
-// row partials concatenate in morsel (block) order, their totals and sums
-// adding. A lone partial is adopted wholesale, so serial execution does no
-// extra copying. Under a cap every partial holds at most the cap's rows, so
-// the concatenation holds a superset of the kept prefix; RunWith cuts it.
+// row partials list their chunks in morsel (block) order, their totals and
+// sums adding — no row is copied, and the partials' own lists are left as they
+// were (pass B finds its placeholders through them). A lone partial is adopted
+// wholesale. Under a cap every partial holds at most the cap's rows, so the
+// merged list holds a superset of the kept prefix; RunWith cuts it.
 func mergePartials(s Spec, parts []*partial, stats *RunStats) *rows.Result {
 	for _, pt := range parts {
 		stats.TuplesConstructed += pt.stats.TuplesConstructed
@@ -283,14 +294,12 @@ func mergePartials(s Spec, parts []*partial, stats *RunStats) *rows.Result {
 		stats.TuplesConstructed += int64(res.NumRows())
 		return res
 	}
-	res := parts[0].res
-	rest := 0
-	for _, pt := range parts[1:] {
-		rest += pt.res.NumRows()
+	if len(parts) == 1 {
+		return parts[0].res
 	}
-	res.Reserve(rest)
-	for _, pt := range parts[1:] {
-		if err := res.Append(pt.res); err != nil {
+	res := rows.NewResult(s.OutNames...)
+	for _, pt := range parts {
+		if err := res.AppendChunks(pt.res); err != nil {
 			// Partials are built from the same query schema; a mismatch is a
 			// programming error, not a runtime condition.
 			panic("plan: " + err.Error())
@@ -326,22 +335,9 @@ func (p *Plan) runMorsel(r positions.Range, pt *partial, built *operators.Partit
 func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) error {
 	root := p.Root
 	posNode := root.Children[0]
-	var agg *operators.Aggregator
-	var merger *operators.Merger
-	var extracts []*Node
-	if p.Spec.Aggregating {
-		agg = operators.NewAggregator(p.Spec.Agg)
-		pt.agg = agg
-	} else {
-		// The morsel's MERGE accumulates the partial's result; per-morsel
-		// results concatenate in block order at the top.
-		merger = operators.NewMerger(p.Spec.OutNames...)
-		pt.res = merger.Result()
-		extracts = root.Children[1:]
-	}
-
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
-	valBufs := make([][]int64, len(p.Spec.MatCols))
+	agg, _ := pt.init(p.Spec, ch.NumChunks())
+	extracts := root.Children[1:] // the MERGE's DS3s, one per output column
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		mc := multicol.New(cr)
@@ -379,28 +375,25 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 			continue
 		}
 
-		// Materialization: DS3 per needed column (gatherAt), each vector sized
-		// to the surviving-position count before it is filled.
-		for i, n := range extracts {
+		// Materialization — the MERGE: one result chunk of exactly the
+		// surviving-position count, and a DS3 per output column (gatherAt)
+		// straight into the chunk's column.
+		n := int(desc.Count())
+		out := pt.res.AddChunk(n)
+		for i, x := range extracts {
 			start := obsStart(observe)
 			var err error
-			if valBufs[i], err = gatherAt(mc, n.Col, n.Column, desc, slices.Grow(valBufs[i][:0], int(desc.Count()))); err != nil {
+			if out[i], err = gatherAt(mc, x.Col, x.Column, desc, out[i][:0]); err != nil {
 				return err
 			}
 			if observe {
-				n.Obs.add(int64(len(valBufs[i])), time.Since(start).Nanoseconds())
+				x.Obs.add(int64(n), time.Since(start).Nanoseconds())
 			}
 		}
 		start := obsStart(observe)
-		if err := merger.MergeChunk(valBufs...); err != nil {
-			return err
-		}
 		pt.res.Seal(pt.limit)
+		pt.stats.TuplesConstructed += int64(n)
 		obsNanos(&root.Obs, start, observe)
-	}
-
-	if !p.Spec.Aggregating {
-		pt.stats.TuplesConstructed += merger.TuplesConstructed
 	}
 	return nil
 }
@@ -480,7 +473,8 @@ func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColu
 // order, emitted into the result or aggregator at the top. Chunks whose
 // batch runs empty skip the remaining columns' blocks.
 func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) error {
-	agg, res := pt.init(p.Spec)
+	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
+	agg, res := pt.init(p.Spec, ch.NumChunks())
 	// Flatten the chain leaf-first: root.Children[0] is the topmost DS4 (or
 	// the DS2 itself for single-column plans).
 	var chain []*Node
@@ -513,7 +507,6 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 		names[i] = n.Col
 	}
 	batch := rows.NewBatch(names...)
-	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		start := obsStart(observe)
@@ -562,18 +555,18 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 // very bottom of the plan by compacting the output columns through the ANDed
 // masks.
 func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error {
-	agg, res := pt.init(p.Spec)
-	spc := p.Root.Children[0]
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
+	agg, res := pt.init(p.Spec, ch.NumChunks())
+	spc := p.Root.Children[0]
 	// Compiled kernels, the mask and the scratch buffers are per-morsel
 	// (workers share nothing but the pool); the mask describes one chunk and is
 	// overwritten by the next.
 	leaf := operators.CompileSPC(spc.SPCFilters, spc.SPCOutIdx)
 	scratch := make([][]int64, len(spc.SPCColumns))
-	// SPC constructs tuples column-wise straight into the result (or, for
-	// aggregations, into recycled per-chunk key/value vectors feeding the
-	// hash aggregator).
-	aggDst := rows.NewResult(p.Spec.GroupBy, p.Spec.AggCol)
+	// SPC constructs tuples column-wise straight into one result chunk of the
+	// mask's popcount (or, for aggregations, into recycled key/value vectors
+	// feeding the hash aggregator).
+	kv := make([][]int64, 2)
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		start := obsStart(observe)
@@ -586,19 +579,23 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 			}
 			scratch[i] = mini.Decompress(scratch[i][:0])
 		}
-		var constructed int64
-		if p.Spec.Aggregating {
-			aggDst.Cols[0], aggDst.Cols[1] = aggDst.Cols[0][:0], aggDst.Cols[1][:0]
-			constructed = leaf.Chunk(scratch, aggDst)
-			agg.AddBatch(aggDst.Cols[0], aggDst.Cols[1])
-		} else {
-			constructed = leaf.Chunk(scratch, res)
+		n := leaf.Chunk(scratch)
+		switch {
+		case n == 0:
+		case p.Spec.Aggregating:
+			for c := range kv {
+				kv[c] = slices.Grow(kv[c][:0], n)[:n]
+			}
+			leaf.Construct(scratch, kv)
+			agg.AddBatch(kv[0], kv[1])
+		default:
+			leaf.Construct(scratch, res.AddChunk(n))
 			res.Seal(pt.limit)
 		}
-		pt.stats.TuplesConstructed += constructed
-		pt.stats.PositionsMatched += constructed
+		pt.stats.TuplesConstructed += int64(n)
+		pt.stats.PositionsMatched += int64(n)
 		if observe {
-			spc.Obs.add(constructed, time.Since(start).Nanoseconds())
+			spc.Obs.add(int64(n), time.Since(start).Nanoseconds())
 		}
 	}
 	return nil
@@ -619,13 +616,15 @@ func emitBatch(batch *rows.Batch, s Spec, agg *operators.Aggregator, res *rows.R
 		agg.AddBatch(keys, vals)
 		return nil
 	}
-	res.Reserve(batch.Len())
+	// The batch is recycled by the next chunk, so its rows are copied out:
+	// into one result chunk of exactly batch.Len() rows.
+	out := res.AddChunk(batch.Len())
 	for i, name := range s.Output {
 		vals, err := batch.Col(name)
 		if err != nil {
 			return err
 		}
-		res.Cols[i] = append(res.Cols[i], vals...)
+		copy(out[i], vals)
 	}
 	res.Seal(limit)
 	return nil

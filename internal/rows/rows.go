@@ -7,7 +7,6 @@ package rows
 
 import (
 	"fmt"
-	"slices"
 
 	"matstore/internal/kernels"
 )
@@ -78,51 +77,103 @@ func (b *Batch) Reset() {
 // over every row the run produced. A reply's row count and checksum are made
 // of the latter two, so a result that is only ever shown in part never has to
 // exist in full.
+//
+// The rows are held as the chunks they were emitted in. Each emission site
+// knows its chunk's row count before it stores a value, so it asks for one
+// chunk of exactly that many rows (AddChunk) and fills it; partial results
+// merge by listing each other's chunks (AppendChunks). No output column is
+// ever regrown, concatenated or copied on the way.
 type Result struct {
 	Columns []string
-	Cols    [][]int64
+	// Chunks lists the kept rows in output order: Chunks[k][c] is column c of
+	// chunk k, and every column of a chunk has the same length.
+	Chunks [][][]int64
 	// Total is the number of rows produced and Sums[c] the wrapping sum of
-	// column c over all of them, as of the last Seal; Cols holds the first
+	// column c over all of them, as of the last Seal; Chunks holds the first
 	// NumRows() <= Total of those rows.
 	Total int64
 	Sums  []int64
-	// sealed is how many rows of Cols Total and Sums already cover.
+	// sealed is how many leading chunks Total and Sums already cover.
 	sealed int
+	// spare is a chunk Seal dropped past the cap: its arrays are what the next
+	// AddChunk writes into, so a capped run does not allocate a chunk per chunk.
+	spare [][]int64
 }
 
 // NewResult allocates an empty result with the given output schema.
 func NewResult(columns ...string) *Result {
-	return &Result{Columns: columns, Cols: make([][]int64, len(columns)), Sums: make([]int64, len(columns))}
+	return &Result{Columns: columns, Sums: make([]int64, len(columns))}
+}
+
+// chunkRows is the row count of one chunk (0 for a result without columns).
+func chunkRows(ch [][]int64) int {
+	if len(ch) == 0 {
+		return 0
+	}
+	return len(ch[0])
 }
 
 // NumRows returns the number of rows held (Total is the number produced).
 func (r *Result) NumRows() int {
-	if len(r.Cols) == 0 {
-		return 0
+	n := 0
+	for _, ch := range r.Chunks {
+		n += chunkRows(ch)
 	}
-	return len(r.Cols[0])
+	return n
 }
 
-// Seal folds the rows added since the last Seal into Total and Sums — each
+// AddChunk lists a new chunk of n rows after the last one and returns its
+// columns, each exactly n long, for the caller to fill before the next Seal.
+// The arrays are the spare chunk's when it has room, fresh ones otherwise.
+func (r *Result) AddChunk(n int) [][]int64 {
+	ch := r.spare
+	r.spare = nil
+	if ch == nil {
+		ch = make([][]int64, len(r.Columns))
+	}
+	for c := range ch {
+		if cap(ch[c]) >= n {
+			ch[c] = ch[c][:n]
+		} else {
+			ch[c] = make([]int64, n)
+		}
+	}
+	r.Chunks = append(r.Chunks, ch)
+	return ch
+}
+
+// Seal folds the chunks added since the last Seal into Total and Sums — each
 // value read once, while the chunk that produced it is still in cache — and
-// then drops the rows beyond limit (limit <= 0 keeps every row). The dropped
-// rows' capacity stays, so an emission site that seals after every chunk
+// then cuts the list at limit rows (limit <= 0 keeps every row): the chunk
+// that crosses the cap is shortened, and a chunk wholly past it is unlisted
+// and kept as the spare, so an emission site that seals after every chunk
 // writes the next chunk into the same memory.
 func (r *Result) Seal(limit int) {
-	n := r.NumRows()
-	if n > r.sealed {
-		for c, col := range r.Cols {
-			r.Sums[c] += kernels.SumColumn(col[r.sealed:])
+	for _, ch := range r.Chunks[r.sealed:] {
+		for c, col := range ch {
+			r.Sums[c] += kernels.SumColumn(col)
 		}
-		r.Total += int64(n - r.sealed)
+		r.Total += int64(chunkRows(ch))
 	}
-	if limit > 0 && n > limit {
-		for c := range r.Cols {
-			r.Cols[c] = r.Cols[c][:limit]
+	r.sealed = len(r.Chunks)
+	if limit <= 0 {
+		return
+	}
+	held := 0
+	for k, ch := range r.Chunks {
+		if held >= limit {
+			r.spare = ch
+			clear(r.Chunks[k:]) // an unlisted chunk must not stay reachable
+			r.Chunks, r.sealed = r.Chunks[:k], k
+			return
 		}
-		n = limit
+		if n := chunkRows(ch); held+n > limit {
+			for c := range ch {
+				ch[c] = ch[c][:limit-held]
+			}
+		}
+		held += chunkRows(ch)
 	}
-	r.sealed = n
 }
 
 // Checksum returns the wrapping sum of every value of every row produced.
@@ -134,45 +185,58 @@ func (r *Result) Checksum() int64 {
 	return sum
 }
 
-// Clip moves each column that fills less than half of its array into one of
-// its own size. A capped result is written through chunk-sized buffers; this
-// is what lets them go when the run ends instead of living as long as the
-// few rows kept.
+// Clip moves each chunk column that fills less than half of its array into
+// one of its own size, and lets the spare chunk go. A capped result is written
+// through chunk-sized arrays; this is what lets them go when the run ends
+// instead of living as long as the few rows kept.
 func (r *Result) Clip() {
-	for c, col := range r.Cols {
-		if cap(col) > 2*len(col) {
-			r.Cols[c] = append(make([]int64, 0, len(col)), col...)
+	r.spare = nil
+	for _, ch := range r.Chunks {
+		for c, col := range ch {
+			if cap(col) > 2*len(col) {
+				ch[c] = append(make([]int64, 0, len(col)), col...)
+			}
 		}
 	}
 }
 
-// Reserve makes room for n more rows in every column, one allocation per
-// column at most. Emission sites call it once per chunk with the row count
-// they already know, so the stores that follow never grow a slice.
-func (r *Result) Reserve(n int) {
-	for i, c := range r.Cols {
-		r.Cols[i] = slices.Grow(c, n)
+// Column returns output column c in one array: the chunk's own when there is
+// one chunk, otherwise an exact-size copy (nil when no row is held). It is for
+// tests and library callers; the executor never concatenates a result.
+func (r *Result) Column(c int) []int64 {
+	if len(r.Chunks) == 1 {
+		return r.Chunks[0][c]
 	}
+	n := r.NumRows()
+	if n == 0 {
+		return nil
+	}
+	out := make([]int64, 0, n)
+	for _, ch := range r.Chunks {
+		out = append(out, ch[c]...)
+	}
+	return out
 }
 
-// Col returns the values of the named output column.
+// Col returns the values of the named output column (see Column).
 func (r *Result) Col(name string) ([]int64, error) {
 	for i, n := range r.Columns {
 		if n == name {
-			return r.Cols[i], nil
+			return r.Column(i), nil
 		}
 	}
 	return nil, fmt.Errorf("rows: result has no column %q", name)
 }
 
-// Append concatenates another result with the same schema onto r — the
-// rows-domain merge of the morsel-parallel executor — and adds its Total and
-// Sums. Partial results are appended in morsel order (ascending starting
-// position), which reproduces the row order of a sequential scan; rows of o
-// not yet sealed stay unsealed.
-func (r *Result) Append(o *Result) error {
-	if len(o.Cols) != len(r.Cols) {
-		return fmt.Errorf("rows: append arity %d, want %d", len(o.Cols), len(r.Cols))
+// AppendChunks lists another result's chunks after r's — the rows-domain
+// merge of the morsel-parallel executor — and adds its Total and Sums; no row
+// is copied, and the two results share the chunks from then on. Partial
+// results are merged in morsel order (ascending starting position), which
+// reproduces the row order of a sequential scan; chunks of o not yet sealed
+// stay unsealed.
+func (r *Result) AppendChunks(o *Result) error {
+	if len(o.Columns) != len(r.Columns) {
+		return fmt.Errorf("rows: append arity %d, want %d", len(o.Columns), len(r.Columns))
 	}
 	for i, n := range o.Columns {
 		if r.Columns[i] != n {
@@ -180,14 +244,12 @@ func (r *Result) Append(o *Result) error {
 		}
 	}
 	if o.sealed > 0 {
-		r.Seal(0) // sealed rows stay a prefix
+		r.Seal(0) // sealed chunks stay a prefix
 	}
-	if r.sealed == r.NumRows() {
+	if r.sealed == len(r.Chunks) {
 		r.sealed += o.sealed
 	}
-	for i := range r.Cols {
-		r.Cols[i] = append(r.Cols[i], o.Cols[i]...)
-	}
+	r.Chunks = append(r.Chunks, o.Chunks...)
 	r.Total += o.Total
 	for i, s := range o.Sums {
 		r.Sums[i] += s
@@ -195,21 +257,38 @@ func (r *Result) Append(o *Result) error {
 	return nil
 }
 
-// Row materializes row i (mainly for tests and display).
-func (r *Result) Row(i int) []int64 {
-	out := make([]int64, len(r.Cols))
-	for c := range r.Cols {
-		out[c] = r.Cols[c][i]
+// Rows materializes the first n rows held (every row when n is larger) in one
+// pass over the chunks, into one array of values and one of row slices: what
+// a reply shows.
+func (r *Result) Rows(n int) [][]int64 {
+	n = min(n, r.NumRows())
+	width := len(r.Columns)
+	vals, out := make([]int64, n*width), make([][]int64, n)
+	i := 0
+	for _, ch := range r.Chunks {
+		for j := 0; j < chunkRows(ch) && i < n; i, j = i+1, j+1 {
+			row := vals[i*width : (i+1)*width : (i+1)*width]
+			for c, col := range ch {
+				row[c] = col[j]
+			}
+			out[i] = row
+		}
 	}
 	return out
 }
 
-// AppendRow adds one output tuple.
-func (r *Result) AppendRow(vals ...int64) {
-	if len(vals) != len(r.Cols) {
-		panic(fmt.Sprintf("rows: AppendRow got %d values, want %d", len(vals), len(r.Cols)))
+// Row materializes row i (mainly for tests and display).
+func (r *Result) Row(i int) []int64 {
+	for _, ch := range r.Chunks {
+		if n := chunkRows(ch); i >= n {
+			i -= n
+			continue
+		}
+		out := make([]int64, len(ch))
+		for c, col := range ch {
+			out[c] = col[i]
+		}
+		return out
 	}
-	for i, v := range vals {
-		r.Cols[i] = append(r.Cols[i], v)
-	}
+	panic(fmt.Sprintf("rows: row %d out of range", i))
 }

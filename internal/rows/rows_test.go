@@ -2,6 +2,7 @@ package rows
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -57,83 +58,103 @@ func TestBatchAppendArityPanics(t *testing.T) {
 	NewBatch("a", "b").Append(0, 1)
 }
 
+// chunk lists the rows [from, to) of a two-column result whose row i is
+// (i, 10i) as one chunk: what an emission site does between two seals.
+func chunk(r *Result, from, to int64) {
+	cols := r.AddChunk(int(to - from))
+	for i := from; i < to; i++ {
+		cols[0][i-from], cols[1][i-from] = i, 10*i
+	}
+}
+
+// columns returns every column of r in one array each.
+func columns(r *Result) [][]int64 {
+	out := make([][]int64, len(r.Columns))
+	for c := range out {
+		out[c] = r.Column(c)
+	}
+	return out
+}
+
 func TestResultBasics(t *testing.T) {
 	r := NewResult("x", "y")
-	if r.NumRows() != 0 {
+	if r.NumRows() != 0 || r.Column(0) != nil {
 		t.Fatal("new result not empty")
 	}
-	r.AppendRow(1, 2)
-	r.AppendRow(3, 4)
-	if r.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", r.NumRows())
+	chunk(r, 1, 3)
+	chunk(r, 3, 4)
+	if r.NumRows() != 3 || len(r.Chunks) != 2 {
+		t.Fatalf("NumRows = %d in %d chunks", r.NumRows(), len(r.Chunks))
 	}
-	if !reflect.DeepEqual(r.Row(1), []int64{3, 4}) {
-		t.Errorf("Row(1) = %v", r.Row(1))
+	if !reflect.DeepEqual(r.Row(1), []int64{2, 20}) || !reflect.DeepEqual(r.Row(2), []int64{3, 30}) {
+		t.Errorf("Row(1) = %v, Row(2) = %v", r.Row(1), r.Row(2))
+	}
+	if got := r.Rows(10); !reflect.DeepEqual(got, [][]int64{{1, 10}, {2, 20}, {3, 30}}) || cap(got[0]) != 2 {
+		t.Errorf("Rows(10) = %v (a row's capacity %d)", got, cap(got[0]))
+	}
+	if got := r.Rows(2); !reflect.DeepEqual(got, [][]int64{{1, 10}, {2, 20}}) {
+		t.Errorf("Rows(2) = %v", got)
 	}
 	x, err := r.Col("x")
-	if err != nil || !reflect.DeepEqual(x, []int64{1, 3}) {
-		t.Errorf("Col(x) = %v, %v", x, err)
+	if err != nil || !reflect.DeepEqual(x, []int64{1, 2, 3}) || cap(x) != 3 {
+		t.Errorf("Col(x) = %v (cap %d), %v", x, cap(x), err)
 	}
 	if _, err := r.Col("nope"); err == nil {
 		t.Error("missing column lookup succeeded")
+	}
+	// A chunk is exactly as long as asked for, and a lone chunk's column is
+	// handed out as it is.
+	one := NewResult("x")
+	arr := one.AddChunk(4)
+	if len(arr) != 1 || len(arr[0]) != 4 || cap(arr[0]) != 4 || &one.Column(0)[0] != &arr[0][0] {
+		t.Errorf("AddChunk(4) = %v (cap %d); Column copies a lone chunk", arr, cap(arr[0]))
 	}
 }
 
 func TestResultZeroColumns(t *testing.T) {
 	r := NewResult()
-	if r.NumRows() != 0 {
-		t.Error("zero-column result rows != 0")
+	r.AddChunk(5)
+	r.Seal(0)
+	if r.NumRows() != 0 || r.Total != 0 {
+		t.Errorf("zero-column result: rows=%d total=%d", r.NumRows(), r.Total)
 	}
 }
 
-func TestResultAppendArityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("wrong arity accepted")
-		}
-	}()
-	NewResult("x").AppendRow(1, 2)
-}
-
+// TestResultAppendResult: merging lists the other result's chunks, copying
+// no row.
 func TestResultAppendResult(t *testing.T) {
-	a := NewResult("x", "y")
-	a.AppendRow(1, 10)
-	a.AppendRow(2, 20)
-	b := NewResult("x", "y")
-	b.AppendRow(3, 30)
-	if err := a.Append(b); err != nil {
+	a, b := NewResult("x", "y"), NewResult("x", "y")
+	chunk(a, 0, 2)
+	chunk(b, 2, 3)
+	if err := a.AppendChunks(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.NumRows() != 3 || a.Cols[0][2] != 3 || a.Cols[1][2] != 30 {
-		t.Errorf("after Append: %+v", a)
+	if a.NumRows() != 3 || !reflect.DeepEqual(columns(a), [][]int64{{0, 1, 2}, {0, 10, 20}}) {
+		t.Errorf("after AppendChunks: %v", columns(a))
+	}
+	if &a.Chunks[1][0][0] != &b.Chunks[0][0][0] {
+		t.Error("AppendChunks copied the other result's rows")
 	}
 	// Appending an empty partial is a no-op.
-	if err := a.Append(NewResult("x", "y")); err != nil || a.NumRows() != 3 {
-		t.Errorf("empty append: rows=%d err=%v", a.NumRows(), err)
+	if err := a.AppendChunks(NewResult("x", "y")); err != nil || a.NumRows() != 3 || len(a.Chunks) != 2 {
+		t.Errorf("empty append: rows=%d chunks=%d err=%v", a.NumRows(), len(a.Chunks), err)
 	}
 }
 
 func TestResultAppendSchemaMismatch(t *testing.T) {
 	a := NewResult("x", "y")
-	if err := a.Append(NewResult("x")); err == nil {
+	if err := a.AppendChunks(NewResult("x")); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	if err := a.Append(NewResult("x", "z")); err == nil {
+	if err := a.AppendChunks(NewResult("x", "z")); err == nil {
 		t.Error("column-name mismatch accepted")
 	}
 }
 
-// chunk appends the rows [from, to) of a two-column result whose row i is
-// (i, 10i): what an emission site does between two seals.
-func chunk(r *Result, from, to int64) {
-	for i := from; i < to; i++ {
-		r.AppendRow(i, 10*i)
-	}
-}
-
-// TestResultSealFoldsAndCuts follows a capped partial over three chunks: the
-// kept rows stop at the cap, the total and the sums cover every row, and the
-// dropped rows' capacity is what the next chunk is written into.
+// TestResultSealFoldsAndCuts follows a capped partial over four chunks: the
+// kept rows stop at the cap, the total and the sums cover every row, a chunk
+// wholly past the cap is unlisted — nothing keeps it reachable — and its
+// arrays are what the next chunk is written into.
 func TestResultSealFoldsAndCuts(t *testing.T) {
 	r := NewResult("i", "t")
 	chunk(r, 0, 2)
@@ -143,22 +164,30 @@ func TestResultSealFoldsAndCuts(t *testing.T) {
 	}
 	chunk(r, 2, 6)
 	r.Seal(3)
-	if !reflect.DeepEqual(r.Cols, [][]int64{{0, 1, 2}, {0, 10, 20}}) || r.Total != 6 || r.Sums[0] != 15 || r.Sums[1] != 150 {
-		t.Fatalf("across the cap: cols=%v total=%d sums=%v", r.Cols, r.Total, r.Sums)
+	if !reflect.DeepEqual(columns(r), [][]int64{{0, 1, 2}, {0, 10, 20}}) || r.Total != 6 || r.Sums[0] != 15 || r.Sums[1] != 150 {
+		t.Fatalf("across the cap: cols=%v total=%d sums=%v", columns(r), r.Total, r.Sums)
 	}
-	held := cap(r.Cols[0])
 	chunk(r, 6, 8)
-	if cap(r.Cols[0]) != held {
-		t.Errorf("a chunk after the cut grew the column from %d to %d", held, cap(r.Cols[0]))
+	past := &r.Chunks[2][0][0]
+	r.Seal(3)
+	if len(r.Chunks) != 2 || r.Total != 8 {
+		t.Fatalf("a chunk past the cap: %d chunks listed, total %d", len(r.Chunks), r.Total)
+	}
+	if tail := r.Chunks[len(r.Chunks):cap(r.Chunks)]; slices.ContainsFunc(tail, func(ch [][]int64) bool { return ch != nil }) {
+		t.Error("an unlisted chunk is still reachable from the list's array")
+	}
+	chunk(r, 8, 9)
+	if &r.Chunks[2][0][0] != past {
+		t.Error("the chunk after an unlisted one did not reuse its arrays")
 	}
 	r.Seal(3)
 	r.Seal(3) // sealing twice folds nothing twice
-	if r.NumRows() != 3 || r.Total != 8 || r.Sums[0] != 28 || r.Sums[1] != 280 || r.Checksum() != 308 {
+	if r.NumRows() != 3 || r.Total != 9 || r.Sums[0] != 36 || r.Sums[1] != 360 || r.Checksum() != 396 {
 		t.Fatalf("past the cap: rows=%d total=%d sums=%v", r.NumRows(), r.Total, r.Sums)
 	}
 	r.Clip()
-	if cap(r.Cols[0]) != 3 || !reflect.DeepEqual(r.Cols, [][]int64{{0, 1, 2}, {0, 10, 20}}) {
-		t.Errorf("Clip: cap=%d cols=%v", cap(r.Cols[0]), r.Cols)
+	if cap(r.Chunks[1][0]) != 1 || r.spare != nil || !reflect.DeepEqual(columns(r), [][]int64{{0, 1, 2}, {0, 10, 20}}) {
+		t.Errorf("Clip: cap=%d spare=%v cols=%v", cap(r.Chunks[1][0]), r.spare != nil, columns(r))
 	}
 }
 
@@ -169,41 +198,41 @@ func TestResultSealUncapped(t *testing.T) {
 		r := NewResult("i", "t")
 		chunk(r, 0, 5)
 		r.Seal(limit)
-		before := &r.Cols[0][0]
+		before := &r.Chunks[0][0][0]
 		r.Clip()
-		if r.NumRows() != 5 || r.Total != 5 || r.Sums[0] != 10 || &r.Cols[0][0] != before {
-			t.Errorf("limit %d: rows=%d total=%d sums=%v copied=%v", limit, r.NumRows(), r.Total, r.Sums, &r.Cols[0][0] != before)
+		if r.NumRows() != 5 || r.Total != 5 || r.Sums[0] != 10 || &r.Chunks[0][0][0] != before {
+			t.Errorf("limit %d: rows=%d total=%d sums=%v copied=%v", limit, r.NumRows(), r.Total, r.Sums, &r.Chunks[0][0][0] != before)
 		}
 	}
 }
 
-// TestResultAppendAddsTotals: concatenating sealed partials concatenates their
-// kept rows and adds what they counted, and rows not yet sealed (a deferred
-// join's) stay unsealed through the concatenation until one final Seal.
+// TestResultAppendAddsTotals: merging sealed partials lists their kept chunks
+// and adds what they counted, and chunks not yet sealed (a deferred join's)
+// stay unsealed through the merge until one final Seal.
 func TestResultAppendAddsTotals(t *testing.T) {
 	a, b := NewResult("i", "t"), NewResult("i", "t")
 	chunk(a, 0, 4)
 	a.Seal(2)
 	chunk(b, 4, 7)
 	b.Seal(2)
-	if err := a.Append(b); err != nil {
+	if err := a.AppendChunks(b); err != nil {
 		t.Fatal(err)
 	}
 	a.Seal(2)
-	if !reflect.DeepEqual(a.Cols, [][]int64{{0, 1}, {0, 10}}) || a.Total != 7 || a.Sums[0] != 21 || a.Sums[1] != 210 {
-		t.Errorf("sealed partials: cols=%v total=%d sums=%v", a.Cols, a.Total, a.Sums)
+	if !reflect.DeepEqual(columns(a), [][]int64{{0, 1}, {0, 10}}) || a.Total != 7 || a.Sums[0] != 21 || a.Sums[1] != 210 {
+		t.Errorf("sealed partials: cols=%v total=%d sums=%v", columns(a), a.Total, a.Sums)
 	}
 
 	c, d := NewResult("i", "t"), NewResult("i", "t")
 	chunk(c, 0, 2)
 	chunk(d, 2, 5)
-	if err := c.Append(d); err != nil {
+	if err := c.AppendChunks(d); err != nil {
 		t.Fatal(err)
 	}
 	if c.Total != 0 || c.NumRows() != 5 {
 		t.Fatalf("unsealed partials: total=%d rows=%d before the seal", c.Total, c.NumRows())
 	}
-	c.Cols[1][4] = 7 // the deferred fetch overwrites a column in place
+	c.Chunks[1][1][2] = 7 // the deferred fetch overwrites a column in place
 	c.Seal(3)
 	if c.NumRows() != 3 || c.Total != 5 || c.Sums[0] != 10 || c.Sums[1] != 67 {
 		t.Errorf("unsealed partials: rows=%d total=%d sums=%v", c.NumRows(), c.Total, c.Sums)
@@ -214,7 +243,7 @@ func TestResultAppendAddsTotals(t *testing.T) {
 	chunk(e, 0, 2)
 	chunk(f, 2, 4)
 	f.Seal(0)
-	if err := e.Append(f); err != nil {
+	if err := e.AppendChunks(f); err != nil {
 		t.Fatal(err)
 	}
 	e.Seal(0)

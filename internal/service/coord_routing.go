@@ -26,7 +26,7 @@ import (
 // in memory:
 //
 //   - range-sharded selection/join row partials concatenate in shard order
-//     (shard order IS global row order, so this is rows.Result.Append
+//     (shard order IS global row order, so this is rows.Result.AppendChunks
 //     across the wire); row counts and output checksums add;
 //   - key-partitioned partials arrive tagged with each row's global row id
 //     (the hidden storage.RowIDColumn, requested via rowids=true) and are

@@ -13,6 +13,7 @@ import (
 
 	"matstore"
 	"matstore/internal/faults"
+	"matstore/internal/oracle"
 	"matstore/internal/service"
 	"matstore/internal/tpch"
 )
@@ -79,7 +80,7 @@ func TestFaultinjectSaturationShedsAndKeepsServing(t *testing.T) {
 		switch {
 		case errs[i] == nil:
 			served++
-			if !reflect.DeepEqual(results[i].Cols, ref.Res.Cols) {
+			if !reflect.DeepEqual(oracle.Columns(results[i]), oracle.Columns(ref.Res)) {
 				t.Fatalf("request %d: result differs under saturation", i)
 			}
 		case errors.Is(errs[i], service.ErrShed):
@@ -153,7 +154,7 @@ func TestFaultinjectCacheDemotionFaults(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s round %d: %v", site, round, err)
 				}
-				if !reflect.DeepEqual(out.Res.Cols, want[i].Cols) {
+				if !reflect.DeepEqual(oracle.Columns(out.Res), oracle.Columns(want[i])) {
 					t.Fatalf("%s round %d: result differs with fault armed", site, round)
 				}
 			}

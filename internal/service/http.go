@@ -605,13 +605,9 @@ func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit 
 	if limit = resolveLimit(limit); limit > 0 && shown > limit {
 		shown = limit
 	}
-	rows := make([][]int64, shown)
-	for i := range rows {
-		rows[i] = res.Row(i)
-	}
 	return &QueryResponse{
 		Columns:        res.Columns,
-		Rows:           rows,
+		Rows:           res.Rows(shown),
 		RowCount:       int(res.Total),
 		Checksum:       res.Checksum(),
 		Wall:           stats.Wall.Nanoseconds(),

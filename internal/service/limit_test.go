@@ -138,7 +138,7 @@ func TestRowIDsUnderLimit(t *testing.T) {
 			t.Fatalf("%s: the reference has %d rows", shape.name, n)
 		}
 		var wantSum int64
-		for c, col := range shape.full.Cols {
+		for c, col := range oracle.Columns(shape.full) {
 			if c != shape.rowid {
 				for _, v := range col {
 					wantSum += v
@@ -154,7 +154,7 @@ func TestRowIDsUnderLimit(t *testing.T) {
 			ts.Close()
 			label := fmt.Sprintf("%s: %d rows at limit %d", shape.name, n, limit)
 			shown := min(limit, n)
-			if !slices.Equal(got.RowIDs, shape.full.Cols[shape.rowid][:shown]) {
+			if !slices.Equal(got.RowIDs, oracle.Columns(shape.full)[shape.rowid][:shown]) {
 				t.Errorf("%s: rowids %v", label, got.RowIDs)
 			}
 			var wantRows [][]int64
@@ -207,7 +207,7 @@ func TestResultCacheConcurrentLimits(t *testing.T) {
 				if q.Limit == 0 || held < q.Limit {
 					held = q.Limit
 				}
-				if err := oracle.Capped(out.Res, full.Cols, held); err != nil {
+				if err := oracle.Capped(out.Res, oracle.Columns(full), held); err != nil {
 					errs[w] = fmt.Errorf("request %d at limit %d (hit=%v): %v", i, q.Limit, out.Info.ResultCacheHit, err)
 					return
 				}
@@ -290,4 +290,126 @@ func TestResultCacheChargesAggregators(t *testing.T) {
 		t.Errorf("%d aggregations through a %d-byte result cache grew the heap by %d bytes", shapes, capacity, grown)
 	}
 	runtime.KeepAlive(srv)
+}
+
+// chunkReach is what a result's chunk list keeps reachable: every chunk header
+// and column array that the list's whole array reaches, unlisted slots
+// included, each counted once at its capacity (24 bytes a slice header, 8 a
+// cell).
+func chunkReach(res *matstore.Result) int64 {
+	list := res.Chunks[:cap(res.Chunks)]
+	bytes := 24 * int64(len(list))
+	seen := map[*int64]bool{}
+	for _, ch := range list {
+		hdr := ch[:cap(ch)]
+		bytes += 24 * int64(len(hdr))
+		for _, col := range hdr {
+			if cap(col) > 0 && !seen[&col[:1][0]] {
+				seen[&col[:1][0]] = true
+				bytes += 8 * int64(cap(col))
+			}
+		}
+	}
+	return bytes
+}
+
+// TestResultCacheChargesChunks: a cached result is its chunk list, and its
+// entry must be charged for every array the list keeps alive. Two ways to
+// charge less than that were met while the list was built: chunk headers
+// sliced out of one array per partial (each header then reaches every later
+// header's arrays, the recycled ones included — serve_cold's held memory
+// reached 4.6 GB), and a list cut at the cap by reslicing alone (the unlisted
+// chunks stay reachable through the list's array while only the listed ones
+// are charged; a capped deferred join lists its whole result until the final
+// cut). Large selections and joins, uncapped and capped at 10 rows, run at
+// one worker and at four, twice: each into an empty cache, where its entry's
+// charge must cover what its chunks reach, and all of them through one 256
+// KiB cache, after which a collected heap may have grown by the capacity and
+// as much again for the service's own bookkeeping (measured: the capacity and
+// 10 % more). With the shared header array the heap grew by 0.65 MB at one
+// worker; with the reslicing cut by 0.76 MB at one worker and 2.8 MB at four.
+func TestResultCacheChargesChunks(t *testing.T) {
+	const capacity, slack = 256 << 10, 256 << 10
+	db := openDB(t)
+	type request struct {
+		sel  *matstore.Query
+		join *matstore.JoinQuery
+		s    matstore.Strategy
+		rs   matstore.RightStrategy
+	}
+	// Uncapped shapes first, then capped ones of other shapes, so the capped
+	// entries — charged a few rows each — are what the cache holds at the end.
+	var reqs []request
+	for i := 0; i < 24; i++ {
+		q := selQuery(tpch.ShipdateDays - int64(i))
+		j := joinReq()
+		j.LeftPred = matstore.LessThan(int64(dataCustomers - i))
+		if i >= 12 {
+			q.Limit, j.Limit = 10, 10
+		}
+		reqs = append(reqs,
+			request{sel: &q, s: []matstore.Strategy{matstore.LMParallel, matstore.EMParallel, matstore.EMPipelined}[i%3]},
+			request{join: &j, rs: []matstore.RightStrategy{matstore.RightSingleColumn, matstore.RightMaterialized}[i%2]})
+	}
+	run := func(sess *service.Session, r request) *matstore.Result {
+		ctx := context.Background()
+		if r.sel != nil {
+			out, err := sess.Select(ctx, tpch.LineitemProj, *r.sel, r.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out.Res
+		}
+		out, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, *r.join, r.rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Res
+	}
+	config := func(budget int, bytes int64) service.Config {
+		cfg := fullConfig(budget, 4)
+		cfg.ResultCacheBytes, cfg.PlanCacheEntries, cfg.BuildCacheBytes = bytes, -1, -1
+		return cfg
+	}
+	warm := service.New(db, config(1, -1)).NewSession() // no result cache
+	for _, r := range reqs {                            // the pool reads every block before the heap is measured
+		run(warm, r)
+	}
+	// One worker runs one morsel whose chunks past the cap are recycled; four
+	// split the table into morsels of a chunk or so.
+	for _, budget := range []int{1, 4} {
+		srv := service.New(db, config(budget, capacity))
+		sess := srv.NewSession()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, r := range reqs {
+			run(sess, r)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		st := srv.Stats().ResultCache
+		grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		t.Logf("budget %d, %d requests: %d entries charged %d of %d bytes, %d evictions; the heap grew by %d",
+			budget, len(reqs), st.Entries, st.Bytes, st.Capacity, st.Evictions, grown)
+		if st.Evictions == 0 {
+			t.Errorf("budget %d: nothing was evicted: the requests do not fill a %d-byte cache", budget, capacity)
+		}
+		if grown > capacity+slack {
+			t.Errorf("budget %d: %d results through a %d-byte result cache grew the heap by %d bytes", budget, len(reqs), capacity, grown)
+		}
+		runtime.KeepAlive(srv)
+
+		for i, r := range reqs {
+			// A server per request: a capped and an uncapped request for one
+			// shape share an entry, so each is charged in a cache of its own.
+			srv := service.New(db, config(budget, 0))
+			res := run(srv.NewSession(), r)
+			charged := srv.Stats().ResultCache.Bytes
+			if reach := chunkReach(res); charged < reach {
+				t.Errorf("budget %d, request %d: an entry of %d rows in %d chunks is charged %d bytes, its chunks reach %d",
+					budget, i, res.NumRows(), len(res.Chunks), charged, reach)
+			}
+		}
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"matstore"
 	"matstore/internal/faults"
 	"matstore/internal/operators"
+	"matstore/internal/oracle"
 	"matstore/internal/service"
 	"matstore/internal/tpch"
 )
@@ -110,7 +111,7 @@ func TestDifferentialSpillJoin(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", jq.name, err)
 					}
-					if !reflect.DeepEqual(out.Res.Cols, want[i].Cols) ||
+					if !reflect.DeepEqual(oracle.Columns(out.Res), oracle.Columns(want[i])) ||
 						!reflect.DeepEqual(out.Res.Columns, want[i].Columns) {
 						t.Errorf("%s: served result differs from ungoverned reference (%d vs %d rows)",
 							jq.name, out.Res.NumRows(), want[i].NumRows())
@@ -206,7 +207,7 @@ func TestJoinFaultCleanupAndRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("server did not recover after %s fault: %v", tc.site, err)
 			}
-			if !reflect.DeepEqual(out.Res.Cols, ref.Res.Cols) {
+			if !reflect.DeepEqual(oracle.Columns(out.Res), oracle.Columns(ref.Res)) {
 				t.Errorf("post-recovery result differs after %s fault", tc.site)
 			}
 		})
@@ -234,7 +235,7 @@ func TestJoinFaultCleanupAndRecovery(t *testing.T) {
 	if !out.Stats.Join.Spilled {
 		t.Error("allocation pressure did not force spill mode")
 	}
-	if !reflect.DeepEqual(out.Res.Cols, ref.Res.Cols) {
+	if !reflect.DeepEqual(oracle.Columns(out.Res), oracle.Columns(ref.Res)) {
 		t.Error("allocation-pressure result differs")
 	}
 

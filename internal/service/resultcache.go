@@ -205,17 +205,21 @@ func (c *resultCache) snapshot() ResultCacheStats {
 	return st
 }
 
-// resultBytes estimates what caching a run's outcome retains: 8 bytes per
-// cell, the aggregator behind an aggregation's rows (Stats.AggState: a shard
-// exports its groups from it on a hit, and it is several times the size of
-// the two emitted columns) and a fixed per-entry overhead for headers, names
-// and stats.
+// resultBytes estimates what caching a run's outcome retains: every array its
+// chunks reach at its capacity (8 bytes a cell, 24 a slice header in the chunk
+// list and in each chunk), the aggregator behind an aggregation's rows
+// (Stats.AggState: a shard exports its groups from it on a hit, and it is
+// several times the size of the two emitted columns) and a fixed per-entry
+// overhead for names and stats.
 func resultBytes(key string, out outcome) int64 {
-	cells := int64(0)
-	for _, col := range out.res.Cols {
-		cells += int64(cap(col))
+	const header = 24
+	bytes := header*int64(cap(out.res.Chunks)) + int64(len(key)) + 256
+	for _, ch := range out.res.Chunks {
+		bytes += header * int64(cap(ch))
+		for _, col := range ch {
+			bytes += 8 * int64(cap(col))
+		}
 	}
-	bytes := 8*cells + int64(len(key)) + 256
 	if out.sel != nil && out.sel.AggState != nil {
 		bytes += out.sel.AggState.MemBytes()
 	}

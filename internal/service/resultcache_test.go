@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"matstore"
+	"matstore/internal/oracle"
 	"matstore/internal/service"
 	"matstore/internal/tpch"
 )
@@ -63,7 +64,7 @@ func TestResultCacheServesRepeatedQuery(t *testing.T) {
 			before.Admitted, after.Admitted, before.WorkersGranted, after.WorkersGranted)
 	}
 	if !reflect.DeepEqual(first.Res.Columns, second.Res.Columns) ||
-		!reflect.DeepEqual(first.Res.Cols, second.Res.Cols) {
+		!reflect.DeepEqual(oracle.Columns(first.Res), oracle.Columns(second.Res)) {
 		t.Error("cached response differs from executed one")
 	}
 
@@ -99,7 +100,7 @@ func TestResultCacheJoinHit(t *testing.T) {
 		t.Errorf("repeated join: hit=%v workers=%d, want hit with 0 workers",
 			second.Info.ResultCacheHit, second.Info.Workers)
 	}
-	if !reflect.DeepEqual(first.Res.Cols, second.Res.Cols) {
+	if !reflect.DeepEqual(oracle.Columns(first.Res), oracle.Columns(second.Res)) {
 		t.Error("cached join response differs from executed one")
 	}
 	if second.Stats.Join.RightBuildTuples != first.Stats.Join.RightBuildTuples {
@@ -194,7 +195,7 @@ func TestResultCacheConcurrentRepeats(t *testing.T) {
 					errs[w] = err
 					return
 				}
-				if !reflect.DeepEqual(out.Res.Cols, ref.Res.Cols) {
+				if !reflect.DeepEqual(oracle.Columns(out.Res), oracle.Columns(ref.Res)) {
 					errs[w] = fmt.Errorf("response %d differs from reference", i)
 					return
 				}

@@ -21,6 +21,7 @@ import (
 	"matstore"
 	"matstore/internal/bench"
 	"matstore/internal/core"
+	"matstore/internal/oracle"
 	"matstore/internal/service"
 	"matstore/internal/tpch"
 )
@@ -154,7 +155,7 @@ func TestConcurrentMixedWorkloadDifferential(t *testing.T) {
 									return
 								}
 								if !reflect.DeepEqual(res.Columns, want[idx].Columns) ||
-									!reflect.DeepEqual(res.Cols, want[idx].Cols) {
+									!reflect.DeepEqual(oracle.Columns(res), oracle.Columns(want[idx])) {
 									errs[c] = fmt.Errorf("%s: served result differs from serial reference", reqs[idx].Name)
 									return
 								}
@@ -242,7 +243,7 @@ func TestPlanCacheSkipsBuildPlan(t *testing.T) {
 	if got := srv.Stats().PlanBuilds; got != builds {
 		t.Errorf("repeated query called BuildPlan (%d -> %d)", builds, got)
 	}
-	if !reflect.DeepEqual(first.Res.Cols, second.Res.Cols) {
+	if !reflect.DeepEqual(oracle.Columns(first.Res), oracle.Columns(second.Res)) {
 		t.Error("cached plan returned different result")
 	}
 	// A different shape (same columns, different bound) must miss.
@@ -446,11 +447,11 @@ func TestEstimateRacesServedPlans(t *testing.T) {
 			sess := srv.NewSession()
 			for i := 0; i < rounds/4; i++ {
 				got, err := sess.Select(ctx, tpch.LineitemProj, sel, matstore.LMPipelined)
-				if err != nil || !reflect.DeepEqual(got.Res.Cols, want.Res.Cols) {
+				if err != nil || !reflect.DeepEqual(oracle.Columns(got.Res), oracle.Columns(want.Res)) {
 					t.Errorf("served selection differs (err %v)", err)
 				}
 				gotJoin, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, join, matstore.RightMultiColumn)
-				if err != nil || !reflect.DeepEqual(gotJoin.Res.Cols, wantJoin.Res.Cols) {
+				if err != nil || !reflect.DeepEqual(oracle.Columns(gotJoin.Res), oracle.Columns(wantJoin.Res)) {
 					t.Errorf("served join differs (err %v)", err)
 				}
 			}

@@ -341,15 +341,13 @@ func blockAs[B any](dec any, err error) (*B, error) {
 	return dec.(*B), nil
 }
 
-// blocksOverlapping returns the indexes of plain/RLE blocks whose cover
-// intersects r. The index is sorted by Cover.Start.
-func (c *Column) blocksOverlapping(r positions.Range) []int {
-	lo := sort.Search(len(c.index), func(i int) bool { return c.index[i].Cover.End > r.Start })
-	var out []int
-	for i := lo; i < len(c.index) && c.index[i].Cover.Start < r.End; i++ {
-		out = append(out, i)
+// blocksOverlapping returns the indexes [lo, hi) of the plain/RLE blocks
+// whose cover intersects r. The index is sorted by Cover.Start.
+func (c *Column) blocksOverlapping(r positions.Range) (lo, hi int) {
+	lo = sort.Search(len(c.index), func(i int) bool { return c.index[i].Cover.End > r.Start })
+	for hi = lo; hi < len(c.index) && c.index[hi].Cover.Start < r.End; hi++ {
 	}
-	return out
+	return lo, hi
 }
 
 // bvBlocksOverlapping returns block indexes of value's bit-string
@@ -391,7 +389,8 @@ func (c *Column) plainWindow(r positions.Range) (encoding.MiniColumn, error) {
 	if r.Empty() {
 		return m, nil
 	}
-	for _, i := range c.blocksOverlapping(r) {
+	lo, hi := c.blocksOverlapping(r)
+	for i := lo; i < hi; i++ {
 		pb, err := blockAs[encoding.PlainBlock](c.block(i))
 		if err != nil {
 			return nil, err
@@ -402,21 +401,32 @@ func (c *Column) plainWindow(r positions.Range) (encoding.MiniColumn, error) {
 	return m, nil
 }
 
+// rleWindow clips the overlapping blocks' runs to r. The runs are counted
+// before any is copied — a block's runs tile its cover in order, so the ones r
+// overlaps are one stretch found by binary search — and the window's triples
+// are one allocation of exactly that many, whatever the number of blocks.
 func (c *Column) rleWindow(r positions.Range) (encoding.MiniColumn, error) {
 	if r.Empty() {
 		return encoding.NewRLEMini(r, nil), nil
 	}
-	var triples []encoding.Triple
-	for _, i := range c.blocksOverlapping(r) {
+	lo, hi := c.blocksOverlapping(r)
+	runs := make([][]encoding.Triple, hi-lo) // each block's overlapping stretch
+	n := 0
+	for i := lo; i < hi; i++ {
 		rb, err := blockAs[encoding.RLEBlock](c.block(i))
 		if err != nil {
 			return nil, err
 		}
-		for _, t := range rb.Triples {
+		ts := rb.Triples
+		a := sort.Search(len(ts), func(j int) bool { return ts[j].End() > r.Start })
+		b := sort.Search(len(ts), func(j int) bool { return ts[j].Start >= r.End })
+		runs[i-lo] = ts[a:b]
+		n += b - a
+	}
+	triples := make([]encoding.Triple, 0, n)
+	for _, ts := range runs {
+		for _, t := range ts {
 			o := t.Cover().Intersect(r)
-			if o.Empty() {
-				continue
-			}
 			triples = append(triples, encoding.Triple{Value: t.Value, Start: o.Start, Len: o.Len()})
 		}
 	}

@@ -198,6 +198,51 @@ func TestRLEWindowClipsRuns(t *testing.T) {
 	}
 }
 
+// TestRLEWindowAllocatesTriplesOnce: an RLE window counts the runs it clips
+// out of its blocks before it copies any, so its triples are one array of
+// exactly their number and the window's allocations do not grow with the
+// blocks it spans (appended from nil, the triples regrew once per doubling).
+func TestRLEWindowAllocatesTriplesOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c.col")
+	w, err := NewColumnWriter(path, encoding.RLE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs, runLen = 10 * encoding.RLEBlockCap, 3
+	for i := 0; i < runs; i++ {
+		w.AppendRun(int64(i%5), runLen)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := openColumn(t, path)
+	var base float64
+	for _, blocks := range []int64{1, 2, 8} {
+		// A window that starts and ends inside a run, across the given number
+		// of blocks.
+		start := int64(encoding.RLEBlockCap*runLen) / 2
+		r := positions.Range{Start: start + 1, End: start + (blocks-1)*encoding.RLEBlockCap*runLen + 100}
+		mc, err := c.Window(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := mc.(*encoding.RLEMini).Triples()
+		if len(ts) != cap(ts) || ts[0].Start != r.Start || ts[len(ts)-1].End() != r.End {
+			t.Errorf("%d blocks: %d triples in an array of %d, covering %d..%d of %v", blocks, len(ts), cap(ts), ts[0].Start, ts[len(ts)-1].End(), r)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := c.Window(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if blocks == 1 {
+			base = allocs
+		} else if allocs != base {
+			t.Errorf("a window over %d blocks allocates %v times, over one block %v", blocks, allocs, base)
+		}
+	}
+}
+
 func TestBVWindowAlignment(t *testing.T) {
 	vals := genVals(1000, 5, false, 4)
 	path := filepath.Join(t.TempDir(), "c.col")

@@ -3,7 +3,6 @@ package matstore_test
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"matstore"
@@ -135,32 +134,25 @@ func spillJoinQuery(t testing.TB, db *matstore.DB, scale, sel float64) matstore.
 // same query does — result rows holding right positions, then the deferred
 // fetch — plus the per-partition probe lists, the spill frames and the
 // partition reloaded from disk. Measured on the benchmark's dataset (scale
-// 0.1) at selectivities 0.5 and 0.9: 1.7× and 1.6× the single-column run's
-// bytes (8.1 and 9.5 MB). A second result rebuilt around anchors, with its
-// staging arrays, measured 2.5× and 2.9× (12.0 and 17.2 MB). The bound is 2×.
+// 0.1) at selectivities 0.5 and 0.9: 1.5× the single-column run's bytes (4.8
+// and 7.3 MB); 1.7× and 1.6× (8.1 and 9.5 MB) while results were regrown
+// column by column and the probe lists grew by doubling. A second result
+// rebuilt around anchors, with its staging arrays, measured 2.5× and 2.9×
+// (12.0 and 17.2 MB). The bound is 2×.
 func TestJoinSpillBytesPerOp(t *testing.T) {
 	db := paperScaleDB(t)
-	bytesPerRun := func(q matstore.JoinQuery, rs matstore.RightStrategy) float64 {
-		const runs = 3
-		run := func() {
+	join := func(q matstore.JoinQuery, rs matstore.RightStrategy) float64 {
+		return bytesPerRun(func() {
 			if _, _, err := db.Join(tpch.OrdersProj, tpch.CustomerProj, q, rs); err != nil {
 				t.Fatal(err)
 			}
-		}
-		run() // the pool reads the blocks once
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+		})
 	}
 	for _, sel := range []float64{0.5, 0.9} {
 		q := spillJoinQuery(t, db, 0.1, sel)
-		spilled := bytesPerRun(q, matstore.RightMaterialized)
+		spilled := join(q, matstore.RightMaterialized)
 		q.SpillBudgetBytes = 0
-		single := bytesPerRun(q, matstore.RightSingleColumn)
+		single := join(q, matstore.RightSingleColumn)
 		t.Logf("sel=%.1f: spilled %.1f MB a run, in-memory single-column %.1f MB (%.2fx)",
 			sel, spilled/(1<<20), single/(1<<20), spilled/single)
 		if spilled > 2*single {
