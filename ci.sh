@@ -43,6 +43,14 @@ test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench
 # reserved, regrown or concatenated may come back in production code.
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'MergeChunk|NewMerger|valBufs|func \(r \*Result\) (Append|Reserve)\b' .)"
+# A shard partial is columns on the wire: its arrays are parsed by hand
+# straight into columns and merged as columns, so no row-major [][]int64 may
+# come back in the coordinator's production files, and neither the fan-out nor
+# the gather may decode a reply body as JSON (the explain merge and the /stats
+# sum decode JSON documents, which are not query replies).
+test -z "$(ls internal/service/coord_*.go | grep -v _test.go | xargs grep -l '\[\]\[\]int64')"
+test -z "$(awk '/^func \(c \*Coordinator\) (fanout|gather)\(/,/^}/' internal/service/coord_fanout.go \
+	| grep 'json.Unmarshal')"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -98,6 +106,14 @@ go test -race -count=5 -run 'TestGovernor' ./internal/service/
 # whichever entry is resident, every reply holds the oracle's leading rows,
 # count and sums.
 go test -race -count=5 -run 'TestResultCacheConcurrentLimits$' ./internal/service/
+# The wire: a shard answering 200 with a spoiled partial (checksum, truncation,
+# Content-Type, array count and length, trailing bytes) gets a 502 naming it
+# and leaks nothing; every client reply of an engine and of a coordinator at
+# 1, 2 and 4 shards is byte for byte encoding/json's; and the partial decoder
+# either round-trips a body exactly or refuses it (seeds in the test and under
+# testdata/fuzz). Named for the same reason.
+go test -race -run 'TestCoordinatorRejectsGarbagePartial$|TestClientRepliesByteIdentical$' ./internal/service/
+go test -run '^$' -fuzz 'FuzzDecodePartial$' -fuzztime=5s ./internal/service/
 
 # The calibration acceptance test failed about one run in four while it
 # fitted wall-clock timings; it fits synthetic observations now. Prove it.

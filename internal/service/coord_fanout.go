@@ -52,11 +52,22 @@ func relay(w http.ResponseWriter, status int, body []byte, retryAfter string) {
 
 // shardReply is one shard's raw reply, or the error that stood in for it.
 type shardReply struct {
-	shard      int
-	status     int
-	body       []byte
-	retryAfter string
-	err        error
+	shard       int
+	status      int
+	contentType string
+	body        []byte
+	retryAfter  string
+	err         error
+	span        *obs.Span // the fan-out's "shard k" span; nil when untraced
+}
+
+// graft hangs the shard's own span tree, decoded from its reply, under the
+// shard's span of the fan-out.
+func (r shardReply) graft(tr *obs.TraceJSON) {
+	if tr != nil {
+		r.span.SetAttr("shard_trace_id", tr.ID)
+		r.span.Graft(tr.Root)
+	}
 }
 
 // noReply maps a shard call that got no reply onto the front-end failure: a
@@ -94,10 +105,11 @@ var errSiblingFailed = errors.New("a sibling shard failed")
 // shard status (400, 500) passes through with the shard's body. Calls the
 // fan-out itself cancelled are not failures and are passed over.
 //
-// When span is non-nil, each shard call opens a sibling "shard k" child span
-// (the trace mutex makes concurrent sibling creation safe) and the shard's
-// own span tree — returned inline in its traced response body, under the
-// same trace id propagated via X-CS-Trace-Id — is grafted beneath it, so the
+// Every call accepts the partial form. When span is non-nil, each shard call
+// opens a sibling "shard k" child span (the trace mutex makes concurrent
+// sibling creation safe) that its reply carries; whoever decodes the reply
+// grafts the shard's own span tree — returned inline in its traced response,
+// under the same trace id propagated via X-CS-Trace-Id — beneath it, so the
 // coordinator's tree embeds every shard's admission and per-plan-node spans.
 func (c *Coordinator) fanout(ctx context.Context, path string, body any, shards []int, tid string, span *obs.Span) ([]shardReply, error) {
 	raw, err := json.Marshal(body)
@@ -115,19 +127,11 @@ func (c *Coordinator) fanout(ctx context.Context, path string, body any, shards 
 			sspan := span.Child("shard " + strconv.Itoa(k))
 			sspan.SetAttr("shard", k)
 			sspan.SetAttr("url", c.shards[k].url)
-			rep := c.callShard(ctx, path, raw, k, tid)
+			rep := c.callShard(ctx, path, raw, k, tid, partialContentType)
+			rep.span = sspan
 			replies[i] = rep
-			switch {
-			case rep.err != nil || (rep.status != http.StatusOK && rep.status != http.StatusServiceUnavailable):
+			if rep.err != nil || (rep.status != http.StatusOK && rep.status != http.StatusServiceUnavailable) {
 				cancel(errSiblingFailed)
-			case span != nil && rep.status == http.StatusOK:
-				var t struct {
-					Trace *obs.TraceJSON `json:"trace"`
-				}
-				if json.Unmarshal(rep.body, &t) == nil && t.Trace != nil {
-					sspan.SetAttr("shard_trace_id", t.Trace.ID)
-					sspan.Graft(t.Trace.Root)
-				}
 			}
 			sspan.End()
 		}(i, k)
@@ -166,16 +170,16 @@ func retryAfterSeconds(s string) int {
 }
 
 // callShard POSTs one query-path request to shard k, counted and timed.
-func (c *Coordinator) callShard(ctx context.Context, path string, body []byte, k int, tid string) shardReply {
+func (c *Coordinator) callShard(ctx context.Context, path string, body []byte, k int, tid, accept string) shardReply {
 	c.shardRequests.Add(1)
 	start := time.Now()
 	defer func() { c.shardLatency[k].Observe(time.Since(start).Seconds()) }()
-	return c.roundTrip(ctx, http.MethodPost, path, body, k, tid)
+	return c.roundTrip(ctx, http.MethodPost, path, body, k, tid, accept)
 }
 
-// roundTrip makes one HTTP call to shard k under the per-shard timeout and
-// reads the whole reply.
-func (c *Coordinator) roundTrip(ctx context.Context, method, path string, body []byte, k int, tid string) shardReply {
+// roundTrip makes one HTTP call to shard k under the per-shard timeout, asking
+// for the accept content type when it is set, and reads the whole reply.
+func (c *Coordinator) roundTrip(ctx context.Context, method, path string, body []byte, k int, tid, accept string) shardReply {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 	var rd io.Reader
@@ -192,12 +196,16 @@ func (c *Coordinator) roundTrip(ctx context.Context, method, path string, body [
 	if tid != "" {
 		req.Header.Set(TraceIDHeader, tid)
 	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
 	resp, err := c.client.Do(req)
 	if err == nil {
 		defer resp.Body.Close()
 		var raw []byte
 		if raw, err = io.ReadAll(resp.Body); err == nil {
-			return shardReply{shard: k, status: resp.StatusCode, body: raw, retryAfter: resp.Header.Get("Retry-After")}
+			return shardReply{shard: k, status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"),
+				body: raw, retryAfter: resp.Header.Get("Retry-After")}
 		}
 	}
 	if ctx.Err() != nil {
@@ -222,7 +230,7 @@ func (c *Coordinator) routeSingle(w http.ResponseWriter, r *http.Request, path s
 		writeError(w, http.StatusInternalServerError, err)
 		return true
 	}
-	rep := c.callShard(r.Context(), path, raw, shards[0], tid)
+	rep := c.callShard(r.Context(), path, raw, shards[0], tid, "")
 	if rep.err != nil {
 		c.noReply(rep).write(w)
 		return true
@@ -255,19 +263,25 @@ func (c *Coordinator) scatter(x *exchange, ctx context.Context, path string, bod
 }
 
 // gather is the scatter-decode-merge-reply sequence every fanned-out query
-// and join shares.
+// and join shares. Each reply is decoded once, from the partial form: its
+// header's trace is grafted, its arrays become the columns the merge folds.
 func (c *Coordinator) gather(x *exchange, ctx context.Context, path string, shardReq any, shards []int, limit int, m merge, attrs ...any) {
 	replies, ok := c.scatter(x, ctx, path, shardReq, shards, attrs...)
 	if !ok {
 		return
 	}
-	parts := make([]*QueryResponse, len(replies))
+	parts := make([]*answer, len(replies))
 	for i, rep := range replies {
-		parts[i] = new(QueryResponse)
-		if err := json.Unmarshal(rep.body, parts[i]); err != nil {
+		p, err := decodePartial(rep.contentType, rep.body)
+		if err == nil {
+			err = m.check(p, parts[0])
+		}
+		if err != nil {
 			x.fail(badShardBody(rep, err))
 			return
 		}
+		rep.graft(p.Trace)
+		parts[i] = p
 	}
 	gspan := x.tr.Root().Child("merge")
 	resp := m.fold(parts, limit)
@@ -295,7 +309,7 @@ func (c *Coordinator) getShards(ctx context.Context, path string) []shardReply {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			replies[k] = c.roundTrip(ctx, http.MethodGet, path, nil, k, "")
+			replies[k] = c.roundTrip(ctx, http.MethodGet, path, nil, k, "", "")
 		}(k)
 	}
 	wg.Wait()

@@ -39,8 +39,8 @@ import (
 //     key — emitted aggregate values do not merge (AVG loses its count),
 //     the statistics do. When the group-by key IS the partition key the
 //     statistics wire is skipped entirely: group keys are disjoint across
-//     shards, so shards ship finalized rows that concat and sort by key
-//     (the finalization pushdown);
+//     shards, so shards ship finalized rows, each shard's sorted by key,
+//     that k-way merge by key (the finalization pushdown);
 //   - explain trees concatenate with per-shard row-range (or hash-scheme)
 //     headers.
 //
@@ -49,7 +49,8 @@ import (
 //
 // The coordinator is three files: this one routes (which shards a request
 // goes to, and what each is asked), coord_fanout.go scatters and gathers,
-// coord_merge.go merges the partials.
+// coord_merge.go merges the partials. The partials travel in the
+// column-major form of wire.go.
 //
 // Routing: sharded projections fan out to every shard whose row range is
 // non-empty (key-partitioned projections: every shard), minus shards whose
@@ -284,24 +285,24 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// smallest lim keys are among the union of per-shard smallest lim.
 	// Statistics-merged aggregations need every group regardless.
 	shardReq.Limit = lim
-	m := merge{"concat", nil, mergeRowParts}
+	m := merge{kind: "concat", fold: mergeRowParts}
 	switch {
 	case finalized:
 		// Plain aggregation on each shard: finalized rows, sorted by key.
-		m = merge{"finalized_agg", &c.finalizedAggs, mergeFinalizedAggParts}
+		m = merge{kind: "finalized_agg", count: &c.finalizedAggs, width: 2, fold: mergeFinalizedAggParts}
 	case aggregating:
 		shardReq.Partial = true
 		shardReq.Limit = -1
-		m = merge{"agg_statistics", &c.aggMerges, func(parts []*QueryResponse, limit int) *QueryResponse {
+		m = merge{kind: "agg_statistics", count: &c.aggMerges, width: 2, fold: func(parts []*answer, limit int) *answer {
 			return mergeAggParts(parts, fn, limit)
 		}}
 	case keyPart:
 		shardReq.RowIDs = true
-		m = merge{"rowid_kway", &c.rowidMerges, mergeRowIDParts}
+		m = merge{kind: "rowid_kway", count: &c.rowidMerges, rowIDs: true, fold: mergeRowIDParts}
 	default:
 		shardReq.Partial = true
 	}
-	x := c.begin(w, tid, "query", req.shape(), req.Trace)
+	x := c.begin(w, r, tid, "query", req.shape(), req.Trace)
 	c.gather(&x, r.Context(), "/query", shardReq, shards, lim, m)
 }
 
@@ -352,12 +353,12 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	lim := resolveLimit(req.Limit)
 	shardReq := req
 	shardReq.Limit = lim
-	m := merge{"concat", nil, mergeRowParts}
+	m := merge{kind: "concat", fold: mergeRowParts}
 	if leftPl.KeyPartitioned() {
 		shardReq.RowIDs = true
-		m = merge{"rowid_kway", &c.rowidMerges, mergeRowIDParts}
+		m = merge{kind: "rowid_kway", count: &c.rowidMerges, rowIDs: true, fold: mergeRowIDParts}
 	}
-	x := c.begin(w, tid, "join", req.shape(), req.Trace)
+	x := c.begin(w, r, tid, "join", req.shape(), req.Trace)
 	c.gather(&x, r.Context(), "/join", shardReq, shards, lim, m, "copartitioned", copart)
 }
 
@@ -394,7 +395,7 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if c.routeSingle(w, r, "/explain", raw, shards, tid) {
 		return
 	}
-	x := c.begin(w, tid, "explain", "explain "+outer, probe.Trace)
+	x := c.begin(w, r, tid, "explain", "explain "+outer, probe.Trace)
 	replies, ok := c.scatter(&x, r.Context(), "/explain", raw, shards)
 	if !ok {
 		return
@@ -407,6 +408,7 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 			x.fail(badShardBody(rep, err))
 			return
 		}
+		rep.graft(ex.Trace)
 		k := shards[i]
 		if pl.KeyPartitioned() {
 			fmt.Fprintf(&tree, "── shard %d: %s hash(%s) mod %d == %d @ %s ──\n%s",

@@ -5,16 +5,21 @@
 package service_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -413,6 +418,109 @@ func TestCoordinatorShardFailures(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before+2 {
 		t.Errorf("goroutines did not settle after the cancelled fan-out: %d, started with %d", n, before)
+	}
+}
+
+// TestCoordinatorRejectsGarbagePartial: a shard that answers 200 with a
+// partial that is not one — a data byte changed, the data cut short, the
+// wrong Content-Type, more columns than arrays, arrays shorter than the rows
+// shown, bytes after the last array (under a checksum that covers them) — gets
+// a 502 naming it, never a wrong answer; the coordinator serves the next
+// request, and nothing is left running.
+func TestCoordinatorRejectsGarbagePartial(t *testing.T) {
+	root := fmt.Sprintf("%s/s2", shardedData(t))
+	engine := func(k int) http.Handler {
+		db, err := matstore.Open(fmt.Sprintf("%s/shard-%03d", root, k), matstore.Options{Exec: core.Options{ChunkSize: 1024}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return service.New(db, service.Config{WorkerBudget: 2, MaxConcurrent: 4}).Handler()
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	shown := regexp.MustCompile(`"shown":(\d+)`)
+	sum := regexp.MustCompile(`"crc32c":\d+`)
+	type spoiler func(ct string, head, data []byte) (string, []byte)
+	cases := []struct {
+		name  string
+		spoil spoiler
+	}{
+		{"a data byte changed", func(ct string, head, data []byte) (string, []byte) {
+			i := bytes.IndexAny(data, "123456789")
+			data[i] = '0' + (data[i]-'0')%9 + 1
+			return ct, append(head, data...)
+		}},
+		{"data cut short", func(ct string, head, data []byte) (string, []byte) {
+			return ct, append(head, data[:len(data)/2]...)
+		}},
+		{"wrong content type", func(_ string, head, data []byte) (string, []byte) {
+			return "application/json", append(head, data...)
+		}},
+		{"more columns than arrays", func(ct string, head, data []byte) (string, []byte) {
+			head = bytes.Replace(head, []byte(`"linenum"]`), []byte(`"linenum","quantity"]`), 1)
+			return ct, append(head, data...)
+		}},
+		{"arrays shorter than the rows shown", func(ct string, head, data []byte) (string, []byte) {
+			n, _ := strconv.Atoi(string(shown.FindSubmatch(head)[1]))
+			head = shown.ReplaceAll(head, []byte(`"shown":`+strconv.Itoa(n+1)))
+			return ct, append(head, data...)
+		}},
+		{"bytes after the last array", func(ct string, head, data []byte) (string, []byte) {
+			data = append(data, "[7]\n"...)
+			head = sum.ReplaceAll(head, []byte(`"crc32c":`+strconv.FormatUint(uint64(crc32.Checksum(data, castagnoli)), 10)))
+			return ct, append(head, data...)
+		}},
+	}
+	var spoil atomic.Pointer[spoiler]
+	shard1 := engine(1)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		shard1.ServeHTTP(rec, r)
+		ct, body := rec.Header().Get("Content-Type"), rec.Body.Bytes()
+		if f := spoil.Load(); f != nil && rec.Code == http.StatusOK {
+			end := bytes.IndexByte(body, '\n') + 1
+			ct, body = (*f)(ct, append([]byte(nil), body[:end]...), append([]byte(nil), body[end:]...))
+		}
+		w.Header().Set("Content-Type", ct)
+		w.WriteHeader(rec.Code)
+		w.Write(body)
+	}))
+	defer stub.Close()
+	shard0 := httptest.NewServer(engine(0))
+	defer shard0.Close()
+	coord, err := service.NewCoordinator(root, []string{shard0.URL, stub.URL}, service.CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	single := singleEngine(t)
+	body := `{"projection":"lineitem","output":["shipdate","linenum"],"where":["shipdate<999999"],"strategy":"lm-parallel","limit":-1}`
+	var want service.QueryResponse
+	postJSON(t, single+"/query", body, &want)
+	before := runtime.NumGoroutine()
+	for _, c := range cases {
+		spoil.Store(&c.spoil)
+		status, _, raw := postRaw(t, ts.URL+"/query", body)
+		if status != http.StatusBadGateway || !strings.Contains(string(raw), "shard 1") {
+			t.Errorf("%s: HTTP %d %s, want a 502 naming shard 1", c.name, status, raw)
+		}
+		spoil.Store(nil)
+		var got service.QueryResponse
+		postJSON(t, ts.URL+"/query", body, &got)
+		if !reflect.DeepEqual(got.Rows, want.Rows) || got.RowCount != want.RowCount || got.Checksum != want.Checksum {
+			t.Errorf("%s: the next request was answered wrongly (%d rows, checksum %d; want %d, %d)",
+				c.name, got.RowCount, got.Checksum, want.RowCount, want.Checksum)
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before+2 {
+		t.Errorf("goroutines did not settle after the refused partials: %d, started with %d", n, before)
 	}
 }
 

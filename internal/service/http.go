@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -36,6 +37,8 @@ const TraceIDHeader = "X-CS-Trace-Id"
 // accepts at most one, over the outer join key. strategy accepts the four
 // strategy names or "advise" (the cost model picks); rightstrategy accepts
 // the three right-side names or "advise" (the Section 4.3 terms pick).
+// A /query or /join request that accepts partialContentType — a coordinator's
+// fan-out — is answered in the column-major partial form of wire.go.
 
 // QueryRequest is the /query (and selection /explain) body.
 type QueryRequest struct {
@@ -328,11 +331,13 @@ type exchange struct {
 	shape    string     // the request, compactly, for the logs
 	start    time.Time  // a coordinator's wall clock (an engine reports the executor's)
 	tr       *obs.Trace // nil unless the request asked for a span tree
+	partial  bool       // the caller accepts partialContentType
 }
 
-// begin opens an exchange, with a trace when the request asked for one.
-func (f *front) begin(w http.ResponseWriter, tid, endpoint, shape string, traced bool) exchange {
-	x := exchange{f: f, w: w, tid: tid, endpoint: endpoint, shape: shape, start: time.Now()}
+// begin opens an exchange for r, with a trace when the request asked for one.
+func (f *front) begin(w http.ResponseWriter, r *http.Request, tid, endpoint, shape string, traced bool) exchange {
+	x := exchange{f: f, w: w, tid: tid, endpoint: endpoint, shape: shape, start: time.Now(),
+		partial: r.Header.Get("Accept") == partialContentType}
 	if traced {
 		f.traced.Inc()
 		x.tr = obs.NewTrace(tid, f.rootPrefix+endpoint)
@@ -359,7 +364,8 @@ func (x *exchange) fail(err error) {
 // structured slow-query record — query shape, trace summary and the caller's
 // detail (an engine's modeled-vs-observed delta, a coordinator's shard
 // count; asked for only when the record is written) — once wall time crosses
-// the configured threshold, and sends resp.
+// the configured threshold, and sends resp: a query or join answer in the form
+// the caller accepts, anything else as JSON.
 func (x *exchange) reply(resp any, trace **obs.TraceJSON, wall time.Duration, detail func() []any) {
 	if x.tr != nil {
 		x.tr.Root().End()
@@ -374,7 +380,14 @@ func (x *exchange) reply(resp any, trace **obs.TraceJSON, wall time.Duration, de
 		}
 		x.f.logger.Info("slow query", kv...)
 	}
-	writeJSON(x.w, http.StatusOK, resp)
+	switch a, ok := resp.(*answer); {
+	case ok && x.partial:
+		a.writePartial(x.w)
+	case ok:
+		a.writeReply(x.w)
+	default:
+		writeJSON(x.w, http.StatusOK, resp)
+	}
 }
 
 // modelDelta is an engine's slow-query detail: the modeled cost and how far
@@ -417,7 +430,7 @@ func (r QueryRequest) shape() string {
 }
 
 func (r JoinRequest) shape() string {
-	sh := fmt.Sprintf("join %s x %s on %s=%s", r.Left, r.Right, r.LeftKey, r.RightKey)
+	sh := "join " + r.Left + " x " + r.Right + " on " + r.LeftKey + "=" + r.RightKey
 	if len(r.Where) > 0 {
 		sh += " where " + strings.Join(r.Where, ",")
 	}
@@ -435,7 +448,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	x := s.begin(w, tid, "query", req.shape(), req.Trace)
+	x := s.begin(w, r, tid, "query", req.shape(), req.Trace)
 	out, err := s.NewSession().Select(x.context(r.Context()), req.Projection, q, strat)
 	if err != nil {
 		x.fail(err)
@@ -447,10 +460,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Shard partial of an aggregation: ship the mergeable group
 		// statistics, not the emitted rows.
 		resp.Groups = out.Stats.AggState.ExportGroups()
-		resp.Rows = nil
+		resp.n, resp.nullRows = 0, true
 	}
 	if req.rowIDs() {
-		stripRowIDs(resp, out.Res, len(req.Output))
+		resp.stripRowIDs(out.Res, len(req.Output))
 	}
 	x.reply(resp, &resp.Trace, out.Stats.Wall, modelDelta(out.Stats.Wall, out.Info.EstCostUS))
 }
@@ -510,7 +523,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	x := s.begin(w, tid, "join", req.shape(), req.Trace)
+	x := s.begin(w, r, tid, "join", req.shape(), req.Trace)
 	out, err := s.NewSession().Join(x.context(r.Context()), req.Left, req.Right, q, rs)
 	if err != nil {
 		x.fail(err)
@@ -528,7 +541,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	resp.SpilledPartitions = js.SpilledParts
 	resp.SpillBytes = js.SpillBytes
 	if req.RowIDs {
-		stripRowIDs(resp, out.Res, len(req.LeftOutput))
+		resp.stripRowIDs(out.Res, len(req.LeftOutput))
 	}
 	wall := out.Stats.Stats.Wall
 	x.reply(resp, &resp.Trace, wall, modelDelta(wall, out.Info.EstCostUS))
@@ -579,7 +592,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	x := s.begin(w, tid, "explain", shape, traced)
+	x := s.begin(w, r, tid, "explain", shape, traced)
 	ex, info, err := explain(s.NewSession(), x.context(r.Context()))
 	if err != nil {
 		x.fail(err)
@@ -598,16 +611,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 
 // baseResponse renders a result as the reply every query endpoint shares: up
 // to limit of the rows it holds (a run capped at this request's rowCap, or a
-// cached one that kept at least as many), and the count and checksum it
-// carries over every row the run produced.
-func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit int) *QueryResponse {
+// cached one that kept at least as many), read from its chunks as they are,
+// and the count and checksum it carries over every row the run produced.
+func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit int) *answer {
 	shown := res.NumRows()
 	if limit = resolveLimit(limit); limit > 0 && shown > limit {
 		shown = limit
 	}
-	return &QueryResponse{
+	return &answer{QueryResponse: QueryResponse{
 		Columns:        res.Columns,
-		Rows:           res.Rows(shown),
 		RowCount:       int(res.Total),
 		Checksum:       res.Checksum(),
 		Wall:           stats.Wall.Nanoseconds(),
@@ -619,25 +631,18 @@ func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit 
 		ResultCacheHit: info.ResultCacheHit,
 		PlanCacheHit:   info.PlanCacheHit,
 		BuildCacheHit:  info.BuildCacheHit,
-	}
+	}, chunks: res.Chunks, n: shown, rowID: -1}
 }
 
-// stripRowIDs removes the hidden row-id column (at idx in the output list)
-// from a response: each shown row's id moves into resp.RowIDs, the column
-// name disappears, and the checksum drops the column's total over ALL
+// stripRowIDs makes the hidden row-id column (at idx in the output list) the
+// answer's row-id column: its values are sent as the row-id array, its name
+// leaves the columns, and the checksum drops the column's total over ALL
 // result rows — the checksum covers every matching row, not just the shown
 // ones — so shard checksums still sum to the single-engine value.
-func stripRowIDs(resp *QueryResponse, res *matstore.Result, idx int) {
-	resp.Checksum -= res.Sums[idx]
-	cols := make([]string, 0, len(resp.Columns)-1)
-	cols = append(cols, resp.Columns[:idx]...)
-	cols = append(cols, resp.Columns[idx+1:]...)
-	resp.Columns = cols
-	resp.RowIDs = make([]int64, len(resp.Rows))
-	for i, row := range resp.Rows {
-		resp.RowIDs[i] = row[idx]
-		resp.Rows[i] = append(row[:idx], row[idx+1:]...)
-	}
+func (a *answer) stripRowIDs(res *matstore.Result, idx int) {
+	a.Checksum -= res.Sums[idx]
+	a.Columns = slices.Delete(slices.Clone(a.Columns), idx, idx+1)
+	a.rowID = idx
 }
 
 func parseWhereList(where []string) ([]matstore.Filter, error) {

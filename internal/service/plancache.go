@@ -1,8 +1,7 @@
 package service
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 
 	"matstore"
@@ -87,47 +86,67 @@ func (c *planCache) snapshot() PlanCacheStats {
 // containing the key's own delimiters can never make two different request
 // shapes collide on one entry (a collision would skip validation and serve
 // the wrong cached plan).
-func keyStr(b *strings.Builder, s string) {
-	fmt.Fprintf(b, "%d:%s;", len(s), s)
+func keyStr(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	b = append(b, s...)
+	return append(b, ';')
 }
 
 // keyList appends a name list with its arity, length-prefixing each element.
-func keyList(b *strings.Builder, items []string) {
-	fmt.Fprintf(b, "%d[", len(items))
+func keyList(b []byte, items []string) []byte {
+	b = strconv.AppendInt(b, int64(len(items)), 10)
+	b = append(b, '[')
 	for _, s := range items {
-		keyStr(b, s)
+		b = keyStr(b, s)
 	}
-	b.WriteString("]")
+	return append(b, ']')
+}
+
+// keyPred appends a predicate as its operator and two bounds, then end.
+func keyPred(b []byte, p matstore.Predicate, end byte) []byte {
+	b = strconv.AppendInt(b, int64(p.Op), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, p.A, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, p.B, 10)
+	return append(b, end)
 }
 
 // selectKey canonicalizes a selection/aggregation query shape. Filter order
 // is semantically significant (it decides pipelined plan shape and fusion
 // groups), so it is preserved, not sorted.
 func selectKey(proj string, q matstore.Query, s matstore.Strategy) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "s|%d|", s)
-	keyStr(&b, proj)
-	keyList(&b, q.Output)
-	keyStr(&b, q.GroupBy)
-	keyStr(&b, q.AggCol)
-	fmt.Fprintf(&b, "fn=%d|", q.Agg)
+	b := make([]byte, 0, 128)
+	b = append(b, "s|"...)
+	b = strconv.AppendInt(b, int64(s), 10)
+	b = append(b, '|')
+	b = keyStr(b, proj)
+	b = keyList(b, q.Output)
+	b = keyStr(b, q.GroupBy)
+	b = keyStr(b, q.AggCol)
+	b = append(b, "fn="...)
+	b = strconv.AppendInt(b, int64(q.Agg), 10)
+	b = append(b, '|')
 	for _, f := range q.Filters {
-		keyStr(&b, f.Col)
-		fmt.Fprintf(&b, "%d %d %d;", f.Pred.Op, f.Pred.A, f.Pred.B)
+		b = keyStr(b, f.Col)
+		b = keyPred(b, f.Pred, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // joinKey canonicalizes a join query shape.
 func joinKey(left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "j|%d|", rs)
-	keyStr(&b, left)
-	keyStr(&b, right)
-	keyStr(&b, q.LeftKey)
-	fmt.Fprintf(&b, "%d %d %d|", q.LeftPred.Op, q.LeftPred.A, q.LeftPred.B)
-	keyList(&b, q.LeftOutput)
-	keyStr(&b, q.RightKey)
-	keyList(&b, q.RightOutput)
-	return b.String()
+	b := make([]byte, 0, 128)
+	b = append(b, "j|"...)
+	b = strconv.AppendInt(b, int64(rs), 10)
+	b = append(b, '|')
+	b = keyStr(b, left)
+	b = keyStr(b, right)
+	b = keyStr(b, q.LeftKey)
+	b = keyPred(b, q.LeftPred, '|')
+	b = keyList(b, q.LeftOutput)
+	b = keyStr(b, q.RightKey)
+	b = keyList(b, q.RightOutput)
+	return string(b)
 }
