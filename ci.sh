@@ -51,6 +51,13 @@ test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench
 test -z "$(ls internal/service/coord_*.go | grep -v _test.go | xargs grep -l '\[\]\[\]int64')"
 test -z "$(awk '/^func \(c \*Coordinator\) (fanout|gather)\(/,/^}/' internal/service/coord_fanout.go \
 	| grep 'json.Unmarshal')"
+# Two caches, one tier each: every served request builds its plan and runs it
+# once, so neither a plan cache nor the morsel re-carving only a re-run plan
+# reached may come back in production code; an evicted join build is dropped,
+# not demoted to disk; the result cache has no zero-row tier and no cost
+# threshold; and the grant slice is a constant, not a knob.
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'planCache|PlanCacheEntries|AdaptiveMorselsPerWorker|skewBits|EnableDemotion|WriteDemoted|LoadDemoted|ResultCacheMinCostUS|GrantSliceMicros|negCap' .)"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -71,6 +78,10 @@ go test -race -run 'TestMisplacedBlock|TestOpenRejectsUntiledIndex' ./internal/s
 # reason.
 go test -race -run 'TestJoinSpillPassB|TestJoinSpillMatchesInMemory$' ./internal/core/
 go test -race -run 'TestDifferentialSpillJoin$' ./internal/service/
+# An evicted join build is dropped and rebuilt on its next miss: replies stay
+# identical and no file is left in the spill directory. Named for the same
+# reason.
+go test -race -run 'TestBuildCacheEvictionLeavesNoFiles$' ./internal/service/
 # Chunk-exact results: caps on every side of a chunk boundary against the
 # oracle (selections, joins in memory and spilled, pass B's exceptions), the
 # result cache charged for every array a chunk list reaches, a large select
@@ -120,7 +131,7 @@ go test -run '^$' -fuzz 'FuzzDecodePartial$' -fuzztime=5s ./internal/service/
 go test -run 'TestCalibrationReducesError$' -count=20 ./internal/bench
 
 # The extended fault-injection suite (shed-under-saturation with slow-IO
-# faults, build-cache demotion faults) sits behind the faultinject build tag
+# faults) sits behind the faultinject build tag
 # so the hot path carries no test-only hooks by default; run it explicitly.
 go test -race -tags faultinject -run TestFaultinject -count=1 ./internal/service/
 
@@ -175,7 +186,9 @@ go test -run 'TestCappedSelectAllocs$' -v ./internal/core | grep 'kB a request'
 # The serving stack's code lines (non-blank, non-comment, non-test: service,
 # buffer pool, the shared LRU, the build cache), printed next to the
 # allocation counts so that growth shows in the log of the PR that causes it
-# (3,223 before PR 16 folded six LRUs, two governors and the coordinator).
+# (3,223 before six LRUs, two governors and the coordinator were folded;
+# 3,092 before the plan cache, the demoted build tier and the zero-row and
+# cost-gated result tiers were deleted).
 ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 	internal/operators/buildcache.go | grep -v _test.go | xargs cat \
 	| grep -v '^\s*$' | grep -v '^\s*//' | wc -l
@@ -186,7 +199,8 @@ ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builder
 # And for the executor stack (the strategies' entry points, the plan executor,
 # the data sources, the radix/Grace build, the block reader and the encodings:
 # 4,301 before PR 18 deleted the ablation options, the zone-index scan and the
-# second build).
+# second build; 3,914 before adaptive morsel re-carving and the demoted build
+# files were deleted).
 ls internal/core/core.go internal/core/join.go internal/plan/*.go internal/datasource/*.go \
 	internal/operators/radix.go internal/operators/spill.go internal/storage/column.go \
 	internal/storage/gather.go internal/encoding/*.go \

@@ -1,7 +1,7 @@
 // Command csserve serves a generated database over HTTP: the concurrent
 // query service of internal/service (admission-controlled sessions with
 // cost-sized worker grants, a result cache in front of the shared join-build
-// and plan caches) behind JSON endpoints. SIGINT/SIGTERM shut down
+// cache) behind JSON endpoints. SIGINT/SIGTERM shut down
 // gracefully, draining in-flight sessions.
 //
 // Usage:
@@ -66,14 +66,11 @@ func main() {
 	budget := flag.Int("worker-budget", 0, "global worker budget shared by in-flight queries (0 = one per CPU)")
 	maxConc := flag.Int("max-concurrent", 0, "admission limit; requests past it queue (0 = 2x budget)")
 	buildMB := flag.Int64("build-cache-mb", 0, "join-build cache budget in MiB (0 = 64, negative = disabled)")
-	planEntries := flag.Int("plan-cache", 0, "plan cache entries (0 = 256, negative = disabled)")
 	resultMB := flag.Int64("result-cache-mb", 0, "result cache budget in MiB (0 = 32, negative = disabled)")
-	sliceUS := flag.Float64("grant-slice-us", 0, "modeled µs one worker absorbs when sizing grants (0 = 100, negative = fair-share only)")
 	memoryMB := flag.Int64("memory-budget-mb", 0, "byte-budget memory governor in MiB: joins reserve predicted build bytes, spill to disk when over budget, shed with 503 under pile-up (0 = governance off)")
 	spillDir := flag.String("spill-dir", "", "directory for spill temp files (default: .spill under -dir)")
-	faultSpec := flag.String("faults", "", "debug: arm fault-injection sites, e.g. 'spill.write=error:3,spill.read=slow' (sites: spill.create spill.write spill.read cache.demote cache.rehydrate mem.reserve; modes: error short slow[:afterN])")
+	faultSpec := flag.String("faults", "", "debug: arm fault-injection sites, e.g. 'spill.write=error:3,spill.read=slow' (sites: "+strings.Join(faults.Sites, " ")+"; modes: error short slow[:afterN])")
 	calibrate := flag.Bool("calibrate", false, "refit the cost-model constants to this machine from the mixed workload before serving")
-	minCostUS := flag.Float64("result-cache-min-cost-us", 0, "only cache results whose modeled cost exceeds this many µs (0 = cache everything; cheap queries re-execute faster than they amortize cache space)")
 	coordinator := flag.Bool("coordinator", false, "scatter-gather mode: -dir is a csgen -shards root; fan /query, /join, /explain out over -shard-endpoints and merge")
 	shardEndpoints := flag.String("shard-endpoints", "", "coordinator mode: comma-separated shard base URLs, one per shard in shard order")
 	shardTimeoutMS := flag.Int("shard-timeout-ms", 0, "coordinator mode: per-shard fan-out timeout in milliseconds (0 = 30000)")
@@ -140,17 +137,14 @@ func main() {
 		memoryBytes <<= 20
 	}
 	srv := service.New(db, service.Config{
-		MaxConcurrent:        *maxConc,
-		WorkerBudget:         *budget,
-		BuildCacheBytes:      buildBytes,
-		PlanCacheEntries:     *planEntries,
-		ResultCacheBytes:     resultBytes,
-		GrantSliceMicros:     *sliceUS,
-		MemoryBudgetBytes:    memoryBytes,
-		SpillDir:             *spillDir,
-		ResultCacheMinCostUS: *minCostUS,
-		Logger:               logger,
-		SlowQueryMicros:      *slowQueryUS,
+		MaxConcurrent:     *maxConc,
+		WorkerBudget:      *budget,
+		BuildCacheBytes:   buildBytes,
+		ResultCacheBytes:  resultBytes,
+		MemoryBudgetBytes: memoryBytes,
+		SpillDir:          *spillDir,
+		Logger:            logger,
+		SlowQueryMicros:   *slowQueryUS,
 	})
 	cfg := srv.Config()
 	logger.Info("serving", "dir", *dir, "addr", *addr,

@@ -180,7 +180,6 @@ func MixedWorkload(nCust int64) []Request {
 type WorkloadStats struct {
 	Requests        int64
 	ResultCacheHits int64
-	PlanCacheHits   int64
 	BuildCacheHits  int64
 	Wall            time.Duration
 	// Per-request latency distribution tail.
@@ -218,9 +217,6 @@ func RunClosedLoop(ctx context.Context, srv *service.Server, sessions, rounds in
 					if info.ResultCacheHit {
 						infos[c].ResultCacheHits++
 					}
-					if info.PlanCacheHit {
-						infos[c].PlanCacheHits++
-					}
 					if info.BuildCacheHit {
 						infos[c].BuildCacheHits++
 					}
@@ -234,7 +230,6 @@ func RunClosedLoop(ctx context.Context, srv *service.Server, sessions, rounds in
 	for c := range infos {
 		stats.Requests += infos[c].Requests
 		stats.ResultCacheHits += infos[c].ResultCacheHits
-		stats.PlanCacheHits += infos[c].PlanCacheHits
 		stats.BuildCacheHits += infos[c].BuildCacheHits
 		all = append(all, lats[c]...)
 	}

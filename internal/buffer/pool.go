@@ -185,7 +185,7 @@ func (p *Pool) get(key Key, load func() (any, int64, error), pin bool) (any, err
 // temporarily over capacity until Unpin.
 func (p *Pool) shrink() {
 	if p.capBytes > 0 {
-		p.stats.Evictions += int64(p.lru.Shrink(p.capBytes, pinned, nil))
+		p.stats.Evictions += int64(p.lru.Shrink(p.capBytes, pinned))
 	}
 }
 

@@ -1,11 +1,9 @@
 // Package cache holds the one LRU under every cache in the system: the
-// buffer pool, the join-build cache and its demoted tier, the plan cache,
-// and the result cache and its negative sibling. It is the mechanism only —
-// a recency-ordered map that charges each entry a caller-supplied size.
-// Everything that makes those caches differ (pins, generations,
-// single-flight, cost thresholds, what to do with an evicted value, the
-// counters) stays with its owner, which also supplies the lock: an LRU is
-// NOT safe for concurrent use.
+// buffer pool, the join-build cache and the result cache. It is the
+// mechanism only — a recency-ordered map that charges each entry a
+// caller-supplied size. Everything that makes those caches differ (pins,
+// generations, single-flight, the counters) stays with its owner, which also
+// supplies the lock: an LRU is NOT safe for concurrent use.
 package cache
 
 // entry is one cached value and its links in the recency ring. Key, value,
@@ -63,7 +61,7 @@ func (c *LRU[K, V]) Peek(key K) (V, bool) {
 // Put stores val under key, charged size, as the most recent entry. An
 // existing entry for key is replaced and its value returned, so that the
 // owner can release whatever the old value held. Put never evicts: the owner
-// calls Shrink with its own capacity, pins and hook.
+// calls Shrink with its own capacity and pins.
 func (c *LRU[K, V]) Put(key K, val V, size int64) (old V, replaced bool) {
 	if e, ok := c.m[key]; ok {
 		old, replaced = e.val, true
@@ -113,18 +111,14 @@ func (c *LRU[K, V]) DeleteFunc(del func(K, V) bool) int {
 // the pin is released and the owner shrinks again). The most recent entry is
 // never evicted: an entry larger than the whole capacity can still be
 // served, and the value a lookup is about to return cannot be the one its
-// own insertion pushed out. evict is called with each entry after it has
-// left the LRU; it must not touch this LRU. skip and evict may be nil.
-func (c *LRU[K, V]) Shrink(capBytes int64, skip func(K, V) bool, evict func(K, V)) int {
+// own insertion pushed out. skip may be nil.
+func (c *LRU[K, V]) Shrink(capBytes int64, skip func(K, V) bool) int {
 	n := 0
 	for e := c.root.prev; c.bytes > capBytes && e != &c.root && e != c.root.next; {
 		prev := e.prev
 		if skip == nil || !skip(e.key, e.val) {
 			c.remove(e)
 			n++
-			if evict != nil {
-				evict(e.key, e.val)
-			}
 		}
 		e = prev
 	}

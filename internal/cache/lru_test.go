@@ -53,8 +53,8 @@ func contents(c *LRU[int, int]) model {
 // put (new and replacing, zero-sized and oversized), delete, delete-func and
 // shrink under zero, negative and ordinary capacities with a skip predicate
 // standing in for pins — and checks after every step, against the slice
-// model, the contents, the recency order, the byte total, each call's return
-// values and the evict hook's call sequence.
+// model, the contents, the recency order, the byte total and each call's
+// return values.
 func TestLRUAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -137,17 +137,11 @@ func TestLRUAgainstModel(t *testing.T) {
 			case 9:
 				capBytes := []int64{0, -5, 30, 100, 250}[rng.Intn(5)]
 				what = fmt.Sprintf("shrink to %d, pinned %v", capBytes, pinned)
-				var hooked []int
-				n := c.Shrink(capBytes, skip, func(k, v int) {
-					if _, ok := c.Peek(k); ok {
-						t.Fatalf("seed %d step %d: evict hook called with %d still in the LRU", seed, step, k)
-					}
-					hooked = append(hooked, k)
-				})
+				n := c.Shrink(capBytes, skip)
 				var want []int
 				m, want = m.shrink(capBytes, skip)
-				if n != len(want) || !slices.Equal(hooked, want) {
-					t.Fatalf("seed %d step %d: %s evicted %d %v, model %v", seed, step, what, n, hooked, want)
+				if n != len(want) {
+					t.Fatalf("seed %d step %d: %s evicted %d, model %v", seed, step, what, n, want)
 				}
 			}
 			if got := contents(c); !slices.Equal(got, m) {
@@ -161,14 +155,14 @@ func TestLRUAgainstModel(t *testing.T) {
 	}
 }
 
-// TestLRUShrinkNilHooks: skip and evict are optional, and the most recent
+// TestLRUShrinkNilHooks: skip is optional, and the most recent
 // entry survives a shrink to nothing.
 func TestLRUShrinkNilHooks(t *testing.T) {
 	c := New[string, int]()
 	c.Put("a", 1, 10)
 	c.Put("b", 2, 10)
 	c.Put("c", 3, 1000)
-	if n := c.Shrink(0, nil, nil); n != 2 {
+	if n := c.Shrink(0, nil); n != 2 {
 		t.Fatalf("evicted %d, want 2", n)
 	}
 	if v, ok := c.Peek("c"); !ok || v != 3 || c.Len() != 1 || c.Bytes() != 1000 {

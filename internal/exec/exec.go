@@ -26,29 +26,6 @@ import (
 // across a sorted column) without fragmenting results.
 const DefaultMorselsPerWorker = 4
 
-// MaxMorselsPerWorker bounds adaptive morsel refinement: past this point the
-// per-morsel scheduling and merge overhead outweighs any stealing benefit.
-const MaxMorselsPerWorker = 16
-
-// AdaptiveMorselsPerWorker maps an observed per-morsel selectivity skew —
-// the coefficient of variation of matched-positions density across a prior
-// run's morsels — to a morsels-per-worker factor. Uniform selectivity
-// (skew ~0) keeps the default coarse carving; heavily skewed predicates
-// (e.g. a range over a sorted column, where most morsels match nothing and
-// a few match everything) carve finer morsels so the workers stuck in the
-// dense region shed trailing work to idle ones. NaN or non-positive skew
-// (no observation yet) selects the default.
-func AdaptiveMorselsPerWorker(skew float64) int64 {
-	if skew != skew || skew <= 0 { // NaN-safe: unobserved or uniform
-		return DefaultMorselsPerWorker
-	}
-	per := DefaultMorselsPerWorker * (1 + 2*skew)
-	if per > MaxMorselsPerWorker {
-		return MaxMorselsPerWorker
-	}
-	return int64(per)
-}
-
 // Resolve maps a query's requested parallelism to an effective worker
 // count: 0 (auto) becomes the scheduler's CPU allowance, negative values
 // are treated as auto, and explicit counts pass through.
@@ -86,14 +63,6 @@ func Share(budget, inflight int) int {
 // be 64-aligned (it is 0 for every stored column) so bit-vector windows and
 // bitmap descriptors stay word-aligned inside every morsel.
 func Morsels(extent positions.Range, chunkSize int64, workers int) []positions.Range {
-	return MorselsN(extent, chunkSize, workers, DefaultMorselsPerWorker)
-}
-
-// MorselsN is Morsels with an explicit morsels-per-worker factor — the knob
-// adaptive sizing turns (AdaptiveMorselsPerWorker). Any factor produces the
-// same covering partition of extent in the same block order, so result
-// merging is byte-identical regardless of the carving.
-func MorselsN(extent positions.Range, chunkSize int64, workers int, perWorker int64) []positions.Range {
 	if extent.Empty() {
 		return nil
 	}
@@ -103,14 +72,11 @@ func MorselsN(extent positions.Range, chunkSize int64, workers int, perWorker in
 	if extent.Start%64 != 0 {
 		panic(fmt.Sprintf("exec: extent start %d not 64-aligned", extent.Start))
 	}
-	if perWorker < 1 {
-		perWorker = 1
-	}
 	numChunks := (extent.Len() + chunkSize - 1) / chunkSize
 	if workers <= 1 || numChunks <= 1 {
 		return []positions.Range{extent}
 	}
-	target := int64(workers) * perWorker
+	target := int64(workers) * DefaultMorselsPerWorker
 	if target > numChunks {
 		target = numChunks
 	}

@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"testing"
 
@@ -137,56 +136,30 @@ func TestRunZeroTasks(t *testing.T) {
 	}
 }
 
-// TestMorselsNCoversAtEveryFactor checks that every morsels-per-worker
-// factor produces a contiguous, chunk-aligned, covering partition — the
-// invariant that makes adaptive re-carving safe for byte-identical merges.
-func TestMorselsNCoversAtEveryFactor(t *testing.T) {
+// TestMorselsCoverAtEveryWorkerCount checks that every worker count produces
+// a contiguous, chunk-aligned, covering partition — the invariant that makes
+// parallel merges byte-identical to serial ones — and that more workers never
+// carve fewer morsels.
+func TestMorselsCoverAtEveryWorkerCount(t *testing.T) {
 	extent := positions.Range{Start: 0, End: 64*37 + 11}
-	for _, perWorker := range []int64{0, 1, 4, 16, 100} {
-		ms := MorselsN(extent, 64, 4, perWorker)
+	prev := 0
+	for _, workers := range []int{0, 1, 2, 4, 16, 100} {
+		ms := Morsels(extent, 64, workers)
 		if len(ms) == 0 {
-			t.Fatalf("perWorker=%d: no morsels", perWorker)
+			t.Fatalf("workers=%d: no morsels", workers)
 		}
 		if ms[0].Start != extent.Start || ms[len(ms)-1].End != extent.End {
-			t.Errorf("perWorker=%d: morsels %v do not span extent", perWorker, ms)
+			t.Errorf("workers=%d: morsels %v do not span extent", workers, ms)
 		}
 		for i, m := range ms {
 			if m.Empty() || (i > 0 && m.Start != ms[i-1].End) || (m.Start-extent.Start)%64 != 0 {
-				t.Errorf("perWorker=%d: bad morsel %d: %v", perWorker, i, m)
+				t.Errorf("workers=%d: bad morsel %d: %v", workers, i, m)
 			}
 		}
-	}
-	// A larger factor must not carve fewer morsels.
-	coarse := MorselsN(extent, 64, 4, 2)
-	fine := MorselsN(extent, 64, 4, 8)
-	if len(fine) < len(coarse) {
-		t.Errorf("finer factor carved fewer morsels: %d < %d", len(fine), len(coarse))
-	}
-}
-
-// TestAdaptiveMorselsPerWorker pins the skew → factor mapping: unobserved or
-// uniform selectivity keeps the default, increasing skew carves finer
-// morsels, bounded by MaxMorselsPerWorker, and NaN is treated as unobserved.
-func TestAdaptiveMorselsPerWorker(t *testing.T) {
-	if got := AdaptiveMorselsPerWorker(0); got != DefaultMorselsPerWorker {
-		t.Errorf("skew 0 → %d, want %d", got, DefaultMorselsPerWorker)
-	}
-	if got := AdaptiveMorselsPerWorker(-1); got != DefaultMorselsPerWorker {
-		t.Errorf("negative skew → %d, want %d", got, DefaultMorselsPerWorker)
-	}
-	if got := AdaptiveMorselsPerWorker(math.NaN()); got != DefaultMorselsPerWorker {
-		t.Errorf("NaN skew → %d, want %d", got, DefaultMorselsPerWorker)
-	}
-	mid := AdaptiveMorselsPerWorker(0.5)
-	if mid <= DefaultMorselsPerWorker || mid > MaxMorselsPerWorker {
-		t.Errorf("skew 0.5 → %d, want in (%d, %d]", mid, DefaultMorselsPerWorker, MaxMorselsPerWorker)
-	}
-	high := AdaptiveMorselsPerWorker(10)
-	if high != MaxMorselsPerWorker {
-		t.Errorf("skew 10 → %d, want %d", high, MaxMorselsPerWorker)
-	}
-	if mid > high {
-		t.Errorf("factor not monotone: %d > %d", mid, high)
+		if len(ms) < prev {
+			t.Errorf("workers=%d carved fewer morsels (%d) than fewer workers (%d)", workers, len(ms), prev)
+		}
+		prev = len(ms)
 	}
 }
 

@@ -4,21 +4,13 @@
 // describing what to inject: a hard error, a short write, or slow IO. With no
 // sites armed the hot-path cost is one atomic load, so the hooks stay compiled
 // into release binaries and the fault matrix runs against the real code.
-//
-// Sites currently wired:
-//
-//	spill.create   – creating a spill partition temp file
-//	spill.write    – writing a spill frame (error and short-write modes)
-//	spill.read     – reading a spill frame back during the probe
-//	cache.demote   – writing a demoted build-cache entry
-//	cache.rehydrate– reading a demoted build-cache entry back
-//	mem.reserve    – allocation-pressure hook in the service governor's admit:
-//	                 a join's full byte estimate is refused as if it did not fit
+// Sites lists the sites production code checks.
 package faults
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,6 +18,15 @@ import (
 	"sync/atomic"
 	"time"
 )
+
+// Sites are the wired sites, the only ones Parse arms:
+//
+//	spill.create – creating a spill partition temp file
+//	spill.write  – writing a spill frame (error and short-write modes)
+//	spill.read   – reading a spill frame back during the probe
+//	mem.reserve  – allocation-pressure hook in the service governor's admit:
+//	               a join's full byte estimate is refused as if it did not fit
+var Sites = []string{"spill.create", "spill.write", "spill.read", "mem.reserve"}
 
 // ErrInjected is the default error returned by armed Error/ShortWrite sites.
 var ErrInjected = errors.New("faults: injected failure")
@@ -197,8 +198,10 @@ func WriteOutcome(name string, size int) (int, error) {
 
 // Parse arms sites from a csserve-style spec: comma-separated
 // "site=mode[:after]" clauses where mode is error|short|slow, e.g.
-// "spill.write=error,spill.read=slow:3".
+// "spill.write=error,spill.read=slow:3". Every site must be one of Sites; a
+// spec with any bad clause arms nothing.
 func Parse(spec string) error {
+	armed := map[string]Failpoint{}
 	for _, clause := range strings.Split(spec, ",") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -207,6 +210,9 @@ func Parse(spec string) error {
 		name, rest, ok := strings.Cut(clause, "=")
 		if !ok || name == "" {
 			return fmt.Errorf("faults: bad clause %q (want site=mode[:after])", clause)
+		}
+		if !slices.Contains(Sites, name) {
+			return fmt.Errorf("faults: unknown site %q in %q (wired sites: %s)", name, clause, strings.Join(Sites, " "))
 		}
 		modeStr, afterStr, _ := strings.Cut(rest, ":")
 		var fp Failpoint
@@ -227,6 +233,9 @@ func Parse(spec string) error {
 			}
 			fp.After = n
 		}
+		armed[name] = fp
+	}
+	for name, fp := range armed {
 		Enable(name, fp)
 	}
 	return nil

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -78,28 +79,50 @@ func TestSlowMode(t *testing.T) {
 func TestParse(t *testing.T) {
 	Reset()
 	defer Reset()
-	if err := Parse("a.b=error, c.d=short:5 ,e.f=slow"); err != nil {
+	if err := Parse("spill.write=error, spill.read=short:5 ,mem.reserve=slow"); err != nil {
 		t.Fatal(err)
 	}
 	armed := Armed()
-	if len(armed) != 3 || armed[0] != "a.b" || armed[1] != "c.d" || armed[2] != "e.f" {
+	if len(armed) != 3 || armed[0] != "mem.reserve" || armed[1] != "spill.read" || armed[2] != "spill.write" {
 		t.Fatalf("Armed = %v", armed)
 	}
-	if err := Check("a.b"); !errors.Is(err, ErrInjected) {
+	if err := Check("spill.write"); !errors.Is(err, ErrInjected) {
 		t.Fatalf("parsed error site: %v", err)
 	}
-	// c.d has After=5: first five hits pass.
+	// spill.read has After=5: first five hits pass.
 	for i := 0; i < 5; i++ {
-		if err := Check("c.d"); err != nil {
-			t.Fatalf("c.d fired early: %v", err)
+		if err := Check("spill.read"); err != nil {
+			t.Fatalf("spill.read fired early: %v", err)
 		}
 	}
-	if err := Check("c.d"); err == nil {
-		t.Fatal("c.d should fire on hit 6")
+	if err := Check("spill.read"); err == nil {
+		t.Fatal("spill.read should fire on hit 6")
 	}
-	for _, bad := range []string{"noequals", "x=banana", "x=error:-1", "=error"} {
+	for _, bad := range []string{"noequals", "spill.write=banana", "spill.write=error:-1", "=error"} {
 		if err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) should fail", bad)
+		}
+	}
+}
+
+// TestParseRejectsUnknownSite: a site no code checks is refused with an error
+// naming it and the wired sites, and a spec holding one arms nothing — not
+// even its valid clauses.
+func TestParseRejectsUnknownSite(t *testing.T) {
+	Reset()
+	defer Reset()
+	for _, spec := range []string{"spill.wrte=error", "spill.read=slow,cache.demote=error"} {
+		err := Parse(spec)
+		if err == nil {
+			t.Fatalf("Parse(%q) armed an unknown site", spec)
+		}
+		for _, want := range append([]string{"unknown site"}, Sites...) {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Parse(%q) error %q does not name %q", spec, err, want)
+			}
+		}
+		if armed := Armed(); len(armed) != 0 {
+			t.Errorf("Parse(%q) armed %v", spec, armed)
 		}
 	}
 }

@@ -6,9 +6,9 @@ import "matstore/internal/plan"
 // the executor would run (a core.BuildPlan/BuildJoinPlan tree) and charges
 // every node its Figure 1–6 operator formula — or, for joins, its Section 4.3
 // build/probe term — from the column statistics the node carries. Nothing
-// else composes the formulas: the advisors, the admission grant sizer, the
-// result-cache cost threshold, Figure 10, EXPLAIN's per-node column and the
-// calibration features are all this walk over the same tree, so a refit of
+// else composes the formulas: the advisors, the admission grant sizer,
+// Figure 10, EXPLAIN's per-node column and the calibration features are all
+// this walk over the same tree, so a refit of
 // the constants tunes exactly the function the advisor steers on.
 
 // Cost is a decomposed cost in microseconds.
@@ -33,8 +33,7 @@ type Estimate struct {
 // Price predicts the cost of running p, deriving selectivities from the
 // column bounds on the nodes and position-run lengths from their sort-key
 // rank. hot=false charges full scan I/O (the cold-start case). It writes
-// nothing: a plan shared through the service's plan cache can be priced while
-// it runs.
+// nothing, so a plan can be priced while it runs.
 func (m Constants) Price(p *plan.Plan, hot bool) Estimate { return m.price(p, hot, nil) }
 
 // AnnotatePlan is Price that also stores every node's share in the node

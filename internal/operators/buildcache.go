@@ -1,11 +1,9 @@
 package operators
 
 import (
-	"os"
 	"sync"
 
 	"matstore/internal/cache"
-	"matstore/internal/storage"
 )
 
 // This file is the shared join-build cache: it shares retained partitioned
@@ -13,8 +11,9 @@ import (
 // depends on — the inner projection, its key column, the payload schema and
 // materialization strategy, the requested partition override and the chunk
 // size. Entries are byte-accounted (PartitionedTable.SizeBytes), evicted
-// least-recently-used under a memory budget, and invalidated wholesale by
-// bumping the projection's generation (the hook a data reload uses).
+// least-recently-used under a memory budget — an evicted build is dropped and
+// rebuilt on its next miss — and invalidated wholesale by bumping the
+// projection's generation (the hook a data reload uses).
 //
 // Concurrency: lookups and inserts are mutex-guarded; a miss registers an
 // in-flight slot so concurrent requests for the same key wait for the one
@@ -54,46 +53,18 @@ type BuildCacheStats struct {
 	Entries      int   `json:"entries"`
 	Bytes        int64 `json:"bytes"`
 	Capacity     int64 `json:"capacity_bytes"`
-	// Demotion counters: evictions written to disk instead of dropped,
-	// lookups served by rehydrating a demoted entry, and demote/rehydrate
-	// failures (which degrade to a plain eviction or a fresh build).
-	Demotions      int64 `json:"demotions"`
-	DemotedHits    int64 `json:"demoted_hits"`
-	DemoteFailures int64 `json:"demote_failures"`
-	DemotedEntries int   `json:"demoted_entries"`
-	DemotedBytes   int64 `json:"demoted_bytes"`
 }
 
 // BuildCache is a keyed LRU cache of retained join builds under a byte
-// budget, with per-projection generation invalidation. Both tiers sit on the
-// shared cache.LRU; the cache's own are the single-flight slots, the
-// generations and what eviction means (demotion, then file removal).
+// budget, with per-projection generation invalidation. It sits on the shared
+// cache.LRU; the cache's own are the single-flight slots and the generations.
 type BuildCache struct {
 	mu       sync.Mutex
 	capacity int64
-	resident *cache.LRU[BuildKey, retained] // charged PartitionedTable.SizeBytes
+	lru      *cache.LRU[BuildKey, retained] // charged PartitionedTable.SizeBytes
 	inflight map[BuildKey]*buildFlight
 	gens     map[string]uint64
 	stats    BuildCacheStats
-
-	// Demotion tier (EnableDemotion): evicted builds persist their hash
-	// entries to disk instead of vanishing, under their own byte budget.
-	demoteDir string
-	demoted   *cache.LRU[BuildKey, *demotedBuild] // charged file bytes
-}
-
-// demotedCapFactor bounds the demotion tier's disk bytes to this multiple of
-// the in-memory budget (an unbounded cache demotes nothing: it never evicts).
-const demotedCapFactor = 8
-
-// demotedBuild is one evicted build living on disk. The stored-column
-// handles are retained so rehydration can re-window payload without a
-// catalog lookup.
-type demotedBuild struct {
-	path    string
-	gen     uint64
-	cols    []*storage.Column
-	payload []string
 }
 
 // buildFlight is one in-progress build other requests can wait on.
@@ -108,21 +79,10 @@ type buildFlight struct {
 func NewBuildCache(capacity int64) *BuildCache {
 	return &BuildCache{
 		capacity: capacity,
-		resident: cache.New[BuildKey, retained](),
+		lru:      cache.New[BuildKey, retained](),
 		inflight: make(map[BuildKey]*buildFlight),
 		gens:     make(map[string]uint64),
-		demoted:  cache.New[BuildKey, *demotedBuild](),
 	}
-}
-
-// EnableDemotion turns eviction into demotion: evicted builds write their
-// hash entries to spill-format files under dir, bounded by demotedCapFactor
-// times the in-memory budget of disk. Demoted entries rehydrate on the next
-// lookup of their key, so warm keys stay probeable past the byte budget.
-func (c *BuildCache) EnableDemotion(dir string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.demoteDir = dir
 }
 
 // Stats returns a snapshot of the cache counters.
@@ -130,11 +90,9 @@ func (c *BuildCache) Stats() BuildCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.Entries = c.resident.Len()
-	st.Bytes = c.resident.Bytes()
+	st.Entries = c.lru.Len()
+	st.Bytes = c.lru.Bytes()
 	st.Capacity = c.capacity
-	st.DemotedEntries = c.demoted.Len()
-	st.DemotedBytes = c.demoted.Bytes()
 	return st
 }
 
@@ -152,13 +110,7 @@ func (c *BuildCache) Invalidate(proj string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gens[proj]++
-	n := c.resident.DeleteFunc(func(key BuildKey, _ retained) bool { return key.Proj == proj })
-	n += c.demoted.DeleteFunc(func(key BuildKey, db *demotedBuild) bool {
-		if key.Proj == proj {
-			os.Remove(db.path)
-		}
-		return key.Proj == proj
-	})
+	n := c.lru.DeleteFunc(func(key BuildKey, _ retained) bool { return key.Proj == proj })
 	c.stats.Invalidations += int64(n)
 }
 
@@ -171,7 +123,7 @@ func (c *BuildCache) GetOrBuild(key BuildKey, build func() (*PartitionedTable, e
 	for {
 		c.mu.Lock()
 		gen := c.gens[key.Proj]
-		if rb, ok := c.resident.Get(key); ok {
+		if rb, ok := c.lru.Get(key); ok {
 			if rb.gen == gen {
 				c.stats.Hits++
 				c.mu.Unlock()
@@ -179,7 +131,7 @@ func (c *BuildCache) GetOrBuild(key BuildKey, build func() (*PartitionedTable, e
 			}
 			// Stale generation (Invalidate removes eagerly; this guards a
 			// racy bump between lookup phases).
-			c.resident.Delete(key)
+			c.lru.Delete(key)
 		}
 		if fl, ok := c.inflight[key]; ok {
 			// Wait for the in-flight build of this key, then retry from the
@@ -192,19 +144,6 @@ func (c *BuildCache) GetOrBuild(key BuildKey, build func() (*PartitionedTable, e
 			if fl.err != nil {
 				return nil, false, fl.err
 			}
-			continue
-		}
-		if db, ok := c.demoted.Peek(key); ok {
-			if db.gen != gen {
-				c.demoted.Delete(key)
-				os.Remove(db.path)
-			} else if rt, ok := c.rehydrate(key, gen, db); ok {
-				// rehydrate reacquired and released c.mu; a success means the
-				// table is cached under the checked generation.
-				return rt, true, nil
-			}
-			// Rehydration failed or went stale: the demoted record is gone;
-			// retry from the top and fall through to a fresh build.
 			continue
 		}
 		fl := &buildFlight{done: make(chan struct{})}
@@ -235,44 +174,6 @@ func (c *BuildCache) GetOrBuild(key BuildKey, build func() (*PartitionedTable, e
 	}
 }
 
-// rehydrate loads a demoted build back into the resident tier under the
-// single-flight protocol (concurrent lookups of the key wait on the flight
-// rather than re-reading the file). Called with c.mu held; returns with c.mu
-// released. ok=false means the demoted record has been dropped (failed read
-// or stale generation) and the caller should retry, falling through to a
-// fresh build.
-func (c *BuildCache) rehydrate(key BuildKey, gen uint64, db *demotedBuild) (*PartitionedTable, bool) {
-	fl := &buildFlight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.mu.Unlock()
-
-	rt, err := LoadDemoted(db.path, db.cols, db.payload)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	// An Invalidate may have removed the record (and file) while we read it.
-	present := false
-	if cur, ok := c.demoted.Peek(key); ok && cur == db {
-		c.demoted.Delete(key)
-		os.Remove(db.path)
-		present = true
-	}
-	ok := err == nil && present && c.gens[key.Proj] == gen
-	if ok {
-		c.insertLocked(key, gen, rt)
-		c.stats.Hits++
-		c.stats.DemotedHits++
-	} else if err != nil {
-		c.stats.DemoteFailures++
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	if !ok {
-		return nil, false
-	}
-	return rt, true
-}
-
 // insertLocked adds a built table, evicting least-recently-used entries
 // until the budget holds. A table larger than the whole budget is served but
 // not retained.
@@ -280,35 +181,8 @@ func (c *BuildCache) insertLocked(key BuildKey, gen uint64, rt *PartitionedTable
 	if c.capacity > 0 && rt.SizeBytes > c.capacity {
 		return
 	}
-	c.resident.Put(key, retained{rt, gen}, rt.SizeBytes)
+	c.lru.Put(key, retained{rt, gen}, rt.SizeBytes)
 	if c.capacity > 0 {
-		c.stats.Evictions += int64(c.resident.Shrink(c.capacity, nil, c.demoteLocked))
+		c.stats.Evictions += int64(c.lru.Shrink(c.capacity, nil))
 	}
-}
-
-// demoteLocked is the resident tier's evict hook: with demotion enabled it
-// persists the evicted build's hash entries to disk. A failed demote degrades
-// to a plain eviction. The write happens under c.mu: demote files are hash
-// entries only (no payload), so the IO is proportional to key cardinality,
-// not table bytes.
-func (c *BuildCache) demoteLocked(key BuildKey, rb retained) {
-	if c.demoteDir == "" || rb.table.DeferredPayload() {
-		return
-	}
-	path, bytes, err := WriteDemoted(rb.table, c.demoteDir)
-	if err != nil {
-		c.stats.DemoteFailures++
-		return
-	}
-	c.stats.Demotions++
-	diskCap := demotedCapFactor * c.capacity
-	if bytes > diskCap {
-		os.Remove(path) // larger than the whole disk budget: not retained
-		return
-	}
-	db := &demotedBuild{path: path, gen: rb.gen, cols: rb.table.cols, payload: rb.table.payload}
-	if old, replaced := c.demoted.Put(key, db, bytes); replaced {
-		os.Remove(old.path)
-	}
-	c.demoted.Shrink(diskCap, nil, func(_ BuildKey, db *demotedBuild) { os.Remove(db.path) })
 }

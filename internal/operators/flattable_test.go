@@ -1,10 +1,8 @@
 package operators
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"os"
 	"reflect"
 	"slices"
 	"testing"
@@ -195,43 +193,6 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 		}
 		if idx, pos := rt.ProbeBatch(nil, nil, nil); idx != nil || pos != nil {
 			t.Errorf("p=%d: ProbeBatch of no keys = %v, %v", partitions, idx, pos)
-		}
-	}
-}
-
-// TestDemotedFileDeterministic: demoting walks slots, not a map, so the same
-// table writes the same bytes every time, and the rehydrated table probes
-// identically — extremes, duplicates and empty partitions included.
-func TestDemotedFileDeterministic(t *testing.T) {
-	entries := append(seededEntries(10, 30_000, 4_000), entriesOf(math.MinInt64, math.MaxInt64, 0, 0)...)
-	for i := range entries {
-		entries[i].pos = int64(i)
-	}
-	ref := refTable(entries)
-	for _, partitions := range []int{1, 8, 65536} { // 65536: most partitions empty
-		rt := partitionedFromEntries(t, entries, partitions)
-		dir := t.TempDir()
-		var files [2][]byte
-		var path string
-		for i := range files {
-			var err error
-			if path, _, err = WriteDemoted(rt, dir); err != nil {
-				t.Fatal(err)
-			}
-			if files[i], err = os.ReadFile(path); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(files[0], files[1]) {
-			t.Errorf("p=%d: two demotions of one table wrote different bytes", partitions)
-		}
-		back, err := LoadDemoted(path, nil, nil)
-		if err != nil {
-			t.Fatalf("p=%d: %v", partitions, err)
-		}
-		checkAgainstRef(t, "rehydrated", back.Probe, ref, []int64{-1 << 50, 1 << 50, 4_001})
-		if back.SizeBytes != rt.SizeBytes {
-			t.Errorf("p=%d: rehydrated SizeBytes = %d, want %d", partitions, back.SizeBytes, rt.SizeBytes)
 		}
 	}
 }

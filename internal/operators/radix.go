@@ -202,8 +202,7 @@ func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*s
 		chunkSize: chunkSize,
 		// Retain the stored-column handles for every strategy: the deferred
 		// fetch (single-column, and every strategy in spill mode) needs them
-		// at probe time, and build-cache demotion needs them to rehydrate
-		// payload without a rescan.
+		// at probe time.
 		cols:       payloadCols,
 		Tuples:     extent.Len(),
 		Partitions: p,
@@ -306,10 +305,10 @@ func (rt *PartitionedTable) allocPayload() {
 	}
 }
 
-// loadPayloadChunk fills chunk r's share of the storage allocPayload made,
-// for the build scan and for LoadDemoted alike. Chunks are morsel-aligned and
-// disjoint, so concurrent morsels write disjoint ranges of the dense arrays
-// and distinct chunk slots, with no locks.
+// loadPayloadChunk fills chunk r's share of the storage allocPayload made
+// during the build scan. Chunks are morsel-aligned and disjoint, so
+// concurrent morsels write disjoint ranges of the dense arrays and distinct
+// chunk slots, with no locks.
 func (rt *PartitionedTable) loadPayloadChunk(r positions.Range) error {
 	switch rt.strategy {
 	case RightMaterialized:

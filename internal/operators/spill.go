@@ -9,10 +9,8 @@ import (
 	"sync"
 	"time"
 
-	"matstore/internal/datasource"
 	"matstore/internal/encoding"
 	"matstore/internal/faults"
-	"matstore/internal/positions"
 	"matstore/internal/storage"
 )
 
@@ -31,18 +29,15 @@ import (
 // In spill mode ALL right-payload access is deferred to the stored column
 // files (forced late materialization): the spill files carry only hash
 // entries, never payload, because the payload already lives on disk in
-// compressed block form. The same insight drives build-cache demotion: a
-// demoted entry persists only the hash entries and rehydrates its payload by
-// re-windowing the stored columns.
+// compressed block form.
 //
-// Every table that comes back from disk — a spilled partition loaded for pass
-// B, a demoted build rehydrated — is built by the same newFlatTable the
-// in-memory build uses, and like it is read-only and owns the positions array
-// its Probe results alias: the caller of LoadSpilledPartition keeps no probe
-// result past dropping the table.
+// A spilled partition loaded back for pass B is built by the same
+// newFlatTable the in-memory build uses, and like it is read-only and owns
+// the positions array its Probe results alias: the caller of
+// LoadSpilledPartition keeps no probe result past dropping the table.
 
-// SpillFilePrefix names every spill artifact (partition files and demoted
-// builds) so a startup sweep can remove orphans from a crashed process.
+// SpillFilePrefix names every spill partition file so a startup sweep can
+// remove orphans from a crashed process.
 const SpillFilePrefix = "spill-"
 
 // SpillDirName is the conventional spill directory under a database dir.
@@ -148,15 +143,15 @@ func (rt *PartitionedTable) ReleaseSpill() {
 	})
 }
 
-// spillAwareWrite writes buf honoring the site's armed failpoint: a short
-// write flushes a truncated prefix (so the file really is torn on disk)
-// before returning the injected error.
-func spillAwareWrite(f *os.File, site string, buf []byte) error {
-	if n, err := faults.WriteOutcome(site, len(buf)); err != nil {
+// spillAwareWrite writes buf honoring the spill.write site's armed failpoint:
+// a short write flushes a truncated prefix (so the file really is torn on
+// disk) before returning the injected error.
+func spillAwareWrite(f *os.File, buf []byte) error {
+	if n, err := faults.WriteOutcome("spill.write", len(buf)); err != nil {
 		if n > 0 {
 			f.Write(buf[:n])
 		}
-		return fmt.Errorf("%s: %w", site, err)
+		return fmt.Errorf("spill.write: %w", err)
 	}
 	_, err := f.Write(buf)
 	return err
@@ -164,16 +159,16 @@ func spillAwareWrite(f *os.File, site string, buf []byte) error {
 
 // writeFrame appends one (keys, positions) frame — two plain blocks — to the
 // partition file. len(keys) == len(poss) <= encoding.PlainBlockCap.
-func (sp *spillPartition) writeFrame(site string, keys, poss []int64, blockBuf []byte) error {
+func (sp *spillPartition) writeFrame(keys, poss []int64, blockBuf []byte) error {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	start := time.Now()
 	encoding.EncodePlainBlock(blockBuf, sp.entries, keys)
-	if err := spillAwareWrite(sp.f, site, blockBuf); err != nil {
+	if err := spillAwareWrite(sp.f, blockBuf); err != nil {
 		return err
 	}
 	encoding.EncodePlainBlock(blockBuf, sp.entries, poss)
-	if err := spillAwareWrite(sp.f, site, blockBuf); err != nil {
+	if err := spillAwareWrite(sp.f, blockBuf); err != nil {
 		return err
 	}
 	sp.entries += int64(len(keys))
@@ -183,15 +178,15 @@ func (sp *spillPartition) writeFrame(site string, keys, poss []int64, blockBuf [
 }
 
 // readEntryFrames reads every (key, position) frame from r, verifying block
-// checksums. site names the fault-injection point for read errors; want is
-// the entry count the writer recorded, which sizes the result once (a file
+// checksums, with the spill.read fault site before each frame; want is the
+// entry count the writer recorded, which sizes the result once (a file
 // holding a different number is the caller's error to report).
-func readEntryFrames(r io.Reader, site string, want int64) ([]buildEntry, error) {
+func readEntryFrames(r io.Reader, want int64) ([]buildEntry, error) {
 	buf := make([]byte, encoding.BlockSize)
 	out := make([]buildEntry, 0, want)
 	for {
-		if err := faults.Check(site); err != nil {
-			return nil, fmt.Errorf("%s: %w", site, err)
+		if err := faults.Check("spill.read"); err != nil {
+			return nil, fmt.Errorf("spill.read: %w", err)
 		}
 		if _, err := io.ReadFull(r, buf); err != nil {
 			if err == io.EOF {
@@ -235,7 +230,7 @@ func (rt *PartitionedTable) LoadSpilledPartition(pt int) (*FlatTable, error) {
 		return nil, err
 	}
 	defer f.Close()
-	entries, err := readEntryFrames(f, "spill.read", sp.entries)
+	entries, err := readEntryFrames(f, sp.entries)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +334,7 @@ func (w *coldWriter) flush(pt int) error {
 	if len(w.keys[pt]) == 0 {
 		return nil
 	}
-	if err := w.st.parts[pt].writeFrame("spill.write", w.keys[pt], w.poss[pt], w.blockBuf); err != nil {
+	if err := w.st.parts[pt].writeFrame(w.keys[pt], w.poss[pt], w.blockBuf); err != nil {
 		return err
 	}
 	w.keys[pt], w.poss[pt] = w.keys[pt][:0], w.poss[pt][:0]
@@ -358,166 +353,4 @@ func (w *coldWriter) flushAll() error {
 		}
 	}
 	return nil
-}
-
-// demotedMagic guards demoted-build files against stray spill partitions.
-const demotedMagic = 0x53504c31 // "SPL1"
-
-// WriteDemoted persists an in-memory build's hash entries to a spill-format
-// file so the build cache can keep warm keys probeable past its byte budget.
-// Payload is NOT written: it rehydrates from the stored columns, which
-// already hold it on disk in compressed block form. Returns the file path
-// and its size.
-func WriteDemoted(rt *PartitionedTable, dir string) (string, int64, error) {
-	if rt.spill != nil {
-		return "", 0, fmt.Errorf("refusing to demote a spill-built table")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", 0, err
-	}
-	f, err := os.CreateTemp(dir, SpillFilePrefix+"demote-*.tmp")
-	if err != nil {
-		return "", 0, err
-	}
-	path := f.Name()
-	fail := func(err error) (string, int64, error) {
-		f.Close()
-		os.Remove(path)
-		return "", 0, err
-	}
-	var entryCount int64
-	for i := range rt.tables {
-		entryCount += int64(rt.tables[i].Len())
-	}
-	blockBuf := make([]byte, encoding.BlockSize)
-	meta := []int64{demotedMagic, int64(rt.strategy), rt.Tuples, int64(rt.Partitions),
-		rt.chunkSize, int64(len(rt.payload)), entryCount,
-		rt.BuildTuples, int64(rt.BuildWorkers), int64(rt.BuildMorsels)}
-	encoding.EncodePlainBlock(blockBuf, 0, meta)
-	if err := spillAwareWrite(f, "cache.demote", blockBuf); err != nil {
-		return fail(err)
-	}
-	keys := make([]int64, 0, encoding.PlainBlockCap)
-	poss := make([]int64, 0, encoding.PlainBlockCap)
-	var written int64 = encoding.BlockSize
-	flush := func() error {
-		if len(keys) == 0 {
-			return nil
-		}
-		encoding.EncodePlainBlock(blockBuf, 0, keys)
-		if err := spillAwareWrite(f, "cache.demote", blockBuf); err != nil {
-			return err
-		}
-		encoding.EncodePlainBlock(blockBuf, 0, poss)
-		if err := spillAwareWrite(f, "cache.demote", blockBuf); err != nil {
-			return err
-		}
-		written += 2 * encoding.BlockSize
-		keys, poss = keys[:0], poss[:0]
-		return nil
-	}
-	// Partition by partition, slot by slot: a deterministic file order (unlike
-	// map iteration) that keeps each partition's entries contiguous and each
-	// key's positions ascending, so the load rebuilds tables that probe
-	// identically.
-	for i := range rt.tables {
-		t := &rt.tables[i]
-		for _, slot := range t.slots {
-			for _, pos := range t.pos[slot.off : slot.off+slot.cnt] {
-				keys = append(keys, slot.key)
-				poss = append(poss, pos)
-				if len(keys) == encoding.PlainBlockCap {
-					if err := flush(); err != nil {
-						return fail(err)
-					}
-				}
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(path)
-		return "", 0, err
-	}
-	return path, written, nil
-}
-
-// LoadDemoted rehydrates a demoted build into a normal in-memory
-// PartitionedTable: hash entries from the file, payload re-windowed (or
-// re-decompressed) from the stored columns per the original strategy.
-func LoadDemoted(path string, payloadCols []*storage.Column, payload []string) (*PartitionedTable, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, encoding.BlockSize)
-	if err := faults.Check("cache.rehydrate"); err != nil {
-		return nil, fmt.Errorf("cache.rehydrate: %w", err)
-	}
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, fmt.Errorf("demoted meta: %w", err)
-	}
-	mb, err := encoding.DecodePlainBlock(buf)
-	if err != nil {
-		return nil, fmt.Errorf("demoted meta: %w", err)
-	}
-	if len(mb.Vals) != 10 || mb.Vals[0] != demotedMagic {
-		return nil, fmt.Errorf("demoted meta: bad header")
-	}
-	strat := RightStrategy(mb.Vals[1])
-	tuples, p := mb.Vals[2], int(mb.Vals[3])
-	chunkSize, npayload, entryCount := mb.Vals[4], int(mb.Vals[5]), mb.Vals[6]
-	if npayload != len(payloadCols) {
-		return nil, fmt.Errorf("demoted build: %d payload cols on disk, %d supplied", npayload, len(payloadCols))
-	}
-	if p < 1 || p&(p-1) != 0 || entryCount < 0 || entryCount > tuples {
-		return nil, fmt.Errorf("demoted meta: %d partitions, %d entries over %d tuples", p, entryCount, tuples)
-	}
-	entries, err := readEntryFrames(f, "cache.rehydrate", entryCount)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(entries)) != entryCount {
-		return nil, fmt.Errorf("demoted build: %d entries, want %d", len(entries), entryCount)
-	}
-	rt := &PartitionedTable{
-		strategy:     strat,
-		payload:      payload,
-		mask:         uint64(p - 1),
-		tables:       make([]FlatTable, p),
-		chunkSize:    chunkSize,
-		cols:         payloadCols,
-		Tuples:       tuples,
-		Partitions:   p,
-		BuildWorkers: int(mb.Vals[8]),
-		BuildMorsels: int(mb.Vals[9]),
-	}
-	// The file holds each partition's entries as one contiguous run, every
-	// key's positions ascending inside it: one table per run.
-	for start := 0; start < len(entries); {
-		pt := HashKey(entries[start].key) & rt.mask
-		end := start + 1
-		for end < len(entries) && HashKey(entries[end].key)&rt.mask == pt {
-			end++
-		}
-		if rt.tables[pt].Len() != 0 {
-			return nil, fmt.Errorf("demoted build: partition %d's entries are not contiguous", pt)
-		}
-		if rt.tables[pt], err = newFlatTable(entries[start:end]); err != nil {
-			return nil, err
-		}
-		start = end
-	}
-	rt.allocPayload()
-	ch := datasource.NewChunker(positions.Range{Start: 0, End: tuples}, chunkSize)
-	for ci := 0; ci < ch.NumChunks(); ci++ {
-		if err := rt.loadPayloadChunk(ch.Chunk(ci)); err != nil {
-			return nil, err
-		}
-	}
-	rt.SizeBytes = rt.memBytes()
-	return rt, nil
 }

@@ -178,149 +178,11 @@ func TestSpillReadFault(t *testing.T) {
 	}
 }
 
-// TestDemotedRoundTrip writes an in-memory build to the demoted on-disk form
-// and rehydrates it: probes and payload values must match for every strategy.
-func TestDemotedRoundTrip(t *testing.T) {
-	right := spillFixture(t)
-	keyCol, valCol := spillCols(t, right)
-	const chunkSize = 64
-	cols, payload := []*storage.Column{valCol}, []string{"val"}
-	for _, rs := range []RightStrategy{RightMaterialized, RightMultiColumn, RightSingleColumn} {
-		ref, err := BuildPartitioned(keyCol, cols, payload, rs, chunkSize, 4, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := t.TempDir()
-		path, bytes, err := WriteDemoted(ref, dir)
-		if err != nil {
-			t.Fatalf("%v: demote: %v", rs, err)
-		}
-		if fi, err := os.Stat(path); err != nil || fi.Size() != bytes {
-			t.Fatalf("%v: demoted file %v size %v, want %d", rs, err, fi, bytes)
-		}
-		rt, err := LoadDemoted(path, cols, payload)
-		if err != nil {
-			t.Fatalf("%v: rehydrate: %v", rs, err)
-		}
-		if rt.Strategy() != rs || rt.Tuples != ref.Tuples || rt.Partitions != ref.Partitions {
-			t.Fatalf("%v: rehydrated shape %v/%d/%d", rs, rt.Strategy(), rt.Tuples, rt.Partitions)
-		}
-		for k := int64(-5); k < 320; k++ {
-			got, want := rt.Probe(k), ref.Probe(k)
-			if !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-				t.Fatalf("%v: Probe(%d) = %v, want %v", rs, k, got, want)
-			}
-			for _, rpos := range got {
-				switch rs {
-				case RightMaterialized:
-					if rt.DenseValue(0, rpos) != ref.DenseValue(0, rpos) {
-						t.Fatalf("%v: dense value mismatch at %d", rs, rpos)
-					}
-				case RightMultiColumn:
-					if rt.PayloadMinis(rpos)[0].ValueAt(rpos) != ref.PayloadMinis(rpos)[0].ValueAt(rpos) {
-						t.Fatalf("%v: mini value mismatch at %d", rs, rpos)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestDemoteFaults: a demote-write fault leaves no file; a rehydrate fault
-// propagates.
-func TestDemoteFaults(t *testing.T) {
-	right := spillFixture(t)
-	keyCol, valCol := spillCols(t, right)
-	ref, err := BuildPartitioned(keyCol, []*storage.Column{valCol}, []string{"val"}, RightSingleColumn, 64, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults.Reset()
-	defer faults.Reset()
-	faults.Enable("cache.demote", faults.Failpoint{Mode: faults.ShortWrite})
-	dir := t.TempDir()
-	if _, _, err := WriteDemoted(ref, dir); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("demote under fault: %v", err)
-	}
-	if files := spillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("failed demote leaked %v", files)
-	}
-	faults.Reset()
-	path, _, err := WriteDemoted(ref, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults.Enable("cache.rehydrate", faults.Failpoint{Mode: faults.Error})
-	if _, err := LoadDemoted(path, []*storage.Column{valCol}, []string{"val"}); !errors.Is(err, faults.ErrInjected) {
-		t.Fatalf("rehydrate under fault: %v", err)
-	}
-}
-
-// TestBuildCacheDemotion: an evicted build is demoted to disk and the next
-// lookup of its key rehydrates it (a hit, no rebuild); Invalidate removes
-// demoted files too.
-func TestBuildCacheDemotion(t *testing.T) {
-	right := spillFixture(t)
-	keyCol, valCol := spillCols(t, right)
-	cols, payload := []*storage.Column{valCol}, []string{"val"}
-	build := func() (*PartitionedTable, error) {
-		return BuildPartitioned(keyCol, cols, payload, RightSingleColumn, 64, 2, 4)
-	}
-	probeOne, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	c := NewBuildCache(probeOne.SizeBytes + probeOne.SizeBytes/2) // room for one
-	c.EnableDemotion(dir)
-	keyA := BuildKey{Proj: "right", KeyCol: "k", Payload: "val", Strategy: RightSingleColumn, Partitions: 4, ChunkSize: 64}
-	keyB := keyA
-	keyB.Partitions = 8
-	builds := 0
-	counted := func() (*PartitionedTable, error) { builds++; return build() }
-	if _, hit, err := c.GetOrBuild(keyA, counted); err != nil || hit {
-		t.Fatalf("first build: hit=%v err=%v", hit, err)
-	}
-	if _, hit, err := c.GetOrBuild(keyB, counted); err != nil || hit {
-		t.Fatalf("second build: hit=%v err=%v", hit, err)
-	}
-	st := c.Stats()
-	if st.Demotions != 1 || st.DemotedEntries != 1 {
-		t.Fatalf("after eviction: %+v", st)
-	}
-	if files := spillFiles(t, dir); len(files) != 1 {
-		t.Fatalf("demoted files = %v", files)
-	}
-	rt, hit, err := c.GetOrBuild(keyA, counted)
-	if err != nil || !hit {
-		t.Fatalf("rehydrate lookup: hit=%v err=%v", hit, err)
-	}
-	if builds != 2 {
-		t.Fatalf("rehydration rebuilt: %d builds", builds)
-	}
-	if got, want := rt.Probe(7), probeOne.Probe(7); !reflect.DeepEqual(got, want) {
-		t.Fatalf("rehydrated probe = %v, want %v", got, want)
-	}
-	// Rehydrating keyA re-inserted it, which evicted (and demoted) keyB: the
-	// demoted tier holds keyB now.
-	st = c.Stats()
-	if st.DemotedHits != 1 || st.DemotedEntries != 1 || st.Demotions != 2 {
-		t.Fatalf("after rehydrate: %+v", st)
-	}
-	c.Invalidate("right")
-	if files := spillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("invalidate left demoted files %v", files)
-	}
-	if st := c.Stats(); st.DemotedEntries != 0 || st.DemotedBytes != 0 {
-		t.Fatalf("after invalidate: %+v", st)
-	}
-}
-
 // TestSweepSpillDir plants orphaned spill files (a crashed process's
 // leftovers) and checks the startup sweep removes exactly them.
 func TestSweepSpillDir(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{SpillFilePrefix + "part-123.tmp", SpillFilePrefix + "demote-9.tmp"} {
+	for _, name := range []string{SpillFilePrefix + "part-123.tmp", SpillFilePrefix + "part-9.tmp"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -29,9 +29,7 @@ import (
 // scanned morsel-parallel into radix partitions and one hash table is built
 // per partition, all through the same exec scheduler the probe morsels use.
 // Nothing streams until the build completes. The returned table flows
-// through the run explicitly (the node retains one only for EXPLAIN, behind
-// the plan's build mutex), so concurrent Run calls on a shared plan each
-// probe the table their own build phase produced.
+// through the run explicitly; the node retains one only for EXPLAIN.
 func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats *RunStats, observe bool, spill *operators.SpillConfig) (*operators.PartitionedTable, error) {
 	start := obsStart(observe)
 	var (
@@ -66,11 +64,7 @@ func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats
 	}
 	if observe {
 		// Retain the table on the node only for the EXPLAIN renderer.
-		// Unconditional retention would pin one hash side per plan held by
-		// the service plan cache, outside the build cache's byte budget.
-		p.buildMu.Lock()
 		build.built = rt
-		p.buildMu.Unlock()
 		build.Obs.add(rt.Tuples, time.Since(start).Nanoseconds())
 	}
 	stats.Join.RightBuildTuples = rt.BuildTuples

@@ -24,9 +24,7 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"matstore/internal/operators"
@@ -241,9 +239,8 @@ type Node struct {
 	LeftCols  []*storage.Column
 	LeftStats []ColStats
 	// built retains the most recent observed build-barrier phase's
-	// partitioned hash side (guarded by the owning Plan's buildMu) for the
-	// EXPLAIN renderer alone; execution itself threads the table through the
-	// run, so concurrent Run calls never share it implicitly.
+	// partitioned hash side for the EXPLAIN renderer alone; execution itself
+	// threads the table through the run.
 	built *operators.PartitionedTable
 
 	// Modeled is the analytical model's cost prediction for this node
@@ -460,14 +457,6 @@ type Plan struct {
 	// observed records that the plan has run with observation enabled (so
 	// Render shows observed counters).
 	observed bool
-
-	// skewBits carries the previous run's observed per-morsel selectivity
-	// skew (float64 bits) into the next run's morsel sizing
-	// (exec.AdaptiveMorselsPerWorker). Atomic so concurrent Run calls on a
-	// shared plan stay race-free.
-	skewBits atomic.Uint64
-	// buildMu guards the JOINBUILD node's retained hash side (EXPLAIN's).
-	buildMu sync.Mutex
 }
 
 // BuildSource provides shared retained join builds: GetOrBuild returns the
@@ -487,8 +476,3 @@ func (p *Plan) JoinProbe() *Node {
 	}
 	return nil
 }
-
-// ObservedSkew returns the per-morsel selectivity skew (coefficient of
-// variation of matched density) recorded by the plan's most recent parallel
-// run, 0 before any observation.
-func (p *Plan) ObservedSkew() float64 { return math.Float64frombits(p.skewBits.Load()) }

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -103,8 +102,7 @@ type RunOptions struct {
 	// removed when the run returns, on every path.
 	Spill *operators.SpillConfig
 	// Limit caps the rows the result keeps (0 = every row); its Total and Sums
-	// cover every row regardless. It is a size of this run, not of the plan:
-	// one cached plan serves every limit.
+	// cover every row regardless. It is a size of this run, not of the plan.
 	Limit int
 	// Trace is the parent span for this run's phase spans (join build,
 	// morsel execution, merge, spill assembly) plus one synthetic span per
@@ -163,10 +161,7 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 		defer built.ReleaseSpill()
 	}
 	extent := positions.Range{Start: 0, End: p.Spec.Tuples}
-	// Morsel sizing adapts to the previous run's observed per-morsel
-	// selectivity skew (first run: the static default carving).
-	perWorker := exec.AdaptiveMorselsPerWorker(p.ObservedSkew())
-	morsels := exec.MorselsN(extent, p.Spec.ChunkSize, workers, perWorker)
+	morsels := exec.Morsels(extent, p.Spec.ChunkSize, workers)
 	parts := make([]*partial, len(morsels))
 	mspan := opt.Trace.Child("morsels")
 	mspan.SetAttr("parallel", true)
@@ -194,7 +189,6 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 		pt.init(p.Spec, 0)
 		parts = []*partial{pt}
 	}
-	p.updateSkew(morsels, parts)
 	gspan := opt.Trace.Child("merge")
 	res := mergePartials(p.Spec, parts, &stats)
 	if probe != nil {
@@ -239,33 +233,6 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 	// merge and deferred fetch, which still add to them).
 	attachNodeSpans(mspan, p.Root)
 	return res, stats, nil
-}
-
-// updateSkew records the run's per-morsel selectivity skew — the
-// coefficient of variation of matched-position density across morsels — for
-// the next run's adaptive morsel sizing. Serial runs (one morsel) carry no
-// skew signal and leave the previous observation in place.
-func (p *Plan) updateSkew(morsels []positions.Range, parts []*partial) {
-	if len(morsels) < 2 || len(parts) != len(morsels) {
-		return
-	}
-	dens := make([]float64, len(parts))
-	var mean float64
-	for i, pt := range parts {
-		dens[i] = float64(pt.stats.PositionsMatched) / float64(morsels[i].Len())
-		mean += dens[i]
-	}
-	mean /= float64(len(dens))
-	if mean <= 0 {
-		p.skewBits.Store(math.Float64bits(0))
-		return
-	}
-	var variance float64
-	for _, d := range dens {
-		variance += (d - mean) * (d - mean)
-	}
-	variance /= float64(len(dens))
-	p.skewBits.Store(math.Float64bits(math.Sqrt(variance) / mean))
 }
 
 // mergePartials recombines per-morsel partials deterministically: aggregate

@@ -20,6 +20,11 @@ var ErrShed = errors.New("memory: overloaded, shedding load")
 // sheds.
 const DefaultMaxWaiters = 32
 
+// grantSliceUS is the modeled cost (µs) one worker is expected to absorb when
+// admission sizes a grant: a request modeled at N×grantSliceUS asks for N
+// workers (clamped to [1, budget]).
+const grantSliceUS = 100
+
 // spillGrantFloor is the smallest spill-mode byte grant: enough for one
 // resident partition's working set plus frame buffers.
 const spillGrantFloor = 64 << 10
@@ -55,7 +60,7 @@ const (
 //
 // Workers: the global budget is divided across the in-flight queries. Grant
 // sizing is workload-aware: when the caller supplies the analytical model's
-// cost estimate, the desired width is ceil(cost / GrantSliceMicros) — a
+// cost estimate, the desired width is ceil(cost / grantSliceUS) — a
 // predicted-big scan asks for many workers, a point lookup for one — clamped
 // to [1, budget]. Without an estimate the desired width falls back to the
 // uniform fair share of the budget. Either way the final grant is
@@ -68,9 +73,6 @@ type governor struct {
 	maxConcurrent, inflight int   // admission slots, and how many are taken
 	budget, inUse           int   // morsel workers, and how many are granted
 	byteBudget, reserved    int64 // bytes (budget 0 = ungoverned), and how many are granted
-	// sliceUS is the modeled-µs-per-worker slice of cost-aware grant sizing
-	// (<= 0 disables it; the fair share is used for every request).
-	sliceUS float64
 	// waiting counts requests parked in the wait loop — with inflight, the
 	// denominator of the fair-share fallback; byteWaiters those of them
 	// parked for bytes — the shed rule's queue depth and /readyz's pressure
@@ -91,8 +93,8 @@ type governor struct {
 	runningNanos      int64
 }
 
-func newGovernor(maxConcurrent, budget int, sliceUS float64, byteBudget int64) *governor {
-	g := &governor{maxConcurrent: maxConcurrent, budget: budget, sliceUS: sliceUS,
+func newGovernor(maxConcurrent, budget int, byteBudget int64) *governor {
+	g := &governor{maxConcurrent: maxConcurrent, budget: budget,
 		byteBudget: byteBudget, maxByteWaiters: DefaultMaxWaiters}
 	g.cond = sync.NewCond(&g.mu)
 	return g
@@ -210,9 +212,9 @@ func (g *governor) admit(ctx context.Context, a ask) (gr grant, release func(), 
 	// queued (at most maxConcurrent of them can run at once), so a burst
 	// released together shares it instead of the first one woken taking all.
 	desired := exec.Share(g.budget, min(g.inflight+g.waiting+1, g.maxConcurrent))
-	if a.costUS > 0 && g.sliceUS > 0 {
+	if a.costUS > 0 {
 		desired = g.budget
-		if w := math.Ceil(a.costUS / g.sliceUS); w < float64(desired) {
+		if w := math.Ceil(a.costUS / grantSliceUS); w < float64(desired) {
 			desired = int(w)
 		}
 	}

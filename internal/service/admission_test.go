@@ -35,7 +35,7 @@ func poll(t *testing.T, what string, cond func() bool) {
 // on the monitor's Broadcast, must all eventually admit and complete with
 // the slot/worker books balanced.
 func TestGovernorFairnessAllAdmitted(t *testing.T) {
-	g := newGovernor(2, 4, 0, 0)
+	g := newGovernor(2, 4, 0)
 	const n = 32
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -78,7 +78,7 @@ func TestGovernorFairnessAllAdmitted(t *testing.T) {
 // for an admission slot aborts with ctx's error, restores nothing it never
 // took, and leaves the gate usable.
 func TestGovernorCancelWhileQueuedForSlot(t *testing.T) {
-	g := newGovernor(1, 1, 0, 0)
+	g := newGovernor(1, 1, 0)
 	_, release, err := g.admit(context.Background(), ask{want: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestGovernorCancelWhileQueuedForSlot(t *testing.T) {
 // slot but is cancelled waiting for a worker gives the slot back and counts
 // as aborted, not admitted.
 func TestGovernorCancelWhileQueuedForWorkers(t *testing.T) {
-	g := newGovernor(4, 1, 0, 0)
+	g := newGovernor(4, 1, 0)
 	_, release, err := g.admit(context.Background(), ask{want: 1}) // takes the only worker
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestGovernorCancelWhileQueuedForWorkers(t *testing.T) {
 // TestGovernorPreCancelled: an already-cancelled context never enters the
 // gate.
 func TestGovernorPreCancelled(t *testing.T) {
-	g := newGovernor(1, 1, 0, 0)
+	g := newGovernor(1, 1, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, err := g.admit(ctx, ask{want: 1}); err != context.Canceled {
@@ -170,7 +170,7 @@ func TestGovernorPreCancelled(t *testing.T) {
 // sails through an idle gate must charge exactly zero queue time — wait time
 // accumulates only across actual cond.Wait episodes, never mutex handoffs.
 func TestGovernorNoWaitNoQueueTime(t *testing.T) {
-	g := newGovernor(4, 4, 0, 0)
+	g := newGovernor(4, 4, 0)
 	for i := 0; i < 10; i++ {
 		info, release, err := g.admit(context.Background(), ask{want: 1})
 		if err != nil {
@@ -192,11 +192,11 @@ func TestGovernorNoWaitNoQueueTime(t *testing.T) {
 	}
 }
 
-// TestGovernorCostAwareGrants: with a 100µs slice, a request modeled at
+// TestGovernorCostAwareGrants: with the 100µs slice, a request modeled at
 // 1000µs asks for 10 workers (clamped to the budget) while a 50µs point
 // lookup gets exactly one — and without an estimate the fair share applies.
 func TestGovernorCostAwareGrants(t *testing.T) {
-	g := newGovernor(8, 8, 100, 0)
+	g := newGovernor(8, 8, 0)
 	cases := []struct {
 		costUS float64
 		want   int
@@ -218,16 +218,6 @@ func TestGovernorCostAwareGrants(t *testing.T) {
 		}
 		release()
 	}
-	// Disabled sizing (slice <= 0) always falls back to the fair share.
-	g = newGovernor(8, 8, -1, 0)
-	info, release, err := g.admit(context.Background(), ask{costUS: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.workers != 8 {
-		t.Errorf("disabled sizing granted %d, want fair share 8", info.workers)
-	}
-	release()
 }
 
 // TestGovernorThreeResourceInvariant hammers the one gate from 64
@@ -243,7 +233,7 @@ func TestGovernorThreeResourceInvariant(t *testing.T) {
 		workers       = 4
 		byteBudget    = 1 << 20
 	)
-	g := newGovernor(maxConcurrent, workers, 100, byteBudget)
+	g := newGovernor(maxConcurrent, workers, byteBudget)
 	g.maxByteWaiters = 64 // nothing is shed: every request is granted or cancelled
 	var inflight, inUse, reserved atomic.Int64
 	var wg sync.WaitGroup
@@ -309,7 +299,7 @@ func TestGovernorThreeResourceInvariant(t *testing.T) {
 // waiter's ctx.Err check and cond.Wait parking it (it could when the
 // broadcast was made without the mutex), the cancelled request would hang.
 func TestGovernorCancelNeverLosesWakeup(t *testing.T) {
-	g := newGovernor(4, 4, 0, spillGrantFloor)
+	g := newGovernor(4, 4, spillGrantFloor)
 	_, hold, err := g.admit(context.Background(), ask{estBytes: spillGrantFloor})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +335,7 @@ func TestGovernorCancelNeverLosesWakeup(t *testing.T) {
 // idempotent and returns the bytes.
 func TestGovernorByteBudget(t *testing.T) {
 	const kib = 1 << 10
-	g := newGovernor(8, 8, 0, 1024*kib)
+	g := newGovernor(8, 8, 1024*kib)
 	admit := func(est int64, wantBytes int64, wantSpill bool) func() {
 		t.Helper()
 		gr, release, err := g.admit(context.Background(), ask{want: 1, estBytes: est})
@@ -374,7 +364,7 @@ func TestGovernorByteBudget(t *testing.T) {
 // holds when it is finally granted.
 func TestGovernorBytesQueueAndShed(t *testing.T) {
 	const kib = 1 << 10
-	g := newGovernor(8, 8, 0, 128*kib)
+	g := newGovernor(8, 8, 128*kib)
 	g.maxByteWaiters = 1
 	_, hold, err := g.admit(context.Background(), ask{want: 1, estBytes: 128 * kib})
 	if err != nil {
@@ -411,7 +401,7 @@ func TestGovernorBytesQueueAndShed(t *testing.T) {
 // TestGovernorBytesCancel: a request cancelled while queued for bytes leaves
 // the queue with ctx's error and the budget is whole again.
 func TestGovernorBytesCancel(t *testing.T) {
-	g := newGovernor(8, 8, 0, spillGrantFloor)
+	g := newGovernor(8, 8, spillGrantFloor)
 	_, hold, _ := g.admit(context.Background(), ask{want: 1, estBytes: spillGrantFloor})
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
@@ -440,7 +430,7 @@ func TestGovernorBytesCancel(t *testing.T) {
 func TestGovernorAllocationPressureFault(t *testing.T) {
 	faults.Reset()
 	defer faults.Reset()
-	g := newGovernor(8, 8, 0, 1<<20)
+	g := newGovernor(8, 8, 1<<20)
 	faults.Enable("mem.reserve", faults.Failpoint{Mode: faults.Error})
 	gr, release, err := g.admit(context.Background(), ask{want: 1, estBytes: 1})
 	if err != nil || !gr.spill || gr.bytes != spillGrantFloor {

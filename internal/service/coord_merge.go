@@ -50,7 +50,6 @@ func mergedHeader(parts []*answer) *answer {
 		Columns:        parts[0].Columns,
 		Strategy:       parts[0].Strategy,
 		ResultCacheHit: true,
-		PlanCacheHit:   true,
 		BuildCacheHit:  true,
 	}, rowID: -1}
 }
@@ -69,7 +68,6 @@ func sumPartCounters(out, p *answer) {
 	}
 	out.EstCostUS += p.EstCostUS
 	out.ResultCacheHit = out.ResultCacheHit && p.ResultCacheHit
-	out.PlanCacheHit = out.PlanCacheHit && p.PlanCacheHit
 	out.BuildCacheHit = out.BuildCacheHit && p.BuildCacheHit
 	out.Partitions += p.Partitions
 	out.Probes += p.Probes

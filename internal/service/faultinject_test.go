@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -21,8 +20,7 @@ import (
 // Extended fault-injection suite, built with -tags faultinject (ci.sh runs
 // it after the regular pass): scenarios that stretch timing with slow-IO
 // faults or hammer the governor with more concurrency than the default
-// suite, proving shed-under-saturation and cache-demotion fault paths keep
-// the server serving.
+// suite, proving the shed-under-saturation path keeps the server serving.
 
 // TestFaultinjectSaturationShedsAndKeepsServing drives more concurrent
 // spilling joins than the memory governor can queue, with slow-IO faults
@@ -108,72 +106,4 @@ func TestFaultinjectSaturationShedsAndKeepsServing(t *testing.T) {
 		t.Errorf("peak reserved %d exceeded the 4 KiB budget", st.Memory.PeakReserved)
 	}
 	assertNoSpillFiles(t, spillDir)
-}
-
-// TestFaultinjectCacheDemotionFaults arms the build-cache demotion and
-// rehydration fault sites while alternating join shapes churn a build cache
-// sized for one entry: a failed demotion just counts (the evicted build is
-// dropped), a failed rehydration falls back to a fresh build — results stay
-// byte-identical throughout and no temp files leak.
-func TestFaultinjectCacheDemotionFaults(t *testing.T) {
-	defer faults.Reset()
-	baseGoroutines := runtime.NumGoroutine()
-	spillDir := t.TempDir()
-	srv := newServer(t, service.Config{
-		WorkerBudget:      2,
-		MemoryBudgetBytes: 1 << 30,  // plenty: joins run in memory, builds cache
-		BuildCacheBytes:   24 << 10, // one ~17 KiB customer build fits, two don't
-		SpillDir:          spillDir,
-		ResultCacheBytes:  -1,
-	})
-	sess := srv.NewSession()
-	q := matstore.JoinQuery{
-		LeftKey:     tpch.ColCustkey,
-		LeftPred:    matstore.MatchAll,
-		LeftOutput:  []string{tpch.ColOrderShipdate},
-		RightKey:    tpch.ColCustkey,
-		RightOutput: []string{tpch.ColNationcode},
-	}
-	// Two shapes with distinct build keys: alternating them evicts (and so
-	// demotes) the other's build every time.
-	strats := []matstore.RightStrategy{matstore.RightMaterialized, matstore.RightMultiColumn}
-	want := make([]*matstore.Result, len(strats))
-	for i, rs := range strats {
-		out, err := sess.Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, q, rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = out.Res
-	}
-
-	for _, site := range []string{"cache.demote", "cache.rehydrate"} {
-		faults.Enable(site, faults.Failpoint{Mode: faults.Error})
-		for round := 0; round < 3; round++ {
-			for i, rs := range strats {
-				out, err := sess.Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, q, rs)
-				if err != nil {
-					t.Fatalf("%s round %d: %v", site, round, err)
-				}
-				if !reflect.DeepEqual(oracle.Columns(out.Res), oracle.Columns(want[i])) {
-					t.Fatalf("%s round %d: result differs with fault armed", site, round)
-				}
-			}
-		}
-		faults.Reset()
-	}
-	st := srv.Stats()
-	if st.BuildCache.Demotions == 0 && st.BuildCache.DemoteFailures == 0 {
-		t.Errorf("churn produced no demotion activity: %+v", st.BuildCache)
-	}
-	if st.Memory.Reserved != 0 {
-		t.Errorf("reservations leaked: %d", st.Memory.Reserved)
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && runtime.NumGoroutine() > baseGoroutines+2 {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > baseGoroutines+2 {
-		t.Errorf("goroutines did not settle: %d, started with %d", n, baseGoroutines)
-	}
 }

@@ -105,7 +105,6 @@ type QueryResponse struct {
 	// Cache reuse flags: the ci smoke greps result_cache_hit on a repeated
 	// query and build_cache_hit on a repeated join.
 	ResultCacheHit bool `json:"result_cache_hit"`
-	PlanCacheHit   bool `json:"plan_cache_hit"`
 	BuildCacheHit  bool `json:"build_cache_hit"`
 	// Groups is a partial aggregation's exported per-group mergeable
 	// statistics (set only for partial=true aggregating requests, which omit
@@ -629,7 +628,6 @@ func baseResponse(res *matstore.Result, stats *matstore.Stats, info Info, limit 
 		Session:        info.Session,
 		EstCostUS:      info.EstCostUS,
 		ResultCacheHit: info.ResultCacheHit,
-		PlanCacheHit:   info.PlanCacheHit,
 		BuildCacheHit:  info.BuildCacheHit,
 	}, chunks: res.Chunks, n: shown, rowID: -1}
 }

@@ -79,8 +79,8 @@ func TestHTTPEndpoints(t *testing.T) {
 	if j1.BuildCacheHit {
 		t.Error("cold join reported build_cache_hit")
 	}
-	if !j2.BuildCacheHit || !j2.PlanCacheHit {
-		t.Errorf("repeated join hits: build=%v plan=%v, want both", j2.BuildCacheHit, j2.PlanCacheHit)
+	if !j2.BuildCacheHit {
+		t.Error("repeated join missed the build cache")
 	}
 	if j1.RowCount != j2.RowCount || j1.Checksum != j2.Checksum {
 		t.Errorf("cached join result differs: %d/%d vs %d/%d", j1.RowCount, j1.Checksum, j2.RowCount, j2.Checksum)

@@ -254,7 +254,6 @@ func TestResultCacheChargesAggregators(t *testing.T) {
 	}
 	cfg := fullConfig(2, 4)
 	cfg.ResultCacheBytes = capacity
-	cfg.PlanCacheEntries = -1
 	srv := service.New(db, cfg)
 	sess := srv.NewSession()
 	ctx := context.Background()
@@ -368,7 +367,7 @@ func TestResultCacheChargesChunks(t *testing.T) {
 	}
 	config := func(budget int, bytes int64) service.Config {
 		cfg := fullConfig(budget, 4)
-		cfg.ResultCacheBytes, cfg.PlanCacheEntries, cfg.BuildCacheBytes = bytes, -1, -1
+		cfg.ResultCacheBytes, cfg.BuildCacheBytes = bytes, -1
 		return cfg
 	}
 	warm := service.New(db, config(1, -1)).NewSession() // no result cache

@@ -293,9 +293,9 @@ func decodeInto(t *testing.T, resp *http.Response, dst any) {
 	}
 }
 
-// TestNegativeResultCache pins the zero-row satellite: a query shape that
-// matches nothing is cached in the negative LRU (separately byte-accounted),
-// answered from cache on repeat, and invalidated like any other entry.
+// TestNegativeResultCache: a query shape that matches nothing is cached in the
+// one result LRU like any other response, answered from cache on repeat, and
+// invalidated like any other entry.
 func TestNegativeResultCache(t *testing.T) {
 	srv := newServer(t, fullConfig(2, 4))
 	sess := srv.NewSession()
@@ -321,21 +321,68 @@ func TestNegativeResultCache(t *testing.T) {
 		t.Error("repeated zero-row query missed the cache")
 	}
 	st := srv.Stats().ResultCache
-	if st.NegativeHits != 1 || st.NegativeEntries != 1 || st.NegativeBytes <= 0 {
-		t.Errorf("negative cache stats = hits %d entries %d bytes %d, want 1/1/>0",
-			st.NegativeHits, st.NegativeEntries, st.NegativeBytes)
-	}
-	if st.Entries != 0 {
-		t.Errorf("zero-row result filed in the main LRU (%d entries)", st.Entries)
+	if st.Hits != 1 || st.Entries != 1 || st.Bytes <= 0 {
+		t.Errorf("result cache stats = hits %d entries %d bytes %d, want 1/1/>0",
+			st.Hits, st.Entries, st.Bytes)
 	}
 
-	// Invalidation drops negative entries too: the shape re-executes.
+	// Invalidation drops zero-row entries too: the shape re-executes.
 	srv.InvalidateProjection(tpch.LineitemProj)
 	third, err := sess.Select(context.Background(), tpch.LineitemProj, q, matstore.LMParallel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if third.Info.ResultCacheHit {
-		t.Error("invalidated negative entry still served from cache")
+		t.Error("invalidated zero-row entry still served from cache")
 	}
+	if st := srv.Stats().ResultCache; st.Invalidations != 1 {
+		t.Errorf("invalidations = %d, want 1", st.Invalidations)
+	}
+}
+
+// TestBuildCacheEvictionLeavesNoFiles: under a memory budget, a build cache
+// that holds one customer build (24 KiB) evicts it on every switch between two
+// join shapes with distinct builds. An evicted build is dropped and rebuilt on
+// its next miss, so every reply equals the first of its shape and nothing is
+// written to the spill directory.
+func TestBuildCacheEvictionLeavesNoFiles(t *testing.T) {
+	spillDir := t.TempDir()
+	srv := newServer(t, service.Config{
+		WorkerBudget:      2,
+		MemoryBudgetBytes: 1 << 30,  // plenty: joins run in memory, builds cache
+		BuildCacheBytes:   24 << 10, // one ~17 KiB customer build fits, two don't
+		SpillDir:          spillDir,
+		ResultCacheBytes:  -1,
+	})
+	sess := srv.NewSession()
+	q := matstore.JoinQuery{
+		LeftKey:     tpch.ColCustkey,
+		LeftPred:    matstore.MatchAll,
+		LeftOutput:  []string{tpch.ColOrderShipdate},
+		RightKey:    tpch.ColCustkey,
+		RightOutput: []string{tpch.ColNationcode},
+	}
+	strats := []matstore.RightStrategy{matstore.RightMaterialized, matstore.RightMultiColumn}
+	first := make([]*matstore.Result, len(strats))
+	for round := 0; round < 8; round++ {
+		for i, rs := range strats {
+			out, err := sess.Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, q, rs)
+			if err != nil {
+				t.Fatalf("round %d %v: %v", round, rs, err)
+			}
+			if out.Info.Spilled {
+				t.Fatalf("round %d %v: join spilled under a 1 GiB budget", round, rs)
+			}
+			if first[i] == nil {
+				first[i] = out.Res
+			} else if !reflect.DeepEqual(oracle.Columns(out.Res), oracle.Columns(first[i])) {
+				t.Fatalf("round %d %v: reply differs from the shape's first", round, rs)
+			}
+		}
+	}
+	st := srv.Stats().BuildCache
+	if st.Evictions < 8 || st.Entries != 1 {
+		t.Errorf("build cache = %+v, want an eviction per switch and one entry", st)
+	}
+	assertNoSpillFiles(t, spillDir)
 }

@@ -71,7 +71,7 @@ func registerServerMetrics(s *Server) {
 	reg.NewGaugeFunc("cs_sessions", "Total sessions opened.",
 		func() float64 { return float64(s.sessions.Load()) })
 	reg.NewCollector("cs_cache_events_total",
-		"Cache activity by cache (result/plan/build) and event (hit/miss/eviction/invalidation).",
+		"Cache activity by cache (result/build) and event (hit/miss/eviction/invalidation).",
 		"counter", []string{"cache", "event"},
 		func(emit func(values []string, v float64)) {
 			st := s.Stats()
@@ -79,9 +79,6 @@ func registerServerMetrics(s *Server) {
 			emit([]string{"result", "miss"}, float64(st.ResultCache.Misses))
 			emit([]string{"result", "eviction"}, float64(st.ResultCache.Evictions))
 			emit([]string{"result", "invalidation"}, float64(st.ResultCache.Invalidations))
-			emit([]string{"plan", "hit"}, float64(st.PlanCache.Hits))
-			emit([]string{"plan", "miss"}, float64(st.PlanCache.Misses))
-			emit([]string{"plan", "eviction"}, float64(st.PlanCache.Evictions))
 			emit([]string{"build", "hit"}, float64(st.BuildCache.Hits))
 			emit([]string{"build", "miss"}, float64(st.BuildCache.Misses))
 			emit([]string{"build", "eviction"}, float64(st.BuildCache.Evictions))

@@ -14,7 +14,6 @@ import (
 
 	"matstore"
 	"matstore/internal/oracle"
-	"matstore/internal/service"
 	"matstore/internal/tpch"
 )
 
@@ -245,59 +244,4 @@ func TestCancelledRequestReleasesSlot(t *testing.T) {
 	if st.InFlight != 0 || st.WorkersInUse != 0 || st.Admitted != 1 {
 		t.Errorf("cancelled requests disturbed the gate: %+v", st)
 	}
-}
-
-// TestResultCacheCostAdmission pins the cost-aware admission policy: with a
-// threshold above every query's modeled cost nothing is cached (repeats
-// re-execute and CostSkips counts each refusal); with the threshold below
-// the modeled cost — or at the zero default — admission behaves as before
-// and the repeat hits.
-func TestResultCacheCostAdmission(t *testing.T) {
-	ctx := context.Background()
-	run := func(srv *service.Server) (cold, warm service.Info) {
-		t.Helper()
-		sess := srv.NewSession()
-		first, err := sess.Select(ctx, tpch.LineitemProj, selQuery(1200), matstore.LMParallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, err := sess.Select(ctx, tpch.LineitemProj, selQuery(1200), matstore.LMParallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return first.Info, second.Info
-	}
-
-	t.Run("above-threshold-queries-cache", func(t *testing.T) {
-		cfg := fullConfig(2, 4)
-		cfg.ResultCacheMinCostUS = 1e-9 // below any modeled cost
-		srv := newServer(t, cfg)
-		cold, warm := run(srv)
-		if cold.EstCostUS <= 0 {
-			t.Fatalf("query has no modeled cost (%v); threshold test is vacuous", cold.EstCostUS)
-		}
-		if !warm.ResultCacheHit {
-			t.Error("repeat of an above-threshold query missed the cache")
-		}
-		if st := srv.Stats().ResultCache; st.CostSkips != 0 {
-			t.Errorf("cost skips = %d, want 0", st.CostSkips)
-		}
-	})
-
-	t.Run("below-threshold-queries-skip", func(t *testing.T) {
-		cfg := fullConfig(2, 4)
-		cfg.ResultCacheMinCostUS = 1e12 // above any modeled cost
-		srv := newServer(t, cfg)
-		_, warm := run(srv)
-		if warm.ResultCacheHit {
-			t.Error("below-threshold query was cached despite the cost floor")
-		}
-		st := srv.Stats().ResultCache
-		if st.CostSkips < 2 {
-			t.Errorf("cost skips = %d, want one per refused insert (>=2)", st.CostSkips)
-		}
-		if st.Entries != 0 || st.Bytes != 0 {
-			t.Errorf("refused inserts left residue: %+v", st)
-		}
-	})
 }

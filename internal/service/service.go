@@ -15,17 +15,18 @@
 //     a request that would have to queue for bytes behind too many others is
 //     shed (503). Waits are context-aware: a cancelled request leaves the
 //     queue at once, holding nothing.
-//   - One LRU (internal/cache) is under every cache: the result cache and
-//     its zero-row sibling (resultcache.go: repeated identical requests are
-//     answered without admission at all, invalidated per projection by
-//     generation bumps), the plan cache (plancache.go: repeated shapes skip
-//     BuildPlan), the shared join-build cache and its on-disk demoted tier
-//     (operators.BuildCache: partitioned hash sides shared across queries,
-//     single-flight) and the buffer pool. Each owner keeps its lock and what
-//     is its own; recency, byte charging and eviction are written once.
+//   - One LRU (internal/cache) is under every cache, one tier each: the
+//     result cache (resultcache.go: repeated identical requests are answered
+//     without admission at all, invalidated per projection by generation
+//     bumps), the shared join-build cache (operators.BuildCache: partitioned
+//     hash sides shared across queries, single-flight; an evicted build is
+//     dropped and rebuilt on its next miss) and the buffer pool. Each owner
+//     keeps its lock and what is its own; recency, byte charging and eviction
+//     are written once.
 //   - One request path (Session.serve, below): result-cache lookup →
-//     estimate → admit → plan cache → run → put. Select, Join, Explain and
-//     ExplainJoin are shape adapters over it.
+//     estimate → admit → build the plan → run → put. Every served request
+//     builds its plan and runs it once; no plan outlives its request. Select,
+//     Join, Explain and ExplainJoin are shape adapters over it.
 //   - The front-ends (http.go, cmd/csserve; coord_*.go for the
 //     scatter-gather coordinator): HTTP JSON endpoints /query, /join,
 //     /explain and /stats.
@@ -55,14 +56,6 @@ import (
 // DefaultBuildCacheBytes bounds the join-build cache when Config leaves it 0.
 const DefaultBuildCacheBytes = 64 << 20
 
-// DefaultPlanCacheEntries bounds the plan cache when Config leaves it 0.
-const DefaultPlanCacheEntries = 256
-
-// DefaultGrantSliceMicros is the modeled-µs-per-worker slice of cost-aware
-// grant sizing when Config leaves it 0: a request modeled at N×slice µs asks
-// for N workers (clamped to [1, budget]).
-const DefaultGrantSliceMicros = 100
-
 // Config tunes a Server.
 type Config struct {
 	// MaxConcurrent is the admission limit: at most this many requests
@@ -75,30 +68,17 @@ type Config struct {
 	// BuildCacheBytes bounds the shared join-build cache (0 = the 64 MiB
 	// default, negative = cache disabled).
 	BuildCacheBytes int64
-	// PlanCacheEntries bounds the plan cache (0 = the 256-entry default,
-	// negative = cache disabled).
-	PlanCacheEntries int
 	// ResultCacheBytes bounds the served-response cache (0 = the 32 MiB
 	// default, negative = cache disabled).
 	ResultCacheBytes int64
-	// ResultCacheMinCostUS is the cache's cost-aware admission threshold:
-	// only responses whose modeled cost estimate is at least this many µs
-	// are cached (0 = cache everything). Cheap queries re-execute faster
-	// than their results amortize cache space and evictions.
-	ResultCacheMinCostUS float64
-	// GrantSliceMicros is the modeled cost (µs) one worker is expected to
-	// absorb when sizing admission grants (0 = the 100 µs default, negative
-	// = cost-aware sizing disabled; every grant uses the uniform fair share).
-	GrantSliceMicros float64
 	// MemoryBudgetBytes turns on byte governance: every join is admitted with
 	// its predicted build bytes reserved, runs in Grace spill mode under a
 	// smaller reservation when the estimate doesn't fit, queues when the
 	// spill grant doesn't fit either, and is shed (HTTP 503) past the waiter
 	// cap. 0 disables memory governance entirely.
 	MemoryBudgetBytes int64
-	// SpillDir is where spill-mode joins and demoted cache builds write temp
-	// files ("" = the DB's .spill directory). Only used when
-	// MemoryBudgetBytes > 0.
+	// SpillDir is where spill-mode joins write temp files ("" = the DB's
+	// .spill directory). Only used when MemoryBudgetBytes > 0.
 	SpillDir string
 	// Logger receives structured JSON log lines (slow queries, request
 	// errors). Nil disables logging; all call sites are nil-safe.
@@ -121,12 +101,10 @@ type Server struct {
 	gov      *governor
 	spillDir string                // set when memory governance is on
 	builds   *operators.BuildCache // nil when disabled
-	plans    *planCache            // nil when disabled
 	results  *resultCache          // nil when disabled
 
-	sessions   atomic.Int64
-	queries    atomic.Int64
-	planBuilds atomic.Int64
+	sessions atomic.Int64
+	queries  atomic.Int64
 
 	draining     atomic.Bool
 	spilledJoins atomic.Int64
@@ -151,42 +129,28 @@ func New(db *matstore.DB, cfg Config) *Server {
 	if cfg.BuildCacheBytes == 0 {
 		cfg.BuildCacheBytes = DefaultBuildCacheBytes
 	}
-	if cfg.PlanCacheEntries == 0 {
-		cfg.PlanCacheEntries = DefaultPlanCacheEntries
-	}
 	if cfg.ResultCacheBytes == 0 {
 		cfg.ResultCacheBytes = DefaultResultCacheBytes
-	}
-	if cfg.GrantSliceMicros == 0 {
-		cfg.GrantSliceMicros = DefaultGrantSliceMicros
 	}
 	s := &Server{
 		db:    db,
 		exec:  db.Exec(),
 		store: db.Storage(),
 		cfg:   cfg,
-		gov:   newGovernor(cfg.MaxConcurrent, cfg.WorkerBudget, cfg.GrantSliceMicros, cfg.MemoryBudgetBytes),
+		gov:   newGovernor(cfg.MaxConcurrent, cfg.WorkerBudget, cfg.MemoryBudgetBytes),
 		start: time.Now(),
 	}
 	s.front = front{frontMetrics: newFrontMetrics(s.start), logger: cfg.Logger, slowUS: cfg.SlowQueryMicros}
 	if cfg.BuildCacheBytes > 0 {
 		s.builds = operators.NewBuildCache(cfg.BuildCacheBytes)
 	}
-	if cfg.PlanCacheEntries > 0 {
-		s.plans = newPlanCache(cfg.PlanCacheEntries)
-	}
 	if cfg.ResultCacheBytes > 0 {
-		s.results = newResultCache(cfg.ResultCacheBytes, cfg.ResultCacheMinCostUS)
+		s.results = newResultCache(cfg.ResultCacheBytes)
 	}
 	if cfg.MemoryBudgetBytes > 0 {
 		s.spillDir = cfg.SpillDir
 		if s.spillDir == "" {
 			s.spillDir = db.SpillDir()
-		}
-		if s.builds != nil {
-			// Under memory governance, evicted warm builds demote to on-disk
-			// hash entries instead of being discarded outright.
-			s.builds.EnableDemotion(s.spillDir)
 		}
 	}
 	registerServerMetrics(s)
@@ -197,18 +161,13 @@ func New(db *matstore.DB, cfg Config) *Server {
 func (s *Server) Config() Config { return s.cfg }
 
 // InvalidateProjection marks a projection's data as changed: cached results
-// over it and cached join builds of it are dropped by generation bumps, and
-// the plan cache is cleared (plans pin resolved column handles, so
-// invalidation is conservative).
+// over it and cached join builds of it are dropped by generation bumps.
 func (s *Server) InvalidateProjection(name string) {
 	if s.results != nil {
 		s.results.invalidate(name)
 	}
 	if s.builds != nil {
 		s.builds.Invalidate(name)
-	}
-	if s.plans != nil {
-		s.plans.clear()
 	}
 }
 
@@ -237,13 +196,13 @@ type Stats struct {
 	Queries          int64            `json:"queries"`
 	Admission        AdmissionStats   `json:"admission"`
 	Memory           MemoryStats      `json:"memory"`
-	// PlanBuilds counts BuildPlan/BuildJoinPlan invocations; with the plan
-	// cache on it lags Queries by exactly the hit count.
-	PlanBuilds  int64                     `json:"plan_builds"`
-	ResultCache ResultCacheStats          `json:"result_cache"`
-	PlanCache   PlanCacheStats            `json:"plan_cache"`
-	BuildCache  operators.BuildCacheStats `json:"build_cache"`
-	Pool        buffer.Stats              `json:"buffer_pool"`
+	ResultCache      ResultCacheStats `json:"result_cache"`
+	// PlanCache always reads zero and is no part of /stats: no plan outlives
+	// the request that built it. It stays for readers that still compute a
+	// plan-cache hit ratio.
+	PlanCache  struct{ Hits, Misses int64 } `json:"-"`
+	BuildCache operators.BuildCacheStats    `json:"build_cache"`
+	Pool       buffer.Stats                 `json:"buffer_pool"`
 }
 
 // Stats returns a snapshot of the server counters.
@@ -256,7 +215,6 @@ func (s *Server) Stats() Stats {
 		Sessions:      s.sessions.Load(),
 		Queries:       s.queries.Load(),
 		Admission:     s.gov.snapshot(),
-		PlanBuilds:    s.planBuilds.Load(),
 		Pool:          s.db.PoolStats(),
 	}
 	reqs := map[string]int64{}
@@ -276,9 +234,6 @@ func (s *Server) Stats() Stats {
 	}
 	if s.results != nil {
 		st.ResultCache = s.results.snapshot()
-	}
-	if s.plans != nil {
-		st.PlanCache = s.plans.snapshot()
 	}
 	if s.builds != nil {
 		st.BuildCache = s.builds.Stats()
@@ -329,10 +284,9 @@ type Info struct {
 	// sizer used (0 when unavailable).
 	EstCostUS float64 `json:"est_cost_us"`
 	// ResultCacheHit reports the request was answered entirely from the
-	// result cache; PlanCacheHit and BuildCacheHit report shared-cache
-	// reuse during execution.
+	// result cache; BuildCacheHit reports a shared join build reused during
+	// execution.
 	ResultCacheHit bool `json:"result_cache_hit"`
-	PlanCacheHit   bool `json:"plan_cache_hit"`
 	BuildCacheHit  bool `json:"build_cache_hit"`
 	// ReservedBytes is the memory reservation the request held while running
 	// (0 with memory governance off); Spilled reports the governor forced the
@@ -376,8 +330,8 @@ type request struct {
 	// estimate returns the model's cost (0 when unavailable) and the
 	// predicted working-set bytes the governor should reserve (0 for none).
 	estimate func() (costUS float64, estBytes int64)
-	// build constructs the plan on a plan-cache miss; its errors are the
-	// request's fault. Nil for explains, which build their own fresh tree.
+	// build constructs the plan; its errors are the request's fault. Nil for
+	// explains, which build their own tree.
 	build func() (*plan.Plan, error)
 	// run executes under the grant; espan is the request's "execute" span
 	// (nil when untraced).
@@ -385,11 +339,10 @@ type request struct {
 }
 
 // serve is the one request path: result-cache lookup → estimate → admit →
-// plan cache → run → put. key canonicalizes the query shape for the result
-// and plan caches and projs are the projections it reads; an empty key
-// bypasses both caches (explains: their per-node observed counters want a
-// fresh tree). Cancelling ctx abandons the request at the admission gate,
-// between plan phases or between morsels.
+// build the plan → run → put. key canonicalizes the query shape for the
+// result cache and projs are the projections it reads; an empty key bypasses
+// the cache (explains). Cancelling ctx abandons the request at the admission
+// gate, between build and run, between plan phases or between morsels.
 //
 // key and projs travel beside rq, not in it, and nothing of rq is retained:
 // that keeps the shape's three closures on the caller's stack, so a
@@ -440,28 +393,12 @@ func (c *Session) serve(ctx context.Context, key string, projs []string, rq requ
 
 	var pl *plan.Plan
 	if rq.build != nil {
-		// Traced requests bypass the plan cache on BOTH sides (no get, no
-		// put): the per-node Observed counters must describe exactly this
-		// run, and a cached plan accumulates counters across every traced run
-		// that touches it (the same reason Explain builds fresh trees).
-		plans := s.plans
-		if span != nil || key == "" {
-			plans = nil
-		}
 		pspan := span.Child("plan.build")
-		if plans != nil {
-			pl, info.PlanCacheHit = plans.get(key)
-		}
-		if pl == nil {
-			if pl, err = rq.build(); err != nil {
-				return outcome{}, info, badRequest(err)
-			}
-			if plans != nil {
-				plans.put(key, pl)
-			}
-		}
-		pspan.SetAttr("cache_hit", info.PlanCacheHit)
+		pl, err = rq.build()
 		pspan.End()
+		if err != nil {
+			return outcome{}, info, badRequest(err)
+		}
 		if err := ctx.Err(); err != nil {
 			return outcome{}, info, err // cancelled between build and run: the grant releases unused
 		}
@@ -475,7 +412,7 @@ func (c *Session) serve(ctx context.Context, key string, projs []string, rq requ
 	if cached {
 		s.results.put(&resultEntry{
 			key: key, projs: held, gens: gens,
-			bytes: resultBytes(key, out), costUS: info.EstCostUS, outcome: out,
+			bytes: resultBytes(key, out), outcome: out,
 		})
 	}
 	return out, info, nil
@@ -501,8 +438,8 @@ func costUS(est matstore.Cost, err error) float64 {
 	return est.Total()
 }
 
-// Select runs a selection/aggregation through the result cache, admission
-// control and the plan cache.
+// Select runs a selection/aggregation through the result cache and admission
+// control.
 func (c *Session) Select(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*SelectResult, error) {
 	s := c.srv
 	out, info, err := c.serve(ctx, selectKey(projection, q, strat), []string{projection}, request{
@@ -514,7 +451,6 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 			if err != nil {
 				return nil, err
 			}
-			s.planBuilds.Add(1)
 			return s.exec.BuildPlan(p, q, strat)
 		},
 		run: func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
@@ -528,10 +464,9 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 	return &SelectResult{Res: out.res, Stats: out.sel, Info: info}, nil
 }
 
-// Join runs an equi-join through the result cache, admission control and
-// both shared execution caches: the plan cache skips BuildJoinPlan for a
-// repeated shape, and the build cache shares the partitioned hash side
-// across queries over the same inner table. The predicted bytes of the build
+// Join runs an equi-join through the result cache, admission control and the
+// shared build cache, which shares the partitioned hash side across queries
+// over the same inner table. The predicted bytes of the build
 // side are part of the one grant, held until the request finishes on every
 // path out; a spill-mode grant runs the build as a Grace join under it.
 func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*JoinResult, error) {
@@ -553,7 +488,6 @@ func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQ
 			if err != nil {
 				return nil, err
 			}
-			s.planBuilds.Add(1)
 			pl, err := s.exec.BuildJoinPlan(lp, rp, q, rs)
 			if err == nil && s.builds != nil {
 				pl.Builds = s.builds

@@ -81,14 +81,13 @@ func newServer(t *testing.T, cfg service.Config) *service.Server {
 	return service.New(openDB(t), cfg)
 }
 
-// cacheConfig returns a server config with the execution caches (plan,
-// build) on or off; the result cache stays off so cache tests observe real
-// executions. fullConfig turns all three on.
+// cacheConfig returns a server config with the build cache on or off; the
+// result cache stays off so cache tests observe real executions. fullConfig
+// turns both on.
 func cacheConfig(budget, maxConcurrent int, caches bool) service.Config {
 	cfg := service.Config{WorkerBudget: budget, MaxConcurrent: maxConcurrent, ResultCacheBytes: -1}
 	if !caches {
 		cfg.BuildCacheBytes = -1
-		cfg.PlanCacheEntries = -1
 	}
 	return cfg
 }
@@ -186,9 +185,8 @@ func TestConcurrentMixedWorkloadDifferential(t *testing.T) {
 					if caches && sessions > 1 && st.BuildCache.Hits == 0 {
 						t.Errorf("repeated joins across %d sessions produced no build-cache hits", sessions)
 					}
-					if !caches && (st.BuildCache.Hits+st.BuildCache.Misses+st.PlanCache.Hits+
-						st.PlanCache.Misses+st.ResultCache.Hits+st.ResultCache.Misses) != 0 {
-						t.Errorf("disabled caches recorded traffic: %+v %+v %+v", st.BuildCache, st.PlanCache, st.ResultCache)
+					if !caches && (st.BuildCache.Hits+st.BuildCache.Misses+st.ResultCache.Hits+st.ResultCache.Misses) != 0 {
+						t.Errorf("disabled caches recorded traffic: %+v %+v", st.BuildCache, st.ResultCache)
 					}
 				})
 			}
@@ -197,7 +195,7 @@ func TestConcurrentMixedWorkloadDifferential(t *testing.T) {
 }
 
 // TestClosedLoopDriver smoke-runs the bench closed-loop driver: all requests
-// complete, and the second round's joins hit both caches.
+// complete, and the second round's joins hit the build cache.
 func TestClosedLoopDriver(t *testing.T) {
 	srv := newServer(t, cacheConfig(2, 4, true))
 	reqs := bench.MixedWorkload(dataCustomers)
@@ -208,61 +206,17 @@ func TestClosedLoopDriver(t *testing.T) {
 	if want := int64(4 * 2 * len(reqs)); stats.Requests != want {
 		t.Errorf("requests = %d, want %d", stats.Requests, want)
 	}
-	if stats.BuildCacheHits == 0 || stats.PlanCacheHits == 0 {
-		t.Errorf("closed loop produced no cache hits: %+v", stats)
+	if stats.BuildCacheHits == 0 {
+		t.Errorf("closed loop produced no build-cache hits: %+v", stats)
 	}
 }
 
-// TestPlanCacheSkipsBuildPlan pins the plan cache's contract: a repeated
-// query shape does not call BuildPlan again (the PlanBuilds counter stands
-// still), is reported as a hit, and still returns the identical result.
-func TestPlanCacheSkipsBuildPlan(t *testing.T) {
-	srv := newServer(t, cacheConfig(2, 4, true))
-	sess := srv.NewSession()
-	q := matstore.Query{
-		Output: []string{tpch.ColShipdate, tpch.ColLinenum},
-		Filters: []matstore.Filter{
-			{Col: tpch.ColShipdate, Pred: matstore.LessThan(1200)},
-		},
-	}
-	first, err := sess.Select(context.Background(), tpch.LineitemProj, q, matstore.LMParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Info.PlanCacheHit {
-		t.Error("first execution reported a plan-cache hit")
-	}
-	builds := srv.Stats().PlanBuilds
-	second, err := sess.Select(context.Background(), tpch.LineitemProj, q, matstore.LMParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.Info.PlanCacheHit {
-		t.Error("repeated query missed the plan cache")
-	}
-	if got := srv.Stats().PlanBuilds; got != builds {
-		t.Errorf("repeated query called BuildPlan (%d -> %d)", builds, got)
-	}
-	if !reflect.DeepEqual(oracle.Columns(first.Res), oracle.Columns(second.Res)) {
-		t.Error("cached plan returned different result")
-	}
-	// A different shape (same columns, different bound) must miss.
-	q.Filters[0].Pred = matstore.LessThan(1300)
-	third, err := sess.Select(context.Background(), tpch.LineitemProj, q, matstore.LMParallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if third.Info.PlanCacheHit {
-		t.Error("different predicate bound hit the plan cache")
-	}
-}
-
-// TestPlanCacheKeyNoDelimiterCollision: a column name containing the key
+// TestResultCacheKeyNoDelimiterCollision: a column name containing the key
 // delimiter must not collide with a multi-column shape — a collision would
-// serve the cached two-column plan where the cold path returns an
+// serve the cached two-column result where the cold path returns an
 // unknown-column error.
-func TestPlanCacheKeyNoDelimiterCollision(t *testing.T) {
-	srv := newServer(t, cacheConfig(2, 4, true))
+func TestResultCacheKeyNoDelimiterCollision(t *testing.T) {
+	srv := newServer(t, fullConfig(2, 4))
 	sess := srv.NewSession()
 	good := matstore.Query{
 		Output:  []string{tpch.ColShipdate, tpch.ColLinenum},
@@ -274,7 +228,7 @@ func TestPlanCacheKeyNoDelimiterCollision(t *testing.T) {
 	bad := good
 	bad.Output = []string{tpch.ColShipdate + "," + tpch.ColLinenum}
 	if _, err := sess.Select(context.Background(), tpch.LineitemProj, bad, matstore.LMParallel); err == nil {
-		t.Fatal("malformed column name collided with a cached plan and was served")
+		t.Fatal("malformed column name collided with a cached result and was served")
 	}
 }
 
@@ -394,10 +348,9 @@ func TestExplainThroughService(t *testing.T) {
 }
 
 // TestEstimateRacesServedPlans: the admission sizer prices a plan on every
-// request while other requests run the plan-cache's shared tree of the same
-// shape and a calibration pass swaps the constants. The estimate builds a
-// tree of its own and the pricing walk writes nowhere, so under -race this
-// must be silent — it would not be if estimates annotated the cached plan.
+// request while other requests run plans of the same shape and a calibration
+// pass swaps the constants. Each estimate builds a tree of its own and the
+// pricing walk writes nowhere, so under -race this must be silent.
 func TestEstimateRacesServedPlans(t *testing.T) {
 	db := openDB(t)
 	srv := service.New(db, cacheConfig(2, 8, true))
@@ -458,7 +411,4 @@ func TestEstimateRacesServedPlans(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := srv.Stats(); st.PlanCache.Hits == 0 {
-		t.Error("the served shapes never shared a cached plan")
-	}
 }

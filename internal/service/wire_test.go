@@ -122,7 +122,7 @@ func BenchmarkWriteQueryResponse(b *testing.B) {
 	for _, n := range []int{0, 100, 1000} {
 		resp := &QueryResponse{Columns: []string{"shipdate", "linenum", "quantity"}, Rows: make([][]int64, n),
 			RowCount: 10 * n, Checksum: 123456789, Strategy: "LM-parallel", Wall: 1234567, Workers: 2,
-			Morsels: 3, Session: 77, EstCostUS: 1534.25, PlanCacheHit: true}
+			Morsels: 3, Session: 77, EstCostUS: 1534.25}
 		for i := range resp.Rows {
 			resp.Rows[i] = []int64{int64(8000 + i), int64(i % 7), int64(100 * i)}
 		}

@@ -230,7 +230,8 @@ func (db *DB) SetConstants(c Constants) { db.consts.Store(&c) }
 func (db *DB) Close() error { return db.inner.Close() }
 
 // Exec exposes the underlying executor for in-module serving layers
-// (internal/service builds and runs plans directly so it can cache them);
+// (internal/service builds and runs plans directly, so that it can time the
+// build, hand a join plan the shared build cache and run under its grant);
 // the returned executor shares this DB's buffer pool and options.
 func (db *DB) Exec() *core.Executor { return db.exec }
 

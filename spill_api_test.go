@@ -25,7 +25,7 @@ func TestOpenSweepsOrphanedSpillFiles(t *testing.T) {
 	}
 	orphans := []string{
 		filepath.Join(spillDir, "spill-part-123.tmp"),
-		filepath.Join(spillDir, "spill-demote-456.tmp"),
+		filepath.Join(spillDir, "spill-part-456.tmp"),
 	}
 	for _, p := range orphans {
 		if err := os.WriteFile(p, []byte("stale"), 0o644); err != nil {
