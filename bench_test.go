@@ -444,8 +444,9 @@ func BenchmarkJoinProbe(b *testing.B) {
 
 // BenchmarkJoinSpill is the Grace-spill join end to end: orders ⋈ customer at
 // parallelism 1 under a quarter of the build's estimated bytes, so the build
-// writes its one radix partition to disk and every probe key waits for pass B
-// (see TestJoinSpillBytesPerOp for the bytes it may allocate).
+// leaves its one radix partition cold, every probe key waits for pass B, and
+// pass B rebuilds the partition from the stored key column (see
+// TestJoinSpillBytesPerOp for the bytes it may allocate).
 func BenchmarkJoinSpill(b *testing.B) {
 	db := benchDB(b)
 	for _, sel := range []float64{0.5, 0.9} {

@@ -21,8 +21,10 @@
 //	        -where 'custkey<200' -rightstrategy right-singlecolumn -explain
 //
 // -spill-budget-kb caps the resident build side: over-budget radix
-// partitions Grace-spill to temp files under the database's .spill
-// directory, with results byte-identical to the in-memory build.
+// partitions are only counted at build time and rebuilt one at a time from
+// the stored key column (Grace spill without temp files), with results
+// byte-identical to the in-memory build. The "spill:" line's rescan_bytes is
+// the bytes of (key, position) entries the build left to that rescan.
 package main
 
 import (
@@ -56,7 +58,7 @@ func main() {
 	rightOut := flag.String("rightout", "", "comma-separated inner output columns (with -join)")
 	rightStrategy := flag.String("rightstrategy", "right-materialized", "inner-table materialization: right-materialized|right-multicolumn|right-singlecolumn")
 	advise := flag.Bool("advise", false, "join mode: let the Section 4.3 cost terms pick the inner-table strategy")
-	spillKB := flag.Int64("spill-budget-kb", 0, "join mode: cap the resident build side at this many KiB, Grace-spilling over-budget partitions to temp files (0 = in-memory build)")
+	spillKB := flag.Int64("spill-budget-kb", 0, "join mode: cap the resident build side at this many KiB; over-budget partitions are rebuilt one at a time from the stored key column (0 = in-memory build)")
 	flag.Parse()
 
 	db, err := matstore.Open(*dir)
@@ -213,7 +215,7 @@ func runJoin(db *matstore.DB, outer, inner, leftKey, rightKey, out, rightOut, ri
 	fmt.Printf("probes=%d tuples_out=%d build_tuples=%d deferred_fetches=%d\n",
 		stats.Join.LeftProbes, stats.TuplesOut, stats.Join.RightBuildTuples, stats.Join.DeferredFetches)
 	if stats.Join.Spilled {
-		fmt.Printf("spill: partitions=%d/%d bytes=%d probes=%d\n",
+		fmt.Printf("spill: partitions=%d/%d rescan_bytes=%d probes=%d\n",
 			stats.Join.SpilledParts, stats.Join.Partitions, stats.Join.SpillBytes, stats.Join.SpillProbes)
 	}
 }

@@ -67,9 +67,8 @@ func main() {
 	maxConc := flag.Int("max-concurrent", 0, "admission limit; requests past it queue (0 = 2x budget)")
 	buildMB := flag.Int64("build-cache-mb", 0, "join-build cache budget in MiB (0 = 64, negative = disabled)")
 	resultMB := flag.Int64("result-cache-mb", 0, "result cache budget in MiB (0 = 32, negative = disabled)")
-	memoryMB := flag.Int64("memory-budget-mb", 0, "byte-budget memory governor in MiB: joins reserve predicted build bytes, spill to disk when over budget, shed with 503 under pile-up (0 = governance off)")
-	spillDir := flag.String("spill-dir", "", "directory for spill temp files (default: .spill under -dir)")
-	faultSpec := flag.String("faults", "", "debug: arm fault-injection sites, e.g. 'spill.write=error:3,spill.read=slow' (sites: "+strings.Join(faults.Sites, " ")+"; modes: error short slow[:afterN])")
+	memoryMB := flag.Int64("memory-budget-mb", 0, "byte-budget memory governor in MiB: joins reserve predicted build bytes, run as Grace spill joins when over budget, shed with 503 under pile-up (0 = governance off)")
+	faultSpec := flag.String("faults", "", "debug: arm fault-injection sites, e.g. 'spill.read=error:3,mem.reserve=slow' (sites: "+strings.Join(faults.Sites, " ")+"; modes: error slow[:afterN])")
 	calibrate := flag.Bool("calibrate", false, "refit the cost-model constants to this machine from the mixed workload before serving")
 	coordinator := flag.Bool("coordinator", false, "scatter-gather mode: -dir is a csgen -shards root; fan /query, /join, /explain out over -shard-endpoints and merge")
 	shardEndpoints := flag.String("shard-endpoints", "", "coordinator mode: comma-separated shard base URLs, one per shard in shard order")
@@ -142,7 +141,6 @@ func main() {
 		BuildCacheBytes:   buildBytes,
 		ResultCacheBytes:  resultBytes,
 		MemoryBudgetBytes: memoryBytes,
-		SpillDir:          *spillDir,
 		Logger:            logger,
 		SlowQueryMicros:   *slowQueryUS,
 	})

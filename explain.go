@@ -62,7 +62,7 @@ func (ex *Explanation) String() string {
 			js.RightStrategy, js.Join.LeftProbes, js.Join.RightBuildTuples,
 			js.Join.Partitions, js.Join.BuildWorkers, js.Join.DeferredFetches)
 		if js.Join.Spilled {
-			s += fmt.Sprintf("spill: partitions=%d/%d bytes=%d probes=%d\n",
+			s += fmt.Sprintf("spill: partitions=%d/%d rescan_bytes=%d probes=%d\n",
 				js.Join.SpilledParts, js.Join.Partitions, js.Join.SpillBytes, js.Join.SpillProbes)
 		}
 	}

@@ -166,8 +166,8 @@ func TestEMParallelAllocsPerChunk(t *testing.T) {
 // allocations per additional chunk; the join reads 14 to 18). The in-memory
 // strategies reuse one built hash side, so only the probe is measured; the
 // fully spilled run rebuilds every time (its build is private to the run),
-// which adds the inner table's own chunks and one placeholder list per chunk,
-// hence its wider slack. Before the flat table and the reserve-once probe the
+// which adds the inner table's own chunks — scanned by the build and again by
+// pass B — and one placeholder list per chunk, hence its wider slack. Before the flat table and the reserve-once probe the
 // join read 17 to 21 and the selection itself 18 to 23: it kept every chunk's
 // position descriptor to count them after the merge.
 func TestJoinProbeAllocsPerChunk(t *testing.T) {
@@ -202,7 +202,6 @@ func TestJoinProbeAllocsPerChunk(t *testing.T) {
 	}
 	join := func(rs operators.RightStrategy, spill bool) func(chunk int64) {
 		plans := map[int64]*plan.Plan{}
-		dir := t.TempDir()
 		return func(chunk int64) {
 			e := NewExecutor(db.Pool(), Options{ChunkSize: chunk})
 			pl := plans[chunk]
@@ -215,7 +214,7 @@ func TestJoinProbeAllocsPerChunk(t *testing.T) {
 			}
 			var opt plan.RunOptions
 			if spill {
-				opt.Spill = &operators.SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20, Dir: dir}
+				opt.Spill = &operators.SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20}
 			}
 			if _, _, err := e.RunJoinPlanWith(pl, 1, opt); err != nil {
 				t.Fatal(err)

@@ -86,7 +86,6 @@ func TestChunkBoundariesAgainstOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := t.TempDir()
 		for _, rs := range []operators.RightStrategy{
 			operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
 		} {
@@ -99,7 +98,7 @@ func TestChunkBoundariesAgainstOracle(t *testing.T) {
 					for _, limit := range limits(len(ref[0])) {
 						opt := plan.RunOptions{Limit: limit}
 						if spill {
-							opt.Spill = &operators.SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20, Dir: dir}
+							opt.Spill = &operators.SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20}
 						}
 						res, _, err := pair.e.RunJoinPlanWith(pl, par, opt)
 						if err != nil {

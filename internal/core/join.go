@@ -32,9 +32,10 @@ type JoinQuery struct {
 	// probe streams morsel-parallel against them.
 	Parallelism int
 	// SpillBudgetBytes, when > 0, caps the resident bytes of the build side:
-	// the build runs in Grace spill mode, writing over-budget partitions to
-	// temp files under the database's spill directory and probing them
-	// partition-at-a-time. Results are byte-identical to the in-memory build
+	// the build runs in Grace spill mode, only counting the entries of
+	// over-budget partitions, and pass B rebuilds and probes them
+	// partition-at-a-time by rescanning the stored key column; no file is
+	// written. Results are byte-identical to the in-memory build
 	// at every budget. 0 (the default) builds fully in memory. (The query
 	// service sets the equivalent automatically from its memory governor;
 	// this field is the direct-API and CLI switch.)

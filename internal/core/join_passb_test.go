@@ -40,7 +40,6 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 		RightKey:    tpch.ColCustkey,
 		RightOutput: []string{tpch.ColOrderShipdate, tpch.ColCustkey},
 	}
-	dir := t.TempDir()
 	for _, rs := range []operators.RightStrategy{
 		operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
 	} {
@@ -82,7 +81,7 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 				}
 				got, stats, err := e.RunJoinPlanWith(spl, workers, plan.RunOptions{
 					Ctx:   context.Background(),
-					Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes, Dir: dir},
+					Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes},
 				})
 				if err != nil {
 					t.Fatalf("%v/budget=%d/w=%d: %v", rs, budget, workers, err)
@@ -94,7 +93,7 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 				for _, limit := range oracle.Limits(want.NumRows()) {
 					capped, _, err := e.RunJoinPlanWith(spl, workers, plan.RunOptions{
 						Limit: limit,
-						Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes, Dir: dir},
+						Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes},
 					})
 					if err != nil {
 						t.Fatalf("%v/budget=%d/w=%d/limit=%d: %v", rs, budget, workers, limit, err)
@@ -202,7 +201,6 @@ func TestJoinSpillPassBUnmatchedKeys(t *testing.T) {
 		}
 		return c
 	}
-	dir := t.TempDir()
 	for _, rightOut := range [][]string{{tpch.ColOrderShipdate}, nil} {
 		q := JoinQuery{
 			LeftKey:     tpch.ColCustkey,
@@ -249,7 +247,7 @@ func TestJoinSpillPassBUnmatchedKeys(t *testing.T) {
 				for _, budget := range []int64{1, est.SizeBytes / 2, est.SizeBytes * 100} {
 					for _, workers := range []int{1, 4} {
 						at := fmt.Sprintf("%s/budget=%d/w=%d", name, budget, workers)
-						spill := &operators.SpillConfig{BudgetBytes: budget, EstBytes: est.SizeBytes, Dir: dir}
+						spill := &operators.SpillConfig{BudgetBytes: budget, EstBytes: est.SizeBytes}
 						got, stats, err := e.RunJoinPlanWith(pl, workers, plan.RunOptions{Spill: spill})
 						if err != nil {
 							t.Fatalf("%s: %v", at, err)

@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
+	"time"
 
+	"matstore/internal/faults"
 	"matstore/internal/operators"
 	"matstore/internal/oracle"
 	"matstore/internal/plan"
@@ -23,7 +23,6 @@ import (
 // in-memory result's leading rows and counts and sums all of them.
 func TestJoinSpillMatchesInMemory(t *testing.T) {
 	orders, customer, e := joinProjections(t)
-	dir := t.TempDir()
 	for _, withPred := range []bool{true, false} {
 		q := joinTestQuery(withPred)
 		for _, rs := range []operators.RightStrategy{
@@ -51,7 +50,7 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 					}
 					got, stats, err := e.RunJoinPlanWith(spl, workers, plan.RunOptions{
 						Ctx:   context.Background(),
-						Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes, Dir: dir},
+						Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes},
 					})
 					if err != nil {
 						t.Fatalf("%v/pred=%v/budget=%d/w=%d: %v", rs, withPred, budget, workers, err)
@@ -63,7 +62,7 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 					for _, limit := range oracle.Limits(want.NumRows()) {
 						capped, _, err := e.RunJoinPlanWith(spl, workers, plan.RunOptions{
 							Limit: limit,
-							Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes, Dir: dir},
+							Spill: &operators.SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes},
 						})
 						if err != nil {
 							t.Fatalf("%v/pred=%v/budget=%d/w=%d/limit=%d: %v", rs, withPred, budget, workers, limit, err)
@@ -97,41 +96,33 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 			}
 		}
 	}
-	// Every run owned and removed its temp files.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		if strings.HasPrefix(ent.Name(), operators.SpillFilePrefix) {
-			t.Errorf("leaked spill file %s", filepath.Join(dir, ent.Name()))
-		}
-	}
 }
 
-// TestJoinSpillCancel pins cancellation mid-spill-run: the run returns the
-// context error and leaves no temp files behind.
+// TestJoinSpillCancel pins cancellation of a spill run, in the build and in
+// pass B: the run returns the context's error. The pass-B case slows the
+// rebuild of the first cold partition past the run's deadline, so the rebuild
+// sees the expired context at its first chunk.
 func TestJoinSpillCancel(t *testing.T) {
+	defer faults.Reset()
 	orders, customer, e := joinProjections(t)
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	pl, err := e.BuildJoinPlan(orders, customer, joinTestQuery(false), operators.RightSingleColumn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = e.RunJoinPlanWith(pl, 2, plan.RunOptions{
-		Ctx:   ctx,
-		Spill: &operators.SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20, Dir: dir},
-	})
-	if err == nil {
-		t.Fatal("cancelled spill run succeeded")
+	spill := &operators.SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err = e.RunJoinPlanWith(pl, 2, plan.RunOptions{Ctx: ctx, Spill: spill}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled spill run: err = %v, want %v", err, context.Canceled)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+
+	faults.Enable("spill.read", faults.Failpoint{Mode: faults.Slow, Delay: 500 * time.Millisecond})
+	ctx, cancel = context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, _, err = e.RunJoinPlanWith(pl, 2, plan.RunOptions{Ctx: ctx, Spill: spill}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("spill run past its deadline in pass B: err = %v, want %v", err, context.DeadlineExceeded)
 	}
-	if len(entries) != 0 {
-		t.Errorf("cancelled run leaked %d spill files", len(entries))
+	if faults.Hits("spill.read") == 0 {
+		t.Error("the run never reached pass B")
 	}
 }

@@ -1,9 +1,9 @@
 // Package faults is a site-keyed failpoint registry for fault-injection
-// testing. Production code calls Check (or WriteOutcome for write paths) at
-// named sites; tests and the csserve -faults flag arm sites with a Failpoint
-// describing what to inject: a hard error, a short write, or slow IO. With no
-// sites armed the hot-path cost is one atomic load, so the hooks stay compiled
-// into release binaries and the fault matrix runs against the real code.
+// testing. Production code calls Check at named sites; tests and the csserve
+// -faults flag arm sites with a Failpoint describing what to inject: a hard
+// error or a delay. With no sites armed the hot-path cost is one atomic load,
+// so the hooks stay compiled into release binaries and the fault matrix runs
+// against the real code.
 // Sites lists the sites production code checks.
 package faults
 
@@ -21,26 +21,21 @@ import (
 
 // Sites are the wired sites, the only ones Parse arms:
 //
-//	spill.create – creating a spill partition temp file
-//	spill.write  – writing a spill frame (error and short-write modes)
-//	spill.read   – reading a spill frame back during the probe
+//	spill.read   – pass B of a Grace join rebuilding a cold partition from
+//	               the stored key column
 //	mem.reserve  – allocation-pressure hook in the service governor's admit:
 //	               a join's full byte estimate is refused as if it did not fit
-var Sites = []string{"spill.create", "spill.write", "spill.read", "mem.reserve"}
+var Sites = []string{"spill.read", "mem.reserve"}
 
-// ErrInjected is the default error returned by armed Error/ShortWrite sites.
+// ErrInjected is the default error returned by armed Error sites.
 var ErrInjected = errors.New("faults: injected failure")
 
 // Mode selects what an armed site injects.
 type Mode uint8
 
 const (
-	// Error makes Check/WriteOutcome return ErrInjected (or Failpoint.Err).
+	// Error makes Check return ErrInjected (or Failpoint.Err).
 	Error Mode = iota
-	// ShortWrite makes WriteOutcome report half the buffer written before
-	// failing, so partially-flushed files exist on disk. Check treats it
-	// like Error.
-	ShortWrite
 	// Slow sleeps Failpoint.Delay (default 10ms) and then proceeds.
 	Slow
 )
@@ -53,7 +48,7 @@ type Failpoint struct {
 	After int64
 	// Delay is the Slow-mode sleep; zero means 10ms.
 	Delay time.Duration
-	// Err overrides ErrInjected for Error/ShortWrite.
+	// Err overrides ErrInjected for Error.
 	Err error
 }
 
@@ -165,40 +160,9 @@ func Check(name string) error {
 	}
 }
 
-// WriteOutcome is the write-path hook: for a pending write of size bytes it
-// returns (-1, nil) when the write should proceed normally, or (n, err) when
-// the caller must write only the first n bytes and fail with err. ShortWrite
-// yields n = size/2 so tests exercise truncated frames on disk.
-func WriteOutcome(name string, size int) (int, error) {
-	if nArmed.Load() == 0 {
-		return -1, nil
-	}
-	fp, fire := lookup(name)
-	if !fire {
-		return -1, nil
-	}
-	err := fp.Err
-	if err == nil {
-		err = ErrInjected
-	}
-	switch fp.Mode {
-	case Slow:
-		d := fp.Delay
-		if d == 0 {
-			d = 10 * time.Millisecond
-		}
-		time.Sleep(d)
-		return -1, nil
-	case ShortWrite:
-		return size / 2, err
-	default:
-		return 0, err
-	}
-}
-
 // Parse arms sites from a csserve-style spec: comma-separated
-// "site=mode[:after]" clauses where mode is error|short|slow, e.g.
-// "spill.write=error,spill.read=slow:3". Every site must be one of Sites; a
+// "site=mode[:after]" clauses where mode is error|slow, e.g.
+// "spill.read=error:3,mem.reserve=slow". Every site must be one of Sites; a
 // spec with any bad clause arms nothing.
 func Parse(spec string) error {
 	armed := map[string]Failpoint{}
@@ -219,12 +183,10 @@ func Parse(spec string) error {
 		switch modeStr {
 		case "error":
 			fp.Mode = Error
-		case "short":
-			fp.Mode = ShortWrite
 		case "slow":
 			fp.Mode = Slow
 		default:
-			return fmt.Errorf("faults: bad mode %q in %q (want error|short|slow)", modeStr, clause)
+			return fmt.Errorf("faults: bad mode %q in %q (want error|slow)", modeStr, clause)
 		}
 		if afterStr != "" {
 			n, err := strconv.ParseInt(afterStr, 10, 64)

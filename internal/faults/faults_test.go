@@ -12,9 +12,6 @@ func TestUnarmedIsFree(t *testing.T) {
 	if err := Check("nope"); err != nil {
 		t.Fatalf("unarmed Check: %v", err)
 	}
-	if n, err := WriteOutcome("nope", 100); n != -1 || err != nil {
-		t.Fatalf("unarmed WriteOutcome: n=%d err=%v", n, err)
-	}
 	if Hits("nope") != 0 {
 		t.Fatalf("unarmed site counted hits")
 	}
@@ -43,20 +40,10 @@ func TestErrorModeAndAfter(t *testing.T) {
 	if got := Hits("x"); got != 3 {
 		t.Fatalf("Hits after disable = %d, want 3", got)
 	}
-}
-
-func TestShortWrite(t *testing.T) {
-	Reset()
-	defer Reset()
 	custom := errors.New("disk gremlin")
-	Enable("w", Failpoint{Mode: ShortWrite, Err: custom})
-	n, err := WriteOutcome("w", 64)
-	if n != 32 || !errors.Is(err, custom) {
-		t.Fatalf("short write: n=%d err=%v, want 32/%v", n, err, custom)
-	}
-	// Check treats ShortWrite as a plain error.
-	if err := Check("w"); !errors.Is(err, custom) {
-		t.Fatalf("Check on short-write site: %v", err)
+	Enable("x", Failpoint{Mode: Error, Err: custom})
+	if err := Check("x"); !errors.Is(err, custom) {
+		t.Fatalf("error site with a custom error: %v", err)
 	}
 }
 
@@ -71,23 +58,20 @@ func TestSlowMode(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
 		t.Fatalf("slow mode returned in %v", elapsed)
 	}
-	if n, err := WriteOutcome("s", 10); n != -1 || err != nil {
-		t.Fatalf("slow WriteOutcome should proceed: n=%d err=%v", n, err)
-	}
 }
 
 func TestParse(t *testing.T) {
 	Reset()
 	defer Reset()
-	if err := Parse("spill.write=error, spill.read=short:5 ,mem.reserve=slow"); err != nil {
+	if err := Parse(" spill.read=error:5 ,mem.reserve=slow"); err != nil {
 		t.Fatal(err)
 	}
 	armed := Armed()
-	if len(armed) != 3 || armed[0] != "mem.reserve" || armed[1] != "spill.read" || armed[2] != "spill.write" {
+	if len(armed) != 2 || armed[0] != "mem.reserve" || armed[1] != "spill.read" {
 		t.Fatalf("Armed = %v", armed)
 	}
-	if err := Check("spill.write"); !errors.Is(err, ErrInjected) {
-		t.Fatalf("parsed error site: %v", err)
+	if err := Check("mem.reserve"); err != nil {
+		t.Fatalf("parsed slow site: %v", err)
 	}
 	// spill.read has After=5: first five hits pass.
 	for i := 0; i < 5; i++ {
@@ -95,10 +79,10 @@ func TestParse(t *testing.T) {
 			t.Fatalf("spill.read fired early: %v", err)
 		}
 	}
-	if err := Check("spill.read"); err == nil {
-		t.Fatal("spill.read should fire on hit 6")
+	if err := Check("spill.read"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("spill.read should fire on hit 6: %v", err)
 	}
-	for _, bad := range []string{"noequals", "spill.write=banana", "spill.write=error:-1", "=error"} {
+	for _, bad := range []string{"noequals", "spill.read=banana", "spill.read=short", "spill.read=error:-1", "=error"} {
 		if err := Parse(bad); err == nil {
 			t.Fatalf("Parse(%q) should fail", bad)
 		}
@@ -111,7 +95,7 @@ func TestParse(t *testing.T) {
 func TestParseRejectsUnknownSite(t *testing.T) {
 	Reset()
 	defer Reset()
-	for _, spec := range []string{"spill.wrte=error", "spill.read=slow,cache.demote=error"} {
+	for _, spec := range []string{"spill.raed=error", "spill.read=slow,spill.write=error"} {
 		err := Parse(spec)
 		if err == nil {
 			t.Fatalf("Parse(%q) armed an unknown site", spec)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // This file is the join's one hash-table type. A FlatTable maps a join key
@@ -132,16 +131,6 @@ func newFlatTable(runs ...[]buildEntry) (FlatTable, error) {
 		slots[i].off -= slots[i].cnt
 	}
 	return FlatTable{slots: slots, shift: shift, pos: pos}, nil
-}
-
-// sortGroups puts every key's positions in ascending order, for entries that
-// did not arrive that way (spill frames interleave morsels).
-func (t *FlatTable) sortGroups() {
-	for _, s := range t.slots {
-		if s.cnt > 1 {
-			slices.Sort(t.pos[s.off : s.off+s.cnt])
-		}
-	}
 }
 
 // Probe returns the right positions holding key, ascending (nil if none). The

@@ -116,20 +116,6 @@ func TestFlatTableMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestFlatTableSortGroups covers the spill load: entries arriving out of
-// position order (interleaved morsel flushes) still probe ascending.
-func TestFlatTableSortGroups(t *testing.T) {
-	entries := seededEntries(6, 5000, 300)
-	rand.New(rand.NewSource(7)).Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
-	tbl, err := newFlatTable(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl.sortGroups()
-	ref := refTable(seededEntries(6, 5000, 300)) // position order
-	checkAgainstRef(t, "shuffled", tbl.Probe, ref, nil)
-}
-
 // TestFlatTableEntryLimit pins the uint32 offset guard: 2^32 entries in one
 // partition is an error, not a wrapped offset.
 func TestFlatTableEntryLimit(t *testing.T) {

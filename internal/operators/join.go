@@ -75,14 +75,13 @@ type JoinStats struct {
 	// retained build (the build cache) instead of scanning the inner table.
 	BuildCacheHit bool
 	// Spilled reports a Grace spill-mode run: the build ran under a byte
-	// budget with SpilledParts partitions on disk (SpillBytes total) and all
-	// right payload deferred to the stored columns. SpillProbes counts the
-	// probes resolved partition-at-a-time from spilled partitions.
+	// budget with SpilledParts cold partitions and all right payload
+	// deferred to the stored columns. SpillBytes is the bytes of (key,
+	// position) entries the build left to pass B, which rebuilds each cold
+	// partition from the stored key column (16 per entry). SpillProbes
+	// counts the probes resolved partition-at-a-time from cold partitions.
 	Spilled      bool
 	SpilledParts int
 	SpillBytes   int64
 	SpillProbes  int64
-	// SpillWriteNanos is the wall time the build spent writing spill frames
-	// (trace/slow-log attribution of disk time vs hash time).
-	SpillWriteNanos int64
 }

@@ -95,17 +95,15 @@ type PartitionedTable struct {
 	// shared build cache's memory budget.
 	SizeBytes int64
 	// SpilledParts and SpillBytes describe the Grace spill share of a
-	// budget-bounded build (zero for fully in-memory builds);
-	// SpillWriteNanos is the wall time spent in spill frame writes during
-	// the build (a trace/slow-log attribute separating disk time from hash
-	// time).
-	SpilledParts    int
-	SpillBytes      int64
-	SpillWriteNanos int64
+	// budget-bounded build (zero for fully in-memory builds): the cold
+	// partitions, and the bytes of (key, position) entries the build left to
+	// pass B to rebuild from the key column (16 per entry).
+	SpilledParts int
+	SpillBytes   int64
 
 	// spill is non-nil for budget-bounded builds (see spill.go): partitions
-	// past spill.resident live in temp files and all payload access defers
-	// to the stored columns.
+	// past spill.resident are cold, rebuilt from the key column on demand,
+	// and all payload access defers to the stored columns.
 	spill *spillState
 }
 
@@ -186,10 +184,10 @@ func BuildPartitioned(key *storage.Column, payloadCols []*storage.Column, payloa
 // buildPartitioned is the one build: the in-memory build is the Grace build
 // with every partition resident. With cfg nil all p partitions stage in memory
 // and the payload is loaded per the strategy; with a spill configuration the
-// first residentShare partitions do, the rest stream to per-partition temp
-// files, and only the key column is scanned (payload is deferred to the stored
-// columns). Cancellation is observed between chunks; every error path removes
-// the temp files before returning.
+// first residentShare partitions do, the entries of the rest are only counted
+// (pass B rebuilds them from the key column), and only the key column is
+// scanned (payload is deferred to the stored columns). Cancellation is
+// observed between chunks.
 func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*storage.Column, payload []string, strat RightStrategy, chunkSize int64, workers, partitions int, cfg *SpillConfig) (*PartitionedTable, error) {
 	extent := key.Extent()
 	workers = max(workers, 1)
@@ -210,9 +208,7 @@ func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*s
 	resident := p
 	if cfg != nil {
 		resident = residentShare(p, *cfg)
-		if err := rt.openSpill(*cfg, resident); err != nil {
-			return nil, err
-		}
+		rt.spill = &spillState{resident: resident, key: key, counts: make([]int64, p)}
 	} else {
 		rt.allocPayload()
 	}
@@ -224,16 +220,19 @@ func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*s
 
 	// Phase 1: morsel-parallel partitioning scan. Resident partitions buffer
 	// per (partition, morsel) so phase 2 can take the buffers in morsel order,
-	// which keeps every key's position list ascending; cold partitions
-	// accumulate up to a plain block's worth and flush frames under the
-	// partition lock.
+	// which keeps every key's position list ascending; cold partitions are
+	// only counted.
 	staged := newStaging(resident, len(morsels))
+	var cold [][]int64 // cold[morsel][partition]: the entries counted, not staged
+	if resident < p {
+		cold = make([][]int64, len(morsels))
+	}
 	err := exec.Run(workers, len(morsels), func(i int) error {
-		share := stagingShare(p, morsels[i].Len())
-		bufs := stagingBuffers(resident, share)
-		var cold *coldWriter
-		if resident < p {
-			cold = rt.spill.newColdWriter(share)
+		bufs := stagingBuffers(resident, stagingShare(p, morsels[i].Len()))
+		var counts []int64
+		if cold != nil {
+			counts = make([]int64, p)
+			cold[i] = counts
 		}
 		ch := datasource.NewChunker(morsels[i], chunkSize)
 		var keyBuf []int64
@@ -242,18 +241,9 @@ func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*s
 				return err
 			}
 			r := ch.Chunk(ci)
-			mc, err := key.Window(r)
-			if err != nil {
+			var err error
+			if keyBuf, err = rt.scanChunk(key, r, keyBuf, bufs, 0, counts); err != nil {
 				return err
-			}
-			keyBuf = mc.Decompress(keyBuf[:0])
-			for j, k := range keyBuf {
-				pt := int(HashKey(k) & rt.mask)
-				if pt < resident {
-					bufs[pt] = append(bufs[pt], buildEntry{key: k, pos: r.Start + int64(j)})
-				} else if err := cold.add(pt, k, r.Start+int64(j)); err != nil {
-					return err
-				}
 			}
 			if cfg == nil {
 				if err := rt.loadPayloadChunk(r); err != nil {
@@ -264,7 +254,7 @@ func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*s
 		for pt := range bufs {
 			staged[pt][i] = bufs[pt]
 		}
-		return cold.flushAll()
+		return nil
 	})
 	// Phase 2 (after the scan barrier): one hash table per resident
 	// partition, built lock-free — each partition is owned by a single worker.
@@ -272,18 +262,39 @@ func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*s
 		err = rt.buildTables(workers, staged)
 	}
 	if err != nil {
-		rt.ReleaseSpill()
 		return nil, err
 	}
 	rt.SizeBytes = rt.memBytes()
-	if cfg != nil {
-		for _, sp := range rt.spill.parts[resident:] {
-			rt.SpillBytes += sp.bytes
-			rt.SpillWriteNanos += sp.writeNanos
+	for _, counts := range cold {
+		for pt, n := range counts {
+			rt.spill.counts[pt] += n
+			rt.SpillBytes += buildEntryBytes * n
 		}
-		rt.SpilledParts = p - resident
 	}
+	rt.SpilledParts = p - resident
 	return rt, nil
+}
+
+// scanChunk is the partitioning scan of one chunk r of the key column, shared
+// by the build and pass B's rebuild of a cold partition: it decompresses the
+// chunk into keyBuf and routes every (key, position) pair by partition. The
+// pairs of partitions lo to lo+len(bufs)-1 are appended to their buffers in
+// position order; any other pair is only counted in cold (when not nil).
+func (rt *PartitionedTable) scanChunk(key *storage.Column, r positions.Range, keyBuf []int64, bufs [][]buildEntry, lo int, cold []int64) ([]int64, error) {
+	mc, err := key.Window(r)
+	if err != nil {
+		return keyBuf, err
+	}
+	keyBuf = mc.Decompress(keyBuf[:0])
+	for j, k := range keyBuf {
+		pt := int(HashKey(k)&rt.mask) - lo
+		if uint(pt) < uint(len(bufs)) {
+			bufs[pt] = append(bufs[pt], buildEntry{key: k, pos: r.Start + int64(j)})
+		} else if cold != nil {
+			cold[pt+lo]++
+		}
+	}
+	return keyBuf, nil
 }
 
 // allocPayload allocates the in-memory payload storage the strategy fills at

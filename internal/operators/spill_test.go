@@ -3,7 +3,6 @@ package operators
 import (
 	"context"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -14,8 +13,8 @@ import (
 	"matstore/internal/storage"
 )
 
-// spillFixture builds a right projection big enough to span many chunks and
-// spill frames: 3000 rows, keys 0..299 (each repeated 10x), val = 1000+i.
+// spillFixture builds a right projection big enough to span many chunks:
+// 3000 rows, keys 0..299 (each repeated 10x), val = 1000+i.
 func spillFixture(t *testing.T) *storage.Projection {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "right")
@@ -54,19 +53,10 @@ func spillCols(t *testing.T, p *storage.Projection) (key, val *storage.Column) {
 	return key, val
 }
 
-func spillFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, SpillFilePrefix+"*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return matches
-}
-
 // TestSpillBuildMatchesInMemory pins the Grace build against the in-memory
-// reference at every budget: resident partitions probe identically, and
-// spilled partitions, loaded back partition-at-a-time, hold exactly the
-// reference's ascending bucket lists.
+// reference at every budget: resident partitions probe identically, and cold
+// partitions, rebuilt from the key column partition-at-a-time, hold exactly
+// the reference's ascending bucket lists.
 func TestSpillBuildMatchesInMemory(t *testing.T) {
 	right := spillFixture(t)
 	keyCol, valCol := spillCols(t, right)
@@ -76,8 +66,7 @@ func TestSpillBuildMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{0, 1, ref.SizeBytes / 2, ref.SizeBytes * 100} {
-		dir := t.TempDir()
-		cfg := SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes, Dir: dir}
+		cfg := SpillConfig{BudgetBytes: budget, EstBytes: ref.SizeBytes}
 		rt, err := BuildPartitionedSpill(context.Background(), keyCol, []*storage.Column{valCol}, []string{"val"}, RightSingleColumn, chunkSize, 4, 8, cfg)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
@@ -90,7 +79,7 @@ func TestSpillBuildMatchesInMemory(t *testing.T) {
 		}
 		spilledTables := map[int]*FlatTable{}
 		for pt := rt.ResidentPartitions(); pt < rt.Partitions; pt++ {
-			tbl, err := rt.LoadSpilledPartition(pt)
+			tbl, err := rt.LoadSpilledPartition(context.Background(), pt)
 			if err != nil {
 				t.Fatalf("budget %d: load partition %d: %v", budget, pt, err)
 			}
@@ -108,100 +97,42 @@ func TestSpillBuildMatchesInMemory(t *testing.T) {
 				t.Fatalf("budget %d: key %d: got %v, want %v", budget, k, got, want)
 			}
 		}
-		if budget == 0 && rt.SpillBytes == 0 {
-			t.Fatal("zero budget should have spilled bytes")
-		}
-		rt.ReleaseSpill()
-		rt.ReleaseSpill() // idempotent
-		if files := spillFiles(t, dir); len(files) != 0 {
-			t.Fatalf("budget %d: leaked spill files %v", budget, files)
+		if budget == 0 && rt.SpillBytes != 16*3000 {
+			t.Fatalf("zero budget: SpillBytes = %d, want 16 bytes for each of the 3000 entries", rt.SpillBytes)
 		}
 	}
 }
 
-// TestSpillBuildFaults arms each disk failpoint and checks the build fails
-// cleanly: a propagated error and zero temp files left behind.
-func TestSpillBuildFaults(t *testing.T) {
-	right := spillFixture(t)
-	keyCol, valCol := spillCols(t, right)
-	for _, site := range []string{"spill.create", "spill.write"} {
-		for _, mode := range []faults.Mode{faults.Error, faults.ShortWrite} {
-			faults.Reset()
-			faults.Enable(site, faults.Failpoint{Mode: mode})
-			dir := t.TempDir()
-			cfg := SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20, Dir: dir}
-			_, err := BuildPartitionedSpill(context.Background(), keyCol, []*storage.Column{valCol}, []string{"val"}, RightSingleColumn, 64, 2, 8, cfg)
-			if !errors.Is(err, faults.ErrInjected) {
-				t.Fatalf("%s/%v: err = %v, want injected", site, mode, err)
-			}
-			if files := spillFiles(t, dir); len(files) != 0 {
-				t.Fatalf("%s/%v: leaked %v", site, mode, files)
-			}
-		}
-	}
-	faults.Reset()
-
-	// Cancellation mid-build: also no leaked files.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	dir := t.TempDir()
-	_, err := BuildPartitionedSpill(ctx, keyCol, []*storage.Column{valCol}, nil, RightSingleColumn, 64, 2, 8,
-		SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20, Dir: dir})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled build: %v", err)
-	}
-	if files := spillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("cancelled build leaked %v", files)
-	}
-}
-
-// TestSpillReadFault arms the probe-side read failpoint: the load errors and
-// the files are still released cleanly.
+// TestSpillReadFault arms the pass-B failpoint: the rebuild errors. A rebuild
+// under a cancelled context returns the context's error, and one that finds a
+// different entry count than the build counted fails rather than probing a
+// partial table.
 func TestSpillReadFault(t *testing.T) {
 	right := spillFixture(t)
 	keyCol, valCol := spillCols(t, right)
-	dir := t.TempDir()
 	rt, err := BuildPartitionedSpill(context.Background(), keyCol, []*storage.Column{valCol}, []string{"val"}, RightSingleColumn, 64, 2, 8,
-		SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20, Dir: dir})
+		SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pt := rt.Partitions - 1
 	faults.Reset()
 	faults.Enable("spill.read", faults.Failpoint{Mode: faults.Error})
-	if _, err := rt.LoadSpilledPartition(rt.Partitions - 1); !errors.Is(err, faults.ErrInjected) {
+	if _, err := rt.LoadSpilledPartition(context.Background(), pt); !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("load under read fault: %v", err)
 	}
 	faults.Reset()
-	rt.ReleaseSpill()
-	if files := spillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("leaked %v", files)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := rt.LoadSpilledPartition(ctx, pt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("load under a cancelled context: %v", err)
 	}
-}
-
-// TestSweepSpillDir plants orphaned spill files (a crashed process's
-// leftovers) and checks the startup sweep removes exactly them.
-func TestSweepSpillDir(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{SpillFilePrefix + "part-123.tmp", SpillFilePrefix + "part-9.tmp"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("orphan"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	rt.spill.counts[pt]++
+	if _, err := rt.LoadSpilledPartition(context.Background(), pt); err == nil {
+		t.Fatal("a rebuild finding fewer entries than counted succeeded")
 	}
-	keep := filepath.Join(dir, "not-a-spill-file")
-	if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
+	rt.spill.counts[pt]--
+	if _, err := rt.LoadSpilledPartition(context.Background(), pt); err != nil {
 		t.Fatal(err)
-	}
-	n, err := SweepSpillDir(dir)
-	if err != nil || n != 2 {
-		t.Fatalf("sweep = %d, %v; want 2", n, err)
-	}
-	if files := spillFiles(t, dir); len(files) != 0 {
-		t.Fatalf("sweep left %v", files)
-	}
-	if _, err := os.Stat(keep); err != nil {
-		t.Fatal("sweep removed a non-spill file")
-	}
-	if n, err := SweepSpillDir(filepath.Join(dir, "missing")); n != 0 || err != nil {
-		t.Fatalf("missing dir sweep = %d, %v", n, err)
 	}
 }

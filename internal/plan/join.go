@@ -45,9 +45,9 @@ func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats
 	switch {
 	case spill != nil:
 		// Grace spill mode: a budget-bounded, run-private build. It bypasses
-		// the shared build cache — the table owns temp files whose lifetime
-		// is exactly this run, and sharing them would race concurrent probes
-		// against file removal.
+		// the shared build cache — its resident share is sized to this run's
+		// byte grant and its cold partitions are rebuilt by this run's pass
+		// B, so it is not a build another query could share.
 		rt, err = operators.BuildPartitionedSpill(ctx,
 			build.Column, build.RightCols, build.RightPayload,
 			build.RightStrategy, p.Spec.ChunkSize, workers, build.Partitions, *spill)
@@ -75,7 +75,6 @@ func (p *Plan) runJoinBuild(ctx context.Context, build *Node, workers int, stats
 	stats.Join.Spilled = rt.DeferredPayload()
 	stats.Join.SpilledParts = rt.SpilledParts
 	stats.Join.SpillBytes = rt.SpillBytes
-	stats.Join.SpillWriteNanos = rt.SpillWriteNanos
 	return rt, nil
 }
 

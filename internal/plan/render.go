@@ -53,7 +53,7 @@ func (p *Plan) annotations(n *Node) string {
 		if n.Kind == KindJoinBuild && n.built != nil {
 			obs += fmt.Sprintf(" partitions=%d build_workers=%d", n.built.Partitions, n.built.BuildWorkers)
 			if n.built.SpilledParts > 0 {
-				obs += fmt.Sprintf(" spilled=%d/%d spill_bytes=%d",
+				obs += fmt.Sprintf(" spilled=%d/%d rescan_bytes=%d",
 					n.built.SpilledParts, n.built.Partitions, n.built.SpillBytes)
 			}
 		}

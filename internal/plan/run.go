@@ -89,17 +89,17 @@ func (pt *partial) init(s Spec, chunks int) (*operators.Aggregator, *rows.Result
 }
 
 // RunOptions parameterizes RunWith beyond the worker request: an optional
-// context (checked between morsels, between spill chunks and between spilled
-// partitions, so cancellation releases workers and temp files promptly), the
-// EXPLAIN observation flag, and an optional Grace spill configuration for
+// context (checked between morsels and between the chunks of the build and of
+// pass B's partition rebuilds, so cancellation releases workers promptly),
+// the EXPLAIN observation flag, and an optional Grace spill configuration for
 // the join build (set by the service when the memory governor denies an
 // in-memory reservation).
 type RunOptions struct {
 	Ctx     context.Context
 	Observe bool
 	// Spill forces the join build into budget-bounded spill mode. Spilled
-	// results are byte-identical to in-memory execution; the temp files are
-	// removed when the run returns, on every path.
+	// results are byte-identical to in-memory execution, and no file is
+	// written: pass B rebuilds cold partitions from the stored key column.
 	Spill *operators.SpillConfig
 	// Limit caps the rows the result keeps (0 = every row); its Total and Sums
 	// cover every row regardless. It is a size of this run, not of the plan.
@@ -152,13 +152,8 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 		if stats.Join.Spilled {
 			bspan.SetAttr("spilled_parts", stats.Join.SpilledParts)
 			bspan.SetAttr("spill_bytes", stats.Join.SpillBytes)
-			bspan.SetAttr("spill_write_ns", stats.Join.SpillWriteNanos)
 		}
 		bspan.End()
-		// A spill-built table owns temp files; they are removed when the run
-		// finishes, success or not (no-op for in-memory builds, which may be
-		// shared through the build cache).
-		defer built.ReleaseSpill()
 	}
 	extent := positions.Range{Start: 0, End: p.Spec.Tuples}
 	morsels := exec.Morsels(extent, p.Spec.ChunkSize, workers)

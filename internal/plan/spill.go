@@ -14,10 +14,11 @@ import (
 // emitted each such probe as a placeholder row — its outer values in place,
 // its right position not yet known — exactly where the in-memory path emits
 // its match, and listed the row's chunk and offset on its partition's list.
-// Pass B loads each spilled partition once (bounded memory: one partition's
-// hash table at a time) and probes the listed keys. A key with one match —
-// every key of a unique inner key, such as the paper's FK→PK join — has its
-// position written into the placeholder in place. A key with zero or several
+// Pass B rebuilds each spilled partition once by rescanning the stored key
+// column (bounded memory: one partition's hash table at a time, and no file)
+// and probes the listed keys. A key with one match — every key of a unique
+// inner key, such as the paper's FK→PK join — has its position written into
+// the placeholder in place. A key with zero or several
 // matches is an exception, and only the chunks that hold exceptions are
 // rebuilt, each by one ordered walk that drops or expands them. Every outer
 // row's matches come wholly from one partition, so spilled results are
@@ -64,10 +65,7 @@ func (p *Plan) assembleSpillMatches(ctx context.Context, probe *Node, rt *operat
 		if !slices.ContainsFunc(parts, func(pt *partial) bool { return len(pt.spilled[sp]) > 0 }) {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tbl, err := rt.LoadSpilledPartition(sp)
+		tbl, err := rt.LoadSpilledPartition(ctx, sp)
 		if err != nil {
 			return err
 		}

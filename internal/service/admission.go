@@ -309,7 +309,10 @@ type MemoryStats struct {
 	Shed         int64 `json:"shed_count"`
 	// WaitNanos is the cumulative time requests spent blocked for bytes
 	// (including waits that ended in cancellation).
-	WaitNanos         int64 `json:"wait_nanos"`
+	WaitNanos int64 `json:"wait_nanos"`
+	// The spilled joins' count and sums of their operators.JoinStats: cold
+	// partitions, and the bytes of (key, position) entries their builds left
+	// to pass B.
 	SpilledJoins      int64 `json:"spilled_joins"`
 	SpilledPartitions int64 `json:"spilled_partitions"`
 	SpillBytes        int64 `json:"spill_bytes"`

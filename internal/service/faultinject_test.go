@@ -18,24 +18,22 @@ import (
 )
 
 // Extended fault-injection suite, built with -tags faultinject (ci.sh runs
-// it after the regular pass): scenarios that stretch timing with slow-IO
+// it after the regular pass): scenarios that stretch timing with slow
 // faults or hammer the governor with more concurrency than the default
 // suite, proving the shed-under-saturation path keeps the server serving.
 
 // TestFaultinjectSaturationShedsAndKeepsServing drives more concurrent
-// spilling joins than the memory governor can queue, with slow-IO faults
-// stretching each spill so the pile-up is real: some requests shed with
-// service.ErrShed, every non-shed request returns the byte-identical result,
-// and afterwards the governor has fully drained.
+// spilling joins than the memory governor can queue, with a slow fault
+// stretching each spill's pass B so the pile-up is real: some requests shed
+// with service.ErrShed, every non-shed request returns the byte-identical
+// result, and afterwards the governor has fully drained.
 func TestFaultinjectSaturationShedsAndKeepsServing(t *testing.T) {
 	defer faults.Reset()
-	spillDir := t.TempDir()
 	srv := newServer(t, service.Config{
 		WorkerBudget: 4,
 		// 4 KiB: every join's spill grant is the whole budget, so governed
 		// joins serialize and latecomers queue up to the waiter cap.
 		MemoryBudgetBytes: 4 << 10,
-		SpillDir:          spillDir,
 		ResultCacheBytes:  -1,
 	})
 	q := matstore.JoinQuery{
@@ -53,7 +51,7 @@ func TestFaultinjectSaturationShedsAndKeepsServing(t *testing.T) {
 		t.Fatal("fixture join did not spill")
 	}
 
-	faults.Enable("spill.write", faults.Failpoint{Mode: faults.Slow, Delay: 20 * time.Millisecond})
+	faults.Enable("spill.read", faults.Failpoint{Mode: faults.Slow, Delay: 20 * time.Millisecond})
 	const requests = 64 // well past the budget holder + 32-deep wait queue
 	var wg sync.WaitGroup
 	errs := make([]error, requests)
@@ -105,5 +103,5 @@ func TestFaultinjectSaturationShedsAndKeepsServing(t *testing.T) {
 	if st.Memory.PeakReserved > 4<<10 {
 		t.Errorf("peak reserved %d exceeded the 4 KiB budget", st.Memory.PeakReserved)
 	}
-	assertNoSpillFiles(t, spillDir)
+	assertNoSpillFiles(t)
 }

@@ -120,7 +120,9 @@ type QueryResponse struct {
 	DeferredFetches int64 `json:"deferred_fetches,omitempty"`
 	// Memory-governance fields: the byte reservation the request held, and
 	// whether the governor forced the join's build side into Grace spill mode
-	// (the ci smoke greps "spilled":true under a tiny budget).
+	// (the ci smoke greps "spilled":true under a tiny budget). SpillBytes is
+	// the bytes of (key, position) entries the build left to pass B, which
+	// rebuilds them from the stored key column (operators.JoinStats).
 	ReservedBytes     int64 `json:"reserved_bytes,omitempty"`
 	Spilled           bool  `json:"spilled,omitempty"`
 	SpilledPartitions int   `json:"spilled_partitions,omitempty"`

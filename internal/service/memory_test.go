@@ -10,13 +10,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"matstore"
 	"matstore/internal/faults"
-	"matstore/internal/operators"
 	"matstore/internal/oracle"
 	"matstore/internal/service"
 	"matstore/internal/tpch"
@@ -56,20 +54,13 @@ func memoryJoinQueries() []struct {
 	return out
 }
 
-// assertNoSpillFiles fails if dir still holds spill temp files.
-func assertNoSpillFiles(t *testing.T, dir string) {
+// assertNoSpillFiles fails if the shared test database's directory holds a
+// .spill entry: a spilled join rebuilds its cold partitions from the stored
+// key column and writes nothing.
+func assertNoSpillFiles(t *testing.T) {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), operators.SpillFilePrefix) {
-			t.Errorf("leaked spill file %s", filepath.Join(dir, e.Name()))
-		}
+	if _, err := os.Stat(filepath.Join(testData(t), ".spill")); !os.IsNotExist(err) {
+		t.Errorf("the database directory holds a .spill entry (stat: %v)", err)
 	}
 }
 
@@ -77,7 +68,8 @@ func assertNoSpillFiles(t *testing.T, dir string) {
 // serving layer: the same join workload served under byte budgets that force
 // full spilling, partial spilling and pure in-memory execution, at worker
 // budgets 1 and 4, must return results byte-identical to ungoverned direct
-// execution; reservations fully drain; no spill temp files survive.
+// execution; reservations fully drain; nothing is written to the database
+// directory.
 func TestDifferentialSpillJoin(t *testing.T) {
 	ref := openDB(t)
 	queries := memoryJoinQueries()
@@ -97,11 +89,9 @@ func TestDifferentialSpillJoin(t *testing.T) {
 	for _, budget := range []int64{1 << 10, 8 << 10, 1 << 30} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("budget=%d/workers=%d", budget, workers), func(t *testing.T) {
-				spillDir := t.TempDir()
 				srv := newServer(t, service.Config{
 					WorkerBudget:      workers,
 					MemoryBudgetBytes: budget,
-					SpillDir:          spillDir,
 					ResultCacheBytes:  -1, // observe real executions
 				})
 				sess := srv.NewSession()
@@ -142,24 +132,23 @@ func TestDifferentialSpillJoin(t *testing.T) {
 				if st.Memory.PeakReserved > budget {
 					t.Errorf("peak reserved %d exceeded budget %d", st.Memory.PeakReserved, budget)
 				}
-				assertNoSpillFiles(t, spillDir)
+				assertNoSpillFiles(t)
 			})
 		}
 	}
 }
 
-// TestJoinFaultCleanupAndRecovery injects disk faults into the spill path of
-// a governed join and pins the robustness contract: the request fails with a
-// clean error, the byte reservation is released, no temp files or goroutines
-// leak — and the server keeps serving correct results once the fault clears.
+// TestJoinFaultCleanupAndRecovery injects a fault into pass B of a governed
+// spilled join and pins the robustness contract: the request fails with a
+// clean error, the byte reservation is released, no goroutines leak and
+// nothing is written — and the server keeps serving correct results once the
+// fault clears.
 func TestJoinFaultCleanupAndRecovery(t *testing.T) {
 	defer faults.Reset()
 	baseGoroutines := runtime.NumGoroutine()
-	spillDir := t.TempDir()
 	srv := newServer(t, service.Config{
 		WorkerBudget:      2,
 		MemoryBudgetBytes: 1 << 10, // every join spills
-		SpillDir:          spillDir,
 		ResultCacheBytes:  -1,
 	})
 	sess := srv.NewSession()
@@ -182,10 +171,6 @@ func TestJoinFaultCleanupAndRecovery(t *testing.T) {
 		site string
 		fp   faults.Failpoint
 	}{
-		{"spill.create", faults.Failpoint{Mode: faults.Error}},
-		{"spill.write", faults.Failpoint{Mode: faults.Error}},
-		{"spill.write", faults.Failpoint{Mode: faults.ShortWrite}},
-		{"spill.write", faults.Failpoint{Mode: faults.Error, After: 2}},
 		{"spill.read", faults.Failpoint{Mode: faults.Error}},
 	}
 	for _, tc := range cases {
@@ -200,7 +185,7 @@ func TestJoinFaultCleanupAndRecovery(t *testing.T) {
 			if st.Memory.Reserved != 0 {
 				t.Errorf("reservation leaked after %s fault: %d bytes", tc.site, st.Memory.Reserved)
 			}
-			assertNoSpillFiles(t, spillDir)
+			assertNoSpillFiles(t)
 
 			// The fault is cleared: the very next request must serve correctly.
 			out, err := sess.Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, q, matstore.RightMaterialized)
@@ -222,7 +207,7 @@ func TestJoinFaultCleanupAndRecovery(t *testing.T) {
 	if st := srv.Stats(); st.Memory.Reserved != 0 {
 		t.Errorf("cancelled join leaked %d reserved bytes", st.Memory.Reserved)
 	}
-	assertNoSpillFiles(t, spillDir)
+	assertNoSpillFiles(t)
 
 	// Allocation pressure at the governor: TryReserve fails as if the budget
 	// were gone, the join falls back to spill mode and still serves.
@@ -344,14 +329,12 @@ func TestNegativeResultCache(t *testing.T) {
 // that holds one customer build (24 KiB) evicts it on every switch between two
 // join shapes with distinct builds. An evicted build is dropped and rebuilt on
 // its next miss, so every reply equals the first of its shape and nothing is
-// written to the spill directory.
+// written to the database directory.
 func TestBuildCacheEvictionLeavesNoFiles(t *testing.T) {
-	spillDir := t.TempDir()
 	srv := newServer(t, service.Config{
 		WorkerBudget:      2,
 		MemoryBudgetBytes: 1 << 30,  // plenty: joins run in memory, builds cache
 		BuildCacheBytes:   24 << 10, // one ~17 KiB customer build fits, two don't
-		SpillDir:          spillDir,
 		ResultCacheBytes:  -1,
 	})
 	sess := srv.NewSession()
@@ -384,5 +367,5 @@ func TestBuildCacheEvictionLeavesNoFiles(t *testing.T) {
 	if st.Evictions < 8 || st.Entries != 1 {
 		t.Errorf("build cache = %+v, want an eviction per switch and one entry", st)
 	}
-	assertNoSpillFiles(t, spillDir)
+	assertNoSpillFiles(t)
 }

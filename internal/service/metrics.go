@@ -107,7 +107,7 @@ func registerServerMetrics(s *Server) {
 			func() float64 { return float64(s.gov.memory().WaitNanos) / 1e9 })
 		reg.NewGaugeFunc("cs_spilled_joins_total", "Joins forced into Grace spill mode.",
 			func() float64 { return float64(s.spilledJoins.Load()) })
-		reg.NewGaugeFunc("cs_spill_bytes_total", "Bytes written to spill files by governed joins.",
+		reg.NewGaugeFunc("cs_spill_bytes_total", "Bytes of (key, position) entries governed joins left to pass B to rebuild from the key column.",
 			func() float64 { return float64(s.spillBytes.Load()) })
 	}
 }

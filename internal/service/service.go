@@ -77,9 +77,6 @@ type Config struct {
 	// spill grant doesn't fit either, and is shed (HTTP 503) past the waiter
 	// cap. 0 disables memory governance entirely.
 	MemoryBudgetBytes int64
-	// SpillDir is where spill-mode joins write temp files ("" = the DB's
-	// .spill directory). Only used when MemoryBudgetBytes > 0.
-	SpillDir string
 	// Logger receives structured JSON log lines (slow queries, request
 	// errors). Nil disables logging; all call sites are nil-safe.
 	Logger *obs.Logger
@@ -98,10 +95,9 @@ type Server struct {
 	store *storage.DB
 	cfg   Config
 
-	gov      *governor
-	spillDir string                // set when memory governance is on
-	builds   *operators.BuildCache // nil when disabled
-	results  *resultCache          // nil when disabled
+	gov     *governor
+	builds  *operators.BuildCache // nil when disabled
+	results *resultCache          // nil when disabled
 
 	sessions atomic.Int64
 	queries  atomic.Int64
@@ -146,12 +142,6 @@ func New(db *matstore.DB, cfg Config) *Server {
 	}
 	if cfg.ResultCacheBytes > 0 {
 		s.results = newResultCache(cfg.ResultCacheBytes)
-	}
-	if cfg.MemoryBudgetBytes > 0 {
-		s.spillDir = cfg.SpillDir
-		if s.spillDir == "" {
-			s.spillDir = db.SpillDir()
-		}
 	}
 	registerServerMetrics(s)
 	return s
@@ -497,7 +487,7 @@ func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQ
 		run: func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
 			var spill *operators.SpillConfig
 			if g.spill {
-				spill = &operators.SpillConfig{BudgetBytes: g.bytes, EstBytes: estBytes, Dir: s.spillDir}
+				spill = &operators.SpillConfig{BudgetBytes: g.bytes, EstBytes: estBytes}
 			}
 			res, stats, err := s.exec.RunJoinPlanWith(pl, g.workers, s.runOptions(ctx, pl, espan, spill, q.Limit))
 			if err == nil && stats.Join.Spilled {

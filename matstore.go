@@ -184,8 +184,6 @@ type DB struct {
 	// annotation and cost estimate on this handle uses (atomic so a
 	// calibration pass can swap them while queries run).
 	consts atomic.Pointer[model.Constants]
-	// orphansSwept counts stale spill temp files removed at Open.
-	orphansSwept int
 }
 
 // Open opens every projection under dir.
@@ -201,20 +199,8 @@ func Open(dir string, opts ...Options) (*DB, error) {
 	db := &DB{inner: inner, exec: core.NewExecutor(inner.Pool(), o.Exec)}
 	paper := model.Paper
 	db.consts.Store(&paper)
-	// Sweep spill temp files orphaned by a previous crash — their lifetime is
-	// one query run, so anything present at open is garbage. Best effort: a
-	// sweep failure (e.g. read-only media) must not block opening.
-	db.orphansSwept, _ = operators.SweepSpillDir(operators.SpillDir(dir))
 	return db, nil
 }
-
-// SpillDir returns the directory spill-mode joins write their temp files
-// under (a dot-directory beside the projection directories).
-func (db *DB) SpillDir() string { return operators.SpillDir(db.inner.Dir()) }
-
-// OrphanedSpillFiles reports how many stale spill temp files Open removed —
-// leftovers of a crash mid-spill in a previous process.
-func (db *DB) OrphanedSpillFiles() int { return db.orphansSwept }
 
 // Constants returns the model constants this handle currently runs on (the
 // paper's Table 2 values until SetConstants installs calibrated ones).
@@ -278,8 +264,8 @@ func (db *DB) Join(left, right string, q JoinQuery, rs RightStrategy) (*Result, 
 
 // spillJoinPlan builds the join plan plus the Grace spill configuration for
 // a JoinQuery with SpillBudgetBytes set: the build side keeps at most the
-// budget resident and writes the rest to per-partition temp files under the
-// database's spill directory.
+// budget resident, and pass B rebuilds the rest partition by partition from
+// the stored key column.
 func (db *DB) spillJoinPlan(lp, rp *storage.Projection, right string, q JoinQuery, rs RightStrategy) (*plan.Plan, *operators.SpillConfig, error) {
 	pl, err := db.exec.BuildJoinPlan(lp, rp, q, rs)
 	if err != nil {
@@ -292,6 +278,5 @@ func (db *DB) spillJoinPlan(lp, rp *storage.Projection, right string, q JoinQuer
 	return pl, &operators.SpillConfig{
 		BudgetBytes: q.SpillBudgetBytes,
 		EstBytes:    est,
-		Dir:         db.SpillDir(),
 	}, nil
 }

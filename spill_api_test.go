@@ -1,71 +1,122 @@
 package matstore_test
 
 import (
-	"os"
+	"context"
+	"fmt"
+	"io/fs"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"matstore"
+	"matstore/internal/core"
+	"matstore/internal/oracle"
 	"matstore/internal/pred"
+	"matstore/internal/service"
 	"matstore/internal/tpch"
 )
 
-// TestOpenSweepsOrphanedSpillFiles pins the crash-recovery satellite: spill
-// temp files have the lifetime of one query run, so a fresh Open removes any
-// leftovers from a crashed predecessor — and reports the count — while
-// leaving foreign files in the spill directory alone.
-func TestOpenSweepsOrphanedSpillFiles(t *testing.T) {
+// TestSpilledJoinWritesNothing pins that a spilled join writes no file: the
+// build only counts the entries of its cold partitions, and pass B rebuilds
+// each from the stored key column. Spilled joins at budgets of one byte and of
+// a quarter and half of the build's estimate, at one and four workers, under
+// every inner-table strategy — through the library and through a governed
+// service.Server — leave the database directory tree as they found it, and
+// every result equals the in-memory join's.
+func TestSpilledJoinWritesNothing(t *testing.T) {
 	dir := t.TempDir()
 	if err := matstore.Generate(dir, 0.002, 7); err != nil {
 		t.Fatal(err)
 	}
-	spillDir := filepath.Join(dir, ".spill")
-	if err := os.MkdirAll(spillDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	orphans := []string{
-		filepath.Join(spillDir, "spill-part-123.tmp"),
-		filepath.Join(spillDir, "spill-part-456.tmp"),
-	}
-	for _, p := range orphans {
-		if err := os.WriteFile(p, []byte("stale"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	foreign := filepath.Join(spillDir, "keep.txt")
-	if err := os.WriteFile(foreign, []byte("not ours"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := matstore.Open(dir)
+	// 128-row chunks: the 300-row inner table is three chunks to rescan, the
+	// outer table several morsels at four workers.
+	db, err := matstore.Open(dir, matstore.Options{Exec: core.Options{ChunkSize: 128}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if got := db.OrphanedSpillFiles(); got != len(orphans) {
-		t.Errorf("OrphanedSpillFiles = %d, want %d", got, len(orphans))
+	before := dirTree(t, dir)
+	q := matstore.JoinQuery{
+		LeftKey:     tpch.ColCustkey,
+		LeftPred:    matstore.MatchAll,
+		LeftOutput:  []string{tpch.ColOrderShipdate},
+		RightKey:    tpch.ColCustkey,
+		RightOutput: []string{tpch.ColNationcode},
 	}
-	if db.SpillDir() != spillDir {
-		t.Errorf("SpillDir = %q, want %q", db.SpillDir(), spillDir)
+	same := func(got, want *matstore.Result) bool {
+		return reflect.DeepEqual(oracle.Columns(got), oracle.Columns(want)) && reflect.DeepEqual(got.Columns, want.Columns)
 	}
-	for _, p := range orphans {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("orphan %s survived Open", p)
+	for _, rs := range matstore.JoinStrategies {
+		want, _, err := db.Join(tpch.OrdersProj, tpch.CustomerProj, q, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := db.EstimateJoinMemory(tpch.CustomerProj, q, rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{1, est / 4, est / 2} {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%v/budget=%d/workers=%d", rs, budget, workers)
+				lq := q
+				lq.Parallelism, lq.SpillBudgetBytes = workers, budget
+				got, stats, err := db.Join(tpch.OrdersProj, tpch.CustomerProj, lq, rs)
+				if err != nil {
+					t.Fatalf("%s: library: %v", name, err)
+				}
+				if !stats.Join.Spilled || stats.Join.SpilledParts == 0 {
+					t.Errorf("%s: library join spilled %d partitions", name, stats.Join.SpilledParts)
+				}
+				if !same(got, want) {
+					t.Errorf("%s: library spilled result differs from in-memory", name)
+				}
+				srv := service.New(db, service.Config{WorkerBudget: workers, MemoryBudgetBytes: budget, ResultCacheBytes: -1})
+				out, err := srv.NewSession().Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, q, rs)
+				if err != nil {
+					t.Fatalf("%s: served: %v", name, err)
+				}
+				if !out.Info.Spilled {
+					t.Errorf("%s: served join did not spill", name)
+				}
+				if !same(out.Res, want) {
+					t.Errorf("%s: served spilled result differs from in-memory", name)
+				}
+			}
 		}
 	}
-	if _, err := os.Stat(foreign); err != nil {
-		t.Errorf("foreign file removed by sweep: %v", err)
+	after := dirTree(t, dir)
+	for path, was := range before {
+		if now, ok := after[path]; !ok || now != was {
+			t.Errorf("spilled joins changed %s: %q, was %q", path, now, was)
+		}
 	}
+	for path, now := range after {
+		if _, ok := before[path]; !ok {
+			t.Errorf("spilled joins created %s (%s)", path, now)
+		}
+	}
+}
 
-	// A second open over the now-clean directory sweeps nothing.
-	db2, err := matstore.Open(dir)
+// dirTree describes every entry under dir, dir itself included, by its mode,
+// size and modification time.
+func dirTree(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	tree := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		tree[path] = fmt.Sprintf("%v %d %v", info.Mode(), info.Size(), info.ModTime())
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.Close()
-	if got := db2.OrphanedSpillFiles(); got != 0 {
-		t.Errorf("second Open swept %d files, want 0", got)
-	}
+	return tree
 }
 
 // TestEstimateJoinMemoryFromCatalog checks the public estimator wires catalog
@@ -132,14 +183,18 @@ func spillJoinQuery(t testing.TB, db *matstore.DB, scale, sel float64) matstore.
 // unique inner key every deferred probe's placeholder row is filled in place,
 // so a fully spilled run allocates what the in-memory single-column run of the
 // same query does — result rows holding right positions, then the deferred
-// fetch — plus the per-partition probe lists, the spill frames and the
-// partition reloaded from disk. Measured on the benchmark's dataset (scale
-// 0.1) at selectivities 0.5 and 0.9: 1.5× the single-column run's bytes (4.8
-// and 7.3 MB); 1.7× and 1.6× (8.1 and 9.5 MB) while results were regrown
+// fetch — plus the per-partition probe lists and the cold partition's table,
+// rebuilt by rescanning the stored key column into an entry array of exactly
+// the size the build counted. Measured on the benchmark's dataset (scale 0.1)
+// at selectivities 0.5 and 0.9: 1.46× and 1.51× the single-column run's bytes
+// (4.7 and 7.3 MB); 1.53× and 1.56× (4.9 and 7.6 MB) while the build wrote the
+// cold partition's entries to a temp file in checksummed frames and pass B
+// read it back; 1.7× and 1.6× (8.1 and 9.5 MB) while results were regrown
 // column by column and the probe lists grew by doubling. A second result
 // rebuilt around anchors, with its staging arrays, measured 2.5× and 2.9×
-// (12.0 and 17.2 MB). The bound is 2×.
+// (12.0 and 17.2 MB). The bound is 1.7×, the measurement plus about a tenth.
 func TestJoinSpillBytesPerOp(t *testing.T) {
+	const bound = 1.7
 	db := paperScaleDB(t)
 	join := func(q matstore.JoinQuery, rs matstore.RightStrategy) float64 {
 		return bytesPerRun(func() {
@@ -155,9 +210,9 @@ func TestJoinSpillBytesPerOp(t *testing.T) {
 		single := join(q, matstore.RightSingleColumn)
 		t.Logf("sel=%.1f: spilled %.1f MB a run, in-memory single-column %.1f MB (%.2fx)",
 			sel, spilled/(1<<20), single/(1<<20), spilled/single)
-		if spilled > 2*single {
-			t.Errorf("sel=%.1f: a spilled run allocates %.1f MB, %.2fx the in-memory single-column run's %.1f MB; bound 2x",
-				sel, spilled/(1<<20), spilled/single, single/(1<<20))
+		if spilled > bound*single {
+			t.Errorf("sel=%.1f: a spilled run allocates %.1f MB, %.2fx the in-memory single-column run's %.1f MB; bound %.1fx",
+				sel, spilled/(1<<20), spilled/single, single/(1<<20), bound)
 		}
 	}
 }
