@@ -25,6 +25,7 @@ import (
 	"matstore/internal/core"
 	"matstore/internal/encoding"
 	"matstore/internal/operators"
+	"matstore/internal/plan"
 	"matstore/internal/pred"
 	"matstore/internal/storage"
 	"matstore/internal/tpch"
@@ -424,14 +425,14 @@ func BenchmarkJoinProbe(b *testing.B) {
 			b.Fatal(err)
 		}
 		pl.Builds = operators.NewBuildCache(0)
-		if _, _, err := exec.RunJoinPlan(pl, 1, false); err != nil {
+		if _, _, err := exec.RunJoinPlanWith(pl, 1, plan.RunOptions{}); err != nil {
 			b.Fatal(err) // populate the reused build
 		}
 		b.Run(rs.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			var sink int64
 			for i := 0; i < b.N; i++ {
-				_, stats, err := exec.RunJoinPlan(pl, 1, false)
+				_, stats, err := exec.RunJoinPlanWith(pl, 1, plan.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

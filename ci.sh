@@ -67,6 +67,16 @@ test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'CreateTemp|SweepSpillDir|SpillFilePrefix|SpillDirName|coldWriter|readEntryFrames|writeFrame|WriteOutcome|ShortWrite|sortGroups|SpillWriteNanos|OrphanedSpillFiles' .)"
 test -z "$(ls internal/operators/*.go internal/plan/*.go | grep -v _test.go | xargs grep -l '"os"')"
+# Production code is what production runs: a served database is read-only, so
+# neither cache tracks projection generations; a multi-column carries no
+# descriptor; and capabilities no operator calls (the morsel position concat,
+# the generic AND fallback, the compressed range sum, the position-AND micro
+# and the shard row offset) may not come back in production code. The scalar
+# references no query runs live beside the tests that call them.
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'InvalidateProjection|currentLocked|DeleteFunc|func Concat|andGeneric|SumRange|sumRange|SetDescriptor|PositionIntersectMicro|GlobalRowStart' .)"
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'filterScalar|filterAtScalar|ValuesReaccess|ExtendChunk\(' .)"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -95,6 +105,9 @@ go test -race -run 'TestSpilledJoinWritesNothing$' .
 # identical and no file is left in the spill directory. Named for the same
 # reason.
 go test -race -run 'TestBuildCacheEvictionLeavesNoFiles$' ./internal/service/
+# Concurrent misses on a key whose table is too large to retain share one
+# build: every waiter takes the flight's table instead of rebuilding in turn.
+go test -race -run 'TestBuildCacheSingleFlightOversize$' ./internal/operators/
 # Chunk-exact results: caps on every side of a chunk boundary against the
 # oracle (selections, joins in memory and spilled, pass B's exceptions), the
 # result cache charged for every array a chunk list reaches, a large select
@@ -203,7 +216,8 @@ go test -run 'TestCappedSelectAllocs$' -v ./internal/core | grep 'kB a request'
 # allocation counts so that growth shows in the log of the PR that causes it
 # (3,223 before six LRUs, two governors and the coordinator were folded;
 # 3,092 before the plan cache, the demoted build tier and the zero-row and
-# cost-gated result tiers were deleted).
+# cost-gated result tiers were deleted; 2,861 before the caches' projection
+# generations and the LRU's deletes were).
 ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 	internal/operators/buildcache.go | grep -v _test.go | xargs cat \
 	| grep -v '^\s*$' | grep -v '^\s*//' | wc -l
@@ -215,7 +229,9 @@ ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builder
 # the data sources, the radix/Grace build, the block reader and the encodings:
 # 4,301 before PR 18 deleted the ablation options, the zone-index scan and the
 # second build; 3,914 before adaptive morsel re-carving and the demoted build
-# files were deleted; 3,736 before the spill files were).
+# files were deleted; 3,736 before the spill files were; 3,564 before the
+# range sums, the run wrappers and the scalar references no query runs were
+# deleted or moved into test files).
 ls internal/core/core.go internal/core/join.go internal/plan/*.go internal/datasource/*.go \
 	internal/operators/radix.go internal/operators/spill.go internal/storage/column.go \
 	internal/storage/gather.go internal/encoding/*.go \

@@ -87,12 +87,7 @@ func main() {
 			log.Fatal(err)
 		}
 		consts = db.Constants()
-		fmt.Printf("calibrated over %d node observations: rms modeled-vs-observed error %.1fµs -> %.1fµs\n",
-			rep.Observations, rep.PriorErrUS, rep.FittedErrUS)
-		fmt.Printf("  prior:  BIC=%.4f TICTUP=%.4f TICCOL=%.4f FC=%.4f µs\n",
-			rep.Prior.BIC, rep.Prior.TICTUP, rep.Prior.TICCOL, rep.Prior.FC)
-		fmt.Printf("  fitted: BIC=%.4f TICTUP=%.4f TICCOL=%.4f FC=%.4f µs\n\n",
-			rep.Fitted.BIC, rep.Fitted.TICTUP, rep.Fitted.TICCOL, rep.Fitted.FC)
+		fmt.Println(rep)
 	}
 
 	kind := "selection"

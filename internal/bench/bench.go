@@ -11,14 +11,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"matstore/internal/core"
 	"matstore/internal/encoding"
 	"matstore/internal/model"
 	"matstore/internal/operators"
-	"matstore/internal/positions"
 	"matstore/internal/pred"
 	"matstore/internal/storage"
 	"matstore/internal/tpch"
@@ -448,39 +446,6 @@ func bySeries(f Figure, name string) *Series {
 		}
 	}
 	return &Series{}
-}
-
-// SortedSeriesNames lists a figure's series names, sorted (for stable
-// test output).
-func SortedSeriesNames(f Figure) []string {
-	out := make([]string, len(f.Series))
-	for i, s := range f.Series {
-		out[i] = s.Name
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PositionIntersectMicro measures the raw position-AND primitives of
-// Section 3.3 (ranges×ranges, bitmap×bitmap, ranges×bitmap) over n
-// positions, reporting millions of positions intersected per millisecond.
-// It is exercised by the benchmark suite rather than the figure sweeps.
-func PositionIntersectMicro(n int64) map[string]positions.Set {
-	half := positions.NewRanges(positions.Range{Start: 0, End: n / 2})
-	quarter := positions.NewRanges(positions.Range{Start: n / 4, End: 3 * n / 4})
-	bmEven := positions.NewBitmap(0, n)
-	for i := int64(0); i < n; i += 2 {
-		bmEven.Set(i)
-	}
-	bmThirds := positions.NewBitmap(0, n)
-	for i := int64(0); i < n; i += 3 {
-		bmThirds.Set(i)
-	}
-	return map[string]positions.Set{
-		"ranges-x-ranges": positions.And(half, quarter),
-		"bitmap-x-bitmap": positions.And(bmEven, bmThirds),
-		"ranges-x-bitmap": positions.And(half, bmEven),
-	}
 }
 
 // JoinStatsAt returns the join work counters at a fixed selectivity, used

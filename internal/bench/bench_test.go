@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -206,13 +207,13 @@ func TestTable2(t *testing.T) {
 	}
 }
 
-func TestPositionIntersectMicro(t *testing.T) {
-	sets := PositionIntersectMicro(1 << 12)
-	if len(sets) != 3 {
-		t.Fatalf("got %d micro cases", len(sets))
+// SortedSeriesNames lists a figure's series names, sorted (for stable
+// test output).
+func SortedSeriesNames(f Figure) []string {
+	out := make([]string, len(f.Series))
+	for i, s := range f.Series {
+		out[i] = s.Name
 	}
-	// ranges(0..n/2) ∧ even positions: n/4 survivors.
-	if got := sets["ranges-x-bitmap"].Count(); got != 1<<10 {
-		t.Errorf("ranges-x-bitmap count = %d, want %d", got, 1<<10)
-	}
+	sort.Strings(out)
+	return out
 }

@@ -189,21 +189,6 @@ func (p *Pool) shrink() {
 	}
 }
 
-// Contains reports whether key is cached, without touching LRU order.
-func (p *Pool) Contains(key Key) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.lru.Peek(key.packed())
-	return ok
-}
-
-// Len returns the number of cached blocks.
-func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.Len()
-}
-
 // Stats returns a snapshot of the counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
@@ -219,13 +204,5 @@ func (p *Pool) ResetStats() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats = Stats{}
-	p.lastMiss = make(map[uint64]int)
-}
-
-// Drop removes every cached block (for cold-cache experiment runs).
-func (p *Pool) Drop() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.lru = cache.New[uint64, *block]()
 	p.lastMiss = make(map[uint64]int)
 }

@@ -2,8 +2,8 @@
 // buffer pool, the join-build cache and the result cache. It is the
 // mechanism only — a recency-ordered map that charges each entry a
 // caller-supplied size. Everything that makes those caches differ (pins,
-// generations, single-flight, the counters) stays with its owner, which also
-// supplies the lock: an LRU is NOT safe for concurrent use.
+// single-flight, the counters) stays with its owner, which also supplies the
+// lock: an LRU is NOT safe for concurrent use.
 package cache
 
 // entry is one cached value and its links in the recency ring. Key, value,
@@ -76,33 +76,6 @@ func (c *LRU[K, V]) Put(key K, val V, size int64) (old V, replaced bool) {
 	c.bytes += size
 	c.pushFront(e)
 	return old, false
-}
-
-// Delete removes key and returns the value it held.
-func (c *LRU[K, V]) Delete(key K) (V, bool) {
-	e, ok := c.m[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	c.remove(e)
-	return e.val, true
-}
-
-// DeleteFunc removes every entry del reports true for, most recent first,
-// and returns how many it removed. del may release what the value holds; it
-// must not touch the LRU.
-func (c *LRU[K, V]) DeleteFunc(del func(K, V) bool) int {
-	n := 0
-	for e := c.root.next; e != &c.root; {
-		next := e.next
-		if del(e.key, e.val) {
-			c.remove(e)
-			n++
-		}
-		e = next
-	}
-	return n
 }
 
 // Shrink evicts from the cold end until at most capBytes are charged, and

@@ -270,7 +270,7 @@ func NewExecutor(pool *buffer.Pool, opt Options) *Executor {
 // Select runs q against p with the chosen materialization strategy,
 // morsel-parallel across q.Parallelism workers (0 = one per CPU): the
 // strategy builds its physical plan (BuildPlan) and the generic plan
-// executor runs it (RunPlan).
+// executor runs it (RunPlanWith).
 func (e *Executor) Select(p *storage.Projection, q SelectQuery, s Strategy) (*rows.Result, *Stats, error) {
 	pl, err := e.BuildPlan(p, q, s)
 	if err != nil {
@@ -279,16 +279,11 @@ func (e *Executor) Select(p *storage.Projection, q SelectQuery, s Strategy) (*ro
 	return e.RunPlanWith(pl, s, q.Parallelism, plan.RunOptions{Limit: q.Limit})
 }
 
-// RunPlan executes a built physical plan through the generic morsel
-// executor, wrapping the run in the query-level accounting (wall time,
-// buffer-pool deltas, output iteration). With observe set, every plan node
+// RunPlanWith executes a built physical plan through the generic morsel
+// executor under the given run options (context, tracing, spill, row cap),
+// wrapping the run in the query-level accounting (wall time, buffer-pool
+// deltas, output iteration). With opt.Observe set, every plan node
 // accumulates observed rows/time for EXPLAIN.
-func (e *Executor) RunPlan(pl *plan.Plan, s Strategy, parallelism int, observe bool) (*rows.Result, *Stats, error) {
-	return e.RunPlanWith(pl, s, parallelism, plan.RunOptions{Observe: observe})
-}
-
-// RunPlanWith is RunPlan with the full plan.RunOptions (context, tracing,
-// spill) instead of just the observe flag.
 func (e *Executor) RunPlanWith(pl *plan.Plan, s Strategy, parallelism int, opt plan.RunOptions) (*rows.Result, *Stats, error) {
 	stats := &Stats{Strategy: s}
 	before := e.Pool.Stats()

@@ -56,7 +56,7 @@ type JoinStats struct {
 // a JOINPROBE node whose children are the outer-table position subtree (a
 // DS1 scan of the outer key when LeftPred filters, ALLPOS otherwise) and
 // the blocking JOINBUILD node for the inner side. The plan runs through the
-// same generic morsel executor as every selection plan — plan.Plan.Run's
+// same generic morsel executor as every selection plan — plan.Plan.RunWith's
 // build-barrier phase constructs the partitioned hash side before the probe
 // morsels stream.
 func (e *Executor) BuildJoinPlan(left, right *storage.Projection, q JoinQuery, rs operators.RightStrategy) (*plan.Plan, error) {
@@ -111,7 +111,7 @@ func (e *Executor) BuildJoinPlanOn(left, right Table, q JoinQuery, rs operators.
 // Join executes q with the given inner-table materialization strategy.
 // left is the outer (probing) projection, right the inner (built)
 // projection. The join is plan-built and plan-run exactly like Select
-// (BuildJoinPlan + RunJoinPlan).
+// (BuildJoinPlan + RunJoinPlanWith).
 func (e *Executor) Join(left, right *storage.Projection, q JoinQuery, rs operators.RightStrategy) (*rows.Result, *JoinStats, error) {
 	pl, err := e.BuildJoinPlan(left, right, q, rs)
 	if err != nil {
@@ -120,20 +120,15 @@ func (e *Executor) Join(left, right *storage.Projection, q JoinQuery, rs operato
 	return e.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Limit: q.Limit})
 }
 
-// RunJoinPlan executes a built join plan through the generic morsel
-// executor, wrapping the run in the query-level accounting. With observe
-// set, every plan node accumulates observed rows/time for EXPLAIN.
-func (e *Executor) RunJoinPlan(pl *plan.Plan, parallelism int, observe bool) (*rows.Result, *JoinStats, error) {
-	return e.RunJoinPlanWith(pl, parallelism, plan.RunOptions{Observe: observe})
-}
-
-// RunJoinPlanWith is RunJoinPlan with the full run options: a cancellation
-// context and, when the memory governor forces it, a Grace spill
-// configuration for the build side.
+// RunJoinPlanWith executes a built join plan through the generic morsel
+// executor, wrapping the run in the query-level accounting. The run options
+// carry a cancellation context and, when the memory governor forces it, a
+// Grace spill configuration for the build side; with opt.Observe set, every
+// plan node accumulates observed rows/time for EXPLAIN.
 func (e *Executor) RunJoinPlanWith(pl *plan.Plan, parallelism int, opt plan.RunOptions) (*rows.Result, *JoinStats, error) {
 	probe := pl.JoinProbe()
 	if probe == nil {
-		return nil, nil, errors.New("core: RunJoinPlan needs a join plan (PROJECT over JOINPROBE)")
+		return nil, nil, errors.New("core: RunJoinPlanWith needs a join plan (PROJECT over JOINPROBE)")
 	}
 	stats := &JoinStats{RightStrategy: probe.Children[1].RightStrategy}
 	stats.Strategy = outerShape(probe)

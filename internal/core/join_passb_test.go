@@ -47,7 +47,7 @@ func TestJoinSpillPassBDuplicateKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantStats, err := e.RunJoinPlan(pl, 1, false)
+		want, wantStats, err := e.RunJoinPlanWith(pl, 1, plan.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestJoinSpillPassBUnmatchedKeys(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantStats, err := e.RunJoinPlan(pl, 1, false)
+				want, wantStats, err := e.RunJoinPlanWith(pl, 1, plan.RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

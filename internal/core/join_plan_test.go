@@ -8,6 +8,7 @@ import (
 
 	"matstore/internal/operators"
 	"matstore/internal/oracle"
+	"matstore/internal/plan"
 	"matstore/internal/pred"
 	"matstore/internal/storage"
 	"matstore/internal/tpch"
@@ -178,12 +179,12 @@ func TestJoinPlanReuseBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.Builds = operators.NewBuildCache(0)
-	first, _, err := e.RunJoinPlan(pl, 2, false)
+	first, _, err := e.RunJoinPlanWith(pl, 2, plan.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
-		res, _, err := e.RunJoinPlan(pl, 2, false)
+		res, _, err := e.RunJoinPlanWith(pl, 2, plan.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +233,7 @@ func TestJoinPlanConcurrentRuns(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for run := 0; run < 3; run++ {
-					res, _, err := e.RunJoinPlan(pl, 2, false)
+					res, _, err := e.RunJoinPlanWith(pl, 2, plan.RunOptions{})
 					if err != nil {
 						errs[g] = err
 						return

@@ -32,7 +32,7 @@ func TestJoinSpillMatchesInMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantStats, err := e.RunJoinPlan(pl, 4, false)
+			want, wantStats, err := e.RunJoinPlanWith(pl, 4, plan.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

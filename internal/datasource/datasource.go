@@ -7,6 +7,9 @@
 //	DS3 — given a position list, produce the corresponding values, either
 //	      from an already-materialized mini-column (the multi-column
 //	      optimization, zero re-access I/O) or by re-accessing the column.
+//	      Query execution makes that choice per chunk and column where it
+//	      has the multi-column at hand (internal/plan's gatherAt), so DS3
+//	      has no operator type here.
 //	DS4 — given early-materialized tuples, jump to each position, apply a
 //	      predicate, and widen the tuples that pass.
 //
@@ -138,27 +141,6 @@ func expandPositions(pos []int64, ps positions.Set) {
 	}
 }
 
-// DS3 produces values for a list of positions (Case 3). With the
-// multi-column optimization the values come from an in-memory mini-column
-// and the I/O cost is zero; without it the column is re-accessed through
-// the buffer pool (warm, but paying the CPU cost of re-scanning — the LM
-// re-access penalty of Section 2.2). Query execution makes that choice per
-// chunk and column where it has the multi-column at hand (internal/plan's
-// gatherAt: the retained mini's Extract, else storage.Column.GatherAt).
-type DS3 struct {
-	Col *storage.Column
-}
-
-// ValuesReaccess re-reads the chunk window from the column and extracts the
-// values at ps. It is the retained scalar reference for the re-access path.
-func (ds DS3) ValuesReaccess(r positions.Range, ps positions.Set, dst []int64) ([]int64, error) {
-	mc, err := ds.Col.Window(r)
-	if err != nil {
-		return nil, err
-	}
-	return mc.Extract(dst, ps), nil
-}
-
 // DS4 widens early-materialized tuples (Case 4): for each input tuple it
 // jumps to the tuple's position in this column, applies the predicate
 // conjunction, and emits the input tuple extended with this column's value
@@ -179,29 +161,6 @@ type DS4 struct {
 // conjunction c.
 func NewDS4(col *storage.Column, c *pred.Conj) *DS4 {
 	return &DS4{Col: col, Conj: c}
-}
-
-// ExtendChunk processes one input batch against the chunk's mini-column.
-// The returned batch carries the input attributes plus colName. It is the
-// retained scalar reference path (one ValueAt jump and one Predicate.Match
-// dispatch per predicate per tuple, a fresh batch per call); query execution
-// uses ExtendChunkBatched, which the tests hold to this one.
-func (ds *DS4) ExtendChunk(mc encoding.MiniColumn, in *rows.Batch, colName string) *rows.Batch {
-	out := rows.NewBatch(append(append([]string{}, in.Names...), colName)...)
-	last := len(out.Cols) - 1
-	for i := 0; i < in.Len(); i++ {
-		pos := in.Pos[i]
-		v := mc.ValueAt(pos)
-		if !pred.MatchConj(ds.Conj.Preds, v) {
-			continue
-		}
-		out.Pos = append(out.Pos, pos)
-		for c := range in.Cols {
-			out.Cols[c] = append(out.Cols[c], in.Cols[c][i])
-		}
-		out.Cols[last] = append(out.Cols[last], v)
-	}
-	return out
 }
 
 // ExtendChunkBatched widens the batch's tuples in place with attribute c

@@ -164,24 +164,6 @@ func BenchmarkExtractBV(b *testing.B) {
 	benchExtract(b, BVMiniFromValues(0, benchValsRandom(1<<16, 7)))
 }
 
-func benchSumRange(b *testing.B, m MiniColumn) {
-	b.Helper()
-	r := positions.Range{Start: 100, End: 60000}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var acc int64
-	for i := 0; i < b.N; i++ {
-		acc += SumRange(m, r)
-	}
-	_ = acc
-}
-
-func BenchmarkSumRangePlain(b *testing.B) {
-	benchSumRange(b, PlainMiniFromValues(0, benchVals(1<<16, 7)))
-}
-func BenchmarkSumRangeRLE(b *testing.B) { benchSumRange(b, RLEMiniFromValues(0, benchVals(1<<16, 7))) }
-func BenchmarkSumRangeBV(b *testing.B)  { benchSumRange(b, BVMiniFromValues(0, benchVals(1<<16, 7))) }
-
 func BenchmarkDecodePlainBlock(b *testing.B) {
 	buf := make([]byte, BlockSize)
 	vals := benchVals(PlainBlockCap, 100)

@@ -7,7 +7,6 @@ import (
 
 	"matstore/internal/kernels"
 	"matstore/internal/positions"
-	"matstore/internal/pred"
 )
 
 // BVMini is a mini-column over bit-vector-encoded data: for each distinct
@@ -136,30 +135,6 @@ func (m *BVMini) orStrings(i0, i1 int) positions.Set {
 	}
 }
 
-// filterScalar is the retained reference implementation of Filter: one
-// Predicate.Match dispatch per distinct value. The differential kernel suite
-// checks the interval path against it; it is not used by query execution.
-func (m *BVMini) filterScalar(p pred.Predicate) positions.Set {
-	var idxs []int
-	for i, v := range m.vals {
-		if p.Match(v) {
-			idxs = append(idxs, i)
-		}
-	}
-	switch len(idxs) {
-	case 0:
-		return positions.Empty{}
-	case 1:
-		return m.bms[idxs[0]]
-	default:
-		acc := m.bms[idxs[0]].Clone()
-		for _, i := range idxs[1:] {
-			acc.Or(m.bms[i])
-		}
-		return acc
-	}
-}
-
 // FilterAt restricts Filter's result to ps: the paper's AND, the bit-strings
 // of the accepted values against the candidate set.
 func (m *BVMini) FilterAt(ps positions.Set, f Conjunction) positions.Set {
@@ -228,20 +203,6 @@ var allOnes = func() (w [64]uint64) {
 func (m *BVMini) MemBytes() int64 {
 	words := (m.cov.Len() + 63) / 64
 	return int64(len(m.vals))*(8+24+8*words) + 8*int64(len(m.vals))
-}
-
-// sumRange computes sum over [r) as Σ value × popcount(bit-string ∧ r):
-// aggregation directly on compressed data.
-func (m *BVMini) sumRange(r positions.Range) int64 {
-	r = r.Intersect(m.cov)
-	if r.Empty() {
-		return 0
-	}
-	var sum int64
-	for i, bm := range m.bms {
-		sum += m.vals[i] * popcountRange(bm, r)
-	}
-	return sum
 }
 
 // statsRange aggregates via one popcount per distinct value: count and sum

@@ -104,27 +104,6 @@ type MiniColumn interface {
 	MemBytes() int64
 }
 
-// SumRange returns the sum of the values at positions [r.Start, r.End) of mc,
-// exploiting the encoding: O(runs) for RLE, O(distinct) popcounts for
-// bit-vector. It is the primitive behind aggregation directly on compressed
-// data (Section 4.2).
-func SumRange(mc MiniColumn, r positions.Range) int64 {
-	switch m := mc.(type) {
-	case *RLEMini:
-		return m.sumRange(r)
-	case *BVMini:
-		return m.sumRange(r)
-	case *PlainMini:
-		return m.sumRange(r)
-	default:
-		var sum int64
-		for p := r.Start; p < r.End; p++ {
-			sum += mc.ValueAt(p)
-		}
-		return sum
-	}
-}
-
 // RunStats are the aggregate statistics of one run of values, the unit of
 // work for aggregation directly on compressed data: a whole run contributes
 // in O(1) (RLE) or O(distinct) (bit-vector) instead of O(values).
@@ -155,7 +134,8 @@ func (s *RunStats) merge(o RunStats) {
 }
 
 // StatsRange computes RunStats over [r.Start, r.End) of mc, exploiting the
-// encoding like SumRange.
+// encoding: O(runs) for RLE, O(distinct) popcounts for bit-vector. It is the
+// primitive behind aggregation directly on compressed data (Section 4.2).
 func StatsRange(mc MiniColumn, r positions.Range) RunStats {
 	switch m := mc.(type) {
 	case *RLEMini:

@@ -97,21 +97,6 @@ func TestMiniFilterAt(t *testing.T) {
 	}
 }
 
-func TestMiniSumRange(t *testing.T) {
-	vals := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, m := range minis(0, vals) {
-		if got := SumRange(m, rangeOf(2, 7)); got != 3+4+5+6+7 {
-			t.Errorf("%v SumRange = %d, want 25", m.Kind(), got)
-		}
-		if got := SumRange(m, rangeOf(0, 10)); got != 55 {
-			t.Errorf("%v SumRange(all) = %d, want 55", m.Kind(), got)
-		}
-		if got := SumRange(m, rangeOf(20, 30)); got != 0 {
-			t.Errorf("%v SumRange(outside) = %d, want 0", m.Kind(), got)
-		}
-	}
-}
-
 func TestPlainMiniSegmented(t *testing.T) {
 	m := NewPlainMini(rangeOf(0, 10))
 	m.AddSegment(0, []int64{0, 1, 2, 3})
@@ -132,8 +117,8 @@ func TestPlainMiniSegmented(t *testing.T) {
 	if !positions.Equal(ps, positions.NewRanges(rangeOf(3, 10))) {
 		t.Errorf("Filter across segments = %v", positions.Slice(ps))
 	}
-	if got := SumRange(m, rangeOf(3, 8)); got != 3+4+5+6+7 {
-		t.Errorf("sumRange across segments = %d", got)
+	if got := StatsRange(m, rangeOf(3, 8)); got != (RunStats{Sum: 3 + 4 + 5 + 6 + 7, Count: 5, Min: 3, Max: 7}) {
+		t.Errorf("StatsRange across segments = %+v", got)
 	}
 }
 
@@ -198,7 +183,7 @@ func TestBVMiniDistinct(t *testing.T) {
 }
 
 // TestMiniPropertyAgreement cross-checks all encodings against the plain
-// reference on random data: Filter, FilterAt, Extract, ValueAt, SumRange
+// reference on random data: Filter, FilterAt, Extract, ValueAt, StatsRange
 // must agree exactly regardless of encoding.
 func TestMiniPropertyAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -245,8 +230,8 @@ func TestMiniPropertyAgreement(t *testing.T) {
 				}
 			}
 			r := rangeOf(start+int64(rng.Intn(n)), start+int64(rng.Intn(n+1)))
-			if SumRange(m, r) != SumRange(ref, r) {
-				t.Fatalf("iter %d: %v SumRange(%v) disagrees", iter, m.Kind(), r)
+			if got, want := StatsRange(m, r), StatsRange(ref, r); got != want {
+				t.Fatalf("iter %d: %v StatsRange(%v) = %+v, plain %+v", iter, m.Kind(), r, got, want)
 			}
 		}
 	}

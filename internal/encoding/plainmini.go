@@ -175,75 +175,6 @@ func nonEmpty(bm *positions.Bitmap) positions.Set {
 	return bm
 }
 
-// filterScalar is the retained per-value reference implementation of Filter:
-// one Predicate.Match dispatch per value, runs accumulated through the
-// Builder and replayed into a forced bitmap. The differential kernel suite
-// checks the compiled path against it; it is not used by query execution.
-func (m *PlainMini) filterScalar(p pred.Predicate) positions.Set {
-	b := positions.NewBuilder(m.cov)
-	b.ForceBitmap()
-	for _, s := range m.segs {
-		base := s.start
-		runStart := int64(-1)
-		for i, v := range s.vals {
-			if p.Match(v) {
-				if runStart < 0 {
-					runStart = base + int64(i)
-				}
-			} else if runStart >= 0 {
-				b.AddRange(positions.Range{Start: runStart, End: base + int64(i)})
-				runStart = -1
-			}
-		}
-		if runStart >= 0 {
-			b.AddRange(positions.Range{Start: runStart, End: s.end()})
-		}
-	}
-	return b.Build()
-}
-
-// filterAtScalar is the retained per-value reference implementation of
-// FilterAt (see filterScalar).
-func (m *PlainMini) filterAtScalar(ps positions.Set, p pred.Predicate) positions.Set {
-	b := positions.NewBuilder(m.cov)
-	it := ps.Runs()
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return b.Build()
-		}
-		r = r.Intersect(m.cov)
-		if r.Empty() {
-			continue
-		}
-		si := m.seg(r.Start)
-		for pos := r.Start; pos < r.End; {
-			s := m.segs[si]
-			end := r.End
-			if s.end() < end {
-				end = s.end()
-			}
-			vals := s.vals[pos-s.start : end-s.start]
-			runStart := int64(-1)
-			for i, v := range vals {
-				if p.Match(v) {
-					if runStart < 0 {
-						runStart = pos + int64(i)
-					}
-				} else if runStart >= 0 {
-					b.AddRange(positions.Range{Start: runStart, End: pos + int64(i)})
-					runStart = -1
-				}
-			}
-			if runStart >= 0 {
-				b.AddRange(positions.Range{Start: runStart, End: end})
-			}
-			pos = end
-			si++
-		}
-	}
-}
-
 // Extract appends the values at ps to dst: the segment walk of Gather over
 // the window's zero-copy slices.
 func (m *PlainMini) Extract(dst []int64, ps positions.Set) []int64 {
@@ -313,26 +244,4 @@ func (m *PlainMini) statsRange(r positions.Range) RunStats {
 		si++
 	}
 	return st
-}
-
-func (m *PlainMini) sumRange(r positions.Range) int64 {
-	r = r.Intersect(m.cov)
-	if r.Empty() {
-		return 0
-	}
-	var sum int64
-	si := m.seg(r.Start)
-	for pos := r.Start; pos < r.End; {
-		s := m.segs[si]
-		end := r.End
-		if s.end() < end {
-			end = s.end()
-		}
-		for _, v := range s.vals[pos-s.start : end-s.start] {
-			sum += v
-		}
-		pos = end
-		si++
-	}
-	return sum
 }

@@ -7,7 +7,6 @@ import (
 
 	"matstore/internal/kernels"
 	"matstore/internal/positions"
-	"matstore/internal/pred"
 )
 
 // RLEMini is a mini-column over run-length-encoded data: a sorted slice of
@@ -183,47 +182,6 @@ func orBits(dst, src []uint64, lo, hi int) {
 	}
 }
 
-// filterScalar is the retained per-run reference implementation of Filter:
-// one Predicate.Match dispatch per run. The differential kernel suite checks
-// the interval kernel against it; it is not used by query execution.
-func (m *RLEMini) filterScalar(p pred.Predicate) positions.Set {
-	b := positions.NewBuilder(m.cov)
-	for _, t := range m.triples {
-		if p.Match(t.Value) {
-			b.AddRange(t.Cover())
-		}
-	}
-	return b.Build()
-}
-
-// filterAtScalar is the retained reference implementation of FilterAt (see
-// filterScalar).
-func (m *RLEMini) filterAtScalar(ps positions.Set, p pred.Predicate) positions.Set {
-	b := positions.NewBuilder(m.cov)
-	it := ps.Runs()
-	ti := 0
-	for {
-		r, ok := it.Next()
-		if !ok {
-			return b.Build()
-		}
-		r = r.Intersect(m.cov)
-		if r.Empty() {
-			continue
-		}
-		for ti < len(m.triples) && m.triples[ti].End() <= r.Start {
-			ti++
-		}
-		for tj := ti; tj < len(m.triples) && m.triples[tj].Start < r.End; tj++ {
-			if p.Match(m.triples[tj].Value) {
-				if o := m.triples[tj].Cover().Intersect(r); !o.Empty() {
-					b.AddRange(o)
-				}
-			}
-		}
-	}
-}
-
 // Extract appends the values at ps to dst; each run contributes its value as
 // many times as ps holds positions under it (Gather, over the window as one
 // segment of runs).
@@ -274,17 +232,4 @@ func (m *RLEMini) statsRange(r positions.Range) RunStats {
 		st.merge(RunStats{Sum: v * o.Len(), Count: o.Len(), Min: v, Max: v})
 	}
 	return st
-}
-
-func (m *RLEMini) sumRange(r positions.Range) int64 {
-	r = r.Intersect(m.cov)
-	if r.Empty() {
-		return 0
-	}
-	var sum int64
-	for ti := m.triple(r.Start); ti < len(m.triples) && m.triples[ti].Start < r.End; ti++ {
-		o := m.triples[ti].Cover().Intersect(r)
-		sum += m.triples[ti].Value * o.Len()
-	}
-	return sum
 }

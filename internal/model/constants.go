@@ -62,9 +62,6 @@ func Default() Constants {
 	return c
 }
 
-// Micros converts a cost in µs to a time.Duration.
-func Micros(us float64) time.Duration { return time.Duration(us * float64(time.Microsecond)) }
-
 //go:noinline
 func sink(x int64) int64 { return x + 1 }
 

@@ -157,7 +157,4 @@ func TestCostArithmetic(t *testing.T) {
 	if c.CPU != 11 || c.IO != 7 {
 		t.Errorf("Add = %+v", c)
 	}
-	if Micros(1500) != 1500000 {
-		t.Errorf("Micros = %v", Micros(1500))
-	}
 }

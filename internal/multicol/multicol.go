@@ -1,18 +1,17 @@
 // Package multicol implements the multi-column data structure of Section
 // 3.6: an in-memory horizontal partition of a subset of a relation's
-// attributes, consisting of a covering position range, an array of
-// mini-columns (one per attribute, kept in native compressed form), and a
-// position descriptor marking which positions within the range remain valid
-// as predicates are applied.
+// attributes, consisting of a covering position range and an array of
+// mini-columns (one per attribute, kept in native compressed form).
 //
-// ANDing multi-columns intersects their descriptors and takes the union of
-// their mini-columns (pointer copies, zero cost) — which is what lets a DS3
-// operator downstream produce values without re-accessing the column.
+// The paper's position descriptor — which positions within the range remain
+// valid as predicates are applied — is the position set the plan executor
+// computes for the chunk; it travels beside the multi-column, not in it. A
+// DS3 operator downstream reads a mini-column attached here to produce values
+// without re-accessing the column.
 package multicol
 
 import (
 	"fmt"
-	"sort"
 
 	"matstore/internal/encoding"
 	"matstore/internal/positions"
@@ -22,34 +21,13 @@ import (
 // plan.
 type MultiColumn struct {
 	cov   positions.Range
-	desc  positions.Set
-	names []string
 	minis map[string]encoding.MiniColumn
 }
 
-// New creates a multi-column covering cov with all positions initially
-// valid (a full-range descriptor), holding no mini-columns yet.
+// New creates a multi-column covering cov, holding no mini-columns yet.
 func New(cov positions.Range) *MultiColumn {
-	return &MultiColumn{
-		cov:   cov,
-		desc:  positions.NewRanges(cov),
-		minis: make(map[string]encoding.MiniColumn),
-	}
+	return &MultiColumn{cov: cov, minis: make(map[string]encoding.MiniColumn)}
 }
-
-// Covering returns the covering position range.
-func (m *MultiColumn) Covering() positions.Range { return m.cov }
-
-// Descriptor returns the current position descriptor.
-func (m *MultiColumn) Descriptor() positions.Set { return m.desc }
-
-// SetDescriptor replaces the position descriptor (e.g. after a data source
-// applies its predicate). The mini-columns remain untouched, exactly as the
-// paper describes.
-func (m *MultiColumn) SetDescriptor(desc positions.Set) { m.desc = desc }
-
-// ValidCount returns the number of valid positions.
-func (m *MultiColumn) ValidCount() int64 { return m.desc.Count() }
 
 // Attach adds (or replaces) the mini-column for an attribute. The
 // mini-column must cover the multi-column's range.
@@ -58,9 +36,6 @@ func (m *MultiColumn) Attach(name string, mc encoding.MiniColumn) {
 		panic(fmt.Sprintf("multicol: mini-column %s covers %v, multi-column covers %v",
 			name, mc.Covering(), m.cov))
 	}
-	if _, dup := m.minis[name]; !dup {
-		m.names = append(m.names, name)
-	}
 	m.minis[name] = mc
 }
 
@@ -68,50 +43,4 @@ func (m *MultiColumn) Attach(name string, mc encoding.MiniColumn) {
 func (m *MultiColumn) Mini(name string) (encoding.MiniColumn, bool) {
 	mc, ok := m.minis[name]
 	return mc, ok
-}
-
-// Degree returns the number of attached mini-columns (the paper's "degree"
-// of a multi-column).
-func (m *MultiColumn) Degree() int { return len(m.minis) }
-
-// Names returns the attached attribute names, sorted.
-func (m *MultiColumn) Names() []string {
-	out := append([]string(nil), m.names...)
-	sort.Strings(out)
-	return out
-}
-
-// And combines two multi-columns with identical covering ranges: the result
-// descriptor is the intersection of the inputs' descriptors, and the result
-// mini-column set is the union of the inputs' (pointer copies).
-func And(a, b *MultiColumn) *MultiColumn {
-	if a.cov != b.cov {
-		panic(fmt.Sprintf("multicol: And over mismatched covers %v vs %v", a.cov, b.cov))
-	}
-	out := &MultiColumn{
-		cov:   a.cov,
-		desc:  positions.And(a.desc, b.desc),
-		minis: make(map[string]encoding.MiniColumn, len(a.minis)+len(b.minis)),
-	}
-	for _, n := range a.names {
-		out.Attach(n, a.minis[n])
-	}
-	for _, n := range b.names {
-		if _, dup := out.minis[n]; !dup {
-			out.Attach(n, b.minis[n])
-		}
-	}
-	return out
-}
-
-// AndAll folds And over several multi-columns.
-func AndAll(ms ...*MultiColumn) *MultiColumn {
-	if len(ms) == 0 {
-		panic("multicol: AndAll of nothing")
-	}
-	out := ms[0]
-	for _, m := range ms[1:] {
-		out = And(out, m)
-	}
-	return out
 }

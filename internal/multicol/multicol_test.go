@@ -1,7 +1,6 @@
 package multicol
 
 import (
-	"reflect"
 	"testing"
 
 	"matstore/internal/encoding"
@@ -10,21 +9,11 @@ import (
 
 func rangeOf(s, e int64) positions.Range { return positions.Range{Start: s, End: e} }
 
-func TestNewStartsFullyValid(t *testing.T) {
-	m := New(rangeOf(0, 100))
-	if m.Covering() != rangeOf(0, 100) {
-		t.Errorf("Covering = %v", m.Covering())
-	}
-	if m.ValidCount() != 100 {
-		t.Errorf("ValidCount = %d, want all positions valid initially", m.ValidCount())
-	}
-	if m.Degree() != 0 {
-		t.Errorf("Degree = %d", m.Degree())
-	}
-}
-
 func TestAttachAndLookup(t *testing.T) {
 	m := New(rangeOf(0, 4))
+	if _, ok := m.Mini("a"); ok {
+		t.Error("a new multi-column holds a mini-column")
+	}
 	mini := encoding.PlainMiniFromValues(0, []int64{1, 2, 3, 4})
 	m.Attach("a", mini)
 	got, ok := m.Mini("a")
@@ -34,16 +23,11 @@ func TestAttachAndLookup(t *testing.T) {
 	if _, ok := m.Mini("b"); ok {
 		t.Error("Mini(b) should not exist")
 	}
-	if m.Degree() != 1 {
-		t.Errorf("Degree = %d", m.Degree())
-	}
-	// Replacing does not change degree.
-	m.Attach("a", encoding.PlainMiniFromValues(0, []int64{9, 9, 9, 9}))
-	if m.Degree() != 1 {
-		t.Errorf("Degree after replace = %d", m.Degree())
-	}
-	if !reflect.DeepEqual(m.Names(), []string{"a"}) {
-		t.Errorf("Names = %v", m.Names())
+	// Attaching again replaces.
+	again := encoding.PlainMiniFromValues(0, []int64{9, 9, 9, 9})
+	m.Attach("a", again)
+	if got, _ := m.Mini("a"); got != encoding.MiniColumn(again) {
+		t.Error("re-attaching a did not replace its mini-column")
 	}
 }
 
@@ -55,98 +39,4 @@ func TestAttachMismatchedCoverPanics(t *testing.T) {
 	}()
 	m := New(rangeOf(0, 4))
 	m.Attach("a", encoding.PlainMiniFromValues(0, []int64{1, 2}))
-}
-
-func TestSetDescriptorLeavesMinisUntouched(t *testing.T) {
-	m := New(rangeOf(0, 4))
-	mini := encoding.PlainMiniFromValues(0, []int64{1, 2, 3, 4})
-	m.Attach("a", mini)
-	m.SetDescriptor(positions.NewRanges(rangeOf(1, 3)))
-	if m.ValidCount() != 2 {
-		t.Errorf("ValidCount = %d", m.ValidCount())
-	}
-	got, _ := m.Mini("a")
-	if got != encoding.MiniColumn(mini) {
-		t.Error("descriptor replacement touched the mini-column")
-	}
-}
-
-// TestAnd checks the paper's multi-column AND semantics: descriptor
-// intersection plus mini-column union by pointer copy.
-func TestAnd(t *testing.T) {
-	a := New(rangeOf(0, 8))
-	miniA := encoding.RLEMiniFromValues(0, []int64{5, 5, 5, 5, 6, 6, 6, 6})
-	a.Attach("x", miniA)
-	a.SetDescriptor(positions.NewRanges(rangeOf(0, 6)))
-
-	b := New(rangeOf(0, 8))
-	miniB := encoding.PlainMiniFromValues(0, []int64{1, 2, 3, 4, 5, 6, 7, 8})
-	b.Attach("y", miniB)
-	b.SetDescriptor(positions.NewRanges(rangeOf(4, 8)))
-
-	out := And(a, b)
-	if out.Covering() != rangeOf(0, 8) {
-		t.Errorf("Covering = %v", out.Covering())
-	}
-	if !positions.Equal(out.Descriptor(), positions.NewRanges(rangeOf(4, 6))) {
-		t.Errorf("Descriptor = %v", positions.Slice(out.Descriptor()))
-	}
-	gx, ok := out.Mini("x")
-	if !ok || gx != encoding.MiniColumn(miniA) {
-		t.Error("mini x not carried by pointer")
-	}
-	gy, ok := out.Mini("y")
-	if !ok || gy != encoding.MiniColumn(miniB) {
-		t.Error("mini y not carried by pointer")
-	}
-	if out.Degree() != 2 {
-		t.Errorf("Degree = %d", out.Degree())
-	}
-}
-
-func TestAndDuplicateAttributeKeepsFirst(t *testing.T) {
-	a := New(rangeOf(0, 4))
-	miniA := encoding.PlainMiniFromValues(0, []int64{1, 1, 1, 1})
-	a.Attach("x", miniA)
-	b := New(rangeOf(0, 4))
-	b.Attach("x", encoding.PlainMiniFromValues(0, []int64{2, 2, 2, 2}))
-	out := And(a, b)
-	got, _ := out.Mini("x")
-	if got != encoding.MiniColumn(miniA) {
-		t.Error("duplicate attribute did not keep the left operand's mini")
-	}
-}
-
-func TestAndMismatchedCoversPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched covers accepted")
-		}
-	}()
-	And(New(rangeOf(0, 4)), New(rangeOf(0, 8)))
-}
-
-func TestAndAll(t *testing.T) {
-	ms := make([]*MultiColumn, 3)
-	for i := range ms {
-		ms[i] = New(rangeOf(0, 10))
-		ms[i].SetDescriptor(positions.NewRanges(rangeOf(int64(i), int64(i)+5)))
-	}
-	out := AndAll(ms...)
-	if !positions.Equal(out.Descriptor(), positions.NewRanges(rangeOf(2, 5))) {
-		t.Errorf("AndAll descriptor = %v", positions.Slice(out.Descriptor()))
-	}
-	single := AndAll(ms[0])
-	if single != ms[0] {
-		t.Error("AndAll of one should return it unchanged")
-	}
-}
-
-func TestAndAllEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AndAll() accepted")
-		}
-	}()
-	AndAll()
 }

@@ -61,9 +61,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -228,15 +225,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total observation count.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // bucketSamples renders the cumulative _bucket/_sum/_count series.
 func (h *Histogram) bucketSamples(name string, base []Label) []Sample {
 	out := make([]Sample, 0, len(h.upper)+3)
@@ -344,25 +332,6 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 	for i := range out {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// Gather snapshots every family's samples in family registration units,
-// sorted by family name (stable across scrapes: series order within a
-// family is deterministic by construction).
-func (r *Registry) Gather() []Sample {
-	r.mu.Lock()
-	fams := append([]metricFamily(nil), r.families...)
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool {
-		ni, _, _ := fams[i].desc()
-		nj, _, _ := fams[j].desc()
-		return ni < nj
-	})
-	var out []Sample
-	for _, f := range fams {
-		out = append(out, f.samples()...)
 	}
 	return out
 }

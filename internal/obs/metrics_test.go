@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -164,4 +165,35 @@ func TestExpBuckets(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ExpBuckets = %v", got)
 	}
+}
+
+// Add adds n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
+
+// Count returns the total observation count.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// Gather snapshots every family's samples in family registration units,
+// sorted by family name (stable across scrapes: series order within a
+// family is deterministic by construction).
+func (r *Registry) Gather() []Sample {
+	r.mu.Lock()
+	fams := append([]metricFamily(nil), r.families...)
+	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool {
+		ni, _, _ := fams[i].desc()
+		nj, _, _ := fams[j].desc()
+		return ni < nj
+	})
+	var out []Sample
+	for _, f := range fams {
+		out = append(out, f.samples()...)
+	}
+	return out
 }

@@ -49,14 +49,6 @@ func NewTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// ID returns the trace id.
-func (t *Trace) ID() string {
-	if t == nil {
-		return ""
-	}
-	return t.id
-}
-
 // Root returns the root span (nil for a nil trace).
 func (t *Trace) Root() *Span {
 	if t == nil {

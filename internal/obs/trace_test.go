@@ -154,3 +154,11 @@ func TestLoggerJSONLines(t *testing.T) {
 	nl.Info("dropped")
 	nl.With("k", "v").Error("dropped")
 }
+
+// ID returns the trace id.
+func (t *Trace) ID() string {
+	if t == nil {
+		return ""
+	}
+	return t.id
+}

@@ -84,9 +84,6 @@ func NewAggregator(fn AggFunc) *Aggregator {
 	return &Aggregator{Fn: fn, slot: make(map[int64]int32)}
 }
 
-// NewSumAggregator returns an empty SUM aggregator.
-func NewSumAggregator() *Aggregator { return NewAggregator(AggSum) }
-
 // add folds st (Count > 0) into key's group.
 func (a *Aggregator) add(key int64, st encoding.RunStats) {
 	i, ok := a.slot[key]
@@ -123,12 +120,6 @@ func (a *Aggregator) fold(keys, vals []int64) {
 	}
 }
 
-// AddTuple contributes one constructed tuple.
-func (a *Aggregator) AddTuple(key, val int64) {
-	a.add(key, encoding.RunStats{Sum: val, Count: 1, Min: val, Max: val})
-	a.TuplesIn++
-}
-
 // AddBatch contributes aligned key/value vectors, which it only reads: the
 // caller may recycle them once it returns.
 func (a *Aggregator) AddBatch(keys, vals []int64) {
@@ -162,9 +153,8 @@ func (a *Aggregator) MemBytes() int64 {
 // relies on: a per-worker partial result that can absorb another partial
 // computed over a disjoint position range. Merging any partition of the
 // input must yield the same state as processing the input in one shot.
-// (Row partials merge through rows.Result.AppendChunks and position partials
-// through positions.Concat; the aggregator is the operator whose state
-// needs this contract.)
+// (Row partials merge through rows.Result.AppendChunks; the aggregator is
+// the operator whose state needs this contract.)
 type Mergeable[T any] interface {
 	Merge(other T)
 }

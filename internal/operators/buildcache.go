@@ -10,14 +10,15 @@ import (
 // hash sides ACROSS queries and sessions, keyed on what the build physically
 // depends on — the inner projection, its key column, the payload schema and
 // materialization strategy, the requested partition override and the chunk
-// size. Entries are byte-accounted (PartitionedTable.SizeBytes), evicted
+// size. Entries are byte-accounted (PartitionedTable.SizeBytes) and evicted
 // least-recently-used under a memory budget — an evicted build is dropped and
-// rebuilt on its next miss — and invalidated wholesale by bumping the
-// projection's generation (the hook a data reload uses).
+// rebuilt on its next miss. A served database is read-only, so a retained
+// build stays valid until it is evicted.
 //
 // Concurrency: lookups and inserts are mutex-guarded; a miss registers an
 // in-flight slot so concurrent requests for the same key wait for the one
-// build instead of racing duplicate scans (single-flight). The cached
+// build instead of racing duplicate scans (single-flight), and every waiter
+// takes the flight's table — also one too large to retain. The cached
 // *PartitionedTable is read-only after build, so handing one table to many
 // concurrent probes is safe.
 
@@ -34,21 +35,14 @@ type BuildKey struct {
 	ChunkSize  int64
 }
 
-// retained is one cached partitioned hash side and the generation of its
-// projection it was built under.
-type retained struct {
-	table *PartitionedTable
-	gen   uint64
-}
-
 // BuildCacheStats are the cache's cumulative counters.
 type BuildCacheStats struct {
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	Invalidations int64 `json:"invalidations"`
-	// WaitedBuilds counts misses that waited for another request's in-flight
-	// build of the same key instead of building their own.
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	// WaitedBuilds counts lookups that waited for another request's in-flight
+	// build of the same key instead of building their own; each that gets
+	// the table also counts as a hit.
 	WaitedBuilds int64 `json:"waited_builds"`
 	Entries      int   `json:"entries"`
 	Bytes        int64 `json:"bytes"`
@@ -56,14 +50,13 @@ type BuildCacheStats struct {
 }
 
 // BuildCache is a keyed LRU cache of retained join builds under a byte
-// budget, with per-projection generation invalidation. It sits on the shared
-// cache.LRU; the cache's own are the single-flight slots and the generations.
+// budget. It sits on the shared cache.LRU; the cache's own are the
+// single-flight slots.
 type BuildCache struct {
 	mu       sync.Mutex
 	capacity int64
-	lru      *cache.LRU[BuildKey, retained] // charged PartitionedTable.SizeBytes
+	lru      *cache.LRU[BuildKey, *PartitionedTable] // charged SizeBytes
 	inflight map[BuildKey]*buildFlight
-	gens     map[string]uint64
 	stats    BuildCacheStats
 }
 
@@ -79,9 +72,8 @@ type buildFlight struct {
 func NewBuildCache(capacity int64) *BuildCache {
 	return &BuildCache{
 		capacity: capacity,
-		lru:      cache.New[BuildKey, retained](),
+		lru:      cache.New[BuildKey, *PartitionedTable](),
 		inflight: make(map[BuildKey]*buildFlight),
-		gens:     make(map[string]uint64),
 	}
 }
 
@@ -96,92 +88,58 @@ func (c *BuildCache) Stats() BuildCacheStats {
 	return st
 }
 
-// Generation returns the projection's current generation.
-func (c *BuildCache) Generation(proj string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gens[proj]
-}
-
-// Invalidate bumps the projection's generation and drops every cached build
-// over it: the hook a data reload (or projection rewrite) calls so no query
-// probes a stale hash side.
-func (c *BuildCache) Invalidate(proj string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gens[proj]++
-	n := c.lru.DeleteFunc(func(key BuildKey, _ retained) bool { return key.Proj == proj })
-	c.stats.Invalidations += int64(n)
-}
-
 // GetOrBuild returns the cached table for key, building (and caching) it via
 // build on a miss. The second return reports a cache hit. Concurrent misses
-// on one key share a single build. A failed build caches nothing, and a
-// build overtaken by an Invalidate is neither cached nor handed to requests
-// that started after the invalidation.
+// on one key share a single build: the waiters take its table (or its error)
+// and count as hits. A failed build caches nothing.
 func (c *BuildCache) GetOrBuild(key BuildKey, build func() (*PartitionedTable, error)) (*PartitionedTable, bool, error) {
-	for {
-		c.mu.Lock()
-		gen := c.gens[key.Proj]
-		if rb, ok := c.lru.Get(key); ok {
-			if rb.gen == gen {
-				c.stats.Hits++
-				c.mu.Unlock()
-				return rb.table, true, nil
-			}
-			// Stale generation (Invalidate removes eagerly; this guards a
-			// racy bump between lookup phases).
-			c.lru.Delete(key)
-		}
-		if fl, ok := c.inflight[key]; ok {
-			// Wait for the in-flight build of this key, then retry from the
-			// top: the flight may have been started before an Invalidate, so
-			// only the generation-checked cache entry (or a fresh build) may
-			// serve this request — never fl.rt directly.
-			c.stats.WaitedBuilds++
-			c.mu.Unlock()
-			<-fl.done
-			if fl.err != nil {
-				return nil, false, fl.err
-			}
-			continue
-		}
-		fl := &buildFlight{done: make(chan struct{})}
-		c.inflight[key] = fl
-		c.stats.Misses++
+	c.mu.Lock()
+	if rt, ok := c.lru.Get(key); ok {
+		c.stats.Hits++
 		c.mu.Unlock()
-
-		rt, err := build()
-		fl.rt, fl.err = rt, err
-
-		c.mu.Lock()
-		delete(c.inflight, key)
-		stale := err == nil && c.gens[key.Proj] != gen
-		if err == nil && !stale {
-			c.insertLocked(key, gen, rt)
-		}
-		c.mu.Unlock()
-		close(fl.done)
-		if err != nil {
-			return nil, false, err
-		}
-		if stale {
-			// The projection changed under the build: rebuild against the
-			// new generation rather than serving stale data.
-			continue
-		}
-		return rt, false, nil
+		return rt, true, nil
 	}
+	if fl, ok := c.inflight[key]; ok {
+		c.stats.WaitedBuilds++
+		c.mu.Unlock()
+		<-fl.done
+		if fl.err != nil {
+			return nil, false, fl.err
+		}
+		c.mu.Lock()
+		c.stats.Hits++
+		c.mu.Unlock()
+		return fl.rt, true, nil
+	}
+	fl := &buildFlight{done: make(chan struct{})}
+	c.inflight[key] = fl
+	c.stats.Misses++
+	c.mu.Unlock()
+
+	rt, err := build()
+	fl.rt, fl.err = rt, err
+
+	c.mu.Lock()
+	delete(c.inflight, key)
+	if err == nil {
+		c.insertLocked(key, rt)
+	}
+	c.mu.Unlock()
+	close(fl.done)
+	if err != nil {
+		return nil, false, err
+	}
+	return rt, false, nil
 }
 
 // insertLocked adds a built table, evicting least-recently-used entries
 // until the budget holds. A table larger than the whole budget is served but
 // not retained.
-func (c *BuildCache) insertLocked(key BuildKey, gen uint64, rt *PartitionedTable) {
+func (c *BuildCache) insertLocked(key BuildKey, rt *PartitionedTable) {
 	if c.capacity > 0 && rt.SizeBytes > c.capacity {
 		return
 	}
-	c.lru.Put(key, retained{rt, gen}, rt.SizeBytes)
+	c.lru.Put(key, rt, rt.SizeBytes)
 	if c.capacity > 0 {
 		c.stats.Evictions += int64(c.lru.Shrink(c.capacity, nil))
 	}

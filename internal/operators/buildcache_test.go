@@ -2,7 +2,9 @@ package operators
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -78,32 +80,6 @@ func TestBuildCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestBuildCacheGenerationInvalidation: bumping a projection's generation
-// drops its entries and only its entries.
-func TestBuildCacheGenerationInvalidation(t *testing.T) {
-	c := NewBuildCache(0) // unbounded
-	build := func() (*PartitionedTable, error) { return fakeTable(64), nil }
-	c.GetOrBuild(bcKey("a", 0), build)
-	c.GetOrBuild(bcKey("b", 0), build)
-	if g := c.Generation("a"); g != 0 {
-		t.Fatalf("fresh generation = %d", g)
-	}
-	c.Invalidate("a")
-	if g := c.Generation("a"); g != 1 {
-		t.Errorf("generation after bump = %d, want 1", g)
-	}
-	if _, hit, _ := c.GetOrBuild(bcKey("a", 0), build); hit {
-		t.Error("invalidated entry hit")
-	}
-	if _, hit, _ := c.GetOrBuild(bcKey("b", 0), build); !hit {
-		t.Error("unrelated projection's entry was dropped")
-	}
-	st := c.Stats()
-	if st.Invalidations != 1 {
-		t.Errorf("invalidations = %d, want 1", st.Invalidations)
-	}
-}
-
 // TestBuildCacheErrorNotCached: a failing build is returned to the caller
 // and retains nothing.
 func TestBuildCacheErrorNotCached(t *testing.T) {
@@ -165,54 +141,46 @@ func TestBuildCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// TestBuildCacheWaiterSeesInvalidation: a request that starts after an
-// Invalidate must never be served a build that began before it — the waiter
-// re-checks the generation after the shared flight completes and rebuilds.
-func TestBuildCacheWaiterSeesInvalidation(t *testing.T) {
-	c := NewBuildCache(0)
+// TestBuildCacheSingleFlightOversize: concurrent misses on a key whose table
+// is too large to retain still share one build — every waiter takes the
+// flight's table and counts as a hit instead of rebuilding in turn.
+func TestBuildCacheSingleFlightOversize(t *testing.T) {
+	const size, waiters = 1000, 8
+	c := NewBuildCache(size / 2)
+	var calls atomic.Int32
 	gate := make(chan struct{})
-	started := make(chan struct{})
-	stale := fakeTable(8)
-	fresh := fakeTable(16)
-	builderGot := make(chan *PartitionedTable, 1)
-	go func() {
-		// The build func is invoked again if its result went stale: the
-		// first call blocks on the gate and returns the doomed table, the
-		// retry returns fresh data.
-		calls := 0
-		rt, _, err := c.GetOrBuild(bcKey("a", 0), func() (*PartitionedTable, error) {
-			calls++
-			if calls == 1 {
-				close(started)
-				<-gate
-				return stale, nil
+	build := func() (*PartitionedTable, error) {
+		calls.Add(1)
+		<-gate
+		return fakeTable(size), nil
+	}
+	var wg sync.WaitGroup
+	results := make([]*PartitionedTable, waiters)
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rt, _, err := c.GetOrBuild(bcKey("a", 0), build)
+			if err != nil {
+				t.Error(err)
 			}
-			return fresh, nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		builderGot <- rt
-	}()
-	<-started
-	c.Invalidate("a") // the in-flight build is now of a dead generation
-	done := make(chan *PartitionedTable, 1)
-	go func() {
-		rt, _, err := c.GetOrBuild(bcKey("a", 0), func() (*PartitionedTable, error) { return fresh, nil })
-		if err != nil {
-			t.Error(err)
-		}
-		done <- rt
-	}()
+			results[i] = rt
+		}(i)
+	}
+	for c.Stats().WaitedBuilds != waiters-1 {
+		runtime.Gosched()
+	}
 	close(gate)
-	if rt := <-done; rt == stale {
-		t.Error("post-invalidation request was served the pre-invalidation build")
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("build ran %d times for one key", n)
 	}
-	if rt := <-builderGot; rt == stale {
-		t.Error("the overtaken builder itself was served its stale table")
+	for i := 1; i < waiters; i++ {
+		if results[i] != results[0] {
+			t.Fatalf("waiter %d got a different table", i)
+		}
 	}
-	// The stale table must not have been retained either.
-	if rt, hit, _ := c.GetOrBuild(bcKey("a", 0), func() (*PartitionedTable, error) { return fresh, nil }); hit && rt == stale {
-		t.Error("stale build was cached across the generation bump")
+	if st := c.Stats(); st.Misses != 1 || st.Hits != waiters-1 || st.Entries != 0 {
+		t.Errorf("stats = %+v, want 1 miss, %d hits, nothing retained", st, waiters-1)
 	}
 }

@@ -153,9 +153,6 @@ func (t *FlatTable) probe(h uint64, key int64) []int64 {
 	return t.pos[s.off : s.off+s.cnt]
 }
 
-// Len returns the number of (key, position) entries the table holds.
-func (t *FlatTable) Len() int { return len(t.pos) }
-
 // memBytes is the table's heap footprint: both arrays, nothing hidden.
 func (t *FlatTable) memBytes() int64 {
 	return flatSlotBytes*int64(len(t.slots)) + 8*int64(len(t.pos))

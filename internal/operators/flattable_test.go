@@ -182,3 +182,6 @@ func TestProbeBatchMatchesProbe(t *testing.T) {
 		}
 	}
 }
+
+// Len returns the number of (key, position) entries the table holds.
+func (t *FlatTable) Len() int { return len(t.pos) }

@@ -311,3 +311,12 @@ func TestRightStrategyString(t *testing.T) {
 func (rt *PartitionedTable) PayloadMinis(pos int64) []encoding.MiniColumn {
 	return rt.chunks[pos/rt.chunkSize]
 }
+
+// AddTuple contributes one constructed tuple.
+func (a *Aggregator) AddTuple(key, val int64) {
+	a.add(key, encoding.RunStats{Sum: val, Count: 1, Min: val, Max: val})
+	a.TuplesIn++
+}
+
+// NewSumAggregator returns an empty SUM aggregator.
+func NewSumAggregator() *Aggregator { return NewAggregator(AggSum) }

@@ -112,20 +112,16 @@ type RunOptions struct {
 	Trace *obs.Span
 }
 
-// Run executes the plan morsel-parallel across the given worker request
+// RunWith executes the plan morsel-parallel across the given worker request
 // (0 = one worker per CPU, 1 = serial chunk-at-a-time) and merges the
-// per-morsel partials deterministically. With observe set, every node
-// accumulates observed rows/time counters for EXPLAIN.
+// per-morsel partials deterministically. With opt.Observe set, every node
+// accumulates observed rows/time counters for EXPLAIN; opt also carries the
+// context, the spill configuration, the row cap and the trace span.
 //
 // Join trees add a build-barrier phase: the JOINBUILD node's partitioned
 // hash side is constructed (itself morsel-parallel) before the streaming
 // probe morsels start, and the single-column strategy's deferred payload
 // fetch runs batched after the merge.
-func (p *Plan) Run(parallelism int, observe bool) (*rows.Result, RunStats, error) {
-	return p.RunWith(parallelism, RunOptions{Observe: observe})
-}
-
-// RunWith is Run with a context and an optional spill configuration.
 func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats, error) {
 	ctx, observe := opt.Ctx, opt.Observe
 	if ctx == nil {
@@ -313,7 +309,6 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 		if desc == nil || desc.Count() == 0 {
 			continue
 		}
-		mc.SetDescriptor(desc)
 		pt.stats.PositionsMatched += desc.Count()
 
 		if p.Spec.Aggregating {

@@ -7,8 +7,8 @@ package positions
 //	Case 3: mixed inputs: ranges are intersected first, bit-lists ANDed,
 //	        then the single range list is applied to the bit-list.
 //
-// And() dispatches to the fast path for each representation pair and falls
-// back to a generic run-merge that works across any pair.
+// And() dispatches to the fast path for each pair of the three
+// representations.
 
 // And returns the intersection of a and b, choosing the output
 // representation per the paper: ranges×ranges yields ranges; any operand
@@ -50,7 +50,7 @@ func And(a, b Set) Set {
 			return andBitmapList(y, x)
 		}
 	}
-	return andGeneric(a, b)
+	panic("positions: And of " + a.Kind().String() + " and " + b.Kind().String())
 }
 
 // AndAll intersects an arbitrary number of sets. Per the paper's Case 3, all
@@ -272,26 +272,6 @@ func andLists(a, b List) Set {
 		return Empty{}
 	}
 	return out
-}
-
-// andGeneric merges run iterators; it is the fallback for any representation
-// pair without a dedicated fast path.
-func andGeneric(a, b Set) Set {
-	var bld Builder
-	ai, bi := a.Runs(), b.Runs()
-	ar, aok := ai.Next()
-	br, bok := bi.Next()
-	for aok && bok {
-		if r := ar.Intersect(br); !r.Empty() {
-			bld.AddRange(r)
-		}
-		if ar.End < br.End {
-			ar, aok = ai.Next()
-		} else {
-			br, bok = bi.Next()
-		}
-	}
-	return bld.Build()
 }
 
 func min(a, b int) int {

@@ -47,9 +47,6 @@ func (b *Builder) AddRange(r Range) {
 	b.count += r.Len()
 }
 
-// Count returns the number of positions added so far.
-func (b *Builder) Count() int64 { return b.count }
-
 // Build returns the accumulated set in the chosen representation.
 //
 // Heuristics: empty → Empty; forced → bitmap; avg run length >= 4 or few
@@ -101,14 +98,6 @@ func ToBitmap(s Set, extent Range) *Bitmap {
 		}
 		bm.SetRange(r)
 	}
-}
-
-// ToList converts any set to an explicit position list.
-func ToList(s Set) List {
-	if l, ok := s.(List); ok {
-		return l
-	}
-	return List(Slice(s))
 }
 
 // ToRanges converts any set to its run decomposition.

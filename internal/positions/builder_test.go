@@ -123,3 +123,6 @@ func TestBuilderBitmapExtentFallback(t *testing.T) {
 		t.Fatal("bitmap contents differ from added runs")
 	}
 }
+
+// Count returns the number of positions added so far.
+func (b *Builder) Count() int64 { return b.count }

@@ -55,24 +55,6 @@ func (r Range) Intersect(o Range) Range {
 	return Range{s, e}
 }
 
-// Union returns the smallest range covering both r and o.
-func (r Range) Union(o Range) Range {
-	if r.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return r
-	}
-	s, e := r.Start, r.End
-	if o.Start < s {
-		s = o.Start
-	}
-	if o.End > e {
-		e = o.End
-	}
-	return Range{s, e}
-}
-
 func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Start, r.End) }
 
 // Kind identifies the concrete representation of a Set.
@@ -208,19 +190,6 @@ func (rs Ranges) String() string {
 // positions" descriptor, useful when few positions inside a chunk are valid.
 type List []int64
 
-// NewList builds a List from arbitrary positions, sorting and deduplicating.
-func NewList(pos ...int64) List {
-	out := append(List(nil), pos...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, p := range out {
-		if i == 0 || p != out[i-1] {
-			dedup = append(dedup, p)
-		}
-	}
-	return dedup
-}
-
 // Kind returns KindList.
 func (l List) Kind() Kind { return KindList }
 
@@ -288,9 +257,6 @@ func (b *Bitmap) NBits() int64 { return b.nbits }
 // Words exposes the underlying storage: read-only by convention, except to the
 // filter kernels that emit into a bitmap they are filling.
 func (b *Bitmap) Words() []uint64 { return b.words }
-
-// NumWords returns the number of 64-bit words backing the bitmap.
-func (b *Bitmap) NumWords() int64 { return int64(len(b.words)) }
 
 // Set marks position pos as present. pos must lie within the bitmap extent.
 func (b *Bitmap) Set(pos int64) {

@@ -3,6 +3,7 @@ package positions
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -486,4 +487,43 @@ func TestAndAllPropertyRandom(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ToList converts any set to an explicit position list.
+func ToList(s Set) List {
+	if l, ok := s.(List); ok {
+		return l
+	}
+	return List(Slice(s))
+}
+
+// NewList builds a List from arbitrary positions, sorting and deduplicating.
+func NewList(pos ...int64) List {
+	out := append(List(nil), pos...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	dedup := out[:0]
+	for i, p := range out {
+		if i == 0 || p != out[i-1] {
+			dedup = append(dedup, p)
+		}
+	}
+	return dedup
+}
+
+// Union returns the smallest range covering both r and o.
+func (r Range) Union(o Range) Range {
+	if r.Empty() {
+		return o
+	}
+	if o.Empty() {
+		return r
+	}
+	s, e := r.Start, r.End
+	if o.Start < s {
+		s = o.Start
+	}
+	if o.End > e {
+		e = o.End
+	}
+	return Range{s, e}
 }

@@ -43,16 +43,6 @@ func (b *Batch) Col(name string) ([]int64, error) {
 	return nil, fmt.Errorf("rows: batch has no column %q", name)
 }
 
-// HasCol reports whether the batch carries the named attribute.
-func (b *Batch) HasCol(name string) bool {
-	for _, n := range b.Names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Append adds one tuple. vals must parallel Names.
 func (b *Batch) Append(pos int64, vals ...int64) {
 	if len(vals) != len(b.Cols) {

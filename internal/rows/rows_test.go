@@ -27,9 +27,6 @@ func TestBatchBasics(t *testing.T) {
 	if !reflect.DeepEqual(b.Pos, []int64{10, 20}) {
 		t.Errorf("Pos = %v", b.Pos)
 	}
-	if !b.HasCol("a") || b.HasCol("z") {
-		t.Error("HasCol wrong")
-	}
 	if _, err := b.Col("z"); err == nil {
 		t.Error("missing column lookup succeeded")
 	}

@@ -161,9 +161,6 @@ func NewCoordinator(root string, endpoints []string, cfg CoordinatorConfig) (*Co
 	return c, nil
 }
 
-// Manifest returns the loaded shard manifest.
-func (c *Coordinator) Manifest() *storage.ShardManifest { return c.manifest }
-
 // Handler returns the coordinator's HTTP mux: the same endpoint surface as
 // a shard engine.
 func (c *Coordinator) Handler() http.Handler {

@@ -57,3 +57,6 @@ func TestCopartitionErrorNamesMismatch(t *testing.T) {
 		})
 	}
 }
+
+// Manifest returns the loaded shard manifest.
+func (c *Coordinator) Manifest() *storage.ShardManifest { return c.manifest }

@@ -71,18 +71,16 @@ func registerServerMetrics(s *Server) {
 	reg.NewGaugeFunc("cs_sessions", "Total sessions opened.",
 		func() float64 { return float64(s.sessions.Load()) })
 	reg.NewCollector("cs_cache_events_total",
-		"Cache activity by cache (result/build) and event (hit/miss/eviction/invalidation).",
+		"Cache activity by cache (result/build) and event (hit/miss/eviction).",
 		"counter", []string{"cache", "event"},
 		func(emit func(values []string, v float64)) {
 			st := s.Stats()
 			emit([]string{"result", "hit"}, float64(st.ResultCache.Hits))
 			emit([]string{"result", "miss"}, float64(st.ResultCache.Misses))
 			emit([]string{"result", "eviction"}, float64(st.ResultCache.Evictions))
-			emit([]string{"result", "invalidation"}, float64(st.ResultCache.Invalidations))
 			emit([]string{"build", "hit"}, float64(st.BuildCache.Hits))
 			emit([]string{"build", "miss"}, float64(st.BuildCache.Misses))
 			emit([]string{"build", "eviction"}, float64(st.BuildCache.Evictions))
-			emit([]string{"build", "invalidation"}, float64(st.BuildCache.Invalidations))
 		})
 	reg.NewCollector("cs_admission",
 		"Admission-gate counters by stage.", "counter", []string{"event"},

@@ -17,12 +17,13 @@
 //     queue at once, holding nothing.
 //   - One LRU (internal/cache) is under every cache, one tier each: the
 //     result cache (resultcache.go: repeated identical requests are answered
-//     without admission at all, invalidated per projection by generation
-//     bumps), the shared join-build cache (operators.BuildCache: partitioned
-//     hash sides shared across queries, single-flight; an evicted build is
-//     dropped and rebuilt on its next miss) and the buffer pool. Each owner
-//     keeps its lock and what is its own; recency, byte charging and eviction
-//     are written once.
+//     without admission at all), the shared join-build cache
+//     (operators.BuildCache: partitioned hash sides shared across queries,
+//     single-flight; an evicted build is dropped and rebuilt on its next
+//     miss) and the buffer pool. Each owner keeps its lock and what is its
+//     own; recency, byte charging and eviction are written once. A served
+//     database is read-only, so no cache tracks a projection's version:
+//     serving regenerated data means restarting the server.
 //   - One request path (Session.serve, below): result-cache lookup →
 //     estimate → admit → build the plan → run → put. Every served request
 //     builds its plan and runs it once; no plan outlives its request. Select,
@@ -40,7 +41,6 @@ import (
 	"context"
 	"os"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -149,17 +149,6 @@ func New(db *matstore.DB, cfg Config) *Server {
 
 // Config returns the resolved configuration.
 func (s *Server) Config() Config { return s.cfg }
-
-// InvalidateProjection marks a projection's data as changed: cached results
-// over it and cached join builds of it are dropped by generation bumps.
-func (s *Server) InvalidateProjection(name string) {
-	if s.results != nil {
-		s.results.invalidate(name)
-	}
-	if s.builds != nil {
-		s.builds.Invalidate(name)
-	}
-}
 
 // MarkDraining flips /readyz to not-ready so load balancers stop routing new
 // work here; in-flight and already-queued requests still complete. Called by
@@ -330,22 +319,20 @@ type request struct {
 
 // serve is the one request path: result-cache lookup → estimate → admit →
 // build the plan → run → put. key canonicalizes the query shape for the
-// result cache and projs are the projections it reads; an empty key bypasses
-// the cache (explains). Cancelling ctx abandons the request at the admission
-// gate, between build and run, between plan phases or between morsels.
+// result cache; an empty key bypasses the cache (explains). Cancelling ctx
+// abandons the request at the admission gate, between build and run, between
+// plan phases or between morsels.
 //
-// key and projs travel beside rq, not in it, and nothing of rq is retained:
-// that keeps the shape's three closures on the caller's stack, so a
-// result-cache hit allocates nothing for a path it does not take.
-func (c *Session) serve(ctx context.Context, key string, projs []string, rq request) (outcome, Info, error) {
+// key travels beside rq, not in it, and nothing of rq is retained: that keeps
+// the shape's three closures on the caller's stack, so a result-cache hit
+// allocates nothing for a path it does not take.
+func (c *Session) serve(ctx context.Context, key string, rq request) (outcome, Info, error) {
 	s := c.srv
 	s.queries.Add(1)
 	info := Info{Session: c.ID}
 	span := obs.SpanFromContext(ctx)
 	cached := s.results != nil && key != ""
 
-	var gens []uint64
-	var held []string // projs, copied for the entry: the caller's stays on its stack
 	if cached {
 		cspan := span.Child("result_cache.lookup")
 		e, hit := s.results.get(key, rq.limit)
@@ -355,8 +342,6 @@ func (c *Session) serve(ctx context.Context, key string, projs []string, rq requ
 			info.ResultCacheHit = true
 			return e.outcome, info, nil
 		}
-		held = slices.Clone(projs)
-		gens = s.results.generations(held)
 	}
 	var estBytes int64
 	info.EstCostUS, estBytes = rq.estimate()
@@ -400,10 +385,7 @@ func (c *Session) serve(ctx context.Context, key string, projs []string, rq requ
 		return outcome{}, info, err
 	}
 	if cached {
-		s.results.put(&resultEntry{
-			key: key, projs: held, gens: gens,
-			bytes: resultBytes(key, out), outcome: out,
-		})
+		s.results.put(&resultEntry{key: key, bytes: resultBytes(key, out), outcome: out})
 	}
 	return out, info, nil
 }
@@ -432,7 +414,7 @@ func costUS(est matstore.Cost, err error) float64 {
 // control.
 func (c *Session) Select(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*SelectResult, error) {
 	s := c.srv
-	out, info, err := c.serve(ctx, selectKey(projection, q, strat), []string{projection}, request{
+	out, info, err := c.serve(ctx, selectKey(projection, q, strat), request{
 		want:     q.Parallelism,
 		limit:    q.Limit,
 		estimate: func() (float64, int64) { return costUS(s.db.EstimateSelectCost(projection, q, strat)), 0 },
@@ -462,7 +444,7 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*JoinResult, error) {
 	s := c.srv
 	var estBytes int64
-	out, info, err := c.serve(ctx, joinKey(left, right, q, rs), []string{left, right}, request{
+	out, info, err := c.serve(ctx, joinKey(left, right, q, rs), request{
 		want:  q.Parallelism,
 		limit: q.Limit,
 		estimate: func() (float64, int64) {
@@ -511,7 +493,7 @@ func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQ
 // observed run executes at the granted parallelism.
 func (c *Session) Explain(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*matstore.Explanation, Info, error) {
 	s := c.srv
-	out, info, err := c.serve(ctx, "", nil, request{
+	out, info, err := c.serve(ctx, "", request{
 		want:     q.Parallelism,
 		estimate: func() (float64, int64) { return costUS(s.db.EstimateSelectCost(projection, q, strat)), 0 },
 		run: func(_ context.Context, _ *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
@@ -534,7 +516,7 @@ func (c *Session) Explain(ctx context.Context, projection string, q matstore.Que
 // bytes: an explained join always builds in memory.
 func (c *Session) ExplainJoin(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*matstore.Explanation, Info, error) {
 	s := c.srv
-	out, info, err := c.serve(ctx, "", nil, request{
+	out, info, err := c.serve(ctx, "", request{
 		want:     q.Parallelism,
 		estimate: func() (float64, int64) { return costUS(s.db.EstimateJoinCost(left, right, q, rs)), 0 },
 		run: func(_ context.Context, _ *plan.Plan, g grant, espan *obs.Span) (outcome, error) {

@@ -289,37 +289,6 @@ func TestBuildCacheHitOnRepeatedJoin(t *testing.T) {
 	}
 }
 
-// TestBuildCacheInvalidationOnGenerationBump: invalidating the inner
-// projection drops its cached builds, so the next join rebuilds.
-func TestBuildCacheInvalidationOnGenerationBump(t *testing.T) {
-	srv := newServer(t, cacheConfig(2, 4, true))
-	sess := srv.NewSession()
-	if _, err := sess.Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, joinReq(), matstore.RightMaterialized); err != nil {
-		t.Fatal(err)
-	}
-	srv.InvalidateProjection(tpch.CustomerProj)
-	st := srv.Stats().BuildCache
-	if st.Invalidations != 1 || st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("after invalidation: %+v, want 1 invalidation and an empty cache", st)
-	}
-	out, err := sess.Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, joinReq(), matstore.RightMaterialized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Info.BuildCacheHit {
-		t.Error("join after invalidation hit a stale build")
-	}
-	// Invalidating an unrelated projection leaves the rebuilt entry alone.
-	srv.InvalidateProjection(tpch.LineitemProj)
-	out, err = sess.Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, joinReq(), matstore.RightMaterialized)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Info.BuildCacheHit {
-		t.Error("unrelated invalidation evicted the customer build")
-	}
-}
-
 // TestExplainThroughService: explain requests run through admission control
 // and render both plan shapes.
 func TestExplainThroughService(t *testing.T) {

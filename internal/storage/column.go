@@ -233,9 +233,6 @@ func (c *Column) checkIndexTiles() error {
 // Close releases the file handle.
 func (c *Column) Close() error { return c.f.Close() }
 
-// Path returns the file path.
-func (c *Column) Path() string { return c.path }
-
 // Encoding returns the column's encoding kind.
 func (c *Column) Encoding() encoding.Kind { return c.hdr.enc }
 
@@ -258,9 +255,6 @@ func (c *Column) AvgRunLen() float64 { return c.hdr.avgRunLen }
 
 // Extent returns the full position range of the column.
 func (c *Column) Extent() positions.Range { return positions.Range{Start: 0, End: c.hdr.tuples} }
-
-// DistinctValues returns the sorted distinct values of a bit-vector column.
-func (c *Column) DistinctValues() []int64 { return c.values }
 
 func (c *Column) blockOffset(i int) int64 { return HeaderSize + int64(i)*encoding.BlockSize }
 
@@ -468,10 +462,6 @@ func (c *Column) bvWindow(r positions.Range) (encoding.MiniColumn, error) {
 	}
 	return encoding.NewBVMini(r, c.values, bms), nil
 }
-
-// Sorted reports whether the column's values are globally non-decreasing
-// (e.g. the primary sort-key column of a projection).
-func (c *Column) Sorted() bool { return c.hdr.sorted }
 
 // ValueAt reads the single value at pos, touching only the block(s)
 // containing it. For bit-vector columns this must probe each distinct

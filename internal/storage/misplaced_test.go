@@ -236,3 +236,6 @@ func TestOpenRejectsUntiledIndex(t *testing.T) {
 		}
 	}
 }
+
+// Path returns the file path.
+func (c *Column) Path() string { return c.path }

@@ -311,9 +311,6 @@ func (db *DB) Close() error {
 // Pool returns the shared buffer pool.
 func (db *DB) Pool() *buffer.Pool { return db.pool }
 
-// Dir returns the database's root directory.
-func (db *DB) Dir() string { return db.dir }
-
 // Projection returns the named projection.
 func (db *DB) Projection(name string) (*Projection, error) {
 	p, ok := db.proj[name]

@@ -140,17 +140,6 @@ func (m *ShardManifest) Placement(name string) (ShardPlacement, bool) {
 	return pl, ok
 }
 
-// GlobalRowStart returns the global position offset of shard k's rows of a
-// projection: shard-local positions remap into the global position space by
-// adding it. Replicated projections are global everywhere (offset 0).
-func (m *ShardManifest) GlobalRowStart(name string, k int) int64 {
-	pl, ok := m.Projections[name]
-	if !ok || !pl.Sharded || k >= len(pl.Ranges) {
-		return 0
-	}
-	return pl.Ranges[k].Start
-}
-
 // ShardRanges carves the global row space [0, n) into shards contiguous
 // row ranges aligned to align-position boundaries (the executor chunk size,
 // so shard-local positions stay block- and chunk-local). The ideal even

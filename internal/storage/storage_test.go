@@ -536,3 +536,7 @@ func TestZoneMetadataInFooter(t *testing.T) {
 		t.Errorf("block 1 zone min = %d", c.index[1].MinV)
 	}
 }
+
+// Sorted reports whether the column's values are globally non-decreasing
+// (e.g. the primary sort-key column of a projection).
+func (c *Column) Sorted() bool { return c.hdr.sorted }

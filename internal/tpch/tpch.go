@@ -157,16 +157,6 @@ func (c *colRuns) add(v, n int64) {
 	c.lens = append(c.lens, n)
 }
 
-// replay appends the runs to a column writer.
-func (c *colRuns) replay(w *storage.ColumnWriter) error {
-	for i, v := range c.vals {
-		if err := w.AppendRun(v, c.lens[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // replayClip appends only rows [lo, hi) of the run sequence (row indices
 // local to this buffer) — the horizontal-slicing primitive of sharded
 // generation. Clipping run boundaries cannot perturb the output bytes:
