@@ -82,57 +82,36 @@ func (m *BVMini) BitString(i int) *positions.Bitmap { return m.bms[i] }
 // Filter ORs together the bit-strings of the values the conjunction accepts.
 // The conjunction is applied once per distinct value, never per position:
 // this is the "predicate has already been applied a-priori" property of
-// bit-vector data. An interval conjunction locates the contiguous matching
-// value range by binary search over the ascending distinct values, so the
-// per-value predicate work is O(log distinct) before the word-at-a-time ORs.
+// bit-vector data. Its bounds locate the contiguous range of distinct values
+// by binary search over the ascending values, so the per-value predicate work
+// is O(log distinct) plus a skip of the few excepted values before the
+// word-at-a-time ORs. A lone accepted value shares its bit-string uncopied.
 func (m *BVMini) Filter(f Conjunction) positions.Set {
-	c := f.Compiled()
-	if lo, hi, ok := c.Interval(); ok {
-		i0 := sort.Search(len(m.vals), func(i int) bool { return m.vals[i] >= lo })
-		i1 := sort.Search(len(m.vals), func(i int) bool { return m.vals[i] > hi })
-		if i1 <= i0 { // no distinct value in [lo, hi] (including reversed Between)
-			return positions.Empty{}
-		}
-		return m.orStrings(i0, i1)
-	}
-	// Non-interval conjunction (Ne residue): the matching values need not be
-	// contiguous; test each distinct value.
-	var idxs []int
-	for i, v := range m.vals {
-		if c.Accepts(v) {
-			idxs = append(idxs, i)
-		}
-	}
-	switch len(idxs) {
-	case 0:
+	lo, hi, except, ok := f.Compiled().Bounds()
+	if !ok {
 		return positions.Empty{}
-	case 1:
-		return m.bms[idxs[0]]
-	default:
-		acc := m.bms[idxs[0]].Clone()
-		for _, i := range idxs[1:] {
-			acc.Or(m.bms[i])
-		}
-		return acc
 	}
-}
-
-// orStrings ORs the bit-strings of the contiguous distinct-value index range
-// [i0, i1) into one position set.
-func (m *BVMini) orStrings(i0, i1 int) positions.Set {
-	switch i1 - i0 {
-	case 0:
+	i0 := sort.Search(len(m.vals), func(i int) bool { return m.vals[i] >= lo })
+	i1 := sort.Search(len(m.vals), func(i int) bool { return m.vals[i] > hi })
+	var acc *positions.Bitmap
+	shared := true
+	for i := i0; i < i1; i++ {
+		if slices.Contains(except, m.vals[i]) {
+			continue
+		}
+		if acc == nil {
+			acc = m.bms[i]
+			continue
+		}
+		if shared {
+			acc, shared = acc.Clone(), false
+		}
+		acc.Or(m.bms[i])
+	}
+	if acc == nil {
 		return positions.Empty{}
-	case 1:
-		// A single matching value shares its bit-string without copying.
-		return m.bms[i0]
-	default:
-		acc := m.bms[i0].Clone()
-		for i := i0 + 1; i < i1; i++ {
-			acc.Or(m.bms[i])
-		}
-		return acc
 	}
+	return acc
 }
 
 // FilterAt restricts Filter's result to ps: the paper's AND, the bit-strings

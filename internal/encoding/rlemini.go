@@ -86,10 +86,10 @@ func (m *RLEMini) triple(pos int64) int {
 func (m *RLEMini) ValueAt(pos int64) int64 { return m.triples[m.triple(pos)].Value }
 
 // Filter applies the conjunction once per run, emitting whole runs (this is
-// why RLE predicate outputs are naturally position ranges). An interval
-// conjunction is one two-comparison test per run — compressed data is
-// filtered without expansion and without per-run operator dispatch — and any
-// other runs its compiled matcher.
+// why RLE predicate outputs are naturally position ranges). Each run is one
+// unsigned compare against the conjunction's interval plus a scan of its few
+// exceptions — compressed data is filtered without expansion and without
+// per-run operator dispatch.
 func (m *RLEMini) Filter(f Conjunction) positions.Set {
 	c := f.Compiled()
 	b := positions.NewBuilder(m.cov)

@@ -129,17 +129,17 @@ func spcChunkRowLoop(cols [][]int64, filters []IndexedPred, outIdx []int) [][]in
 	}
 	n := len(cols[0])
 	type filter struct {
-		match pred.Matcher
-		vals  []int64
+		pred pred.Predicate
+		vals []int64
 	}
 	fs := make([]filter, len(filters))
 	for f, ip := range filters {
-		fs[f] = filter{pred.CompileMatcher(ip.Pred), cols[ip.Col][:n]}
+		fs[f] = filter{ip.Pred, cols[ip.Col][:n]}
 	}
 rowLoop:
 	for i := 0; i < n; i++ {
 		for _, f := range fs {
-			if !f.match(f.vals[i]) {
+			if !f.pred.Match(f.vals[i]) {
 				continue rowLoop
 			}
 		}

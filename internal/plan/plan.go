@@ -199,8 +199,8 @@ type Node struct {
 	Stats  ColStats
 	// Preds is the node's predicate conjunction as written in the query
 	// (k>1 means a fused multi-predicate scan). Conj is that conjunction
-	// compiled when the node is built — simplified form, kernel, matcher and
-	// interval — which every chunk of every run applies.
+	// compiled when the node is built — simplified form, kernel and accepted
+	// set — which every chunk of every run applies.
 	Preds []pred.Predicate
 	Conj  *pred.Conj
 

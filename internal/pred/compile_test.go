@@ -6,7 +6,7 @@ import (
 )
 
 // compilePreds enumerates predicates across every op, including the integer
-// boundary constants where the compiled rewrites (Le→Lt, Gt→Ge) could wrap.
+// boundary constants where an interval's bounds or span could wrap.
 func compilePreds() []Predicate {
 	consts := []int64{minInt64, minInt64 + 1, -100, -1, 0, 1, 3, 100, maxInt64 - 1, maxInt64}
 	preds := []Predicate{MatchAll, {Op: None}}
@@ -72,23 +72,24 @@ func TestCompileKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestCompileMatcherMatchesScalar checks the scalar compiled form.
-func TestCompileMatcherMatchesScalar(t *testing.T) {
+// TestCompiledAcceptsMatchesScalar checks the scalar compiled form: a
+// predicate compiled as a conjunction of one accepts exactly what Match does.
+func TestCompiledAcceptsMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	vals := compileVals(rng, 512)
 	for _, p := range compilePreds() {
-		m := CompileMatcher(p)
+		c := p.Compiled()
 		for _, v := range vals {
-			if m(v) != p.Match(v) {
-				t.Fatalf("pred=%v v=%d: matcher=%v match=%v", p, v, m(v), p.Match(v))
+			if c.Accepts(v) != p.Match(v) {
+				t.Fatalf("pred=%v v=%d: Accepts=%v match=%v", p, v, c.Accepts(v), p.Match(v))
 			}
 		}
 	}
 }
 
 // TestIntervalMatchesScalar checks that the accepted interval, when one
-// exists, agrees with Match at and around its endpoints, and that
-// non-interval predicates are reported as such.
+// exists, is nonempty and agrees with Match at and around its endpoints, and
+// that non-interval predicates are reported as such.
 func TestIntervalMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	vals := compileVals(rng, 512)
@@ -106,6 +107,9 @@ func TestIntervalMatchesScalar(t *testing.T) {
 				}
 			}
 			continue
+		}
+		if lo > hi {
+			t.Fatalf("pred=%v: ok interval [%d,%d] is reversed", p, lo, hi)
 		}
 		for _, v := range vals {
 			if in := v >= lo && v <= hi; in != p.Match(v) {

@@ -1,5 +1,7 @@
 package pred
 
+import "slices"
+
 // This file implements multi-predicate fusion: evaluating a conjunction of
 // k SARGable predicates over the same column in a single pass over the data.
 // Without fusion, k predicates over one column cost k scans producing k
@@ -120,8 +122,8 @@ func intervalPredicate(lo, hi int64) (Predicate, bool) {
 
 // Conj is a predicate conjunction over one column, compiled once — when a
 // plan is built — and applied to every chunk of every morsel: the simplified
-// predicates, their one-pass kernel, their scalar matcher and, when the
-// conjunction accepts one interval of values, that interval. It is never
+// predicates, their one-pass kernel and the accepted set they describe, one
+// closed interval minus the values its Ne residue excludes. It is never
 // modified after CompileConj returns, so concurrent runs of one plan share it.
 type Conj struct {
 	// Preds is the SimplifyConj form, never empty: interval predicates
@@ -130,9 +132,10 @@ type Conj struct {
 	// Kernel evaluates every predicate of Preds over a vector in one pass.
 	Kernel Kernel
 
-	match    Matcher
-	lo, hi   int64
-	interval bool
+	lo     int64
+	span   uint64 // hi - lo
+	except []int64
+	empty  bool
 }
 
 // CompileConj simplifies and compiles the conjunction ps; an empty ps accepts
@@ -142,17 +145,23 @@ type Conj struct {
 // the comparison words — no per-predicate bitmap is materialized.
 func CompileConj(ps []Predicate) *Conj {
 	ps = SimplifyConj(ps)
-	if len(ps) == 1 {
-		c := &Conj{Preds: ps, Kernel: Compile(ps[0]), match: CompileMatcher(ps[0])}
-		c.lo, c.hi, c.interval = ps[0].Interval()
+	c := &Conj{Preds: ps, lo: minInt64, span: ^uint64(0)}
+	ks := make([]Kernel, len(ps))
+	for i, p := range ps {
+		ks[i] = Compile(p)
+		if p.Op == Ne {
+			c.except = append(c.except, p.A)
+		} else if lo, hi, ok := p.Interval(); ok {
+			c.lo, c.span = lo, uint64(hi-lo)
+		} else {
+			c.empty = true
+		}
+	}
+	if len(ks) == 1 {
+		c.Kernel = ks[0]
 		return c
 	}
-	ks := make([]Kernel, len(ps))
-	ms := make([]Matcher, len(ps))
-	for i, p := range ps {
-		ks[i], ms[i] = Compile(p), CompileMatcher(p)
-	}
-	kernel := func(vals []int64, out []uint64) {
+	c.Kernel = func(vals []int64, out []uint64) {
 		// Every member kernel writes where the result ends up; the conjunction
 		// so far is held in acc meanwhile. acc is never handed to a kernel — a
 		// func value the compiler cannot see through — so it stays on the stack.
@@ -173,30 +182,22 @@ func CompileConj(ps []Predicate) *Conj {
 			k += nw
 		}
 	}
-	match := func(v int64) bool {
-		for _, m := range ms {
-			if !m(v) {
-				return false
-			}
-		}
-		return true
-	}
-	return &Conj{Preds: ps, Kernel: kernel, match: match}
+	return c
 }
 
-// Interval returns the closed interval [lo, hi] the conjunction accepts, or
-// ok=false when it accepts no single interval (Predicate.Interval's contract).
-func (c *Conj) Interval() (lo, hi int64, ok bool) { return c.lo, c.hi, c.interval }
+// Bounds returns the conjunction's accepted set as the closed interval
+// [lo, hi] minus the values in except, all of which lie strictly inside it;
+// ok=false when it accepts nothing.
+func (c *Conj) Bounds() (lo, hi int64, except []int64, ok bool) {
+	return c.lo, c.lo + int64(c.span), c.except, !c.empty
+}
 
-// Accepts reports whether v satisfies the conjunction: the interval's two
-// comparisons when there is one, the compiled matcher otherwise. It is the
-// test for values that arrive one at a time — a run's, a distinct value's, a
-// listed position's.
+// Accepts reports whether v satisfies the conjunction: one unsigned compare
+// against the interval (the kernel's test) and a scan of the exceptions. It
+// is the test for values that arrive one at a time — a run's, a listed
+// position's.
 func (c *Conj) Accepts(v int64) bool {
-	if c.interval {
-		return v >= c.lo && v <= c.hi
-	}
-	return c.match(v)
+	return !c.empty && uint64(v-c.lo) <= c.span && !slices.Contains(c.except, v)
 }
 
 // Compiled returns c itself.

@@ -2,6 +2,7 @@ package pred
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -142,25 +143,44 @@ func TestCompileFusedDifferential(t *testing.T) {
 	}
 }
 
-// TestConjIntervalAndAccepts: a conjunction reports an interval exactly when
-// it simplifies to one interval predicate, and Accepts agrees with the
-// original conjunction across the domain either way — including for a single
-// Predicate compiled as a conjunction of one.
+// TestConjIntervalAndAccepts: a conjunction's bounds are one nonempty
+// interval minus exceptions strictly inside it, with no exception exactly when
+// it simplifies to one interval predicate and ok=false exactly when it
+// simplifies to None; Accepts agrees with the bounds and with the original
+// conjunction across the domain — including for a single Predicate compiled
+// as a conjunction of one. A conjunction of Ne predicates alone keeps one
+// exception per predicate.
 func TestConjIntervalAndAccepts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for iter := 0; iter < 300; iter++ {
 		ps := make([]Predicate, 1+rng.Intn(3))
 		for i := range ps {
 			ps[i] = randPred(rng)
+			if iter%4 == 3 {
+				ps[i] = NotEquals(rng.Int63n(100))
+			}
 		}
 		c := CompileConj(ps)
-		if _, _, ok := c.Interval(); ok != (len(c.Preds) == 1 && c.Preds[0].Op != Ne && c.Preds[0].Op != None) {
-			t.Fatalf("CompileConj(%v) = %v: Interval ok=%v", ps, c.Preds, ok)
+		lo, hi, except, ok := c.Bounds()
+		if ok != (c.Preds[0].Op != None) || ok && lo > hi {
+			t.Fatalf("CompileConj(%v) = %v: Bounds [%d,%d] ok=%v", ps, c.Preds, lo, hi, ok)
+		}
+		if ok && (len(except) == 0) != (len(c.Preds) == 1 && c.Preds[0].Op != Ne) {
+			t.Fatalf("CompileConj(%v) = %v: except %v", ps, c.Preds, except)
+		}
+		if iter%4 == 3 && len(except) != len(ps) {
+			t.Fatalf("CompileConj(%v): except %v, want one per predicate", ps, except)
+		}
+		for _, e := range except {
+			if e <= lo || e >= hi {
+				t.Fatalf("CompileConj(%v): exception %d not inside [%d,%d]", ps, e, lo, hi)
+			}
 		}
 		one := ps[0].Compiled()
 		for v := int64(-3); v < 105; v++ {
-			if c.Accepts(v) != MatchConj(ps, v) {
-				t.Fatalf("CompileConj(%v).Accepts(%d) = %v", ps, v, c.Accepts(v))
+			in := ok && v >= lo && v <= hi && !slices.Contains(except, v)
+			if c.Accepts(v) != MatchConj(ps, v) || c.Accepts(v) != in {
+				t.Fatalf("CompileConj(%v).Accepts(%d) = %v, bounds %v", ps, v, c.Accepts(v), in)
 			}
 			if one.Accepts(v) != ps[0].Match(v) {
 				t.Fatalf("%v.Compiled().Accepts(%d) = %v", ps[0], v, one.Accepts(v))

@@ -132,58 +132,25 @@ func (p Predicate) String() string {
 }
 
 // Selectivity estimates the fraction of values in [lo, hi] (inclusive,
-// assumed uniform) that satisfy p. It is the SF term of the paper's
-// analytical model when column min/max statistics are available.
+// assumed uniform) that satisfy p: the size of p's interval within [lo, hi]
+// over the size of [lo, hi], or 1 - 1/n for a Ne inside it. It is the SF term
+// of the paper's analytical model when column min/max statistics are
+// available.
 func (p Predicate) Selectivity(lo, hi int64) float64 {
 	if hi < lo {
 		return 0
 	}
 	n := float64(hi - lo + 1)
-	clamp := func(x float64) float64 {
-		if x < 0 {
-			return 0
-		}
-		if x > 1 {
-			return 1
-		}
-		return x
-	}
-	switch p.Op {
-	case All:
-		return 1
-	case None:
-		return 0
-	case Lt:
-		return clamp(float64(p.A-lo) / n)
-	case Le:
-		return clamp(float64(p.A-lo+1) / n)
-	case Eq:
-		if p.A < lo || p.A > hi {
-			return 0
-		}
-		return 1 / n
-	case Ne:
+	if p.Op == Ne {
 		if p.A < lo || p.A > hi {
 			return 1
 		}
-		return clamp(1 - 1/n)
-	case Ge:
-		return clamp(float64(hi-p.A+1) / n)
-	case Gt:
-		return clamp(float64(hi-p.A) / n)
-	case Between:
-		lo2, hi2 := p.A, p.B-1
-		if lo2 < lo {
-			lo2 = lo
-		}
-		if hi2 > hi {
-			hi2 = hi
-		}
-		if hi2 < lo2 {
-			return 0
-		}
-		return clamp(float64(hi2-lo2+1) / n)
-	default:
+		return 1 - 1/n
+	}
+	l, h, ok := p.Interval()
+	l, h = max(l, lo), min(h, hi)
+	if !ok || h < l {
 		return 0
 	}
+	return float64(h-l+1) / n
 }
