@@ -77,6 +77,13 @@ test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench
 	'InvalidateProjection|currentLocked|DeleteFunc|func Concat|andGeneric|SumRange|sumRange|SetDescriptor|PositionIntersectMicro|GlobalRowStart' .)"
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'filterScalar|filterAtScalar|ValuesReaccess|ExtendChunk\(' .)"
+# One set, one source, one solver for the cost model's constants: model.Paper
+# is the one definition (no word size nothing reads), the observation fit is
+# the one source of a host's constants (no micro-loops), and it is one exact
+# non-negative least-squares solve that derives its workload from the DB
+# itself — none of what they replaced may come back in production code.
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'MeasureConstants|measure(FC|TICCOL|TICTUP|BIC)|BitPosList|WordSize|solve4|customerRows' .)"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -233,6 +240,8 @@ ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 	| grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 # The same for the model stack (the cost model, the advisors, EXPLAIN and the
 # plan builders: 1,497 before PR 17 deleted the input-struct composition).
+# 1,133 before the micro-measured constants, the word size and the ridge
+# solver were deleted.
 ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builders.go \
 	| grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 # And for the executor stack (the strategies' entry points, the plan executor,
@@ -274,6 +283,18 @@ go run ./cmd/csquery -dir "$ci_explain_dir" -proj orders -join customer \
 	-leftkey custkey -rightkey custkey -out shipdate -rightout nationcode \
 	-where 'custkey<200' -rightstrategy right-singlecolumn -parallelism 2 \
 	-explain | grep -q 'JOINBUILD'
+
+# Smoke-run the constants' one source: Table 2's "this host" column and
+# csmodel's refit both fit the mixed workload's observations on a small
+# generated dataset and must exit 0, each in its own directory (bench.Setup
+# regenerates a directory whose marker does not match, so neither may share
+# the dataset above). Their output goes to the log.
+ci_table2_dir=$(mktemp -d)
+go run ./cmd/csbench -dir "$ci_table2_dir" -exp table2 -scale 0.002
+rm -rf "$ci_table2_dir"
+ci_calib_dir=$(mktemp -d)
+go run ./cmd/csmodel -dir "$ci_calib_dir" -scale 0.002 -calibrate
+rm -rf "$ci_calib_dir"
 
 # Smoke-run the join advisor: the Section 4.3 cost terms pick the inner-table
 # strategy and print all three predicted costs.

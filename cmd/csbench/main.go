@@ -7,6 +7,12 @@
 //	csbench -dir ./benchdata -scale 0.04 -exp all
 //	csbench -exp fig11 -enc bv -points 21
 //	csbench -exp fig13 -csv > fig13.csv
+//	csbench -exp fig10 -calibrate   # Figure 10's model line on this host's constants
+//
+// Table 2's "this host" column, and the constants -calibrate prices Figure 10
+// with, are the model's CPU constants refit by non-negative least squares to
+// the mixed workload's observed per-node times on the dataset (the same fit
+// csmodel -calibrate and csserve -calibrate install).
 //
 // The dataset is generated on first use (a marker file keyed by scale and
 // seed prevents regeneration).
@@ -35,7 +41,7 @@ func main() {
 	runs := flag.Int("runs", 3, "timed repetitions per point (minimum is reported)")
 	parallelism := flag.Int("parallelism", 1, "morsel-parallel workers per query (0 = one per CPU, 1 = the paper's serial execution)")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	calibrate := flag.Bool("calibrate", false, "calibrate model constants on this host for fig10 predictions")
+	calibrate := flag.Bool("calibrate", false, "refit the model constants to this host (the mixed workload's observed per-node times) for fig10 predictions")
 	flag.Parse()
 
 	env, err := bench.Setup(*dir, *scale, *seed)
@@ -45,9 +51,19 @@ func main() {
 	defer env.Close()
 	env.Runs = *runs
 	env.Parallelism = *parallelism
-	if *calibrate {
-		host, _ := bench.Table2()
-		env.Constants = host
+	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
+	if *calibrate || want("table2") {
+		host, err := env.Table2()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if *calibrate {
+			env.Constants = host
+		}
+		if want("table2") {
+			bench.RenderTable2(os.Stdout, host)
+			fmt.Println()
+		}
 	}
 
 	sels := selPoints(*points)
@@ -70,13 +86,6 @@ func main() {
 		encodings = []encoding.Kind{k}
 	}
 
-	want := func(name string) bool { return *exp == "all" || strings.EqualFold(*exp, name) }
-
-	if want("table2") {
-		host, paper := bench.Table2()
-		bench.RenderTable2(os.Stdout, host, paper)
-		fmt.Println()
-	}
 	if want("fig10") {
 		lm, em, err := env.Fig10(sels)
 		if err != nil {

@@ -6,9 +6,9 @@
 // Usage:
 //
 //	csmodel                        # paper constants, paper-sized columns
-//	csmodel -measure               # constants micro-measured on this host
-//	csmodel -dir ./data -calibrate # constants refit by least squares over
-//	                               # the mixed workload's observed node times
+//	csmodel -dir ./data -calibrate # constants refit to this host by
+//	                               # non-negative least squares over the
+//	                               # mixed workload's observed node times
 //	csmodel -dir ./data -enc rle   # derive column stats from a real dataset
 //
 // Every number is the price of the plan the strategy's builder assembles —
@@ -37,17 +37,10 @@ func main() {
 	scale := flag.Float64("scale", 0.04, "scale for -dir generation if missing")
 	encFlag := flag.String("enc", "rle", "LINENUM encoding for -dir stats: plain|rle|bv")
 	calibrate := flag.Bool("calibrate", false, "refit constants by least squares over the mixed workload's observed per-node times (needs -dir, generated at -scale if missing)")
-	measure := flag.Bool("measure", false, "micro-measure constants on this host instead of Table 2 values")
 	agg := flag.Bool("agg", false, "model the aggregation query instead of the selection")
 	flag.Parse()
 
 	consts := matstore.PaperConstants()
-	if *measure {
-		consts = matstore.Calibrate()
-		fmt.Printf("measured constants: BIC=%.4f TICTUP=%.4f TICCOL=%.4f FC=%.4f µs\n\n",
-			consts.BIC, consts.TICTUP, consts.TICCOL, consts.FC)
-	}
-
 	table, hot, enc := paperTable(), false, encoding.RLE
 	if *dir != "" {
 		env, err := bench.Setup(*dir, *scale, 42)
@@ -75,14 +68,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer db.Close()
-		db.SetConstants(consts)
-		nCust := int64(0)
-		if p, err := db.Storage().Projection(tpch.CustomerProj); err == nil {
-			if c, err := p.Column(tpch.ColCustkey); err == nil {
-				nCust = c.TupleCount()
-			}
-		}
-		rep, err := bench.CalibrateDB(db, bench.MixedWorkload(nCust))
+		rep, err := bench.CalibrateDB(db)
 		if err != nil {
 			log.Fatal(err)
 		}

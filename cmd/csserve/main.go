@@ -106,7 +106,7 @@ func main() {
 	defer db.Close()
 
 	if *calibrate {
-		rep, err := bench.CalibrateDB(db, bench.MixedWorkload(customerRows(db)))
+		rep, err := bench.CalibrateDB(db)
 		if err != nil {
 			fatal(logger, "calibrate failed", err)
 		}
@@ -202,18 +202,6 @@ func startPprof(addr string, logger *obs.Logger) {
 			logger.Error("pprof server exited", "error", err.Error())
 		}
 	}()
-}
-
-// customerRows reads the customer cardinality for the workload's join
-// predicate scaling (falls back to the service-test default when the
-// projection is missing).
-func customerRows(db *matstore.DB) int64 {
-	if p, err := db.Storage().Projection("customer"); err == nil && len(p.Meta.Columns) > 0 {
-		if c, err := p.Column(p.Meta.Columns[0].Name); err == nil {
-			return c.TupleCount()
-		}
-	}
-	return 300
 }
 
 // serveCoordinator runs the scatter-gather front-end over shard engines:

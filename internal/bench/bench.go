@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"matstore"
 	"matstore/internal/core"
 	"matstore/internal/encoding"
 	"matstore/internal/model"
@@ -136,7 +137,7 @@ func Setup(dir string, scale float64, seed uint64) (*Env, error) {
 		Scale:       scale,
 		ChunkSize:   0, // executor default
 		Runs:        3,
-		Constants:   model.Default(),
+		Constants:   model.Paper,
 		Parallelism: 1,
 	}
 	if env.lineitem, err = db.Projection(tpch.LineitemProj); err != nil {
@@ -391,14 +392,24 @@ func seriesName(rs operators.RightStrategy) string {
 	}
 }
 
-// Table2 re-measures the analytical-model constants on this host and
-// returns them alongside the paper's values for comparison.
-func Table2() (host, paper model.Constants) {
-	return model.MeasureConstants(), model.Paper
+// Table2 fits the analytical-model constants to this host: CalibrateDB's
+// refit over the environment's dataset, from Table 2's values.
+func (e *Env) Table2() (model.Constants, error) {
+	db, err := matstore.Open(e.Dir)
+	if err != nil {
+		return model.Constants{}, err
+	}
+	defer db.Close()
+	if _, err := CalibrateDB(db); err != nil {
+		return model.Constants{}, err
+	}
+	return db.Constants(), nil
 }
 
-// RenderTable2 prints the Table 2 comparison.
-func RenderTable2(w io.Writer, host, paper model.Constants) {
+// RenderTable2 prints the Table 2 comparison: the host's constants beside
+// the paper's.
+func RenderTable2(w io.Writer, host model.Constants) {
+	paper := model.Paper
 	fmt.Fprintln(w, "Table 2 — analytical model constants (µs)")
 	fmt.Fprintf(w, "%-10s%14s%14s\n", "constant", "this host", "paper (P4)")
 	rows := []struct {
@@ -413,10 +424,8 @@ func RenderTable2(w io.Writer, host, paper model.Constants) {
 		{"READ", host.READ, paper.READ},
 	}
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s%14.4f%14.4f\n", r.name, r.host, r.pap)
+		fmt.Fprintf(w, "%-10s%14.6g%14.6g\n", r.name, r.host, r.pap)
 	}
-	fmt.Fprintf(w, "%-10s%14.0f%14.0f  (positions ANDed per instruction)\n",
-		"WORD", host.WordSize, paper.WordSize)
 }
 
 // CrossoverCheck extracts the qualitative claims of a figure: which series

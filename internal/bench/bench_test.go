@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"matstore/internal/encoding"
+	"matstore/internal/model"
 	"matstore/internal/operators"
 )
 
@@ -196,12 +198,18 @@ func TestCrossoverCheck(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	host, paper := Table2()
-	if host.FC <= 0 || paper.FC != 0.009 {
-		t.Errorf("Table2 host FC=%v paper FC=%v", host.FC, paper.FC)
+	e := testEnv(t)
+	host, err := e.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range []float64{host.BIC, host.TICTUP, host.TICCOL, host.FC} {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Errorf("Table2 host %s = %v, want finite and >= 0", model.CPUConstants[i], v)
+		}
 	}
 	var buf bytes.Buffer
-	RenderTable2(&buf, host, paper)
+	RenderTable2(&buf, host)
 	if !strings.Contains(buf.String(), "TICTUP") {
 		t.Error("RenderTable2 missing rows")
 	}

@@ -17,9 +17,8 @@ import (
 //
 // The observed times are synthetic: every node "took" what a machine with
 // the known constants below would take, so the fit depends on the workload's
-// feature vectors alone and is the same on every run. Wall-clock timings made
-// one run in four produce a negative least-squares solution, which Calibrate
-// clamps and then abandons for the prior — no worse, but not better either.
+// feature vectors alone and is the same on every run. Wall-clock timings would
+// make the fit depend on the host, and can drive a constant to zero.
 func TestCalibrationReducesError(t *testing.T) {
 	e := testEnv(t)
 	e.Close()
@@ -65,9 +64,8 @@ func TestCalibrationReducesError(t *testing.T) {
 	}
 
 	// The wall-clock refit the server runs at start-up: whatever the timings
-	// were — a clamped fit falls back to its prior — it is no worse than what
-	// it started from, and it is installed.
-	wall, err := CalibrateDB(db, reqs)
+	// were, it is no worse than what it started from, and it is installed.
+	wall, err := CalibrateDB(db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,13 +98,19 @@ func Observe(db *matstore.DB, reqs []Request) ([]matstore.Observation, error) {
 	return obs, nil
 }
 
-// CalibrateDB refits the DB's cost-model CPU constants from the workload:
-// FitConstants solves for the constants that minimize modeled-vs-observed
-// error over the workload's observations (never worse than the current
-// constants on this pool), and the fit is installed on the DB for every
-// subsequent advisor call, EXPLAIN annotation and admission grant.
-func CalibrateDB(db *matstore.DB, reqs []Request) (matstore.CalibrationReport, error) {
-	obs, err := Observe(db, reqs)
+// CalibrateDB refits the DB's cost-model CPU constants from the mixed
+// workload over the DB's own data (the join predicate scaled to its customer
+// count): FitConstants solves for the non-negative constants that minimize
+// modeled-vs-observed error over the workload's observations (never worse
+// than the current constants on this pool), and the fit is installed on the
+// DB for every subsequent advisor call, EXPLAIN annotation and admission
+// grant.
+func CalibrateDB(db *matstore.DB) (matstore.CalibrationReport, error) {
+	cust, err := db.Storage().Projection(tpch.CustomerProj)
+	if err != nil {
+		return matstore.CalibrationReport{}, err
+	}
+	obs, err := Observe(db, MixedWorkload(cust.TupleCount()))
 	if err != nil {
 		return matstore.CalibrationReport{}, err
 	}

@@ -8,10 +8,10 @@ import (
 )
 
 // This file closes the loop between the analytical model and the machine it
-// actually runs on: instead of trusting Table 2's Pentium-4-era constants
-// (or the bottom-up micro-measurements of MeasureConstants), Calibrate
-// refits BIC, TICTUP, TICCOL and FC by least squares over the
+// actually runs on: instead of trusting Table 2's Pentium-4-era constants,
+// Calibrate refits BIC, TICTUP, TICCOL and FC by least squares over the
 // modeled-vs-observed per-node counters that DB.Explain already collects.
+// It is the one source of a host's constants.
 //
 // Every Figure 1–6 CPU formula is (up to one negligible cross term in AND)
 // linear in the four CPU constants, so an annotated node's predicted cost is
@@ -21,9 +21,8 @@ import (
 // same walk the advisor and the grant sizer run, so the refit tunes the
 // function they steer on; the node's observed self-time (Observed.Nanos) is
 // the regression target.
-// Calibrate then solves the ridge-regularized normal equations, pulling
-// toward the prior where the workload leaves a constant unconstrained, and
-// never returns constants that fit the observations worse than the prior.
+// Calibrate then finds the exact non-negative least-squares fit, and never
+// returns constants that fit the observations worse than the prior.
 
 // CPUConstants names the calibrated constants in feature order.
 var CPUConstants = [4]string{"BIC", "TICTUP", "TICCOL", "FC"}
@@ -52,7 +51,7 @@ func (o Observation) predict(c Constants) float64 {
 // the walk runs hot (F=1) so SEEK/READ contribute nothing, and PF=1 avoids a
 // 0/0 in the scan I/O formula.
 func basis(i int) Constants {
-	c := Constants{PF: 1, WordSize: 64}
+	c := Constants{PF: 1}
 	switch i {
 	case 0:
 		c.BIC = 1
@@ -135,30 +134,20 @@ func rmsError(obs []Observation, c Constants) float64 {
 	return math.Sqrt(sse / float64(len(obs)))
 }
 
-// Calibrate refits the four CPU constants to the observations by
-// least squares, keeping prior's I/O and word-size constants (SEEK, READ,
-// PF, WordSize) untouched. The solve is ridge-regularized toward the prior,
-// so a constant the workload never exercises (a zero feature column) keeps
-// its prior value instead of collapsing to zero, and negative solutions —
-// possible under collinear features — are clamped back to the prior. If the
-// fit somehow explains the observations worse than the prior (degenerate
-// inputs), the prior is returned unchanged; the fitted constants are
-// therefore never worse on the given workload.
+// Calibrate refits the four CPU constants to the observations by exact
+// non-negative least squares, keeping prior's I/O constants (SEEK, READ, PF)
+// untouched. With four constants the optimum is found by enumeration: every
+// subset of the constants the observations exercise is fitted by
+// unconstrained least squares with the others at zero, and the best fit whose
+// weights are all non-negative wins. The prior is the first candidate, so the
+// result never fits worse than it. A constant whose feature column is all
+// zero keeps its prior value; one the data drives to zero reads 0.
 func Calibrate(obs []Observation, prior Constants) (Constants, CalibrationReport) {
-	rep := CalibrationReport{
-		Observations: len(obs),
-		Prior:        prior,
-		Fitted:       prior,
-		PriorErrUS:   rmsError(obs, prior),
-		FittedErrUS:  rmsError(obs, prior),
-	}
-	if len(obs) == 0 {
-		return prior, rep
-	}
-
-	// Normal equations: A = XᵀX + λI, b = Xᵀy + λ·prior.
+	// Normal equations XᵀX·w = Xᵀy, each column scaled to unit energy
+	// (sᵢ = √(XᵀX)ᵢᵢ): block counts number in the tens while tuple counts
+	// number in the millions, so the raw system is wildly ill-conditioned.
 	var A [4][4]float64
-	var b [4]float64
+	var b, s [4]float64
 	for _, o := range obs {
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
@@ -167,81 +156,91 @@ func Calibrate(obs []Observation, prior Constants) (Constants, CalibrationReport
 			b[i] += o.Features[i] * o.ObservedUS
 		}
 	}
-	// Column equilibration: block counts number in the tens while tuple
-	// counts number in the millions, so the raw normal equations are wildly
-	// ill-conditioned. Scale each column to unit energy (sᵢ = √A[i][i]),
-	// solve in the scaled space, and scale back. A column the workload never
-	// exercises has zero energy; its scaled row is pure ridge, which pins
-	// that constant to the prior.
-	var s [4]float64
+	exercised := 0
 	for i := 0; i < 4; i++ {
-		if s[i] = math.Sqrt(A[i][i]); s[i] == 0 {
-			s[i] = 1
+		if s[i] = math.Sqrt(A[i][i]); s[i] > 0 {
+			exercised |= 1 << i
 		}
-	}
-	pv := [4]float64{prior.BIC, prior.TICTUP, prior.TICCOL, prior.FC}
-	const lambda = 1e-8
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			A[i][j] /= s[i] * s[j]
-		}
-		b[i] = b[i]/s[i] + lambda*pv[i]*s[i]
-		A[i][i] += lambda
 	}
 
-	w, ok := solve4(A, b)
-	if !ok {
-		return prior, rep
-	}
-	for i := 0; i < 4; i++ {
-		w[i] /= s[i]
-	}
-	fitted := prior
-	assign := []*float64{&fitted.BIC, &fitted.TICTUP, &fitted.TICCOL, &fitted.FC}
-	for i := 0; i < 4; i++ {
-		if !math.IsInf(w[i], 0) && !math.IsNaN(w[i]) && w[i] > 0 {
-			*assign[i] = w[i]
+	priorErr := rmsError(obs, prior)
+	fitted, fittedErr := prior, priorErr
+	for subset := 1; subset < 16; subset++ {
+		if subset&^exercised != 0 {
+			continue
+		}
+		var idx []int
+		for i := 0; i < 4; i++ {
+			if subset&(1<<i) != 0 {
+				idx = append(idx, i)
+			}
+		}
+		w, ok := solve(A, b, s, idx)
+		if !ok {
+			continue
+		}
+		c := prior
+		for i, p := range []*float64{&c.BIC, &c.TICTUP, &c.TICCOL, &c.FC} {
+			if exercised&(1<<i) != 0 {
+				*p = w[i]
+			}
+		}
+		if err := rmsError(obs, c); err < fittedErr {
+			fitted, fittedErr = c, err
 		}
 	}
-	fittedErr := rmsError(obs, fitted)
-	if fittedErr > rep.PriorErrUS {
-		return prior, rep
+	return fitted, CalibrationReport{
+		Observations: len(obs),
+		Prior:        prior,
+		Fitted:       fitted,
+		PriorErrUS:   priorErr,
+		FittedErrUS:  fittedErr,
 	}
-	rep.Fitted = fitted
-	rep.FittedErrUS = fittedErr
-	return fitted, rep
 }
 
-// solve4 solves the 4×4 system A·w = b by Gaussian elimination with partial
-// pivoting; ok is false when A is singular to working precision.
-func solve4(A [4][4]float64, b [4]float64) (w [4]float64, ok bool) {
-	const n = 4
+// solve returns the unconstrained least-squares weights of the constants in
+// idx (the others zero) from the normal equations A·w = b, eliminating on the
+// unit-energy-scaled system with partial pivoting. ok is false when the
+// subset's columns are linearly dependent or a weight comes out negative.
+func solve(A [4][4]float64, b, s [4]float64, idx []int) (w [4]float64, ok bool) {
+	n := len(idx)
+	var m [4][5]float64 // the scaled subsystem, right-hand side in column n
+	for r, i := range idx {
+		for c, j := range idx {
+			m[r][c] = A[i][j] / (s[i] * s[j])
+		}
+		m[r][n] = b[i] / s[i]
+	}
 	for col := 0; col < n; col++ {
 		piv := col
 		for r := col + 1; r < n; r++ {
-			if math.Abs(A[r][col]) > math.Abs(A[piv][col]) {
+			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
 				piv = r
 			}
 		}
-		if math.Abs(A[piv][col]) < 1e-300 {
+		if math.Abs(m[piv][col]) < 1e-12 {
 			return w, false
 		}
-		A[col], A[piv] = A[piv], A[col]
-		b[col], b[piv] = b[piv], b[col]
+		m[col], m[piv] = m[piv], m[col]
 		for r := col + 1; r < n; r++ {
-			f := A[r][col] / A[col][col]
-			for c := col; c < n; c++ {
-				A[r][c] -= f * A[col][c]
+			f := m[r][col] / m[col][col]
+			for c := col; c <= n; c++ {
+				m[r][c] -= f * m[col][c]
 			}
-			b[r] -= f * b[col]
 		}
 	}
+	var x [4]float64 // the scaled weights, in idx order
 	for r := n - 1; r >= 0; r-- {
-		w[r] = b[r]
+		x[r] = m[r][n]
 		for c := r + 1; c < n; c++ {
-			w[r] -= A[r][c] * w[c]
+			x[r] -= m[r][c] * x[c]
 		}
-		w[r] /= A[r][r]
+		if x[r] /= m[r][r]; x[r] < 0 {
+			return w, false
+		}
+	}
+	for r, i := range idx {
+		w[i] = x[r] / s[i]
 	}
 	return w, true
 }

@@ -31,7 +31,7 @@ func synthObs(truth Constants) []Observation {
 // TestCalibrateRecoversConstants: fitting exact synthetic observations
 // recovers the generating constants and drives the error to ~0.
 func TestCalibrateRecoversConstants(t *testing.T) {
-	truth := Default()
+	truth := Paper
 	truth.BIC, truth.TICTUP, truth.TICCOL, truth.FC = 0.004, 0.012, 0.0021, 0.0017
 	obs := synthObs(truth)
 
@@ -59,15 +59,16 @@ func TestCalibrateRecoversConstants(t *testing.T) {
 		t.Errorf("fit on exact data should be near-perfect: prior=%v fitted=%v",
 			rep.PriorErrUS, rep.FittedErrUS)
 	}
-	// I/O and word-size constants ride along from the prior untouched.
-	if fitted.SEEK != Paper.SEEK || fitted.READ != Paper.READ || fitted.WordSize != Paper.WordSize {
+	// I/O constants ride along from the prior untouched.
+	if fitted.SEEK != Paper.SEEK || fitted.READ != Paper.READ {
 		t.Errorf("fit touched non-CPU constants: %+v", fitted)
 	}
 }
 
 // TestCalibrateNeverWorseThanPrior: with degenerate observations (a single
 // contradictory pair) the result must fit no worse than the prior, and an
-// empty observation set returns the prior unchanged.
+// empty observation set returns the prior unchanged. The pair's four feature
+// columns are identical, so the fit uses one constant and zeroes the rest.
 func TestCalibrateNeverWorseThanPrior(t *testing.T) {
 	fitted, rep := Calibrate(nil, Paper)
 	if fitted != Paper || rep.Observations != 0 {
@@ -85,10 +86,47 @@ func TestCalibrateNeverWorseThanPrior(t *testing.T) {
 		t.Errorf("fit regressed: %v -> %v", rep.PriorErrUS, rep.FittedErrUS)
 	}
 	for _, v := range []float64{fitted.BIC, fitted.TICTUP, fitted.TICCOL, fitted.FC} {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Errorf("fitted constant out of range: %v (%+v)", v, fitted)
 		}
 	}
+}
+
+// TestCalibrateIsNonNegativeLeastSquares: when the generating constants
+// include a negative one, the fit is the constrained optimum — every weight
+// non-negative, the gradient of the squared error zero where a weight is
+// positive and non-negative where it is zero (the KKT conditions) — not a
+// clamp of the unconstrained solution.
+func TestCalibrateIsNonNegativeLeastSquares(t *testing.T) {
+	truth := Paper
+	truth.BIC, truth.TICTUP, truth.TICCOL, truth.FC = 0.004, 0.012, -0.0005, 0.004
+	obs := synthObs(truth)
+	for _, o := range obs {
+		if o.ObservedUS <= 0 {
+			t.Fatalf("fixture observation not positive: %+v", o)
+		}
+	}
+
+	fitted, rep := Calibrate(obs, Paper)
+	w := [4]float64{fitted.BIC, fitted.TICTUP, fitted.TICCOL, fitted.FC}
+	for i, name := range CPUConstants {
+		// ∂/∂wᵢ of ½Σ(f·w − y)², and the scale of its terms.
+		var grad, scale float64
+		for _, o := range obs {
+			grad += o.Features[i] * (o.predict(fitted) - o.ObservedUS)
+			scale += math.Abs(o.Features[i] * o.ObservedUS)
+		}
+		tol := 1e-6 * scale
+		switch {
+		case w[i] < 0:
+			t.Errorf("%s = %v, want >= 0", name, w[i])
+		case w[i] > 0 && math.Abs(grad) > tol:
+			t.Errorf("%s = %v > 0 but gradient %v, want |gradient| <= %v", name, w[i], grad, tol)
+		case w[i] == 0 && grad < -tol:
+			t.Errorf("%s = 0 but gradient %v, want >= %v", name, grad, -tol)
+		}
+	}
+	t.Logf("rms %.1fµs -> %.1fµs, fitted %+v", rep.PriorErrUS, rep.FittedErrUS, fitted)
 }
 
 // TestCalibrateUnconstrainedConstantKeepsPrior: a workload that never

@@ -100,15 +100,10 @@ func (m Constants) DS4(c ColumnStats, em, sf float64) (cpu, io float64) {
 type PosList struct {
 	// Positions is ||inpos_i||.
 	Positions float64
-	// RunLen is RLp_i, the average run length; for bit-string inputs use
-	// Constants.WordSize (the paper's Case 2 substitutes ||inpos||/32).
+	// RunLen is RLp_i, the average run length (the paper's Case 2 bit-string
+	// inputs substitute the word size, ||inpos||/32).
 	RunLen float64
 }
-
-// BitPosList builds the AND-input descriptor for a bit-string list over n
-// positions: word-at-a-time processing makes the effective run length the
-// machine word size.
-func (m Constants) BitPosList(n float64) PosList { return PosList{Positions: n, RunLen: m.WordSize} }
 
 // AND is the position-intersection operator (Figure 4), over k input lists:
 //

@@ -147,7 +147,7 @@ func TestPriceSumsItsNodes(t *testing.T) {
 }
 
 func TestParallelCostMatchesSerialAtOneWorker(t *testing.T) {
-	m := Default()
+	m := Paper
 	for _, s := range core.Strategies {
 		e := priceSelection(t, m, parallelTable(), selection(0.1, false), s, true)
 		for _, w := range []int{0, 1} {
@@ -159,7 +159,7 @@ func TestParallelCostMatchesSerialAtOneWorker(t *testing.T) {
 }
 
 func TestParallelCostDecreasesWithWorkers(t *testing.T) {
-	m := Default()
+	m := Paper
 	for _, agg := range []bool{false, true} {
 		for _, s := range core.Strategies {
 			e := priceSelection(t, m, parallelTable(), selection(0.1, agg), s, true)
@@ -178,7 +178,7 @@ func TestParallelCostDecreasesWithWorkers(t *testing.T) {
 
 func TestParallelCostKeepsIOUnscaled(t *testing.T) {
 	// Cold pool: the disk-arm term must not divide across workers.
-	m := Default()
+	m := Paper
 	for _, s := range core.Strategies {
 		e := priceSelection(t, m, parallelTable(), selection(0.1, false), s, false)
 		if par := m.AtWorkers(e, 8); par.IO != e.IO || e.IO <= 0 {
@@ -188,7 +188,7 @@ func TestParallelCostKeepsIOUnscaled(t *testing.T) {
 }
 
 func TestParallelSpeedupBoundedByWorkers(t *testing.T) {
-	m := Default()
+	m := Paper
 	for _, s := range core.Strategies {
 		e := priceSelection(t, m, parallelTable(), selection(0.1, false), s, true)
 		for _, w := range []int{2, 4, 16} {
@@ -201,7 +201,7 @@ func TestParallelSpeedupBoundedByWorkers(t *testing.T) {
 }
 
 func TestAdviseParallelPicksMinimum(t *testing.T) {
-	m := Default()
+	m := Paper
 	for _, agg := range []bool{false, true} {
 		for _, w := range []int{1, 4} {
 			best, costs := advise(t, m, parallelTable(), selection(0.1, agg), true, w)

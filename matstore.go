@@ -135,12 +135,6 @@ func ParseRightStrategy(s string) (RightStrategy, error) { return operators.Pars
 // PaperConstants returns the Table 2 constants from the paper's hardware.
 func PaperConstants() Constants { return model.Paper }
 
-// Calibrate measures the analytical-model constants on this machine
-// bottom-up, by timing the small code segments each constant stands for.
-// FitConstants is the complementary top-down refit from observed whole-query
-// executions.
-func Calibrate() Constants { return model.MeasureConstants() }
-
 // Observation is one (model feature vector, observed node time) pair
 // extracted from an explained execution; see Explanation.Observations.
 type Observation = model.Observation
@@ -150,11 +144,12 @@ type Observation = model.Observation
 type CalibrationReport = model.CalibrationReport
 
 // FitConstants refits the model's CPU constants to observed per-node
-// execution times by least squares (ridge-regularized toward prior). The
-// returned constants never fit the observations worse than the prior; feed
-// them back with DB.SetConstants so the advisors, EXPLAIN annotations and
-// cost-based admission grants run on constants measured on this machine
-// rather than the paper's 2007 hardware.
+// execution times by exact non-negative least squares. The returned constants
+// never fit the observations worse than the prior; a constant the
+// observations never exercise keeps its prior value, and one they drive to
+// zero reads 0. Feed them back with DB.SetConstants so the advisors, EXPLAIN
+// annotations and cost-based admission grants run on constants fitted on this
+// machine rather than the paper's 2007 hardware.
 func FitConstants(obs []Observation, prior Constants) (Constants, CalibrationReport) {
 	return model.Calibrate(obs, prior)
 }

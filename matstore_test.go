@@ -300,11 +300,7 @@ func TestParseStrategyPublic(t *testing.T) {
 	}
 }
 
-func TestCalibratePublic(t *testing.T) {
-	c := matstore.Calibrate()
-	if c.FC <= 0 || c.TICTUP <= 0 {
-		t.Errorf("Calibrate = %+v", c)
-	}
+func TestPaperConstantsPublic(t *testing.T) {
 	if matstore.PaperConstants().SEEK != 2500 {
 		t.Error("paper constants wrong")
 	}
