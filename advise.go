@@ -79,11 +79,10 @@ func (db *DB) price(consts Constants, projection string, q Query, s Strategy, ho
 }
 
 // EstimateSelectCost predicts the serial cost (µs, warm pool) of running q
-// under strategy s using the DB's current constants — the grant sizer of the
-// serving layer's admission governor calls this on every request. It builds
-// a plan of its own and prices it: catalog statistics only, no data read and
-// nothing shared with a running query. Unlike Advise it accepts filterless
-// queries (an ALLPOS or unpredicated-scan plan like any other).
+// under strategy s using the DB's current constants. It builds the plan s
+// would run and prices it: catalog statistics only, no data read and nothing
+// shared with a running query. Unlike Advise it accepts filterless queries
+// (an ALLPOS or unpredicated-scan plan like any other).
 func (db *DB) EstimateSelectCost(projection string, q Query, s Strategy) (Cost, error) {
 	est, err := db.price(db.Constants(), projection, q, s, true)
 	return est.Cost, err

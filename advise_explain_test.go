@@ -1,21 +1,24 @@
 package matstore_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"matstore"
+	"matstore/internal/service"
 	"matstore/internal/tpch"
 )
 
 // TestAdviseMatchesExplain is the guard that keeps a second composition of
-// the cost formulas from growing back: whatever the advisor or the admission
-// sizer says a strategy costs must be the number EXPLAIN reports for the
-// plan that strategy runs — hot and cold, inside and outside the paper's
+// the cost formulas from growing back: whatever the advisor, the estimators
+// or a served request's est_cost_us (the price its worker grant is sized
+// from) say a strategy costs must be the number EXPLAIN reports for the plan
+// that strategy runs — hot and cold, inside and outside the paper's
 // two-column shape — and two strategies that build the same tree must cost
-// the same. At the parent commit (input-struct model beside the plan
-// annotator) it fails on more than forty of these rows.
+// the same. With the input-struct model beside the plan annotator it failed
+// on more than forty of these rows.
 func TestAdviseMatchesExplain(t *testing.T) {
 	db := paperScaleDB(t)
 	consts := db.Constants()
@@ -63,6 +66,16 @@ func TestAdviseMatchesExplain(t *testing.T) {
 	explained := func(ex *matstore.Explanation) (hot, cold matstore.Cost) {
 		return ex.Modeled, consts.Price(ex.Plan, false).Cost
 	}
+	// Every shape is also served, the result cache off so that each request
+	// builds, prices and runs its plan: its est_cost_us is that plan's price.
+	sess := service.New(db, service.Config{ResultCacheBytes: -1}).NewSession()
+	ctx := context.Background()
+	served := func(what string, info service.Info, ex *matstore.Explanation) {
+		t.Helper()
+		if relDiff(info.EstCostUS, ex.Modeled.Total()) > 1e-9 {
+			t.Errorf("%s: served est_cost_us %v, EXPLAIN's modeled total %v", what, info.EstCostUS, ex.Modeled.Total())
+		}
+	}
 
 	for _, nq := range selects {
 		hot, err := db.Advise(nq.proj, nq.q)
@@ -87,6 +100,11 @@ func TestAdviseMatchesExplain(t *testing.T) {
 				t.Fatal(err)
 			}
 			same(fmt.Sprintf("%s %v EstimateSelectCost", nq.name, s), est, exHot)
+			out, err := sess.Select(ctx, nq.proj, nq.q, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served(fmt.Sprintf("%s %v served", nq.name, s), out.Info, ex)
 
 			// Shape's first line is the strategy label; the tree follows.
 			_, tree, _ := strings.Cut(ex.Plan.Shape(), "\n")
@@ -109,6 +127,11 @@ func TestAdviseMatchesExplain(t *testing.T) {
 			t.Fatal(err)
 		}
 		same(fmt.Sprintf("filterless scan %v EstimateSelectCost", s), est, ex.Modeled)
+		out, err := sess.Select(ctx, tpch.LineitemProj, scan, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served(fmt.Sprintf("filterless scan %v served", s), out.Info, ex)
 	}
 
 	for _, sel := range []float64{0.05, 0.5, 0.95, 1.0} {
@@ -128,6 +151,11 @@ func TestAdviseMatchesExplain(t *testing.T) {
 				t.Fatal(err)
 			}
 			same(fmt.Sprintf("fkJoin/%g %v EstimateJoinCost", sel, rs), est, ex.Modeled)
+			out, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, q, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served(fmt.Sprintf("fkJoin/%g %v served", sel, rs), out.Info, ex)
 		}
 	}
 }

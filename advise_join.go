@@ -3,6 +3,7 @@ package matstore
 import (
 	"matstore/internal/core"
 	"matstore/internal/model"
+	"matstore/internal/plan"
 )
 
 // JoinAdvice is the analytical model's evaluation of a join query: the
@@ -42,19 +43,11 @@ func (db *DB) AdviseJoin(left, right string, q JoinQuery) (JoinAdvice, error) {
 }
 
 // EstimateJoinCost predicts the end-to-end cost (µs, warm pool) of the join
-// under one inner-table strategy using the DB's current constants — the
-// catalog-statistics-only estimate the admission governor's grant sizer
-// uses: it builds a join plan of its own and prices it.
+// under one inner-table strategy using the DB's current constants: it builds
+// the join plan that strategy would run and prices it, from catalog
+// statistics alone (the advisor's per-strategy price).
 func (db *DB) EstimateJoinCost(left, right string, q JoinQuery, rs RightStrategy) (Cost, error) {
-	lp, err := db.inner.Projection(left)
-	if err != nil {
-		return Cost{}, err
-	}
-	rp, err := db.inner.Projection(right)
-	if err != nil {
-		return Cost{}, err
-	}
-	pl, err := db.exec.BuildJoinPlan(lp, rp, q, rs)
+	pl, err := db.joinPlan(left, right, q, rs)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -64,9 +57,8 @@ func (db *DB) EstimateJoinCost(left, right string, q JoinQuery, rs RightStrategy
 // EstimateJoinMemory predicts the resident heap bytes the join's blocking
 // hash-build side will pin under the given inner-table strategy, from catalog
 // statistics alone (inner tuple count, distinct key count, payload block
-// counts). The admission governor reserves this many bytes before granting an
-// in-memory join, and sizes the spill budget from it when the grant doesn't
-// fit.
+// counts): the number the price walk reports as a join plan's BuildBytes, for
+// a caller that sizes a spill budget without building the plan.
 func (db *DB) EstimateJoinMemory(right string, q JoinQuery, rs RightStrategy) (int64, error) {
 	rp, err := db.inner.Projection(right)
 	if err != nil {
@@ -77,13 +69,13 @@ func (db *DB) EstimateJoinMemory(right string, q JoinQuery, rs RightStrategy) (i
 	if err != nil {
 		return 0, err
 	}
-	blocks := make([]int64, 0, len(q.RightOutput))
-	for _, name := range q.RightOutput {
+	payload := make([]plan.ColStats, len(q.RightOutput))
+	for i, name := range q.RightOutput {
 		c, err := t.Column(name)
 		if err != nil {
 			return 0, err
 		}
-		blocks = append(blocks, int64(c.Stats.Blocks))
+		payload[i] = c.Stats
 	}
-	return model.EstimateJoinMemory(int64(key.Stats.Tuples), key.Stats.Distinct, blocks, rs), nil
+	return model.EstimateJoinMemory(key.Stats, payload, rs), nil
 }

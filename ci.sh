@@ -84,6 +84,18 @@ test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench
 # itself — none of what they replaced may come back in production code.
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'MeasureConstants|measure(FC|TICCOL|TICTUP|BIC)|BitPosList|WordSize|solve4|customerRows' .)"
+# A served request has one plan: the service builds it, prices it once (its
+# cost and a join's build-side bytes in one walk), admits on that price and
+# runs it, and an explain is that request run observed — so the service's
+# production files call none of the estimators that build a second tree, the
+# catalog walk for a join's bytes, the explain entry points that build a tree
+# of their own, or a validation building already does; and neither the spill
+# plan setup, the estimate helper, the validation method nor the row-wise
+# result copy no reply reads may come back in production code.
+test -z "$(ls internal/service/*.go | grep -v _test.go \
+	| xargs grep -lE 'EstimateSelectCost|EstimateJoinCost|EstimateJoinMemory|ExplainTraced|ExplainJoinTraced|Validate\(')"
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'spillJoinPlan|costUS|func \(q SelectQuery\) Validate|func \(r \*Result\) Rows' .)"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -228,20 +240,27 @@ go test -run xxx -bench 'BenchmarkJoin(Build|Probe|Spill)$' -benchtime 1x .
 # of it (LM 2.0 MB at one worker since it gathers straight into the result
 # chunk; 3.7 through sized vectors, 6.6 when they grew from nil).
 go test -run 'TestCappedSelectAllocs$' -v ./internal/core | grep 'kB a request'
+# What a served request allocates beside it: a result-cache hit 2 (its reply),
+# a selection miss and a join miss about 100 and 70 on the service's test
+# dataset (118 and 98 while a miss priced a second tree of its own and walked
+# the catalog again for a join's bytes).
+go test -run 'TestServedRequestAllocs$' -v ./internal/service | grep 'allocations per request'
 # The serving stack's code lines (non-blank, non-comment, non-test: service,
 # buffer pool, the shared LRU, the build cache), printed next to the
 # allocation counts so that growth shows in the log of the PR that causes it
 # (3,223 before six LRUs, two governors and the coordinator were folded;
 # 3,092 before the plan cache, the demoted build tier and the zero-row and
 # cost-gated result tiers were deleted; 2,861 before the caches' projection
-# generations and the LRU's deletes were).
+# generations and the LRU's deletes were; 2,740 before a served request's
+# estimate, explain and spill setup became its one plan).
 ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 	internal/operators/buildcache.go | grep -v _test.go | xargs cat \
 	| grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 # The same for the model stack (the cost model, the advisors, EXPLAIN and the
 # plan builders: 1,497 before PR 17 deleted the input-struct composition).
 # 1,133 before the micro-measured constants, the word size and the ridge
-# solver were deleted.
+# solver were deleted; 1,048 before a served request's estimate, explain and
+# spill setup became its one plan.
 ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builders.go \
 	| grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 # And for the executor stack (the strategies' entry points, the plan executor,
@@ -251,7 +270,8 @@ ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builder
 # files were deleted; 3,736 before the spill files were; 3,564 before the
 # range sums, the run wrappers and the scalar references no query runs were
 # deleted or moved into test files; 3,347 before the bit-vector filter lost its
-# per-value path).
+# per-value path; 3,331 before a served request's estimate, explain and spill
+# setup became its one plan).
 ls internal/core/core.go internal/core/join.go internal/plan/*.go internal/datasource/*.go \
 	internal/operators/radix.go internal/operators/spill.go internal/storage/column.go \
 	internal/storage/gather.go internal/encoding/*.go \
@@ -361,6 +381,10 @@ done
 test ! -e "$ci_explain_dir/.spill"
 "$ci_explain_dir/csserve" -get http://127.0.0.1:18978/stats \
 	| grep -q '"spilled_joins":1'
+# An explained join is the join's request run observed: it takes the same
+# spill-mode grant and renders the Grace build's spill line.
+"$ci_explain_dir/csserve" -post http://127.0.0.1:18978/explain -data "$ci_join_body" \
+	| grep -q 'spill:'
 "$ci_explain_dir/csserve" -get http://127.0.0.1:18978/stats \
 	| grep -q '"peak_reserved":'
 

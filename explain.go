@@ -92,19 +92,7 @@ func (db *DB) ExplainTraced(projection string, q Query, s Strategy, tr *obs.Span
 	}
 	consts := db.Constants()
 	modeled := consts.AnnotatePlan(pl, true).Cost
-	res, stats, err := db.exec.RunPlanWith(pl, s, q.Parallelism, plan.RunOptions{Observe: true, Limit: q.Limit, Trace: tr})
-	if err != nil {
-		return nil, err
-	}
-	return &Explanation{
-		Strategy:  s,
-		Plan:      pl,
-		Tree:      pl.Render(),
-		Modeled:   modeled,
-		Stats:     stats,
-		Result:    res,
-		Constants: consts,
-	}, nil
+	return db.ExplainPlan(pl, s, consts, modeled, q.Parallelism, plan.RunOptions{Limit: q.Limit, Trace: tr})
 }
 
 // ExplainJoin builds the physical join plan for q (left ⋈ right under the
@@ -113,7 +101,7 @@ func (db *DB) ExplainTraced(projection string, q Query, s Strategy, tr *obs.Span
 // executes the plan with per-node observation enabled — radix-partitioned
 // parallel build, batched probe — and returns the rendered tree with modeled
 // vs. observed stats side by side. q.Parallelism controls both join phases
-// exactly as in Join.
+// and q.SpillBudgetBytes the build exactly as in Join.
 func (db *DB) ExplainJoin(left, right string, q JoinQuery, rs RightStrategy) (*Explanation, error) {
 	return db.ExplainJoinTraced(left, right, q, rs, nil)
 }
@@ -121,38 +109,42 @@ func (db *DB) ExplainJoin(left, right string, q JoinQuery, rs RightStrategy) (*E
 // ExplainJoinTraced is ExplainJoin with an optional trace span (see
 // ExplainTraced).
 func (db *DB) ExplainJoinTraced(left, right string, q JoinQuery, rs RightStrategy, tr *obs.Span) (*Explanation, error) {
-	lp, err := db.inner.Projection(left)
-	if err != nil {
-		return nil, err
-	}
-	rp, err := db.inner.Projection(right)
-	if err != nil {
-		return nil, err
-	}
-	var pl *plan.Plan
-	var spill *operators.SpillConfig
-	if q.SpillBudgetBytes > 0 {
-		pl, spill, err = db.spillJoinPlan(lp, rp, right, q, rs)
-	} else {
-		pl, err = db.exec.BuildJoinPlan(lp, rp, q, rs)
-	}
+	pl, err := db.joinPlan(left, right, q, rs)
 	if err != nil {
 		return nil, err
 	}
 	consts := db.Constants()
-	modeled := consts.AnnotatePlan(pl, true).Cost
-	res, stats, err := db.exec.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Observe: true, Spill: spill, Limit: q.Limit, Trace: tr})
-	if err != nil {
-		return nil, err
+	est := consts.AnnotatePlan(pl, true)
+	opt := plan.RunOptions{Limit: q.Limit, Trace: tr}
+	if q.SpillBudgetBytes > 0 {
+		opt.Spill = &operators.SpillConfig{BudgetBytes: q.SpillBudgetBytes, EstBytes: est.BuildBytes}
 	}
-	return &Explanation{
-		Strategy:  stats.Strategy,
-		Plan:      pl,
-		Tree:      pl.Render(),
-		Modeled:   modeled,
-		Stats:     &stats.Stats,
-		JoinStats: stats,
-		Result:    res,
-		Constants: consts,
-	}, nil
+	return db.ExplainPlan(pl, 0, consts, est.Cost, q.Parallelism, opt)
+}
+
+// ExplainPlan runs a built plan observed and renders it: the one body behind
+// ExplainTraced, ExplainJoinTraced and the serving layer's EXPLAIN, which
+// builds, prices and admits the plan itself. modeled is the plan's price
+// under consts, taken by AnnotatePlan so that every node carries its share; s
+// names a selection plan's strategy (a join reports its outer shape). opt
+// carries the run's context, spill configuration, row cap and trace span;
+// ExplainPlan turns observation on.
+func (db *DB) ExplainPlan(pl *plan.Plan, s Strategy, consts Constants, modeled Cost, workers int, opt plan.RunOptions) (*Explanation, error) {
+	opt.Observe = true
+	ex := &Explanation{Strategy: s, Plan: pl, Modeled: modeled, Constants: consts}
+	if pl.JoinProbe() != nil {
+		res, stats, err := db.exec.RunJoinPlanWith(pl, workers, opt)
+		if err != nil {
+			return nil, err
+		}
+		ex.Strategy, ex.Stats, ex.JoinStats, ex.Result = stats.Strategy, &stats.Stats, stats, res
+	} else {
+		res, stats, err := db.exec.RunPlanWith(pl, s, workers, opt)
+		if err != nil {
+			return nil, err
+		}
+		ex.Stats, ex.Result = stats, res
+	}
+	ex.Tree = pl.Render()
+	return ex, nil
 }

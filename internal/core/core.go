@@ -139,8 +139,8 @@ type SelectQuery struct {
 // Aggregating reports whether the query has an aggregation on top.
 func (q SelectQuery) Aggregating() bool { return q.GroupBy != "" }
 
-// check is the projection-independent half of Validate (the plan builders
-// resolve every referenced column themselves).
+// check is the query's structural sanity; the plan builders resolve every
+// referenced column themselves, so building a plan validates the query.
 func (q SelectQuery) check() error {
 	if q.Aggregating() {
 		if q.AggCol == "" {
@@ -148,19 +148,6 @@ func (q SelectQuery) check() error {
 		}
 	} else if len(q.Output) == 0 {
 		return errors.New("core: query needs output columns or an aggregation")
-	}
-	return nil
-}
-
-// Validate checks structural sanity against a projection.
-func (q SelectQuery) Validate(p *storage.Projection) error {
-	if err := q.check(); err != nil {
-		return err
-	}
-	for _, name := range q.referenced() {
-		if _, err := p.Column(name); err != nil {
-			return err
-		}
 	}
 	return nil
 }

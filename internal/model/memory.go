@@ -1,13 +1,17 @@
 package model
 
-import "matstore/internal/operators"
+import (
+	"matstore/internal/operators"
+	"matstore/internal/plan"
+)
 
 // This file is the memory half of the cost model: where cost.go predicts the
 // paper's time terms, EstimateJoinMemory predicts the resident bytes a join's
-// blocking hash-build side will pin, from the same catalog statistics. The
-// admission governor sizes byte reservations with it — an over-estimate
-// wastes budget headroom, an under-estimate risks the OOM the governor
-// exists to prevent, so the formula mirrors the build's actual accounting
+// blocking hash-build side will pin, from the same column statistics. The
+// price walk charges it at the JOINBUILD node (Estimate.BuildBytes), and a
+// served join's byte reservation is that number — an over-estimate wastes
+// budget headroom, an under-estimate risks the OOM the governor exists to
+// prevent, so the formula mirrors the build's actual accounting
 // (PartitionedTable.memBytes) term by term.
 
 // Sizing constants mirroring the build's resident-footprint accounting
@@ -25,19 +29,20 @@ const (
 )
 
 // EstimateJoinMemory predicts the resident heap bytes of a partitioned hash
-// build over an inner table with the given tuple count, distinct key count,
-// and per-payload-column block counts, under one materialization strategy:
+// build over an inner key column (its tuple and distinct counts) and payload
+// columns (their block counts), under one materialization strategy:
 //
 //	right-materialized: hash entries + one dense array per payload column;
 //	right-multicolumn: hash entries + every payload block retained compressed;
 //	right-singlecolumn: hash entries only (payload stays on disk, fetched
 //	  by the deferred positional join).
 //
-// distinct <= 0 falls back to tuples (unique-key worst case for the slot
-// array). The estimate is what admission reserves for an in-memory grant, and
-// what the spill planner divides by the partition count to pick the resident
-// share.
-func EstimateJoinMemory(tuples, distinct int64, payloadBlocks []int64, rs operators.RightStrategy) int64 {
+// A distinct count <= 0 falls back to tuples (unique-key worst case for the
+// slot array). The estimate is what admission reserves for an in-memory
+// grant, and what the spill planner divides by the partition count to pick
+// the resident share.
+func EstimateJoinMemory(key plan.ColStats, payload []plan.ColStats, rs operators.RightStrategy) int64 {
+	tuples, distinct := int64(key.Tuples), key.Distinct
 	if tuples <= 0 {
 		return 0
 	}
@@ -47,10 +52,10 @@ func EstimateJoinMemory(tuples, distinct int64, payloadBlocks []int64, rs operat
 	bytes := distinct*bytesPerDistinctKey + tuples*bytesPerPosition
 	switch rs {
 	case operators.RightMaterialized:
-		bytes += tuples * bytesPerDenseValue * int64(len(payloadBlocks))
+		bytes += tuples * bytesPerDenseValue * int64(len(payload))
 	case operators.RightMultiColumn:
-		for _, b := range payloadBlocks {
-			bytes += b * bytesPerBlock
+		for _, c := range payload {
+			bytes += int64(c.Blocks) * bytesPerBlock
 		}
 	}
 	return bytes

@@ -7,6 +7,7 @@ import (
 	"matstore/internal/buffer"
 	"matstore/internal/encoding"
 	"matstore/internal/operators"
+	"matstore/internal/plan"
 	"matstore/internal/storage"
 )
 
@@ -14,9 +15,11 @@ import (
 // single-column < materialized-with-payload, multi-column scales with block
 // counts, and degenerate inputs are safe.
 func TestEstimateJoinMemory(t *testing.T) {
-	single := EstimateJoinMemory(10_000, 300, []int64{4, 4}, operators.RightSingleColumn)
-	mat := EstimateJoinMemory(10_000, 300, []int64{4, 4}, operators.RightMaterialized)
-	multi := EstimateJoinMemory(10_000, 300, []int64{4, 4}, operators.RightMultiColumn)
+	key := plan.ColStats{Tuples: 10_000, Distinct: 300}
+	payload := []plan.ColStats{{Blocks: 4}, {Blocks: 4}}
+	single := EstimateJoinMemory(key, payload, operators.RightSingleColumn)
+	mat := EstimateJoinMemory(key, payload, operators.RightMaterialized)
+	multi := EstimateJoinMemory(key, payload, operators.RightMultiColumn)
 
 	if single <= 0 {
 		t.Fatalf("single-column estimate = %d, want > 0 (hash entries)", single)
@@ -32,15 +35,15 @@ func TestEstimateJoinMemory(t *testing.T) {
 	}
 
 	// Unknown distinct count falls back to the unique-key worst case.
-	worst := EstimateJoinMemory(1000, 0, nil, operators.RightSingleColumn)
+	worst := EstimateJoinMemory(plan.ColStats{Tuples: 1000}, nil, operators.RightSingleColumn)
 	if want := int64(1000*bytesPerDistinctKey + 1000*bytesPerPosition); worst != want {
 		t.Errorf("distinct=0 fallback = %d, want %d", worst, want)
 	}
 	// A distinct count above tuples (stale stats) clamps too.
-	if got := EstimateJoinMemory(1000, 5000, nil, operators.RightSingleColumn); got != worst {
+	if got := EstimateJoinMemory(plan.ColStats{Tuples: 1000, Distinct: 5000}, nil, operators.RightSingleColumn); got != worst {
 		t.Errorf("distinct>tuples = %d, want clamped %d", got, worst)
 	}
-	if got := EstimateJoinMemory(0, 0, nil, operators.RightMaterialized); got != 0 {
+	if got := EstimateJoinMemory(plan.ColStats{}, nil, operators.RightMaterialized); got != 0 {
 		t.Errorf("empty table estimate = %d, want 0", got)
 	}
 }
@@ -89,7 +92,8 @@ func TestEstimateJoinMemoryBracketsBuiltTable(t *testing.T) {
 		for _, rs := range []operators.RightStrategy{
 			operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
 		} {
-			est := EstimateJoinMemory(key.TupleCount(), key.Distinct(), []int64{int64(val.NumBlocks())}, rs)
+			est := EstimateJoinMemory(plan.ColStats{Tuples: float64(key.TupleCount()), Distinct: key.Distinct()},
+				[]plan.ColStats{{Blocks: float64(val.NumBlocks())}}, rs)
 			for _, partitions := range []int{1, 4, 32} {
 				rt, err := operators.BuildPartitioned(key, []*storage.Column{val}, []string{"val"}, rs, 65536, 1, partitions)
 				if err != nil {

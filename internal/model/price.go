@@ -6,16 +6,18 @@ import "matstore/internal/plan"
 // the executor would run (a core.BuildPlan/BuildJoinPlan tree) and charges
 // every node its Figure 1–6 operator formula — or, for joins, its Section 4.3
 // build/probe term — from the column statistics the node carries. Nothing
-// else composes the formulas: the advisors, the admission grant sizer,
-// Figure 10, EXPLAIN's per-node column and the calibration features are all
-// this walk over the same tree, so a refit of
-// the constants tunes exactly the function the advisor steers on.
+// else composes the formulas: the advisors, a served request's grant (its
+// worker share and, for a join, its build-side bytes), Figure 10, EXPLAIN's
+// per-node column and the calibration features are all this walk over the
+// same tree, so a refit of the constants tunes exactly the function the
+// advisor steers on.
 
 // Cost is a decomposed cost in microseconds.
 type Cost = plan.Cost
 
 // Estimate is the price of one plan: its total, plus the two quantities the
-// morsel-parallel split (AtWorkers) needs beyond the total.
+// morsel-parallel split (AtWorkers) needs beyond the total, and the resident
+// bytes of a join's build side.
 type Estimate struct {
 	// Cost is the serial (one-worker) total — the sum of the per-node costs.
 	Cost
@@ -28,6 +30,9 @@ type Estimate struct {
 	// once more.
 	Rows, Concat float64
 	Aggregating  bool
+	// BuildBytes is EstimateJoinMemory over the JOINBUILD node's statistics:
+	// what the join's hash side will pin (0 for a plan without a join).
+	BuildBytes int64
 }
 
 // Price predicts the cost of running p, deriving selectivities from the
@@ -60,9 +65,11 @@ func (m Constants) price(p *plan.Plan, hot bool, sink func(*plan.Node, Cost)) Es
 	root := p.Root
 	est := Estimate{Aggregating: root.Kind == plan.KindAggregate}
 	var cpu float64 // the root's own CPU before output iteration
-	switch {
-	case p.JoinProbe() != nil:
-		est.Rows = w.join(p.JoinProbe())
+	switch probe := p.JoinProbe(); {
+	case probe != nil:
+		build := probe.Children[1]
+		est.BuildBytes = EstimateJoinMemory(build.Stats, build.RightStats, build.RightStrategy)
+		est.Rows = w.join(probe)
 
 	case root.Kind == plan.KindMerge:
 		frac, rlp := w.pos(root.Children[0])

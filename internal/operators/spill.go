@@ -36,8 +36,10 @@ import (
 type SpillConfig struct {
 	// BudgetBytes bounds the resident (in-memory) share of the build.
 	BudgetBytes int64
-	// EstBytes is the predicted full in-memory size (model.EstimateJoinMemory);
-	// the resident partition count is BudgetBytes / (EstBytes / partitions).
+	// EstBytes is the predicted full in-memory size: the join plan's priced
+	// build-side bytes (model.Estimate.BuildBytes, EstimateJoinMemory over the
+	// JOINBUILD node's statistics). The resident partition count is
+	// BudgetBytes / (EstBytes / partitions).
 	EstBytes int64
 }
 

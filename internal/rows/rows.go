@@ -247,26 +247,6 @@ func (r *Result) AppendChunks(o *Result) error {
 	return nil
 }
 
-// Rows materializes the first n rows held (every row when n is larger) in one
-// pass over the chunks, into one array of values and one of row slices: what
-// a reply shows.
-func (r *Result) Rows(n int) [][]int64 {
-	n = min(n, r.NumRows())
-	width := len(r.Columns)
-	vals, out := make([]int64, n*width), make([][]int64, n)
-	i := 0
-	for _, ch := range r.Chunks {
-		for j := 0; j < chunkRows(ch) && i < n; i, j = i+1, j+1 {
-			row := vals[i*width : (i+1)*width : (i+1)*width]
-			for c, col := range ch {
-				row[c] = col[j]
-			}
-			out[i] = row
-		}
-	}
-	return out
-}
-
 // Row materializes row i (mainly for tests and display).
 func (r *Result) Row(i int) []int64 {
 	for _, ch := range r.Chunks {

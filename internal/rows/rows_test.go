@@ -86,12 +86,6 @@ func TestResultBasics(t *testing.T) {
 	if !reflect.DeepEqual(r.Row(1), []int64{2, 20}) || !reflect.DeepEqual(r.Row(2), []int64{3, 30}) {
 		t.Errorf("Row(1) = %v, Row(2) = %v", r.Row(1), r.Row(2))
 	}
-	if got := r.Rows(10); !reflect.DeepEqual(got, [][]int64{{1, 10}, {2, 20}, {3, 30}}) || cap(got[0]) != 2 {
-		t.Errorf("Rows(10) = %v (a row's capacity %d)", got, cap(got[0]))
-	}
-	if got := r.Rows(2); !reflect.DeepEqual(got, [][]int64{{1, 10}, {2, 20}}) {
-		t.Errorf("Rows(2) = %v", got)
-	}
 	x, err := r.Col("x")
 	if err != nil || !reflect.DeepEqual(x, []int64{1, 2, 3}) || cap(x) != 3 {
 		t.Errorf("Col(x) = %v (cap %d), %v", x, cap(x), err)

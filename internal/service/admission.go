@@ -105,10 +105,10 @@ type ask struct {
 	// want is the parallelism ceiling (<= 0 requests the full desired width,
 	// the "auto" parallelism of Query.Parallelism).
 	want int
-	// costUS is the analytical model's total cost estimate (<= 0 when
-	// unavailable).
-	costUS float64
-	// estBytes is the predicted working set (<= 0 asks for no bytes).
+	// priceUS is the price of the request's plan, the analytical model's
+	// serial total (<= 0 takes the fair share).
+	priceUS float64
+	// estBytes is the plan's predicted working set (<= 0 asks for no bytes).
 	estBytes int64
 }
 
@@ -212,9 +212,9 @@ func (g *governor) admit(ctx context.Context, a ask) (gr grant, release func(), 
 	// queued (at most maxConcurrent of them can run at once), so a burst
 	// released together shares it instead of the first one woken taking all.
 	desired := exec.Share(g.budget, min(g.inflight+g.waiting+1, g.maxConcurrent))
-	if a.costUS > 0 {
+	if a.priceUS > 0 {
 		desired = g.budget
-		if w := math.Ceil(a.costUS / grantSliceUS); w < float64(desired) {
+		if w := math.Ceil(a.priceUS / grantSliceUS); w < float64(desired) {
 			desired = int(w)
 		}
 	}

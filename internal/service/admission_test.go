@@ -198,8 +198,8 @@ func TestGovernorNoWaitNoQueueTime(t *testing.T) {
 func TestGovernorCostAwareGrants(t *testing.T) {
 	g := newGovernor(8, 8, 0)
 	cases := []struct {
-		costUS float64
-		want   int
+		priceUS float64
+		want    int
 	}{
 		{50, 1},   // under one slice: a single worker
 		{250, 3},  // ceil(250/100)
@@ -209,12 +209,12 @@ func TestGovernorCostAwareGrants(t *testing.T) {
 		{-1, 8},   // negative estimate treated as absent
 	}
 	for _, c := range cases {
-		info, release, err := g.admit(context.Background(), ask{costUS: c.costUS})
+		info, release, err := g.admit(context.Background(), ask{priceUS: c.priceUS})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if info.workers != c.want {
-			t.Errorf("cost %vµs granted %d workers, want %d", c.costUS, info.workers, c.want)
+			t.Errorf("cost %vµs granted %d workers, want %d", c.priceUS, info.workers, c.want)
 		}
 		release()
 	}
@@ -247,7 +247,7 @@ func TestGovernorThreeResourceInvariant(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					time.AfterFunc(time.Duration(rng.Intn(300))*time.Microsecond, cancel)
 				}
-				a := ask{want: rng.Intn(workers + 1), costUS: float64(rng.Intn(1000))}
+				a := ask{want: rng.Intn(workers + 1), priceUS: float64(rng.Intn(1000))}
 				if rng.Intn(3) > 0 {
 					a.estBytes = 1 + rng.Int63n(byteBudget)
 				}

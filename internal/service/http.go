@@ -100,7 +100,7 @@ type QueryResponse struct {
 	Morsels  int       `json:"morsels"`
 	Queued   int64     `json:"queued_nanos"`
 	Session  int64     `json:"session"`
-	// EstCostUS is the model estimate the admission grant sizer used.
+	// EstCostUS is the price of the plan the request ran (Info.EstCostUS).
 	EstCostUS float64 `json:"est_cost_us"`
 	// Cache reuse flags: the ci smoke greps result_cache_hit on a repeated
 	// query and build_cache_hit on a repeated join.

@@ -131,13 +131,19 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("peak workers %d exceeds budget 2", st.Admission.PeakWorkersInUse)
 	}
 
-	// Errors surface as JSON with 4xx status.
-	bad, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"projection":"nope","output":["x"]}`))
-	if err != nil {
-		t.Fatal(err)
+	// Errors surface as JSON with 4xx status. A plan that does not build —
+	// an explain's included, which is its query's request — answers before
+	// admission and takes no slot.
+	for _, bad := range []struct{ path, body string }{
+		{"/query", `{"projection":"nope","output":["x"]}`},
+		{"/explain", `{"projection":"lineitem","output":["nope"]}`},
+		{"/explain", `{"left":"orders","right":"customer","leftkey":"custkey","rightkey":"nope","leftout":["shipdate"],"rightout":["nationcode"]}`},
+	} {
+		if status, _, raw := postRaw(t, ts.URL+bad.path, bad.body); status != http.StatusBadRequest {
+			t.Errorf("%s %s: HTTP %d, want 400: %s", bad.path, bad.body, status, raw)
+		}
 	}
-	defer bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown projection: HTTP %d, want 400", bad.StatusCode)
+	if got := srv.Stats().Admission.Admitted; got != st.Admission.Admitted {
+		t.Errorf("requests that did not build were admitted: %d admissions, %d before them", got, st.Admission.Admitted)
 	}
 }

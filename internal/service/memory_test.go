@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,6 +232,48 @@ func TestJoinFaultCleanupAndRecovery(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > baseGoroutines+2 {
 		t.Errorf("goroutines did not settle: %d, started with %d", n, baseGoroutines)
+	}
+}
+
+// TestExplainJoinTakesTheJoinGrant: a served EXPLAIN of a join is the join's
+// request run observed, so it asks for the join's build-side bytes, takes the
+// same grant — a spill-mode one when allocation pressure refuses the full
+// estimate — runs the same Grace build, renders its spill line and counts in
+// /stats as a spilled join.
+func TestExplainJoinTakesTheJoinGrant(t *testing.T) {
+	defer faults.Reset()
+	srv := newServer(t, service.Config{WorkerBudget: 2, MemoryBudgetBytes: 64 << 20, ResultCacheBytes: -1})
+	sess := srv.NewSession()
+	ctx := context.Background()
+	faults.Enable("mem.reserve", faults.Failpoint{Mode: faults.Error})
+	join, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, joinReq(), matstore.RightMaterialized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, info, err := sess.ExplainJoin(ctx, tpch.OrdersProj, tpch.CustomerProj, joinReq(), matstore.RightMaterialized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Reset()
+	t.Logf("join: reserved=%d spilled=%v; explain: reserved=%d spilled=%v",
+		join.Info.ReservedBytes, join.Info.Spilled, info.ReservedBytes, info.Spilled)
+	if !join.Info.Spilled || join.Info.ReservedBytes <= 0 {
+		t.Fatalf("fixture join: reserved=%d spilled=%v, want a spill-mode grant", join.Info.ReservedBytes, join.Info.Spilled)
+	}
+	if info.ReservedBytes != join.Info.ReservedBytes {
+		t.Errorf("explain reserved %d bytes, the join %d", info.ReservedBytes, join.Info.ReservedBytes)
+	}
+	if !info.Spilled || !ex.JoinStats.Join.Spilled {
+		t.Errorf("explain: Info.Spilled=%v JoinStats.Join.Spilled=%v, want both", info.Spilled, ex.JoinStats.Join.Spilled)
+	}
+	if !strings.Contains(ex.String(), "spill:") {
+		t.Errorf("explain renders no spill line:\n%s", ex)
+	}
+	if got := srv.Stats().Memory.SpilledJoins; got != 2 {
+		t.Errorf("/stats spilled_joins = %d, want 2 (the join and its explain)", got)
+	}
+	if !reflect.DeepEqual(oracle.Columns(ex.Result), oracle.Columns(join.Res)) {
+		t.Error("explained result differs from the served join's")
 	}
 }
 

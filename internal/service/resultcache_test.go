@@ -182,7 +182,8 @@ func TestResultCacheConcurrentRepeats(t *testing.T) {
 	}
 }
 
-// TestCancelledRequestReleasesSlot: a request whose context is cancelled
+// TestCancelledRequestReleasesSlot: a request whose context is cancelled —
+// a selection, a join or either one's explain, all the same request path —
 // never executes, surfaces ctx's error, and leaves the admission gate
 // balanced for the next request.
 func TestCancelledRequestReleasesSlot(t *testing.T) {
@@ -190,11 +191,30 @@ func TestCancelledRequestReleasesSlot(t *testing.T) {
 	sess := srv.NewSession()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sess.Select(ctx, tpch.LineitemProj, selQuery(1200), matstore.LMParallel); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled select returned %v, want context.Canceled", err)
-	}
-	if _, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, joinReq(), matstore.RightMaterialized); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled join returned %v, want context.Canceled", err)
+	for _, rq := range []struct {
+		name string
+		call func() error
+	}{
+		{"select", func() error {
+			_, err := sess.Select(ctx, tpch.LineitemProj, selQuery(1200), matstore.LMParallel)
+			return err
+		}},
+		{"join", func() error {
+			_, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, joinReq(), matstore.RightMaterialized)
+			return err
+		}},
+		{"explain", func() error {
+			_, _, err := sess.Explain(ctx, tpch.LineitemProj, selQuery(1200), matstore.LMParallel)
+			return err
+		}},
+		{"join explain", func() error {
+			_, _, err := sess.ExplainJoin(ctx, tpch.OrdersProj, tpch.CustomerProj, joinReq(), matstore.RightMaterialized)
+			return err
+		}},
+	} {
+		if err := rq.call(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled %s returned %v, want context.Canceled", rq.name, err)
+		}
 	}
 	// The single slot and worker are free: a live request sails through.
 	out, err := sess.Select(context.Background(), tpch.LineitemProj, selQuery(1200), matstore.LMParallel)

@@ -24,10 +24,13 @@
 //     own; recency, byte charging and eviction are written once. A served
 //     database is read-only, so no cache tracks a projection's version:
 //     serving regenerated data means restarting the server.
-//   - One request path (Session.serve, below): result-cache lookup →
-//     estimate → admit → build the plan → run → put. Every served request
-//     builds its plan and runs it once; no plan outlives its request. Select,
-//     Join, Explain and ExplainJoin are shape adapters over it.
+//   - One request path (Session.serve, below): result-cache lookup → build
+//     the plan and price it (its cost and a join's build-side bytes, one
+//     walk) → admit on that price → run → put. Every served miss builds one
+//     plan, and the tree that is priced, admitted and explained is the tree
+//     that runs; no plan outlives its request. Select, Join, Explain and
+//     ExplainJoin are shape adapters over it: an explain is its query's
+//     request, run observed.
 //   - The front-ends (http.go, cmd/csserve; coord_*.go for the
 //     scatter-gather coordinator): HTTP JSON endpoints /query, /join,
 //     /explain and /stats.
@@ -47,6 +50,7 @@ import (
 	"matstore"
 	"matstore/internal/buffer"
 	"matstore/internal/core"
+	"matstore/internal/model"
 	"matstore/internal/obs"
 	"matstore/internal/operators"
 	"matstore/internal/plan"
@@ -259,8 +263,9 @@ type Info struct {
 	// Queued is the time spent blocked at the admission gate (waiting for
 	// bytes, a slot or a worker).
 	Queued time.Duration `json:"queued_nanos"`
-	// EstCostUS is the analytical model's total cost estimate the grant
-	// sizer used (0 when unavailable).
+	// EstCostUS is the price of the plan the request ran — the analytical
+	// model's serial total over that tree, warm pool — which sized its worker
+	// grant (0 for a result-cache hit).
 	EstCostUS float64 `json:"est_cost_us"`
 	// ResultCacheHit reports the request was answered entirely from the
 	// result cache; BuildCacheHit reports a shared join build reused during
@@ -297,6 +302,15 @@ type outcome struct {
 	ex   *matstore.Explanation
 }
 
+// joinStats is the join statistics of a run, served or explained (nil for a
+// selection).
+func (o outcome) joinStats() *matstore.JoinStats {
+	if o.ex != nil {
+		return o.ex.JoinStats
+	}
+	return o.join
+}
+
 // request is one request's shape on the serving path: what differs between
 // a selection, a join and their explains.
 type request struct {
@@ -306,25 +320,32 @@ type request struct {
 	// limit is the query's Limit: how many rows a cached result must hold to
 	// answer this request (0 = every row).
 	limit int
-	// estimate returns the model's cost (0 when unavailable) and the
-	// predicted working-set bytes the governor should reserve (0 for none).
-	estimate func() (costUS float64, estBytes int64)
-	// build constructs the plan; its errors are the request's fault. Nil for
-	// explains, which build their own tree.
+	// build constructs the plan; its errors are the request's fault.
 	build func() (*plan.Plan, error)
-	// run executes under the grant; espan is the request's "execute" span
-	// (nil when untraced).
-	run func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error)
+	// run executes the priced plan under the grant; espan is the request's
+	// "execute" span (nil when untraced).
+	run func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error)
 }
 
-// serve is the one request path: result-cache lookup → estimate → admit →
-// build the plan → run → put. key canonicalizes the query shape for the
-// result cache; an empty key bypasses the cache (explains). Cancelling ctx
-// abandons the request at the admission gate, between build and run, between
-// plan phases or between morsels.
+// priced is a request's one plan with its one price: the constants it was
+// priced under and the walk's estimate — the cost the grant sizer reads and
+// the build-side bytes the governor reserves. Its nodes carry their modeled
+// shares, for EXPLAIN and for the trace's modeled-vs-observed attributes.
+type priced struct {
+	pl     *plan.Plan
+	consts matstore.Constants
+	est    model.Estimate
+}
+
+// serve is the one request path: result-cache lookup → build and price the
+// plan → admit on that price → run → put. key canonicalizes the query shape
+// for the result cache; an empty key bypasses the cache (explains). A plan
+// that does not build answers before admission, holding nothing. Cancelling
+// ctx abandons the request at the admission gate, between plan phases or
+// between morsels.
 //
 // key travels beside rq, not in it, and nothing of rq is retained: that keeps
-// the shape's three closures on the caller's stack, so a result-cache hit
+// the shape's two closures on the caller's stack, so a result-cache hit
 // allocates nothing for a path it does not take.
 func (c *Session) serve(ctx context.Context, key string, rq request) (outcome, Info, error) {
 	s := c.srv
@@ -343,11 +364,21 @@ func (c *Session) serve(ctx context.Context, key string, rq request) (outcome, I
 			return e.outcome, info, nil
 		}
 	}
-	var estBytes int64
-	info.EstCostUS, estBytes = rq.estimate()
+
+	pspan := span.Child("plan.build")
+	pl, err := rq.build()
+	if err != nil {
+		pspan.End()
+		return outcome{}, info, badRequest(err)
+	}
+	pp := priced{pl: pl, consts: s.db.Constants()}
+	pp.est = pp.consts.AnnotatePlan(pl, true)
+	pspan.End()
+	info.EstCostUS = pp.est.Total()
+	estBytes := pp.est.BuildBytes
 
 	aspan := span.Child("admission")
-	g, release, err := s.gov.admit(ctx, ask{want: rq.want, costUS: info.EstCostUS, estBytes: estBytes})
+	g, release, err := s.gov.admit(ctx, ask{want: rq.want, priceUS: info.EstCostUS, estBytes: estBytes})
 	aspan.End()
 	if err != nil {
 		return outcome{}, info, err
@@ -366,23 +397,19 @@ func (c *Session) serve(ctx context.Context, key string, rq request) (outcome, I
 	s.queueWait.Observe(info.Queued.Seconds())
 	s.grants.Observe(float64(g.workers))
 
-	var pl *plan.Plan
-	if rq.build != nil {
-		pspan := span.Child("plan.build")
-		pl, err = rq.build()
-		pspan.End()
-		if err != nil {
-			return outcome{}, info, badRequest(err)
-		}
-		if err := ctx.Err(); err != nil {
-			return outcome{}, info, err // cancelled between build and run: the grant releases unused
-		}
-	}
 	espan := span.Child("execute")
-	out, err := rq.run(ctx, pl, g, espan)
+	out, err := rq.run(ctx, pp, g, espan)
 	espan.End()
 	if err != nil {
 		return outcome{}, info, err
+	}
+	if js := out.joinStats(); js != nil {
+		info.BuildCacheHit, info.Spilled = js.Join.BuildCacheHit, js.Join.Spilled
+		if js.Join.Spilled {
+			s.spilledJoins.Add(1)
+			s.spilledParts.Add(int64(js.Join.SpilledParts))
+			s.spillBytes.Add(js.Join.SpillBytes)
+		}
 	}
 	if cached {
 		s.results.put(&resultEntry{key: key, bytes: resultBytes(key, out), outcome: out})
@@ -390,24 +417,42 @@ func (c *Session) serve(ctx context.Context, key string, rq request) (outcome, I
 	return out, info, nil
 }
 
-// runOptions are a served plan's run options: cancellable, and observed
-// (with the model's per-node predictions annotated for the trace's
-// modeled-vs-observed attributes) exactly when the request is traced.
-func (s *Server) runOptions(ctx context.Context, pl *plan.Plan, espan *obs.Span, spill *operators.SpillConfig, limit int) plan.RunOptions {
-	if espan != nil {
-		consts := s.db.Constants()
-		consts.AnnotatePlan(pl, true)
+// runOptions are a served plan's run options: cancellable, capped at limit
+// rows, observed exactly when the request is traced, and under a spill-mode
+// grant a Grace join whose resident share the grant's bytes bound.
+func runOptions(ctx context.Context, pp priced, g grant, espan *obs.Span, limit int) plan.RunOptions {
+	opt := plan.RunOptions{Ctx: ctx, Observe: espan != nil, Limit: limit, Trace: espan}
+	if g.spill {
+		opt.Spill = &operators.SpillConfig{BudgetBytes: g.bytes, EstBytes: pp.est.BuildBytes}
 	}
-	return plan.RunOptions{Ctx: ctx, Observe: espan != nil, Spill: spill, Limit: limit, Trace: espan}
+	return opt
 }
 
-// costUS is an estimate's total in µs, 0 when the model could not make one
-// (the grant sizer then falls back to the fair share).
-func costUS(est matstore.Cost, err error) float64 {
+// selectPlan builds the plan strat runs for q over projection.
+func (s *Server) selectPlan(projection string, q matstore.Query, strat matstore.Strategy) (*plan.Plan, error) {
+	p, err := s.store.Projection(projection)
 	if err != nil {
-		return 0
+		return nil, err
 	}
-	return est.Total()
+	return s.exec.BuildPlan(p, q, strat)
+}
+
+// joinPlan builds the plan of the join left ⋈ right under rs, its build side
+// routed through the shared build cache.
+func (s *Server) joinPlan(left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*plan.Plan, error) {
+	lp, err := s.store.Projection(left)
+	if err != nil {
+		return nil, err
+	}
+	rp, err := s.store.Projection(right)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := s.exec.BuildJoinPlan(lp, rp, q, rs)
+	if err == nil && s.builds != nil {
+		pl.Builds = s.builds
+	}
+	return pl, err
 }
 
 // Select runs a selection/aggregation through the result cache and admission
@@ -415,18 +460,11 @@ func costUS(est matstore.Cost, err error) float64 {
 func (c *Session) Select(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*SelectResult, error) {
 	s := c.srv
 	out, info, err := c.serve(ctx, selectKey(projection, q, strat), request{
-		want:     q.Parallelism,
-		limit:    q.Limit,
-		estimate: func() (float64, int64) { return costUS(s.db.EstimateSelectCost(projection, q, strat)), 0 },
-		build: func() (*plan.Plan, error) {
-			p, err := s.store.Projection(projection)
-			if err != nil {
-				return nil, err
-			}
-			return s.exec.BuildPlan(p, q, strat)
-		},
-		run: func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
-			res, stats, err := s.exec.RunPlanWith(pl, strat, g.workers, s.runOptions(ctx, pl, espan, nil, q.Limit))
+		want:  q.Parallelism,
+		limit: q.Limit,
+		build: func() (*plan.Plan, error) { return s.selectPlan(projection, q, strat) },
+		run: func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error) {
+			res, stats, err := s.exec.RunPlanWith(pp.pl, strat, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
 			return outcome{res: res, sel: stats}, err
 		},
 	})
@@ -438,95 +476,52 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 
 // Join runs an equi-join through the result cache, admission control and the
 // shared build cache, which shares the partitioned hash side across queries
-// over the same inner table. The predicted bytes of the build
-// side are part of the one grant, held until the request finishes on every
-// path out; a spill-mode grant runs the build as a Grace join under it.
+// over the same inner table. The plan's predicted build-side bytes are part
+// of the one grant, held until the request finishes on every path out; a
+// spill-mode grant runs the build as a Grace join under it.
 func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*JoinResult, error) {
 	s := c.srv
-	var estBytes int64
 	out, info, err := c.serve(ctx, joinKey(left, right, q, rs), request{
 		want:  q.Parallelism,
 		limit: q.Limit,
-		estimate: func() (float64, int64) {
-			estBytes, _ = s.db.EstimateJoinMemory(right, q, rs)
-			return costUS(s.db.EstimateJoinCost(left, right, q, rs)), estBytes
-		},
-		build: func() (*plan.Plan, error) {
-			lp, err := s.store.Projection(left)
-			if err != nil {
-				return nil, err
-			}
-			rp, err := s.store.Projection(right)
-			if err != nil {
-				return nil, err
-			}
-			pl, err := s.exec.BuildJoinPlan(lp, rp, q, rs)
-			if err == nil && s.builds != nil {
-				pl.Builds = s.builds
-			}
-			return pl, err
-		},
-		run: func(ctx context.Context, pl *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
-			var spill *operators.SpillConfig
-			if g.spill {
-				spill = &operators.SpillConfig{BudgetBytes: g.bytes, EstBytes: estBytes}
-			}
-			res, stats, err := s.exec.RunJoinPlanWith(pl, g.workers, s.runOptions(ctx, pl, espan, spill, q.Limit))
-			if err == nil && stats.Join.Spilled {
-				s.spilledJoins.Add(1)
-				s.spilledParts.Add(int64(stats.Join.SpilledParts))
-				s.spillBytes.Add(stats.Join.SpillBytes)
-			}
+		build: func() (*plan.Plan, error) { return s.joinPlan(left, right, q, rs) },
+		run: func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error) {
+			res, stats, err := s.exec.RunJoinPlanWith(pp.pl, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
 			return outcome{res: res, join: stats}, err
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if !info.ResultCacheHit {
-		info.BuildCacheHit, info.Spilled = out.join.Join.BuildCacheHit, out.join.Join.Spilled
-	}
 	return &JoinResult{Res: out.res, Stats: out.join, Info: info}, nil
 }
 
-// Explain runs DB.Explain (selection) through admission control; the
-// observed run executes at the granted parallelism.
+// Explain is Select run observed: the same plan, price and grant, through
+// DB.ExplainPlan instead of the result cache.
 func (c *Session) Explain(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*matstore.Explanation, Info, error) {
 	s := c.srv
 	out, info, err := c.serve(ctx, "", request{
-		want:     q.Parallelism,
-		estimate: func() (float64, int64) { return costUS(s.db.EstimateSelectCost(projection, q, strat)), 0 },
-		run: func(_ context.Context, _ *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
-			p, err := s.store.Projection(projection)
-			if err == nil {
-				err = q.Validate(p)
-			}
-			if err != nil {
-				return outcome{}, badRequest(err)
-			}
-			q.Parallelism = g.workers
-			ex, err := s.db.ExplainTraced(projection, q, strat, espan)
+		want:  q.Parallelism,
+		build: func() (*plan.Plan, error) { return s.selectPlan(projection, q, strat) },
+		run: func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error) {
+			ex, err := s.db.ExplainPlan(pp.pl, strat, pp.consts, pp.est.Cost, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
 			return outcome{ex: ex}, err
 		},
 	})
 	return out.ex, info, err
 }
 
-// ExplainJoin runs DB.ExplainJoin through admission control. It asks for no
-// bytes: an explained join always builds in memory.
+// ExplainJoin is Join run observed: the same plan, price and grant — its
+// build-side bytes reserved, a Grace build when the grant is short, counted
+// in /stats like any spilled join — through DB.ExplainPlan instead of the
+// result cache.
 func (c *Session) ExplainJoin(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*matstore.Explanation, Info, error) {
 	s := c.srv
 	out, info, err := c.serve(ctx, "", request{
-		want:     q.Parallelism,
-		estimate: func() (float64, int64) { return costUS(s.db.EstimateJoinCost(left, right, q, rs)), 0 },
-		run: func(_ context.Context, _ *plan.Plan, g grant, espan *obs.Span) (outcome, error) {
-			for _, proj := range []string{left, right} {
-				if _, err := s.store.Projection(proj); err != nil {
-					return outcome{}, badRequest(err)
-				}
-			}
-			q.Parallelism = g.workers
-			ex, err := s.db.ExplainJoinTraced(left, right, q, rs, espan)
+		want:  q.Parallelism,
+		build: func() (*plan.Plan, error) { return s.joinPlan(left, right, q, rs) },
+		run: func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error) {
+			ex, err := s.db.ExplainPlan(pp.pl, 0, pp.consts, pp.est.Cost, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
 			return outcome{ex: ex}, err
 		},
 	})

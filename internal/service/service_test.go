@@ -316,10 +316,12 @@ func TestExplainThroughService(t *testing.T) {
 	}
 }
 
-// TestEstimateRacesServedPlans: the admission sizer prices a plan on every
-// request while other requests run plans of the same shape and a calibration
-// pass swaps the constants. Each estimate builds a tree of its own and the
-// pricing walk writes nowhere, so under -race this must be silent.
+// TestEstimateRacesServedPlans: served requests — selections, joins and
+// their explains — each annotate their own private tree with its price while
+// the advisors' estimators build and price trees of theirs over the same
+// shapes and a calibration pass swaps the constants. No tree is shared
+// between two of them and the pricing walk writes only into its own, so under
+// -race this must be silent.
 func TestEstimateRacesServedPlans(t *testing.T) {
 	db := openDB(t)
 	srv := service.New(db, cacheConfig(2, 8, true))
@@ -375,6 +377,14 @@ func TestEstimateRacesServedPlans(t *testing.T) {
 				gotJoin, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, join, matstore.RightMultiColumn)
 				if err != nil || !reflect.DeepEqual(oracle.Columns(gotJoin.Res), oracle.Columns(wantJoin.Res)) {
 					t.Errorf("served join differs (err %v)", err)
+				}
+				ex, _, err := sess.Explain(ctx, tpch.LineitemProj, sel, matstore.LMPipelined)
+				if err != nil || !reflect.DeepEqual(oracle.Columns(ex.Result), oracle.Columns(want.Res)) {
+					t.Errorf("served explain differs (err %v)", err)
+				}
+				jex, _, err := sess.ExplainJoin(ctx, tpch.OrdersProj, tpch.CustomerProj, join, matstore.RightMultiColumn)
+				if err != nil || !reflect.DeepEqual(oracle.Columns(jex.Result), oracle.Columns(wantJoin.Res)) {
+					t.Errorf("served join explain differs (err %v)", err)
 				}
 			}
 		}()

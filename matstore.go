@@ -239,39 +239,28 @@ func (db *DB) Select(projection string, q Query, s Strategy) (*Result, *Stats, e
 // Join runs an equi-join: left is the outer (probing) projection, right the
 // inner (hash-built) one, rs the inner-table materialization strategy.
 func (db *DB) Join(left, right string, q JoinQuery, rs RightStrategy) (*Result, *JoinStats, error) {
-	lp, err := db.inner.Projection(left)
+	pl, err := db.joinPlan(left, right, q, rs)
 	if err != nil {
 		return nil, nil, err
+	}
+	opt := plan.RunOptions{Limit: q.Limit}
+	if q.SpillBudgetBytes > 0 {
+		// A Grace build keeps at most the budget resident; pass B rebuilds the
+		// rest partition by partition from the stored key column.
+		opt.Spill = &operators.SpillConfig{BudgetBytes: q.SpillBudgetBytes, EstBytes: db.Constants().Price(pl, true).BuildBytes}
+	}
+	return db.exec.RunJoinPlanWith(pl, q.Parallelism, opt)
+}
+
+// joinPlan builds the plan of the join left ⋈ right under rs.
+func (db *DB) joinPlan(left, right string, q JoinQuery, rs RightStrategy) (*plan.Plan, error) {
+	lp, err := db.inner.Projection(left)
+	if err != nil {
+		return nil, err
 	}
 	rp, err := db.inner.Projection(right)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if q.SpillBudgetBytes > 0 {
-		pl, spill, err := db.spillJoinPlan(lp, rp, right, q, rs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return db.exec.RunJoinPlanWith(pl, q.Parallelism, plan.RunOptions{Spill: spill, Limit: q.Limit})
-	}
-	return db.exec.Join(lp, rp, q, rs)
-}
-
-// spillJoinPlan builds the join plan plus the Grace spill configuration for
-// a JoinQuery with SpillBudgetBytes set: the build side keeps at most the
-// budget resident, and pass B rebuilds the rest partition by partition from
-// the stored key column.
-func (db *DB) spillJoinPlan(lp, rp *storage.Projection, right string, q JoinQuery, rs RightStrategy) (*plan.Plan, *operators.SpillConfig, error) {
-	pl, err := db.exec.BuildJoinPlan(lp, rp, q, rs)
-	if err != nil {
-		return nil, nil, err
-	}
-	est, err := db.EstimateJoinMemory(right, q, rs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, &operators.SpillConfig{
-		BudgetBytes: q.SpillBudgetBytes,
-		EstBytes:    est,
-	}, nil
+	return db.exec.BuildJoinPlan(lp, rp, q, rs)
 }

@@ -121,8 +121,11 @@ func dirTree(t *testing.T, dir string) map[string]string {
 
 // TestEstimateJoinMemoryFromCatalog checks the public estimator wires catalog
 // statistics into the memory model: estimates are positive, ordered
-// single-column <= multi-column (hash entries only vs retained blocks), and
-// the materialized strategy pays for its dense payload arrays.
+// single-column <= multi-column (hash entries only vs retained blocks), the
+// materialized strategy pays for its dense payload arrays, and the estimate
+// is the build-side bytes the price walk reads off the JOINBUILD node of the
+// join plan itself — the bytes a served join reserves — for every strategy
+// and payload list.
 func TestEstimateJoinMemoryFromCatalog(t *testing.T) {
 	db := open(t)
 	q := matstore.JoinQuery{
@@ -142,6 +145,31 @@ func TestEstimateJoinMemoryFromCatalog(t *testing.T) {
 			t.Errorf("%v: estimate %d, want > 0", rs, n)
 		}
 		est[rs] = n
+	}
+	lp, err := db.Storage().Projection("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := db.Storage().Projection("customer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range [][]string{{"nationcode"}, {"nationcode", "custkey"}} {
+		pq := q
+		pq.RightOutput = out
+		for _, rs := range matstore.JoinStrategies {
+			n, err := db.EstimateJoinMemory("customer", pq, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := db.Exec().BuildJoinPlan(lp, rp, pq, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Constants().Price(pl, true).BuildBytes; got != n {
+				t.Errorf("%v %v: the price walk's BuildBytes = %d, EstimateJoinMemory = %d", out, rs, got, n)
+			}
+		}
 	}
 	if est[matstore.RightSingleColumn] > est[matstore.RightMultiColumn] {
 		t.Errorf("single-column %d > multi-column %d", est[matstore.RightSingleColumn], est[matstore.RightMultiColumn])
