@@ -5,7 +5,7 @@ import (
 
 	"matstore/internal/core"
 	"matstore/internal/exec"
-	"matstore/internal/model"
+	"matstore/internal/plan"
 )
 
 // Advice is the analytical model's evaluation of a query: the predicted
@@ -15,12 +15,18 @@ import (
 type Advice struct {
 	// Best is the strategy with the lowest predicted total cost.
 	Best Strategy
-	// Costs maps every strategy to its predicted cost.
+	// Costs maps every strategy that can run the query to its predicted cost.
 	Costs map[Strategy]Cost
 }
 
+// AdviseOrder is the order the advisor compares strategies in: the first
+// strictly cheaper one wins, so two strategies that build the same tree
+// resolve to the earlier.
+var AdviseOrder = core.AdviseOrder
+
 // Advise predicts per-strategy costs for q over a warm buffer pool using
-// the DB's current model constants (Table 2 until calibrated): it builds the
+// the DB's current model constants (Table 2 until calibrated): the one
+// chooser (model.Constants.Choose, which served requests call too) builds the
 // plan each strategy would run — no data is read — and prices it, so a
 // strategy's cost here, the serving layer's est_cost_us and EXPLAIN's
 // "modeled total" are the same number. The prediction is for serial
@@ -47,43 +53,26 @@ func (db *DB) AdviseWith(consts Constants, projection string, q Query, hot bool)
 	return db.advise(consts, projection, q, hot, 1)
 }
 
+// advise chooses among AdviseOrder's plans for q at the worker count.
 func (db *DB) advise(consts Constants, projection string, q Query, hot bool, workers int) (Advice, error) {
 	if len(q.Filters) == 0 {
 		return Advice{}, errors.New("matstore: Advise needs at least one filter")
 	}
-	costs := make([]Cost, len(core.AdviseOrder))
-	adv := Advice{Costs: make(map[Strategy]Cost, len(core.AdviseOrder))}
-	for i, s := range core.AdviseOrder {
-		est, err := db.price(consts, projection, q, s, hot)
-		if err != nil {
-			return Advice{}, err
-		}
-		costs[i] = consts.AtWorkers(est, workers)
-		adv.Costs[s] = costs[i]
-	}
-	adv.Best = core.AdviseOrder[model.Cheapest(costs)]
-	return adv, nil
-}
-
-// price builds the plan s would run for q and prices it.
-func (db *DB) price(consts Constants, projection string, q Query, s Strategy, hot bool) (model.Estimate, error) {
 	p, err := db.inner.Projection(projection)
 	if err != nil {
-		return model.Estimate{}, err
+		return Advice{}, err
 	}
-	pl, err := db.exec.BuildPlan(p, q, s)
+	best, plans, ests, err := consts.Choose(len(AdviseOrder), func(i int) (*plan.Plan, error) {
+		return db.exec.BuildPlan(p, q, AdviseOrder[i])
+	}, hot, workers)
 	if err != nil {
-		return model.Estimate{}, err
+		return Advice{}, err
 	}
-	return consts.Price(pl, hot), nil
-}
-
-// EstimateSelectCost predicts the serial cost (µs, warm pool) of running q
-// under strategy s using the DB's current constants. It builds the plan s
-// would run and prices it: catalog statistics only, no data read and nothing
-// shared with a running query. Unlike Advise it accepts filterless queries
-// (an ALLPOS or unpredicated-scan plan like any other).
-func (db *DB) EstimateSelectCost(projection string, q Query, s Strategy) (Cost, error) {
-	est, err := db.price(db.Constants(), projection, q, s, true)
-	return est.Cost, err
+	adv := Advice{Best: AdviseOrder[best], Costs: make(map[Strategy]Cost, len(AdviseOrder))}
+	for i, s := range AdviseOrder {
+		if plans[i] != nil {
+			adv.Costs[s] = consts.AtWorkers(ests[i], workers)
+		}
+	}
+	return adv, nil
 }

@@ -12,13 +12,14 @@ import (
 )
 
 // TestAdviseMatchesExplain is the guard that keeps a second composition of
-// the cost formulas from growing back: whatever the advisor, the estimators
-// or a served request's est_cost_us (the price its worker grant is sized
-// from) say a strategy costs must be the number EXPLAIN reports for the plan
-// that strategy runs — hot and cold, inside and outside the paper's
-// two-column shape — and two strategies that build the same tree must cost
-// the same. With the input-struct model beside the plan annotator it failed
-// on more than forty of these rows.
+// the cost formulas from growing back: whatever the advisor or a served
+// request's est_cost_us (the price its worker grant is sized from) say a
+// strategy costs must be the number EXPLAIN reports for the plan that
+// strategy runs — hot and cold, inside and outside the paper's two-column
+// shape — and two strategies that build the same tree must cost the same. An
+// advised served request must also run what the advisor picks: the chooser
+// is one. With the input-struct model beside the plan annotator it failed on
+// more than forty of these rows.
 func TestAdviseMatchesExplain(t *testing.T) {
 	db := paperScaleDB(t)
 	consts := db.Constants()
@@ -68,7 +69,11 @@ func TestAdviseMatchesExplain(t *testing.T) {
 	}
 	// Every shape is also served, the result cache off so that each request
 	// builds, prices and runs its plan: its est_cost_us is that plan's price.
-	sess := service.New(db, service.Config{ResultCacheBytes: -1}).NewSession()
+	// Advised, it is served over every candidate and must run the strategy
+	// the advisor picks at the server's worker budget.
+	srv := service.New(db, service.Config{ResultCacheBytes: -1})
+	budget := srv.Config().WorkerBudget
+	sess := srv.NewSession()
 	ctx := context.Background()
 	served := func(what string, info service.Info, ex *matstore.Explanation) {
 		t.Helper()
@@ -87,19 +92,16 @@ func TestAdviseMatchesExplain(t *testing.T) {
 			t.Fatalf("%s: %v", nq.name, err)
 		}
 		shapes := map[string]matstore.Strategy{}
+		explains := map[matstore.Strategy]*matstore.Explanation{}
 		for _, s := range matstore.Strategies {
 			ex, err := db.Explain(nq.proj, nq.q, s)
 			if err != nil {
 				t.Fatalf("%s %v: %v", nq.name, s, err)
 			}
+			explains[s] = ex
 			exHot, exCold := explained(ex)
 			same(fmt.Sprintf("%s %v Advise", nq.name, s), hot.Costs[s], exHot)
 			same(fmt.Sprintf("%s %v Advise cold", nq.name, s), cold.Costs[s], exCold)
-			est, err := db.EstimateSelectCost(nq.proj, nq.q, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same(fmt.Sprintf("%s %v EstimateSelectCost", nq.name, s), est, exHot)
 			out, err := sess.Select(ctx, nq.proj, nq.q, s)
 			if err != nil {
 				t.Fatal(err)
@@ -113,20 +115,27 @@ func TestAdviseMatchesExplain(t *testing.T) {
 			}
 			shapes[tree] = s
 		}
+		par, err := db.AdviseParallel(nq.proj, nq.q, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sess.Select(ctx, nq.proj, nq.q, matstore.AdviseOrder...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Stats.Strategy != par.Best {
+			t.Errorf("%s served advised: ran %v, AdviseParallel at %d workers picks %v", nq.name, out.Stats.Strategy, budget, par.Best)
+		}
+		served(fmt.Sprintf("%s served advised", nq.name), out.Info, explains[par.Best])
 	}
 
-	// A filterless scan is an estimate only (Advise rejects it).
+	// A filterless scan is served only (Advise rejects it).
 	scan := matstore.Query{Output: []string{tpch.ColRetflag}}
 	for _, s := range matstore.Strategies {
 		ex, err := db.Explain(tpch.LineitemProj, scan, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := db.EstimateSelectCost(tpch.LineitemProj, scan, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same(fmt.Sprintf("filterless scan %v EstimateSelectCost", s), est, ex.Modeled)
 		out, err := sess.Select(ctx, tpch.LineitemProj, scan, s)
 		if err != nil {
 			t.Fatal(err)
@@ -140,22 +149,29 @@ func TestAdviseMatchesExplain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var bestEx *matstore.Explanation
 		for _, rs := range matstore.JoinStrategies {
 			ex, err := db.ExplainJoin(tpch.OrdersProj, tpch.CustomerProj, q, rs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			same(fmt.Sprintf("fkJoin/%g %v AdviseJoin", sel, rs), adv.Costs[rs], ex.Modeled)
-			est, err := db.EstimateJoinCost(tpch.OrdersProj, tpch.CustomerProj, q, rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			same(fmt.Sprintf("fkJoin/%g %v EstimateJoinCost", sel, rs), est, ex.Modeled)
 			out, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, q, rs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			served(fmt.Sprintf("fkJoin/%g %v served", sel, rs), out.Info, ex)
+			if rs == adv.Best {
+				bestEx = ex
+			}
 		}
+		out, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, q, matstore.JoinStrategies...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Stats.RightStrategy != adv.Best {
+			t.Errorf("fkJoin/%g served advised: ran %v, AdviseJoin picks %v", sel, out.Stats.RightStrategy, adv.Best)
+		}
+		served(fmt.Sprintf("fkJoin/%g served advised", sel), out.Info, bestEx)
 	}
 }

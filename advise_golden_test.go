@@ -57,7 +57,8 @@ func paperScaleDB(t testing.TB) *matstore.DB {
 type goldenSelect struct {
 	// Best[i] is AdviseParallel(...).Best at goldenWorkers[i].
 	Best []string `json:"best"`
-	// EstUS maps strategy → EstimateSelectCost total (µs).
+	// EstUS maps strategy → its serial predicted total (µs):
+	// AdviseParallel(..., 1).Costs.
 	EstUS map[string]float64 `json:"est_us"`
 }
 
@@ -154,13 +155,11 @@ func TestAdviseGoldenOnCsperfShapes(t *testing.T) {
 				t.Fatalf("%s: %v", nq.name, err)
 			}
 			g.Best = append(g.Best, adv.Best.String())
-		}
-		for _, s := range matstore.Strategies {
-			c, err := db.EstimateSelectCost(nq.proj, nq.q, s)
-			if err != nil {
-				t.Fatalf("%s: %v", nq.name, err)
+			if w == 1 {
+				for s, c := range adv.Costs {
+					g.EstUS[s.String()] = c.Total()
+				}
 			}
-			g.EstUS[s.String()] = c.Total()
 		}
 		got.Selects[nq.name] = g
 	}
@@ -171,11 +170,7 @@ func TestAdviseGoldenOnCsperfShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := goldenJoin{Best: adv.Best.String(), EstUS: map[string]float64{}}
-		for _, rs := range matstore.JoinStrategies {
-			c, err := db.EstimateJoinCost(tpch.OrdersProj, tpch.CustomerProj, q, rs)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for rs, c := range adv.Costs {
 			g.EstUS[rs.String()] = c.Total()
 		}
 		got.Joins[fmt.Sprintf("fkJoin/%g", sel)] = g

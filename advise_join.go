@@ -14,7 +14,9 @@ import (
 type JoinAdvice struct {
 	// Best is the inner-table strategy with the lowest predicted total cost.
 	Best RightStrategy
-	// Costs maps every inner-table strategy to its predicted cost.
+	// Costs maps every inner-table strategy that can run the join (a
+	// semi-join, with no right outputs, builds materialized only) to its
+	// predicted cost.
 	Costs map[RightStrategy]Cost
 }
 
@@ -28,30 +30,20 @@ var JoinStrategies = model.JoinStrategies
 // the outer key's min/max, and the matches-per-key fan-out from the inner
 // key's distinct count (exact for the paper's foreign-key join).
 func (db *DB) AdviseJoin(left, right string, q JoinQuery) (JoinAdvice, error) {
-	costs := make([]Cost, len(JoinStrategies))
-	adv := JoinAdvice{Costs: make(map[RightStrategy]Cost, len(JoinStrategies))}
-	for i, rs := range JoinStrategies {
-		c, err := db.EstimateJoinCost(left, right, q, rs)
-		if err != nil {
-			return JoinAdvice{}, err
-		}
-		costs[i] = c
-		adv.Costs[rs] = c
-	}
-	adv.Best = JoinStrategies[model.Cheapest(costs)]
-	return adv, nil
-}
-
-// EstimateJoinCost predicts the end-to-end cost (µs, warm pool) of the join
-// under one inner-table strategy using the DB's current constants: it builds
-// the join plan that strategy would run and prices it, from catalog
-// statistics alone (the advisor's per-strategy price).
-func (db *DB) EstimateJoinCost(left, right string, q JoinQuery, rs RightStrategy) (Cost, error) {
-	pl, err := db.joinPlan(left, right, q, rs)
+	consts := db.Constants()
+	best, plans, ests, err := consts.Choose(len(JoinStrategies), func(i int) (*plan.Plan, error) {
+		return db.joinPlan(left, right, q, JoinStrategies[i])
+	}, true, 1)
 	if err != nil {
-		return Cost{}, err
+		return JoinAdvice{}, err
 	}
-	return db.Constants().Price(pl, true).Cost, nil
+	adv := JoinAdvice{Best: JoinStrategies[best], Costs: make(map[RightStrategy]Cost, len(JoinStrategies))}
+	for i, rs := range JoinStrategies {
+		if plans[i] != nil {
+			adv.Costs[rs] = ests[i].Cost
+		}
+	}
+	return adv, nil
 }
 
 // EstimateJoinMemory predicts the resident heap bytes the join's blocking

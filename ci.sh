@@ -96,6 +96,16 @@ test -z "$(ls internal/service/*.go | grep -v _test.go \
 	| xargs grep -lE 'EstimateSelectCost|EstimateJoinCost|EstimateJoinMemory|ExplainTraced|ExplainJoinTraced|Validate\(')"
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'spillJoinPlan|costUS|func \(q SelectQuery\) Validate|func \(r \*Result\) Rows' .)"
+# One chooser: model.Constants.Choose builds a request's candidate plans,
+# prices each once and picks, inside the served request's own plan build and
+# behind the library advisors and csmodel alike — so the service's production
+# files call no advisor, and neither the pick-by-index helper, the
+# per-strategy estimators nor the advisor's pricing helper may come back in
+# production code.
+test -z "$(ls internal/service/*.go | grep -v _test.go \
+	| xargs grep -lE 'Advise(Parallel|Join|With)?\(')"
+test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
+	'Cheapest|EstimateSelectCost|EstimateJoinCost|func \(db \*DB\) price\(' .)"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -194,6 +204,13 @@ bash cmd/csperf/bench.sh --workload paper_select --seed 1 --seconds 2 \
 # The same for paper_join: the join oracle, the Grace-spill class included.
 bash cmd/csperf/bench.sh --workload paper_join --seed 1 --seconds 2 \
 	| tail -n 1 | grep -q '"correct":true'
+# And for the served workloads, the ones whose requests take the advised path:
+# serve_hot (advised shapes answered from the result cache), serve_cold (half
+# its requests advised misses) and coord_mixed (through the coordinator).
+for w in serve_hot serve_cold coord_mixed; do
+	bash cmd/csperf/bench.sh --workload $w --seed 1 --seconds 2 \
+		| tail -n 1 | grep -q '"correct":true'
+done
 
 # The tuple-construction micro-benchmarks report allocations; printed here so
 # that a change which brings per-chunk or per-tuple allocation back shows in
@@ -241,10 +258,12 @@ go test -run xxx -bench 'BenchmarkJoin(Build|Probe|Spill)$' -benchtime 1x .
 # chunk; 3.7 through sized vectors, 6.6 when they grew from nil).
 go test -run 'TestCappedSelectAllocs$' -v ./internal/core | grep 'kB a request'
 # What a served request allocates beside it: a result-cache hit 2 (its reply),
-# a selection miss and a join miss about 100 and 70 on the service's test
-# dataset (118 and 98 while a miss priced a second tree of its own and walked
-# the catalog again for a join's bytes).
-go test -run 'TestServedRequestAllocs$' -v ./internal/service | grep 'allocations per request'
+# named or advised; a selection miss and a join miss about 100 and 70 on the
+# service's test dataset under a named strategy (118 and 98 while a miss
+# priced a second tree of its own and walked the catalog again for a join's
+# bytes), about 155 and 130 advised (an advised hit was 75 and 83 while the
+# advisor ran before the lookup).
+go test -run 'TestServedRequestAllocs$' -v ./internal/service | grep 'allocations per'
 # The serving stack's code lines (non-blank, non-comment, non-test: service,
 # buffer pool, the shared LRU, the build cache), printed next to the
 # allocation counts so that growth shows in the log of the PR that causes it
@@ -252,7 +271,8 @@ go test -run 'TestServedRequestAllocs$' -v ./internal/service | grep 'allocation
 # 3,092 before the plan cache, the demoted build tier and the zero-row and
 # cost-gated result tiers were deleted; 2,861 before the caches' projection
 # generations and the LRU's deletes were; 2,740 before a served request's
-# estimate, explain and spill setup became its one plan).
+# estimate, explain and spill setup became its one plan; 2,720 before the
+# advisors became one chooser).
 ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 	internal/operators/buildcache.go | grep -v _test.go | xargs cat \
 	| grep -v '^\s*$' | grep -v '^\s*//' | wc -l
@@ -260,7 +280,8 @@ ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 # plan builders: 1,497 before PR 17 deleted the input-struct composition).
 # 1,133 before the micro-measured constants, the word size and the ridge
 # solver were deleted; 1,048 before a served request's estimate, explain and
-# spill setup became its one plan.
+# spill setup became its one plan; 1,032 before the advisors became one
+# chooser.
 ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builders.go \
 	| grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 # And for the executor stack (the strategies' entry points, the plan executor,

@@ -20,12 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 
 	"matstore"
 	"matstore/internal/bench"
 	"matstore/internal/core"
 	"matstore/internal/encoding"
-	"matstore/internal/model"
 	"matstore/internal/plan"
 	"matstore/internal/tpch"
 )
@@ -86,21 +86,17 @@ func main() {
 	exec := core.NewExecutor(nil, core.Options{})
 	for _, sel := range bench.DefaultSelectivities {
 		q := bench.SelectionQuery(enc, sel, *agg)
-		costs := make([]model.Cost, len(core.AdviseOrder))
-		by := map[core.Strategy]model.Cost{}
-		for i, s := range core.AdviseOrder {
-			pl, err := exec.BuildPlanOn(table, q, s)
-			if err != nil {
-				log.Fatal(err)
-			}
-			costs[i] = consts.Price(pl, hot).Cost
-			by[s] = costs[i]
+		best, _, ests, err := consts.Choose(len(core.AdviseOrder), func(i int) (*plan.Plan, error) {
+			return exec.BuildPlanOn(table, q, core.AdviseOrder[i])
+		}, hot, 1)
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("%-12.3f", sel)
 		for _, s := range core.Strategies {
-			fmt.Printf("%16.3f", by[s].Total()/1e3)
+			fmt.Printf("%16.3f", ests[slices.Index(core.AdviseOrder, s)].Total()/1e3)
 		}
-		fmt.Printf("%18s\n", core.AdviseOrder[model.Cheapest(costs)])
+		fmt.Printf("%18s\n", core.AdviseOrder[best])
 	}
 }
 

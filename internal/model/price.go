@@ -1,6 +1,10 @@
 package model
 
-import "matstore/internal/plan"
+import (
+	"errors"
+
+	"matstore/internal/plan"
+)
 
 // This file is the model's one composition: Price walks the physical plan
 // the executor would run (a core.BuildPlan/BuildJoinPlan tree) and charges
@@ -10,7 +14,8 @@ import "matstore/internal/plan"
 // worker share and, for a join, its build-side bytes), Figure 10, EXPLAIN's
 // per-node column and the calibration features are all this walk over the
 // same tree, so a refit of the constants tunes exactly the function the
-// advisor steers on.
+// advisor steers on. And one procedure decides which candidate plan runs:
+// Choose, behind the library advisors, csmodel and every served request.
 
 // Cost is a decomposed cost in microseconds.
 type Cost = plan.Cost
@@ -147,19 +152,35 @@ func (m Constants) Speedup(e Estimate, workers int) float64 {
 	return e.Total() / par
 }
 
-// Cheapest returns the index of the lowest total in costs — the optimizer
-// decision procedure the paper proposes. The first strictly cheaper candidate
-// wins, so ties resolve to the earlier one (two strategies that build the
-// same tree get the same price; the caller's order decides).
-func Cheapest(costs []Cost) int {
-	best := 0
-	for i, c := range costs {
-		if c.Total() < costs[best].Total() {
+// Choose is the optimizer decision procedure the paper proposes: it builds
+// each of n candidate plans, prices each one that builds once — annotating
+// that candidate's own private tree, so the picked plan is ready to explain
+// and run — and returns the index of the lowest total at the given worker
+// count, with every candidate's plan and estimate (nil and zero for one that
+// did not build). The first strictly cheaper candidate wins, so ties resolve
+// to the earlier one (two strategies that build the same tree get the same
+// price; the caller's order decides). Choose fails only when no candidate
+// builds, with candidate 0's error — one candidate fails as its build does —
+// or when there is none.
+func (m Constants) Choose(n int, build func(i int) (*plan.Plan, error), hot bool, workers int) (best int, plans []*plan.Plan, ests []Estimate, err error) {
+	plans, ests, best, err = make([]*plan.Plan, n), make([]Estimate, n), -1, errNoCandidate
+	for i := range n {
+		pl, e := build(i)
+		if e != nil {
+			if i == 0 {
+				err = e
+			}
+			continue
+		}
+		plans[i], ests[i], err = pl, m.AnnotatePlan(pl, hot), nil
+		if best < 0 || m.AtWorkers(ests[i], workers).Total() < m.AtWorkers(ests[best], workers).Total() {
 			best = i
 		}
 	}
-	return best
+	return best, plans, ests, err
 }
+
+var errNoCandidate = errors.New("model: no candidate plan to choose from")
 
 type walker struct {
 	m      Constants

@@ -69,13 +69,21 @@ func priceSelection(t *testing.T, m Constants, tab core.Table, q core.SelectQuer
 	return m.Price(pl, hot)
 }
 
-// advise is the decision procedure over priced plans at a worker count.
+// advise is the decision procedure over the four strategies' plans at a
+// worker count: the pick and every candidate's cost at that count.
 func advise(t *testing.T, m Constants, tab core.Table, q core.SelectQuery, hot bool, workers int) (core.Strategy, []Cost) {
-	costs := make([]Cost, len(core.AdviseOrder))
-	for i, s := range core.AdviseOrder {
-		costs[i] = m.AtWorkers(priceSelection(t, m, tab, q, s, hot), workers)
+	t.Helper()
+	best, _, ests, err := m.Choose(len(core.AdviseOrder), func(i int) (*plan.Plan, error) {
+		return builder.BuildPlanOn(tab, q, core.AdviseOrder[i])
+	}, hot, workers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return core.AdviseOrder[Cheapest(costs)], costs
+	costs := make([]Cost, len(ests))
+	for i, e := range ests {
+		costs[i] = m.AtWorkers(e, workers)
+	}
+	return core.AdviseOrder[best], costs
 }
 
 func TestSelectionCostMonotoneInSelectivity(t *testing.T) {
@@ -214,9 +222,14 @@ func TestAdviseParallelPicksMinimum(t *testing.T) {
 			}
 		}
 	}
-	// Ties resolve to the earlier candidate.
-	if got := Cheapest([]Cost{{CPU: 2}, {CPU: 1}, {CPU: 1}}); got != 1 {
-		t.Errorf("Cheapest tie = %d, want the first of the cheapest (1)", got)
+	// Ties resolve to the earlier candidate: LM-parallel twice builds one
+	// tree at one price, both cheaper than EM-pipelined.
+	cands := []core.Strategy{core.EMPipelined, core.LMParallel, core.LMParallel}
+	best, _, ests, err := m.Choose(len(cands), func(i int) (*plan.Plan, error) {
+		return builder.BuildPlanOn(lineitemTable(), selection(0.1, false), cands[i])
+	}, true, 1)
+	if err != nil || best != 1 || ests[1].Total() != ests[2].Total() || ests[0].Total() <= ests[1].Total() {
+		t.Errorf("Choose tie = %d, %v (costs %v), want the first of the two cheapest equal plans (1)", best, err, ests)
 	}
 }
 
@@ -224,27 +237,36 @@ func TestAdviseParallelPicksMinimum(t *testing.T) {
 // FK join with one payload column a side, at outer selectivity sf.
 func joinCost(t *testing.T, m Constants, sf float64, rs operators.RightStrategy, hot bool) Cost {
 	t.Helper()
-	outer := plan.ColStats{Blocks: 2000, Tuples: 1_500_000, RunLen: 1, Min: 0, Max: 149_999, Distinct: 150_000}
-	inner := plan.ColStats{Blocks: 200, Tuples: 150_000, RunLen: 1, Min: 0, Max: 149_999, Distinct: 15_000}
-	orders := core.StatsTable("orders", 1_500_000, map[string]plan.ColStats{"custkey": outer, "shipdate": outer})
-	customer := core.StatsTable("customer", 150_000, map[string]plan.ColStats{"custkey": inner, "nationcode": inner})
-	pl, err := builder.BuildJoinPlanOn(orders, customer, core.JoinQuery{
-		LeftKey: "custkey", LeftPred: pred.LessThan(int64(sf * 150_000)), LeftOutput: []string{"shipdate"},
-		RightKey: "custkey", RightOutput: []string{"nationcode"},
-	}, rs)
+	pl, err := joinPlan(sf, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m.Price(pl, hot).Cost
 }
 
+// joinPlan builds the Figure 13 join plan under rs.
+func joinPlan(sf float64, rs operators.RightStrategy) (*plan.Plan, error) {
+	outer := plan.ColStats{Blocks: 2000, Tuples: 1_500_000, RunLen: 1, Min: 0, Max: 149_999, Distinct: 150_000}
+	inner := plan.ColStats{Blocks: 200, Tuples: 150_000, RunLen: 1, Min: 0, Max: 149_999, Distinct: 15_000}
+	orders := core.StatsTable("orders", 1_500_000, map[string]plan.ColStats{"custkey": outer, "shipdate": outer})
+	customer := core.StatsTable("customer", 150_000, map[string]plan.ColStats{"custkey": inner, "nationcode": inner})
+	return builder.BuildJoinPlanOn(orders, customer, core.JoinQuery{
+		LeftKey: "custkey", LeftPred: pred.LessThan(int64(sf * 150_000)), LeftOutput: []string{"shipdate"},
+		RightKey: "custkey", RightOutput: []string{"nationcode"},
+	}, rs)
+}
+
+// adviseJoin is the decision procedure over the three inner-table strategies'
+// plans: the pick and its serial cost.
 func adviseJoin(t *testing.T, m Constants, sf float64, hot bool) (operators.RightStrategy, Cost) {
-	costs := make([]Cost, len(JoinStrategies))
-	for i, rs := range JoinStrategies {
-		costs[i] = joinCost(t, m, sf, rs, hot)
+	t.Helper()
+	best, _, ests, err := m.Choose(len(JoinStrategies), func(i int) (*plan.Plan, error) {
+		return joinPlan(sf, JoinStrategies[i])
+	}, hot, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	best := Cheapest(costs)
-	return JoinStrategies[best], costs[best]
+	return JoinStrategies[best], ests[best].Cost
 }
 
 // TestAdviseJoinFigure13Shape pins the advisor's ordering of the three

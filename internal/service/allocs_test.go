@@ -9,18 +9,24 @@ import (
 )
 
 // TestServedRequestAllocs pins what a served request allocates on the
-// service's own path. A result-cache hit allocates its reply and nothing for
-// the plan, price, admission or run it skips (2 allocations). A miss builds
-// one plan, prices it in one walk — its cost and a join's build-side bytes —
-// admits on that price and runs it: a selection miss and a join miss
-// (distinct constants, a 100-row cap, one worker, the join's hash side a
-// build-cache hit) measured 101 and 72 allocations (76 for the join under
-// the race detector). The bounds are the measurements plus a tenth.
+// service's own path. A result-cache hit, named or advised, allocates its
+// reply and builds, prices, admits and runs nothing (2 allocations: the
+// lookup comes before the choice). A miss builds each candidate plan once,
+// prices each in one walk — its cost and a join's build-side bytes — picks
+// the cheapest, admits on that price and runs it: a selection miss and a
+// join miss (distinct constants, a 100-row cap, one worker, the join's hash
+// side a build-cache hit) measured 103 and 74 allocations under one named
+// strategy (78 for the join under the race detector) and 156 and 132 advised
+// (137 under the race detector). The named bounds are an earlier
+// measurement (101 and 72) plus a tenth; the advised ones this measurement
+// plus a tenth.
 func TestServedRequestAllocs(t *testing.T) {
 	const (
-		hitBound        = 2
-		selectMissBound = 111
-		joinMissBound   = 79
+		hitBound           = 2
+		selectMissBound    = 111
+		joinMissBound      = 79
+		advSelectMissBound = 171
+		advJoinMissBound   = 145
 	)
 	srv := newServer(t, fullConfig(1, 2))
 	sess := srv.NewSession()
@@ -35,16 +41,18 @@ func TestServedRequestAllocs(t *testing.T) {
 		q.LeftPred, q.Limit = matstore.LessThan(bound), 100
 		return q
 	}
-	mustSelect := func(q matstore.Query) {
-		if _, err := sess.Select(ctx, tpch.LineitemProj, q, matstore.LMParallel); err != nil {
+	mustSelect := func(q matstore.Query, strats ...matstore.Strategy) {
+		if _, err := sess.Select(ctx, tpch.LineitemProj, q, strats...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mustJoin := func(q matstore.JoinQuery) {
-		if _, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, q, matstore.RightMaterialized); err != nil {
+	mustJoin := func(q matstore.JoinQuery, rss ...matstore.RightStrategy) {
+		if _, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, q, rss...); err != nil {
 			t.Fatal(err)
 		}
 	}
+	named, advised := []matstore.Strategy{matstore.LMParallel}, matstore.AdviseOrder
+	namedJoin, advisedJoin := []matstore.RightStrategy{matstore.RightMaterialized}, matstore.JoinStrategies
 
 	// Every query is built before the count, so that only the request's own
 	// allocations are counted: the hits repeat one shape, the misses take a
@@ -55,21 +63,37 @@ func TestServedRequestAllocs(t *testing.T) {
 	for i := range sels {
 		sels[i], joins[i] = sel(int64(1300+i)), join(int64(101+i))
 	}
-	mustSelect(hotSel)
-	mustJoin(hotJoin)
-	selectHit := testing.AllocsPerRun(calls-1, func() { mustSelect(hotSel) })
-	joinHit := testing.AllocsPerRun(calls-1, func() { mustJoin(hotJoin) })
-	i := 0
-	selectMiss := testing.AllocsPerRun(calls-1, func() { mustSelect(sels[i]); i++ })
-	i = 0
-	joinMiss := testing.AllocsPerRun(calls-1, func() { mustJoin(joins[i]); i++ })
+	hit := func(q matstore.Query, strats []matstore.Strategy, jq matstore.JoinQuery, rss []matstore.RightStrategy) (float64, float64) {
+		mustSelect(q, strats...)
+		mustJoin(jq, rss...)
+		return testing.AllocsPerRun(calls-1, func() { mustSelect(q, strats...) }),
+			testing.AllocsPerRun(calls-1, func() { mustJoin(jq, rss...) })
+	}
+	miss := func(strats []matstore.Strategy, rss []matstore.RightStrategy) (float64, float64) {
+		i := 0
+		s := testing.AllocsPerRun(calls-1, func() { mustSelect(sels[i], strats...); i++ })
+		i = 0
+		j := testing.AllocsPerRun(calls-1, func() { mustJoin(joins[i], rss...); i++ })
+		return s, j
+	}
+	selectHit, joinHit := hit(hotSel, named, hotJoin, namedJoin)
+	advSelectHit, advJoinHit := hit(sel(1250), advised, join(90), advisedJoin)
+	selectMiss, joinMiss := miss(named, namedJoin)
+	advSelectMiss, advJoinMiss := miss(advised, advisedJoin)
 	t.Logf("allocations per request: select hit %.1f, join hit %.1f, select miss %.1f, join miss %.1f",
 		selectHit, joinHit, selectMiss, joinMiss)
-	if selectHit > hitBound || joinHit > hitBound {
-		t.Errorf("a result-cache hit allocates %.1f (select) and %.1f (join), want at most %d", selectHit, joinHit, hitBound)
+	t.Logf("allocations per advised request: select hit %.1f, join hit %.1f, select miss %.1f, join miss %.1f",
+		advSelectHit, advJoinHit, advSelectMiss, advJoinMiss)
+	if selectHit > hitBound || joinHit > hitBound || advSelectHit > hitBound || advJoinHit > hitBound {
+		t.Errorf("a result-cache hit allocates %.1f (select) and %.1f (join), advised %.1f and %.1f, want at most %d",
+			selectHit, joinHit, advSelectHit, advJoinHit, hitBound)
 	}
 	if selectMiss > selectMissBound || joinMiss > joinMissBound {
 		t.Errorf("a miss allocates %.1f (select) and %.1f (join), want at most %d and %d",
 			selectMiss, joinMiss, selectMissBound, joinMissBound)
+	}
+	if advSelectMiss > advSelectMissBound || advJoinMiss > advJoinMissBound {
+		t.Errorf("an advised miss allocates %.1f (select) and %.1f (join), want at most %d and %d",
+			advSelectMiss, advJoinMiss, advSelectMissBound, advJoinMissBound)
 	}
 }

@@ -36,7 +36,11 @@ const TraceIDHeader = "X-CS-Trace-Id"
 // where is a list of "col<op>value" strings (ParseWhere syntax); /join
 // accepts at most one, over the outer join key. strategy accepts the four
 // strategy names or "advise" (the cost model picks); rightstrategy accepts
-// the three right-side names or "advise" (the Section 4.3 terms pick).
+// the three right-side names or "advise" (the Section 4.3 terms pick). An
+// advised request is its own cached shape: it is looked up before anything is
+// built, and on a miss its candidates are built and priced once, inside the
+// request's plan build, and the cheapest runs (a candidate that does not
+// build — a semi-join's non-materialized strategies — is passed over).
 // A /query or /join request that accepts partialContentType — a coordinator's
 // fan-out — is answered in the column-major partial form of wire.go.
 
@@ -269,14 +273,15 @@ func ensureTraceID(w http.ResponseWriter, r *http.Request) string {
 // list (aggregations have no rows to tag).
 func (r QueryRequest) rowIDs() bool { return r.RowIDs && r.GroupBy == "" && r.AggCol == "" }
 
-// resolveQuery parses a request body into the engine's query and strategy,
-// consulting the cost model for "advise" (the advisor needs at least one
-// filter; it falls back to LM-parallel otherwise, the paper's all-round
-// default). Every error is the request's fault.
-func (s *Server) resolveQuery(r QueryRequest) (q matstore.Query, strat matstore.Strategy, err error) {
+// resolveQuery parses a request body into the engine's query and its
+// candidate strategies: the named one, every strategy in AdviseOrder for
+// "advise" (the model picks among them inside the request's plan build; a
+// filterless "advise" takes LM-parallel, the paper's all-round default, as
+// "" does). Every error is the request's fault.
+func resolveQuery(r QueryRequest) (q matstore.Query, strats []matstore.Strategy, err error) {
 	filters, err := parseWhereList(r.Where)
 	if err != nil {
-		return q, 0, err
+		return q, nil, err
 	}
 	q = matstore.Query{
 		Output:      r.Output,
@@ -288,26 +293,20 @@ func (s *Server) resolveQuery(r QueryRequest) (q matstore.Query, strat matstore.
 	}
 	if r.Agg != "" {
 		if q.Agg, err = matstore.ParseAggFunc(r.Agg); err != nil {
-			return q, 0, err
+			return q, nil, err
 		}
 	}
 	if r.rowIDs() {
 		q.Output = append(append([]string{}, q.Output...), storage.RowIDColumn)
 	}
-	switch r.Strategy {
-	case "", "advise":
-		strat = matstore.LMParallel
-		if r.Strategy == "advise" && len(q.Filters) > 0 {
-			adv, err := s.db.AdviseParallel(r.Projection, q, s.cfg.WorkerBudget)
-			if err != nil {
-				return q, 0, err
-			}
-			strat = adv.Best
-		}
-	default:
-		strat, err = matstore.ParseStrategy(r.Strategy)
+	switch {
+	case r.Strategy == "advise" && len(q.Filters) > 0:
+		return q, matstore.AdviseOrder, nil
+	case r.Strategy == "" || r.Strategy == "advise":
+		return q, []matstore.Strategy{matstore.LMParallel}, nil
 	}
-	return q, strat, err
+	strat, err := matstore.ParseStrategy(r.Strategy)
+	return q, []matstore.Strategy{strat}, err
 }
 
 // front is what the engine server and the coordinator share at the HTTP
@@ -444,13 +443,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	q, strat, err := s.resolveQuery(req)
+	q, strats, err := resolveQuery(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	x := s.begin(w, r, tid, "query", req.shape(), req.Trace)
-	out, err := s.NewSession().Select(x.context(r.Context()), req.Projection, q, strat)
+	out, err := s.NewSession().Select(x.context(r.Context()), req.Projection, q, strats...)
 	if err != nil {
 		x.fail(err)
 		return
@@ -469,9 +468,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	x.reply(resp, &resp.Trace, out.Stats.Wall, modelDelta(out.Stats.Wall, out.Info.EstCostUS))
 }
 
-// resolveJoin parses a join body into the engine's query and inner-table
-// strategy, consulting the Section 4.3 cost terms for "advise".
-func (s *Server) resolveJoin(r JoinRequest) (q matstore.JoinQuery, rs matstore.RightStrategy, err error) {
+// resolveJoin parses a join body into the engine's query and its candidate
+// inner-table strategies: the named one, right-materialized for "", and all
+// of JoinStrategies for "advise" (the Section 4.3 terms pick among them
+// inside the request's plan build).
+func resolveJoin(r JoinRequest) (q matstore.JoinQuery, rss []matstore.RightStrategy, err error) {
 	q = matstore.JoinQuery{
 		LeftKey:     r.LeftKey,
 		LeftPred:    matstore.MatchAll,
@@ -483,34 +484,29 @@ func (s *Server) resolveJoin(r JoinRequest) (q matstore.JoinQuery, rs matstore.R
 	}
 	filters, err := parseWhereList(r.Where)
 	if err != nil {
-		return q, 0, err
+		return q, nil, err
 	}
 	switch len(filters) {
 	case 0:
 	case 1:
 		if filters[0].Col != q.LeftKey {
-			return q, 0, fmt.Errorf("join where must predicate the outer join key %q, got %q", q.LeftKey, filters[0].Col)
+			return q, nil, fmt.Errorf("join where must predicate the outer join key %q, got %q", q.LeftKey, filters[0].Col)
 		}
 		q.LeftPred = filters[0].Pred
 	default:
-		return q, 0, fmt.Errorf("join accepts at most one where predicate, got %d", len(filters))
+		return q, nil, fmt.Errorf("join accepts at most one where predicate, got %d", len(filters))
 	}
 	if r.RowIDs {
 		q.LeftOutput = append(append([]string{}, q.LeftOutput...), storage.RowIDColumn)
 	}
 	switch r.RightStrategy {
 	case "":
-		rs = matstore.RightMaterialized
+		return q, []matstore.RightStrategy{matstore.RightMaterialized}, nil
 	case "advise":
-		adv, err := s.db.AdviseJoin(r.Left, r.Right, q)
-		if err != nil {
-			return q, 0, err
-		}
-		rs = adv.Best
-	default:
-		rs, err = matstore.ParseRightStrategy(r.RightStrategy)
+		return q, matstore.JoinStrategies, nil
 	}
-	return q, rs, err
+	rs, err := matstore.ParseRightStrategy(r.RightStrategy)
+	return q, []matstore.RightStrategy{rs}, err
 }
 
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
@@ -519,13 +515,13 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	q, rs, err := s.resolveJoin(req)
+	q, rss, err := resolveJoin(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	x := s.begin(w, r, tid, "join", req.shape(), req.Trace)
-	out, err := s.NewSession().Join(x.context(r.Context()), req.Left, req.Right, q, rs)
+	out, err := s.NewSession().Join(x.context(r.Context()), req.Left, req.Right, q, rss...)
 	if err != nil {
 		x.fail(err)
 		return
@@ -567,18 +563,18 @@ func (s *Server) resolveExplain(raw json.RawMessage) (shape string, traced bool,
 		if err = json.Unmarshal(raw, &req); err != nil {
 			return "", false, nil, err
 		}
-		q, rs, err := s.resolveJoin(req)
+		q, rss, err := resolveJoin(req)
 		return req.shape(), probe.Trace, func(c *Session, ctx context.Context) (*matstore.Explanation, Info, error) {
-			return c.ExplainJoin(ctx, req.Left, req.Right, q, rs)
+			return c.ExplainJoin(ctx, req.Left, req.Right, q, rss...)
 		}, err
 	}
 	var req QueryRequest
 	if err = json.Unmarshal(raw, &req); err != nil {
 		return "", false, nil, err
 	}
-	q, strat, err := s.resolveQuery(req)
+	q, strats, err := resolveQuery(req)
 	return req.shape(), probe.Trace, func(c *Session, ctx context.Context) (*matstore.Explanation, Info, error) {
-		return c.Explain(ctx, req.Projection, q, strat)
+		return c.Explain(ctx, req.Projection, q, strats...)
 	}, err
 }
 

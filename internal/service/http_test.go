@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -96,6 +97,22 @@ func TestHTTPEndpoints(t *testing.T) {
 			`"leftout":["shipdate"],"rightout":["nationcode"],"where":["custkey<10"],"rightstrategy":"advise"}`, &ja)
 	if ja.Strategy == "" {
 		t.Error("advised join reported no strategy")
+	}
+	// An advised semi-join (no right outputs) runs the one strategy that
+	// builds it, with the rows and checksum of the default.
+	semi := `{"left":"orders","right":"customer","leftkey":"custkey","rightkey":"custkey",` +
+		`"leftout":["shipdate"],"where":["custkey<300"],"rightstrategy":"%s"}`
+	var jsAdv, jsDef service.QueryResponse
+	var jsEx service.ExplainResponse
+	postJSON(t, ts.URL+"/join", fmt.Sprintf(semi, "advise"), &jsAdv)
+	postJSON(t, ts.URL+"/join", fmt.Sprintf(semi, ""), &jsDef)
+	postJSON(t, ts.URL+"/explain", fmt.Sprintf(semi, "advise"), &jsEx)
+	if jsAdv.Strategy != "right-materialized" || jsAdv.RowCount != jsDef.RowCount || jsAdv.Checksum != jsDef.Checksum {
+		t.Errorf("advised semi-join: %s %d/%d, default %s %d/%d",
+			jsAdv.Strategy, jsAdv.RowCount, jsAdv.Checksum, jsDef.Strategy, jsDef.RowCount, jsDef.Checksum)
+	}
+	if jsEx.RowCount != jsDef.RowCount || !strings.Contains(jsEx.Tree, "JOINBUILD") {
+		t.Errorf("advised semi-join explain: %d rows, default %d:\n%s", jsEx.RowCount, jsDef.RowCount, jsEx.Tree)
 	}
 
 	// /explain, selection and join shapes.

@@ -7,9 +7,13 @@ import (
 )
 
 // The result cache's keys: each canonicalizes a query shape into one string,
-// every user-supplied name length-prefixed. The executor's options are fixed
-// per server and parallelism is a run-time argument, not part of the shape, so
-// both stay out of the key.
+// every user-supplied name length-prefixed. The shape includes its candidate
+// strategies: a named strategy is a list of one, an advised request lists
+// every candidate, so an advised request is its own cached shape, looked up
+// before anything is built or priced, and never answered by (or answering) a
+// named strategy's entry. The executor's options are fixed per server and
+// parallelism is a run-time argument, not part of the shape, so both stay out
+// of the key.
 
 // keyStr appends one user-supplied string length-prefixed, so names
 // containing the key's own delimiters can never make two different request
@@ -32,6 +36,16 @@ func keyList(b []byte, items []string) []byte {
 	return append(b, ']')
 }
 
+// keyStrategies appends a candidate strategy list, each followed by ',', then
+// '|'.
+func keyStrategies[S ~uint8](b []byte, ss []S) []byte {
+	for _, s := range ss {
+		b = strconv.AppendInt(b, int64(s), 10)
+		b = append(b, ',')
+	}
+	return append(b, '|')
+}
+
 // keyPred appends a predicate as its operator and two bounds, then end.
 func keyPred(b []byte, p matstore.Predicate, end byte) []byte {
 	b = strconv.AppendInt(b, int64(p.Op), 10)
@@ -45,11 +59,10 @@ func keyPred(b []byte, p matstore.Predicate, end byte) []byte {
 // selectKey canonicalizes a selection/aggregation query shape. Filter order
 // is semantically significant (it decides pipelined plan shape and fusion
 // groups), so it is preserved, not sorted.
-func selectKey(proj string, q matstore.Query, s matstore.Strategy) string {
+func selectKey(proj string, q matstore.Query, strats ...matstore.Strategy) string {
 	b := make([]byte, 0, 128)
 	b = append(b, "s|"...)
-	b = strconv.AppendInt(b, int64(s), 10)
-	b = append(b, '|')
+	b = keyStrategies(b, strats)
 	b = keyStr(b, proj)
 	b = keyList(b, q.Output)
 	b = keyStr(b, q.GroupBy)
@@ -65,11 +78,10 @@ func selectKey(proj string, q matstore.Query, s matstore.Strategy) string {
 }
 
 // joinKey canonicalizes a join query shape.
-func joinKey(left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) string {
+func joinKey(left, right string, q matstore.JoinQuery, rss ...matstore.RightStrategy) string {
 	b := make([]byte, 0, 128)
 	b = append(b, "j|"...)
-	b = strconv.AppendInt(b, int64(rs), 10)
-	b = append(b, '|')
+	b = keyStrategies(b, rss)
 	b = keyStr(b, left)
 	b = keyStr(b, right)
 	b = keyStr(b, q.LeftKey)

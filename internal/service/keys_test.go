@@ -10,7 +10,8 @@ import (
 )
 
 // fmtSelectKey, fmtJoinKey and fmtJoinShape are the keys and the join shape
-// as they were built with fmt; the appenders must produce the same strings.
+// as they were built with fmt, the keys over a candidate strategy list; the
+// appenders must produce the same strings.
 func fmtKeyStr(b *strings.Builder, s string) { fmt.Fprintf(b, "%d:%s;", len(s), s) }
 
 func fmtKeyList(b *strings.Builder, items []string) {
@@ -21,9 +22,17 @@ func fmtKeyList(b *strings.Builder, items []string) {
 	b.WriteString("]")
 }
 
-func fmtSelectKey(proj string, q matstore.Query, s matstore.Strategy) string {
+func fmtStrategies[S ~uint8](b *strings.Builder, ss []S) {
+	for _, s := range ss {
+		fmt.Fprintf(b, "%d,", s)
+	}
+	b.WriteString("|")
+}
+
+func fmtSelectKey(proj string, q matstore.Query, ss ...matstore.Strategy) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "s|%d|", s)
+	b.WriteString("s|")
+	fmtStrategies(&b, ss)
 	fmtKeyStr(&b, proj)
 	fmtKeyList(&b, q.Output)
 	fmtKeyStr(&b, q.GroupBy)
@@ -36,9 +45,10 @@ func fmtSelectKey(proj string, q matstore.Query, s matstore.Strategy) string {
 	return b.String()
 }
 
-func fmtJoinKey(left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) string {
+func fmtJoinKey(left, right string, q matstore.JoinQuery, rss ...matstore.RightStrategy) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "j|%d|", rs)
+	b.WriteString("j|")
+	fmtStrategies(&b, rss)
 	fmtKeyStr(&b, left)
 	fmtKeyStr(&b, right)
 	fmtKeyStr(&b, q.LeftKey)
@@ -59,7 +69,9 @@ func fmtJoinShape(r JoinRequest) string {
 
 // TestCacheKeysMatchFmt: the cache keys and the join shape are built without
 // fmt, into the very strings fmt built — names holding the keys' delimiters,
-// empty lists, negative and extreme constants included.
+// empty lists, negative and extreme constants and advised candidate lists
+// included — and an advised shape never shares a key with the same shape
+// under any named strategy.
 func TestCacheKeysMatchFmt(t *testing.T) {
 	between := matstore.InRange(math.MinInt64, math.MaxInt64)
 	selects := []struct {
@@ -78,6 +90,15 @@ func TestCacheKeysMatchFmt(t *testing.T) {
 		if got, want := selectKey(c.proj, c.q, c.strat), fmtSelectKey(c.proj, c.q, c.strat); got != want {
 			t.Errorf("selectKey = %q, fmt built %q", got, want)
 		}
+		advised := selectKey(c.proj, c.q, matstore.AdviseOrder...)
+		if want := fmtSelectKey(c.proj, c.q, matstore.AdviseOrder...); advised != want {
+			t.Errorf("advised selectKey = %q, fmt built %q", advised, want)
+		}
+		for _, s := range matstore.Strategies {
+			if named := selectKey(c.proj, c.q, s); named == advised {
+				t.Errorf("advised selectKey equals %v's: %q", s, named)
+			}
+		}
 	}
 	joins := []struct {
 		left, right string
@@ -92,6 +113,15 @@ func TestCacheKeysMatchFmt(t *testing.T) {
 	for _, c := range joins {
 		if got, want := joinKey(c.left, c.right, c.q, c.rs), fmtJoinKey(c.left, c.right, c.q, c.rs); got != want {
 			t.Errorf("joinKey = %q, fmt built %q", got, want)
+		}
+		advised := joinKey(c.left, c.right, c.q, matstore.JoinStrategies...)
+		if want := fmtJoinKey(c.left, c.right, c.q, matstore.JoinStrategies...); advised != want {
+			t.Errorf("advised joinKey = %q, fmt built %q", advised, want)
+		}
+		for _, rs := range matstore.JoinStrategies {
+			if named := joinKey(c.left, c.right, c.q, rs); named == advised {
+				t.Errorf("advised joinKey equals %v's: %q", rs, named)
+			}
 		}
 		r := JoinRequest{Left: c.left, Right: c.right, LeftKey: c.q.LeftKey, RightKey: c.q.RightKey}
 		for _, where := range [][]string{nil, {"custkey<300"}, {"a=1", "b%d"}} {

@@ -25,11 +25,14 @@
 //     database is read-only, so no cache tracks a projection's version:
 //     serving regenerated data means restarting the server.
 //   - One request path (Session.serve, below): result-cache lookup → build
-//     the plan and price it (its cost and a join's build-side bytes, one
-//     walk) → admit on that price → run → put. Every served miss builds one
-//     plan, and the tree that is priced, admitted and explained is the tree
-//     that runs; no plan outlives its request. Select, Join, Explain and
-//     ExplainJoin are shape adapters over it: an explain is its query's
+//     the request's candidate plans, price each once (its cost and a join's
+//     build-side bytes, one walk) and pick the cheapest → admit on that price
+//     → run → put. A named strategy is one candidate; an advised request is
+//     every strategy, its own cached shape, so a hit builds and prices
+//     nothing. The one chooser (model.Constants.Choose) is the library
+//     advisors' too, and the tree it picks is the tree that is admitted,
+//     explained and run; no plan outlives its request. Select, Join, Explain
+//     and ExplainJoin are shape adapters over it: an explain is its query's
 //     request, run observed.
 //   - The front-ends (http.go, cmd/csserve; coord_*.go for the
 //     scatter-gather coordinator): HTTP JSON endpoints /query, /join,
@@ -320,29 +323,35 @@ type request struct {
 	// limit is the query's Limit: how many rows a cached result must hold to
 	// answer this request (0 = every row).
 	limit int
-	// build constructs the plan; its errors are the request's fault.
-	build func() (*plan.Plan, error)
-	// run executes the priced plan under the grant; espan is the request's
-	// "execute" span (nil when untraced).
+	// n is the number of candidate plans (one for a named strategy, one per
+	// strategy for an advised request); build(i) constructs candidate i, and
+	// its errors are the request's fault.
+	n     int
+	build func(i int) (*plan.Plan, error)
+	// run executes the picked, priced plan under the grant; espan is the
+	// request's "execute" span (nil when untraced).
 	run func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error)
 }
 
-// priced is a request's one plan with its one price: the constants it was
-// priced under and the walk's estimate — the cost the grant sizer reads and
-// the build-side bytes the governor reserves. Its nodes carry their modeled
-// shares, for EXPLAIN and for the trace's modeled-vs-observed attributes.
+// priced is the plan a request picked, with its one price: which candidate
+// it is, the constants it was priced under and the walk's estimate — the
+// cost the grant sizer reads and the build-side bytes the governor reserves.
+// Its nodes carry their modeled shares, for EXPLAIN and for the trace's
+// modeled-vs-observed attributes.
 type priced struct {
+	pick   int
 	pl     *plan.Plan
 	consts matstore.Constants
 	est    model.Estimate
 }
 
-// serve is the one request path: result-cache lookup → build and price the
-// plan → admit on that price → run → put. key canonicalizes the query shape
-// for the result cache; an empty key bypasses the cache (explains). A plan
-// that does not build answers before admission, holding nothing. Cancelling
-// ctx abandons the request at the admission gate, between plan phases or
-// between morsels.
+// serve is the one request path: result-cache lookup → build the candidate
+// plans, price each once and pick the cheapest (model.Constants.Choose, at
+// the worker budget) → admit on that price → run → put. key canonicalizes the
+// query shape — its candidate list included — for the result cache; an empty
+// key bypasses the cache (explains). A request none of whose candidates
+// builds answers before admission, holding nothing. Cancelling ctx abandons
+// the request at the admission gate, between plan phases or between morsels.
 //
 // key travels beside rq, not in it, and nothing of rq is retained: that keeps
 // the shape's two closures on the caller's stack, so a result-cache hit
@@ -366,14 +375,13 @@ func (c *Session) serve(ctx context.Context, key string, rq request) (outcome, I
 	}
 
 	pspan := span.Child("plan.build")
-	pl, err := rq.build()
+	pp := priced{consts: s.db.Constants()}
+	pick, plans, ests, err := pp.consts.Choose(rq.n, rq.build, true, s.cfg.WorkerBudget)
+	pspan.End()
 	if err != nil {
-		pspan.End()
 		return outcome{}, info, badRequest(err)
 	}
-	pp := priced{pl: pl, consts: s.db.Constants()}
-	pp.est = pp.consts.AnnotatePlan(pl, true)
-	pspan.End()
+	pp.pick, pp.pl, pp.est = pick, plans[pick], ests[pick]
 	info.EstCostUS = pp.est.Total()
 	estBytes := pp.est.BuildBytes
 
@@ -456,15 +464,17 @@ func (s *Server) joinPlan(left, right string, q matstore.JoinQuery, rs matstore.
 }
 
 // Select runs a selection/aggregation through the result cache and admission
-// control.
-func (c *Session) Select(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*SelectResult, error) {
+// control under the cheapest of the candidate strategies: one names the
+// strategy, AdviseOrder lets the model pick.
+func (c *Session) Select(ctx context.Context, projection string, q matstore.Query, strats ...matstore.Strategy) (*SelectResult, error) {
 	s := c.srv
-	out, info, err := c.serve(ctx, selectKey(projection, q, strat), request{
+	out, info, err := c.serve(ctx, selectKey(projection, q, strats...), request{
 		want:  q.Parallelism,
 		limit: q.Limit,
-		build: func() (*plan.Plan, error) { return s.selectPlan(projection, q, strat) },
+		n:     len(strats),
+		build: func(i int) (*plan.Plan, error) { return s.selectPlan(projection, q, strats[i]) },
 		run: func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error) {
-			res, stats, err := s.exec.RunPlanWith(pp.pl, strat, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
+			res, stats, err := s.exec.RunPlanWith(pp.pl, strats[pp.pick], g.workers, runOptions(ctx, pp, g, espan, q.Limit))
 			return outcome{res: res, sel: stats}, err
 		},
 	})
@@ -476,15 +486,18 @@ func (c *Session) Select(ctx context.Context, projection string, q matstore.Quer
 
 // Join runs an equi-join through the result cache, admission control and the
 // shared build cache, which shares the partitioned hash side across queries
-// over the same inner table. The plan's predicted build-side bytes are part
-// of the one grant, held until the request finishes on every path out; a
-// spill-mode grant runs the build as a Grace join under it.
-func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*JoinResult, error) {
+// over the same inner table, under the cheapest of the candidate inner-table
+// strategies (one names it, JoinStrategies lets the model pick). The plan's
+// predicted build-side bytes are part of the one grant, held until the
+// request finishes on every path out; a spill-mode grant runs the build as a
+// Grace join under it.
+func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQuery, rss ...matstore.RightStrategy) (*JoinResult, error) {
 	s := c.srv
-	out, info, err := c.serve(ctx, joinKey(left, right, q, rs), request{
+	out, info, err := c.serve(ctx, joinKey(left, right, q, rss...), request{
 		want:  q.Parallelism,
 		limit: q.Limit,
-		build: func() (*plan.Plan, error) { return s.joinPlan(left, right, q, rs) },
+		n:     len(rss),
+		build: func(i int) (*plan.Plan, error) { return s.joinPlan(left, right, q, rss[i]) },
 		run: func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error) {
 			res, stats, err := s.exec.RunJoinPlanWith(pp.pl, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
 			return outcome{res: res, join: stats}, err
@@ -496,30 +509,32 @@ func (c *Session) Join(ctx context.Context, left, right string, q matstore.JoinQ
 	return &JoinResult{Res: out.res, Stats: out.join, Info: info}, nil
 }
 
-// Explain is Select run observed: the same plan, price and grant, through
-// DB.ExplainPlan instead of the result cache.
-func (c *Session) Explain(ctx context.Context, projection string, q matstore.Query, strat matstore.Strategy) (*matstore.Explanation, Info, error) {
+// Explain is Select run observed: the same candidates, pick, price and
+// grant, through DB.ExplainPlan instead of the result cache.
+func (c *Session) Explain(ctx context.Context, projection string, q matstore.Query, strats ...matstore.Strategy) (*matstore.Explanation, Info, error) {
 	s := c.srv
 	out, info, err := c.serve(ctx, "", request{
 		want:  q.Parallelism,
-		build: func() (*plan.Plan, error) { return s.selectPlan(projection, q, strat) },
+		n:     len(strats),
+		build: func(i int) (*plan.Plan, error) { return s.selectPlan(projection, q, strats[i]) },
 		run: func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error) {
-			ex, err := s.db.ExplainPlan(pp.pl, strat, pp.consts, pp.est.Cost, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
+			ex, err := s.db.ExplainPlan(pp.pl, strats[pp.pick], pp.consts, pp.est.Cost, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
 			return outcome{ex: ex}, err
 		},
 	})
 	return out.ex, info, err
 }
 
-// ExplainJoin is Join run observed: the same plan, price and grant — its
-// build-side bytes reserved, a Grace build when the grant is short, counted
-// in /stats like any spilled join — through DB.ExplainPlan instead of the
-// result cache.
-func (c *Session) ExplainJoin(ctx context.Context, left, right string, q matstore.JoinQuery, rs matstore.RightStrategy) (*matstore.Explanation, Info, error) {
+// ExplainJoin is Join run observed: the same candidates, pick, price and
+// grant — its build-side bytes reserved, a Grace build when the grant is
+// short, counted in /stats like any spilled join — through DB.ExplainPlan
+// instead of the result cache.
+func (c *Session) ExplainJoin(ctx context.Context, left, right string, q matstore.JoinQuery, rss ...matstore.RightStrategy) (*matstore.Explanation, Info, error) {
 	s := c.srv
 	out, info, err := c.serve(ctx, "", request{
 		want:  q.Parallelism,
-		build: func() (*plan.Plan, error) { return s.joinPlan(left, right, q, rs) },
+		n:     len(rss),
+		build: func(i int) (*plan.Plan, error) { return s.joinPlan(left, right, q, rss[i]) },
 		run: func(ctx context.Context, pp priced, g grant, espan *obs.Span) (outcome, error) {
 			ex, err := s.db.ExplainPlan(pp.pl, 0, pp.consts, pp.est.Cost, g.workers, runOptions(ctx, pp, g, espan, q.Limit))
 			return outcome{ex: ex}, err

@@ -317,11 +317,11 @@ func TestExplainThroughService(t *testing.T) {
 }
 
 // TestEstimateRacesServedPlans: served requests — selections, joins and
-// their explains — each annotate their own private tree with its price while
-// the advisors' estimators build and price trees of theirs over the same
-// shapes and a calibration pass swaps the constants. No tree is shared
-// between two of them and the pricing walk writes only into its own, so under
-// -race this must be silent.
+// their explains, named and advised — each build and annotate their own
+// private candidate trees while the library advisors build and price trees of
+// theirs over the same shapes and a calibration pass swaps the constants. No
+// tree is shared between two of them and the pricing walk writes only into
+// its own, so under -race this must be silent.
 func TestEstimateRacesServedPlans(t *testing.T) {
 	db := openDB(t)
 	srv := service.New(db, cacheConfig(2, 8, true))
@@ -350,11 +350,11 @@ func TestEstimateRacesServedPlans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if c, err := db.EstimateSelectCost(tpch.LineitemProj, sel, matstore.LMPipelined); err != nil || c.Total() <= 0 {
-					t.Errorf("EstimateSelectCost = %v, %v", c, err)
+				if adv, err := db.Advise(tpch.LineitemProj, sel); err != nil || adv.Costs[matstore.LMPipelined].Total() <= 0 {
+					t.Errorf("Advise = %v, %v", adv, err)
 				}
-				if c, err := db.EstimateJoinCost(tpch.OrdersProj, tpch.CustomerProj, join, matstore.RightMultiColumn); err != nil || c.Total() <= 0 {
-					t.Errorf("EstimateJoinCost = %v, %v", c, err)
+				if adv, err := db.AdviseJoin(tpch.OrdersProj, tpch.CustomerProj, join); err != nil || adv.Costs[matstore.RightMultiColumn].Total() <= 0 {
+					t.Errorf("AdviseJoin = %v, %v", adv, err)
 				}
 				if (i+g)%4 == 0 {
 					c := matstore.PaperConstants()
@@ -385,6 +385,12 @@ func TestEstimateRacesServedPlans(t *testing.T) {
 				jex, _, err := sess.ExplainJoin(ctx, tpch.OrdersProj, tpch.CustomerProj, join, matstore.RightMultiColumn)
 				if err != nil || !reflect.DeepEqual(oracle.Columns(jex.Result), oracle.Columns(wantJoin.Res)) {
 					t.Errorf("served join explain differs (err %v)", err)
+				}
+				if _, err := sess.Select(ctx, tpch.LineitemProj, sel, matstore.AdviseOrder...); err != nil {
+					t.Errorf("served advised selection: %v", err)
+				}
+				if _, err := sess.Join(ctx, tpch.OrdersProj, tpch.CustomerProj, join, matstore.JoinStrategies...); err != nil {
+					t.Errorf("served advised join: %v", err)
 				}
 			}
 		}()

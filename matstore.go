@@ -202,9 +202,8 @@ func Open(dir string, opts ...Options) (*DB, error) {
 func (db *DB) Constants() Constants { return *db.consts.Load() }
 
 // SetConstants installs new model constants, e.g. the FitConstants output:
-// Advise, AdviseParallel, AdviseJoin, Explain, ExplainJoin and the cost
-// estimators all use them from the next call on. Safe under concurrent
-// queries.
+// Advise, AdviseParallel, AdviseJoin, Explain and ExplainJoin all use them
+// from the next call on. Safe under concurrent queries.
 func (db *DB) SetConstants(c Constants) { db.consts.Store(&c) }
 
 // Close releases all column files.

@@ -256,6 +256,17 @@ func TestAdvise(t *testing.T) {
 	if _, err := db.Advise("lineitem", matstore.Query{Output: []string{"shipdate"}}); err == nil {
 		t.Error("filterless Advise accepted")
 	}
+	// A semi-join (no right outputs) builds right-materialized only: the
+	// join advisor prices and picks that one strategy.
+	semi, err := db.AdviseJoin("orders", "customer", matstore.JoinQuery{
+		LeftKey: "custkey", LeftPred: matstore.LessThan(300), LeftOutput: []string{"shipdate"}, RightKey: "custkey",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if semi.Best != matstore.RightMaterialized || len(semi.Costs) != 1 {
+		t.Errorf("AdviseJoin(semi-join) = %v with %d costs, want right-materialized with 1", semi.Best, len(semi.Costs))
+	}
 }
 
 func TestAdviseColdChargesIO(t *testing.T) {
