@@ -106,6 +106,13 @@ test -z "$(ls internal/service/*.go | grep -v _test.go \
 	| xargs grep -lE 'Advise(Parallel|Join|With)?\(')"
 test -z "$(grep -rlE --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build \
 	'Cheapest|EstimateSelectCost|EstimateJoinCost|func \(db \*DB\) price\(' .)"
+# A capped run allocates the rows it shows: a chunk past the cap is folded out
+# of pooled scratch, so the spare chunk a result kept for its next chunk may
+# not come back in internal/rows; and a morsel's vectors are its worker's for
+# one run, so no production file of the plan executor pools them across runs
+# (that held 7-20 % more memory on the uncapped workloads).
+test -z "$(ls internal/rows/*.go | grep -v _test.go | xargs grep -l 'spare')"
+test -z "$(ls internal/plan/*.go | grep -v _test.go | xargs grep -l 'sync\.Pool')"
 go test ./...
 go test -race ./...
 # The guard against a second composition (Advise == est_cost_us == EXPLAIN's
@@ -143,6 +150,10 @@ go test -race -run 'TestBuildCacheSingleFlightOversize$' ./internal/operators/
 # allocating 1.6x its result at most, and an RLE window allocating its triples
 # once. Named for the same reason.
 go test -race -run 'TestChunkBoundariesAgainstOracle$' ./internal/core/
+# Past the cap a chunk is written into scratch pooled process-wide and folded:
+# capped requests on concurrent goroutines, wide and narrow in turn, every one
+# oracle.Capped's. Named for the same reason.
+go test -race -count=5 -run 'TestCappedScratchNeverLeaks$' ./internal/core/
 go test -race -run 'TestResultCacheChargesChunks$' ./internal/service/
 go test -race -run 'TestSelectResultBytes$' .
 go test -race -run 'TestRLEWindowAllocatesTriplesOnce$' ./internal/storage/
@@ -249,13 +260,12 @@ go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 
 # 0.1, TestJoinSpillBytesPerOp bounds the bytes at 1.7 times the in-memory
 # single-column join's).
 go test -run xxx -bench 'BenchmarkJoin(Build|Probe|Spill)$' -benchtime 1x .
-# What a request that keeps 100 rows of 150k allocates, beside the same request
-# uncapped, per strategy and parallelism (0.7 to 1.3 MB against 3.1 to 3.4 at
-# 1024-row chunks: the scan layer's few kB a chunk and the morsels' chunk-wide
-# vectors, not the result; uncapped was 13 to 15 while result columns were
-# regrown), and at the default 64Ki-row chunks, where those vectors are most
-# of it (LM 2.0 MB at one worker since it gathers straight into the result
-# chunk; 3.7 through sized vectors, 6.6 when they grew from nil).
+# What a request that keeps 100 rows allocates, beside the same request
+# uncapped, per strategy and parallelism, selections of 150k rows and joins of
+# 75k, at 1024-row and the default 64Ki-row chunks: the scan layer's few kB a
+# chunk and one set of chunk-wide vectors per worker, not the result (LM 201 kB
+# at one worker and 64Ki-row chunks; 1.7 MB while each morsel wrote its
+# chunks whole and made its own vectors).
 go test -run 'TestCappedSelectAllocs$' -v ./internal/core | grep 'kB a request'
 # What a served request allocates beside it: a result-cache hit 2 (its reply),
 # named or advised; a selection miss and a join miss about 100 and 70 on the
@@ -292,7 +302,8 @@ ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builder
 # range sums, the run wrappers and the scalar references no query runs were
 # deleted or moved into test files; 3,347 before the bit-vector filter lost its
 # per-value path; 3,331 before a served request's estimate, explain and spill
-# setup became its one plan).
+# setup became its one plan; 3,320 before a morsel's vectors became its
+# worker's for the run).
 ls internal/core/core.go internal/core/join.go internal/plan/*.go internal/datasource/*.go \
 	internal/operators/radix.go internal/operators/spill.go internal/storage/column.go \
 	internal/storage/gather.go internal/encoding/*.go \

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"matstore/internal/datasource"
@@ -245,29 +246,34 @@ func TestJoinProbeAllocsPerChunk(t *testing.T) {
 }
 
 // TestCappedSelectAllocs pins the output's late materialization from outside
-// csperf: a selection that keeps 100 rows must not allocate in proportion to
-// the rows it produces. A 50 %-selectivity two-column selection over 300k rows
+// csperf: a request that keeps 100 rows must not allocate in proportion to the
+// rows it produces. A 50 %-selectivity two-column selection over 300k rows
 // (150k result rows, 2.4 MB of them) is run capped and uncapped under every
-// strategy at parallelism 1 and 4, and the bytes a run allocates are read off
-// MemStats.TotalAlloc. At 1024-row chunks it allocates 3.1 to 3.4 MB uncapped
-// (the result, written once into chunks of exactly each chunk's survivors;
-// 13 to 15 MB while one result column per morsel was regrown and the morsels'
-// columns concatenated) and 0.7 to 1.3 MB capped (1.8 under the race
-// detector), none of which is the result's: about 3 kB a chunk in the scan
-// layer (windows, position sets, iterators — 293 chunks here) and, per morsel,
-// the recycled chunk-wide vectors and a result that holds the cap plus one
-// chunk (16 morsels at parallelism 4). The bound is the earlier measurement
-// with a fifth on top; the uncapped floor, a little under the result's own
-// 2.4 MB, keeps the test from passing on a table too small to tell the two
-// apart. At the default 64Ki-row chunks the morsels' vectors are what a capped
-// request allocates, and the figures are printed, not bounded (the race
-// detector adds half again to them): the late-materializing strategies gather
-// straight into the result chunk — 2.0 MB at one worker and 3.0 MB at four,
-// where gathering into sized vectors first cost 3.7 and 5.4 MB and growing
-// those from nil by append 6.6 and 12.9 MB — and the early-materializing ones
-// decompress whole chunks (4.6 to 14.4 MB).
+// strategy, and an orders-customer join (75k result rows) under the two
+// inner strategies that seal per chunk, at parallelism 1 and 4 and at 1024-row
+// and the default 64Ki-row chunks; the bytes a run allocates are read off
+// MemStats.TotalAlloc.
+//
+// A capped morsel allocates the rows it keeps and nothing chunk-wide for the
+// rest: a chunk past the cap is written into pooled scratch and folded, and a
+// morsel's chunk-wide vectors are its worker's, made once for the run. What is
+// left is about 3 kB a chunk in the scan layer (windows, position sets,
+// iterators) and, at the default width, one set of vectors per worker: none
+// for the late-materializing selections, which gather straight into the
+// result chunk, and the decompressed columns, the batch or the probe's key,
+// payload and match vectors for the others.
+// Each bound is the most this test read on a 2-CPU host over 50 runs, idle
+// and beside other tests, with a tenth on top. How many worker sets a run at
+// four workers makes depends on the scheduler, so the early strategies' bound
+// there at 64Ki-row chunks is one set per worker: the reading at one set
+// (1,767 and 1,275 kB) plus three more, a tenth on top. With the scratch and
+// the vectors made per morsel the same requests allocated 265 to 846 kB
+// (1024-row chunks), 1.7 to 14 MB (64Ki-row) and 69 kB to 3.4 MB (joins).
+// The race detector drops pooled items at random and adds its own, so under
+// it only the earlier 1024-row selection bound of 2.2 MB applies. The
+// uncapped floors keep the test from passing on a table too small to tell
+// capped from uncapped.
 func TestCappedSelectAllocs(t *testing.T) {
-	const uncappedMin = 2 << 20
 	dir := t.TempDir()
 	if err := tpch.Generate(dir, tpch.Config{Scale: 0.05, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -277,53 +283,96 @@ func TestCappedSelectAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	li, err := db.Projection(tpch.LineitemProj)
-	if err != nil {
-		t.Fatal(err)
+	projection := func(name string) *storage.Projection {
+		p, err := db.Projection(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	q := SelectQuery{
-		Output:  []string{tpch.ColShipdate, tpch.ColLinenum},
-		Filters: []Filter{{Col: tpch.ColShipdate, Pred: pred.LessThan(tpch.ShipdateForSelectivity(0.5))}},
-	}
-	bytesPerRun := func(e *Executor, q SelectQuery, s Strategy) float64 {
-		const runs = 3
-		run := func() {
+	li, orders, customer := projection(tpch.LineitemProj), projection(tpch.OrdersProj), projection(tpch.CustomerProj)
+	sel := func(s Strategy) func(e *Executor, par, limit int) {
+		q := SelectQuery{
+			Output:  []string{tpch.ColShipdate, tpch.ColLinenum},
+			Filters: []Filter{{Col: tpch.ColShipdate, Pred: pred.LessThan(tpch.ShipdateForSelectivity(0.5))}},
+		}
+		return func(e *Executor, par, limit int) {
+			q.Parallelism, q.Limit = par, limit
 			if _, _, err := e.Select(li, q, s); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run() // the pool reads the blocks once
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range runs {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	for _, width := range []struct {
-		chunk     int64
-		cappedMax float64 // bytes a capped request may allocate
-	}{
-		{1024, 2.2 * (1 << 20)},
-		{datasource.DefaultChunkSize, math.Inf(1)},
-	} {
-		e := NewExecutor(db.Pool(), Options{ChunkSize: width.chunk})
-		for _, s := range Strategies {
-			for _, par := range []int{1, 4} {
-				q.Parallelism = par
-				q.Limit = 100
-				capped := bytesPerRun(e, q, s)
-				q.Limit = 0
-				uncapped := bytesPerRun(e, q, s)
-				t.Logf("%v/par=%d/chunk=%d: %.0f kB a request at limit 100, %.0f kB uncapped", s, par, width.chunk, capped/1024, uncapped/1024)
-				if capped > width.cappedMax {
-					t.Errorf("%v/par=%d/chunk=%d: a request keeping 100 rows allocates %.0f kB, bound %.0f", s, par, width.chunk, capped/1024, width.cappedMax/1024)
+	// A join reuses one hash side per chunk width, so what is counted is the
+	// probe's.
+	join := func(rs operators.RightStrategy) func(e *Executor, par, limit int) {
+		plans := map[*Executor]*plan.Plan{}
+		return func(e *Executor, par, limit int) {
+			pl := plans[e]
+			if pl == nil {
+				if pl, err = e.BuildJoinPlan(orders, customer, joinTestQuery(false), rs); err != nil {
+					t.Fatal(err)
 				}
-				if uncapped < uncappedMin {
-					t.Errorf("%v/par=%d/chunk=%d: the uncapped request allocates only %.0f kB: the table is too small to show a cap", s, par, width.chunk, uncapped/1024)
+				pl.Builds = operators.NewBuildCache(0)
+				plans[e] = pl
+			}
+			if _, _, err := e.RunJoinPlanWith(pl, par, plan.RunOptions{Limit: limit}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// bytesPerRun is the least one run of ten allocates: what the request
+	// itself costs, apart from a pool the collector emptied or a worker set
+	// the scheduler's timing added.
+	bytesPerRun := func(e *Executor, run func(e *Executor, par, limit int), par, limit int) float64 {
+		run(e, par, limit) // the pool reads the blocks once
+		least := math.Inf(1)
+		for range 10 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(e, par, limit)
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return least
+	}
+	widths := [2]int64{1024, datasource.DefaultChunkSize}
+	pars := [2]int{1, 4}
+	for _, tc := range []struct {
+		name  string
+		run   func(e *Executor, par, limit int)
+		floor float64       // bytes the uncapped request allocates at least
+		kB    [2][2]float64 // the capped bound, by width and parallelism
+	}{
+		{"EM-pipelined", sel(EMPipelined), 2 << 20, [2][2]float64{{313, 420}, {1925, 7010}}},
+		{"EM-parallel", sel(EMParallel), 2 << 20, [2][2]float64{{295, 378}, {1360, 4780}}},
+		{"LM-pipelined", sel(LMPipelined), 2 << 20, [2][2]float64{{257, 282}, {222, 233}}},
+		{"LM-parallel", sel(LMParallel), 2 << 20, [2][2]float64{{257, 282}, {222, 233}}},
+		{"join/right-materialized", join(operators.RightMaterialized), 1 << 20, [2][2]float64{{41, 138}, {1975, 2286}}},
+		{"join/right-multicolumn", join(operators.RightMultiColumn), 1 << 20, [2][2]float64{{117, 355}, {2045, 2427}}},
+	} {
+		for w, chunk := range widths {
+			e := NewExecutor(db.Pool(), Options{ChunkSize: chunk})
+			for p, par := range pars {
+				capped, uncapped := bytesPerRun(e, tc.run, par, 100), bytesPerRun(e, tc.run, par, 0)
+				t.Logf("%s/par=%d/chunk=%d: %.0f kB a request at limit 100, %.0f kB uncapped", tc.name, par, chunk, capped/1024, uncapped/1024)
+				bound := tc.kB[w][p] * 1024
+				if raceDetector {
+					bound = math.Inf(1)
+					if chunk == 1024 && !strings.HasPrefix(tc.name, "join") {
+						bound = 2.2 * (1 << 20)
+					}
+				}
+				if capped > bound {
+					t.Errorf("%s/par=%d/chunk=%d: a request keeping 100 rows allocates %.0f kB, bound %.0f", tc.name, par, chunk, capped/1024, bound/1024)
+				}
+				if uncapped < tc.floor {
+					t.Errorf("%s/par=%d/chunk=%d: the uncapped request allocates only %.0f kB: the table is too small to show a cap", tc.name, par, chunk, uncapped/1024)
 				}
 			}
 		}
 	}
 }
+
+// raceDetector reports a build under the race detector (race_test.go).
+var raceDetector bool

@@ -149,7 +149,7 @@ func (rt *PartitionedTable) DenseValue(c int, pos int64) int64 { return rt.dense
 // the deferred fetch's batched gather (encoding.Unordered — a window extracted
 // once and indexed, or one sorted extract), with each right chunk's mini-column
 // answering for the positions it holds, instead of a ValueAt search per match.
-// u is the probing morsel's, so its window is recycled from chunk to chunk.
+// u is the probing worker's, so its window is recycled from chunk to chunk.
 func (rt *PartitionedTable) GatherMinis(c int, pos, dst []int64, u *encoding.Unordered) error {
 	_, err := u.Gather(dst[:0], pos, positions.Range{End: rt.Tuples}, func(set positions.Set, vals []int64) ([]int64, error) {
 		cov := set.Covering()

@@ -184,13 +184,14 @@ func TestCapped(t *testing.T) {
 	full := [][]int64{{1, 2, 3}, {10, 20, 30}}
 	run := func(limit int) *rows.Result {
 		r := rows.NewResult("a", "b")
+		r.Limit = limit
 		for c, dst := range r.AddChunk(2) { // two chunks: the cap can cut either
 			copy(dst, full[c][:2])
 		}
 		for c, dst := range r.AddChunk(1) {
 			copy(dst, full[c][2:])
 		}
-		r.Seal(limit)
+		r.Seal()
 		return r
 	}
 	for _, limit := range []int{0, -1, 1, 3, 4} {

@@ -100,18 +100,19 @@ func (p *Plan) buildKey(build *Node) operators.BuildKey {
 // table in one loop; and matches emit column-wise into the morsel's partial
 // result — the multi-column strategy's inner payload included, gathered once
 // per chunk of matches out of the retained mini-columns. The pipeline is
-// reserve-once: gather and match scratch is sized from the chunk's
-// surviving-position count before it is filled, and each chunk's matches are
-// written into one result chunk of exactly the match count.
+// reserve-once: gather and match scratch is the worker's (vectors), sized to
+// the chunk's surviving-position count before it is filled, and each chunk's
+// matches are written into one result chunk of exactly the match count.
 //
 // Deferred right payload (the single-column strategy, and every strategy in
 // spill mode) has no list of its own: each row's right position is stored in
 // the row's first right-payload column, where it rides through the merge and
 // pass B until joinDeferredFetch overwrites it with the fetched value. Such a
-// morsel does not seal its result — a sum over positions means nothing, and
-// the fetch and pass B need every one of them — so the run's rows exist in
-// full until RunWith seals them after the fetch; they do not outlive it.
-func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.PartitionedTable, observe bool) error {
+// morsel keeps its result uncapped and does not seal it — a sum over
+// positions means nothing, and the fetch and pass B need every one of them —
+// so the run's rows exist in full until RunWith seals them after the fetch;
+// they do not outlive it.
+func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.PartitionedTable, vs *vectors, observe bool) error {
 	probe := p.Root.Children[0]
 	posNode := probe.Children[0]
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
@@ -120,18 +121,16 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 	payload := rt.Payload()
 	spill := rt.DeferredPayload()
 	deferred := spill || rt.Strategy() == operators.RightSingleColumn
-	var perPart []int   // keys of one chunk per partition
-	var keyPart []int32 // each key's partition, one chunk's worth
+	if deferred {
+		res.Limit = 0
+	}
+	var perPart []int // keys of one chunk per partition
 	if spill {
 		pt.spilled = make([][]spillSegment, rt.Partitions)
 		perPart = make([]int, rt.Partitions)
 	}
 
-	var keyBuf []int64
-	leftBufs := make([][]int64, base)
-	var matchIdx []int32
-	var matchPos []int64
-	var minis encoding.Unordered // the multi-column payload gather's recycled window
+	vs.left = slots(vs.left, base)
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		mc := multicol.New(cr)
@@ -149,20 +148,20 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		// multi-column covers it, else the block-pinned gather. Every gather
 		// destination is sized to the surviving-position count first.
 		start := obsStart(observe)
-		if keyBuf, err = gatherAt(mc, probe.Col, probe.Column, desc, slices.Grow(keyBuf[:0], n)); err != nil {
+		if vs.keys, err = gatherAt(mc, probe.Col, probe.Column, desc, slices.Grow(vs.keys[:0], n)); err != nil {
 			return err
 		}
 		// Batched outer payload gather at the same surviving positions.
 		for c, col := range probe.LeftCols {
-			if leftBufs[c], err = gatherAt(mc, probe.OutCols[c], col, desc, slices.Grow(leftBufs[c][:0], n)); err != nil {
+			if vs.left[c], err = gatherAt(mc, probe.OutCols[c], col, desc, slices.Grow(vs.left[c][:0], n)); err != nil {
 				return err
 			}
 		}
 
 		// Probe: collect (chunk-local key index, right position) match pairs,
 		// one per probing key when the inner key is unique — what the scratch
-		// is sized for.
-		matchIdx, matchPos = slices.Grow(matchIdx[:0], n), slices.Grow(matchPos[:0], n)
+		// is sized for; the vectors keep what a repeated key grows them to.
+		matchIdx, matchPos := slices.Grow(vs.matchIdx[:0], n), slices.Grow(vs.matchPos[:0], n)
 		placeholders := 0
 		if spill {
 			// A key landing in a spilled partition emits a placeholder row
@@ -173,10 +172,10 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 			// gets one segment per chunk of exactly its probes: nothing is
 			// regrown, and nothing is allocated for probes that never come.
 			clear(perPart)
-			keyPart = slices.Grow(keyPart[:0], n)[:n]
-			for i, k := range keyBuf {
+			vs.keyPart = slices.Grow(vs.keyPart[:0], n)[:n]
+			for i, k := range vs.keys {
 				sp := rt.KeyPartition(k)
-				keyPart[i] = int32(sp)
+				vs.keyPart[i] = int32(sp)
 				perPart[sp]++
 			}
 			for sp := rt.ResidentPartitions(); sp < rt.Partitions; sp++ {
@@ -185,8 +184,8 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 						chunk: len(res.Chunks), probes: make([]deferredProbe, 0, perPart[sp])})
 				}
 			}
-			for i, k := range keyBuf {
-				if sp := int(keyPart[i]); rt.SpilledPartition(sp) {
+			for i, k := range vs.keys {
+				if sp := int(vs.keyPart[i]); rt.SpilledPartition(sp) {
 					seg := &pt.spilled[sp][len(pt.spilled[sp])-1]
 					seg.probes = append(seg.probes, deferredProbe{off: len(matchIdx), key: k})
 					matchIdx = append(matchIdx, int32(i))
@@ -200,9 +199,10 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 				}
 			}
 		} else {
-			matchIdx, matchPos = rt.ProbeBatch(keyBuf, matchIdx, matchPos)
+			matchIdx, matchPos = rt.ProbeBatch(vs.keys, matchIdx, matchPos)
 		}
-		pt.stats.Join.LeftProbes += int64(len(keyBuf))
+		vs.matchIdx, vs.matchPos = matchIdx, matchPos
+		pt.stats.Join.LeftProbes += int64(len(vs.keys))
 		if len(matchIdx) == 0 {
 			if observe {
 				probe.Obs.add(0, time.Since(start).Nanoseconds())
@@ -216,7 +216,7 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 		// deferred batched fetch).
 		out := res.AddChunk(len(matchIdx))
 		for c := range probe.LeftCols {
-			col, vals := out[c], leftBufs[c]
+			col, vals := out[c], vs.left[c]
 			for j, i := range matchIdx {
 				col[j] = vals[i]
 			}
@@ -241,13 +241,13 @@ func (p *Plan) runJoinProbeMorsel(r positions.Range, pt *partial, rt *operators.
 			}
 		default: // RightMultiColumn
 			for c := range payload {
-				if err := rt.GatherMinis(c, matchPos, out[base+c], &minis); err != nil {
+				if err := rt.GatherMinis(c, matchPos, out[base+c], &vs.minis); err != nil {
 					return err
 				}
 			}
 		}
 		if !deferred {
-			res.Seal(pt.limit)
+			res.Seal()
 		}
 		// Placeholders are not output until pass B resolves them.
 		matched := int64(len(matchIdx) - placeholders)

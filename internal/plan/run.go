@@ -50,8 +50,9 @@ type RunStats struct {
 type partial struct {
 	agg *operators.Aggregator
 	res *rows.Result
-	// limit is the run's row cap (RunOptions.Limit): res is sealed to it after
-	// every chunk, so a morsel holds its first limit rows plus one chunk's.
+	// limit is the run's row cap (RunOptions.Limit), which init gives res: it
+	// is sealed after every chunk, so a morsel allocates and holds its first
+	// limit rows and folds the rest out of pooled scratch.
 	limit int
 	// spilled[sp] lists the spill-mode probes whose keys routed to spilled
 	// partition sp, in row order and one segment per chunk: each holds a
@@ -76,8 +77,8 @@ type deferredProbe struct {
 }
 
 // init allocates the partial's accumulator for the spec's shape and returns
-// both slots (one of them nil). A result's chunk list is sized for the
-// morsel's chunks, at most one result chunk each.
+// both slots (one of them nil). A result is capped at the run's limit, and its
+// chunk list sized for the morsel's chunks, at most one result chunk each.
 func (pt *partial) init(s Spec, chunks int) (*operators.Aggregator, *rows.Result) {
 	if s.Aggregating {
 		pt.agg = operators.NewAggregator(s.Agg)
@@ -85,7 +86,29 @@ func (pt *partial) init(s Spec, chunks int) (*operators.Aggregator, *rows.Result
 	}
 	pt.res = rows.NewResult(s.OutNames...)
 	pt.res.Chunks = make([][][]int64, 0, chunks)
+	pt.res.Limit = pt.limit
 	return nil, pt.res
+}
+
+// vectors is one worker's set of chunk-wide morsel vectors. A run hands each
+// set from morsel to morsel (runMorsels), so a vector grows to what the run's
+// chunks need once per worker, not once per morsel; each chunk overwrites what
+// the last one left in it.
+type vectors struct {
+	cols              [][]int64          // SPC's decompressed columns, then an aggregation's keys and values
+	batch             *rows.Batch        // EM-pipelined's tuples
+	keys, matchPos    []int64            // the probe's keys and matched right positions
+	left              [][]int64          // the probe's outer payload, one per column
+	matchIdx, keyPart []int32            // the probe's matched key indexes and the keys' partitions
+	minis             encoding.Unordered // the multi-column payload gather's window
+}
+
+// slots returns vs when it holds k vectors, k empty ones otherwise.
+func slots(vs [][]int64, k int) [][]int64 {
+	if len(vs) != k {
+		return make([][]int64, k)
+	}
+	return vs
 }
 
 // RunOptions parameterizes RunWith beyond the worker request: an optional
@@ -153,22 +176,11 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 	}
 	extent := positions.Range{Start: 0, End: p.Spec.Tuples}
 	morsels := exec.Morsels(extent, p.Spec.ChunkSize, workers)
-	parts := make([]*partial, len(morsels))
 	mspan := opt.Trace.Child("morsels")
 	mspan.SetAttr("parallel", true)
 	mspan.SetAttr("workers", workers)
 	mspan.SetAttr("morsels", len(morsels))
-	err := exec.Run(workers, len(morsels), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pt := &partial{limit: opt.Limit}
-		if err := p.runMorsel(morsels[i], pt, built, observe); err != nil {
-			return err
-		}
-		parts[i] = pt
-		return nil
-	})
+	parts, err := p.runMorsels(ctx, morsels, workers, built, opt)
 	if err != nil {
 		return nil, RunStats{}, err
 	}
@@ -199,9 +211,10 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 	}
 	// Sealed per chunk, this only cuts the concatenated prefixes to the cap;
 	// an aggregation's emitted groups and a deferred join's fetched rows are
-	// folded here, once they are final. Either way the chunk-sized buffers the
-	// rows were written through end with the run.
-	res.Seal(opt.Limit)
+	// folded and cut here, once they are final, and Clip lets the arrays a
+	// cut leaves mostly empty go with the run.
+	res.Limit = opt.Limit
+	res.Seal()
 	res.Clip()
 	gspan.End()
 	if workers > len(morsels) {
@@ -224,6 +237,38 @@ func (p *Plan) RunWith(parallelism int, opt RunOptions) (*rows.Result, RunStats,
 	// merge and deferred fetch, which still add to them).
 	attachNodeSpans(mspan, p.Root)
 	return res, stats, nil
+}
+
+// runMorsels runs every morsel into a partial of its own on at most workers
+// goroutines. The morsels' chunk-wide vectors come from a free list local to
+// this call that holds at most one set per worker — a set is taken only when
+// none is free, and at most workers morsels run at once — so no send to it
+// blocks, and every set is garbage once the morsels are done, before the
+// merge, pass B and the deferred fetch hold the run's rows. A morsel's result
+// returns its past-cap scratch to the process-wide pool as the morsel ends.
+func (p *Plan) runMorsels(ctx context.Context, morsels []positions.Range, workers int, built *operators.PartitionedTable, opt RunOptions) ([]*partial, error) {
+	parts := make([]*partial, len(morsels))
+	free := make(chan *vectors, workers)
+	err := exec.Run(workers, len(morsels), func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var vs *vectors
+		select {
+		case vs = <-free:
+		default:
+			vs = new(vectors)
+		}
+		pt := &partial{limit: opt.Limit}
+		err := p.runMorsel(morsels[i], pt, built, vs, opt.Observe)
+		free <- vs
+		if pt.res != nil {
+			pt.res.Release()
+		}
+		parts[i] = pt
+		return err
+	})
+	return parts, err
 }
 
 // mergePartials recombines per-morsel partials deterministically: aggregate
@@ -268,7 +313,7 @@ func mergePartials(s Spec, parts []*partial, stats *RunStats) *rows.Result {
 
 // runMorsel dispatches the morsel to the interpreter matching the tree's
 // domain. built is the run's partitioned hash side (join trees only).
-func (p *Plan) runMorsel(r positions.Range, pt *partial, built *operators.PartitionedTable, observe bool) error {
+func (p *Plan) runMorsel(r positions.Range, pt *partial, built *operators.PartitionedTable, vs *vectors, observe bool) error {
 	root := p.Root
 	if len(root.Children) == 0 {
 		return fmt.Errorf("plan: root %v has no input", root.Kind)
@@ -278,11 +323,11 @@ func (p *Plan) runMorsel(r positions.Range, pt *partial, built *operators.Partit
 	case root.Kind == KindMerge, root.Kind == KindAggregate && child.PositionsDomain():
 		return p.runPositionsMorsel(r, pt, observe)
 	case child.Kind == KindJoinProbe:
-		return p.runJoinProbeMorsel(r, pt, built, observe)
+		return p.runJoinProbeMorsel(r, pt, built, vs, observe)
 	case child.Kind == KindSPC:
-		return p.runSPCMorsel(r, pt, observe)
+		return p.runSPCMorsel(r, pt, vs, observe)
 	default:
-		return p.runTupleMorsel(r, pt, observe)
+		return p.runTupleMorsel(r, pt, vs, observe)
 	}
 }
 
@@ -348,7 +393,7 @@ func (p *Plan) runPositionsMorsel(r positions.Range, pt *partial, observe bool) 
 			}
 		}
 		start := obsStart(observe)
-		pt.res.Seal(pt.limit)
+		pt.res.Seal()
 		pt.stats.TuplesConstructed += int64(n)
 		obsNanos(&root.Obs, start, observe)
 	}
@@ -429,7 +474,7 @@ func (p *Plan) evalPositions(n *Node, cr positions.Range, mc *multicol.MultiColu
 // early (position, value) tuples, widened (and filtered) by each DS4 node in
 // order, emitted into the result or aggregator at the top. Chunks whose
 // batch runs empty skip the remaining columns' blocks.
-func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) error {
+func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, vs *vectors, observe bool) error {
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
 	agg, res := pt.init(p.Spec, ch.NumChunks())
 	// Flatten the chain leaf-first: root.Children[0] is the topmost DS4 (or
@@ -456,14 +501,23 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 	for i, n := range chain[1:] {
 		ds4s[i+1] = datasource.NewDS4(n.Column, n.Conj)
 	}
-	// The morsel's one batch: DS2 refills it per chunk and each DS4 widens it
-	// in place, so its buffers — one per chain column — are allocated once
-	// and what it holds is valid only until the next chunk.
-	names := make([]string, len(chain))
-	for i, n := range chain {
-		names[i] = n.Col
+	// The worker's one batch: DS2 refills it per chunk and each DS4 widens it
+	// in place, so its buffers — one per chain column — are made once for the
+	// run and what it holds is valid only until the next chunk.
+	batch := vs.batch
+	if batch == nil {
+		names := make([]string, len(chain))
+		for i, n := range chain {
+			names[i] = n.Col
+		}
+		batch = rows.NewBatch(names...)
+		width := int(min(p.Spec.ChunkSize, p.Spec.Tuples))
+		batch.Pos = make([]int64, 0, width)
+		for i := range batch.Cols {
+			batch.Cols[i] = make([]int64, 0, width)
+		}
+		vs.batch = batch
 	}
-	batch := rows.NewBatch(names...)
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		start := obsStart(observe)
@@ -498,7 +552,7 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 		}
 		pt.stats.PositionsMatched += int64(batch.Len())
 		start = obsStart(observe)
-		if err := emitBatch(batch, p.Spec, agg, res, pt.limit); err != nil {
+		if err := emitBatch(batch, p.Spec, agg, res); err != nil {
 			return err
 		}
 		obsNanos(&p.Root.Obs, start, observe)
@@ -511,19 +565,20 @@ func (p *Plan) runTupleMorsel(r positions.Range, pt *partial, observe bool) erro
 // its whole vector into a selection mask, and tuples are constructed at the
 // very bottom of the plan by compacting the output columns through the ANDed
 // masks.
-func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error {
+func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, vs *vectors, observe bool) error {
 	ch := datasource.NewChunker(r, p.Spec.ChunkSize)
 	agg, res := pt.init(p.Spec, ch.NumChunks())
 	spc := p.Root.Children[0]
-	// Compiled kernels, the mask and the scratch buffers are per-morsel
-	// (workers share nothing but the pool); the mask describes one chunk and is
-	// overwritten by the next.
+	// Compiled kernels and the mask are per-morsel (workers share nothing but
+	// the pool); the mask describes one chunk and is overwritten by the next.
 	leaf := operators.CompileSPC(spc.SPCFilters, spc.SPCOutIdx)
-	scratch := make([][]int64, len(spc.SPCColumns))
-	// SPC constructs tuples column-wise straight into one result chunk of the
-	// mask's popcount (or, for aggregations, into recycled key/value vectors
-	// feeding the hash aggregator).
-	kv := make([][]int64, 2)
+	// SPC decompresses into the worker's column vectors and constructs tuples
+	// column-wise straight into one result chunk of the mask's popcount (or,
+	// for aggregations, into the worker's key/value vectors feeding the hash
+	// aggregator; a selection never grows them from nil).
+	k := len(spc.SPCColumns)
+	vs.cols = slots(vs.cols, k+2)
+	scratch, kv := vs.cols[:k], vs.cols[k:]
 	for ci := 0; ci < ch.NumChunks(); ci++ {
 		cr := ch.Chunk(ci)
 		start := obsStart(observe)
@@ -534,7 +589,7 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 			if err != nil {
 				return err
 			}
-			scratch[i] = mini.Decompress(scratch[i][:0])
+			scratch[i] = mini.Decompress(slices.Grow(scratch[i][:0], int(cr.Len())))
 		}
 		n := leaf.Chunk(scratch)
 		switch {
@@ -547,7 +602,7 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 			agg.AddBatch(kv[0], kv[1])
 		default:
 			leaf.Construct(scratch, res.AddChunk(n))
-			res.Seal(pt.limit)
+			res.Seal()
 		}
 		pt.stats.TuplesConstructed += int64(n)
 		pt.stats.PositionsMatched += int64(n)
@@ -559,8 +614,8 @@ func (p *Plan) runSPCMorsel(r positions.Range, pt *partial, observe bool) error 
 }
 
 // emitBatch routes a constructed-tuple batch into the aggregator or the
-// result, in output order, and seals the result to limit.
-func emitBatch(batch *rows.Batch, s Spec, agg *operators.Aggregator, res *rows.Result, limit int) error {
+// result, in output order, and seals the result.
+func emitBatch(batch *rows.Batch, s Spec, agg *operators.Aggregator, res *rows.Result) error {
 	if s.Aggregating {
 		keys, err := batch.Col(s.GroupBy)
 		if err != nil {
@@ -583,7 +638,7 @@ func emitBatch(batch *rows.Batch, s Spec, agg *operators.Aggregator, res *rows.R
 		}
 		copy(out[i], vals)
 	}
-	res.Seal(limit)
+	res.Seal()
 	return nil
 }
 

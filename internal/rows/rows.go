@@ -7,6 +7,8 @@ package rows
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"matstore/internal/kernels"
 )
@@ -72,7 +74,10 @@ func (b *Batch) Reset() {
 // knows its chunk's row count before it stores a value, so it asks for one
 // chunk of exactly that many rows (AddChunk) and fills it; partial results
 // merge by listing each other's chunks (AppendChunks). No output column is
-// ever regrown, concatenated or copied on the way.
+// ever regrown, concatenated or copied on the way. Under a cap a chunk that
+// will not be kept whole is written into pooled scratch instead, and Seal
+// keeps only its rows up to the cap: a capped run allocates the rows it keeps,
+// not the rows it produces.
 type Result struct {
 	Columns []string
 	// Chunks lists the kept rows in output order: Chunks[k][c] is column c of
@@ -83,12 +88,22 @@ type Result struct {
 	// NumRows() <= Total of those rows.
 	Total int64
 	Sums  []int64
+	// Limit caps the rows kept (0 = every row). AddChunk reads it, so a
+	// result whose rows are still to be revised after they are written (a
+	// deferred join's) sets it only before its final Seal.
+	Limit int
 	// sealed is how many leading chunks Total and Sums already cover.
 	sealed int
-	// spare is a chunk Seal dropped past the cap: its arrays are what the next
-	// AddChunk writes into, so a capped run does not allocate a chunk per chunk.
-	spare [][]int64
+	// scratch holds the arrays every chunk past the cap is written into: taken
+	// from the pool by the first such chunk, never listed, and returned by
+	// Release. While it holds rows it is the chunk the next Seal folds.
+	scratch *[][]int64
 }
+
+// scratchPool holds the arrays of past-cap chunks. Only a capped run writes
+// into them and none keeps them past its Release, so they are shared
+// process-wide.
+var scratchPool = sync.Pool{New: func() any { return new([][]int64) }}
 
 // NewResult allocates an empty result with the given output schema.
 func NewResult(columns ...string) *Result {
@@ -112,57 +127,89 @@ func (r *Result) NumRows() int {
 	return n
 }
 
-// AddChunk lists a new chunk of n rows after the last one and returns its
-// columns, each exactly n long, for the caller to fill before the next Seal.
-// The arrays are the spare chunk's when it has room, fresh ones otherwise.
+// AddChunk returns the columns of a new chunk of n rows, each exactly n long,
+// for the caller to fill before the next Seal. A chunk whose rows are all
+// kept is fresh and listed after the last one; a chunk that crosses the cap
+// or lies past it is the pooled scratch, which Seal folds and cuts.
 func (r *Result) AddChunk(n int) [][]int64 {
-	ch := r.spare
-	r.spare = nil
-	if ch == nil {
-		ch = make([][]int64, len(r.Columns))
+	if r.scratch != nil && chunkRows(*r.scratch) > 0 {
+		r.Seal()
 	}
-	for c := range ch {
-		if cap(ch[c]) >= n {
-			ch[c] = ch[c][:n]
-		} else {
+	if r.Limit <= 0 || r.NumRows()+n <= r.Limit {
+		ch := make([][]int64, len(r.Columns))
+		for c := range ch {
 			ch[c] = make([]int64, n)
 		}
+		r.Chunks = append(r.Chunks, ch)
+		return ch
 	}
-	r.Chunks = append(r.Chunks, ch)
+	if r.scratch == nil {
+		r.scratch = scratchPool.Get().(*[][]int64)
+	}
+	ch := slices.Grow((*r.scratch)[:0], len(r.Columns))[:len(r.Columns)]
+	for c := range ch {
+		ch[c] = slices.Grow(ch[c][:0], n)[:n]
+	}
+	*r.scratch = ch
 	return ch
 }
 
-// Seal folds the chunks added since the last Seal into Total and Sums — each
-// value read once, while the chunk that produced it is still in cache — and
-// then cuts the list at limit rows (limit <= 0 keeps every row): the chunk
-// that crosses the cap is shortened, and a chunk wholly past it is unlisted
-// and kept as the spare, so an emission site that seals after every chunk
-// writes the next chunk into the same memory.
-func (r *Result) Seal(limit int) {
+// fold adds a chunk's rows to Total and Sums: each value read once, while the
+// chunk that produced it is still in cache.
+func (r *Result) fold(ch [][]int64) {
+	for c, col := range ch {
+		r.Sums[c] += kernels.SumColumn(col)
+	}
+	r.Total += int64(chunkRows(ch))
+}
+
+// Seal folds the chunks written since the last Seal into Total and Sums and
+// keeps Limit rows: the scratch chunk's rows up to the cap are copied into a
+// listed chunk of exactly their count, and a listed chunk that crosses the cap
+// is shortened and one wholly past it unlisted (what a merged or deferred
+// result still cuts here).
+func (r *Result) Seal() {
 	for _, ch := range r.Chunks[r.sealed:] {
-		for c, col := range ch {
-			r.Sums[c] += kernels.SumColumn(col)
+		r.fold(ch)
+	}
+	if r.scratch != nil && chunkRows(*r.scratch) > 0 {
+		ch := *r.scratch
+		*r.scratch = ch[:0] // folded once; the next AddChunk extends it again
+		r.fold(ch)
+		if keep := min(chunkRows(ch), r.Limit-r.NumRows()); keep > 0 {
+			for c, dst := range r.AddChunk(keep) {
+				copy(dst, ch[c])
+			}
 		}
-		r.Total += int64(chunkRows(ch))
 	}
 	r.sealed = len(r.Chunks)
-	if limit <= 0 {
+	if r.Limit <= 0 {
 		return
 	}
 	held := 0
 	for k, ch := range r.Chunks {
-		if held >= limit {
-			r.spare = ch
+		if held >= r.Limit {
 			clear(r.Chunks[k:]) // an unlisted chunk must not stay reachable
 			r.Chunks, r.sealed = r.Chunks[:k], k
 			return
 		}
-		if n := chunkRows(ch); held+n > limit {
+		if n := chunkRows(ch); held+n > r.Limit {
 			for c := range ch {
-				ch[c] = ch[c][:limit-held]
+				ch[c] = ch[c][:r.Limit-held]
 			}
 		}
 		held += chunkRows(ch)
+	}
+}
+
+// Release seals the result and returns its scratch to the pool, once the
+// last chunk has been written: a run's morsel takes the pool's arrays once,
+// not once per chunk.
+func (r *Result) Release() {
+	if r.scratch != nil {
+		r.Seal()
+		scratchPool.Put(r.scratch)
+		r.scratch = nil
 	}
 }
 
@@ -176,11 +223,11 @@ func (r *Result) Checksum() int64 {
 }
 
 // Clip moves each chunk column that fills less than half of its array into
-// one of its own size, and lets the spare chunk go. A capped result is written
-// through chunk-sized arrays; this is what lets them go when the run ends
-// instead of living as long as the few rows kept.
+// one of its own size. Only a cut by Seal leaves such a column: the chunk of a
+// merged result, an aggregation's one emitted chunk or a deferred join's rows
+// that crosses the cap, whose array would otherwise live as long as the few
+// rows kept.
 func (r *Result) Clip() {
-	r.spare = nil
 	for _, ch := range r.Chunks {
 		for c, col := range ch {
 			if cap(col) > 2*len(col) {
@@ -234,7 +281,7 @@ func (r *Result) AppendChunks(o *Result) error {
 		}
 	}
 	if o.sealed > 0 {
-		r.Seal(0) // sealed chunks stay a prefix
+		r.Seal() // sealed chunks stay a prefix
 	}
 	if r.sealed == len(r.Chunks) {
 		r.sealed += o.sealed

@@ -103,11 +103,14 @@ func TestResultBasics(t *testing.T) {
 }
 
 func TestResultZeroColumns(t *testing.T) {
-	r := NewResult()
-	r.AddChunk(5)
-	r.Seal(0)
-	if r.NumRows() != 0 || r.Total != 0 {
-		t.Errorf("zero-column result: rows=%d total=%d", r.NumRows(), r.Total)
+	for _, limit := range []int{0, 2} {
+		r := NewResult()
+		r.Limit = limit
+		r.AddChunk(5)
+		r.Seal()
+		if r.NumRows() != 0 || r.Total != 0 {
+			t.Errorf("zero-column result at limit %d: rows=%d total=%d", limit, r.NumRows(), r.Total)
+		}
 	}
 }
 
@@ -142,58 +145,114 @@ func TestResultAppendSchemaMismatch(t *testing.T) {
 	}
 }
 
-// TestResultSealFoldsAndCuts follows a capped partial over four chunks: the
-// kept rows stop at the cap, the total and the sums cover every row, a chunk
-// wholly past the cap is unlisted — nothing keeps it reachable — and its
-// arrays are what the next chunk is written into.
+// TestResultSealFoldsAndCuts follows a capped partial over four chunks, each
+// sealed as an emission site seals it: the kept rows stop at the cap, the
+// total and the sums cover every row, the chunk that crosses the cap is listed
+// as exactly its kept rows in arrays of that capacity, and a chunk wholly past
+// the cap is never listed.
 func TestResultSealFoldsAndCuts(t *testing.T) {
 	r := NewResult("i", "t")
+	r.Limit = 3
 	chunk(r, 0, 2)
-	r.Seal(3)
-	if r.NumRows() != 2 || r.Total != 2 || r.Sums[0] != 1 || r.Sums[1] != 10 {
-		t.Fatalf("under the cap: rows=%d total=%d sums=%v", r.NumRows(), r.Total, r.Sums)
+	first := &r.Chunks[0][0][0]
+	r.Seal()
+	if r.NumRows() != 2 || r.Total != 2 || r.Sums[0] != 1 || r.Sums[1] != 10 || &r.Chunks[0][0][0] != first {
+		t.Fatalf("under the cap: rows=%d total=%d sums=%v (a wholly kept chunk is listed as written)", r.NumRows(), r.Total, r.Sums)
 	}
 	chunk(r, 2, 6)
-	r.Seal(3)
+	if len(r.Chunks) != 1 {
+		t.Fatalf("a chunk crossing the cap is listed before its seal: %d chunks", len(r.Chunks))
+	}
+	r.Seal()
 	if !reflect.DeepEqual(columns(r), [][]int64{{0, 1, 2}, {0, 10, 20}}) || r.Total != 6 || r.Sums[0] != 15 || r.Sums[1] != 150 {
 		t.Fatalf("across the cap: cols=%v total=%d sums=%v", columns(r), r.Total, r.Sums)
 	}
-	chunk(r, 6, 8)
-	past := &r.Chunks[2][0][0]
-	r.Seal(3)
-	if len(r.Chunks) != 2 || r.Total != 8 {
-		t.Fatalf("a chunk past the cap: %d chunks listed, total %d", len(r.Chunks), r.Total)
+	for c, col := range r.Chunks[1] {
+		if len(col) != 1 || cap(col) != 1 {
+			t.Errorf("across the cap: column %d keeps %d rows in an array of %d", c, len(col), cap(col))
+		}
 	}
-	if tail := r.Chunks[len(r.Chunks):cap(r.Chunks)]; slices.ContainsFunc(tail, func(ch [][]int64) bool { return ch != nil }) {
-		t.Error("an unlisted chunk is still reachable from the list's array")
+	for _, span := range [][2]int64{{6, 8}, {8, 9}} {
+		chunk(r, span[0], span[1])
+		listed := len(r.Chunks)
+		r.Seal()
+		if listed != 2 || len(r.Chunks) != 2 || r.Total != span[1] {
+			t.Fatalf("past the cap: %d chunks listed, total %d", len(r.Chunks), r.Total)
+		}
 	}
-	chunk(r, 8, 9)
-	if &r.Chunks[2][0][0] != past {
-		t.Error("the chunk after an unlisted one did not reuse its arrays")
-	}
-	r.Seal(3)
-	r.Seal(3) // sealing twice folds nothing twice
+	r.Seal() // sealing twice folds nothing twice
 	if r.NumRows() != 3 || r.Total != 9 || r.Sums[0] != 36 || r.Sums[1] != 360 || r.Checksum() != 396 {
 		t.Fatalf("past the cap: rows=%d total=%d sums=%v", r.NumRows(), r.Total, r.Sums)
 	}
-	r.Clip()
-	if cap(r.Chunks[1][0]) != 1 || r.spare != nil || !reflect.DeepEqual(columns(r), [][]int64{{0, 1, 2}, {0, 10, 20}}) {
-		t.Errorf("Clip: cap=%d spare=%v cols=%v", cap(r.Chunks[1][0]), r.spare != nil, columns(r))
+	// Two chunks past the cap without a seal between them: both are folded.
+	chunk(r, 9, 11)
+	chunk(r, 11, 12)
+	r.Seal()
+	if r.NumRows() != 3 || r.Total != 12 || r.Sums[0] != 66 {
+		t.Fatalf("unsealed scratch: rows=%d total=%d sums=%v", r.NumRows(), r.Total, r.Sums)
 	}
 }
 
-// TestResultSealUncapped: limit <= 0 keeps every row, and a column that fills
-// most of its array is not copied by Clip.
+// TestResultScratchNotReused: a longer chunk written past one result's cap
+// leaves nothing in a shorter one written past another's, whichever arrays the
+// pool hands back; what is kept is copied out of the scratch, and Release
+// seals what is still pending before it returns the scratch.
+func TestResultScratchNotReused(t *testing.T) {
+	wide := NewResult("i", "t")
+	wide.Limit = 1
+	chunk(wide, 0, 100)
+	wide.Release()
+	wide.Release() // a second Release has nothing to return
+	narrow := NewResult("i", "t")
+	narrow.Limit = 2
+	chunk(narrow, 0, 1)
+	narrow.Seal()
+	cols := narrow.AddChunk(3)
+	if len(cols[0]) != 3 || len(cols[1]) != 3 {
+		t.Fatalf("scratch chunk of 3 rows is %d and %d long", len(cols[0]), len(cols[1]))
+	}
+	cols[0][0], cols[0][1], cols[0][2] = 1, 2, 3
+	cols[1][0], cols[1][1], cols[1][2] = 10, 20, 30
+	narrow.Release()
+	if !reflect.DeepEqual(columns(narrow), [][]int64{{0, 1}, {0, 10}}) || narrow.Total != 4 || narrow.Sums[0] != 6 || narrow.Sums[1] != 60 {
+		t.Fatalf("narrow result: cols=%v total=%d sums=%v", columns(narrow), narrow.Total, narrow.Sums)
+	}
+	if !reflect.DeepEqual(columns(wide), [][]int64{{0}, {0}}) || wide.Total != 100 {
+		t.Fatalf("wide result after the narrow one: cols=%v total=%d", columns(wide), wide.Total)
+	}
+}
+
+// TestResultSealUncapped: without a cap — what a deferred join's partial runs
+// under until its final Seal — every chunk is listed as written, sealed or
+// not, and a column that fills most of its array is not copied by Clip.
 func TestResultSealUncapped(t *testing.T) {
 	for _, limit := range []int{0, -1} {
 		r := NewResult("i", "t")
+		r.Limit = limit
 		chunk(r, 0, 5)
-		r.Seal(limit)
+		chunk(r, 5, 7)
+		r.Seal()
+		chunk(r, 7, 8)
 		before := &r.Chunks[0][0][0]
 		r.Clip()
-		if r.NumRows() != 5 || r.Total != 5 || r.Sums[0] != 10 || &r.Chunks[0][0][0] != before {
-			t.Errorf("limit %d: rows=%d total=%d sums=%v copied=%v", limit, r.NumRows(), r.Total, r.Sums, &r.Chunks[0][0][0] != before)
+		if len(r.Chunks) != 3 || r.NumRows() != 8 || r.Total != 7 || r.Sums[0] != 21 || &r.Chunks[0][0][0] != before {
+			t.Errorf("limit %d: chunks=%d rows=%d total=%d sums=%v copied=%v", limit, len(r.Chunks), r.NumRows(), r.Total, r.Sums, &r.Chunks[0][0][0] != before)
 		}
+	}
+	// The final Seal of a deferred result cuts it, and Clip moves the cut
+	// chunk's kept rows into arrays of their own size.
+	r := NewResult("i", "t")
+	chunk(r, 0, 2)
+	chunk(r, 2, 8)
+	chunk(r, 8, 9)
+	r.Limit = 3
+	r.Seal()
+	r.Clip()
+	if len(r.Chunks) != 2 || cap(r.Chunks[1][0]) != 1 || r.Total != 9 || !reflect.DeepEqual(columns(r), [][]int64{{0, 1, 2}, {0, 10, 20}}) {
+		t.Errorf("final seal: chunks=%d cap=%d total=%d cols=%v", len(r.Chunks), cap(r.Chunks[1][0]), r.Total, columns(r))
+	}
+	if tail := r.Chunks[len(r.Chunks):cap(r.Chunks)]; slices.ContainsFunc(tail, func(ch [][]int64) bool { return ch != nil }) {
+		t.Error("an unlisted chunk is still reachable from the list's array")
 	}
 }
 
@@ -202,14 +261,15 @@ func TestResultSealUncapped(t *testing.T) {
 // stay unsealed through the merge until one final Seal.
 func TestResultAppendAddsTotals(t *testing.T) {
 	a, b := NewResult("i", "t"), NewResult("i", "t")
+	a.Limit, b.Limit = 2, 2
 	chunk(a, 0, 4)
-	a.Seal(2)
+	a.Seal()
 	chunk(b, 4, 7)
-	b.Seal(2)
+	b.Seal()
 	if err := a.AppendChunks(b); err != nil {
 		t.Fatal(err)
 	}
-	a.Seal(2)
+	a.Seal()
 	if !reflect.DeepEqual(columns(a), [][]int64{{0, 1}, {0, 10}}) || a.Total != 7 || a.Sums[0] != 21 || a.Sums[1] != 210 {
 		t.Errorf("sealed partials: cols=%v total=%d sums=%v", columns(a), a.Total, a.Sums)
 	}
@@ -224,7 +284,8 @@ func TestResultAppendAddsTotals(t *testing.T) {
 		t.Fatalf("unsealed partials: total=%d rows=%d before the seal", c.Total, c.NumRows())
 	}
 	c.Chunks[1][1][2] = 7 // the deferred fetch overwrites a column in place
-	c.Seal(3)
+	c.Limit = 3
+	c.Seal()
 	if c.NumRows() != 3 || c.Total != 5 || c.Sums[0] != 10 || c.Sums[1] != 67 {
 		t.Errorf("unsealed partials: rows=%d total=%d sums=%v", c.NumRows(), c.Total, c.Sums)
 	}
@@ -233,11 +294,11 @@ func TestResultAppendAddsTotals(t *testing.T) {
 	e, f := NewResult("i", "t"), NewResult("i", "t")
 	chunk(e, 0, 2)
 	chunk(f, 2, 4)
-	f.Seal(0)
+	f.Seal()
 	if err := e.AppendChunks(f); err != nil {
 		t.Fatal(err)
 	}
-	e.Seal(0)
+	e.Seal()
 	if e.Total != 4 || e.Sums[0] != 6 {
 		t.Errorf("mixed partials: total=%d sums=%v", e.Total, e.Sums)
 	}

@@ -171,7 +171,7 @@ func mergeAggParts(parts []*answer, fn operators.AggFunc, limit int) *answer {
 		sumPartCounters(out, p)
 	}
 	res := agg.Emit(out.Columns[0], out.Columns[1])
-	res.Seal(0)
+	res.Seal()
 	shown := baseResponse(res, &matstore.Stats{}, Info{}, limit)
 	out.chunks, out.n, out.RowCount, out.Checksum = shown.chunks, shown.n, shown.RowCount, shown.Checksum
 	return out
