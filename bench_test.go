@@ -355,42 +355,112 @@ func BenchmarkFusedMultiPredicate(b *testing.B) {
 	runSelect(b, benchDB(b), q, matstore.LMParallel)
 }
 
+// sparseKeyStride spreads the benchmark's custkeys far enough apart that
+// their domain is sparse (operators.DenseKeys) and the build takes the hashed
+// table form.
+const sparseKeyStride = 1_000_003
+
+var (
+	sparseOnce               sync.Once
+	sparseOrders, sparseCust *storage.Projection
+	sparseErr                error
+)
+
+// sparseJoinProjections copies orders (custkey, shipdate) and customer
+// (custkey, nationcode) beside the benchmark data with every custkey times
+// sparseKeyStride — the same rows, order and encodings, and the same join
+// result, over a key domain only the hashed table can hold.
+func sparseJoinProjections(b *testing.B) (orders, customer *storage.Projection) {
+	b.Helper()
+	e := benchEnv(b)
+	sparseOnce.Do(func() {
+		copyProj := func(name string, cols ...string) (*storage.Projection, error) {
+			src, err := e.DB.Projection(name)
+			if err != nil {
+				return nil, err
+			}
+			specs := make([]storage.ColumnSpec, len(cols))
+			handles := make([]*storage.Column, len(cols))
+			for i, c := range cols {
+				if handles[i], err = src.Column(c); err != nil {
+					return nil, err
+				}
+				specs[i] = storage.ColumnSpec{Name: c, Encoding: handles[i].Encoding()}
+			}
+			dir := filepath.Join(benchDir, "sparse", name)
+			if _, err := storage.WriteProjectionParallel(dir, name, nil, specs, 1, func(i int, w *storage.ColumnWriter) error {
+				mc, err := handles[i].Window(handles[i].Extent())
+				if err != nil {
+					return err
+				}
+				for _, v := range mc.Decompress(nil) {
+					if cols[i] == tpch.ColCustkey {
+						v *= sparseKeyStride
+					}
+					if err := w.Append(v); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				return nil, err
+			}
+			return storage.OpenProjection(dir, e.DB.Pool())
+		}
+		if sparseOrders, sparseErr = copyProj(tpch.OrdersProj, tpch.ColCustkey, tpch.ColOrderShipdate); sparseErr == nil {
+			sparseCust, sparseErr = copyProj(tpch.CustomerProj, tpch.ColCustkey, tpch.ColNationcode)
+		}
+	})
+	if sparseErr != nil {
+		b.Fatal(sparseErr)
+	}
+	return sparseOrders, sparseCust
+}
+
 // BenchmarkJoinBuild isolates the hash-build phase of the join: the
 // radix-partitioned build (BuildPartitioned) at worker counts 1 and 4, per
-// inner-table materialization strategy. On the 1-CPU CI container the w1/w4
-// gap reflects partitioning overhead only.
+// inner-table materialization strategy, over customer's dense custkeys (the
+// dense table form) and over the sparse copy's (the hashed form). On the
+// 1-CPU CI container the w1/w4 gap reflects partitioning overhead only.
 func BenchmarkJoinBuild(b *testing.B) {
 	e := benchEnv(b)
 	customer, err := e.DB.Projection(tpch.CustomerProj)
 	if err != nil {
 		b.Fatal(err)
 	}
-	keyCol, err := customer.Column(tpch.ColCustkey)
-	if err != nil {
-		b.Fatal(err)
-	}
-	valCol, err := customer.Column(tpch.ColNationcode)
-	if err != nil {
-		b.Fatal(err)
-	}
+	_, sparse := sparseJoinProjections(b)
 	payload := []string{tpch.ColNationcode}
 	const chunkSize = 65536
-	for _, rs := range []operators.RightStrategy{
-		operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
-	} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/radix-w%d", rs, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rt, err := operators.BuildPartitioned(keyCol, []*storage.Column{valCol}, payload, rs, chunkSize, workers, 0)
-					if err != nil {
-						b.Fatal(err)
+	for _, side := range []struct {
+		keys string
+		proj *storage.Projection
+		key  int64
+	}{{"dense", customer, 1}, {"sparse", sparse, sparseKeyStride}} {
+		keyCol, err := side.proj.Column(tpch.ColCustkey)
+		if err != nil {
+			b.Fatal(err)
+		}
+		valCol, err := side.proj.Column(tpch.ColNationcode)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rs := range []operators.RightStrategy{
+			operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
+		} {
+			for _, workers := range []int{1, 4} {
+				b.Run(fmt.Sprintf("%s/%s/radix-w%d", side.keys, rs, workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						rt, err := operators.BuildPartitioned(keyCol, []*storage.Column{valCol}, payload, rs, chunkSize, workers, 0)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if rt.Probe(side.key) == nil {
+							b.Fatal("empty build")
+						}
 					}
-					if rt.Probe(1) == nil {
-						b.Fatal("empty build")
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -398,7 +468,8 @@ func BenchmarkJoinBuild(b *testing.B) {
 // BenchmarkJoinProbe isolates the streaming probe phase (batched key and
 // payload gathers, radix-routed lookups, and the single-column strategy's
 // deferred batched fetch) by reusing one built hash side across iterations
-// through a build cache of the plan's own.
+// through a build cache of the plan's own — over customer's dense custkeys
+// and over the sparse copy's.
 func BenchmarkJoinProbe(b *testing.B) {
 	e := benchEnv(b)
 	orders, err := e.DB.Projection(tpch.OrdersProj)
@@ -409,37 +480,45 @@ func BenchmarkJoinProbe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	sparseOrd, sparseCust := sparseJoinProjections(b)
 	exec := core.NewExecutor(e.DB.Pool(), core.Options{})
-	q := core.JoinQuery{
-		LeftKey:     tpch.ColCustkey,
-		LeftPred:    pred.LessThan(tpch.CustkeyForSelectivity(0.5, customer.TupleCount())),
-		LeftOutput:  []string{tpch.ColOrderShipdate},
-		RightKey:    tpch.ColCustkey,
-		RightOutput: []string{tpch.ColNationcode},
-	}
-	for _, rs := range []operators.RightStrategy{
-		operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
-	} {
-		pl, err := exec.BuildJoinPlan(orders, customer, q, rs)
-		if err != nil {
-			b.Fatal(err)
+	half := tpch.CustkeyForSelectivity(0.5, customer.TupleCount())
+	for _, side := range []struct {
+		keys             string
+		orders, customer *storage.Projection
+		stride           int64
+	}{{"dense", orders, customer, 1}, {"sparse", sparseOrd, sparseCust, sparseKeyStride}} {
+		q := core.JoinQuery{
+			LeftKey:     tpch.ColCustkey,
+			LeftPred:    pred.LessThan(half * side.stride),
+			LeftOutput:  []string{tpch.ColOrderShipdate},
+			RightKey:    tpch.ColCustkey,
+			RightOutput: []string{tpch.ColNationcode},
 		}
-		pl.Builds = operators.NewBuildCache(0)
-		if _, _, err := exec.RunJoinPlanWith(pl, 1, plan.RunOptions{}); err != nil {
-			b.Fatal(err) // populate the reused build
-		}
-		b.Run(rs.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var sink int64
-			for i := 0; i < b.N; i++ {
-				_, stats, err := exec.RunJoinPlanWith(pl, 1, plan.RunOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink += stats.TuplesOut
+		for _, rs := range []operators.RightStrategy{
+			operators.RightMaterialized, operators.RightMultiColumn, operators.RightSingleColumn,
+		} {
+			pl, err := exec.BuildJoinPlan(side.orders, side.customer, q, rs)
+			if err != nil {
+				b.Fatal(err)
 			}
-			_ = sink
-		})
+			pl.Builds = operators.NewBuildCache(0)
+			if _, _, err := exec.RunJoinPlanWith(pl, 1, plan.RunOptions{}); err != nil {
+				b.Fatal(err) // populate the reused build
+			}
+			b.Run(side.keys+"/"+rs.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				var sink int64
+				for i := 0; i < b.N; i++ {
+					_, stats, err := exec.RunJoinPlanWith(pl, 1, plan.RunOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					sink += stats.TuplesOut
+				}
+				_ = sink
+			})
+		}
 	}
 }
 

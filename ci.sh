@@ -150,6 +150,12 @@ go test -race -run 'TestBuildCacheSingleFlightOversize$' ./internal/operators/
 # allocating 1.6x its result at most, and an RLE window allocating its triples
 # once. Named for the same reason.
 go test -race -run 'TestChunkBoundariesAgainstOracle$' ./internal/core/
+# Both forms of the join's table — dense (an offsets array indexed by key −
+# min) and hashed — end to end: inner key domains on either side of the
+# threshold, at the int64 extremes and sparse, with outer keys outside the
+# domain, at every strategy, worker count and budget, byte for byte the
+# nested-loop oracle's. Named for the same reason.
+go test -race -count=3 -run 'TestJoinDensitySweepAgainstOracle$' ./internal/core/
 # Past the cap a chunk is written into scratch pooled process-wide and folded:
 # capped requests on concurrent goroutines, wide and narrow in turn, every one
 # oracle.Capped's. Named for the same reason.
@@ -249,9 +255,13 @@ go test -run xxx -bench 'BenchmarkKernel$' -benchtime 200x ./internal/pred
 go test -run xxx -bench 'BenchmarkEMPipelinedChain[24]Cols$' -benchtime 1x ./internal/datasource
 go test -run xxx -bench 'Benchmark(AggAddBatchSortedKeys|SPCChunk)$' -benchtime 1x ./internal/operators
 # The join's hash side is flat arrays and its probe reserves before it fills,
-# so neither allocates per key: a build of the 1.5k-row inner table is 17 to
-# 34 allocations (it was 1,537 with a map of position lists), a probe of the
-# 15k-row outer table 36 to 40 (it was 105 to 129, three times the bytes).
+# so neither allocates per key: a build of the 1.5k-row inner table is 15 to
+# 31 allocations (it was 1,537 with a map of position lists) — 56 to 77 kB
+# over customer's dense custkeys, 115 to 137 kB over the sparse copy's, whose
+# slot array the dense form's offsets replace (the sparse copy's first case
+# also reads its freshly written blocks: about 150 kB and 27 allocations) —
+# and a probe of the 15k-row outer table 26 to 28 (it was 105 to 129, three
+# times the bytes).
 # Beside them the Grace-spill join end to end at one worker under a quarter of
 # its estimate: every probe waits for pass B, which rebuilds the cold partition
 # from the stored key column and fills placeholder rows in place (scale 0.01:
@@ -291,7 +301,7 @@ ls internal/service/*.go internal/buffer/*.go internal/cache/*.go \
 # 1,133 before the micro-measured constants, the word size and the ridge
 # solver were deleted; 1,048 before a served request's estimate, explain and
 # spill setup became its one plan; 1,032 before the advisors became one
-# chooser.
+# chooser; 1,030 before the memory model priced the dense table form.
 ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builders.go \
 	| grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 # And for the executor stack (the strategies' entry points, the plan executor,
@@ -303,11 +313,14 @@ ls internal/model/*.go advise.go advise_join.go explain.go internal/core/builder
 # deleted or moved into test files; 3,347 before the bit-vector filter lost its
 # per-value path; 3,331 before a served request's estimate, explain and spill
 # setup became its one plan; 3,320 before a morsel's vectors became its
-# worker's for the run).
+# worker's for the run; 3,358 before the join table's dense form).
 ls internal/core/core.go internal/core/join.go internal/plan/*.go internal/datasource/*.go \
 	internal/operators/radix.go internal/operators/spill.go internal/storage/column.go \
 	internal/storage/gather.go internal/encoding/*.go \
 	| grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
+# Beside it the join and aggregation operators alone (internal/operators, the
+# build cache included: 833 before the join table's dense form).
+ls internal/operators/*.go | grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l
 # And for the predicates (585 before a conjunction became one interval minus
 # its exceptions: one kernel body, one scalar test, one selectivity formula).
 ls internal/pred/*.go | grep -v _test.go | xargs cat | grep -v '^\s*$' | grep -v '^\s*//' | wc -l

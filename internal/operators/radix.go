@@ -2,6 +2,9 @@ package operators
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/bits"
 
 	"matstore/internal/datasource"
 	"matstore/internal/encoding"
@@ -15,6 +18,9 @@ import (
 // (key, position) pair into a per-partition × per-morsel staging buffer by a
 // radix of the key hash; a barrier later builds one FlatTable (flattable.go)
 // per partition with no locks, each partition owned by exactly one worker.
+// The radix is taken from the key's hash, which is key − min when the key
+// column's domain is dense (DenseKeys) and HashKey otherwise; the same hash
+// then indexes the partition's table (flattable.go).
 // Because the buffers are indexed by morsel and taken in morsel order, every
 // key's position list comes out in ascending position order — the order a
 // serial scan produces — so probe results are byte-identical at every worker
@@ -25,8 +31,10 @@ import (
 // build cache across queries) without copying.
 
 // HashKey mixes a join key into a full-width hash (the 64-bit finalizer of
-// MurmurHash3). The low bits select the radix partition, so the mix must
-// spread nearby keys — dense foreign-key domains are the common case.
+// MurmurHash3). The low bits select the radix partition of a hashed build and
+// the shard of a key-partitioned layout (PartitionOf), so the mix must spread
+// nearby keys. A dense key domain is not hashed at all: its build routes by
+// key − min.
 func HashKey(k int64) uint64 {
 	x := uint64(k)
 	x ^= x >> 33
@@ -73,10 +81,15 @@ func ResolvePartitions(workers, override int) int {
 // hash table per partition, plus the per-strategy payload storage (dense
 // arrays, retained mini-columns, or deferred column handles).
 type PartitionedTable struct {
-	strategy  RightStrategy
-	payload   []string
-	mask      uint64
-	tables    []FlatTable
+	strategy RightStrategy
+	payload  []string
+	mask     uint64
+	tables   []FlatTable
+	// denseKey selects the routing (see hash); span is the largest hash a
+	// stored key may have — max − min for a dense build, MaxUint64 otherwise.
+	denseKey  bool
+	min       int64
+	span      uint64
 	dense     [][]int64               // RightMaterialized: payload[c][rightPos]
 	chunks    [][]encoding.MiniColumn // RightMultiColumn: [chunk][payloadIdx]
 	chunkSize int64
@@ -113,12 +126,22 @@ func (rt *PartitionedTable) Strategy() RightStrategy { return rt.strategy }
 // Payload returns the payload column names.
 func (rt *PartitionedTable) Payload() []string { return rt.payload }
 
+// hash is the table's one routing function: a key's hash, whose low bits
+// pick its radix partition and whose high bits index that partition's table —
+// key − min for a dense build, HashKey for a hashed one.
+func (rt *PartitionedTable) hash(key int64) uint64 {
+	if rt.denseKey {
+		return uint64(key) - uint64(rt.min)
+	}
+	return HashKey(key)
+}
+
 // Probe returns the right positions matching key in ascending position
 // order (nil if none). The result is a sub-slice of the partition table's
 // positions array — read-only, valid as long as the table. Safe for
 // concurrent use: the tables are read-only after build.
 func (rt *PartitionedTable) Probe(key int64) []int64 {
-	h := HashKey(key)
+	h := rt.hash(key)
 	if m := rt.tables[h&rt.mask].probe(h, key); len(m) > 0 {
 		return m[:len(m):len(m)] // an append by the caller must not reach the next key's positions
 	}
@@ -128,10 +151,22 @@ func (rt *PartitionedTable) Probe(key int64) []int64 {
 // ProbeBatch probes every key in one loop, appending one (index into keys,
 // right position) pair per match to idx and pos: pairs ascend by key index,
 // and by position within a key — the order per-key Probe calls would produce.
+// The loop is chosen once per batch, by the build's form, so each form's probe
+// inlines into its own.
 func (rt *PartitionedTable) ProbeBatch(keys []int64, idx []int32, pos []int64) ([]int32, []int64) {
+	if rt.denseKey {
+		for i, k := range keys {
+			h := rt.hash(k)
+			for _, rpos := range rt.tables[h&rt.mask].probeDense(h) {
+				idx = append(idx, int32(i))
+				pos = append(pos, rpos)
+			}
+		}
+		return idx, pos
+	}
 	for i, k := range keys {
-		h := HashKey(k)
-		for _, rpos := range rt.tables[h&rt.mask].probe(h, k) {
+		h := rt.hash(k)
+		for _, rpos := range rt.tables[h&rt.mask].probeHashed(h, k) {
 			idx = append(idx, int32(i))
 			pos = append(pos, rpos)
 		}
@@ -204,6 +239,10 @@ func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*s
 		cols:       payloadCols,
 		Tuples:     extent.Len(),
 		Partitions: p,
+	}
+	rt.span = math.MaxUint64
+	if lo, hi := key.MinMax(); DenseKeys(lo, hi, extent.Len()) {
+		rt.denseKey, rt.min, rt.span = true, lo, uint64(hi)-uint64(lo)
 	}
 	resident := p
 	if cfg != nil {
@@ -279,7 +318,9 @@ func buildPartitioned(ctx context.Context, key *storage.Column, payloadCols []*s
 // by the build and pass B's rebuild of a cold partition: it decompresses the
 // chunk into keyBuf and routes every (key, position) pair by partition. The
 // pairs of partitions lo to lo+len(bufs)-1 are appended to their buffers in
-// position order; any other pair is only counted in cold (when not nil).
+// position order; any other pair is only counted in cold (when not nil). A
+// key outside the header's bounds, which a dense table has no slot for, is an
+// error.
 func (rt *PartitionedTable) scanChunk(key *storage.Column, r positions.Range, keyBuf []int64, bufs [][]buildEntry, lo int, cold []int64) ([]int64, error) {
 	mc, err := key.Window(r)
 	if err != nil {
@@ -287,7 +328,11 @@ func (rt *PartitionedTable) scanChunk(key *storage.Column, r positions.Range, ke
 	}
 	keyBuf = mc.Decompress(keyBuf[:0])
 	for j, k := range keyBuf {
-		pt := int(HashKey(k)&rt.mask) - lo
+		h := rt.hash(k)
+		if h > rt.span {
+			return keyBuf, fmt.Errorf("operators: join key %d lies outside its column header's bounds [%d, %d]", k, rt.min, rt.min+int64(rt.span))
+		}
+		pt := int(h&rt.mask) - lo
 		if uint(pt) < uint(len(bufs)) {
 			bufs[pt] = append(bufs[pt], buildEntry{key: k, pos: r.Start + int64(j)})
 		} else if cold != nil {
@@ -379,9 +424,21 @@ func stagingBuffers(n, capacity int) [][]buildEntry {
 // each built by a single worker from its morsel-ordered staging buffers.
 func (rt *PartitionedTable) buildTables(workers int, staged [][][]buildEntry) error {
 	return exec.Run(workers, len(staged), func(pt int) (err error) {
-		rt.tables[pt], err = newFlatTable(staged[pt]...)
+		rt.tables[pt], err = rt.newTable(pt, staged[pt]...)
 		return err
 	})
+}
+
+// newTable builds partition pt's table from its entries in the build's form.
+// A dense partition holds the domain values whose hash has pt as its low
+// bits. (A partition past the span holds no entries, so the width its
+// subtraction wraps to is never allocated.)
+func (rt *PartitionedTable) newTable(pt int, runs ...[]buildEntry) (FlatTable, error) {
+	if !rt.denseKey {
+		return newFlatTable(runs...)
+	}
+	shift := uint(bits.TrailingZeros64(rt.mask + 1))
+	return newDenseTable(rt.min, shift, (rt.span-uint64(pt))>>shift+1, runs...)
 }
 
 // memBytes is the built table's heap footprint: every partition's slot and

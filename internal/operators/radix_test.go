@@ -1,7 +1,12 @@
 package operators
 
 import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -205,5 +210,145 @@ func TestGatherMinis(t *testing.T) {
 	}
 	if err := rt.GatherMinis(0, []int64{n}, make([]int64, 1), &scratch); err == nil {
 		t.Fatal("a position past the inner table was gathered")
+	}
+}
+
+// storedKeyColumn writes keys as a stored plain column and opens it.
+func storedKeyColumn(t *testing.T, keys []int64) (*storage.Column, string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "right")
+	w, err := storage.NewProjectionWriter(dir, "right", nil, []storage.ColumnSpec{{Name: "k", Encoding: encoding.Plain}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := w.AppendRow(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p, err := storage.OpenProjection(dir, buffer.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := p.Column("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col, filepath.Join(dir, "k.col")
+}
+
+// TestBuildFormFollowsKeyDomain: over stored key columns on either side of
+// the DenseKeys threshold, the build — in memory, and pass B's rebuild of a
+// cold partition — takes the form the column header's bounds imply, and
+// every partition table answers the reference map's positions.
+func TestBuildFormFollowsKeyDomain(t *testing.T) {
+	const n = 600
+	edge := int64(4 * NextPow2(2*n))
+	domain := func(start, step int64) []int64 {
+		ks := make([]int64, n)
+		for i := range ks {
+			ks[i] = start + int64(i)*step
+		}
+		rand.New(rand.NewSource(start)).Shuffle(n, func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+		return ks
+	}
+	dups, atEdge, pastEdge := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range dups { // the threshold fixtures span edge and edge+1 values
+		dups[i], atEdge[i], pastEdge[i] = int64(i%150)-75, int64(i)*(edge-1)/(n-1), int64(i)*edge/(n-1)
+	}
+	extremes := domain(0, 1)
+	extremes[0], extremes[1] = math.MinInt64, math.MaxInt64
+	for _, tc := range []struct {
+		name  string
+		keys  []int64
+		dense bool
+	}{
+		{"dense unique", domain(0, 1), true},
+		{"dense duplicates, negative min", dups, true},
+		{"at the threshold", atEdge, true},
+		{"past the threshold", pastEdge, false},
+		{"sparse", domain(-7_000_000_000, 1_000_003), false},
+		{"int64 min end", domain(math.MinInt64, 1), true},
+		{"int64 max end", domain(math.MaxInt64-n+1, 1), true},
+		{"int64 extremes", extremes, false},
+	} {
+		col, _ := storedKeyColumn(t, tc.keys)
+		ref := map[int64][]int64{}
+		for pos, k := range tc.keys {
+			ref[k] = append(ref[k], int64(pos))
+		}
+		for _, partitions := range []int{1, 8} {
+			at := fmt.Sprintf("%s/p=%d", tc.name, partitions)
+			rt, err := BuildPartitioned(col, nil, nil, RightSingleColumn, 64, 4, partitions)
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			if rt.denseKey != tc.dense {
+				t.Fatalf("%s: dense = %v, want %v", at, rt.denseKey, tc.dense)
+			}
+			spilled, err := BuildPartitionedSpill(context.Background(), col, nil, nil, RightSingleColumn, 64, 4, partitions,
+				SpillConfig{BudgetBytes: 1, EstBytes: rt.SizeBytes})
+			if err != nil {
+				t.Fatalf("%s: %v", at, err)
+			}
+			for pt := range rt.tables {
+				cold, err := spilled.LoadSpilledPartition(context.Background(), pt)
+				if err != nil {
+					t.Fatalf("%s: %v", at, err)
+				}
+				for _, tbl := range []*FlatTable{&rt.tables[pt], cold} {
+					if dense := tbl.off != nil; tbl.Len() > 0 && (dense != tc.dense || (tbl.slots != nil) == dense) {
+						t.Errorf("%s: partition %d has %d slots and %d offsets", at, pt, len(tbl.slots), len(tbl.off))
+					}
+				}
+				for k, want := range ref {
+					if rt.KeyPartition(k) == pt && !reflect.DeepEqual(cold.Probe(k), want) {
+						t.Errorf("%s: rebuilt partition %d: Probe(%d) = %v, want %v", at, pt, k, cold.Probe(k), want)
+					}
+				}
+			}
+			checkAgainstRef(t, at, rt.Probe, ref, []int64{math.MinInt64, math.MaxInt64, -76, 1 << 40})
+		}
+	}
+}
+
+// TestBuildRejectsKeysOutsideHeader: a dense build trusts the header's bounds
+// for its offsets array, so a stored key beyond them — a header that
+// understates its max — fails the build, in memory and in spill mode, with an
+// error rather than a wrong answer.
+func TestBuildRejectsKeysOutsideHeader(t *testing.T) {
+	keys := make([]int64, 600)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	col, path := storedKeyColumn(t, keys)
+	col.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxV [8]byte
+	binary.LittleEndian.PutUint64(maxV[:], 500)
+	if _, err := f.WriteAt(maxV[:], 40); err != nil { // the header's max
+		t.Fatal(err)
+	}
+	f.Close()
+	col, err = storage.Open(path, buffer.New(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	if lo, hi := col.MinMax(); lo != 0 || hi != 500 {
+		t.Fatalf("patched header bounds = [%d, %d], want [0, 500]", lo, hi)
+	}
+	if _, err := BuildPartitioned(col, nil, nil, RightSingleColumn, 64, 2, 4); err == nil {
+		t.Error("in-memory build over keys past the header's max succeeded")
+	}
+	if _, err := BuildPartitionedSpill(context.Background(), col, nil, nil, RightSingleColumn, 64, 2, 4,
+		SpillConfig{BudgetBytes: 1, EstBytes: 1 << 20}); err == nil {
+		t.Error("spill build over keys past the header's max succeeded")
 	}
 }

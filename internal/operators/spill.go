@@ -27,8 +27,8 @@ import (
 // files (forced late materialization), for the same reason: the payload
 // already lives on disk in compressed block form.
 //
-// A cold partition rebuilt for pass B is built by the same newFlatTable the
-// in-memory build uses, and like it is read-only and owns the positions array
+// A cold partition rebuilt for pass B is built in the same form, by the same
+// code, as the in-memory build's partitions, and like it is read-only and owns the positions array
 // its Probe results alias: the caller of LoadSpilledPartition keeps no probe
 // result past dropping the table.
 
@@ -76,7 +76,7 @@ func (rt *PartitionedTable) ResidentPartitions() int {
 }
 
 // KeyPartition returns the radix partition a key routes to.
-func (rt *PartitionedTable) KeyPartition(key int64) int { return int(HashKey(key) & rt.mask) }
+func (rt *PartitionedTable) KeyPartition(key int64) int { return int(rt.hash(key) & rt.mask) }
 
 // LoadSpilledPartition rebuilds cold partition pt's hash table by rescanning
 // the key column in position order, so every key's positions come out
@@ -107,7 +107,7 @@ func (rt *PartitionedTable) LoadSpilledPartition(ctx context.Context, pt int) (*
 	if got := int64(len(entries[0])); got != want {
 		return nil, fmt.Errorf("spill partition %d: rescan found %d entries, the build counted %d", pt, got, want)
 	}
-	tbl, err := newFlatTable(entries[0])
+	tbl, err := rt.newTable(pt, entries[0])
 	if err != nil {
 		return nil, err
 	}

@@ -356,18 +356,11 @@ func TestNegativeResultCache(t *testing.T) {
 }
 
 // TestBuildCacheEvictionLeavesNoFiles: under a memory budget, a build cache
-// that holds one customer build (24 KiB) evicts it on every switch between two
-// join shapes with distinct builds. An evicted build is dropped and rebuilt on
-// its next miss, so every reply equals the first of its shape and nothing is
-// written to the database directory.
+// that holds one customer build but not two evicts on every switch between
+// two join shapes with distinct builds. An evicted build is dropped and
+// rebuilt on its next miss, so every reply equals the first of its shape and
+// nothing is written to the database directory.
 func TestBuildCacheEvictionLeavesNoFiles(t *testing.T) {
-	srv := newServer(t, service.Config{
-		WorkerBudget:      2,
-		MemoryBudgetBytes: 1 << 30,  // plenty: joins run in memory, builds cache
-		BuildCacheBytes:   24 << 10, // one ~17 KiB customer build fits, two don't
-		ResultCacheBytes:  -1,
-	})
-	sess := srv.NewSession()
 	q := matstore.JoinQuery{
 		LeftKey:     tpch.ColCustkey,
 		LeftPred:    matstore.MatchAll,
@@ -376,6 +369,23 @@ func TestBuildCacheEvictionLeavesNoFiles(t *testing.T) {
 		RightOutput: []string{tpch.ColNationcode},
 	}
 	strats := []matstore.RightStrategy{matstore.RightMaterialized, matstore.RightMultiColumn}
+	// The cache's capacity comes from the two builds' measured sizes: the
+	// larger one fits, both together don't.
+	sizes := make([]int64, len(strats))
+	measure := newServer(t, service.Config{WorkerBudget: 2, MemoryBudgetBytes: 1 << 30, ResultCacheBytes: -1})
+	for i, rs := range strats {
+		if _, err := measure.NewSession().Join(context.Background(), tpch.OrdersProj, tpch.CustomerProj, q, rs); err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = measure.Stats().BuildCache.Bytes - sizes[0]*int64(i)
+	}
+	srv := newServer(t, service.Config{
+		WorkerBudget:      2,
+		MemoryBudgetBytes: 1 << 30, // plenty: joins run in memory, builds cache
+		BuildCacheBytes:   max(sizes[0], sizes[1]) + min(sizes[0], sizes[1])/2,
+		ResultCacheBytes:  -1,
+	})
+	sess := srv.NewSession()
 	first := make([]*matstore.Result, len(strats))
 	for round := 0; round < 8; round++ {
 		for i, rs := range strats {
